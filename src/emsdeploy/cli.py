@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis, calibrate, demand, geogrid, ingest, robust, simcore, stochastic
-from .dispatchflow import EdgeSet, edges_from_coverage
+from .dispatchflow import Deployment, EdgeSet, edges_from_coverage
 from .errors import ConfigError, DataError, EmsDeployError, SolverError
 from .rng import derive_seed
 
@@ -83,7 +83,6 @@ class RunConfig:
     lognormal_sigma: float = 0.3
     shortfall_threshold_s: float = 600.0
     sample_with_replacement: bool = False
-    restrict_dispatch_to_coverage: bool = False
     # calibration / verification
     calibration_kind: str = "loglog"  # identity | linear | loglog
     trim_p: float = 0.01
@@ -237,8 +236,6 @@ def _sim_params(cfg: RunConfig, model: calibrate.CalibrationModel | None) -> sim
         lognormal_sigma=cfg.lognormal_sigma,
         shortfall_threshold_s=cfg.shortfall_threshold_s,
         calibration=model,
-        restrict_dispatch_to_coverage=cfg.restrict_dispatch_to_coverage,
-        coverage_threshold_s=cfg.coverage_threshold_s,
         snap_cells=cfg.snap_cells,
     )
 
@@ -371,9 +368,10 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def _load_deployment(path: Path, n: int) -> np.ndarray:
+    """Stationing from a deployment file; it may place at most ``n`` units."""
     with open(path) as f:
         doc = json.load(f)
-    return np.array(doc["x"], dtype=np.int64)
+    return Deployment(doc["x"], n).x
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:

@@ -12,7 +12,7 @@ flow value because the middle edges are uncapacitated.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -85,12 +85,6 @@ def edges_from_coverage(coverage: np.ndarray) -> EdgeSet:
     cov = np.asarray(coverage, dtype=bool)
     pairs = [(int(i), int(j)) for i, j in zip(*np.nonzero(cov))]
     return EdgeSet(pairs, cov.shape[0], cov.shape[1])
-
-
-def incidence(edges: Iterable[tuple[int, int]], n_stations: int, n_regions: int) -> tuple[np.ndarray, np.ndarray]:
-    """Incidence matrices for an edge list; duplicate edges are rejected."""
-    es = edges if isinstance(edges, EdgeSet) else EdgeSet(edges, n_stations, n_regions)
-    return es.incidence()
 
 
 @dataclass
@@ -291,40 +285,3 @@ class ScenarioEvaluator:
         """
         base = self.totals(x)
         return np.maximum(base - int(free_units), 0)
-
-
-def save_routing_csv(routing: Routing, path) -> None:
-    """Debug dump of a flow as an edge list: station, region, units."""
-    import csv
-
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["station", "region", "units"])
-        for (i, j), units in zip(routing.edges.edges, routing.y):
-            writer.writerow([i, j, int(units)])
-
-
-def nearest_available(
-    x_available: Sequence[int],
-    region_j: int,
-    travel_s: np.ndarray,
-    edges: EdgeSet | None = None,
-    restrict_to_edges: bool = False,
-) -> int | None:
-    """Index of the closest station with a free unit, or None if all busy.
-
-    travel_s is the stations x regions travel matrix. Ties go to the lowest
-    station index. With restrict_to_edges, stations lacking a feasible edge
-    to the region are skipped.
-    """
-    best = None
-    best_t = None
-    for i, avail in enumerate(x_available):
-        if avail < 1:
-            continue
-        if restrict_to_edges and edges is not None and (i, region_j) not in edges:
-            continue
-        t = float(travel_s[i][region_j])
-        if best_t is None or t < best_t:
-            best, best_t = i, t
-    return best

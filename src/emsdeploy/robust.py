@@ -20,7 +20,7 @@ import numpy as np
 from .demand import UncertaintySet, enumerate_set
 from .dispatchflow import Deployment, EdgeSet, ScenarioEvaluator
 from .errors import ConfigError, SetTooLargeError
-from .stochastic import SearchConfig, ScenarioSet, max_aggregator, minimize_deployment
+from .stochastic import SearchConfig, max_aggregator, minimize_deployment
 
 
 @dataclass
@@ -154,35 +154,6 @@ def solve_robust_ccg(
         converged=converged,
         state=state,
     )
-
-
-def solve_robust_saa_hybrid(
-    uset: UncertaintySet,
-    scenarios: ScenarioSet,
-    n: int,
-    edges: EdgeSet,
-    lam: float,
-    size_budget: int = 200_000,
-    search_config: SearchConfig | None = None,
-) -> Deployment:
-    """Blend of worst-case and mean-shortfall objectives.
-
-    Minimizes lam * (worst case over the uncertainty set) +
-    (1 - lam) * (mean over the scenarios); lam = 1 recovers the robust
-    optimum and lam = 0 the stochastic one. Requires the uncertainty set
-    to be enumerable within the budget.
-    """
-    if not (0.0 <= lam <= 1.0):
-        raise ConfigError(f"lambda must lie in [0, 1], got {lam}")
-    members = enumerate_set(uset, size_budget)
-    m = scenarios.m
-    stacked = np.vstack([scenarios.demands, members])
-
-    def blend(totals: np.ndarray) -> float:
-        return lam * float(totals[m:].max()) + (1.0 - lam) * float(totals[:m].mean())
-
-    result = minimize_deployment(stacked, n, edges, blend, search_config)
-    return Deployment(result.x, n)
 
 
 def save_robust_solution(solution: RobustSolution, path: str | Path, alpha: float | None = None) -> None:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import heapq
 import math
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -45,14 +46,18 @@ class Event:
 
 @dataclass
 class SimParams:
-    """Simulation knobs; lognormal parameters are on the minutes scale."""
+    """Simulation knobs.
+
+    The lognormal on-scene parameters are on the minutes scale; a call whose
+    response exceeds ``shortfall_threshold_s`` counts as a shortfall;
+    ``calibration`` (when set) maps every grid travel time to an adjusted
+    one; ``snap_cells`` is the off-grid snapping tolerance for CallRecords.
+    """
 
     lognormal_mu: float = 3.65
     lognormal_sigma: float = 0.3
     shortfall_threshold_s: float = 600.0
     calibration: CalibrationModel | None = None
-    restrict_dispatch_to_coverage: bool = False
-    coverage_threshold_s: float = 600.0
     snap_cells: float = 1.0
 
 
@@ -61,9 +66,8 @@ class _Ambulance:
     id: int
     home_station: int
     home_cell: int
-    status: str = "AtStation"  # AtStation | Enroute | OnScene | ToHospital | Returning
-    cell: int = 0
-    return_eta: float = 0.0
+    cell: int
+    free: bool = True  # at its station or returning to it
 
 
 @dataclass
@@ -127,9 +131,16 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
         raise DataError("need at least one stationed ambulance")
     sim_calls = _as_sim_calls(calls, grid, params.snap_cells)
 
-    def travel(a: int, b: int) -> float:
-        t = float(grid.travel_time_s[a, b])
-        return apply(params.calibration, t) if params.calibration is not None else t
+    # travel[a][b]: calibrated seconds from cell a to cell b
+    grid_s = grid.travel_time_s.tolist()
+    travel = grid_s
+    if params.calibration is not None:
+        travel = [[apply(params.calibration, t) for t in row] for row in grid_s]
+    # nearest hospital per cell by raw grid time, ties to the lower cell index
+    hospital_of = [
+        min(grid.hospital_cells, key=lambda h: (row[h], h)) if grid.hospital_cells else None
+        for row in grid_s
+    ]
 
     ambulances: list[_Ambulance] = []
     for i, cell in enumerate(grid.station_cells):
@@ -150,38 +161,26 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
     for k, (t, _) in enumerate(sim_calls):
         push(t, NEW_CALL, k, -1)
 
-    waiting: list[int] = []  # FIFO queue of call ids
+    waiting: deque[int] = deque()  # FIFO queue of call ids
     outcomes: dict[int, CallOutcome] = {}
     log: list[Event] = []
-    hospital_skipped = not grid.hospital_cells
-
-    def settle_returns(now: float) -> None:
-        for amb in ambulances:
-            if amb.status == "Returning" and amb.return_eta <= now:
-                amb.status = "AtStation"
-
-    def eligible(amb: _Ambulance, cell: int) -> bool:
-        if amb.status not in ("AtStation", "Returning"):
-            return False
-        if params.restrict_dispatch_to_coverage:
-            return float(grid.travel_time_s[amb.cell, cell]) <= params.coverage_threshold_s
-        return True
 
     def pick_ambulance(cell: int) -> _Ambulance | None:
+        # ambulances are ordered by (home station, id), so the first strict
+        # minimum is the closest free unit with both tie-breaks applied
         best = None
-        best_key = None
+        best_t = 0.0
         for amb in ambulances:
-            if not eligible(amb, cell):
-                continue
-            key = (travel(amb.cell, cell), amb.home_station, amb.id)
-            if best_key is None or key < best_key:
-                best, best_key = amb, key
+            if amb.free:
+                t = travel[amb.cell][cell]
+                if best is None or t < best_t:
+                    best, best_t = amb, t
         return best
 
     def dispatch(amb: _Ambulance, call_id: int, now: float) -> None:
         t_call, cell = sim_calls[call_id]
         wait = now - t_call
-        leg = travel(amb.cell, cell)
+        leg = travel[amb.cell][cell]
         response = wait + leg
         outcomes[call_id] = CallOutcome(
             call_id=call_id,
@@ -193,34 +192,20 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
             response_s=response,
             shortfall=response > params.shortfall_threshold_s,
         )
-        amb.status = "Enroute"
+        amb.free = False
         log.append(Event(now, CALL_ENROUTE, call_id, amb.id, amb.cell))
         push(now + leg, CALL_ARRIVE_SCENE, call_id, amb.id)
 
-    def pop_waiting(amb: _Ambulance) -> int | None:
-        for pos, call_id in enumerate(waiting):
-            _, cell = sim_calls[call_id]
-            if not params.restrict_dispatch_to_coverage or (
-                float(grid.travel_time_s[amb.cell, cell]) <= params.coverage_threshold_s
-            ):
-                return waiting.pop(pos)
-        return None
-
-    def release(amb: _Ambulance, call_id: int, now: float, at_cell: int) -> None:
-        amb.cell = at_cell
-        log.append(Event(now, AMBULANCE_AVAILABLE, call_id, amb.id, at_cell))
-        next_call = pop_waiting(amb)
-        if next_call is not None:
-            dispatch(amb, next_call, now)
+    def release(amb: _Ambulance, call_id: int, now: float) -> None:
+        log.append(Event(now, AMBULANCE_AVAILABLE, call_id, amb.id, amb.cell))
+        if waiting:
+            dispatch(amb, waiting.popleft(), now)
         else:
-            eta = now + travel(at_cell, amb.home_cell)
-            amb.status = "Returning"
+            amb.free = True
             amb.cell = amb.home_cell  # re-dispatch happens from the destination cell
-            amb.return_eta = eta
 
     while heap:
         now, _, kind, call_id, amb_id = heapq.heappop(heap)
-        settle_returns(now)
         if kind == NEW_CALL:
             _, cell = sim_calls[call_id]
             log.append(Event(now, NEW_CALL, call_id, None, cell))
@@ -231,28 +216,22 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
                 dispatch(amb, call_id, now)
         elif kind == CALL_ARRIVE_SCENE:
             amb = ambulances[amb_id]
-            _, cell = sim_calls[call_id]
-            amb.status = "OnScene"
-            amb.cell = cell
-            log.append(Event(now, CALL_ARRIVE_SCENE, call_id, amb_id, cell))
+            amb.cell = sim_calls[call_id][1]
+            log.append(Event(now, CALL_ARRIVE_SCENE, call_id, amb_id, amb.cell))
             push(now + service_s[call_id], CALL_DEPART_SCENE, call_id, amb_id)
         elif kind == CALL_DEPART_SCENE:
             amb = ambulances[amb_id]
             log.append(Event(now, CALL_DEPART_SCENE, call_id, amb_id, amb.cell))
-            if grid.hospital_cells:
-                hosp = min(
-                    grid.hospital_cells,
-                    key=lambda h: (float(grid.travel_time_s[amb.cell, h]), h),
-                )
-                amb.status = "ToHospital"
-                push(now + travel(amb.cell, hosp), CALL_ARRIVE_HOSPITAL, call_id, amb_id)
-                amb.cell = hosp
+            hosp = hospital_of[amb.cell]
+            if hosp is None:
+                release(amb, call_id, now)
             else:
-                release(amb, call_id, now, amb.cell)
+                push(now + travel[amb.cell][hosp], CALL_ARRIVE_HOSPITAL, call_id, amb_id)
+                amb.cell = hosp
         elif kind == CALL_ARRIVE_HOSPITAL:
             amb = ambulances[amb_id]
             log.append(Event(now, CALL_ARRIVE_HOSPITAL, call_id, amb_id, amb.cell))
-            release(amb, call_id, now, amb.cell)
+            release(amb, call_id, now)
         else:
             raise AssertionError(f"unexpected event kind {kind}")
 
@@ -264,7 +243,7 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
         mean_response_s=mean_response,
         shortfall_rate=rate,
         event_log=log,
-        hospital_leg_skipped=hospital_skipped,
+        hospital_leg_skipped=not grid.hospital_cells,
     )
 
 

@@ -9,8 +9,7 @@ ordered by (bound, prefix), so the first complete assignment popped is an
 exact optimum and, among ties, the lexicographically smallest.
 
 The same search serves the robust master problem with a different
-aggregator (pool max instead of scenario mean); any external MILP backend
-can be plugged in through the ``backend`` hook.
+aggregator (pool max instead of scenario mean).
 """
 
 from __future__ import annotations
@@ -176,23 +175,14 @@ class StochasticSolution:
         }
 
 
-SearchBackend = Callable[[np.ndarray, int, EdgeSet, Aggregator, "SearchConfig | None"], SearchResult]
-
-
 def solve_stochastic(
     scenarios: ScenarioSet,
     n: int,
     edges: EdgeSet,
     config: SearchConfig | None = None,
-    backend: SearchBackend = minimize_deployment,
 ) -> StochasticSolution:
-    """Minimize the empirical mean shortfall over the scenario set.
-
-    ``backend`` is the problem-in, stationing-out seam; the default is the
-    built-in exact search, but an external integer-programming solver with
-    the same signature can be substituted.
-    """
-    result = backend(scenarios.demands, n, edges, mean_aggregator, config)
+    """Minimize the empirical mean shortfall over the scenario set."""
+    result = minimize_deployment(scenarios.demands, n, edges, mean_aggregator, config)
     per_scenario = [min_shortfall(result.x, d, edges) for d in scenarios.demands]
     objective = float(np.mean([r.total for r in per_scenario]))
     return StochasticSolution(

@@ -116,6 +116,8 @@ def test_alpha_cv_table_shape(city, tmp_path):
 
 def test_unknown_config_field_is_exit_2(city, tmp_path):
     assert run(city, "grid", tmp_path / "x", ("--no_such_field", "1")) == 2
+    # a field that was removed is unknown too
+    assert run(city, "grid", tmp_path / "x", ("--restrict_dispatch_to_coverage", "true")) == 2
 
 
 def test_bad_config_value_is_exit_2(city, tmp_path):
@@ -137,6 +139,22 @@ def test_missing_upstream_names_prior_subcommand(city, tmp_path, capsys):
     assert code == 3
     err = capsys.readouterr().err
     assert "emsdeploy" in err and ("preprocess" in err or "fit" in err or "optimize" in err)
+
+
+def test_deployment_over_fleet_bound_is_exit_3(city, tmp_path, capsys):
+    out = tmp_path / "fleet"
+    for sub in ("grid", "preprocess", "fit", "optimize"):
+        assert run(city, sub, out) == 0
+    placed = max(
+        sum(json.loads((out / name).read_text())["x"])
+        for name in ("deployment_stochastic.json", "deployment_robust.json")
+    )
+    assert placed >= 1
+    capsys.readouterr()
+    assert run(city, "simulate", out, ("--n_ambulances", str(placed - 1))) == 3
+    assert "fleet bound" in capsys.readouterr().err
+    assert not (out / "sim_comparison.json").exists()
+    assert run(city, "simulate", out, ("--n_ambulances", str(placed))) == 0
 
 
 def test_seed_flag_overrides_config(city, tmp_path):

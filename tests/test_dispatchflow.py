@@ -9,9 +9,7 @@ from emsdeploy.dispatchflow import (
     Routing,
     ScenarioEvaluator,
     edges_from_coverage,
-    incidence,
     min_shortfall,
-    nearest_available,
     scenario_totals,
     shortfall_total,
 )
@@ -32,15 +30,15 @@ def test_deployment_fleet_bound():
 
 
 def test_incidence_empty_and_single():
-    b_i, b_j = incidence([], 2, 2)
+    b_i, b_j = EdgeSet([], 2, 2).incidence()
     assert b_i.shape == (2, 0) and b_j.shape == (2, 0)
-    b_i, b_j = incidence([(0, 0)], 1, 1)
+    b_i, b_j = EdgeSet([(0, 0)], 1, 1).incidence()
     assert b_i.tolist() == [[1]] and b_j.tolist() == [[1]]
 
 
 def test_incidence_rejects_duplicates():
     with pytest.raises(DataError):
-        incidence([(0, 0), (0, 0)], 1, 1)
+        EdgeSet([(0, 0), (0, 0)], 1, 1).incidence()
 
 
 def test_incidence_sums_match_direct_summation():
@@ -163,50 +161,9 @@ def test_edges_from_coverage():
     assert edges.edges == ((0, 0), (1, 0), (1, 1))
 
 
-def test_nearest_available_rules():
-    travel = np.array([[10.0, 100.0], [10.0, 50.0], [99.0, 1.0]])
-    # single available -> that one
-    assert nearest_available([0, 1, 0], 0, travel) == 1
-    # tie between stations 0 and 1 at region 0 -> lowest index
-    assert nearest_available([1, 1, 1], 0, travel) == 0
-    # nobody free -> None
-    assert nearest_available([0, 0, 0], 0, travel) is None
-
-
-def test_nearest_available_matches_scan_oracle():
-    rng = np.random.default_rng(51)
-    travel = rng.uniform(1, 100, size=(5, 3))
-    for _ in range(50):
-        avail = rng.integers(0, 2, size=5)
-        j = int(rng.integers(0, 3))
-        got = nearest_available(avail, j, travel)
-        free = [i for i in range(5) if avail[i] >= 1]
-        want = min(free, key=lambda i: (travel[i][j], i)) if free else None
-        assert got == want
-
-
-def test_nearest_available_edge_restriction():
-    travel = np.array([[1.0], [2.0]])
-    edges = EdgeSet([(1, 0)], 2, 1)
-    assert nearest_available([1, 1], 0, travel, edges, restrict_to_edges=True) == 1
-    assert nearest_available([1, 1], 0, travel) == 0
-
-
 def test_routing_validation():
     edges = EdgeSet([(0, 0)], 1, 1)
     with pytest.raises(DataError):
         Routing(edges, np.array([1, 2]))
     with pytest.raises(DataError):
         Routing(edges, np.array([-1]))
-
-
-def test_routing_debug_csv(tmp_path):
-    from emsdeploy.dispatchflow import save_routing_csv
-
-    edges = EdgeSet([(0, 0), (1, 1)], 2, 2)
-    res = min_shortfall([1, 2], [1, 1], edges)
-    path = tmp_path / "flow.csv"
-    save_routing_csv(res.routing, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "station,region,units"
-    assert lines[1:] == ["0,0,1", "1,1,1"]

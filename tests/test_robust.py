@@ -3,10 +3,8 @@ import pytest
 
 from emsdeploy.demand import UncertaintySet, enumerate_set
 from emsdeploy.dispatchflow import EdgeSet, min_shortfall
-from emsdeploy.errors import ConfigError
 from emsdeploy.robust import (
     solve_robust_ccg,
-    solve_robust_saa_hybrid,
     worst_case_demand,
 )
 from emsdeploy.stochastic import ScenarioSet, solve_stochastic
@@ -176,49 +174,3 @@ def test_cap_monotonicity_of_worst_case():
     sol_small = solve_robust_ccg(small, 1, edges)
     sol_large = solve_robust_ccg(large, 1, edges)
     assert sol_large.worst_case_shortfall >= sol_small.worst_case_shortfall
-
-
-def test_hybrid_reduces_to_both_ends():
-    rng = np.random.default_rng(79)
-    uset = random_set(rng, 3)
-    edges = full_edges(2, 3)
-    demands = rng.integers(0, 3, size=(5, 3))
-    scen = ScenarioSet(demands)
-
-    stoch = solve_stochastic(scen, 2, edges)
-    x0 = solve_robust_saa_hybrid(uset, scen, 2, edges, lam=0.0)
-    members = enumerate_set(uset)
-    mean_of = lambda x: float(brute_min_shortfall_many(x, demands, list(edges.edges)).mean())
-    assert mean_of(x0.x) == pytest.approx(stoch.objective)
-
-    rob = solve_robust_ccg(uset, 2, edges)
-    x1 = solve_robust_saa_hybrid(uset, scen, 2, edges, lam=1.0)
-    worst_of = lambda x: int(brute_min_shortfall_many(x, members, list(edges.edges)).max())
-    assert worst_of(x1.x) == rob.worst_case_shortfall
-
-
-def test_hybrid_matches_bruteforce_blend():
-    rng = np.random.default_rng(83)
-    uset = random_set(rng, 2)
-    edges = full_edges(2, 2)
-    demands = rng.integers(0, 3, size=(4, 2))
-    scen = ScenarioSet(demands)
-    lam = 0.5
-    got = solve_robust_saa_hybrid(uset, scen, 2, edges, lam=lam)
-    members = enumerate_set(uset)
-
-    def blended(x):
-        worst = float(brute_min_shortfall_many(x, members, list(edges.edges)).max())
-        mean = float(brute_min_shortfall_many(x, demands, list(edges.edges)).mean())
-        return lam * worst + (1 - lam) * mean
-
-    best = min(compositions_at_most(2, 2), key=blended)
-    assert blended(tuple(got.x)) == pytest.approx(blended(best))
-
-
-def test_hybrid_rejects_bad_lambda():
-    uset = loose_set([1])
-    edges = EdgeSet([(0, 0)], 1, 1)
-    scen = ScenarioSet(np.array([[1]]))
-    with pytest.raises(ConfigError):
-        solve_robust_saa_hybrid(uset, scen, 1, edges, lam=1.5)

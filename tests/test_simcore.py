@@ -1,9 +1,12 @@
+import hashlib
 import math
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 
+from emsdeploy import simcore
+from emsdeploy.calibrate import CalibrationModel
 from emsdeploy.errors import ConfigError, DataError
 from emsdeploy.geogrid import MatrixProvider, SyntheticSpeedProvider, build_grid
 from emsdeploy.rng import substream
@@ -287,3 +290,61 @@ def test_event_log_export(tmp_path):
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "time_s,kind,call_id,ambulance_id,cell"
     assert len(lines) == len(out.event_log) + 1
+
+
+def golden_city():
+    """3x3 city with a hospital, log-log calibration and 30 of 80 calls queued."""
+    g = build_grid((30.0, 30.3, -97.3, -97.0), 3, 3, SyntheticSpeedProvider(50.0),
+                   station_cells=[0, 8], hospital_cells=[4])
+    calls = [(i * 2200.0 + (i * 37 % 11) * 13.0, (i * 5 + i // 3) % 9) for i in range(80)]
+    params = SimParams(calibration=CalibrationModel(kind="loglog", intercept=1.2, slope=0.8))
+    return g, calls, params
+
+
+def test_golden_event_log_and_outcomes(tmp_path):
+    g, calls, params = golden_city()
+    out = simulate([1, 1], calls, g, params, seed=2024)
+    assert sum(c.dispatch_wait_s > 0 for c in out.calls) == 30
+    path = tmp_path / "events.csv"
+    save_event_log(out.event_log, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "1482bbc52d6be87beb49c2d9e32b6194c7498af8209eaa4995d6e5ff553dee83"
+    )
+    per_call = repr([(c.ambulance_id, c.response_s) for c in out.calls]).encode()
+    assert hashlib.sha256(per_call).hexdigest() == (
+        "53cd0c7300d49eff38bf2865ac4b97d22d990cc093e3079d8e7335fc56d86545"
+    )
+
+
+def test_returning_unit_redispatched_from_home_cell():
+    travel = np.array([
+        [0.0, 100.0, 300.0],
+        [100.0, 0.0, 50.0],
+        [300.0, 50.0, 0.0],
+    ])
+    g = build_grid(BOUNDS, 1, 3, MatrixProvider(travel), station_cells=[0])
+    # ~600 s on scene: the unit frees at cell 2 near t=900 and would be home at t=1200
+    params = SimParams(lognormal_mu=math.log(10.0), lognormal_sigma=1e-12)
+    out = simulate([1], [(0.0, 2), (1000.0, 1)], g, params, seed=1)
+    freed = [e for e in out.event_log if e.kind == AMBULANCE_AVAILABLE and e.call_id == 0][0]
+    assert freed.cell == 2 and freed.time_s + travel[2, 0] > 1000.0
+    second = out.calls[1]
+    assert second.ambulance_id == 0
+    assert second.dispatch_wait_s == 0.0
+    assert second.travel_s == travel[0, 1]  # from home, not the 50 s from cell 2
+    enroute = [e for e in out.event_log if e.kind == CALL_ENROUTE and e.call_id == 1][0]
+    assert enroute.time_s == 1000.0 and enroute.cell == 0
+
+
+def test_calibration_applied_at_most_once_per_cell_pair(monkeypatch):
+    g, calls, params = golden_city()
+    seen = []
+    inner = simcore.apply
+
+    def counting_apply(model, grid_s):
+        seen.append(grid_s)
+        return inner(model, grid_s)
+
+    monkeypatch.setattr(simcore, "apply", counting_apply)
+    simulate([1, 1], calls, g, params, seed=2024)
+    assert 0 < len(seen) <= g.n_cells ** 2
