@@ -240,6 +240,20 @@ def _sim_params(cfg: RunConfig, model: calibrate.CalibrationModel | None) -> sim
     )
 
 
+def _snap_calls(cfg: RunConfig, grid: geogrid.Grid, calls) -> list[tuple[float, int]]:
+    """(epoch_seconds, cell) pairs for a stage that simulates ``calls`` many
+    times, so each call is snapped to the grid once, not once per run."""
+    return [(c.epoch_s(), geogrid.assign_cell(grid, c.lat, c.lon, cfg.snap_cells)) for c in calls]
+
+
+def _snap_batch_calls(cfg: RunConfig, grid: geogrid.Grid, calls) -> list[tuple[float, int]]:
+    """``_snap_calls`` of the calls ``simcore.run_batches`` can draw on:
+    without resampling, only the first n_calls * n_batches."""
+    if not cfg.sample_with_replacement:
+        calls = calls[: cfg.n_calls * cfg.n_batches]
+    return _snap_calls(cfg, grid, calls)
+
+
 def _parse_calls(cfg: RunConfig) -> tuple[list[ingest.CallRecord], ingest.ParseReport]:
     if not cfg.calls_csv:
         raise ConfigError("calls_csv is required for this subcommand")
@@ -382,17 +396,14 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:
     for label, fname in (("stochastic", "deployment_stochastic.json"), ("robust", "deployment_robust.json")):
         x = _load_deployment(_require(out / fname, "optimize"), cfg.n_ambulances)
         policies.append((label, x))
-    params = _sim_params(cfg, model)
     comparison = simcore.compare_policies(
-        policies, test_calls, grid, params,
+        policies, _snap_batch_calls(cfg, grid, test_calls), grid, _sim_params(cfg, model),
         cfg.n_calls, cfg.n_batches, cfg.seed, cfg.sample_with_replacement,
     )
     _write_json(out / "sim_comparison.json", comparison.to_dict())
     files = {"sim_comparison.json": out / "sim_comparison.json"}
     # one event log per policy, first batch, for inspection and plotting
-    batches = simcore._batch_slices(test_calls, cfg.n_calls, cfg.n_batches, cfg.seed, cfg.sample_with_replacement)
-    for label, x in policies:
-        outcome = simcore.simulate(x, batches[0], grid, params, seed=derive_seed(cfg.seed, "batch", 0))
+    for (label, _), outcome in zip(policies, comparison.first_batch):
         name = f"event_log_{label}.csv"
         simcore.save_event_log(outcome.event_log, out / name)
         files[name] = out / name
@@ -427,6 +438,8 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
         )
         matrix = _demand_for_rates(cfg, train, grid)
         rates = demand.fit_rates(matrix, adjacency, ball)
+        test_pairs = _snap_calls(cfg, grid, test)
+        mrt_by_x: dict[bytes, float] = {}  # alphas that pick the same stationing share its run
         row: list[float | None] = []
         for alpha in cfg.alphas:
             uset = demand.build_uncertainty_set(rates, alpha, adjacency, ball)
@@ -450,10 +463,13 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
                 )
                 row.append(None)
                 continue
-            outcome = simcore.simulate(
-                x, test, grid, _sim_params(cfg, None), seed=derive_seed(cfg.seed, "alphacv", fold)
-            )
-            row.append(outcome.mean_response_s / 60.0)
+            key = x.tobytes()
+            if key not in mrt_by_x:
+                outcome = simcore.simulate(
+                    x, test_pairs, grid, _sim_params(cfg, None), seed=derive_seed(cfg.seed, "alphacv", fold)
+                )
+                mrt_by_x[key] = outcome.mean_response_s / 60.0
+            row.append(mrt_by_x[key])
         table.append(row)
     with open(out / "alpha_cv.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -490,25 +506,30 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
     search = stochastic.SearchConfig(max_nodes=cfg.max_nodes)
     params = _sim_params(cfg, model)
+    test_pairs = _snap_batch_calls(cfg, grid, test_calls)
+    mrt_by_x: dict[bytes, float] = {}  # every stationing runs on the same batches
+
+    def mrt_min(x: np.ndarray) -> float:
+        key = x.tobytes()
+        if key not in mrt_by_x:
+            _, summary = simcore.run_batches(
+                x, test_pairs, grid, params,
+                cfg.n_calls, cfg.n_batches, cfg.seed, cfg.sample_with_replacement,
+            )
+            mrt_by_x[key] = summary.overall_mean_s / 60.0
+        return mrt_by_x[key]
+
     rows = []
     for n in range(cfg.n_min, cfg.n_max + 1):
         sol = stochastic.solve_stochastic(scenarios, n, edges, search)
-        _, summary = simcore.run_batches(
-            sol.x_star.x, test_calls, grid, params,
-            cfg.n_calls, cfg.n_batches, cfg.seed, cfg.sample_with_replacement,
-        )
-        row = {"n": n, "stochastic_mrt_min": summary.overall_mean_s / 60.0}
+        row = {"n": n, "stochastic_mrt_min": mrt_min(sol.x_star.x)}
         if cfg.sweep_robust:
             rob = robust.solve_robust_ccg(
                 uset_caps, n, edges,
                 epsilon=cfg.epsilon, max_iter=cfg.ccg_max_iter,
                 size_budget=cfg.set_size_budget, search_config=search,
             )
-            _, rsummary = simcore.run_batches(
-                rob.x_star.x, test_calls, grid, params,
-                cfg.n_calls, cfg.n_batches, cfg.seed, cfg.sample_with_replacement,
-            )
-            row["robust_mrt_min"] = rsummary.overall_mean_s / 60.0
+            row["robust_mrt_min"] = mrt_min(rob.x_star.x)
         rows.append(row)
     with open(out / "fleet_sweep.csv", "w", newline="") as f:
         writer = csv.writer(f)

@@ -1,12 +1,13 @@
 """Seeded discrete-event simulator for ambulance dispatch.
 
-All calls enter a time-ordered priority queue up front; each call then
-walks the chain NewCall -> CallEnroute -> CallArriveScene ->
-CallDepartScene -> (CallArriveHospital) -> AmbulanceAvailable. Dispatch is
-closest-available with zero setup delay, waiting calls are served FIFO,
-and a freed ambulance heads home but may be re-dispatched (from its home
-cell, the destination) while returning. Same-timestamp events resolve in
-insertion order, so the run is fully determined by (inputs, seed).
+Each call walks the chain NewCall -> CallEnroute -> CallArriveScene ->
+CallDepartScene -> (CallArriveHospital) -> AmbulanceAvailable. The
+time-sorted call list is merged with a heap of in-flight events (at most
+one per ambulance); a call wins a timestamp tie, and tied in-flight events
+resolve in the order they were scheduled, so the run is fully determined
+by (inputs, seed). Dispatch is closest-available with zero setup delay,
+waiting calls are served FIFO, and a freed ambulance heads home but may be
+re-dispatched (from its home cell, the destination) while returning.
 """
 
 from __future__ import annotations
@@ -62,15 +63,6 @@ class SimParams:
 
 
 @dataclass
-class _Ambulance:
-    id: int
-    home_station: int
-    home_cell: int
-    cell: int
-    free: bool = True  # at its station or returning to it
-
-
-@dataclass
 class CallOutcome:
     call_id: int
     time_s: float
@@ -84,52 +76,79 @@ class CallOutcome:
 
 @dataclass
 class SimOutcome:
-    calls: list[CallOutcome]
+    """One run. Per-call outcomes and events are kept as plain tuples, in
+    the field order of CallOutcome and Event; ``calls`` and ``event_log``
+    build those objects on each read."""
+
+    call_rows: list[tuple]  # one per call, by call id
     mean_response_s: float
     shortfall_rate: float
-    event_log: list[Event]
+    events: list[tuple]  # in the order they happened
     hospital_leg_skipped: bool
 
     @property
     def n_calls(self) -> int:
-        return len(self.calls)
+        return len(self.call_rows)
+
+    @property
+    def calls(self) -> list[CallOutcome]:
+        return [CallOutcome(*r) for r in self.call_rows]
+
+    @property
+    def event_log(self) -> list[Event]:
+        return [Event(*e) for e in self.events]
+
+
+def draw_service_times(params: SimParams, rng: np.random.Generator, n: int) -> list[float]:
+    """``n`` lognormal on-scene durations, drawn in minutes, returned in seconds."""
+    if params.lognormal_sigma <= 0:
+        raise ConfigError(f"lognormal sigma must be positive, got {params.lognormal_sigma}")
+    # one vector of normals is the same stream as n scalar draws; math.exp,
+    # not np.exp, keeps every duration bit-identical to a scalar draw
+    return [math.exp(z) * 60.0 for z in rng.normal(params.lognormal_mu, params.lognormal_sigma, n).tolist()]
 
 
 def draw_service_time(params: SimParams, rng: np.random.Generator) -> float:
     """One lognormal on-scene duration, drawn in minutes, returned in seconds."""
-    if params.lognormal_sigma <= 0:
-        raise ConfigError(f"lognormal sigma must be positive, got {params.lognormal_sigma}")
-    return math.exp(rng.normal(params.lognormal_mu, params.lognormal_sigma)) * 60.0
+    return draw_service_times(params, rng, 1)[0]
 
 
-def _as_sim_calls(calls: Sequence, grid: Grid, snap_cells: float) -> list[tuple[float, int]]:
-    out: list[tuple[float, int]] = []
+def _as_sim_calls(calls: Sequence, grid: Grid, snap_cells: float) -> tuple[list[float], list[int]]:
+    """Call times and cells; CallRecords are snapped to the grid here."""
+    times: list[float] = []
+    cells: list[int] = []
     for c in calls:
         if isinstance(c, CallRecord):
-            out.append((c.epoch_s(), assign_cell(grid, c.lat, c.lon, snap_cells=snap_cells)))
+            times.append(c.epoch_s())
+            cells.append(assign_cell(grid, c.lat, c.lon, snap_cells=snap_cells))
         else:
             t, cell = c
-            out.append((float(t), int(cell)))
-    for a, b in zip(out, out[1:]):
-        if b[0] < a[0]:
-            raise DataError("calls must be sorted by time")
-    return out
+            times.append(float(t))
+            cells.append(int(cell))
+    if any(b < a for a, b in zip(times, times[1:])):
+        raise DataError("calls must be sorted by time")
+    return times, cells
 
 
 def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, seed: int = 0) -> SimOutcome:
     """Run one dispatch simulation of ``calls`` under stationing ``x``.
 
     ``calls`` may be CallRecords or (epoch_seconds, cell) pairs, sorted by
-    time. Travel times are grid times passed through the calibration model
-    when one is configured.
+    time; a caller that simulates one call list many times should snap it
+    to pairs once. Travel times are grid times passed through the
+    calibration model when one is configured. Ambulances are numbered by
+    station, and the closest free one goes, ties to the lower number.
     """
     params = params or SimParams()
     x = np.asarray(x, dtype=np.int64)
     if len(x) != len(grid.station_cells):
         raise DataError(f"stationing has {len(x)} entries, grid has {len(grid.station_cells)} stations")
+    if np.any(x < 0):
+        raise DataError("stationing must be nonnegative")
     if x.sum() < 1:
         raise DataError("need at least one stationed ambulance")
-    sim_calls = _as_sim_calls(calls, grid, params.snap_cells)
+    call_t, call_cell = _as_sim_calls(calls, grid, params.snap_cells)
+    n_calls = len(call_t)
 
     # travel[a][b]: calibrated seconds from cell a to cell b
     grid_s = grid.travel_time_s.tolist()
@@ -141,108 +160,87 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
         min(grid.hospital_cells, key=lambda h: (row[h], h)) if grid.hospital_cells else None
         for row in grid_s
     ]
+    # A free ambulance is always at its home station, so the closest free
+    # unit is the lowest-numbered free unit of the first station, in order
+    # of (travel to the call's cell, station index), that has one.
+    stations = grid.station_cells
+    station_order = [
+        sorted(range(len(stations)), key=lambda i: (travel[stations[i]][cell], i))
+        for cell in range(grid.n_cells)
+    ]
+    station_of = [i for i, n in enumerate(x.tolist()) for _ in range(n)]  # per ambulance
+    cell_of = [stations[i] for i in station_of]  # where it is, or is headed while returning
+    idle: list[list[int]] = [[] for _ in stations]  # per station, a min-heap of free ids
+    for a, i in enumerate(station_of):  # ascending, so each list is a heap
+        idle[i].append(a)
 
-    ambulances: list[_Ambulance] = []
-    for i, cell in enumerate(grid.station_cells):
-        for _ in range(int(x[i])):
-            ambulances.append(_Ambulance(id=len(ambulances), home_station=i, home_cell=cell, cell=cell))
+    service_s = draw_service_times(params, substream(seed, "service"), n_calls)
 
-    rng = substream(seed, "service")
-    service_s = [draw_service_time(params, rng) for _ in sim_calls]
-
-    heap: list[tuple[float, int, str, int, int]] = []
+    threshold = params.shortfall_threshold_s
+    call_rows: list[tuple] = [()] * n_calls
+    events: list[tuple] = []
+    log = events.append
+    heap: list[tuple[float, int, str, int, int]] = []  # (time, seq, kind, call, ambulance)
+    push, pop = heapq.heappush, heapq.heappop
     seq = 0
-
-    def push(t: float, kind: str, call_id: int, amb_id: int) -> None:
-        nonlocal seq
-        heapq.heappush(heap, (t, seq, kind, call_id, amb_id))
+    waiting: deque[int] = deque()  # FIFO queue of call ids
+    k = 0  # next call to arrive
+    while k < n_calls or heap:
+        if k < n_calls and (not heap or call_t[k] <= heap[0][0]):
+            call = k
+            k += 1
+            now = call_t[call]
+            log((now, NEW_CALL, call, None, call_cell[call]))
+            for i in station_order[call_cell[call]]:
+                if idle[i]:
+                    a = pop(idle[i])
+                    break
+            else:
+                waiting.append(call)
+                continue
+        else:
+            now, _, kind, call, a = pop(heap)
+            if kind == CALL_ARRIVE_SCENE:
+                cell_of[a] = here = call_cell[call]
+                log((now, kind, call, a, here))
+                push(heap, (now + service_s[call], seq, CALL_DEPART_SCENE, call, a))
+                seq += 1
+                continue
+            here = cell_of[a]
+            log((now, kind, call, a, here))
+            if kind == CALL_DEPART_SCENE:
+                hospital = hospital_of[here]
+                if hospital is not None:
+                    push(heap, (now + travel[here][hospital], seq, CALL_ARRIVE_HOSPITAL, call, a))
+                    seq += 1
+                    cell_of[a] = hospital
+                    continue
+            # the unit is free at the scene or the hospital
+            log((now, AMBULANCE_AVAILABLE, call, a, here))
+            if not waiting:
+                i = station_of[a]
+                cell_of[a] = stations[i]  # re-dispatch happens from the destination cell
+                push(idle[i], a)
+                continue
+            call = waiting.popleft()
+        # dispatch ambulance a to the call at time now
+        here = cell_of[a]
+        leg = travel[here][call_cell[call]]
+        wait = now - call_t[call]
+        response = wait + leg
+        call_rows[call] = (call, call_t[call], call_cell[call], a, wait, leg, response, response > threshold)
+        log((now, CALL_ENROUTE, call, a, here))
+        push(heap, (now + leg, seq, CALL_ARRIVE_SCENE, call, a))
         seq += 1
 
-    for k, (t, _) in enumerate(sim_calls):
-        push(t, NEW_CALL, k, -1)
-
-    waiting: deque[int] = deque()  # FIFO queue of call ids
-    outcomes: dict[int, CallOutcome] = {}
-    log: list[Event] = []
-
-    def pick_ambulance(cell: int) -> _Ambulance | None:
-        # ambulances are ordered by (home station, id), so the first strict
-        # minimum is the closest free unit with both tie-breaks applied
-        best = None
-        best_t = 0.0
-        for amb in ambulances:
-            if amb.free:
-                t = travel[amb.cell][cell]
-                if best is None or t < best_t:
-                    best, best_t = amb, t
-        return best
-
-    def dispatch(amb: _Ambulance, call_id: int, now: float) -> None:
-        t_call, cell = sim_calls[call_id]
-        wait = now - t_call
-        leg = travel[amb.cell][cell]
-        response = wait + leg
-        outcomes[call_id] = CallOutcome(
-            call_id=call_id,
-            time_s=t_call,
-            cell=cell,
-            ambulance_id=amb.id,
-            dispatch_wait_s=wait,
-            travel_s=leg,
-            response_s=response,
-            shortfall=response > params.shortfall_threshold_s,
-        )
-        amb.free = False
-        log.append(Event(now, CALL_ENROUTE, call_id, amb.id, amb.cell))
-        push(now + leg, CALL_ARRIVE_SCENE, call_id, amb.id)
-
-    def release(amb: _Ambulance, call_id: int, now: float) -> None:
-        log.append(Event(now, AMBULANCE_AVAILABLE, call_id, amb.id, amb.cell))
-        if waiting:
-            dispatch(amb, waiting.popleft(), now)
-        else:
-            amb.free = True
-            amb.cell = amb.home_cell  # re-dispatch happens from the destination cell
-
-    while heap:
-        now, _, kind, call_id, amb_id = heapq.heappop(heap)
-        if kind == NEW_CALL:
-            _, cell = sim_calls[call_id]
-            log.append(Event(now, NEW_CALL, call_id, None, cell))
-            amb = pick_ambulance(cell)
-            if amb is None:
-                waiting.append(call_id)
-            else:
-                dispatch(amb, call_id, now)
-        elif kind == CALL_ARRIVE_SCENE:
-            amb = ambulances[amb_id]
-            amb.cell = sim_calls[call_id][1]
-            log.append(Event(now, CALL_ARRIVE_SCENE, call_id, amb_id, amb.cell))
-            push(now + service_s[call_id], CALL_DEPART_SCENE, call_id, amb_id)
-        elif kind == CALL_DEPART_SCENE:
-            amb = ambulances[amb_id]
-            log.append(Event(now, CALL_DEPART_SCENE, call_id, amb_id, amb.cell))
-            hosp = hospital_of[amb.cell]
-            if hosp is None:
-                release(amb, call_id, now)
-            else:
-                push(now + travel[amb.cell][hosp], CALL_ARRIVE_HOSPITAL, call_id, amb_id)
-                amb.cell = hosp
-        elif kind == CALL_ARRIVE_HOSPITAL:
-            amb = ambulances[amb_id]
-            log.append(Event(now, CALL_ARRIVE_HOSPITAL, call_id, amb_id, amb.cell))
-            release(amb, call_id, now)
-        else:
-            raise AssertionError(f"unexpected event kind {kind}")
-
-    records = [outcomes[k] for k in range(len(sim_calls))]
-    mean_response = float(np.mean([r.response_s for r in records])) if records else 0.0
-    rate = float(np.mean([r.shortfall for r in records])) if records else 0.0
+    # fields 6 and 7 of a row are response_s and shortfall
+    mean_response = float(np.mean([r[6] for r in call_rows])) if call_rows else 0.0
+    rate = float(np.mean([r[7] for r in call_rows])) if call_rows else 0.0
     return SimOutcome(
-        calls=records,
+        call_rows=call_rows,
         mean_response_s=mean_response,
         shortfall_rate=rate,
-        event_log=log,
+        events=events,
         hospital_leg_skipped=not grid.hospital_cells,
     )
 
@@ -327,6 +325,7 @@ class PolicyComparison:
     labels: list[str]
     batch_means_s: np.ndarray  # batches x policies
     summaries: list[BatchSummary]
+    first_batch: list[SimOutcome]  # per policy, kept for event-log export
 
     def to_dict(self) -> dict:
         rows = []
@@ -363,16 +362,20 @@ def compare_policies(
     labels = [label for label, _ in policies]
     all_means = []
     summaries = []
+    first_batch = []
     for _, x in policies:
-        _, summary = run_batches(
+        outcomes, summary = run_batches(
             x, calls, grid, params, n_calls, n_batches, seed, sample_with_replacement
         )
         all_means.append(summary.batch_means_s)
         summaries.append(summary)
+        first_batch.append(outcomes[0])
+        del outcomes  # free the other batches before the next policy runs
     return PolicyComparison(
         labels=labels,
         batch_means_s=np.array(all_means, dtype=np.float64).T,
         summaries=summaries,
+        first_batch=first_batch,
     )
 
 

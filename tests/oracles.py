@@ -2,17 +2,23 @@
 
 Everything here is deliberately written from scratch against the math, not
 the package code: a second haversine formula, high-precision Poisson CDF
-summation, brute-force routing enumeration, and exhaustive stationing
-search. Keep these slow and obvious.
+summation, brute-force routing enumeration, exhaustive stationing search,
+and a dispatch simulation that keeps every call in one event heap. Keep these slow and obvious.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
+from collections import deque
 
 import mpmath
 import numpy as np
+
+from emsdeploy import simcore
+from emsdeploy.calibrate import apply
+from emsdeploy.rng import substream
 
 
 def haversine_km_alt(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -113,3 +119,93 @@ def box_members(uset) -> np.ndarray:
     if not rows:
         return np.zeros((0, len(uset.single_cap)), dtype=np.int64)
     return np.vstack(rows)
+
+
+def reference_simulate(x, calls, grid, params, seed: int):
+    """The dispatch simulation written as plainly as possible.
+
+    Every call enters one event heap up front, ahead of any event pushed
+    later, so a call wins a timestamp tie; each unit is a dict scanned in
+    full on every dispatch. ``calls`` are sorted (epoch_seconds, cell)
+    pairs. Returns the event log as (time_s, kind, call_id, ambulance_id,
+    cell) tuples and one (call_id, time_s, cell, ambulance_id,
+    dispatch_wait_s, travel_s, response_s, shortfall) tuple per call.
+    """
+    def travel(a: int, b: int) -> float:
+        t = float(grid.travel_time_s[a, b])
+        return t if params.calibration is None else apply(params.calibration, t)
+
+    def nearest_hospital(cell: int):
+        if not grid.hospital_cells:
+            return None
+        return min(grid.hospital_cells, key=lambda h: (float(grid.travel_time_s[cell, h]), h))
+
+    units = []
+    for i, cell in enumerate(grid.station_cells):
+        for _ in range(int(x[i])):
+            units.append({"id": len(units), "home": cell, "cell": cell, "free": True})
+    # one scalar lognormal draw per call, in minutes, in call order
+    rng = substream(seed, "service")
+    service = [math.exp(rng.normal(params.lognormal_mu, params.lognormal_sigma)) * 60.0 for _ in calls]
+
+    heap: list = []
+    counter = [0]
+
+    def push(t, kind, call_id, unit_id):
+        heapq.heappush(heap, (t, counter[0], kind, call_id, unit_id))
+        counter[0] += 1
+
+    for k, (t, _) in enumerate(calls):
+        push(t, simcore.NEW_CALL, k, None)
+
+    log: list = []
+    outcomes: dict = {}
+    waiting: deque = deque()
+
+    def dispatch(unit, k, now):
+        t_call, cell = calls[k]
+        wait = now - t_call
+        leg = travel(unit["cell"], cell)
+        outcomes[k] = (k, t_call, cell, unit["id"], wait, leg, wait + leg,
+                       wait + leg > params.shortfall_threshold_s)
+        unit["free"] = False
+        log.append((now, simcore.CALL_ENROUTE, k, unit["id"], unit["cell"]))
+        push(now + leg, simcore.CALL_ARRIVE_SCENE, k, unit["id"])
+
+    def release(unit, k, now):
+        log.append((now, simcore.AMBULANCE_AVAILABLE, k, unit["id"], unit["cell"]))
+        if waiting:
+            dispatch(unit, waiting.popleft(), now)
+        else:
+            unit["free"] = True
+            unit["cell"] = unit["home"]
+
+    while heap:
+        now, _, kind, k, unit_id = heapq.heappop(heap)
+        unit = None if unit_id is None else units[unit_id]
+        if kind == simcore.NEW_CALL:
+            cell = calls[k][1]
+            log.append((now, kind, k, None, cell))
+            free = [u for u in units if u["free"]]
+            if not free:
+                waiting.append(k)
+                continue
+            # the closest free unit; ties go to the lowest id
+            best = min(free, key=lambda u: (travel(u["cell"], cell), u["id"]))
+            dispatch(best, k, now)
+        elif kind == simcore.CALL_ARRIVE_SCENE:
+            unit["cell"] = calls[k][1]
+            log.append((now, kind, k, unit_id, unit["cell"]))
+            push(now + service[k], simcore.CALL_DEPART_SCENE, k, unit_id)
+        elif kind == simcore.CALL_DEPART_SCENE:
+            log.append((now, kind, k, unit_id, unit["cell"]))
+            hospital = nearest_hospital(unit["cell"])
+            if hospital is None:
+                release(unit, k, now)
+            else:
+                push(now + travel(unit["cell"], hospital), simcore.CALL_ARRIVE_HOSPITAL, k, unit_id)
+                unit["cell"] = hospital
+        else:
+            log.append((now, kind, k, unit_id, unit["cell"]))
+            release(unit, k, now)
+    return log, [outcomes[k] for k in range(len(calls))]

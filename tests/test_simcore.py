@@ -4,6 +4,9 @@ from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from oracles import reference_simulate
 
 from emsdeploy import simcore
 from emsdeploy.calibrate import CalibrationModel
@@ -21,6 +24,7 @@ from emsdeploy.simcore import (
     SimParams,
     compare_policies,
     draw_service_time,
+    draw_service_times,
     run_batches,
     save_event_log,
     simulate,
@@ -114,6 +118,13 @@ def test_requires_sorted_calls_and_fleet():
         simulate([0], [(0.0, 0)], g, SimParams(), seed=1)
 
 
+def test_negative_stationing_rejected():
+    g = build_grid(BOUNDS, 2, 2, SyntheticSpeedProvider(40.0), station_cells=[0, 1, 2, 3])
+    # the sum is positive, but no station can hold -2 units
+    with pytest.raises(DataError, match="nonnegative"):
+        simulate([3, -2, 0, 0], [(0.0, 0)], g, SimParams(), seed=1)
+
+
 def test_nearest_ambulance_tie_breaks_by_station_then_id():
     travel = np.array([
         [0.0, 100.0, 200.0],
@@ -202,6 +213,15 @@ def test_draw_service_time_distribution():
     se = 0.3 / math.sqrt(len(draws))
     assert abs(float(logs.mean()) - 3.65) < 3 * se
     assert abs(float(logs.std(ddof=1)) - 0.3) < 0.01
+
+
+def test_service_times_are_the_scalar_draws():
+    params = SimParams(lognormal_mu=3.1, lognormal_sigma=0.7)
+    rng = substream(2, "svc-test")
+    scalar = [math.exp(rng.normal(3.1, 0.7)) * 60.0 for _ in range(500)]
+    assert draw_service_times(params, substream(2, "svc-test"), 500) == scalar
+    rng = substream(2, "svc-test")
+    assert [draw_service_time(params, rng) for _ in range(500)] == scalar
 
 
 def test_draw_service_time_degenerate_sigma():
@@ -348,3 +368,54 @@ def test_calibration_applied_at_most_once_per_cell_pair(monkeypatch):
     monkeypatch.setattr(simcore, "apply", counting_apply)
     simulate([1, 1], calls, g, params, seed=2024)
     assert 0 < len(seen) <= g.n_cells ** 2
+
+
+CALIBRATIONS = (
+    None,
+    CalibrationModel(kind="loglog", intercept=1.2, slope=0.8),
+    CalibrationModel(kind="linear", intercept=-30.0, slope=1.1),
+)
+
+
+@st.composite
+def small_cities(draw):
+    """A city of at most 3x3 cells with its stationing, calls and parameters.
+
+    Travel times are whole minutes from 0 to 4 and call times whole minutes
+    too, often equal, so legs, arrivals and calls tie often. Some cities
+    have no hospital, some share one cell among several stations, and some
+    hold a single ambulance that every call has to wait for.
+    """
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = n_rows * n_cols
+    minutes = draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
+    travel = np.array(minutes, dtype=np.float64).reshape(n, n) * 60.0
+    np.fill_diagonal(travel, 0.0)
+    cell = st.integers(0, n - 1)
+    stations = draw(st.lists(cell, min_size=1, max_size=4))
+    hospitals = draw(st.lists(cell, max_size=2))
+    g = build_grid(BOUNDS, n_rows, n_cols, MatrixProvider(travel),
+                   station_cells=stations, hospital_cells=hospitals)
+    if draw(st.booleans()):  # a fleet of one
+        x = [0] * len(stations)
+        x[draw(st.integers(0, len(stations) - 1))] = 1
+    else:
+        x = draw(st.lists(st.integers(0, 3), min_size=len(stations), max_size=len(stations))
+                 .filter(lambda v: sum(v) >= 1))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 1, 5, 20]), max_size=40))
+    calls = [(60.0 * t, draw(cell)) for t in np.cumsum(gaps).tolist()]
+    params = SimParams(calibration=draw(st.sampled_from(CALIBRATIONS)))
+    return x, calls, g, params, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_cities())
+def test_simulate_matches_reference(city):
+    x, calls, g, params, seed = city
+    out = simulate(x, calls, g, params, seed=seed)
+    events, outcomes = reference_simulate(x, calls, g, params, seed)
+    assert out.events == events
+    assert out.call_rows == outcomes
+    if outcomes:
+        assert out.mean_response_s == float(np.mean([o[6] for o in outcomes]))
+        assert out.shortfall_rate == float(np.mean([o[7] for o in outcomes]))
