@@ -17,8 +17,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, OutOfBoundsError, SolverError
-from .geogrid import Grid, assign_cell
+from .errors import ConfigError, DataError, SolverError
+from .geogrid import Grid, assign_cells
 from .ingest import CallRecord
 from .rng import derive_seed, substream
 
@@ -93,12 +93,10 @@ def assemble_tracts(
 
     cell_calls: dict[int, int] = {}
     tract_reported: dict[str, list[float]] = {}
-    for r in calls:
-        if r.reported_travel_s is None:
-            continue
-        try:
-            cell = assign_cell(grid, r.lat, r.lon, snap_cells=snap_cells)
-        except OutOfBoundsError:
+    reported = [r for r in calls if r.reported_travel_s is not None]
+    cells, inside = assign_cells(grid, [r.lat for r in reported], [r.lon for r in reported], snap_cells)
+    for r, cell, ok in zip(reported, cells.tolist(), inside.tolist()):
+        if not ok:
             continue
         tract = tract_map.get(cell)
         if tract is None:

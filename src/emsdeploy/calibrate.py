@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DataError, OutOfBoundsError, SolverError
-from .geogrid import Grid, assign_cell
-from .ingest import CallRecord, trim_quantiles
+from .errors import DataError, SolverError
+from .geogrid import Grid
+from .ingest import CallRecord, calibration_cells, trim_quantiles
 
 
 @dataclass
@@ -157,28 +157,21 @@ def verify(
     the call's cell) minus (reported travel time). Calls missing reported
     fields or lying off-grid are excluded and counted.
     """
-    errors: list[float] = []
-    excluded = 0
     needed = batch_size * n_batches
-    for r in test_calls:
-        if len(errors) >= needed:
-            break
-        if r.reported_travel_s is None or r.ambulance_lat is None or r.ambulance_lon is None:
-            excluded += 1
-            continue
-        try:
-            a = assign_cell(grid, r.ambulance_lat, r.ambulance_lon, snap_cells=snap_cells)
-            b = assign_cell(grid, r.lat, r.lon, snap_cells=snap_cells)
-        except OutOfBoundsError:
-            excluded += 1
-            continue
-        simulated = apply(model, float(grid.travel_time_s[a, b]))
-        errors.append(simulated - float(r.reported_travel_s))
-    if len(errors) < needed:
+    usable, a, b = calibration_cells(test_calls, grid, snap_cells)
+    if len(usable) < needed:
         raise DataError(
-            f"need {needed} usable test calls ({batch_size} x {n_batches}), got {len(errors)}"
+            f"need {needed} usable test calls ({batch_size} x {n_batches}), got {len(usable)}"
         )
-    batches = np.array(errors[:needed], dtype=np.float64).reshape(n_batches, batch_size)
+    # the first ``needed`` usable calls are used; the excluded are the
+    # unusable calls ahead of the last one used
+    usable, a, b = usable[:needed], a[:needed], b[:needed]
+    excluded = int(usable[-1]) + 1 - needed if needed else 0
+    errors = [
+        apply(model, grid_s) - float(test_calls[k].reported_travel_s)
+        for k, grid_s in zip(usable.tolist(), grid.travel_time_s[a, b].tolist())
+    ]
+    batches = np.array(errors, dtype=np.float64).reshape(n_batches, batch_size)
     means = batches.mean(axis=1)
     overall = float(means.mean())
     std = float(means.std(ddof=1)) if n_batches > 1 else 0.0

@@ -243,7 +243,8 @@ def _sim_params(cfg: RunConfig, model: calibrate.CalibrationModel | None) -> sim
 def _snap_calls(cfg: RunConfig, grid: geogrid.Grid, calls) -> list[tuple[float, int]]:
     """(epoch_seconds, cell) pairs for a stage that simulates ``calls`` many
     times, so each call is snapped to the grid once, not once per run."""
-    return [(c.epoch_s(), geogrid.assign_cell(grid, c.lat, c.lon, cfg.snap_cells)) for c in calls]
+    cells = geogrid.assign_cells_or_raise(grid, [c.lat for c in calls], [c.lon for c in calls], cfg.snap_cells)
+    return list(zip([c.epoch_s() for c in calls], cells.tolist()))
 
 
 def _snap_batch_calls(cfg: RunConfig, grid: geogrid.Grid, calls) -> list[tuple[float, int]]:
@@ -581,12 +582,8 @@ def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
     with open(out / "plot_spatial_heatmap.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["cell", "lat", "lon", "count"])
-        cell_counts = np.zeros(grid.n_cells, dtype=np.int64)
-        for r in calls:
-            try:
-                cell_counts[geogrid.assign_cell(grid, r.lat, r.lon, cfg.snap_cells)] += 1
-            except EmsDeployError:
-                continue
+        cells, inside = geogrid.assign_cells(grid, [r.lat for r in calls], [r.lon for r in calls], cfg.snap_cells)
+        cell_counts = np.bincount(cells[inside], minlength=grid.n_cells)
         for j in range(grid.n_cells):
             lat, lon = grid.cell_centers[j]
             writer.writerow([j, repr(lat), repr(lon), int(cell_counts[j])])

@@ -187,30 +187,56 @@ def build_square_grid(num_regions: int, bounds: Bounds, provider: TravelTimeProv
     return build_grid(bounds, side, side, provider, **kw)
 
 
-def assign_cell(grid: Grid, lat: float, lon: float, snap_cells: float = 0.0) -> int:
-    """Index of the cell containing (lat, lon).
+def assign_cells(
+    grid: Grid, lats: Sequence[float], lons: Sequence[float], snap_cells: float = 0.0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Cell index of every (lat, lon) point, and whether it is on the grid.
 
     Points on an interior boundary go to the cell with the larger row/col
     index. Points outside the bounds within ``snap_cells`` cell-widths are
-    clamped to the nearest edge cell; farther points raise OutOfBoundsError.
+    clamped to the nearest edge cell. Points farther out, and non-finite
+    points, are off the grid: ``inside`` is False there and their cell is -1.
     """
     min_lat, max_lat, min_lon, max_lon = grid.bounds
     h = grid.cell_height_deg
     w = grid.cell_width_deg
-    if (
-        lat < min_lat - snap_cells * h
-        or lat > max_lat + snap_cells * h
-        or lon < min_lon - snap_cells * w
-        or lon > max_lon + snap_cells * w
-    ):
+    lats = np.asarray(lats, dtype=np.float64)
+    lons = np.asarray(lons, dtype=np.float64)
+    # NaN fails every comparison, so it lands outside
+    inside = (
+        (lats >= min_lat - snap_cells * h)
+        & (lats <= max_lat + snap_cells * h)
+        & (lons >= min_lon - snap_cells * w)
+        & (lons <= max_lon + snap_cells * w)
+    )
+    rows = np.floor((np.where(inside, lats, min_lat) - min_lat) / h)
+    cols = np.floor((np.where(inside, lons, min_lon) - min_lon) / w)
+    rows = np.clip(rows, 0, grid.n_rows - 1).astype(np.int64)
+    cols = np.clip(cols, 0, grid.n_cols - 1).astype(np.int64)
+    return np.where(inside, rows * grid.n_cols + cols, -1), inside
+
+
+def assign_cells_or_raise(
+    grid: Grid, lats: Sequence[float], lons: Sequence[float], snap_cells: float = 0.0
+) -> np.ndarray:
+    """``assign_cells`` for callers that accept no off-grid point: raises
+    OutOfBoundsError for the first one."""
+    cells, inside = assign_cells(grid, lats, lons, snap_cells)
+    if not inside.all():
+        k = int(np.argmin(inside))
         raise OutOfBoundsError(
-            f"point ({lat}, {lon}) outside bounds {grid.bounds} beyond snap tolerance"
+            f"point ({lats[k]}, {lons[k]}) outside bounds {grid.bounds} beyond snap tolerance"
         )
-    row = int(math.floor((lat - min_lat) / h))
-    col = int(math.floor((lon - min_lon) / w))
-    row = min(max(row, 0), grid.n_rows - 1)
-    col = min(max(col, 0), grid.n_cols - 1)
-    return grid.cell_index(row, col)
+    return cells
+
+
+def assign_cell(grid: Grid, lat: float, lon: float, snap_cells: float = 0.0) -> int:
+    """Index of the cell containing (lat, lon), by the rules of ``assign_cells``.
+
+    An off-grid or non-finite point raises OutOfBoundsError. Snap many
+    points with one ``assign_cells`` call, not one call each.
+    """
+    return int(assign_cells_or_raise(grid, [lat], [lon], snap_cells)[0])
 
 
 def load_travel_matrix(path: str | Path) -> np.ndarray:

@@ -13,13 +13,14 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta
 from pathlib import Path
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import ConfigError, DataError, OutOfBoundsError
-from .geogrid import Grid, assign_cell
+from .errors import ConfigError, DataError
+from .geogrid import Grid, assign_cells
 from .rng import substream
 
 DEFAULT_COLUMNS = {
@@ -47,8 +48,7 @@ class CallSchema:
         return ZoneInfo(self.timezone)
 
 
-@dataclass(frozen=True)
-class CallRecord:
+class CallRecord(NamedTuple):
     timestamp: datetime
     lat: float
     lon: float
@@ -71,80 +71,92 @@ class ParseReport:
     reasons: Counter = field(default_factory=Counter)
 
 
-def _parse_optional_seconds(raw: str | None, name: str) -> float | None:
-    if raw is None or raw.strip() == "":
-        return None
-    v = float(raw)
-    if not math.isfinite(v) or v < 0:
-        raise ValueError(f"negative or non-finite {name}")
-    return v
-
-
-def _parse_optional_degrees(raw: str | None) -> float | None:
-    if raw is None or raw.strip() == "":
-        return None
-    return float(raw)
-
-
 def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[list[CallRecord], ParseReport]:
-    """Parse a call-log CSV into records sorted by timestamp.
+    """Parse a call-log CSV into records sorted by timestamp (a stable sort).
 
     Naive timestamps are interpreted in the schema's timezone (earlier
-    offset on DST transitions). Malformed rows are dropped and counted in
-    the report with a reason.
+    offset on DST transitions). Blank lines are skipped and not counted; a
+    field past the end of a short row reads as missing; a column name the
+    header repeats reads its last column. Malformed rows are dropped and
+    counted in the report with a reason: ``bad_timestamp``,
+    ``bad_coordinates`` (missing or non-finite), or ``bad_optional_field``
+    (a negative or non-finite duration, a non-finite ambulance position,
+    or a non-number).
     """
     schema = schema or CallSchema()
     zone = schema.zone()
     cols = schema.columns
     report = ParseReport()
     records: list[CallRecord] = []
+    inf = math.inf
     try:
         f = open(path, newline="")
     except FileNotFoundError:
         raise DataError(f"call log not found: {path}")
     with f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
+        reader = csv.reader(f)
+        header = next(reader, None) or []
         missing = [cols[k] for k in MANDATORY_FIELDS if cols[k] not in header]
         if missing:
             raise DataError(f"{path}: missing mandatory columns: {', '.join(missing)}")
+        width = len(header)
+        position = {name: i for i, name in enumerate(header)}  # the last of a repeated name
+        # every row is brought to the header's width plus one trailing None,
+        # the field an optional column absent from the header reads
+        pick = itemgetter(*(
+            position.get(cols[k], width) for k in (
+                "datetime", "latitude", "longitude", "response_time_s", "travel_time_s",
+                "amb_latitude", "amb_longitude", "on_scene_s", "to_hospital_s",
+            )
+        ))
         for row in reader:
+            if len(row) != width:
+                if not row:
+                    continue
+                row = row[:width] + [None] * (width - len(row))
+            row.append(None)
             report.n_rows += 1
+            raw_ts, lat, lon, resp, trav, amb_lat, amb_lon, scene, hosp = pick(row)
             try:
-                ts = datetime.fromisoformat(row[cols["datetime"]].strip())
+                ts = datetime.fromisoformat(raw_ts.strip())
             except (ValueError, AttributeError):
-                report.n_dropped += 1
                 report.reasons["bad_timestamp"] += 1
                 continue
             if ts.tzinfo is None:
                 ts = ts.replace(tzinfo=zone, fold=0)
             try:
-                lat = float(row[cols["latitude"]])
-                lon = float(row[cols["longitude"]])
-                if not (math.isfinite(lat) and math.isfinite(lon)):
-                    raise ValueError("non-finite coordinate")
+                lat = float(lat)
+                lon = float(lon)
             except (ValueError, TypeError):
-                report.n_dropped += 1
                 report.reasons["bad_coordinates"] += 1
                 continue
+            if not (-inf < lat < inf and -inf < lon < inf):
+                report.reasons["bad_coordinates"] += 1
+                continue
+            # an optional field that is missing or blank reads as None
             try:
-                rec = CallRecord(
-                    timestamp=ts,
-                    lat=lat,
-                    lon=lon,
-                    reported_response_s=_parse_optional_seconds(row.get(cols["response_time_s"]), "response time"),
-                    reported_travel_s=_parse_optional_seconds(row.get(cols["travel_time_s"]), "travel time"),
-                    ambulance_lat=_parse_optional_degrees(row.get(cols["amb_latitude"])),
-                    ambulance_lon=_parse_optional_degrees(row.get(cols["amb_longitude"])),
-                    on_scene_s=_parse_optional_seconds(row.get(cols["on_scene_s"]), "on-scene time"),
-                    to_hospital_s=_parse_optional_seconds(row.get(cols["to_hospital_s"]), "hospital time"),
-                )
+                resp = float(resp) if resp and resp.strip() else None
+                trav = float(trav) if trav and trav.strip() else None
+                amb_lat = float(amb_lat) if amb_lat and amb_lat.strip() else None
+                amb_lon = float(amb_lon) if amb_lon and amb_lon.strip() else None
+                scene = float(scene) if scene and scene.strip() else None
+                hosp = float(hosp) if hosp and hosp.strip() else None
             except ValueError:
-                report.n_dropped += 1
                 report.reasons["bad_optional_field"] += 1
                 continue
-            records.append(rec)
-            report.n_parsed += 1
+            if (
+                (resp is not None and not 0.0 <= resp < inf)
+                or (trav is not None and not 0.0 <= trav < inf)
+                or (amb_lat is not None and not -inf < amb_lat < inf)
+                or (amb_lon is not None and not -inf < amb_lon < inf)
+                or (scene is not None and not 0.0 <= scene < inf)
+                or (hosp is not None and not 0.0 <= hosp < inf)
+            ):
+                report.reasons["bad_optional_field"] += 1
+                continue
+            records.append(CallRecord(ts, lat, lon, resp, trav, amb_lat, amb_lon, scene, hosp))
+    report.n_parsed = len(records)
+    report.n_dropped = report.n_rows - report.n_parsed
     records.sort(key=lambda r: r.timestamp)
     return records, report
 
@@ -238,25 +250,16 @@ def build_demand_matrix(
     first = calls[0].timestamp
     anchor = first.replace(hour=0, minute=0, second=0, microsecond=0)
     anchor_s = anchor.timestamp()
-    assigned: list[tuple[int, int]] = []
-    n_dropped = 0
-    last_p = 0
-    for r in calls:
-        try:
-            cell = assign_cell(grid, r.lat, r.lon, snap_cells=snap_cells)
-        except OutOfBoundsError:
-            n_dropped += 1
-            continue
-        p = int(math.floor((r.epoch_s() - anchor_s) / period_length_s))
-        if p < 0:
-            raise DataError("calls must not precede the first call's midnight anchor")
-        assigned.append((p, cell))
-        last_p = max(last_p, p)
-    counts = np.zeros((last_p + 1, grid.n_cells), dtype=np.int64)
-    for p, cell in assigned:
-        counts[p, cell] += 1
-    starts = [anchor + timedelta(seconds=k * period_length_s) for k in range(last_p + 1)]
-    return DemandMatrix(counts, period_length_s, starts, n_dropped=n_dropped)
+    cells, inside = assign_cells(grid, [r.lat for r in calls], [r.lon for r in calls], snap_cells)
+    epoch = np.array([r.timestamp.timestamp() for r in calls], dtype=np.float64)
+    periods = np.floor((epoch[inside] - anchor_s) / period_length_s)
+    if np.any(periods < 0):
+        raise DataError("calls must not precede the first call's midnight anchor")
+    n_periods = int(periods.max()) + 1 if len(periods) else 1
+    flat = periods.astype(np.int64) * grid.n_cells + cells[inside]
+    counts = np.bincount(flat, minlength=n_periods * grid.n_cells).reshape(n_periods, grid.n_cells)
+    starts = [anchor + timedelta(seconds=k * period_length_s) for k in range(n_periods)]
+    return DemandMatrix(counts, period_length_s, starts, n_dropped=int(len(calls) - inside.sum()))
 
 
 def peak_period_mask(
@@ -369,17 +372,29 @@ def calibration_pairs(
     Calls missing a reported travel time or ambulance origin, or lying
     outside the snappable grid, are excluded; the count is returned.
     """
-    out: list[tuple[float, float]] = []
-    excluded = 0
-    for r in calls:
-        if r.reported_travel_s is None or r.ambulance_lat is None or r.ambulance_lon is None:
-            excluded += 1
-            continue
-        try:
-            a = assign_cell(grid, r.ambulance_lat, r.ambulance_lon, snap_cells=snap_cells)
-            b = assign_cell(grid, r.lat, r.lon, snap_cells=snap_cells)
-        except OutOfBoundsError:
-            excluded += 1
-            continue
-        out.append((float(grid.travel_time_s[a, b]), float(r.reported_travel_s)))
-    return out, excluded
+    usable, a, b = calibration_cells(calls, grid, snap_cells)
+    travel = grid.travel_time_s[a, b].tolist()
+    reported = [float(calls[k].reported_travel_s) for k in usable.tolist()]
+    return list(zip(travel, reported)), len(calls) - len(usable)
+
+
+def calibration_cells(
+    calls: Sequence[CallRecord],
+    grid: Grid,
+    snap_cells: float = 1.0,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Positions of the calls usable for calibration, with their ambulance
+    and call cells, in call order.
+
+    A call is usable if it has a reported travel time and an ambulance
+    origin, and both its points lie on the snappable grid.
+    """
+    complete = [
+        k for k, r in enumerate(calls)
+        if r.reported_travel_s is not None and r.ambulance_lat is not None and r.ambulance_lon is not None
+    ]
+    picked = [calls[k] for k in complete]
+    a, a_inside = assign_cells(grid, [r.ambulance_lat for r in picked], [r.ambulance_lon for r in picked], snap_cells)
+    b, b_inside = assign_cells(grid, [r.lat for r in picked], [r.lon for r in picked], snap_cells)
+    ok = a_inside & b_inside
+    return np.asarray(complete, dtype=np.int64)[ok], a[ok], b[ok]

@@ -24,7 +24,7 @@ import numpy as np
 
 from .calibrate import CalibrationModel, apply
 from .errors import ConfigError, DataError
-from .geogrid import Grid, assign_cell
+from .geogrid import Grid, assign_cells_or_raise
 from .ingest import CallRecord
 from .rng import derive_seed, substream
 
@@ -117,14 +117,23 @@ def _as_sim_calls(calls: Sequence, grid: Grid, snap_cells: float) -> tuple[list[
     """Call times and cells; CallRecords are snapped to the grid here."""
     times: list[float] = []
     cells: list[int] = []
+    records: list[int] = []  # positions of the CallRecords, snapped together below
+    lats: list[float] = []
+    lons: list[float] = []
     for c in calls:
         if isinstance(c, CallRecord):
+            records.append(len(cells))
+            lats.append(c.lat)
+            lons.append(c.lon)
             times.append(c.epoch_s())
-            cells.append(assign_cell(grid, c.lat, c.lon, snap_cells=snap_cells))
+            cells.append(-1)
         else:
             t, cell = c
             times.append(float(t))
             cells.append(int(cell))
+    if records:
+        for k, cell in zip(records, assign_cells_or_raise(grid, lats, lons, snap_cells).tolist()):
+            cells[k] = cell
     if any(b < a for a, b in zip(times, times[1:])):
         raise DataError("calls must be sorted by time")
     return times, cells

@@ -3,21 +3,27 @@
 Everything here is deliberately written from scratch against the math, not
 the package code: a second haversine formula, high-precision Poisson CDF
 summation, brute-force routing enumeration, exhaustive stationing search,
-and a dispatch simulation that keeps every call in one event heap. Keep these slow and obvious.
+a dispatch simulation that keeps every call in one event heap, one-point
+grid snapping, and a call-log parser built on ``csv.DictReader``. Keep
+these slow and obvious.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
 import itertools
 import math
 from collections import deque
+from datetime import datetime
 
 import mpmath
 import numpy as np
 
 from emsdeploy import simcore
 from emsdeploy.calibrate import apply
+from emsdeploy.errors import DataError
+from emsdeploy.ingest import MANDATORY_FIELDS, CallRecord, CallSchema, ParseReport
 from emsdeploy.rng import substream
 
 
@@ -209,3 +215,106 @@ def reference_simulate(x, calls, grid, params, seed: int):
             log.append((now, kind, k, unit_id, unit["cell"]))
             release(unit, k, now)
     return log, [outcomes[k] for k in range(len(calls))]
+
+
+def reference_assign_cell(grid, lat: float, lon: float, snap_cells: float = 0.0):
+    """Cell of one point with scalar float arithmetic, or None off the grid.
+
+    A point is on the grid if it lies inside the bounds widened by
+    ``snap_cells`` cells on every side (a non-finite point never does). Its
+    row and column are floor((lat - min_lat) / h) and floor((lon - min_lon) / w),
+    clamped to the grid.
+    """
+    min_lat, max_lat, min_lon, max_lon = grid.bounds
+    h = (max_lat - min_lat) / grid.n_rows
+    w = (max_lon - min_lon) / grid.n_cols
+    if not (math.isfinite(lat) and math.isfinite(lon)):
+        return None
+    if (
+        lat < min_lat - snap_cells * h
+        or lat > max_lat + snap_cells * h
+        or lon < min_lon - snap_cells * w
+        or lon > max_lon + snap_cells * w
+    ):
+        return None
+    row = min(max(math.floor((lat - min_lat) / h), 0), grid.n_rows - 1)
+    col = min(max(math.floor((lon - min_lon) / w), 0), grid.n_cols - 1)
+    return row * grid.n_cols + col
+
+
+def reference_parse_calls(path, schema=None):
+    """The call-log parser over ``csv.DictReader``, one dict per row.
+
+    Same rules as ``ingest.parse_calls``: blank lines are skipped and not
+    counted, a short row's missing fields read None, a repeated header name
+    reads its last column; bad timestamps, bad or non-finite coordinates
+    and bad optional fields (negative or non-finite durations, non-finite
+    ambulance degrees, non-numbers) drop the row with a reason.
+    """
+    schema = schema or CallSchema()
+    zone = schema.zone()
+    cols = schema.columns
+    report = ParseReport()
+    records = []
+
+    def seconds(raw):
+        if raw is None or raw.strip() == "":
+            return None
+        v = float(raw)
+        if not math.isfinite(v) or v < 0:
+            raise ValueError("negative or non-finite duration")
+        return v
+
+    def degrees(raw):
+        if raw is None or raw.strip() == "":
+            return None
+        v = float(raw)
+        if not math.isfinite(v):
+            raise ValueError("non-finite degrees")
+        return v
+
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        header = reader.fieldnames or []
+        missing = [cols[k] for k in MANDATORY_FIELDS if cols[k] not in header]
+        if missing:
+            raise DataError(f"{path}: missing mandatory columns: {', '.join(missing)}")
+        for row in reader:
+            report.n_rows += 1
+            try:
+                ts = datetime.fromisoformat(row[cols["datetime"]].strip())
+            except (ValueError, AttributeError):
+                report.n_dropped += 1
+                report.reasons["bad_timestamp"] += 1
+                continue
+            if ts.tzinfo is None:
+                ts = ts.replace(tzinfo=zone, fold=0)
+            try:
+                lat = float(row[cols["latitude"]])
+                lon = float(row[cols["longitude"]])
+                if not (math.isfinite(lat) and math.isfinite(lon)):
+                    raise ValueError("non-finite coordinate")
+            except (ValueError, TypeError):
+                report.n_dropped += 1
+                report.reasons["bad_coordinates"] += 1
+                continue
+            try:
+                rec = CallRecord(
+                    timestamp=ts,
+                    lat=lat,
+                    lon=lon,
+                    reported_response_s=seconds(row.get(cols["response_time_s"])),
+                    reported_travel_s=seconds(row.get(cols["travel_time_s"])),
+                    ambulance_lat=degrees(row.get(cols["amb_latitude"])),
+                    ambulance_lon=degrees(row.get(cols["amb_longitude"])),
+                    on_scene_s=seconds(row.get(cols["on_scene_s"])),
+                    to_hospital_s=seconds(row.get(cols["to_hospital_s"])),
+                )
+            except ValueError:
+                report.n_dropped += 1
+                report.reasons["bad_optional_field"] += 1
+                continue
+            records.append(rec)
+            report.n_parsed += 1
+    records.sort(key=lambda r: r.timestamp)
+    return records, report

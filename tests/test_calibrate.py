@@ -214,6 +214,23 @@ def test_verify_excludes_and_counts_incomplete_calls():
     assert report.n_excluded == 1
 
 
+def test_verify_counts_exclusions_up_to_the_last_call_used():
+    g = verify_grid()
+    rng = np.random.default_rng(59)
+    calls = make_verify_calls(g, 1.0, 0.8, 50, rng)
+    t = datetime(2024, 1, 1, tzinfo=UTC)
+    incomplete = CallRecord(timestamp=t, lat=30.1, lon=-97.1)
+    off_grid = CallRecord(timestamp=t, lat=31.0, lon=-97.1, reported_travel_s=60.0,
+                          ambulance_lat=30.1, ambulance_lon=-97.1)
+    no_origin = CallRecord(timestamp=t, lat=30.1, lon=-97.1, reported_travel_s=60.0,
+                           ambulance_lat=math.nan, ambulance_lon=-97.1)
+    used = calls[:20] + [incomplete, off_grid, no_origin] + calls[20:]
+    # the 50 usable calls fill the batches; nothing after the last one counts
+    report = verify(used + [incomplete, off_grid], g, identity_model(), batch_size=10, n_batches=5)
+    assert report.n_excluded == 3
+    assert report.to_dict() == verify(used, g, identity_model(), batch_size=10, n_batches=5).to_dict()
+
+
 def test_verify_needs_enough_calls():
     g = verify_grid()
     rng = np.random.default_rng(53)

@@ -118,23 +118,23 @@ def test_alpha_cv_table_shape(city, tmp_path):
 
 def test_alpha_cv_simulates_and_snaps_each_fold_once(city, tmp_path, monkeypatch):
     runs = []  # (fold seed, stationing, number of calls) per simulation
-    snaps = []
-    inner_simulate, inner_assign = simcore.simulate, geogrid.assign_cell
+    snapped = []  # number of points per bulk snap
+    inner_simulate, inner_assign = simcore.simulate, geogrid.assign_cells
 
     def counting_simulate(x, calls, *args, **kwargs):
         runs.append((kwargs["seed"], np.asarray(x, dtype=np.int64).tobytes(), len(calls)))
         return inner_simulate(x, calls, *args, **kwargs)
 
-    def counting_assign(*args, **kwargs):
-        snaps.append(args[1:3])
-        return inner_assign(*args, **kwargs)
+    def counting_assign(grid, lats, lons, *args, **kwargs):
+        snapped.append(len(lats))
+        return inner_assign(grid, lats, lons, *args, **kwargs)
 
     out = tmp_path / "cv"
     assert run(city, "grid", out) == 0
     monkeypatch.setattr(simcore, "simulate", counting_simulate)
-    # the CLI snaps through the geogrid module, the simulator through its own import
-    monkeypatch.setattr(geogrid, "assign_cell", counting_assign)
-    monkeypatch.setattr(simcore, "assign_cell", counting_assign)
+    # the CLI and the simulator both snap through geogrid.assign_cells_or_raise,
+    # which looks up the module's assign_cells
+    monkeypatch.setattr(geogrid, "assign_cells", counting_assign)
     assert run(city, "alpha-cv", out, ("--alphas", "[0.5, 0.3, 0.1, 0.05, 0.01]")) == 0
     rows = [line.split(",")[1:] for line in (out / "alpha_cv.csv").read_text().strip().split("\n")[1:]]
     filled = sum(cell != "" for row in rows for cell in row)
@@ -143,7 +143,7 @@ def test_alpha_cv_simulates_and_snaps_each_fold_once(city, tmp_path, monkeypatch
     assert len({(seed, x) for seed, x, _ in runs}) == len(runs)
     # each test-fold record is snapped once, however many runs use it
     fold_sizes = {seed: n for seed, _, n in runs}
-    assert len(snaps) == sum(fold_sizes.values())
+    assert sum(snapped) == sum(fold_sizes.values())
 
 
 def test_unknown_config_field_is_exit_2(city, tmp_path):

@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emsdeploy.errors import ConfigError, DataError, OutOfBoundsError
 from emsdeploy.geogrid import (
     MatrixProvider,
     SyntheticSpeedProvider,
     assign_cell,
+    assign_cells,
     build_grid,
     build_square_grid,
     derive_adjacency,
@@ -20,7 +23,7 @@ from emsdeploy.geogrid import (
     save_travel_matrix,
     synthetic_travel_time,
 )
-from oracles import haversine_km_alt
+from oracles import haversine_km_alt, reference_assign_cell
 
 BOUNDS = (30.0, 30.5, -97.9, -97.4)
 
@@ -118,6 +121,60 @@ def test_assign_cell_snap_and_out_of_bounds():
     assert assign_cell(g, below, -97.5, snap_cells=1.0) == assign_cell(g, BOUNDS[0], -97.5)
     with pytest.raises(OutOfBoundsError):
         assign_cell(g, below, -97.5, snap_cells=0.0)
+
+
+@pytest.mark.parametrize("lat, lon", [
+    (math.nan, -97.5), (30.2, math.nan), (math.inf, -97.5), (30.2, -math.inf),
+])
+def test_assign_cell_non_finite_is_out_of_bounds(lat, lon):
+    g = build_grid(BOUNDS, 2, 2, SyntheticSpeedProvider(40.0))
+    with pytest.raises(OutOfBoundsError, match="beyond snap tolerance"):
+        assign_cell(g, lat, lon, snap_cells=1.0)
+    cells, inside = assign_cells(g, [lat, 30.2], [lon, -97.5], snap_cells=1.0)
+    assert inside.tolist() == [False, True]
+    assert cells.tolist() == [-1, assign_cell(g, 30.2, -97.5)]
+
+
+@st.composite
+def grids_and_points(draw):
+    """A small grid and points on its edges: interior boundaries, the max
+    bounds, the snap band, beyond it, and non-finite coordinates."""
+    n_rows, n_cols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    min_lat = draw(st.floats(-60, 60))
+    min_lon = draw(st.floats(-170, 170))
+    bounds = (min_lat, min_lat + draw(st.floats(0.01, 2.0)), min_lon, min_lon + draw(st.floats(0.01, 2.0)))
+    g = build_grid(bounds, n_rows, n_cols, MatrixProvider(np.zeros((n_rows * n_cols,) * 2)))
+    snap = draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+
+    def coord(lo, hi, n):
+        step = (hi - lo) / n
+        return st.one_of(
+            st.floats(lo - 3 * step, hi + 3 * step),  # inside, in the snap band, or beyond
+            st.integers(0, n).map(lambda k: lo + k * step),  # an interior boundary or a bound
+            st.sampled_from([lo, hi, lo - snap * step, hi + snap * step]),  # exactly on an edge
+            st.sampled_from([math.nan, math.inf, -math.inf]),
+        )
+
+    lat = coord(bounds[0], bounds[1], n_rows)
+    lon = coord(bounds[2], bounds[3], n_cols)
+    points = draw(st.lists(st.tuples(lat, lon), min_size=1, max_size=30))
+    return g, snap, points
+
+
+@settings(max_examples=300, deadline=None)
+@given(grids_and_points())
+def test_assign_cells_matches_assign_cell(case):
+    g, snap, points = case
+    cells, inside = assign_cells(g, [p[0] for p in points], [p[1] for p in points], snap)
+    for (lat, lon), cell, ok in zip(points, cells.tolist(), inside.tolist()):
+        expected = reference_assign_cell(g, lat, lon, snap)
+        assert ok == (expected is not None)
+        if ok:
+            assert cell == expected == assign_cell(g, lat, lon, snap)
+        else:
+            assert cell == -1
+            with pytest.raises(OutOfBoundsError):
+                assign_cell(g, lat, lon, snap)
 
 
 def test_travel_matrix_roundtrip(tmp_path):

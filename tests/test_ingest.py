@@ -1,7 +1,12 @@
+import math
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emsdeploy.errors import ConfigError, DataError
 from emsdeploy.geogrid import SyntheticSpeedProvider, build_grid
@@ -20,6 +25,7 @@ from emsdeploy.ingest import (
     split_train_test,
     trim_quantiles,
 )
+from oracles import reference_parse_calls
 
 UTC = timezone.utc
 
@@ -79,6 +85,101 @@ def test_parse_naive_timestamps_get_schema_zone(tmp_path):
     path.write_text("datetime,latitude,longitude\n2024-01-01T09:00:00,30.1,-97.6\n")
     records, _ = parse_calls(path, CallSchema(timezone="America/Chicago"))
     assert records[0].timestamp.utcoffset() == timedelta(hours=-6)
+
+
+def test_parse_drops_non_finite_ambulance_degrees(tmp_path):
+    path = tmp_path / "calls.csv"
+    path.write_text(
+        "datetime,latitude,longitude,travel_time_s,amb_latitude,amb_longitude\n"
+        "2024-01-01T09:00:00,30.1,-97.6,120,30.12,-97.61\n"
+        "2024-01-01T10:00:00,30.1,-97.6,120,nan,-97.61\n"
+        "2024-01-01T11:00:00,30.1,-97.6,120,30.12,-inf\n"
+        "2024-01-01T12:00:00,30.1,-97.6,120,,\n"
+    )
+    records, report = parse_calls(path)
+    assert [r.timestamp.hour for r in records] == [9, 12]
+    assert records[1].ambulance_lat is None
+    assert report.n_dropped == 2 and report.reasons["bad_optional_field"] == 2
+
+
+def test_parse_short_long_and_duplicated_columns(tmp_path):
+    path = tmp_path / "calls.csv"
+    path.write_text(
+        "latitude,datetime,longitude,travel_time_s,latitude\n"
+        "\n"
+        "1.0,2024-01-01T09:00:00,-97.6,60,30.1,extra\n"
+        "1.0,2024-01-01T10:00:00,-97.6\n"
+    )
+    records, report = parse_calls(path)
+    # the repeated latitude reads its last column, absent in the short row
+    assert [(r.lat, r.reported_travel_s) for r in records] == [(30.1, 60.0)]
+    assert report.n_rows == 2 and report.reasons["bad_coordinates"] == 1
+
+
+HEADER_NAMES = list(CallSchema().columns.values())
+TIMESTAMPS = [
+    "2024-03-10T02:30:00", "2024-11-03T01:30:00", "2024-01-01T09:00:00+00:00",
+    " 2024-01-01T09:00:00-05:00 ", "2024-01-01 09:00", "not-a-time", "", "2024-13-01T00:00:00",
+]
+NUMBERS = ["30.1", " -97.6 ", "0", "-0.0", "1e3", "12.5", "-5", "", "  ", "nan", "inf", "-inf", "abc", "1_000"]
+
+
+@st.composite
+def call_logs(draw):
+    """A call-log CSV text with reordered, missing, duplicated and unknown
+    columns, blank lines, short and long rows, and field values that parse,
+    pad, go blank, go negative or non-finite, or fail."""
+    names = draw(st.lists(st.sampled_from(HEADER_NAMES + ["unit_id", " latitude"]), max_size=12))
+    if draw(st.integers(0, 3)):  # usually every mandatory column is there
+        names += ["datetime", "latitude", "longitude"]
+    names = draw(st.permutations(names))
+    field = st.one_of(st.sampled_from(TIMESTAMPS), st.sampled_from(NUMBERS))
+    # mostly values that parse, so that most rows come through
+    degrees = st.one_of(st.sampled_from(["30.1", "-97.6"]), st.sampled_from(NUMBERS))
+    seconds = st.one_of(st.sampled_from(["12.5", ""]), st.sampled_from(NUMBERS))
+    lines = [",".join(names)]
+    for _ in range(draw(st.integers(0, 12))):
+        if draw(st.integers(0, 9)) == 0:
+            lines.append("")
+            continue
+        width = len(names) + draw(st.sampled_from([0, 0, 0, -1, -2, 1]))
+        row = []
+        for name in names[:max(width, 0)]:
+            if name == "datetime":
+                row.append(draw(st.sampled_from(TIMESTAMPS)))
+            elif name in ("latitude", "longitude", "amb_latitude", "amb_longitude"):
+                row.append(draw(degrees))
+            elif name in HEADER_NAMES:
+                row.append(draw(seconds))
+            else:
+                row.append(draw(field))
+        row += [draw(field) for _ in range(width - len(names))]
+        lines.append(",".join(row))
+    tz = draw(st.sampled_from(["UTC", "America/Chicago"]))
+    return "\n".join(lines) + "\n", tz
+
+
+@settings(max_examples=400, deadline=None)
+@given(call_logs())
+def test_parse_calls_matches_reference(case):
+    text, tz = case
+    schema = CallSchema(timezone=tz)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "calls.csv"
+        path.write_text(text)
+        try:
+            expected = reference_parse_calls(path, schema)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                parse_calls(path, schema)
+            assert str(err.value) == str(exc)
+            return
+        records, report = parse_calls(path, schema)
+    want_records, want = expected
+    # repr tells apart equal instants in different zones or folds, and 0.0 from -0.0
+    assert [repr(r) for r in records] == [repr(r) for r in want_records]
+    assert (report.n_rows, report.n_parsed, report.n_dropped) == (want.n_rows, want.n_parsed, want.n_dropped)
+    assert list(report.reasons.items()) == list(want.reasons.items())
 
 
 def test_roundtrip_identity(tmp_path):
@@ -249,3 +350,13 @@ def test_calibration_pairs_excludes_incomplete():
     pairs, excluded = calibration_pairs([full, missing], g)
     assert len(pairs) == 1 and excluded == 1
     assert pairs[0][1] == 120.0
+
+
+def test_calibration_pairs_exclude_non_finite_points():
+    g = make_grid()
+    t = datetime(2024, 1, 1, 9, tzinfo=UTC)
+    full = rec(t, reported_travel_s=120.0, ambulance_lat=30.15, ambulance_lon=-97.55)
+    nan_origin = rec(t, reported_travel_s=90.0, ambulance_lat=math.nan, ambulance_lon=-97.55)
+    nan_scene = rec(t, lat=math.nan, reported_travel_s=90.0, ambulance_lat=30.15, ambulance_lon=-97.55)
+    pairs, excluded = calibration_pairs([nan_origin, full, nan_scene], g)
+    assert [p[1] for p in pairs] == [120.0] and excluded == 2
