@@ -72,10 +72,7 @@ class RunConfig:
     n_ambulances: int = 6
     m_scenarios: int = 100
     alpha: float = 0.01
-    epsilon: float = 1e-6
-    ccg_max_iter: int = 200
     max_nodes: int = 1_000_000
-    set_size_budget: int = 200_000
     # simulation
     n_calls: int = 1000
     n_batches: int = 12
@@ -116,8 +113,6 @@ class RunConfig:
             raise ConfigError("alpha must lie in (0, 1)")
         if not all(0 < a < 1 for a in self.alphas):
             raise ConfigError("every alpha-cv value must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
         if not (0 < self.train_fraction < 1):
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.rate_periods not in ("peak", "all"):
@@ -370,13 +365,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> dict[str, Path]:
     search = stochastic.SearchConfig(max_nodes=cfg.max_nodes)
     sol = stochastic.solve_stochastic(scenarios, cfg.n_ambulances, edges, search)
     stochastic.save_solution(sol, out / "deployment_stochastic.json")
-    rob = robust.solve_robust_ccg(
-        uset, cfg.n_ambulances, edges,
-        epsilon=cfg.epsilon, max_iter=cfg.ccg_max_iter,
-        size_budget=cfg.set_size_budget, search_config=search,
-    )
-    if not rob.converged:
-        log.warning("robust CCG stopped unconverged after %d iterations", rob.state.iterations)
+    rob = robust.solve_robust_ccg(uset, cfg.n_ambulances, edges, search_config=search)
     robust.save_robust_solution(rob, out / "deployment_robust.json", alpha=cfg.alpha)
     robust.save_ccg_history(rob.state, out / "ccg_history.csv")
     return {name: out / name for name in ("deployment_stochastic.json", "deployment_robust.json", "ccg_history.csv")}
@@ -445,11 +434,7 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
         for alpha in cfg.alphas:
             uset = demand.build_uncertainty_set(rates, alpha, adjacency, ball)
             try:
-                rob = robust.solve_robust_ccg(
-                    uset, cfg.n_ambulances, edges,
-                    epsilon=cfg.epsilon, max_iter=cfg.ccg_max_iter,
-                    size_budget=cfg.set_size_budget, search_config=search,
-                )
+                rob = robust.solve_robust_ccg(uset, cfg.n_ambulances, edges, search_config=search)
             except EmsDeployError as exc:
                 errors.append(f"fold {fold} alpha {alpha}: {exc}")
                 row.append(None)
@@ -525,11 +510,7 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
         sol = stochastic.solve_stochastic(scenarios, n, edges, search)
         row = {"n": n, "stochastic_mrt_min": mrt_min(sol.x_star.x)}
         if cfg.sweep_robust:
-            rob = robust.solve_robust_ccg(
-                uset_caps, n, edges,
-                epsilon=cfg.epsilon, max_iter=cfg.ccg_max_iter,
-                size_budget=cfg.set_size_budget, search_config=search,
-            )
+            rob = robust.solve_robust_ccg(uset_caps, n, edges, search_config=search)
             row["robust_mrt_min"] = mrt_min(rob.x_star.x)
         rows.append(row)
     with open(out / "fleet_sweep.csv", "w", newline="") as f:

@@ -4,7 +4,8 @@ Rates are fitted per region at four aggregation levels: the region itself
 (single), its queen-adjacent neighborhood (local), the cells within the
 coverage-time ball (regional), and the whole city (global). The robust
 uncertainty set caps integer demand vectors by the (1 - alpha) Poisson
-quantile of each aggregate.
+quantile of each aggregate, and finds exactly the most demand a member can
+place on a set of regions.
 """
 
 from __future__ import annotations
@@ -140,6 +141,59 @@ class UncertaintySet:
             return False
         return int(d.sum()) <= self.global_cap
 
+    def max_demand(self, regions) -> tuple[int, np.ndarray]:
+        """Most total demand a member places on ``regions`` (a boolean mask),
+        and the lexicographically largest maximizer, zero off the mask.
+
+        Exact depth-first branch and bound: masked regions in index order,
+        values high to low, other regions at 0. A branch is cut when no
+        completion beats the incumbent, bounded by the least over three fixed
+        partitions of the mask (local neighborhoods, coverage balls, all under
+        the global cap) of the groups' summed min(residual cap, open bounds).
+        """
+        picked = np.flatnonzero(np.asarray(regions, dtype=bool))
+        n, m = self.n_regions, len(picked)
+        rows = np.vstack([self.adjacency[:, picked], self.coverage_ball[:, picked], np.ones((1, m), dtype=bool)])
+        caps = np.concatenate([self.local_cap, self.regional_cap, [self.global_cap]])
+        single = self.single_cap[picked]
+        # a cap at least its regions' single-cap sum never binds; residual p < m
+        # is region p's own cap, and the binding rows' caps follow
+        binding = np.flatnonzero(caps < rows.astype(np.int64) @ single)
+        residual = single.tolist() + caps[binding].tolist()
+        holds = [{p} for p in range(m)] + [set(np.flatnonzero(rows[c]).tolist()) for c in binding]
+        limits = [[k for k, held in enumerate(holds) if p in held] for p in range(m)]
+        partitions = []
+        for level in range(3):
+            groups, left = [], set(range(m))
+            level_rows = [m + k for k, c in enumerate(binding) if c // n == level]
+            while left:  # the row that holds most of what is left, else one region alone
+                k = max(level_rows + [min(left)], key=lambda k: len(left & holds[k]))
+                groups.append((k, sorted(left & holds[k])))
+                left -= holds[k]
+            partitions.append(groups)
+        values, best = [0] * m, [-1, []]
+
+        def descend(t: int, total: int) -> None:
+            if t == m:
+                if total > best[0]:
+                    best[:] = total, list(values)
+                return
+            ub = [0] * t + [min(residual[k] for k in limits[p]) for p in range(t, m)]
+            if total + min(sum(min(residual[k], sum(ub[p] for p in g)) for k, g in gs) for gs in partitions) <= best[0]:
+                return
+            for v in range(ub[t], -1, -1):
+                for k in limits[t]:
+                    residual[k] -= v
+                values[t] = v
+                descend(t + 1, total + v)
+                for k in limits[t]:
+                    residual[k] += v
+
+        descend(0, 0)
+        out = np.zeros(n, dtype=np.int64)
+        out[picked] = best[1]
+        return best[0], out
+
 
 def build_uncertainty_set(
     rates: PoissonRates,
@@ -162,8 +216,7 @@ def build_uncertainty_set(
 def enumerate_set(uset: UncertaintySet, size_budget: int = 200_000) -> np.ndarray:
     """All member demand vectors, one per row, in lexicographic order.
 
-    Raises SetTooLargeError when the bounding box alone exceeds the budget;
-    callers fall back to heuristic search in that case.
+    Raises SetTooLargeError when the bounding box alone exceeds the budget.
     """
     caps = uset.single_cap
     box = 1
@@ -171,8 +224,7 @@ def enumerate_set(uset: UncertaintySet, size_budget: int = 200_000) -> np.ndarra
         box *= int(c) + 1
         if box > size_budget:
             raise SetTooLargeError(
-                f"uncertainty-set box has more than {size_budget} points; "
-                "raise size_budget or use the heuristic path"
+                f"uncertainty-set box has more than {size_budget} points; raise size_budget"
             )
     grid = np.array(list(itertools.product(*(range(int(c) + 1) for c in caps))), dtype=np.int64)
     adj = uset.adjacency.astype(np.int64)

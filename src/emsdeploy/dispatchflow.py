@@ -16,10 +16,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, SolverError
 
 # Min-cut enumeration over 2^|I| station subsets; beyond this the value
-# path falls back to the flow algorithm.
+# path falls back to the flow algorithm and the robust solve is refused.
 _MAX_CUT_STATIONS = 14
 
 
@@ -60,7 +60,11 @@ class EdgeSet:
             b_j[j, k] = 1
         return b_i, b_j
 
-    def _cut_masks(self) -> tuple[np.ndarray, np.ndarray]:
+    def cut_masks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached 0/1 float masks: row s holds the stations of subset s (bit i
+        is station i) and the regions they cover. 2^I rows, so I is capped."""
+        if self.n_stations > _MAX_CUT_STATIONS:
+            raise SolverError(f"{self.n_stations} stations exceed the cut tables' {_MAX_CUT_STATIONS}")
         if self._subset_region_mask is None:
             n = self.n_stations
             station_mask = np.zeros((1 << n, n), dtype=np.float64)
@@ -257,7 +261,7 @@ class ScenarioEvaluator:
             raise DataError("demand matrix must be scenarios x regions")
         self._fast = edges.n_stations <= _MAX_CUT_STATIONS
         if self._fast:
-            _, region_mask = edges._cut_masks()
+            _, region_mask = edges.cut_masks()
             # cost of the region side of each cut, per subset x scenario
             self._region_cost = region_mask @ self.demands.T.astype(np.float64)
         self._demand_sums = self.demands.sum(axis=1)
@@ -267,7 +271,7 @@ class ScenarioEvaluator:
         if x.shape != (self.edges.n_stations,):
             raise DataError("stationing length must match station count")
         if self._fast:
-            station_mask, _ = self.edges._cut_masks()
+            station_mask, _ = self.edges.cut_masks()
             inside = station_mask @ x.astype(np.float64)
             cut = (float(x.sum()) - inside)[:, None] + self._region_cost
             maxflow = cut.min(axis=0)

@@ -1,25 +1,25 @@
 """Two-stage robust stationing: minimize the worst-case shortfall over the
-Value-at-Risk uncertainty set, via column-and-constraint generation.
+Value-at-Risk uncertainty set U, exactly, by min-cut duality.
 
-The master problem minimizes the pooled worst case over the demand columns
-generated so far (a lower bound); the subproblem finds the worst demand in
-the full set for the master's stationing (an upper bound certificate). At
-desk scale the subproblem enumerates the set exactly; larger sets fall back
-to a greedy ascent that is flagged as heuristic.
+The max flow of x and d is the least cut over station subsets S, x(I \\ S)
++ d(N(S)), N(S) being the regions S covers. So by the cut condition of
+Gale's supply-demand theorem (Gale 1957) the worst case of x is
+max_S [W(S) - x(I \\ S)], with W(S) = max_{d in U} d(J \\ N(S)). W does not
+depend on x: it is found once per distinct uncovered region set, and the
+stationing is one branch and bound over that table of cuts.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .demand import UncertaintySet, enumerate_set
-from .dispatchflow import Deployment, EdgeSet, ScenarioEvaluator
-from .errors import ConfigError, SetTooLargeError
+from .demand import UncertaintySet
+from .dispatchflow import Deployment, EdgeSet
 from .stochastic import SearchConfig, max_aggregator, minimize_deployment
 
 
@@ -27,62 +27,51 @@ from .stochastic import SearchConfig, max_aggregator, minimize_deployment
 class WorstCaseResult:
     demand: np.ndarray
     shortfall: int
-    exact: bool
+    exact: bool  # always True: the worst case is solved exactly
 
 
-def worst_case_demand(
-    x,
-    uset: UncertaintySet,
-    edges: EdgeSet,
-    size_budget: int = 200_000,
-) -> WorstCaseResult:
+class CutTable:
+    """Search evaluator whose ``totals(x)`` holds W(S) - x(I \\ S) for every
+    station subset S: their max is the worst-case shortfall of x. Each cut
+    keeps the maximizer of W for its uncovered region set."""
+
+    def __init__(self, uset: UncertaintySet, edges: EdgeSet):
+        self.edges = edges
+        station_mask, region_mask = edges.cut_masks()
+        uncovered, set_of_cut = np.unique(region_mask == 0, axis=0, return_inverse=True)
+        found = [uset.max_demand(regions) for regions in uncovered]
+        self.maximizers = [found[k][1] for k in set_of_cut.reshape(-1)]
+        self.w = np.array([found[k][0] for k in set_of_cut.reshape(-1)], dtype=np.int64)
+        self._outside = 1 - station_mask.astype(np.int64)  # row s: the stations not in S
+
+    def totals(self, x) -> np.ndarray:
+        return self.w - self._outside @ np.asarray(x, dtype=np.int64)
+
+    def relaxed_totals(self, x, free_units: int) -> np.ndarray:
+        """Under the max, a lower bound for any completion stationing ``free_units``
+        more: a unit lowers each cut by at most one, and W(I) - 0 >= 0."""
+        return np.maximum(self.totals(x) - int(free_units), 0)
+
+
+def worst_case_demand(x, uset: UncertaintySet, edges: EdgeSet, cuts: CutTable | None = None) -> WorstCaseResult:
     """Demand in the uncertainty set maximizing the minimum shortfall of x.
 
-    Exact by enumeration when the set fits the budget; otherwise a greedy
-    ascent that repeatedly increments the feasible region with the largest
-    marginal shortfall gain (ties to the lowest region index) and flags the
-    result as heuristic. Exact ties resolve to the lexicographically
-    smallest demand vector.
+    Exact: the stored maximizer of the lowest-index subset S attaining
+    max_S [W(S) - x(I \\ S)]. ``cuts`` is CutTable(uset, edges), if built.
     """
-    x = np.asarray(x, dtype=np.int64)
-    try:
-        members = enumerate_set(uset, size_budget)
-    except SetTooLargeError:
-        return _greedy_worst_case(x, uset, edges)
-    totals = ScenarioEvaluator(edges, members).totals(x)
-    best = int(np.argmax(totals))  # first max = lexicographically smallest
-    return WorstCaseResult(demand=members[best].copy(), shortfall=int(totals[best]), exact=True)
-
-
-def _greedy_worst_case(x: np.ndarray, uset: UncertaintySet, edges: EdgeSet) -> WorstCaseResult:
-    d = np.zeros(uset.n_regions, dtype=np.int64)
-    current = 0
-    while True:
-        candidates = []
-        for j in range(uset.n_regions):
-            d[j] += 1
-            if uset.contains(d):
-                candidates.append(j)
-            d[j] -= 1
-        if not candidates:
-            break
-        trial = np.repeat(d[None, :], len(candidates), axis=0)
-        for row, j in enumerate(candidates):
-            trial[row, j] += 1
-        totals = ScenarioEvaluator(edges, trial).totals(x)
-        pick = int(np.argmax(totals))  # ties to the lowest region index
-        d[candidates[pick]] += 1
-        current = int(totals[pick])
-    return WorstCaseResult(demand=d, shortfall=current, exact=False)
+    cuts = cuts if cuts is not None else CutTable(uset, edges)
+    totals = cuts.totals(x)
+    cut = int(np.argmax(totals))
+    return WorstCaseResult(demand=cuts.maximizers[cut].copy(), shortfall=int(totals[cut]), exact=True)
 
 
 @dataclass
 class CcgState:
-    scenario_pool: list[np.ndarray] = field(default_factory=list)
-    lower_bound: float = float("-inf")
-    upper_bound: float = float("inf")
-    iterations: int = 0
-    history: list[tuple[float, float, np.ndarray]] = field(default_factory=list)
+    """The solve's (lower, upper, certificate) bound trace: one row, with
+    lower == upper when the search proved its optimum."""
+
+    history: list[tuple[float, float, np.ndarray]]
+    iterations: int = 1
 
 
 @dataclass
@@ -108,51 +97,29 @@ def solve_robust_ccg(
     uset: UncertaintySet,
     n: int,
     edges: EdgeSet,
-    epsilon: float = 1e-6,
-    max_iter: int = 200,
-    size_budget: int = 200_000,
+    epsilon: float | None = None,
+    max_iter: int | None = None,
+    size_budget: int | None = None,
     search_config: SearchConfig | None = None,
 ) -> RobustSolution:
-    """Column-and-constraint generation for the min-max stationing problem.
+    """Exact min over stationings (sum <= n) of the worst-case shortfall.
 
-    The pool starts from the zero demand vector so the first master problem
-    is always feasible. Convergence requires the exact subproblem; with the
-    heuristic fallback the incumbent is returned unconverged.
+    One branch and bound over the CutTable with the max aggregator.
+    ``converged`` is its exact flag: False only when ``max_nodes`` stopped
+    it, and then x is the incumbent, with its own exact worst case. The
+    name, and the ``epsilon``, ``max_iter`` and ``size_budget`` keywords,
+    which are accepted and ignored, remain from the column-and-constraint
+    generation this replaced.
     """
-    if epsilon <= 0:
-        raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    state = CcgState(scenario_pool=[np.zeros(edges.n_regions, dtype=np.int64)])
-    best_x: np.ndarray | None = None
-    best_d: np.ndarray | None = None
-    all_exact = True
-    converged = False
-    while state.iterations < max_iter:
-        state.iterations += 1
-        pool = np.vstack(state.scenario_pool)
-        master = minimize_deployment(pool, n, edges, max_aggregator, search_config)
-        if master.flag.kind == "exact":
-            state.lower_bound = max(state.lower_bound, master.objective)
-        else:
-            all_exact = False  # truncated master gives no valid lower bound
-        wc = worst_case_demand(master.x, uset, edges, size_budget)
-        all_exact = all_exact and wc.exact
-        if wc.shortfall < state.upper_bound:
-            state.upper_bound = float(wc.shortfall)
-            best_x, best_d = master.x, wc.demand
-        state.history.append((state.lower_bound, state.upper_bound, wc.demand.copy()))
-        if state.upper_bound - state.lower_bound <= epsilon:
-            converged = all_exact
-            break
-        if any(np.array_equal(wc.demand, p) for p in state.scenario_pool):
-            break  # repeated column cannot tighten the master further
-        state.scenario_pool.append(wc.demand.copy())
-    assert best_x is not None and best_d is not None
+    cuts = CutTable(uset, edges)
+    result = minimize_deployment(cuts, n, max_aggregator, search_config)
+    wc = worst_case_demand(result.x, uset, edges, cuts)
     return RobustSolution(
-        x_star=Deployment(best_x, n),
-        worst_case_shortfall=int(round(state.upper_bound)),
-        certifying_demand=best_d,
-        converged=converged,
-        state=state,
+        x_star=Deployment(result.x, n),
+        worst_case_shortfall=wc.shortfall,
+        certifying_demand=wc.demand,
+        converged=result.flag.kind == "exact",
+        state=CcgState([(wc.shortfall - result.flag.gap, float(wc.shortfall), wc.demand.copy())]),
     )
 
 

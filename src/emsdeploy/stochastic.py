@@ -8,8 +8,8 @@ station-capacity constraint and is therefore admissible. The frontier is
 ordered by (bound, prefix), so the first complete assignment popped is an
 exact optimum and, among ties, the lexicographically smallest.
 
-The same search serves the robust master problem with a different
-aggregator (pool max instead of scenario mean).
+The robust solve runs the same search over its table of min-cut values,
+with the max aggregator in place of the scenario mean.
 """
 
 from __future__ import annotations
@@ -57,10 +57,6 @@ class ScenarioSet:
     def m(self) -> int:
         return self.demands.shape[0]
 
-    @property
-    def scenarios(self) -> list[np.ndarray]:
-        return list(self.demands)
-
 
 def sample_scenarios(matrix: DemandMatrix | np.ndarray, m: int, seed: int = 0) -> ScenarioSet:
     """Draw m period rows uniformly with replacement (the empirical distribution)."""
@@ -93,24 +89,24 @@ class SearchResult:
 
 
 def minimize_deployment(
-    demands: np.ndarray,
+    ev,
     n: int,
-    edges: EdgeSet,
     aggregator: Aggregator = mean_aggregator,
     config: SearchConfig | None = None,
 ) -> SearchResult:
-    """Exact min over stationings (sum <= n) of an aggregated shortfall.
+    """Exact min over stationings (sum <= n) of ``aggregator(ev.totals(x))``.
 
-    ``aggregator`` maps the per-scenario shortfall totals to the objective
-    and must be entrywise nondecreasing for the bound to stay admissible.
+    ``ev`` has ``edges``, ``totals(x)`` and ``relaxed_totals(x, free)``, and
+    ``aggregator(ev.relaxed_totals(x, free))`` must lower-bound the objective
+    of every completion of x that stations ``free`` more units (for a
+    ScenarioEvaluator: ``aggregator`` is entrywise nondecreasing).
     """
     config = config or SearchConfig()
     if n < 0:
         raise ConfigError(f"fleet bound must be nonnegative, got {n}")
-    n_i = edges.n_stations
+    n_i = ev.edges.n_stations
     if n_i < 1:
         raise DataError("need at least one station")
-    ev = ScenarioEvaluator(edges, np.asarray(demands, dtype=np.int64))
 
     def bound_of(prefix: tuple[int, ...]) -> float:
         free = n - sum(prefix)
@@ -182,7 +178,7 @@ def solve_stochastic(
     config: SearchConfig | None = None,
 ) -> StochasticSolution:
     """Minimize the empirical mean shortfall over the scenario set."""
-    result = minimize_deployment(scenarios.demands, n, edges, mean_aggregator, config)
+    result = minimize_deployment(ScenarioEvaluator(edges, scenarios.demands), n, mean_aggregator, config)
     per_scenario = [min_shortfall(result.x, d, edges) for d in scenarios.demands]
     objective = float(np.mean([r.total for r in per_scenario]))
     return StochasticSolution(

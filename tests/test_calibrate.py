@@ -122,20 +122,22 @@ def test_model_json_roundtrip(tmp_path):
 
 def make_verify_calls(grid, model_a, model_b, n, rng, bias_s=0.0, noise=0.0, exact_identity=False):
     """Calls whose reported travel follows the loglog model of grid time."""
-    from emsdeploy.geogrid import assign_cell
+    from emsdeploy.geogrid import assign_cells
 
     min_lat, max_lat, min_lon, max_lon = grid.bounds
     calls = []
     t0 = datetime(2024, 1, 1, 8, 0, tzinfo=UTC)
     station_cell = grid.station_cells[0]
     amb_lat, amb_lon = grid.cell_centers[station_cell]
-    for i in range(n):
-        while True:
-            lat = float(rng.uniform(min_lat, max_lat))
-            lon = float(rng.uniform(min_lon, max_lon))
-            cell = assign_cell(grid, lat, lon)
-            if exact_identity or cell != station_cell:
-                break  # keep grid time positive so the loglog model applies
+    # snap twice the points needed in one pass and keep those off the station
+    # cell, so grid time is positive and the loglog model applies
+    lats = rng.uniform(min_lat, max_lat, size=2 * n)
+    lons = rng.uniform(min_lon, max_lon, size=2 * n)
+    cells, _ = assign_cells(grid, lats, lons)
+    keep = np.arange(2 * n) if exact_identity else np.flatnonzero(cells != station_cell)
+    assert len(keep) >= n
+    for i, k in enumerate(keep[:n]):
+        lat, lon, cell = float(lats[k]), float(lons[k]), int(cells[k])
         grid_s = float(grid.travel_time_s[station_cell, cell])
         if exact_identity:
             reported = grid_s

@@ -40,7 +40,6 @@ def city(tmp_path_factory):
         "n_max": 4,
         "cv_folds": 2,
         "alphas": [0.1, 0.05],
-        "ccg_max_iter": 40,
         "seed": 11,
     }
     config_path = root / "config.json"
@@ -150,6 +149,8 @@ def test_unknown_config_field_is_exit_2(city, tmp_path):
     assert run(city, "grid", tmp_path / "x", ("--no_such_field", "1")) == 2
     # a field that was removed is unknown too
     assert run(city, "grid", tmp_path / "x", ("--restrict_dispatch_to_coverage", "true")) == 2
+    for removed in ("epsilon", "ccg_max_iter", "set_size_budget"):
+        assert run(city, "grid", tmp_path / "x", (f"--{removed}", "1")) == 2
 
 
 def test_bad_config_value_is_exit_2(city, tmp_path):

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emsdeploy.demand import UncertaintySet, enumerate_set
-from emsdeploy.dispatchflow import EdgeSet, min_shortfall
+from emsdeploy.dispatchflow import EdgeSet, min_shortfall, scenario_totals
+from emsdeploy.errors import SolverError
 from emsdeploy.robust import (
     solve_robust_ccg,
     worst_case_demand,
 )
 from emsdeploy.stochastic import ScenarioSet, solve_stochastic
-from oracles import brute_min_shortfall_many, compositions_at_most
+from oracles import box_members, brute_min_shortfall_many, compositions_at_most
 
 
 def full_edges(n_i, n_j):
@@ -89,21 +92,10 @@ def test_worst_case_matches_enumeration_argmax():
         totals = brute_min_shortfall_many(x, members, pairs)
         assert wc.exact
         assert wc.shortfall == int(totals.max())
-        # lexicographically smallest argmax
-        argmaxes = members[totals == totals.max()]
-        assert np.array_equal(wc.demand, argmaxes[0])
+        # the certificate attains the max, the same one on every call
+        assert int(brute_min_shortfall_many(x, wc.demand[None, :], pairs)[0]) == int(totals.max())
+        assert np.array_equal(worst_case_demand(x, uset, edges).demand, wc.demand)
         assert uset.contains(wc.demand)
-
-
-def test_greedy_fallback_flags_heuristic():
-    uset = loose_set([2, 2, 2, 2], global_cap=5)
-    edges = full_edges(2, 4)
-    wc = worst_case_demand(np.array([1, 0]), uset, edges, size_budget=10)
-    assert not wc.exact
-    assert uset.contains(wc.demand)
-    # greedy fills to a maximal member: 5 units is the global cap
-    assert wc.demand.sum() == 5
-    assert wc.shortfall == 4
 
 
 def test_ccg_zero_set_converges_immediately():
@@ -174,3 +166,94 @@ def test_cap_monotonicity_of_worst_case():
     sol_small = solve_robust_ccg(small, 1, edges)
     sol_large = solve_robust_ccg(large, 1, edges)
     assert sol_large.worst_case_shortfall >= sol_small.worst_case_shortfall
+
+
+def test_robust_exact_beyond_enumeration_budget():
+    # 18 regions with cap 1: a box of 2^18 = 262 144 points, past the
+    # 200 000 the enumerator allows by default
+    n_j = 18
+    path = np.abs(np.subtract.outer(np.arange(n_j), np.arange(n_j)))
+    uset = UncertaintySet(
+        alpha=0.01,
+        single_cap=np.ones(n_j, dtype=np.int64),
+        local_cap=np.full(n_j, 2),
+        regional_cap=np.full(n_j, 3),
+        global_cap=6,
+        adjacency=path <= 1,
+        coverage_ball=path <= 2,
+    )
+    reach = [range(0, 8), range(6, 14), range(12, 18)]
+    edges = EdgeSet([(i, j) for i, regions in enumerate(reach) for j in regions], 3, n_j)
+    members = enumerate_set(uset, size_budget=10**6)
+    best = min(int(scenario_totals(x, members, edges).max()) for x in compositions_at_most(3, 3))
+    sol = solve_robust_ccg(uset, 3, edges)
+    assert sol.converged
+    assert sol.worst_case_shortfall == best
+    assert uset.contains(sol.certifying_demand)
+    assert min_shortfall(sol.x_star.x, sol.certifying_demand, edges).total == best
+
+
+def test_robust_refuses_more_stations_than_cut_tables_hold():
+    # the cut table has a row per station subset; 15 stations is past its cap
+    with pytest.raises(SolverError):
+        solve_robust_ccg(loose_set([1]), 1, full_edges(15, 1))
+
+
+@st.composite
+def binding_sets(draw, max_regions=5, max_cap=2):
+    """Small uncertainty sets with arbitrary local and regional groups whose
+    caps lie at or below their single-cap sums, so every level can bind."""
+    n_j = draw(st.integers(1, max_regions))
+    single = np.array(draw(st.lists(st.integers(0, max_cap), min_size=n_j, max_size=n_j)), dtype=np.int64)
+
+    def groups():
+        flags = draw(st.lists(st.booleans(), min_size=n_j * n_j, max_size=n_j * n_j))
+        rows = np.array(flags, dtype=bool).reshape(n_j, n_j)
+        np.fill_diagonal(rows, True)
+        return rows
+
+    def caps(rows):
+        return np.array([draw(st.integers(0, int(s))) for s in rows.astype(np.int64) @ single], dtype=np.int64)
+
+    adjacency, ball = groups(), groups()
+    return UncertaintySet(
+        alpha=0.05,
+        single_cap=single,
+        local_cap=caps(adjacency),
+        regional_cap=caps(ball),
+        global_cap=draw(st.integers(0, int(single.sum()))),
+        adjacency=adjacency,
+        coverage_ball=ball,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(binding_sets(max_regions=7, max_cap=3))
+def test_max_demand_matches_enumeration(uset):
+    members = enumerate_set(uset)
+    for mask in range(1 << uset.n_regions):
+        regions = np.array([(mask >> j) & 1 for j in range(uset.n_regions)], dtype=bool)
+        value, d = uset.max_demand(regions)
+        assert value == int(members[:, regions].sum(axis=1).max())
+        assert uset.contains(d)
+        assert not d[~regions].any()
+        assert int(d.sum()) == value
+
+
+@settings(max_examples=200, deadline=None)
+@given(binding_sets(), st.data())
+def test_robust_solve_matches_brute_minimax(uset, data):
+    n_j = uset.n_regions
+    n_i = data.draw(st.integers(1, 3))
+    flags = data.draw(st.lists(st.booleans(), min_size=n_i * n_j, max_size=n_i * n_j))
+    pairs = [(k // n_j, k % n_j) for k, on in enumerate(flags) if on]
+    edges = EdgeSet(pairs, n_i, n_j)
+    n = data.draw(st.integers(0, 3))
+    members = box_members(uset)
+    best = min(int(brute_min_shortfall_many(x, members, pairs).max()) for x in compositions_at_most(n, n_i))
+    sol = solve_robust_ccg(uset, n, edges)
+    assert sol.converged
+    assert sol.worst_case_shortfall == best
+    assert [h[:2] for h in sol.state.history] == [(best, best)]
+    assert uset.contains(sol.certifying_demand)
+    assert int(brute_min_shortfall_many(sol.x_star.x, sol.certifying_demand[None, :], pairs)[0]) == best

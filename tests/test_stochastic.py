@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from emsdeploy.dispatchflow import EdgeSet
+from emsdeploy.dispatchflow import EdgeSet, ScenarioEvaluator
 from emsdeploy.errors import ConfigError, DataError
 from emsdeploy.stochastic import (
     SearchConfig,
@@ -151,17 +151,17 @@ def test_node_budget_returns_flagged_incumbent():
 def test_minimize_deployment_max_aggregator():
     edges = EdgeSet([(0, 0), (1, 1)], 2, 2)  # each station serves only its own region
     demands = np.array([[2, 0], [0, 2]])
-    res = minimize_deployment(demands, 2, edges, max_aggregator)
+    res = minimize_deployment(ScenarioEvaluator(edges, demands), 2, max_aggregator)
     # splitting the fleet leaves one unit short in either scenario
     assert res.objective == pytest.approx(1.0)
     assert res.x.tolist() == [1, 1]
-    res4 = minimize_deployment(demands, 4, edges, max_aggregator)
+    res4 = minimize_deployment(ScenarioEvaluator(edges, demands), 4, max_aggregator)
     assert res4.objective == pytest.approx(0.0)
 
 
 def test_rejects_bad_arguments():
     edges = full_edges(1, 1)
     with pytest.raises(ConfigError):
-        minimize_deployment(np.array([[1]]), -1, edges)
+        minimize_deployment(ScenarioEvaluator(edges, np.array([[1]])), -1)
     with pytest.raises(ConfigError):
         sample_scenarios(np.array([[1]]), 0)
