@@ -5,8 +5,13 @@ optimal integral routing over the feasible edges, i.e. total demand minus
 the max flow of the bipartite network (source -> station i at capacity
 x_i, uncapacitated station-region edges, region j -> sink at capacity
 d_j). Routings come from an augmenting-path max flow; the solvers use a
-vectorized min-cut enumeration over station subsets, which equals the max
-flow value because the middle edges are uncapacitated.
+vectorized min-cut enumeration over station subsets S, which equals the max
+flow value because the middle edges are uncapacitated: the cut of S costs
+x(I \\ S) + d(N(S)), N(S) being the regions S covers.
+
+Only closed subsets are scored. S is closed when it holds every station
+whose regions all lie in N(S); its closure has the same N(S) and, for
+x >= 0, a cheaper station side, so the least cut is always closed.
 """
 
 from __future__ import annotations
@@ -42,8 +47,8 @@ class EdgeSet:
             self.station_regions[i].append(j)
             self.region_stations[j].append(i)
         self._edge_index = {e: k for k, e in enumerate(self.edges)}
-        self._subset_region_mask: np.ndarray | None = None
-        self._subset_station_mask: np.ndarray | None = None
+        self._cut_masks: tuple[np.ndarray, np.ndarray] | None = None
+        self._closed_cuts: tuple[np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -65,23 +70,28 @@ class EdgeSet:
         is station i) and the regions they cover. 2^I rows, so I is capped."""
         if self.n_stations > _MAX_CUT_STATIONS:
             raise SolverError(f"{self.n_stations} stations exceed the cut tables' {_MAX_CUT_STATIONS}")
-        if self._subset_region_mask is None:
+        if self._cut_masks is None:
             n = self.n_stations
-            station_mask = np.zeros((1 << n, n), dtype=np.float64)
-            region_mask = np.zeros((1 << n, self.n_regions), dtype=np.float64)
-            row_region = [np.zeros(self.n_regions) for _ in range(n)]
-            for i in range(n):
-                row_region[i][self.station_regions[i]] = 1.0
-            for s in range(1, 1 << n):
-                low = s & -s
-                i = low.bit_length() - 1
-                prev = s ^ low
-                station_mask[s] = station_mask[prev]
-                station_mask[s, i] = 1.0
-                region_mask[s] = np.maximum(region_mask[prev], row_region[i])
-            self._subset_station_mask = station_mask
-            self._subset_region_mask = region_mask
-        return self._subset_station_mask, self._subset_region_mask
+            b_i, b_j = self.incidence()
+            cover = (b_i @ b_j.T).astype(np.float64)  # stations x regions
+            station_mask = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
+            region_mask = np.minimum(station_mask @ cover, 1.0)
+            swallowed = region_mask @ cover.T == cover.sum(axis=1)  # row s, col i: N(i) within N(S)
+            closed = np.flatnonzero(~np.any(swallowed & (station_mask == 0), axis=1))
+            outside = 1.0 - station_mask[closed]
+            reach = (outside * np.arange(1, n + 1)).max(axis=1, initial=0).astype(np.int64) - 1
+            self._cut_masks = station_mask, region_mask
+            self._closed_cuts = closed, reach
+        return self._cut_masks
+
+    def closed_cuts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Cached (rows, reach). ``rows`` index the closed rows of
+        ``cut_masks()``: the subsets S that hold every station whose regions
+        all lie in N(S); the last row, every station, is one. ``reach`` is
+        each one's highest station outside S, -1 for every station: a unit
+        at station k or later lowers exactly the cuts whose reach is >= k."""
+        self.cut_masks()
+        return self._closed_cuts
 
 
 def edges_from_coverage(coverage: np.ndarray) -> EdgeSet:
@@ -250,8 +260,8 @@ def scenario_totals(x, demands, edges) -> np.ndarray:
 class ScenarioEvaluator:
     """Batched shortfall totals for a fixed edge set and demand matrix.
 
-    Caches the per-subset cut structure so solvers can score many candidate
-    stationings cheaply.
+    Caches the closed cuts' station and region sides so solvers can score
+    many candidate stationings cheaply.
     """
 
     def __init__(self, edges: EdgeSet, demands: np.ndarray):
@@ -261,9 +271,11 @@ class ScenarioEvaluator:
             raise DataError("demand matrix must be scenarios x regions")
         self._fast = edges.n_stations <= _MAX_CUT_STATIONS
         if self._fast:
-            _, region_mask = edges.cut_masks()
-            # cost of the region side of each cut, per subset x scenario
-            self._region_cost = region_mask @ self.demands.T.astype(np.float64)
+            station_mask, region_mask = edges.cut_masks()
+            closed, self._reach = edges.closed_cuts()
+            self._outside = 1.0 - station_mask[closed]  # row: the stations not in S
+            # cost of the region side of each closed cut, per subset x scenario
+            self._region_cost = region_mask[closed] @ self.demands.T.astype(np.float64)
         self._demand_sums = self.demands.sum(axis=1)
 
     def totals(self, x) -> np.ndarray:
@@ -271,21 +283,24 @@ class ScenarioEvaluator:
         if x.shape != (self.edges.n_stations,):
             raise DataError("stationing length must match station count")
         if self._fast:
-            station_mask, _ = self.edges.cut_masks()
-            inside = station_mask @ x.astype(np.float64)
-            cut = (float(x.sum()) - inside)[:, None] + self._region_cost
-            maxflow = cut.min(axis=0)
-            return np.rint(self._demand_sums - maxflow).astype(np.int64)
+            return self._shortfall(self._outside @ x.astype(np.float64))
         return np.array(
             [min_shortfall(x, d, self.edges).total for d in self.demands],
             dtype=np.int64,
         )
 
-    def relaxed_totals(self, x, free_units: int) -> np.ndarray:
-        """Totals when ``free_units`` extra ambulances may serve any region.
+    def relaxed_totals(self, x, free_units: int, first_free: int = 0) -> np.ndarray:
+        """Totals when ``free_units`` more ambulances form one pool that
+        stations ``first_free`` and later may draw on: the pool adds to the
+        cuts that leave such a station outside S. A lower bound on every
+        completion stationing at most ``free_units`` more there, never below
+        max(totals - free_units, 0), the bound past the cut-table cap."""
+        if not self._fast:
+            return np.maximum(self.totals(x) - int(free_units), 0)
+        pool = np.where(self._reach >= first_free, float(free_units), 0.0)
+        return self._shortfall(self._outside @ np.asarray(x, dtype=np.float64) + pool)
 
-        This only relaxes the station-capacity constraint, so it lower
-        bounds the totals of any completion that stations those units.
-        """
-        base = self.totals(x)
-        return np.maximum(base - int(free_units), 0)
+    def _shortfall(self, station_side: np.ndarray) -> np.ndarray:
+        maxflow = (station_side[:, None] + self._region_cost).min(axis=0)
+        return np.rint(self._demand_sums - maxflow).astype(np.int64)
+

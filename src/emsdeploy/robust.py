@@ -7,6 +7,11 @@ Gale's supply-demand theorem (Gale 1957) the worst case of x is
 max_S [W(S) - x(I \\ S)], with W(S) = max_{d in U} d(J \\ N(S)). W does not
 depend on x: it is found once per distinct uncovered region set, and the
 stationing is one branch and bound over that table of cuts.
+
+The search scores only closed subsets (see ``dispatchflow``): closing S
+keeps N(S), so W(S), and shrinks x(I \\ S), so the max is always attained
+on a closed cut. The certificate still comes from the lowest-index
+attaining subset over all 2^I of them, one full evaluation per solve.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ class WorstCaseResult:
 
 class CutTable:
     """Search evaluator whose ``totals(x)`` holds W(S) - x(I \\ S) for every
-    station subset S: their max is the worst-case shortfall of x. Each cut
-    keeps the maximizer of W for its uncovered region set."""
+    closed station subset S: their max is the worst-case shortfall of x.
+    ``w``, ``outside`` and ``maximizers`` hold every subset, with the
+    maximizer of W for each cut's uncovered region set."""
 
     def __init__(self, uset: UncertaintySet, edges: EdgeSet):
         self.edges = edges
@@ -42,25 +48,30 @@ class CutTable:
         found = [uset.max_demand(regions) for regions in uncovered]
         self.maximizers = [found[k][1] for k in set_of_cut.reshape(-1)]
         self.w = np.array([found[k][0] for k in set_of_cut.reshape(-1)], dtype=np.int64)
-        self._outside = 1 - station_mask.astype(np.int64)  # row s: the stations not in S
+        self.outside = 1 - station_mask.astype(np.int64)  # row s: the stations not in S
+        closed, self._reach = edges.closed_cuts()
+        self._closed_w, self._closed_outside = self.w[closed], self.outside[closed]
 
     def totals(self, x) -> np.ndarray:
-        return self.w - self._outside @ np.asarray(x, dtype=np.int64)
+        return self._closed_w - self._closed_outside @ np.asarray(x, dtype=np.int64)
 
-    def relaxed_totals(self, x, free_units: int) -> np.ndarray:
-        """Under the max, a lower bound for any completion stationing ``free_units``
-        more: a unit lowers each cut by at most one, and W(I) - 0 >= 0."""
-        return np.maximum(self.totals(x) - int(free_units), 0)
+    def relaxed_totals(self, x, free_units: int, first_free: int = 0) -> np.ndarray:
+        """Under the max, a lower bound on every completion stationing at most
+        ``free_units`` more at stations ``first_free`` and later, which lower
+        only the cuts leaving such a station outside S. W(I) >= 0 is a row,
+        so the max is never below max(totals - free_units, 0)."""
+        return self.totals(x) - np.where(self._reach >= first_free, int(free_units), 0)
 
 
 def worst_case_demand(x, uset: UncertaintySet, edges: EdgeSet, cuts: CutTable | None = None) -> WorstCaseResult:
     """Demand in the uncertainty set maximizing the minimum shortfall of x.
 
-    Exact: the stored maximizer of the lowest-index subset S attaining
-    max_S [W(S) - x(I \\ S)]. ``cuts`` is CutTable(uset, edges), if built.
+    Exact: the stored maximizer of the lowest-index subset S, over all 2^I,
+    attaining max_S [W(S) - x(I \\ S)]. ``cuts`` is CutTable(uset, edges), if
+    built.
     """
     cuts = cuts if cuts is not None else CutTable(uset, edges)
-    totals = cuts.totals(x)
+    totals = cuts.w - cuts.outside @ np.asarray(x, dtype=np.int64)
     cut = int(np.argmax(totals))
     return WorstCaseResult(demand=cuts.maximizers[cut].copy(), shortfall=int(totals[cut]), exact=True)
 

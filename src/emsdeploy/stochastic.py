@@ -2,11 +2,14 @@
 demand scenarios.
 
 The exact search is a best-first branch and bound over integer stationing
-vectors summing to at most the fleet bound. Partial assignments are bounded
-by letting the unplaced ambulances serve any region, which only relaxes the
-station-capacity constraint and is therefore admissible. The frontier is
-ordered by (bound, prefix), so the first complete assignment popped is an
-exact optimum and, among ties, the lexicographically smallest.
+vectors summing to at most the fleet bound, fixing stations in index order.
+A prefix of length k is bounded by pooling its unplaced ambulances for
+stations k and later, so the pool lowers only the cuts that leave such a
+station out: that relaxes only how the free units split, so it is
+admissible. Both evaluators score closed cuts only (see ``dispatchflow``),
+which changes no value. The frontier is ordered by (bound, prefix), so the
+first complete assignment popped is an exact optimum and, among ties, the
+lexicographically smallest.
 
 The robust solve runs the same search over its table of min-cut values,
 with the max aggregator in place of the scenario mean.
@@ -96,10 +99,11 @@ def minimize_deployment(
 ) -> SearchResult:
     """Exact min over stationings (sum <= n) of ``aggregator(ev.totals(x))``.
 
-    ``ev`` has ``edges``, ``totals(x)`` and ``relaxed_totals(x, free)``, and
-    ``aggregator(ev.relaxed_totals(x, free))`` must lower-bound the objective
-    of every completion of x that stations ``free`` more units (for a
-    ScenarioEvaluator: ``aggregator`` is entrywise nondecreasing).
+    ``ev`` has ``edges``, ``totals(x)`` and ``relaxed_totals(x, free, k)``,
+    and ``aggregator(ev.relaxed_totals(x, free, k))`` must lower-bound the
+    objective of every completion of x that stations at most ``free`` more
+    units at stations k and later (for a ScenarioEvaluator: ``aggregator``
+    is entrywise nondecreasing). k is the length of the node's prefix.
     """
     config = config or SearchConfig()
     if n < 0:
@@ -114,7 +118,7 @@ def minimize_deployment(
             return aggregator(ev.totals(np.array(prefix, dtype=np.int64)))
         padded = np.zeros(n_i, dtype=np.int64)
         padded[: len(prefix)] = prefix
-        return aggregator(ev.relaxed_totals(padded, free))
+        return aggregator(ev.relaxed_totals(padded, free, len(prefix)))
 
     heap: list[tuple[float, tuple[int, ...]]] = [(bound_of(()), ())]
     nodes = 0

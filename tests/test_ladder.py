@@ -1,0 +1,79 @@
+"""Golden station ladder: both exact solvers on the README quickstart city
+(seed 7, 65 000 calls, fleet 6, 50 scenarios, alpha 0.01) as the station
+set grows from 8 to 12, pinned to the values the full 2^I cut enumeration
+gave before the search scored closed cuts only."""
+
+from datetime import time as clock_time
+
+import numpy as np
+import pytest
+
+from emsdeploy import demand, dispatchflow, geogrid, ingest, robust, stochastic, synth
+
+FLEET = 6
+PEAK = (clock_time(8, 0), clock_time(20, 0), (0, 1, 2, 3, 4))
+# the quickstart stations first, then corners, centre and edge cells
+CELLS = (7, 10, 25, 28, 0, 5, 30, 35, 14, 21, 3, 32)
+
+# stations: (stochastic x, objective, robust x, worst case, certificate as
+# {region: demand}, closed cuts of the 2^I)
+GOLDEN = {
+    8: ([0, 0, 2, 1, 2, 1, 0, 0], 0.86, [0, 0, 1, 2, 1, 1, 1, 0], 6,
+        {0: 2, 1: 1, 2: 1, 12: 1, 18: 1, 19: 1, 30: 1, 32: 1}),
+    10: ([0, 0, 2, 1, 1, 0, 1, 1, 0, 0], 0.74, [0, 0, 0, 2, 1, 0, 2, 1, 0, 0], 6,
+         {0: 2, 1: 1, 2: 1, 18: 1, 22: 1, 23: 1, 24: 1, 25: 1}),
+    12: ([0, 0, 0, 2, 1, 0, 1, 1, 0, 0, 1, 0], 0.74, [0, 0, 0, 0, 2, 1, 0, 2, 1, 0, 0, 0], 6,
+         {0: 2, 1: 1, 2: 1, 18: 1, 22: 1, 23: 1, 24: 1, 25: 1}),
+}
+CLOSED = {10: 188, 12: 544}
+# best-first nodes at I = 12 when every bound pooled the free units at any station
+FULL_POOL_NODES_I12 = 4132
+
+
+@pytest.fixture(scope="module")
+def city():
+    cfg = synth.SynthConfig()
+    grid = synth.synth_grid(cfg)
+    calls = synth.synth_calls(grid, 65_000, seed=7, cfg=cfg)
+    train, _ = ingest.split_train_test(ingest.filter_peak(calls, *PEAK), 0.8, "chronological")
+    matrix = ingest.build_demand_matrix(train, grid, 3600.0, 1.0)
+    matrix = ingest.select_periods(matrix, ingest.peak_period_mask(matrix, *PEAK))
+    adjacency, ball = geogrid.derive_adjacency(grid), geogrid.derive_region_ball(grid, 600.0)
+    uset = demand.build_uncertainty_set(demand.fit_rates(matrix, adjacency, ball), 0.01, adjacency, ball)
+    return grid.bounds, uset, stochastic.sample_scenarios(matrix, 50, 7)
+
+
+def ladder_edges(bounds, n_stations):
+    grid = geogrid.build_grid(bounds, 6, 6, geogrid.SyntheticSpeedProvider(60.0),
+                              station_cells=sorted(CELLS[:n_stations]), hospital_cells=[14])
+    return dispatchflow.edges_from_coverage(geogrid.derive_coverage(grid, 600.0))
+
+
+@pytest.mark.parametrize("n_stations", sorted(GOLDEN))
+def test_ladder_matches_full_enumeration(city, n_stations):
+    bounds, uset, scenarios = city
+    sto_x, objective, rob_x, worst_case, certificate = GOLDEN[n_stations]
+    edges = ladder_edges(bounds, n_stations)
+    if n_stations in CLOSED:
+        assert len(edges.closed_cuts()[0]) == CLOSED[n_stations]
+
+    sol = stochastic.solve_stochastic(scenarios, FLEET, edges)
+    assert sol.x_star.x.tolist() == sto_x
+    assert sol.objective == pytest.approx(objective, abs=1e-12)
+    assert sol.optimality_flag.kind == "exact"
+
+    rob = robust.solve_robust_ccg(uset, FLEET, edges)
+    want = np.zeros(uset.n_regions, dtype=np.int64)
+    want[list(certificate)] = list(certificate.values())
+    assert rob.x_star.x.tolist() == rob_x
+    assert rob.worst_case_shortfall == worst_case
+    assert rob.certifying_demand.tolist() == want.tolist()
+    assert rob.converged
+
+
+def test_depth_aware_bound_visits_a_fifth_of_the_nodes(city):
+    bounds, _, scenarios = city
+    edges = ladder_edges(bounds, 12)
+    result = stochastic.minimize_deployment(dispatchflow.ScenarioEvaluator(edges, scenarios.demands), FLEET)
+    assert result.x.tolist() == GOLDEN[12][0]
+    assert result.nodes <= FULL_POOL_NODES_I12 // 5
