@@ -5,7 +5,9 @@ Rates are fitted per region at four aggregation levels: the region itself
 coverage-time ball (regional), and the whole city (global). The robust
 uncertainty set caps integer demand vectors by the (1 - alpha) Poisson
 quantile of each aggregate, and finds exactly the most demand a member can
-place on a set of regions.
+place on a set of regions. That search is exponential in the number of
+regions at worst; its root gives two cheap bounds on the same value, which
+meet on most region sets.
 """
 
 from __future__ import annotations
@@ -141,27 +143,26 @@ class UncertaintySet:
             return False
         return int(d.sum()) <= self.global_cap
 
-    def max_demand(self, regions) -> tuple[int, np.ndarray]:
-        """Most total demand a member places on ``regions`` (a boolean mask),
-        and the lexicographically largest maximizer, zero off the mask.
-
-        Exact depth-first branch and bound: masked regions in index order,
-        values high to low, other regions at 0. A branch is cut when no
-        completion beats the incumbent, bounded by the least over three fixed
-        partitions of the mask (local neighborhoods, coverage balls, all under
-        the global cap) of the groups' summed min(residual cap, open bounds).
-        """
+    def _prepare(self, regions) -> tuple[np.ndarray, list[int], list[list[int]], list]:
+        """The fixed data of a search on ``regions`` (a boolean mask): the
+        masked region indices; the residual caps, region p's own cap for
+        p < m, then the binding rows' caps; each region's limits, the
+        residuals that hold it; and three partitions of the mask (local
+        neighborhoods, coverage balls, all under the global cap) into
+        (residual, regions) groups."""
         picked = np.flatnonzero(np.asarray(regions, dtype=bool))
         n, m = self.n_regions, len(picked)
         rows = np.vstack([self.adjacency[:, picked], self.coverage_ball[:, picked], np.ones((1, m), dtype=bool)])
         caps = np.concatenate([self.local_cap, self.regional_cap, [self.global_cap]])
         single = self.single_cap[picked]
-        # a cap at least its regions' single-cap sum never binds; residual p < m
-        # is region p's own cap, and the binding rows' caps follow
+        # a cap at least its regions' single-cap sum never binds
         binding = np.flatnonzero(caps < rows.astype(np.int64) @ single)
         residual = single.tolist() + caps[binding].tolist()
-        holds = [{p} for p in range(m)] + [set(np.flatnonzero(rows[c]).tolist()) for c in binding]
-        limits = [[k for k, held in enumerate(holds) if p in held] for p in range(m)]
+        holds = [{p} for p in range(m)] + [set() for _ in binding]
+        limits = [[p] for p in range(m)]
+        for c, p in np.argwhere(rows[binding]).tolist():
+            holds[m + c].add(p)
+            limits[p].append(m + c)
         partitions = []
         for level in range(3):
             groups, left = [], set(range(m))
@@ -171,6 +172,40 @@ class UncertaintySet:
                 groups.append((k, sorted(left & holds[k])))
                 left -= holds[k]
             partitions.append(groups)
+        return picked, residual, limits, partitions
+
+    def demand_bounds(self, regions) -> tuple[int, int, np.ndarray]:
+        """Two cheap bounds on ``max_demand(regions)``'s value, from the root of
+        its search: (lower, upper, d). d is the search's first leaf, the
+        lexicographically largest member zero off the mask, and lower is its
+        total; upper is the root's completion bound. When the two are equal,
+        d is the maximizer ``max_demand`` returns."""
+        picked, residual, limits, partitions = self._prepare(regions)
+        upper = _completion_bound(residual, limits, partitions, 0)
+        leaf = []
+        for held in limits:
+            v = min(residual[k] for k in held)
+            for k in held:
+                residual[k] -= v
+            leaf.append(v)
+        out = np.zeros(self.n_regions, dtype=np.int64)
+        out[picked] = leaf
+        return sum(leaf), upper, out
+
+    def max_demand(self, regions) -> tuple[int, np.ndarray]:
+        """Most total demand a member places on ``regions`` (a boolean mask),
+        and the lexicographically largest maximizer, zero off the mask.
+
+        Exact depth-first branch and bound: masked regions in index order,
+        values high to low, other regions at 0. A branch is cut when no
+        completion beats the incumbent, bounded by the least over three fixed
+        partitions of the mask (local neighborhoods, coverage balls, all under
+        the global cap) of the groups' summed min(residual cap, open bounds).
+        Exponential in the mask size at worst; ``demand_bounds`` gives the
+        root's bound and first leaf, which meet on most masks.
+        """
+        picked, residual, limits, partitions = self._prepare(regions)
+        m = len(picked)
         values, best = [0] * m, [-1, []]
 
         def descend(t: int, total: int) -> None:
@@ -178,10 +213,9 @@ class UncertaintySet:
                 if total > best[0]:
                     best[:] = total, list(values)
                 return
-            ub = [0] * t + [min(residual[k] for k in limits[p]) for p in range(t, m)]
-            if total + min(sum(min(residual[k], sum(ub[p] for p in g)) for k, g in gs) for gs in partitions) <= best[0]:
+            if total + _completion_bound(residual, limits, partitions, t) <= best[0]:
                 return
-            for v in range(ub[t], -1, -1):
+            for v in range(min(residual[k] for k in limits[t]), -1, -1):
                 for k in limits[t]:
                     residual[k] -= v
                 values[t] = v
@@ -190,9 +224,17 @@ class UncertaintySet:
                     residual[k] += v
 
         descend(0, 0)
-        out = np.zeros(n, dtype=np.int64)
+        out = np.zeros(self.n_regions, dtype=np.int64)
         out[picked] = best[1]
         return best[0], out
+
+
+def _completion_bound(residual: list[int], limits: list[list[int]], partitions, t: int) -> int:
+    """Most demand regions t and later can still take: the least over the
+    partitions of the groups' summed min(residual cap, open bounds), a
+    region's open bound being its least residual."""
+    ub = [0] * t + [min(residual[k] for k in limits[p]) for p in range(t, len(limits))]
+    return min(sum(min(residual[k], sum(ub[p] for p in g)) for k, g in gs) for gs in partitions)
 
 
 def build_uncertainty_set(

@@ -5,13 +5,19 @@ The max flow of x and d is the least cut over station subsets S, x(I \\ S)
 + d(N(S)), N(S) being the regions S covers. So by the cut condition of
 Gale's supply-demand theorem (Gale 1957) the worst case of x is
 max_S [W(S) - x(I \\ S)], with W(S) = max_{d in U} d(J \\ N(S)). W does not
-depend on x: it is found once per distinct uncovered region set, and the
-stationing is one branch and bound over that table of cuts.
+depend on x, so it is kept once per distinct uncovered region set, in a
+table of cuts that the stationing's branch and bound runs over.
+
+The table is lazy, after column-and-constraint generation (Zeng & Zhao
+2013): each W starts as a cheap lower and upper bound, and is searched
+exactly only when a cut on it can set the worst case of the stationing
+being checked. The branch and bound runs over the lower values, and runs
+again until its stationing's exact worst case meets its objective.
 
 The search scores only closed subsets (see ``dispatchflow``): closing S
 keeps N(S), so W(S), and shrinks x(I \\ S), so the max is always attained
 on a closed cut. The certificate still comes from the lowest-index
-attaining subset over all 2^I of them, one full evaluation per solve.
+attaining subset over all 2^I of them.
 """
 
 from __future__ import annotations
@@ -25,6 +31,7 @@ import numpy as np
 
 from .demand import UncertaintySet
 from .dispatchflow import Deployment, EdgeSet
+from .errors import SolverError
 from .stochastic import SearchConfig, max_aggregator, minimize_deployment
 
 
@@ -36,24 +43,39 @@ class WorstCaseResult:
 
 
 class CutTable:
-    """Search evaluator whose ``totals(x)`` holds W(S) - x(I \\ S) for every
-    closed station subset S: their max is the worst-case shortfall of x.
-    ``w``, ``outside`` and ``maximizers`` hold every subset, with the
-    maximizer of W for each cut's uncovered region set."""
+    """Search evaluator over W(S) - x(I \\ S) for the closed station subsets
+    S, built lazily. Each distinct uncovered region set holds a lower and an
+    upper bound on its W from ``UncertaintySet.demand_bounds``; W is known
+    when they are equal, and ``max_demand`` runs on a set only when one of
+    its cuts can set the worst case of an x given to ``worst_case``.
+    ``totals`` and ``relaxed_totals`` read the lower values, so a search
+    over them minimizes a lower bound on the worst case."""
 
     def __init__(self, uset: UncertaintySet, edges: EdgeSet):
-        self.edges = edges
+        self.uset, self.edges = uset, edges
         station_mask, region_mask = edges.cut_masks()
-        uncovered, set_of_cut = np.unique(region_mask == 0, axis=0, return_inverse=True)
-        found = [uset.max_demand(regions) for regions in uncovered]
-        self.maximizers = [found[k][1] for k in set_of_cut.reshape(-1)]
-        self.w = np.array([found[k][0] for k in set_of_cut.reshape(-1)], dtype=np.int64)
+        # one key per row: the packed bits of its uncovered regions, and one
+        # more set bit, so that no key is empty
+        packed = np.packbits(np.c_[region_mask == 0, np.ones(len(region_mask), dtype=bool)], axis=1)
+        keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
+        _, first, self._set_of_cut = np.unique(keys, return_index=True, return_inverse=True)
+        self._regions = region_mask[first] == 0
+        bounds = [uset.demand_bounds(regions) for regions in self._regions]
+        self.lower = np.array([b[0] for b in bounds], dtype=np.int64)
+        self.upper = np.array([b[1] for b in bounds], dtype=np.int64)
+        self._maximizers = [b[2] for b in bounds]  # each attains its lower value
         self.outside = 1 - station_mask.astype(np.int64)  # row s: the stations not in S
         closed, self._reach = edges.closed_cuts()
-        self._closed_w, self._closed_outside = self.w[closed], self.outside[closed]
+        self._closed_set, self._closed_outside = self._set_of_cut[closed], self.outside[closed]
+
+    def _refine(self, k: int) -> int:
+        """Search set k exactly; its W."""
+        w, self._maximizers[k] = self.uset.max_demand(self._regions[k])
+        self.lower[k] = self.upper[k] = w
+        return w
 
     def totals(self, x) -> np.ndarray:
-        return self._closed_w - self._closed_outside @ np.asarray(x, dtype=np.int64)
+        return self.lower[self._closed_set] - self._closed_outside @ np.asarray(x, dtype=np.int64)
 
     def relaxed_totals(self, x, free_units: int, first_free: int = 0) -> np.ndarray:
         """Under the max, a lower bound on every completion stationing at most
@@ -62,18 +84,45 @@ class CutTable:
         so the max is never below max(totals - free_units, 0)."""
         return self.totals(x) - np.where(self._reach >= first_free, int(free_units), 0)
 
+    def worst_case(self, x) -> tuple[int, np.ndarray]:
+        """Exact max_S [W(S) - x(I \\ S)], and W's stored maximizer on the
+        lowest-index subset S, over all 2^I, attaining it.
+
+        The closed cuts are walked by upper value, best first, searching
+        exactly each one that can still beat the max; then the rows in index
+        order, searching a set only on a tie of its upper value.
+        """
+        x = np.asarray(x, dtype=np.int64)
+        out = self._closed_outside @ x
+        upper = self.upper[self._closed_set] - out
+        value = int((self.lower[self._closed_set] - out).max())
+        for c in np.argsort(-upper, kind="stable"):
+            if upper[c] <= value:
+                break
+            value = max(value, self._refine(self._closed_set[c]) - int(out[c]))
+        out = self.outside @ x
+        for row in np.flatnonzero(self.upper[self._set_of_cut] - out >= value):
+            k = self._set_of_cut[row]
+            # upper is read again: a set searched at an earlier row is exact now
+            if self.lower[k] - out[row] < value <= self.upper[k] - out[row]:
+                self._refine(k)
+            # a lower value that attains the max is W, and its first leaf,
+            # the lexicographically largest member, is then W's maximizer
+            if self.lower[k] - out[row] == value:
+                return value, self._maximizers[k].copy()
+        raise SolverError("no cut attains the worst case")
+
 
 def worst_case_demand(x, uset: UncertaintySet, edges: EdgeSet, cuts: CutTable | None = None) -> WorstCaseResult:
     """Demand in the uncertainty set maximizing the minimum shortfall of x.
 
-    Exact: the stored maximizer of the lowest-index subset S, over all 2^I,
-    attaining max_S [W(S) - x(I \\ S)]. ``cuts`` is CutTable(uset, edges), if
-    built.
+    Exact: W's lexicographically largest maximizer on the lowest-index
+    subset S, over all 2^I, attaining max_S [W(S) - x(I \\ S)]. ``cuts`` is
+    CutTable(uset, edges), if built, in any state of refinement.
     """
     cuts = cuts if cuts is not None else CutTable(uset, edges)
-    totals = cuts.w - cuts.outside @ np.asarray(x, dtype=np.int64)
-    cut = int(np.argmax(totals))
-    return WorstCaseResult(demand=cuts.maximizers[cut].copy(), shortfall=int(totals[cut]), exact=True)
+    shortfall, demand = cuts.worst_case(x)
+    return WorstCaseResult(demand=demand, shortfall=shortfall, exact=True)
 
 
 @dataclass
@@ -115,22 +164,32 @@ def solve_robust_ccg(
 ) -> RobustSolution:
     """Exact min over stationings (sum <= n) of the worst-case shortfall.
 
-    One branch and bound over the CutTable with the max aggregator.
-    ``converged`` is its exact flag: False only when ``max_nodes`` stopped
-    it, and then x is the incumbent, with its own exact worst case. The
-    name, and the ``epsilon``, ``max_iter`` and ``size_budget`` keywords,
-    which are accepted and ignored, remain from the column-and-constraint
-    generation this replaced.
+    Branch and bound with the max aggregator over the CutTable's lower
+    values, then the incumbent's exact worst case. When the two agree, the
+    search's minimum, at most the true one, is attained, and any
+    lexicographically smaller true optimum would have been a search optimum
+    too. Otherwise the exact evaluation has raised a lower value and the
+    search runs again. ``converged`` is False only when ``max_nodes``
+    stopped a search, and then x is its incumbent, with its own exact worst
+    case, and the history's lower bound is the search's lowest open bound.
+    The name, and the ``epsilon``, ``max_iter`` and ``size_budget``
+    keywords, which are accepted and ignored, remain from the
+    column-and-constraint generation this replaced.
     """
     cuts = CutTable(uset, edges)
-    result = minimize_deployment(cuts, n, max_aggregator, search_config)
-    wc = worst_case_demand(result.x, uset, edges, cuts)
+    for _ in range(len(cuts.lower) + 1):  # every search after the first follows an exact one
+        result = minimize_deployment(cuts, n, max_aggregator, search_config)
+        wc = worst_case_demand(result.x, uset, edges, cuts)
+        if wc.shortfall == result.objective or result.flag.kind != "exact":
+            break
+    else:
+        raise SolverError("the cut table's lower values stopped rising")
     return RobustSolution(
         x_star=Deployment(result.x, n),
         worst_case_shortfall=wc.shortfall,
         certifying_demand=wc.demand,
         converged=result.flag.kind == "exact",
-        state=CcgState([(wc.shortfall - result.flag.gap, float(wc.shortfall), wc.demand.copy())]),
+        state=CcgState([(result.objective - result.flag.gap, float(wc.shortfall), wc.demand.copy())]),
     )
 
 

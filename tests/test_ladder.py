@@ -1,7 +1,8 @@
 """Golden station ladder: both exact solvers on the README quickstart city
 (seed 7, 65 000 calls, fleet 6, 50 scenarios, alpha 0.01) as the station
 set grows from 8 to 12, pinned to the values the full 2^I cut enumeration
-gave before the search scored closed cuts only."""
+gave before the search scored closed cuts only; and one robust rung at
+alpha 0.001, pinned to the values of the full W table."""
 
 from datetime import time as clock_time
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from emsdeploy import demand, dispatchflow, geogrid, ingest, robust, stochastic, synth
+from test_robust import CountingSet
 
 FLEET = 6
 PEAK = (clock_time(8, 0), clock_time(20, 0), (0, 1, 2, 3, 4))
@@ -26,12 +28,15 @@ GOLDEN = {
          {0: 2, 1: 1, 2: 1, 18: 1, 22: 1, 23: 1, 24: 1, 25: 1}),
 }
 CLOSED = {10: 188, 12: 544}
+# robust at alpha 0.001 and 12 stations: (x, worst case, certificate), where
+# the full W table took about 7 s
+LOW_ALPHA = ([0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0], 8, {3: 2, 4: 2, 17: 1, 18: 2, 22: 2, 23: 1, 24: 1})
 # best-first nodes at I = 12 when every bound pooled the free units at any station
 FULL_POOL_NODES_I12 = 4132
 
 
 @pytest.fixture(scope="module")
-def city():
+def fitted():
     cfg = synth.SynthConfig()
     grid = synth.synth_grid(cfg)
     calls = synth.synth_calls(grid, 65_000, seed=7, cfg=cfg)
@@ -39,8 +44,14 @@ def city():
     matrix = ingest.build_demand_matrix(train, grid, 3600.0, 1.0)
     matrix = ingest.select_periods(matrix, ingest.peak_period_mask(matrix, *PEAK))
     adjacency, ball = geogrid.derive_adjacency(grid), geogrid.derive_region_ball(grid, 600.0)
-    uset = demand.build_uncertainty_set(demand.fit_rates(matrix, adjacency, ball), 0.01, adjacency, ball)
-    return grid.bounds, uset, stochastic.sample_scenarios(matrix, 50, 7)
+    return grid.bounds, matrix, adjacency, ball, demand.fit_rates(matrix, adjacency, ball)
+
+
+@pytest.fixture(scope="module")
+def city(fitted):
+    bounds, matrix, adjacency, ball, rates = fitted
+    uset = demand.build_uncertainty_set(rates, 0.01, adjacency, ball)
+    return bounds, uset, stochastic.sample_scenarios(matrix, 50, 7)
 
 
 def ladder_edges(bounds, n_stations):
@@ -77,3 +88,24 @@ def test_depth_aware_bound_visits_a_fifth_of_the_nodes(city):
     result = stochastic.minimize_deployment(dispatchflow.ScenarioEvaluator(edges, scenarios.demands), FLEET)
     assert result.x.tolist() == GOLDEN[12][0]
     assert result.nodes <= FULL_POOL_NODES_I12 // 5
+
+
+def test_low_alpha_rung_matches_full_enumeration(fitted):
+    bounds, _, adjacency, ball, rates = fitted
+    uset = demand.build_uncertainty_set(rates, 0.001, adjacency, ball)
+    rob_x, worst_case, certificate = LOW_ALPHA
+    rob = robust.solve_robust_ccg(uset, FLEET, ladder_edges(bounds, 12))
+    want = np.zeros(uset.n_regions, dtype=np.int64)
+    want[list(certificate)] = list(certificate.values())
+    assert rob.x_star.x.tolist() == rob_x
+    assert rob.worst_case_shortfall == worst_case
+    assert rob.certifying_demand.tolist() == want.tolist()
+    assert rob.converged
+
+
+def test_robust_searches_a_tenth_of_the_sets_exactly(city):
+    bounds, uset, _ = city
+    counted = CountingSet(**vars(uset))
+    rob = robust.solve_robust_ccg(counted, FLEET, ladder_edges(bounds, 12))
+    assert rob.x_star.x.tolist() == GOLDEN[12][2]
+    assert len(counted.searched) <= CLOSED[12] // 10

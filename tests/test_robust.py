@@ -7,10 +7,11 @@ from emsdeploy.demand import UncertaintySet, enumerate_set
 from emsdeploy.dispatchflow import EdgeSet, min_shortfall, scenario_totals
 from emsdeploy.errors import SolverError
 from emsdeploy.robust import (
+    CutTable,
     solve_robust_ccg,
     worst_case_demand,
 )
-from emsdeploy.stochastic import ScenarioSet, solve_stochastic
+from emsdeploy.stochastic import ScenarioSet, SearchConfig, solve_stochastic
 from oracles import box_members, brute_min_shortfall_many, compositions_at_most
 
 
@@ -257,3 +258,143 @@ def test_robust_solve_matches_brute_minimax(uset, data):
     assert [h[:2] for h in sol.state.history] == [(best, best)]
     assert uset.contains(sol.certifying_demand)
     assert int(brute_min_shortfall_many(sol.x_star.x, sol.certifying_demand[None, :], pairs)[0]) == best
+
+
+class CountingSet(UncertaintySet):
+    """An uncertainty set that records each region mask it searches exactly."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        self.searched = []
+
+    def max_demand(self, regions):
+        self.searched.append(np.asarray(regions, dtype=bool).tobytes())
+        return super().max_demand(regions)
+
+
+def on_mask(members, regions):
+    """The members zero off ``regions``, in lexicographic order."""
+    return members[~members[:, ~regions].any(axis=1)]
+
+
+def draw_edges(data, n_j, max_stations=3):
+    n_i = data.draw(st.integers(1, max_stations))
+    flags = data.draw(st.lists(st.booleans(), min_size=n_i * n_j, max_size=n_i * n_j))
+    pairs = [(k // n_j, k % n_j) for k, on in enumerate(flags) if on]
+    return EdgeSet(pairs, n_i, n_j), pairs
+
+
+def brute_worst_case(x, members, edges):
+    """(max_S [W(S) - x(I \\ S)], W's lexicographically largest maximizer on
+    the lowest-index subset S attaining it), with W by enumeration."""
+    best = None
+    for s in range(1 << edges.n_stations):
+        uncovered = np.ones(edges.n_regions, dtype=bool)
+        for i, j in edges.edges:
+            if s >> i & 1:
+                uncovered[j] = False
+        rows = on_mask(members, uncovered)
+        sums = rows.sum(axis=1)
+        value = int(sums.max()) - sum(int(x[i]) for i in range(edges.n_stations) if not s >> i & 1)
+        if best is None or value > best[0]:
+            best = value, rows[np.flatnonzero(sums == sums.max())[-1]]
+    return best
+
+
+@settings(max_examples=300, deadline=None)
+@given(binding_sets(max_regions=6, max_cap=3))
+def test_demand_bounds_bracket_max_demand(uset):
+    members = box_members(uset)
+    for mask in range(1 << uset.n_regions):
+        regions = np.array([(mask >> j) & 1 for j in range(uset.n_regions)], dtype=bool)
+        lower, upper, d = uset.demand_bounds(regions)
+        value, best = uset.max_demand(regions)
+        rows = on_mask(members, regions)
+        assert lower <= value <= upper
+        # the first leaf: the lexicographically largest member on the mask
+        assert uset.contains(d)
+        assert not d[~regions].any()
+        assert int(d.sum()) == lower
+        assert d.tolist() == rows[-1].tolist()
+        # max_demand's maximizer is the lexicographically largest one
+        assert best.tolist() == rows[rows.sum(axis=1) == value][-1].tolist()
+        if lower == upper:
+            assert np.array_equal(d, best)
+
+
+@settings(max_examples=150, deadline=None)
+@given(binding_sets(), st.data())
+def test_worst_case_on_a_shared_table_matches_a_fresh_one(uset, data):
+    edges, pairs = draw_edges(data, uset.n_regions, max_stations=4)
+    n_i = edges.n_stations
+    xs = data.draw(st.lists(st.lists(st.integers(0, 3), min_size=n_i, max_size=n_i), min_size=1, max_size=6))
+    members = box_members(uset)
+    counted = CountingSet(**vars(uset))
+    shared = CutTable(counted, edges)
+    for x in xs:
+        x = np.array(x, dtype=np.int64)
+        got = worst_case_demand(x, uset, edges, shared)
+        fresh = worst_case_demand(x, uset, edges)
+        value, certificate = brute_worst_case(x, members, edges)
+        assert (got.shortfall, got.demand.tolist()) == (fresh.shortfall, fresh.demand.tolist())
+        assert (got.shortfall, got.demand.tolist()) == (value, certificate.tolist())
+        assert value == int(brute_min_shortfall_many(x, members, pairs).max())
+    # a set searched exactly keeps its value: it is never searched again
+    assert len(counted.searched) == len(set(counted.searched))
+
+
+@settings(max_examples=150, deadline=None)
+@given(binding_sets(), st.data())
+def test_robust_node_limit_stop_keeps_valid_bounds(uset, data):
+    edges, pairs = draw_edges(data, uset.n_regions)
+    n_i = edges.n_stations
+    n = data.draw(st.integers(0, 3))
+    # a complete stationing is popped no sooner than node n_i + 1
+    limit = data.draw(st.integers(1, n_i))
+    members = box_members(uset)
+    best = min(int(brute_min_shortfall_many(x, members, pairs).max()) for x in compositions_at_most(n, n_i))
+    sol = solve_robust_ccg(uset, n, edges, search_config=SearchConfig(max_nodes=limit))
+    x = sol.x_star.x
+    worst = int(brute_min_shortfall_many(x, members, pairs).max())
+    assert not sol.converged
+    assert int(x.sum()) <= n
+    assert sol.worst_case_shortfall == worst
+    assert uset.contains(sol.certifying_demand)
+    assert int(brute_min_shortfall_many(x, sol.certifying_demand[None, :], pairs)[0]) == worst
+    [(lower, upper, _)] = sol.state.history
+    assert lower <= best <= upper == worst
+
+
+def test_robust_solve_searches_again_when_a_lower_value_misleads():
+    # d0 + d1 <= 1 (a ball) and d0 + d2 <= 1 (a neighborhood): the first leaf
+    # on all three regions takes d0 = 1 and blocks the rest, so W's lower
+    # value there is 1, not 2. Station 0 covers regions 0 and 2, station 1
+    # none: on the lower values every stationing of one unit scores 1
+    eye = np.eye(3, dtype=bool)
+    adjacency, ball = eye.copy(), eye.copy()
+    adjacency[0, 2] = ball[0, 1] = True
+    uset = UncertaintySet(alpha=0.05, single_cap=[1, 1, 1], local_cap=[1, 1, 1], regional_cap=[1, 1, 1],
+                          global_cap=3, adjacency=adjacency, coverage_ball=ball)
+    assert uset.demand_bounds(np.ones(3, dtype=bool))[:2] == (1, 2)
+    edges = EdgeSet([(0, 0), (0, 2)], 2, 3)
+    sol = solve_robust_ccg(uset, 1, edges)
+    assert sol.converged
+    assert sol.x_star.x.tolist() == [1, 0]
+    assert (sol.worst_case_shortfall, sol.certifying_demand.tolist()) == (1, [0, 1, 1])
+    # on a fresh table the empty subset ties on its upper value; its lower
+    # member (1, 0, 0) is served, so only the exact search certifies it
+    wc = worst_case_demand(np.array([1, 0]), uset, edges)
+    assert (wc.shortfall, wc.demand.tolist()) == (1, [0, 1, 1])
+
+
+def test_worst_case_searches_a_tied_set_once():
+    # one ball holds both regions, capped at 2 in row 0 and 1 in row 1: W = 1
+    # on both, but the upper bound's partition takes row 0, so it reads 2.
+    # Station 0 covers nothing, so the subsets {} and {0} share a region set
+    # and, at x_0 = 0, a station side: both tie on the upper value
+    uset = CountingSet(alpha=0.05, single_cap=[1, 2], local_cap=[1, 2], regional_cap=[2, 1], global_cap=3,
+                       adjacency=np.eye(2, dtype=bool), coverage_ball=np.ones((2, 2), dtype=bool))
+    assert uset.demand_bounds(np.ones(2, dtype=bool))[:2] == (1, 2)
+    wc = worst_case_demand(np.array([0, 1]), uset, EdgeSet([(1, 1)], 2, 2))
+    assert (wc.shortfall, wc.demand.tolist()) == (1, [1, 0])
+    assert len(uset.searched) == 1
