@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -191,14 +192,6 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.linalg.solve(gram + 1e-8 * np.eye(gram.shape[0]), rhs)
 
 
-def _soft_threshold(v: float, t: float) -> float:
-    if v > t:
-        return v - t
-    if v < -t:
-        return v + t
-    return 0.0
-
-
 def lasso_objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
     """RSS / (2n) + lam * L1, with beta laid out as [intercept, coefs...]."""
     n = X.shape[0]
@@ -213,11 +206,19 @@ def fit_lasso(
     tol: float = 1e-8,
     max_sweeps: int = 100_000,
 ) -> np.ndarray:
-    """Cyclic coordinate descent for the L1-penalized least squares.
+    """Cyclic coordinate descent with covariance updates for the L1-penalized
+    least squares (Friedman, Hastie & Tibshirani 2010).
 
     Objective RSS/(2n) + lam * L1 with an unpenalized intercept; converged
     when no coefficient moves more than tol in a sweep. Returns
     [intercept, coefficients...].
+
+    The design A = [1 X] is read once into its Gram matrix G = A^T A and
+    A^T y, and a sweep works on those alone, in plain floats: coordinate j
+    moves to soft(A_j^T y - sum over k != j of G_jk b_k, lam * n) / G_jj,
+    p + 1 products whatever the row count. The intercept is coordinate 0,
+    unpenalized and visited last in each sweep; a column with G_jj = 0
+    keeps a zero coefficient.
     """
     if tol <= 0:
         raise ConfigError(f"tol must be positive, got {tol}")
@@ -226,31 +227,36 @@ def fit_lasso(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
-    beta = np.zeros(p)
-    intercept = float(y.mean())
-    col_norm2 = (X**2).sum(axis=0)
-    resid = y - intercept - X @ beta
+    design = np.hstack([np.ones((n, 1)), X])
+    xy = (design.T @ y).tolist()
+    gram = (design.T @ design).tolist()
+    # (j, row j of G with its diagonal zeroed, G_jj, soft threshold)
+    coords = []
+    for j in [*range(1, p + 1), 0]:
+        row = gram[j]
+        norm2 = row[j]
+        if norm2 != 0.0:
+            row[j] = 0.0
+            coords.append((j, row, norm2, lam * n if j else 0.0))
+    beta = [float(y.mean())] + [0.0] * p
     for _ in range(max_sweeps):
         max_delta = 0.0
-        for j in range(p):
-            if col_norm2[j] == 0.0:
-                continue
-            old = beta[j]
-            rho = float(X[:, j] @ resid) + col_norm2[j] * old
-            new = _soft_threshold(rho, lam * n) / col_norm2[j]
-            if new != old:
-                resid += X[:, j] * (old - new)
-                beta[j] = new
-                max_delta = max(max_delta, abs(new - old))
-        new_intercept = intercept + float(resid.mean())
-        if new_intercept != intercept:
-            resid -= new_intercept - intercept
-            max_delta = max(max_delta, abs(new_intercept - intercept))
-            intercept = new_intercept
+        for j, off_diag, norm2, threshold in coords:
+            rho = xy[j] - sum(map(mul, off_diag, beta))
+            if rho > threshold:
+                new = (rho - threshold) / norm2
+            elif rho < -threshold:
+                new = (rho + threshold) / norm2
+            else:
+                new = 0.0
+            delta = abs(new - beta[j])
+            beta[j] = new
+            if delta > max_delta:
+                max_delta = delta
         if max_delta < tol:
-            return np.concatenate([[intercept], beta])
+            return np.array(beta)
     err = SolverError(f"LASSO did not converge within {max_sweeps} sweeps (lambda={lam})")
-    err.last_iterate = np.concatenate([[intercept], beta])
+    err.last_iterate = np.array(beta)
     raise err
 
 
@@ -285,19 +291,22 @@ def _select_lambda(
     k_inner = min(5, n)
     if k_inner < 2:
         return float(grid[0])
-    folds = _fold_indices(n, k_inner, derive_seed(seed, "lambda-select", outer_fold))
+    # each inner fold is standardized once and fitted at every lambda
+    splits = []
+    for fold in _fold_indices(n, k_inner, derive_seed(seed, "lambda-select", outer_fold)):
+        mask = np.ones(n, dtype=bool)
+        mask[fold] = False
+        if mask.sum() < 2 or len(fold) == 0:
+            continue
+        tr_x, te_x, _ = standardize_fold(X[mask], X[fold])
+        splits.append((tr_x, y[mask], te_x, y[fold]))
     best_lam, best_mse = None, None
     for lam in grid:
         mses = []
         try:
-            for fold in folds:
-                mask = np.ones(n, dtype=bool)
-                mask[fold] = False
-                if mask.sum() < 2 or len(fold) == 0:
-                    continue
-                tr_x, te_x, _ = standardize_fold(X[mask], X[fold])
-                beta = fit_lasso(tr_x, y[mask], lam)
-                mses.append(float(((y[fold] - _predict(beta, te_x)) ** 2).mean()))
+            for tr_x, tr_y, te_x, te_y in splits:
+                beta = fit_lasso(tr_x, tr_y, lam)
+                mses.append(float(((te_y - _predict(beta, te_x)) ** 2).mean()))
         except SolverError:
             continue  # a lambda that cannot converge is disqualified
         if not mses:

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -113,6 +114,11 @@ class RunConfig:
             raise ConfigError("alpha must lie in (0, 1)")
         if not all(0 < a < 1 for a in self.alphas):
             raise ConfigError("every alpha-cv value must lie in (0, 1)")
+        if not (
+            isinstance(self.lambda_grid, list) and self.lambda_grid
+            and all(isinstance(v, (int, float)) and 0 <= v < math.inf for v in self.lambda_grid)
+        ):
+            raise ConfigError("lambda_grid must be a nonempty list of finite, nonnegative lambdas")
         if not (0 < self.train_fraction < 1):
             raise ConfigError("train_fraction must lie in (0, 1)")
         if self.rate_periods not in ("peak", "all"):

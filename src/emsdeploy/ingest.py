@@ -162,25 +162,19 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[lis
 
 
 def serialize_calls(records: Iterable[CallRecord], path: str | Path) -> None:
-    """Write records back out with the default column names (ISO timestamps)."""
-    def fmt(v: float | None) -> str:
-        return "" if v is None else repr(float(v))
+    """Write records back out with the default column names (ISO timestamps).
 
+    Rows stream through one writerows pass; csv writes a float as its repr
+    and None as an empty field.
+    """
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(list(DEFAULT_COLUMNS.values()))
-        for r in records:
-            writer.writerow([
-                r.timestamp.isoformat(),
-                repr(float(r.lat)),
-                repr(float(r.lon)),
-                fmt(r.reported_response_s),
-                fmt(r.reported_travel_s),
-                fmt(r.ambulance_lat),
-                fmt(r.ambulance_lon),
-                fmt(r.on_scene_s),
-                fmt(r.to_hospital_s),
-            ])
+        writer.writerows(
+            (r.timestamp.isoformat(), float(r.lat), float(r.lon),
+             *[None if v is None else float(v) for v in r[3:]])
+            for r in records
+        )
 
 
 def filter_peak(

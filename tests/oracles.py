@@ -4,8 +4,8 @@ Everything here is deliberately written from scratch against the math, not
 the package code: a second haversine formula, high-precision Poisson CDF
 summation, brute-force routing enumeration, exhaustive stationing search,
 a dispatch simulation that keeps every call in one event heap, one-point
-grid snapping, and a call-log parser built on ``csv.DictReader``. Keep
-these slow and obvious.
+grid snapping, a call-log parser built on ``csv.DictReader``, and a LASSO
+that keeps the full residual vector. Keep these slow and obvious.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from emsdeploy import simcore
 from emsdeploy.calibrate import apply
-from emsdeploy.errors import DataError
+from emsdeploy.errors import ConfigError, DataError, SolverError
 from emsdeploy.ingest import MANDATORY_FIELDS, CallRecord, CallSchema, ParseReport
 from emsdeploy.rng import substream
 
@@ -318,3 +318,54 @@ def reference_parse_calls(path, schema=None):
             report.n_parsed += 1
     records.sort(key=lambda r: r.timestamp)
     return records, report
+
+
+def reference_fit_lasso(X, y, lam: float, tol: float = 1e-8, max_sweeps: int = 100_000) -> np.ndarray:
+    """Cyclic coordinate descent on the n-vector residual, one column at a time.
+
+    Same objective (RSS/(2n) + lam * L1, unpenalized intercept), coordinate
+    order, stopping rule (no move of tol or more in a sweep) and errors as
+    ``analysis.fit_lasso``, which works on the Gram matrix instead. Returns
+    [intercept, coefficients...].
+    """
+
+    def soft_threshold(v: float, t: float) -> float:
+        if v > t:
+            return v - t
+        if v < -t:
+            return v + t
+        return 0.0
+
+    if tol <= 0:
+        raise ConfigError(f"tol must be positive, got {tol}")
+    if lam < 0:
+        raise ConfigError(f"lambda must be nonnegative, got {lam}")
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    n, p = X.shape
+    beta = np.zeros(p)
+    intercept = float(y.mean())
+    col_norm2 = (X**2).sum(axis=0)
+    resid = y - intercept - X @ beta
+    for _ in range(max_sweeps):
+        max_delta = 0.0
+        for j in range(p):
+            if col_norm2[j] == 0.0:
+                continue
+            old = beta[j]
+            rho = float(X[:, j] @ resid) + col_norm2[j] * old
+            new = soft_threshold(rho, lam * n) / col_norm2[j]
+            if new != old:
+                resid += X[:, j] * (old - new)
+                beta[j] = new
+                max_delta = max(max_delta, abs(new - old))
+        new_intercept = intercept + float(resid.mean())
+        if new_intercept != intercept:
+            resid -= new_intercept - intercept
+            max_delta = max(max_delta, abs(new_intercept - intercept))
+            intercept = new_intercept
+        if max_delta < tol:
+            return np.concatenate([[intercept], beta])
+    err = SolverError(f"LASSO did not converge within {max_sweeps} sweeps (lambda={lam})")
+    err.last_iterate = np.concatenate([[intercept], beta])
+    raise err

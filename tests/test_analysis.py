@@ -1,7 +1,10 @@
+import math
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from emsdeploy.analysis import (
     FEATURE_NAMES,
@@ -17,6 +20,8 @@ from emsdeploy.analysis import (
 from emsdeploy.errors import SolverError
 from emsdeploy.geogrid import MatrixProvider, build_grid
 from emsdeploy.ingest import CallRecord
+
+from oracles import reference_fit_lasso
 
 UTC = timezone.utc
 BOUNDS = (30.0, 30.1, -97.3, -97.0)
@@ -225,6 +230,61 @@ def test_lasso_nonconvergence_carries_last_iterate():
     with pytest.raises(SolverError) as err:
         fit_lasso(X, y, lam=0.01, tol=1e-300, max_sweeps=2)
     assert err.value.last_iterate.shape == (4,)
+
+
+@st.composite
+def lasso_designs(draw):
+    """Small designs with as many rows as columns or fewer, all-zero,
+    duplicated and underflowing columns, constant dependents, and the whole
+    lambda ladder."""
+    p = draw(st.integers(1, 6))
+    n = draw(st.integers(2, p + 1)) if draw(st.booleans()) else draw(st.integers(p + 2, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p) + rng.normal(0, 3, size=p)
+    for j in draw(st.sets(st.integers(0, p - 1), max_size=p)):
+        X[:, j] = 0.0
+    for j in draw(st.sets(st.integers(0, p - 1), max_size=2)):
+        X[:, j] *= 1e-170  # its squares underflow: a zero norm on a column that is not zero
+    for dst, src in draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)), max_size=2)):
+        X[:, dst] = X[:, src]
+    y = np.full(n, float(rng.normal(0, 5))) if draw(st.booleans()) else rng.normal(2.0, 3.0, size=n)
+    lam = draw(st.sampled_from([0.0, 1e-3, 1e-2, 0.1, 1.0, 10.0]))
+    return X, y, lam
+
+
+def fit_or_last_iterate(fit, X, y, lam, **kwargs):
+    try:
+        return fit(X, y, lam, **kwargs)
+    except SolverError as err:
+        return err.last_iterate
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(lasso_designs())
+def test_fit_lasso_matches_reference(design):
+    X, y, lam = design
+    n, p = X.shape
+    got = fit_or_last_iterate(fit_lasso, X, y, lam, max_sweeps=5000)
+    want = fit_or_last_iterate(reference_fit_lasso, X, y, lam, max_sweeps=5000)
+    assert got.shape == want.shape == (p + 1,)
+    # an exact fit has a zero objective, so the relative match gets an
+    # absolute floor far below any objective that is not zero
+    scale = 1e-12 * (1.0 + float(np.mean(y**2)))
+    assert math.isclose(lasso_objective(X, y, got, lam), lasso_objective(X, y, want, lam),
+                        rel_tol=1e-9, abs_tol=scale)
+    if n > p and np.linalg.matrix_rank(np.hstack([np.ones((n, 1)), X])) == p + 1:
+        assert np.allclose(got, want, rtol=0.0, atol=1e-6)
+    # one sweep at lambda 0 moves a coefficient whenever y varies and X has a
+    # column of nonzero norm, so it cannot meet a tolerance of 1e-300
+    if np.ptp(y) > 0 and np.any((X**2).sum(axis=0) != 0.0):
+        with pytest.raises(SolverError) as err:
+            fit_lasso(X, y, 0.0, tol=1e-300, max_sweeps=1)
+        assert err.value.last_iterate.shape == (p + 1,)
+        with pytest.raises(SolverError) as ref_err:
+            reference_fit_lasso(X, y, 0.0, tol=1e-300, max_sweeps=1)
+        assert math.isclose(lasso_objective(X, y, err.value.last_iterate, 0.0),
+                            lasso_objective(X, y, ref_err.value.last_iterate, 0.0),
+                            rel_tol=1e-9, abs_tol=scale)
 
 
 def random_dataset(rng, n_tracts=120, signal="avg"):

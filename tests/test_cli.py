@@ -157,6 +157,28 @@ def test_bad_config_value_is_exit_2(city, tmp_path):
     assert run(city, "grid", tmp_path / "x", ("--alpha", "2.0")) == 2
 
 
+@pytest.mark.parametrize("grid", ["[]", "[-0.1]", "[0.01, NaN]", "[Infinity]", '["a"]', "0.1"])
+def test_bad_lambda_grid_is_exit_2(city, tmp_path, monkeypatch, grid):
+    # refused while the config loads, before any stage parses the calls
+    monkeypatch.setattr("emsdeploy.cli._parse_calls", lambda cfg: pytest.fail("calls were parsed"))
+    assert run(city, "analyze", tmp_path / "x", ("--lambda_grid", grid)) == 2
+
+
+def test_analysis_report_golden(city, tmp_path):
+    # model order and every 4-decimal average MSE of the city fixture
+    out = tmp_path / "analysis"
+    assert run(city, "grid", out) == 0
+    assert run(city, "analyze", out) == 0
+    assert (out / "analysis_report.csv").read_text() == (
+        "Model,Variables,Average MSE\n"
+        "Linear Regression,min.station.time + avg.station.time,1.3524\n"
+        "Linear Regression,avg.station.time,1.3806\n"
+        "Lasso,All 21 variables,2.3457\n"
+        "Linear Regression,min.station.time,3.9968\n"
+        "Mean in the train set,N/A,4.6058\n"
+    )
+
+
 def test_missing_calls_file_is_exit_3(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"calls_csv": str(tmp_path / "absent.csv")}))

@@ -194,6 +194,22 @@ def test_roundtrip_identity(tmp_path):
     assert loaded == records
 
 
+def test_serialize_calls_text(tmp_path):
+    # floats print as their repr, an int field as a float, a missing field empty
+    records = [
+        rec(datetime(2024, 1, 1, 9, tzinfo=UTC), lat=30, lon=-97.6, reported_travel_s=30, on_scene_s=0.1 + 0.2),
+        rec(datetime(2024, 1, 1, 10, 0, 0, 5, tzinfo=UTC), ambulance_lat=np.float64(-0.0), to_hospital_s=1e16),
+    ]
+    path = tmp_path / "calls.csv"
+    serialize_calls(iter(records), path)
+    assert path.read_bytes() == (
+        b"datetime,latitude,longitude,response_time_s,travel_time_s,amb_latitude,amb_longitude,"
+        b"on_scene_s,to_hospital_s\r\n"
+        b"2024-01-01T09:00:00+00:00,30.0,-97.6,,30.0,,,0.30000000000000004,\r\n"
+        b"2024-01-01T10:00:00.000005+00:00,30.1,-97.6,,,-0.0,,,1e+16\r\n"
+    )
+
+
 def test_filter_peak_rules():
     saturday = rec(datetime(2024, 1, 6, 12, 0, tzinfo=UTC))
     monday_open = rec(datetime(2024, 1, 8, 8, 0, tzinfo=UTC))
