@@ -112,6 +112,15 @@ class RunConfig:
             raise ConfigError("speed_kmh must be positive")
         if not (0 < self.alpha < 1):
             raise ConfigError("alpha must lie in (0, 1)")
+        for name, kinds, what in (
+            ("alphas", (int, float), "numbers"),
+            ("station_cells", int, "integers"),
+            ("hospital_cells", int, "integers"),
+            ("peak_weekdays", int, "integers"),
+        ):
+            value = getattr(self, name)
+            if not (isinstance(value, list) and all(isinstance(v, kinds) for v in value)):
+                raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
         if not all(0 < a < 1 for a in self.alphas):
             raise ConfigError("every alpha-cv value must lie in (0, 1)")
         if not (

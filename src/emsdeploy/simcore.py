@@ -1,13 +1,16 @@
 """Seeded discrete-event simulator for ambulance dispatch.
 
 Each call walks the chain NewCall -> CallEnroute -> CallArriveScene ->
-CallDepartScene -> (CallArriveHospital) -> AmbulanceAvailable. The
-time-sorted call list is merged with a heap of in-flight events (at most
-one per ambulance); a call wins a timestamp tie, and tied in-flight events
-resolve in the order they were scheduled, so the run is fully determined
-by (inputs, seed). Dispatch is closest-available with zero setup delay,
-waiting calls are served FIFO, and a freed ambulance heads home but may be
-re-dispatched (from its home cell, the destination) while returning.
+CallDepartScene -> (CallArriveHospital) -> AmbulanceAvailable. Arriving at
+the scene and leaving it change nothing a dispatch decision reads, so a
+dispatched unit enters the heap of in-flight units once, keyed by the time
+it frees. The time-sorted call list is merged with that heap; a call wins
+a timestamp tie, and tied in-flight events resolve in the order they were
+scheduled, so the run is fully determined by (inputs, seed). Dispatch is
+closest-available with zero setup delay, waiting calls are served FIFO,
+and a freed ambulance heads home but may be re-dispatched (from its home
+cell, the destination) while returning. The run keeps each call's chain
+of times; the event log is replayed from those chains when it is read.
 """
 
 from __future__ import annotations
@@ -76,14 +79,17 @@ class CallOutcome:
 
 @dataclass
 class SimOutcome:
-    """One run. Per-call outcomes and events are kept as plain tuples, in
-    the field order of CallOutcome and Event; ``calls`` and ``event_log``
-    build those objects on each read."""
+    """One run. Per-call outcomes are kept as plain tuples in the field
+    order of CallOutcome. Each call's chain is the tuple (dispatching call
+    or -1, dispatch time, origin cell, scene arrival, scene departure, free
+    time, free cell): a call of -1 means the unit left at the call's own
+    arrival, otherwise at the step where that call's unit freed. ``events``,
+    ``calls`` and ``event_log`` are rebuilt on each read."""
 
     call_rows: list[tuple]  # one per call, by call id
     mean_response_s: float
     shortfall_rate: float
-    events: list[tuple]  # in the order they happened
+    chains: list[tuple]  # one per call, by call id
     hospital_leg_skipped: bool
 
     @property
@@ -97,6 +103,58 @@ class SimOutcome:
     @property
     def event_log(self) -> list[Event]:
         return [Event(*e) for e in self.events]
+
+    @property
+    def events(self) -> list[tuple]:
+        """The run's events as Event-ordered tuples, in the order they
+        happened: the chains replayed through a (time, seq) heap, with a
+        call winning a timestamp tie, exactly as the run stepped."""
+        rows, chains = self.call_rows, self.chains
+        n = len(rows)
+        then = [-1] * n  # the call each freeing step dispatches, if any
+        for c, chain in enumerate(chains):
+            if chain[0] >= 0:
+                then[chain[0]] = c
+        hospitals = not self.hospital_leg_skipped
+        out: list[tuple] = []
+        log = out.append
+        heap: list[tuple[float, int, str, int]] = []  # (time, seq, kind, call)
+        push, pop = heapq.heappush, heapq.heappop
+        seq = 0
+        k = 0  # next call to arrive
+        while k < n or heap:
+            if k < n and (not heap or rows[k][1] <= heap[0][0]):
+                call = k
+                k += 1
+                log((rows[call][1], NEW_CALL, call, None, rows[call][2]))
+                if chains[call][0] >= 0:
+                    continue  # it waits for a unit to free
+            else:
+                now, _, kind, call = pop(heap)
+                _, _, _, _, t_dep, t_free, free_cell = chains[call]
+                a = rows[call][3]
+                if kind == CALL_ARRIVE_SCENE:
+                    log((now, kind, call, a, rows[call][2]))
+                    push(heap, (t_dep, seq, CALL_DEPART_SCENE, call))
+                    seq += 1
+                    continue
+                if kind == CALL_DEPART_SCENE:
+                    log((now, kind, call, a, rows[call][2]))
+                    if hospitals:
+                        push(heap, (t_free, seq, CALL_ARRIVE_HOSPITAL, call))
+                        seq += 1
+                        continue
+                else:  # arrived at the hospital
+                    log((now, kind, call, a, free_cell))
+                log((now, AMBULANCE_AVAILABLE, call, a, free_cell))
+                call = then[call]
+                if call < 0:
+                    continue
+            _, t, origin, t_scene, _, _, _ = chains[call]
+            log((t, CALL_ENROUTE, call, rows[call][3], origin))
+            push(heap, (t_scene, seq, CALL_ARRIVE_SCENE, call))
+            seq += 1
+        return out
 
 
 def draw_service_times(params: SimParams, rng: np.random.Generator, n: int) -> list[float]:
@@ -159,26 +217,34 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
     call_t, call_cell = _as_sim_calls(calls, grid, params.snap_cells)
     n_calls = len(call_t)
 
-    # travel[a][b]: calibrated seconds from cell a to cell b
+    # A leg starts at a station (a free unit is at home) or where a unit
+    # frees: its call's hospital, or the scene when the grid has none. Only
+    # those rows of travel[a][b], calibrated seconds from cell a to cell b,
+    # are built; scene-to-hospital legs are looked up per cell.
     grid_s = grid.travel_time_s.tolist()
-    travel = grid_s
-    if params.calibration is not None:
-        travel = [[apply(params.calibration, t) for t in row] for row in grid_s]
-    # nearest hospital per cell by raw grid time, ties to the lower cell index
-    hospital_of = [
-        min(grid.hospital_cells, key=lambda h: (row[h], h)) if grid.hospital_cells else None
-        for row in grid_s
-    ]
+    model = params.calibration
+
+    def calibrated(t: float) -> float:
+        return t if model is None else apply(model, t)
+
+    stations = grid.station_cells
+    hospitals = grid.hospital_cells
+    starts = set(stations) | set(hospitals) if hospitals else range(grid.n_cells)
+    travel: list[list[float] | None] = [None] * grid.n_cells
+    for a in starts:
+        travel[a] = [calibrated(t) for t in grid_s[a]]
+    # nearest hospital per cell by raw grid time, ties to the lower cell index,
+    # and the calibrated leg there
+    hospital_of = [min(hospitals, key=lambda h: (row[h], h)) if hospitals else None for row in grid_s]
+    to_hospital = [None if h is None else calibrated(row[h]) for row, h in zip(grid_s, hospital_of)]
     # A free ambulance is always at its home station, so the closest free
     # unit is the lowest-numbered free unit of the first station, in order
     # of (travel to the call's cell, station index), that has one.
-    stations = grid.station_cells
     station_order = [
         sorted(range(len(stations)), key=lambda i: (travel[stations[i]][cell], i))
         for cell in range(grid.n_cells)
     ]
     station_of = [i for i, n in enumerate(x.tolist()) for _ in range(n)]  # per ambulance
-    cell_of = [stations[i] for i in station_of]  # where it is, or is headed while returning
     idle: list[list[int]] = [[] for _ in stations]  # per station, a min-heap of free ids
     for a, i in enumerate(station_of):  # ascending, so each list is a heap
         idle[i].append(a)
@@ -187,11 +253,15 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
 
     threshold = params.shortfall_threshold_s
     call_rows: list[tuple] = [()] * n_calls
-    events: list[tuple] = []
-    log = events.append
-    heap: list[tuple[float, int, str, int, int]] = []  # (time, seq, kind, call, ambulance)
+    chains: list[tuple] = [()] * n_calls
+    # One entry per dispatched unit: (free time, scene departure, scene
+    # arrival, dispatch count, call, ambulance). Tied steps of a chain run in
+    # the order they were scheduled, which is the order of the chain's
+    # previous steps, so units with equal free times free in key order; a
+    # shorter key such as (free time, dispatch count) would not.
+    heap: list[tuple[float, float, float, int, int, int]] = []
     push, pop = heapq.heappush, heapq.heappop
-    seq = 0
+    d = 0
     waiting: deque[int] = deque()  # FIFO queue of call ids
     k = 0  # next call to arrive
     while k < n_calls or heap:
@@ -199,7 +269,6 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
             call = k
             k += 1
             now = call_t[call]
-            log((now, NEW_CALL, call, None, call_cell[call]))
             for i in station_order[call_cell[call]]:
                 if idle[i]:
                     a = pop(idle[i])
@@ -207,40 +276,32 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
             else:
                 waiting.append(call)
                 continue
+            here = stations[i]
+            by = -1
         else:
-            now, _, kind, call, a = pop(heap)
-            if kind == CALL_ARRIVE_SCENE:
-                cell_of[a] = here = call_cell[call]
-                log((now, kind, call, a, here))
-                push(heap, (now + service_s[call], seq, CALL_DEPART_SCENE, call, a))
-                seq += 1
-                continue
-            here = cell_of[a]
-            log((now, kind, call, a, here))
-            if kind == CALL_DEPART_SCENE:
-                hospital = hospital_of[here]
-                if hospital is not None:
-                    push(heap, (now + travel[here][hospital], seq, CALL_ARRIVE_HOSPITAL, call, a))
-                    seq += 1
-                    cell_of[a] = hospital
-                    continue
-            # the unit is free at the scene or the hospital
-            log((now, AMBULANCE_AVAILABLE, call, a, here))
+            now, _, _, _, by, a = pop(heap)
             if not waiting:
-                i = station_of[a]
-                cell_of[a] = stations[i]  # re-dispatch happens from the destination cell
-                push(idle[i], a)
+                push(idle[station_of[a]], a)  # re-dispatch happens from the home cell
                 continue
+            here = chains[by][6]  # the unit is free at the scene or the hospital
             call = waiting.popleft()
-        # dispatch ambulance a to the call at time now
-        here = cell_of[a]
-        leg = travel[here][call_cell[call]]
+        # dispatch ambulance a from cell here to the call at time now
+        cell = call_cell[call]
+        leg = travel[here][cell]
         wait = now - call_t[call]
         response = wait + leg
-        call_rows[call] = (call, call_t[call], call_cell[call], a, wait, leg, response, response > threshold)
-        log((now, CALL_ENROUTE, call, a, here))
-        push(heap, (now + leg, seq, CALL_ARRIVE_SCENE, call, a))
-        seq += 1
+        call_rows[call] = (call, call_t[call], cell, a, wait, leg, response, response > threshold)
+        t_scene = now + leg
+        t_dep = t_scene + service_s[call]
+        hospital = hospital_of[cell]
+        if hospital is None:
+            chains[call] = (by, now, here, t_scene, t_dep, t_dep, cell)
+            push(heap, (t_dep, t_dep, t_scene, d, call, a))
+        else:
+            t_free = t_dep + to_hospital[cell]
+            chains[call] = (by, now, here, t_scene, t_dep, t_free, hospital)
+            push(heap, (t_free, t_dep, t_scene, d, call, a))
+        d += 1
 
     # fields 6 and 7 of a row are response_s and shortfall
     mean_response = float(np.mean([r[6] for r in call_rows])) if call_rows else 0.0
@@ -249,8 +310,8 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
         call_rows=call_rows,
         mean_response_s=mean_response,
         shortfall_rate=rate,
-        events=events,
-        hospital_leg_skipped=not grid.hospital_cells,
+        chains=chains,
+        hospital_leg_skipped=not hospitals,
     )
 
 

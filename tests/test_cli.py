@@ -164,6 +164,17 @@ def test_bad_lambda_grid_is_exit_2(city, tmp_path, monkeypatch, grid):
     assert run(city, "analyze", tmp_path / "x", ("--lambda_grid", grid)) == 2
 
 
+@pytest.mark.parametrize("name, value", [
+    ("alphas", "5"), ("alphas", '["a"]'),
+    ("station_cells", "5"), ("station_cells", "[0.5]"),
+    ("hospital_cells", "5"), ("hospital_cells", '["a"]'),
+    ("peak_weekdays", "5"), ("peak_weekdays", "[[0]]"),
+])
+def test_non_list_config_field_is_exit_2(city, tmp_path, name, value):
+    # refused while the config loads, not with a TypeError in the first stage that iterates it
+    assert run(city, "grid", tmp_path / "x", (f"--{name}", value)) == 2
+
+
 def test_analysis_report_golden(city, tmp_path):
     # model order and every 4-decimal average MSE of the city fixture
     out = tmp_path / "analysis"

@@ -1,10 +1,11 @@
+import dataclasses
 import hashlib
 import math
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_simulate
 
@@ -370,6 +371,22 @@ def test_calibration_applied_at_most_once_per_cell_pair(monkeypatch):
     assert 0 < len(seen) <= g.n_cells ** 2
 
 
+def test_calibration_only_for_rows_a_leg_starts_from(monkeypatch):
+    # legs start at a station or a hospital; scene-to-hospital legs add one per cell
+    g, calls, params = golden_city()
+    seen = []
+    inner = simcore.apply
+
+    def counting_apply(model, grid_s):
+        seen.append(grid_s)
+        return inner(model, grid_s)
+
+    monkeypatch.setattr(simcore, "apply", counting_apply)
+    simulate([1, 1], calls, g, params, seed=2024)
+    starts = set(g.station_cells) | set(g.hospital_cells)
+    assert 0 < len(seen) <= (len(starts) + 1) * g.n_cells
+
+
 CALIBRATIONS = (
     None,
     CalibrationModel(kind="loglog", intercept=1.2, slope=0.8),
@@ -419,3 +436,33 @@ def test_simulate_matches_reference(city):
     if outcomes:
         assert out.mean_response_s == float(np.mean([o[6] for o in outcomes]))
         assert out.shortfall_rate == float(np.mean([o[7] for o in outcomes]))
+
+
+def staggered_city():
+    """Two units at cell 0 and three calls at t=0, the third waiting.
+
+    Unit 0 drives 2 min to cell 1, then 1 min to the hospital; unit 1 drives
+    1 min to cell 2, then 2 min to the hospital. With equal on-scene times
+    both free at once, but unit 1 left its scene first, so it frees first
+    and takes the waiting call.
+    """
+    travel = np.full((4, 4), 240.0)
+    np.fill_diagonal(travel, 0.0)
+    travel[0, 1], travel[0, 2], travel[1, 3], travel[2, 3] = 120.0, 60.0, 60.0, 120.0
+    g = build_grid(BOUNDS, 2, 2, MatrixProvider(travel), station_cells=[0], hospital_cells=[3])
+    return [2], [(0.0, 1), (0.0, 2), (0.0, 0)], g, SimParams(), 5
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(small_cities(), st.sampled_from([1, 2, 3, 4]))
+@example(staggered_city(), 2)
+def test_simulate_matches_reference_with_tied_service_times(city, minutes):
+    # every call gets the same on-scene time, so units dispatched at one
+    # time free at one time too, and the order they free in decides the rest
+    x, calls, g, params, seed = city
+    params = dataclasses.replace(params, lognormal_mu=math.log(minutes), lognormal_sigma=1e-300)
+    assert len(set(draw_service_times(params, substream(seed, "service"), 3))) == 1
+    out = simulate(x, calls, g, params, seed=seed)
+    events, outcomes = reference_simulate(x, calls, g, params, seed)
+    assert out.events == events
+    assert out.call_rows == outcomes
