@@ -7,7 +7,10 @@ uncertainty set caps integer demand vectors by the (1 - alpha) Poisson
 quantile of each aggregate, and finds exactly the most demand a member can
 place on a set of regions. That search is exponential in the number of
 regions at worst; its root gives two cheap bounds on the same value, which
-meet on most region sets.
+meet on most region sets. The bounds of a whole stack of region sets come
+from one batched numpy pass: which caps bind each set is one matrix
+product, and the upper bound's greedy partitions advance a step at a time
+across every set. The search reads its partitions from the same routine.
 """
 
 from __future__ import annotations
@@ -143,54 +146,112 @@ class UncertaintySet:
             return False
         return int(d.sum()) <= self.global_cap
 
+    def _rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every aggregate as an R x n membership matrix and its caps: the
+        local neighborhoods, then the coverage balls, then the global row."""
+        n = self.n_regions
+        rows = np.vstack([self.adjacency, self.coverage_ball, np.ones((1, n), dtype=bool)])
+        return rows, np.concatenate([self.local_cap, self.regional_cap, [self.global_cap]])
+
+    def _partitions(self, masks: np.ndarray) -> tuple[np.ndarray, list[list[tuple[np.ndarray, np.ndarray]]]]:
+        """The binding rows and the upper bound's three partitions (local
+        neighborhoods, coverage balls, all under the global cap) of every mask
+        in an S x n stack.
+
+        A row binds a mask when its cap is below its masked regions'
+        single-cap sum; a cap at least that sum never binds. Each level's
+        greedy step takes, for every set, the binding row that holds most of
+        what is left (the first such row on ties), and once no binding row
+        holds any of it, every region left alone. Returns (binding, steps):
+        binding is S x R over ``_rows()``; steps[level] lists the steps as
+        (row, group), row the S taken rows, -1 for regions alone, and group
+        the S x n regions the step takes."""
+        rows, caps = self._rows()
+        n = self.n_regions
+        # float products (exact on these small integers) run in BLAS
+        binding = caps < masks @ (rows * self.single_cap).T.astype(np.float64)
+        steps = []
+        for lo, hi in ((0, n), (n, 2 * n), (2 * n, 2 * n + 1)):
+            level, left, held = [], masks.copy(), rows[lo:hi].T.astype(np.float64)
+            while left.any():
+                count = np.where(binding[:, lo:hi], left @ held, 0)
+                k = count.argmax(axis=1)
+                alone = count[np.arange(len(k)), k] == 0
+                group = np.where(alone[:, None], left, left & rows[lo + k])
+                level.append((np.where(alone, -1, lo + k), group))
+                left &= ~group
+            steps.append(level)
+        return binding, steps
+
     def _prepare(self, regions) -> tuple[np.ndarray, list[int], list[list[int]], list]:
         """The fixed data of a search on ``regions`` (a boolean mask): the
         masked region indices; the residual caps, region p's own cap for
         p < m, then the binding rows' caps; each region's limits, the
-        residuals that hold it; and three partitions of the mask (local
-        neighborhoods, coverage balls, all under the global cap) into
-        (residual, regions) groups."""
-        picked = np.flatnonzero(np.asarray(regions, dtype=bool))
-        n, m = self.n_regions, len(picked)
-        rows = np.vstack([self.adjacency[:, picked], self.coverage_ball[:, picked], np.ones((1, m), dtype=bool)])
-        caps = np.concatenate([self.local_cap, self.regional_cap, [self.global_cap]])
-        single = self.single_cap[picked]
-        # a cap at least its regions' single-cap sum never binds
-        binding = np.flatnonzero(caps < rows.astype(np.int64) @ single)
-        residual = single.tolist() + caps[binding].tolist()
-        holds = [{p} for p in range(m)] + [set() for _ in binding]
+        residuals that hold it; and the three partitions of ``_partitions``
+        as (residual, regions) groups."""
+        mask = np.asarray(regions, dtype=bool)
+        picked = np.flatnonzero(mask)
+        m = len(picked)
+        rows, caps = self._rows()
+        binding, steps = self._partitions(mask[None])
+        bound = np.flatnonzero(binding[0])
+        residual = self.single_cap[picked].tolist() + caps[bound].tolist()
         limits = [[p] for p in range(m)]
-        for c, p in np.argwhere(rows[binding]).tolist():
-            holds[m + c].add(p)
+        for c, p in np.argwhere(rows[bound][:, picked]).tolist():
             limits[p].append(m + c)
+        slot = dict(zip(bound.tolist(), range(m, m + len(bound))))
+        position = np.cumsum(mask) - 1  # masked region -> its index in picked
         partitions = []
-        for level in range(3):
-            groups, left = [], set(range(m))
-            level_rows = [m + k for k, c in enumerate(binding) if c // n == level]
-            while left:  # the row that holds most of what is left, else one region alone
-                k = max(level_rows + [min(left)], key=lambda k: len(left & holds[k]))
-                groups.append((k, sorted(left & holds[k])))
-                left -= holds[k]
+        for level in steps:
+            groups = []
+            for row, group in level:
+                held = position[group[0]].tolist()
+                if row[0] < 0:
+                    groups.extend((p, [p]) for p in held)
+                else:
+                    groups.append((slot[int(row[0])], held))
             partitions.append(groups)
         return picked, residual, limits, partitions
+
+    def demand_bounds_stack(self, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``demand_bounds`` of every mask in an S x n boolean stack, in one
+        batched pass: (lower, upper, leaves), S, S and S x n.
+
+        A region's open bound at the root is its single cap or, if less, the
+        least cap of a row holding it: a row that does not bind a mask has a
+        cap at least the single cap of every masked region it holds, so it
+        never sets that minimum. The upper bound is the least over the three
+        partitions of the groups' summed min(cap, open bounds). The first leaf
+        gives each masked region in index order the most the caps left allow;
+        a row that does not bind keeps at least the single caps of the
+        regions it still holds, so all rows can take part."""
+        masks = np.asarray(masks, dtype=bool).reshape(-1, self.n_regions)
+        rows, caps = self._rows()
+        _, steps = self._partitions(masks)
+        open_bound = np.where(rows, caps[:, None], self.single_cap).min(axis=0)
+        totals = np.zeros((len(steps), len(masks)), dtype=np.int64)
+        for total, level in zip(totals, steps):
+            for row, group in level:
+                held = group @ open_bound
+                total += np.where(row < 0, held, np.minimum(caps[row], held))
+        residual = np.repeat(caps[None], len(masks), axis=0)
+        leaves = np.zeros(masks.shape, dtype=np.int64)
+        for p in range(self.n_regions):
+            holding = np.flatnonzero(rows[:, p])
+            v = np.where(masks[:, p], np.minimum(residual[:, holding].min(axis=1), self.single_cap[p]), 0)
+            residual[:, holding] -= v[:, None]
+            leaves[:, p] = v
+        return leaves.sum(axis=1), totals.min(axis=0), leaves
 
     def demand_bounds(self, regions) -> tuple[int, int, np.ndarray]:
         """Two cheap bounds on ``max_demand(regions)``'s value, from the root of
         its search: (lower, upper, d). d is the search's first leaf, the
         lexicographically largest member zero off the mask, and lower is its
         total; upper is the root's completion bound. When the two are equal,
-        d is the maximizer ``max_demand`` returns."""
-        picked, residual, limits, partitions = self._prepare(regions)
-        upper = _completion_bound(residual, limits, partitions, 0)
-        leaf = []
-        for held in limits:
-            v = min(residual[k] for k in held)
-            for k in held:
-                residual[k] -= v
-            leaf.append(v)
-        out = np.zeros(self.n_regions, dtype=np.int64)
-        out[picked] = leaf
-        return sum(leaf), upper, out
+        d is the maximizer ``max_demand`` returns. ``demand_bounds_stack``
+        gives the same for a stack of masks at once."""
+        lower, upper, leaves = self.demand_bounds_stack(np.asarray(regions, dtype=bool)[None])
+        return int(lower[0]), int(upper[0]), leaves[0]
 
     def max_demand(self, regions) -> tuple[int, np.ndarray]:
         """Most total demand a member places on ``regions`` (a boolean mask),

@@ -9,10 +9,11 @@ depend on x, so it is kept once per distinct uncovered region set, in a
 table of cuts that the stationing's branch and bound runs over.
 
 The table is lazy, after column-and-constraint generation (Zeng & Zhao
-2013): each W starts as a cheap lower and upper bound, and is searched
-exactly only when a cut on it can set the worst case of the stationing
-being checked. The branch and bound runs over the lower values, and runs
-again until its stationing's exact worst case meets its objective.
+2013): each W starts as a cheap lower and upper bound, all of them from one
+batched pass over the table's region sets, and is searched exactly only
+when a cut on it can set the worst case of the stationing being checked.
+The branch and bound runs over the lower values, and runs again until its
+stationing's exact worst case meets its objective.
 
 The search scores only closed subsets (see ``dispatchflow``): closing S
 keeps N(S), so W(S), and shrinks x(I \\ S), so the max is always attained
@@ -45,9 +46,10 @@ class WorstCaseResult:
 class CutTable:
     """Search evaluator over W(S) - x(I \\ S) for the closed station subsets
     S, built lazily. Each distinct uncovered region set holds a lower and an
-    upper bound on its W from ``UncertaintySet.demand_bounds``; W is known
-    when they are equal, and ``max_demand`` runs on a set only when one of
-    its cuts can set the worst case of an x given to ``worst_case``.
+    upper bound on its W, and a member attaining the lower one, all from one
+    ``UncertaintySet.demand_bounds_stack`` pass; W is known when they are
+    equal, and ``max_demand`` runs on a set only when one of its cuts can set
+    the worst case of an x given to ``worst_case``.
     ``totals`` and ``relaxed_totals`` read the lower values, so a search
     over them minimizes a lower bound on the worst case."""
 
@@ -60,17 +62,16 @@ class CutTable:
         keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
         _, first, self._set_of_cut = np.unique(keys, return_index=True, return_inverse=True)
         self._regions = region_mask[first] == 0
-        bounds = [uset.demand_bounds(regions) for regions in self._regions]
-        self.lower = np.array([b[0] for b in bounds], dtype=np.int64)
-        self.upper = np.array([b[1] for b in bounds], dtype=np.int64)
-        self._maximizers = [b[2] for b in bounds]  # each attains its lower value
+        # leaf k attains set k's lower value: the first leaf, and once set k
+        # is searched, W's maximizer
+        self.lower, self.upper, self._leaves = uset.demand_bounds_stack(self._regions)
         self.outside = 1 - station_mask.astype(np.int64)  # row s: the stations not in S
         closed, self._reach = edges.closed_cuts()
         self._closed_set, self._closed_outside = self._set_of_cut[closed], self.outside[closed]
 
     def _refine(self, k: int) -> int:
         """Search set k exactly; its W."""
-        w, self._maximizers[k] = self.uset.max_demand(self._regions[k])
+        w, self._leaves[k] = self.uset.max_demand(self._regions[k])
         self.lower[k] = self.upper[k] = w
         return w
 
@@ -109,7 +110,7 @@ class CutTable:
             # a lower value that attains the max is W, and its first leaf,
             # the lexicographically largest member, is then W's maximizer
             if self.lower[k] - out[row] == value:
-                return value, self._maximizers[k].copy()
+                return value, self._leaves[k].copy()
         raise SolverError("no cut attains the worst case")
 
 

@@ -155,18 +155,23 @@ def minimize_deployment(
 class StochasticSolution:
     x_star: Deployment
     objective: float
-    per_scenario: list[ShortfallResult]
     optimality_flag: OptimalityFlag
-    m: int = 0
-    seed: int | None = None
+    scenarios: ScenarioSet
+    edges: EdgeSet
+
+    @property
+    def per_scenario(self) -> list[ShortfallResult]:
+        """x's optimal routing against each scenario, by max flow on each read;
+        ``objective`` is the mean of their totals."""
+        return [min_shortfall(self.x_star.x, d, self.edges) for d in self.scenarios.demands]
 
     def to_dict(self) -> dict:
         return {
             "x": [int(v) for v in self.x_star.x],
             "objective": self.objective,
             "n": self.x_star.n,
-            "M": self.m,
-            "seed": self.seed,
+            "M": self.scenarios.m,
+            "seed": self.scenarios.seed,
             "optimality_flag": (
                 "exact"
                 if self.optimality_flag.kind == "exact"
@@ -181,17 +186,16 @@ def solve_stochastic(
     edges: EdgeSet,
     config: SearchConfig | None = None,
 ) -> StochasticSolution:
-    """Minimize the empirical mean shortfall over the scenario set."""
+    """Minimize the empirical mean shortfall over the scenario set. The
+    objective is the search's own: the mean of the stationing's integer
+    shortfall totals, as min cuts or, past the cut-table cap, max flows."""
     result = minimize_deployment(ScenarioEvaluator(edges, scenarios.demands), n, mean_aggregator, config)
-    per_scenario = [min_shortfall(result.x, d, edges) for d in scenarios.demands]
-    objective = float(np.mean([r.total for r in per_scenario]))
     return StochasticSolution(
         x_star=Deployment(result.x, n),
-        objective=objective,
-        per_scenario=per_scenario,
+        objective=result.objective,
         optimality_flag=result.flag,
-        m=scenarios.m,
-        seed=scenarios.seed,
+        scenarios=scenarios,
+        edges=edges,
     )
 
 

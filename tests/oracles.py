@@ -3,7 +3,8 @@
 Everything here is deliberately written from scratch against the math, not
 the package code: a second haversine formula, high-precision Poisson CDF
 summation, brute-force routing enumeration, exhaustive stationing search,
-a dispatch simulation that keeps every call in one event heap, one-point
+the demand search's root bounds built set by set with Python sets, a
+dispatch simulation that keeps every call in one event heap, one-point
 grid snapping, a call-log parser built on ``csv.DictReader``, and a LASSO
 that keeps the full residual vector. Keep these slow and obvious.
 """
@@ -125,6 +126,46 @@ def box_members(uset) -> np.ndarray:
     if not rows:
         return np.zeros((0, len(uset.single_cap)), dtype=np.int64)
     return np.vstack(rows)
+
+
+def reference_demand_bounds(uset, regions) -> tuple[int, int, np.ndarray]:
+    """(lower, upper, first leaf) of the exact search's root on one mask, set
+    by set: the binding rows and greedy partitions built with Python sets,
+    the completion bound at t = 0, and the first leaf taking each masked
+    region's least residual in index order."""
+    picked = np.flatnonzero(np.asarray(regions, dtype=bool))
+    n, m = uset.n_regions, len(picked)
+    rows = np.vstack([uset.adjacency[:, picked], uset.coverage_ball[:, picked], np.ones((1, m), dtype=bool)])
+    caps = np.concatenate([uset.local_cap, uset.regional_cap, [uset.global_cap]])
+    single = uset.single_cap[picked]
+    # a cap at least its regions' single-cap sum never binds
+    binding = np.flatnonzero(caps < rows.astype(np.int64) @ single)
+    residual = single.tolist() + caps[binding].tolist()
+    holds = [{p} for p in range(m)] + [set() for _ in binding]
+    limits = [[p] for p in range(m)]
+    for c, p in np.argwhere(rows[binding]).tolist():
+        holds[m + c].add(p)
+        limits[p].append(m + c)
+    partitions = []
+    for level in range(3):
+        groups, left = [], set(range(m))
+        level_rows = [m + k for k, c in enumerate(binding) if c // n == level]
+        while left:  # the row that holds most of what is left, else one region alone
+            k = max(level_rows + [min(left)], key=lambda k: len(left & holds[k]))
+            groups.append((k, sorted(left & holds[k])))
+            left -= holds[k]
+        partitions.append(groups)
+    ub = [min(residual[k] for k in limits[p]) for p in range(m)]
+    upper = min(sum(min(residual[k], sum(ub[p] for p in g)) for k, g in gs) for gs in partitions)
+    leaf = []
+    for held in limits:
+        v = min(residual[k] for k in held)
+        for k in held:
+            residual[k] -= v
+        leaf.append(v)
+    out = np.zeros(n, dtype=np.int64)
+    out[picked] = leaf
+    return sum(leaf), upper, out
 
 
 def reference_simulate(x, calls, grid, params, seed: int):

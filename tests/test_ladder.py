@@ -1,9 +1,11 @@
 """Golden station ladder: both exact solvers on the README quickstart city
 (seed 7, 65 000 calls, fleet 6, 50 scenarios, alpha 0.01) as the station
 set grows from 8 to 12, pinned to the values the full 2^I cut enumeration
-gave before the search scored closed cuts only; and one robust rung at
-alpha 0.001, pinned to the values of the full W table."""
+gave before the search scored closed cuts only; one robust rung at alpha
+0.001, pinned to the values of the full W table; and the I = 12 cut
+table's bounds, pinned to the values the per-set bound pass gave."""
 
+import hashlib
 from datetime import time as clock_time
 
 import numpy as np
@@ -33,6 +35,12 @@ CLOSED = {10: 188, 12: 544}
 LOW_ALPHA = ([0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0], 8, {3: 2, 4: 2, 17: 1, 18: 2, 22: 2, 23: 1, 24: 1})
 # best-first nodes at I = 12 when every bound pooled the free units at any station
 FULL_POOL_NODES_I12 = 4132
+# the fresh I = 12 cut table's 544 region sets, as the per-set bound pass
+# built it: SHA-256 of the lower values', the upper values' and the first
+# leaves' int64 bytes, and the number of sets whose bounds meet
+TABLE_I12 = ("f0a86a1747c60620303fabc0be12079344916ca088a853a8b1d905b10bf01e7b",
+             "54598fd0243bee07b3cd0bed2deaf4321e08efa3d1e9b583b8494b09dd3f84af",
+             "0eef831d2f72862486f6e1d23ec3b496f1944353b603cd7c213400c4c5835f98", 439)
 
 
 @pytest.fixture(scope="module")
@@ -109,3 +117,12 @@ def test_robust_searches_a_tenth_of_the_sets_exactly(city):
     rob = robust.solve_robust_ccg(counted, FLEET, ladder_edges(bounds, 12))
     assert rob.x_star.x.tolist() == GOLDEN[12][2]
     assert len(counted.searched) <= CLOSED[12] // 10
+
+
+def test_cut_table_bounds_match_the_per_set_pass(city):
+    bounds, uset, _ = city
+    cuts = robust.CutTable(uset, ladder_edges(bounds, 12))
+    assert len(cuts.lower) == CLOSED[12]
+    digests = tuple(hashlib.sha256(a.astype(np.int64).tobytes()).hexdigest()
+                    for a in (cuts.lower, cuts.upper, cuts._leaves))
+    assert digests + (int((cuts.lower == cuts.upper).sum()),) == TABLE_I12

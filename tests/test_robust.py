@@ -12,7 +12,7 @@ from emsdeploy.robust import (
     worst_case_demand,
 )
 from emsdeploy.stochastic import ScenarioSet, SearchConfig, solve_stochastic
-from oracles import box_members, brute_min_shortfall_many, compositions_at_most
+from oracles import box_members, brute_min_shortfall_many, compositions_at_most, reference_demand_bounds
 
 
 def full_edges(n_i, n_j):
@@ -320,6 +320,24 @@ def test_demand_bounds_bracket_max_demand(uset):
         assert best.tolist() == rows[rows.sum(axis=1) == value][-1].tolist()
         if lower == upper:
             assert np.array_equal(d, best)
+
+
+@settings(max_examples=300, deadline=None)
+@given(binding_sets(max_regions=8, max_cap=4), st.data())
+def test_stacked_demand_bounds_match_the_per_set_reference(uset, data):
+    n_j = uset.n_regions
+    drawn = data.draw(st.lists(st.lists(st.booleans(), min_size=n_j, max_size=n_j), max_size=10))
+    # the empty and the full mask and the drawn ones, each twice, in a drawn order
+    masks = data.draw(st.permutations(2 * ([[False] * n_j, [True] * n_j] + drawn)))
+    stack = np.array(masks, dtype=bool)
+    lower, upper, leaves = uset.demand_bounds_stack(stack)
+    assert lower.shape == upper.shape == (len(stack),) and leaves.shape == stack.shape
+    for k, regions in enumerate(stack):
+        want_lower, want_upper, want_leaf = reference_demand_bounds(uset, regions)
+        want = (want_lower, want_upper, want_leaf.tolist())
+        assert (int(lower[k]), int(upper[k]), leaves[k].tolist()) == want
+        one_lower, one_upper, one_leaf = uset.demand_bounds(regions)
+        assert (one_lower, one_upper, one_leaf.tolist()) == want
 
 
 @settings(max_examples=150, deadline=None)
