@@ -228,7 +228,7 @@ class UncertaintySet:
         masks = np.asarray(masks, dtype=bool).reshape(-1, self.n_regions)
         rows, caps = self._rows()
         _, steps = self._partitions(masks)
-        open_bound = np.where(rows, caps[:, None], self.single_cap).min(axis=0)
+        open_bound = np.minimum(self.single_cap, np.where(rows, caps[:, None], self.single_cap).min(axis=0))
         totals = np.zeros((len(steps), len(masks)), dtype=np.int64)
         for total, level in zip(totals, steps):
             for row, group in level:

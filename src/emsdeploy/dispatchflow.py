@@ -4,14 +4,16 @@ Shortfall for a stationing x and demand d is the unmet demand after an
 optimal integral routing over the feasible edges, i.e. total demand minus
 the max flow of the bipartite network (source -> station i at capacity
 x_i, uncapacitated station-region edges, region j -> sink at capacity
-d_j). Routings come from an augmenting-path max flow; the solvers use a
-vectorized min-cut enumeration over station subsets S, which equals the max
-flow value because the middle edges are uncapacitated: the cut of S costs
+d_j). Routings come from an augmenting-path max flow; the solvers take the
+least of a list of cuts over station subsets S, which equals the max flow
+value because the middle edges are uncapacitated: the cut of S costs
 x(I \\ S) + d(N(S)), N(S) being the regions S covers.
 
-Only closed subsets are scored. S is closed when it holds every station
+Only closed subsets are listed. S is closed when it holds every station
 whose regions all lie in N(S); its closure has the same N(S) and, for
-x >= 0, a cheaper station side, so the least cut is always closed.
+x >= 0, a cheaper station side, so the least cut is always closed. The
+closed subsets and the distinct unions N(S) are one to one, so the list is
+built from the unions, not from the 2^|I| subsets.
 """
 
 from __future__ import annotations
@@ -23,9 +25,9 @@ import numpy as np
 
 from .errors import DataError, SolverError
 
-# Min-cut enumeration over 2^|I| station subsets; beyond this the value
-# path falls back to the flow algorithm and the robust solve is refused.
-_MAX_CUT_STATIONS = 14
+# Closed cuts the solvers hold at most. Disjoint coverage gives 2^|I| of
+# them; the 36-station quickstart grid has 51 136.
+_MAX_CLOSED_CUTS = 1 << 17
 
 
 class EdgeSet:
@@ -47,8 +49,7 @@ class EdgeSet:
             self.station_regions[i].append(j)
             self.region_stations[j].append(i)
         self._edge_index = {e: k for k, e in enumerate(self.edges)}
-        self._cut_masks: tuple[np.ndarray, np.ndarray] | None = None
-        self._closed_cuts: tuple[np.ndarray, np.ndarray] | None = None
+        self._closed_cuts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.edges)
@@ -65,32 +66,31 @@ class EdgeSet:
             b_j[j, k] = 1
         return b_i, b_j
 
-    def cut_masks(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached 0/1 float masks: row s holds the stations of subset s (bit i
-        is station i) and the regions they cover. 2^I rows, so I is capped."""
-        if self.n_stations > _MAX_CUT_STATIONS:
-            raise SolverError(f"{self.n_stations} stations exceed the cut tables' {_MAX_CUT_STATIONS}")
-        if self._cut_masks is None:
-            n = self.n_stations
+    def closed_cuts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Cached (inside, covered, reach), one row per closed subset S, in
+        ascending order of its uncovered regions' bits, region 0 the most
+        significant: S, N(S), and the highest station outside S, -1 for every
+        station (a unit at station k or later lowers exactly the cuts whose
+        reach is >= k). The distinct unions N(S) are folded in one station at
+        a time, and S is the stations whose regions lie in its union. More
+        than ``_MAX_CLOSED_CUTS`` unions raise SolverError."""
+        if self._closed_cuts is None:
+            n_j = self.n_regions
+            # region j is bit n_j - 1 - j: a larger union leaves a smaller key
+            unions = {0}
+            for regions in self.station_regions:
+                mask = sum(1 << (n_j - 1 - j) for j in regions)
+                unions |= {u | mask for u in unions}
+                if len(unions) > _MAX_CLOSED_CUTS:
+                    raise SolverError(f"the stations' coverage has more than {_MAX_CLOSED_CUTS} closed cuts")
+            width = (n_j + 7) // 8
+            packed = b"".join(u.to_bytes(width, "big") for u in sorted(unions, reverse=True))
+            bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8).reshape(len(unions), width), axis=1)
+            covered = bits[:, 8 * width - n_j :].astype(bool)
             b_i, b_j = self.incidence()
-            cover = (b_i @ b_j.T).astype(np.float64)  # stations x regions
-            station_mask = ((np.arange(1 << n)[:, None] >> np.arange(n)) & 1).astype(np.float64)
-            region_mask = np.minimum(station_mask @ cover, 1.0)
-            swallowed = region_mask @ cover.T == cover.sum(axis=1)  # row s, col i: N(i) within N(S)
-            closed = np.flatnonzero(~np.any(swallowed & (station_mask == 0), axis=1))
-            outside = 1.0 - station_mask[closed]
-            reach = (outside * np.arange(1, n + 1)).max(axis=1, initial=0).astype(np.int64) - 1
-            self._cut_masks = station_mask, region_mask
-            self._closed_cuts = closed, reach
-        return self._cut_masks
-
-    def closed_cuts(self) -> tuple[np.ndarray, np.ndarray]:
-        """Cached (rows, reach). ``rows`` index the closed rows of
-        ``cut_masks()``: the subsets S that hold every station whose regions
-        all lie in N(S); the last row, every station, is one. ``reach`` is
-        each one's highest station outside S, -1 for every station: a unit
-        at station k or later lowers exactly the cuts whose reach is >= k."""
-        self.cut_masks()
+            inside = (~covered) @ (b_j @ b_i.T).astype(np.float64) == 0
+            reach = np.where(inside, -1, np.arange(self.n_stations)).max(axis=1, initial=-1)
+            self._closed_cuts = inside, covered, reach
         return self._closed_cuts
 
 
@@ -269,34 +269,24 @@ class ScenarioEvaluator:
         self.demands = np.asarray(demands, dtype=np.int64)
         if self.demands.ndim != 2 or self.demands.shape[1] != edges.n_regions:
             raise DataError("demand matrix must be scenarios x regions")
-        self._fast = edges.n_stations <= _MAX_CUT_STATIONS
-        if self._fast:
-            station_mask, region_mask = edges.cut_masks()
-            closed, self._reach = edges.closed_cuts()
-            self._outside = 1.0 - station_mask[closed]  # row: the stations not in S
-            # cost of the region side of each closed cut, per subset x scenario
-            self._region_cost = region_mask[closed] @ self.demands.T.astype(np.float64)
+        inside, covered, self._reach = edges.closed_cuts()
+        self._outside = (~inside).astype(np.float64)  # row: the stations not in S
+        # cost of the region side of each closed cut, per cut x scenario
+        self._region_cost = covered.astype(np.float64) @ self.demands.T.astype(np.float64)
         self._demand_sums = self.demands.sum(axis=1)
 
     def totals(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.edges.n_stations,):
             raise DataError("stationing length must match station count")
-        if self._fast:
-            return self._shortfall(self._outside @ x.astype(np.float64))
-        return np.array(
-            [min_shortfall(x, d, self.edges).total for d in self.demands],
-            dtype=np.int64,
-        )
+        return self._shortfall(self._outside @ x.astype(np.float64))
 
     def relaxed_totals(self, x, free_units: int, first_free: int = 0) -> np.ndarray:
         """Totals when ``free_units`` more ambulances form one pool that
         stations ``first_free`` and later may draw on: the pool adds to the
         cuts that leave such a station outside S. A lower bound on every
         completion stationing at most ``free_units`` more there, never below
-        max(totals - free_units, 0), the bound past the cut-table cap."""
-        if not self._fast:
-            return np.maximum(self.totals(x) - int(free_units), 0)
+        max(totals - free_units, 0)."""
         pool = np.where(self._reach >= first_free, float(free_units), 0.0)
         return self._shortfall(self._outside @ np.asarray(x, dtype=np.float64) + pool)
 

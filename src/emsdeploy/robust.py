@@ -5,8 +5,8 @@ The max flow of x and d is the least cut over station subsets S, x(I \\ S)
 + d(N(S)), N(S) being the regions S covers. So by the cut condition of
 Gale's supply-demand theorem (Gale 1957) the worst case of x is
 max_S [W(S) - x(I \\ S)], with W(S) = max_{d in U} d(J \\ N(S)). W does not
-depend on x, so it is kept once per distinct uncovered region set, in a
-table of cuts that the stationing's branch and bound runs over.
+depend on x, so it is kept once per cut, in a table that the stationing's
+branch and bound runs over.
 
 The table is lazy, after column-and-constraint generation (Zeng & Zhao
 2013): each W starts as a cheap lower and upper bound, all of them from one
@@ -15,10 +15,11 @@ when a cut on it can set the worst case of the stationing being checked.
 The branch and bound runs over the lower values, and runs again until its
 stationing's exact worst case meets its objective.
 
-The search scores only closed subsets (see ``dispatchflow``): closing S
+The table holds only the closed subsets (see ``dispatchflow``): closing S
 keeps N(S), so W(S), and shrinks x(I \\ S), so the max is always attained
-on a closed cut. The certificate still comes from the lowest-index
-attaining subset over all 2^I of them.
+on a closed cut. Closed cuts and uncovered region sets are one to one, so
+each cut has its own W. The certificate still comes from the lowest-index
+attaining subset over all 2^I of them, found from the attaining closed cuts.
 """
 
 from __future__ import annotations
@@ -45,29 +46,24 @@ class WorstCaseResult:
 
 class CutTable:
     """Search evaluator over W(S) - x(I \\ S) for the closed station subsets
-    S, built lazily. Each distinct uncovered region set holds a lower and an
-    upper bound on its W, and a member attaining the lower one, all from one
-    ``UncertaintySet.demand_bounds_stack`` pass; W is known when they are
-    equal, and ``max_demand`` runs on a set only when one of its cuts can set
-    the worst case of an x given to ``worst_case``.
+    S, built lazily. Set k, the regions cut k leaves uncovered, holds a
+    lower and an upper bound on its W, and a member attaining the lower one,
+    all from one ``UncertaintySet.demand_bounds_stack`` pass; W is known
+    when they are equal, and ``max_demand`` runs on a set only when its cut
+    can set the worst case of an x given to ``worst_case``.
     ``totals`` and ``relaxed_totals`` read the lower values, so a search
     over them minimizes a lower bound on the worst case."""
 
     def __init__(self, uset: UncertaintySet, edges: EdgeSet):
         self.uset, self.edges = uset, edges
-        station_mask, region_mask = edges.cut_masks()
-        # one key per row: the packed bits of its uncovered regions, and one
-        # more set bit, so that no key is empty
-        packed = np.packbits(np.c_[region_mask == 0, np.ones(len(region_mask), dtype=bool)], axis=1)
-        keys = packed.view(np.dtype((np.void, packed.shape[1]))).reshape(-1)
-        _, first, self._set_of_cut = np.unique(keys, return_index=True, return_inverse=True)
-        self._regions = region_mask[first] == 0
+        self._inside, covered, self._reach = edges.closed_cuts()
+        self._regions = ~covered
         # leaf k attains set k's lower value: the first leaf, and once set k
         # is searched, W's maximizer
         self.lower, self.upper, self._leaves = uset.demand_bounds_stack(self._regions)
-        self.outside = 1 - station_mask.astype(np.int64)  # row s: the stations not in S
-        closed, self._reach = edges.closed_cuts()
-        self._closed_set, self._closed_outside = self._set_of_cut[closed], self.outside[closed]
+        self._outside = (~self._inside).astype(np.int64)  # row k: the stations not in cut k
+        b_i, b_j = edges.incidence()
+        self._cover = b_i @ b_j.T  # stations x regions
 
     def _refine(self, k: int) -> int:
         """Search set k exactly; its W."""
@@ -76,7 +72,7 @@ class CutTable:
         return w
 
     def totals(self, x) -> np.ndarray:
-        return self.lower[self._closed_set] - self._closed_outside @ np.asarray(x, dtype=np.int64)
+        return self.lower - self._outside @ np.asarray(x, dtype=np.int64)
 
     def relaxed_totals(self, x, free_units: int, first_free: int = 0) -> np.ndarray:
         """Under the max, a lower bound on every completion stationing at most
@@ -89,27 +85,36 @@ class CutTable:
         """Exact max_S [W(S) - x(I \\ S)], and W's stored maximizer on the
         lowest-index subset S, over all 2^I, attaining it.
 
-        The closed cuts are walked by upper value, best first, searching
-        exactly each one that can still beat the max; then the rows in index
-        order, searching a set only on a tie of its upper value.
+        The cuts are walked by upper value, best first, searching exactly
+        each one that can still beat the max. An attaining S lies in an
+        attaining cut C, with N(S) = N(C) and no unit in C \\ S; so the cuts
+        that can attain are visited by their lowest such S, ascending,
+        searching a set only while its cut is tied.
         """
         x = np.asarray(x, dtype=np.int64)
-        out = self._closed_outside @ x
-        upper = self.upper[self._closed_set] - out
-        value = int((self.lower[self._closed_set] - out).max())
-        for c in np.argsort(-upper, kind="stable"):
-            if upper[c] <= value:
+        out = self._outside @ x
+        upper = self.upper - out
+        value = int((self.lower - out).max())
+        for k in np.argsort(-upper, kind="stable"):
+            if upper[k] <= value:
                 break
-            value = max(value, self._refine(self._closed_set[c]) - int(out[c]))
-        out = self.outside @ x
-        for row in np.flatnonzero(self.upper[self._set_of_cut] - out >= value):
-            k = self._set_of_cut[row]
-            # upper is read again: a set searched at an earlier row is exact now
-            if self.lower[k] - out[row] < value <= self.upper[k] - out[row]:
+            value = max(value, self._refine(k) - int(out[k]))
+        # the lowest such S: from the highest station down, drop each empty
+        # one whose regions the rest still cover (greedy: N only shrinks with S)
+        cuts = np.flatnonzero(self.upper - out >= value)
+        lowest = self._inside[cuts]
+        times = lowest @ self._cover  # per cut and region: the stations of S covering it
+        for i in np.flatnonzero(x == 0)[::-1]:
+            drop = lowest[:, i] & np.all(times[:, self._cover[i] == 1] > 1, axis=1)
+            lowest[drop, i] = False
+            times[drop] -= self._cover[i]
+        # ascending subset index: the highest station decides first
+        for k in cuts[sorted(range(len(cuts)), key=lambda c: lowest[c, ::-1].tolist())]:
+            if self.lower[k] - out[k] < value:
                 self._refine(k)
             # a lower value that attains the max is W, and its first leaf,
             # the lexicographically largest member, is then W's maximizer
-            if self.lower[k] - out[row] == value:
+            if self.lower[k] - out[k] == value:
                 return value, self._leaves[k].copy()
         raise SolverError("no cut attains the worst case")
 

@@ -188,7 +188,7 @@ def solve_stochastic(
 ) -> StochasticSolution:
     """Minimize the empirical mean shortfall over the scenario set. The
     objective is the search's own: the mean of the stationing's integer
-    shortfall totals, as min cuts or, past the cut-table cap, max flows."""
+    shortfall totals, as least closed cuts."""
     result = minimize_deployment(ScenarioEvaluator(edges, scenarios.demands), n, mean_aggregator, config)
     return StochasticSolution(
         x_star=Deployment(result.x, n),

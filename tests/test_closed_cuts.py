@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emsdeploy.dispatchflow import ScenarioEvaluator, edges_from_coverage
+from emsdeploy.dispatchflow import ScenarioEvaluator, edges_from_coverage, min_shortfall
 from emsdeploy.robust import CutTable, solve_robust_ccg
 from emsdeploy.stochastic import ScenarioSet, solve_stochastic
 from oracles import box_members, brute_min_shortfall_many, compositions_at_most, exhaustive_best_deployment
@@ -17,11 +17,12 @@ from test_robust import binding_sets
 
 
 @st.composite
-def nested_coverages(draw, max_stations, n_regions):
+def nested_coverages(draw, max_stations, n_regions, min_stations=1):
     """Station coverage rows, each fresh, a copy of an earlier row, or
-    inside or around one."""
+    inside or around one. A row may be empty: a station that covers no
+    region."""
     rows = []
-    for _ in range(draw(st.integers(1, max_stations))):
+    for _ in range(draw(st.integers(min_stations, max_stations))):
         row = np.array(draw(st.lists(st.booleans(), min_size=n_regions, max_size=n_regions)), dtype=bool)
         kind = draw(st.sampled_from(["fresh", "copy", "inside", "around"])) if rows else "fresh"
         if kind != "fresh":
@@ -87,9 +88,10 @@ def test_solvers_on_closed_cuts_match_brute_force(uset, data):
     n_j = uset.n_regions
     edges = data.draw(nested_coverages(6, n_j))
     n_i, pairs = edges.n_stations, list(edges.edges)
-    station_mask, region_mask = edges.cut_masks()
-    closed, reach = edges.closed_cuts()
-    assert [station_mask.tolist(), region_mask.tolist(), closed.tolist(), reach.tolist()] == list(brute_cut_rows(edges))
+    stations, regions, closed, reach = brute_cut_rows(edges)
+    rows = sorted(zip(closed, reach), key=lambda row: [1.0 - v for v in regions[row[0]]])  # uncovered bits, region 0 first
+    inside, covered, got_reach = edges.closed_cuts()
+    assert [inside.tolist(), covered.tolist(), got_reach.tolist()] == [[stations[s] for s, _ in rows], [regions[s] for s, _ in rows], [r for _, r in rows]]
     m = data.draw(st.integers(1, 3))
     demands = np.array(data.draw(st.lists(st.integers(0, 2), min_size=m * n_j, max_size=m * n_j))).reshape(m, n_j)
     n = data.draw(st.integers(0, 3))
@@ -122,3 +124,27 @@ def test_solvers_on_closed_cuts_match_brute_force(uset, data):
     top = max(v for v, _ in values)
     assert top == best
     assert np.array_equal(rob.certifying_demand, next(d for v, d in values if v == top))
+
+
+@settings(max_examples=40, deadline=None)
+@given(binding_sets(max_regions=4), st.data())
+def test_solvers_past_fourteen_stations_match_brute_force(uset, data):
+    n_j = uset.n_regions
+    edges = data.draw(nested_coverages(18, n_j, min_stations=15))
+    n_i, pairs = edges.n_stations, list(edges.edges)
+    m = data.draw(st.integers(1, 3))
+    demands = np.array(data.draw(st.lists(st.integers(0, 2), min_size=m * n_j, max_size=m * n_j))).reshape(m, n_j)
+    n = data.draw(st.integers(0, 2))
+
+    sol = solve_stochastic(ScenarioSet(demands), n, edges)
+    want_x, want_obj = exhaustive_best_deployment(demands, n, n_i, pairs, lambda t: float(t.mean()))
+    assert tuple(sol.x_star.x) == want_x
+    assert sol.objective == want_obj
+
+    members = box_members(uset)
+    best = min(int(brute_min_shortfall_many(x, members, pairs).max()) for x in compositions_at_most(n, n_i))
+    rob = solve_robust_ccg(uset, n, edges)
+    assert rob.converged
+    assert rob.worst_case_shortfall == best
+    assert uset.contains(rob.certifying_demand)
+    assert min_shortfall(rob.x_star.x, rob.certifying_demand, edges).total == best

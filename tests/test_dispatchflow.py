@@ -108,7 +108,7 @@ def test_value_paths_agree():
     rng = np.random.default_rng(31)
     for _ in range(60):
         n_i = int(rng.integers(1, 5))
-        n_j = int(rng.integers(1, 5))
+        n_j = int(rng.integers(0, 5))
         pairs = [(i, j) for i in range(n_i) for j in range(n_j) if rng.random() < 0.6]
         edges = EdgeSet(pairs, n_i, n_j)
         x = rng.integers(0, 4, size=n_i)

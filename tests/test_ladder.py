@@ -1,9 +1,11 @@
 """Golden station ladder: both exact solvers on the README quickstart city
 (seed 7, 65 000 calls, fleet 6, 50 scenarios, alpha 0.01) as the station
-set grows from 8 to 12, pinned to the values the full 2^I cut enumeration
-gave before the search scored closed cuts only; one robust rung at alpha
-0.001, pinned to the values of the full W table; and the I = 12 cut
-table's bounds, pinned to the values the per-set bound pass gave."""
+set grows from 8 to 14, pinned to the values the full 2^I cut enumeration
+gave before the search scored closed cuts only; at 16 and 20 stations, with
+a fleet of 2, checked against exhaustive search and the certificate's own
+shortfall; one robust rung at alpha 0.001, pinned to the values of the full
+W table; and the I = 12 cut table's bounds, pinned to the values the
+per-set bound pass gave."""
 
 import hashlib
 from datetime import time as clock_time
@@ -12,12 +14,15 @@ import numpy as np
 import pytest
 
 from emsdeploy import demand, dispatchflow, geogrid, ingest, robust, stochastic, synth
+from oracles import exhaustive_best_deployment
 from test_robust import CountingSet
 
 FLEET = 6
 PEAK = (clock_time(8, 0), clock_time(20, 0), (0, 1, 2, 3, 4))
 # the quickstart stations first, then corners, centre and edge cells
 CELLS = (7, 10, 25, 28, 0, 5, 30, 35, 14, 21, 3, 32)
+# past 12 stations, the remaining cells in index order
+STATION_ORDER = CELLS + tuple(c for c in range(36) if c not in CELLS)
 
 # stations: (stochastic x, objective, robust x, worst case, certificate as
 # {region: demand}, closed cuts of the 2^I)
@@ -28,8 +33,11 @@ GOLDEN = {
          {0: 2, 1: 1, 2: 1, 18: 1, 22: 1, 23: 1, 24: 1, 25: 1}),
     12: ([0, 0, 0, 2, 1, 0, 1, 1, 0, 0, 1, 0], 0.74, [0, 0, 0, 0, 2, 1, 0, 2, 1, 0, 0, 0], 6,
          {0: 2, 1: 1, 2: 1, 18: 1, 22: 1, 23: 1, 24: 1, 25: 1}),
+    # the largest rung the 2^I table reached
+    14: ([0, 0, 1, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0], 0.68, [0, 0, 0, 0, 0, 0, 2, 1, 0, 2, 1, 0, 0, 0], 6,
+         {0: 2, 1: 1, 2: 1, 18: 1, 22: 1, 23: 1, 24: 1, 25: 1}),
 }
-CLOSED = {10: 188, 12: 544}
+CLOSED = {10: 188, 12: 544, 14: 875, 16: 1255, 20: 3424}
 # robust at alpha 0.001 and 12 stations: (x, worst case, certificate), where
 # the full W table took about 7 s
 LOW_ALPHA = ([0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0], 8, {3: 2, 4: 2, 17: 1, 18: 2, 22: 2, 23: 1, 24: 1})
@@ -64,7 +72,7 @@ def city(fitted):
 
 def ladder_edges(bounds, n_stations):
     grid = geogrid.build_grid(bounds, 6, 6, geogrid.SyntheticSpeedProvider(60.0),
-                              station_cells=sorted(CELLS[:n_stations]), hospital_cells=[14])
+                              station_cells=sorted(STATION_ORDER[:n_stations]), hospital_cells=[14])
     return dispatchflow.edges_from_coverage(geogrid.derive_coverage(grid, 600.0))
 
 
@@ -88,6 +96,24 @@ def test_ladder_matches_full_enumeration(city, n_stations):
     assert rob.worst_case_shortfall == worst_case
     assert rob.certifying_demand.tolist() == want.tolist()
     assert rob.converged
+
+
+@pytest.mark.parametrize("n_stations", [16, 20])
+def test_ladder_past_fourteen_stations_is_exact(city, n_stations):
+    bounds, uset, scenarios = city
+    edges = ladder_edges(bounds, n_stations)
+    assert len(edges.closed_cuts()[0]) == CLOSED[n_stations]
+
+    sol = stochastic.solve_stochastic(scenarios, 2, edges)
+    want_x, want_obj = exhaustive_best_deployment(scenarios.demands, 2, n_stations, list(edges.edges),
+                                                  lambda t: float(t.mean()))
+    assert tuple(sol.x_star.x) == want_x
+    assert sol.objective == pytest.approx(want_obj, abs=1e-12)
+
+    rob = robust.solve_robust_ccg(uset, 2, edges)
+    assert rob.converged
+    assert uset.contains(rob.certifying_demand)
+    assert dispatchflow.min_shortfall(rob.x_star.x, rob.certifying_demand, edges).total == rob.worst_case_shortfall
 
 
 def test_depth_aware_bound_visits_a_fifth_of_the_nodes(city):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emsdeploy import dispatchflow
 from emsdeploy.demand import UncertaintySet, enumerate_set
 from emsdeploy.dispatchflow import EdgeSet, min_shortfall, scenario_totals
 from emsdeploy.errors import SolverError
@@ -194,10 +195,20 @@ def test_robust_exact_beyond_enumeration_budget():
     assert min_shortfall(sol.x_star.x, sol.certifying_demand, edges).total == best
 
 
-def test_robust_refuses_more_stations_than_cut_tables_hold():
-    # the cut table has a row per station subset; 15 stations is past its cap
+def test_robust_solves_past_fourteen_stations():
+    # 2^15 station subsets, but one union of regions besides the empty one
+    edges = full_edges(15, 1)
+    assert len(edges.closed_cuts()[0]) == 2
+    sol = solve_robust_ccg(loose_set([1]), 1, edges)
+    assert sol.converged
+    assert sol.worst_case_shortfall == 0
+
+
+def test_robust_refuses_more_closed_cuts_than_the_budget(monkeypatch):
+    # stations covering disjoint regions give all 2^8 unions
+    monkeypatch.setattr(dispatchflow, "_MAX_CLOSED_CUTS", 1 << 6)
     with pytest.raises(SolverError):
-        solve_robust_ccg(loose_set([1]), 1, full_edges(15, 1))
+        solve_robust_ccg(loose_set([1] * 8), 1, EdgeSet([(i, i) for i in range(8)], 8, 8))
 
 
 @st.composite
@@ -320,6 +331,16 @@ def test_demand_bounds_bracket_max_demand(uset):
         assert best.tolist() == rows[rows.sum(axis=1) == value][-1].tolist()
         if lower == upper:
             assert np.array_equal(d, best)
+
+
+def test_open_bound_is_at_most_the_single_cap():
+    # every row, the global one too, holds region 0: only its single cap of 0 bounds it
+    full = np.ones((2, 2), dtype=bool)
+    uset = UncertaintySet(alpha=0.05, single_cap=np.array([0, 1]), local_cap=np.array([1, 1]),
+                          regional_cap=np.array([1, 1]), global_cap=1, adjacency=full, coverage_ball=full)
+    lower, upper, leaves = uset.demand_bounds_stack(np.ones((1, 2), dtype=bool))
+    assert (int(lower[0]), int(upper[0]), leaves[0].tolist()) == (1, 1, [0, 1])
+    assert uset.demand_bounds(np.ones(2, dtype=bool))[:2] == reference_demand_bounds(uset, np.ones(2, dtype=bool))[:2]
 
 
 @settings(max_examples=300, deadline=None)
