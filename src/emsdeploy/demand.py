@@ -10,7 +10,8 @@ regions at worst; its root gives two cheap bounds on the same value, which
 meet on most region sets. The bounds of a whole stack of region sets come
 from one batched numpy pass: which caps bind each set is one matrix
 product, and the upper bound's greedy partitions advance a step at a time
-across every set. The search reads its partitions from the same routine.
+across every set, under two rules of which each set keeps the tighter. The
+search reads its partitions from the same routine.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -153,35 +155,60 @@ class UncertaintySet:
         rows = np.vstack([self.adjacency, self.coverage_ball, np.ones((1, n), dtype=bool)])
         return rows, np.concatenate([self.local_cap, self.regional_cap, [self.global_cap]])
 
-    def _partitions(self, masks: np.ndarray) -> tuple[np.ndarray, list[list[tuple[np.ndarray, np.ndarray]]]]:
+    def _partitions(self, masks: np.ndarray) -> tuple[np.ndarray, list[list[tuple[np.ndarray, np.ndarray]]], np.ndarray]:
         """The binding rows and the upper bound's three partitions (local
         neighborhoods, coverage balls, all under the global cap) of every mask
-        in an S x n stack.
+        in an S x n stack, with each partition's root value.
 
         A row binds a mask when its cap is below its masked regions'
-        single-cap sum; a cap at least that sum never binds. Each level's
-        greedy step takes, for every set, the binding row that holds most of
-        what is left (the first such row on ties), and once no binding row
-        holds any of it, every region left alone. Returns (binding, steps):
+        single-cap sum; a cap at least that sum never binds. A region's open
+        bound is its single cap or, if less, the least cap of a row holding
+        it: a row that does not bind a mask has a cap at least the single cap
+        of every masked region it holds, so it never sets that minimum. A
+        partition's root value is its groups' summed min(cap, open-bound sum).
+        Each level runs two greedy rules on every set: one takes the binding
+        row holding most of what is left, the other the binding row whose
+        left regions' open bounds exceed its cap by the most, each the first
+        such row on ties; once no row holds (or saves) anything, every region
+        left goes alone. Each set keeps, per level, the partition of lower
+        root value, the first rule's on ties. Returns (binding, steps, root):
         binding is S x R over ``_rows()``; steps[level] lists the steps as
         (row, group), row the S taken rows, -1 for regions alone, and group
-        the S x n regions the step takes."""
+        the S x n regions the step takes; root is 3 x S."""
         rows, caps = self._rows()
         n = self.n_regions
         # float products (exact on these small integers) run in BLAS
         binding = caps < masks @ (rows * self.single_cap).T.astype(np.float64)
-        steps = []
-        for lo, hi in ((0, n), (n, 2 * n), (2 * n, 2 * n + 1)):
-            level, left, held = [], masks.copy(), rows[lo:hi].T.astype(np.float64)
+        open_bound = np.minimum(self.single_cap, np.where(rows, caps[:, None], self.single_cap).min(axis=0))
+
+        def greedy(lo, hi, gain):
+            level, left, value = [], masks.copy(), np.zeros(len(masks), dtype=np.int64)
             while left.any():
-                count = np.where(binding[:, lo:hi], left @ held, 0)
-                k = count.argmax(axis=1)
-                alone = count[np.arange(len(k)), k] == 0
+                score = np.where(binding[:, lo:hi], gain(left), 0)
+                k = score.argmax(axis=1)
+                # a row taken holds a region left, so every set's loop ends
+                alone = score.max(axis=1) <= 0
                 group = np.where(alone[:, None], left, left & rows[lo + k])
-                level.append((np.where(alone, -1, lo + k), group))
+                row = np.where(alone, -1, lo + k)
+                bounds = group @ open_bound
+                value += np.where(alone, bounds, np.minimum(caps[row], bounds))
+                level.append((row, group))
                 left &= ~group
-            steps.append(level)
-        return binding, steps
+            return level, value
+
+        steps, root = [], []
+        for lo, hi in ((0, n), (n, 2 * n), (2 * n, 2 * n + 1)):
+            held = rows[lo:hi].T.astype(np.float64)
+            weight = held * open_bound[:, None]
+            most, most_value = greedy(lo, hi, lambda left: left @ held)
+            saved, saved_value = greedy(lo, hi, lambda left: left @ weight - caps[lo:hi])
+            pick = saved_value < most_value
+            empty = (np.full(len(masks), -1), np.zeros_like(masks))
+            steps.append([(np.where(pick, r_saved, r_most), np.where(pick[:, None], g_saved, g_most))
+                          for (r_most, g_most), (r_saved, g_saved)
+                          in itertools.zip_longest(most, saved, fillvalue=empty)])
+            root.append(np.minimum(most_value, saved_value))
+        return binding, steps, np.array(root)
 
     def _prepare(self, regions) -> tuple[np.ndarray, list[int], list[list[int]], list]:
         """The fixed data of a search on ``regions`` (a boolean mask): the
@@ -193,7 +220,7 @@ class UncertaintySet:
         picked = np.flatnonzero(mask)
         m = len(picked)
         rows, caps = self._rows()
-        binding, steps = self._partitions(mask[None])
+        binding, steps, _ = self._partitions(mask[None])
         bound = np.flatnonzero(binding[0])
         residual = self.single_cap[picked].tolist() + caps[bound].tolist()
         limits = [[p] for p in range(m)]
@@ -217,23 +244,14 @@ class UncertaintySet:
         """``demand_bounds`` of every mask in an S x n boolean stack, in one
         batched pass: (lower, upper, leaves), S, S and S x n.
 
-        A region's open bound at the root is its single cap or, if less, the
-        least cap of a row holding it: a row that does not bind a mask has a
-        cap at least the single cap of every masked region it holds, so it
-        never sets that minimum. The upper bound is the least over the three
-        partitions of the groups' summed min(cap, open bounds). The first leaf
-        gives each masked region in index order the most the caps left allow;
-        a row that does not bind keeps at least the single caps of the
-        regions it still holds, so all rows can take part."""
+        The upper bound is the least of the three partitions' root values,
+        from ``_partitions``. The first leaf gives each masked region in index
+        order the most the caps left allow; a row that does not bind keeps at
+        least the single caps of the regions it still holds, so all rows can
+        take part."""
         masks = np.asarray(masks, dtype=bool).reshape(-1, self.n_regions)
         rows, caps = self._rows()
-        _, steps = self._partitions(masks)
-        open_bound = np.minimum(self.single_cap, np.where(rows, caps[:, None], self.single_cap).min(axis=0))
-        totals = np.zeros((len(steps), len(masks)), dtype=np.int64)
-        for total, level in zip(totals, steps):
-            for row, group in level:
-                held = group @ open_bound
-                total += np.where(row < 0, held, np.minimum(caps[row], held))
+        _, _, root = self._partitions(masks)
         residual = np.repeat(caps[None], len(masks), axis=0)
         leaves = np.zeros(masks.shape, dtype=np.int64)
         for p in range(self.n_regions):
@@ -241,7 +259,7 @@ class UncertaintySet:
             v = np.where(masks[:, p], np.minimum(residual[:, holding].min(axis=1), self.single_cap[p]), 0)
             residual[:, holding] -= v[:, None]
             leaves[:, p] = v
-        return leaves.sum(axis=1), totals.min(axis=0), leaves
+        return leaves.sum(axis=1), root.min(axis=0), leaves
 
     def demand_bounds(self, regions) -> tuple[int, int, np.ndarray]:
         """Two cheap bounds on ``max_demand(regions)``'s value, from the root of
@@ -262,11 +280,25 @@ class UncertaintySet:
         completion beats the incumbent, bounded by the least over three fixed
         partitions of the mask (local neighborhoods, coverage balls, all under
         the global cap) of the groups' summed min(residual cap, open bounds).
-        Exponential in the mask size at worst; ``demand_bounds`` gives the
-        root's bound and first leaf, which meet on most masks.
+        The partitions are ``_partitions``' best of two greedy rules per
+        level, so the root bound is the one ``demand_bounds`` reports; the
+        bound reads residuals and open bounds through getters built once per
+        region and per group. Exponential in the mask size at worst;
+        ``demand_bounds`` gives the root's bound and first leaf, which meet on
+        most masks, and then the search's first leaf is already optimal.
         """
         picked, residual, limits, partitions = self._prepare(regions)
         m = len(picked)
+        # getters built once: a region's residuals (its own one twice, so a
+        # lone cap still reads as a tuple), and, per node depth t, each group's
+        # regions t and later as offsets into that node's open bounds, which
+        # end in a 0 for the same reason; groups with none of them add 0
+        caps_of = [itemgetter(*held, held[0]) for held in limits]
+        live = []
+        for t in range(m):
+            pad = m - t
+            live.append([[(k, itemgetter(*(p - t for p in g if p >= t), pad)) for k, g in groups if g[-1] >= t]
+                         for groups in partitions])
         values, best = [0] * m, [-1, []]
 
         def descend(t: int, total: int) -> None:
@@ -274,28 +306,26 @@ class UncertaintySet:
                 if total > best[0]:
                     best[:] = total, list(values)
                 return
-            if total + _completion_bound(residual, limits, partitions, t) <= best[0]:
+            # the completion bound, a later region's open bound being its
+            # least residual: cut once one partition's cannot beat the best
+            ub = [min(get(residual)) for get in caps_of[t:]]
+            ub.append(0)
+            gap = best[0] - total
+            if any(sum([min(residual[k], sum(get(ub))) for k, get in gs]) <= gap for gs in live[t]):
                 return
-            for v in range(min(residual[k] for k in limits[t]), -1, -1):
-                for k in limits[t]:
+            held = limits[t]
+            for v in range(ub[0], -1, -1):
+                for k in held:
                     residual[k] -= v
                 values[t] = v
                 descend(t + 1, total + v)
-                for k in limits[t]:
+                for k in held:
                     residual[k] += v
 
         descend(0, 0)
         out = np.zeros(self.n_regions, dtype=np.int64)
         out[picked] = best[1]
         return best[0], out
-
-
-def _completion_bound(residual: list[int], limits: list[list[int]], partitions, t: int) -> int:
-    """Most demand regions t and later can still take: the least over the
-    partitions of the groups' summed min(residual cap, open bounds), a
-    region's open bound being its least residual."""
-    ub = [0] * t + [min(residual[k] for k in limits[p]) for p in range(t, len(limits))]
-    return min(sum(min(residual[k], sum(ub[p] for p in g)) for k, g in gs) for gs in partitions)
 
 
 def build_uncertainty_set(
@@ -354,18 +384,39 @@ def save_uncertainty_set(uset: UncertaintySet, path: str | Path) -> None:
 
 
 def load_uncertainty_set(path: str | Path, adjacency: np.ndarray, coverage_ball: np.ndarray) -> UncertaintySet:
-    """Rebuild a set from exported caps plus the grid's membership matrices."""
+    """Rebuild a set from exported caps plus the grid's membership matrices.
+
+    Raises DataError naming the file when it is missing or not JSON, lacks a
+    key, or its caps are not nonnegative integers, one per grid region."""
     try:
         with open(path) as f:
             doc = json.load(f)
     except FileNotFoundError:
         raise DataError(f"uncertainty set not found: {path}")
+    except ValueError as exc:  # not JSON, or not text
+        raise DataError(f"{path}: not a JSON uncertainty set ({exc})") from None
+    keys = ("alpha", "single_cap", "local_cap", "regional_cap", "global_cap")
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object with keys {', '.join(keys)}")
+    missing = [key for key in keys if key not in doc]
+    if missing:
+        raise DataError(f"{path}: missing key(s) {', '.join(missing)}")
+    n = len(adjacency)
+    vectors = {key: doc[key] for key in keys[1:4]}
+    for key, values in vectors.items():
+        if not isinstance(values, list) or len(values) != n:
+            raise DataError(f"{path}: {key} must list {n} caps, one per grid region")
+    for key, values in [*vectors.items(), ("global_cap", [doc["global_cap"]])]:
+        if not all(type(v) is int and v >= 0 for v in values):  # bool is not a cap
+            raise DataError(f"{path}: {key} must hold nonnegative integers")
+    if type(doc["alpha"]) not in (int, float):
+        raise DataError(f"{path}: alpha must be a number")
     return UncertaintySet(
         alpha=float(doc["alpha"]),
-        single_cap=np.array(doc["single_cap"], dtype=np.int64),
-        local_cap=np.array(doc["local_cap"], dtype=np.int64),
-        regional_cap=np.array(doc["regional_cap"], dtype=np.int64),
-        global_cap=int(doc["global_cap"]),
+        single_cap=np.array(vectors["single_cap"], dtype=np.int64),
+        local_cap=np.array(vectors["local_cap"], dtype=np.int64),
+        regional_cap=np.array(vectors["regional_cap"], dtype=np.int64),
+        global_cap=doc["global_cap"],
         adjacency=adjacency,
         coverage_ball=coverage_ball,
     )

@@ -286,6 +286,9 @@ def save_demand_matrix(matrix: DemandMatrix, path: str | Path) -> None:
 
 
 def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> DemandMatrix:
+    """Read ``save_demand_matrix``'s CSV. Raises DataError with the line
+    number for a row whose width differs from the header's, a period start
+    that is not an ISO timestamp, or a count that is not an integer."""
     starts: list[datetime] = []
     rows: list[list[int]] = []
     with open(path, newline="") as f:
@@ -293,9 +296,15 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
         header = next(reader, None)
         if header is None:
             raise DataError(f"{path}: empty demand matrix file")
-        for line in reader:
-            starts.append(datetime.fromisoformat(line[0]))
-            rows.append([int(v) for v in line[1:]])
+        width = len(header)
+        try:
+            for line in reader:
+                if len(line) != width:
+                    raise DataError(f"{path}: line {reader.line_num}: {len(line)} fields, the header has {width}")
+                starts.append(datetime.fromisoformat(line[0]))
+                rows.append(list(map(int, line[1:])))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         return DemandMatrix(np.zeros((0, 0), dtype=np.int64), period_length_s, [])
     return DemandMatrix(np.array(rows, dtype=np.int64), period_length_s, starts)

@@ -128,11 +128,12 @@ def box_members(uset) -> np.ndarray:
     return np.vstack(rows)
 
 
-def reference_demand_bounds(uset, regions) -> tuple[int, int, np.ndarray]:
-    """(lower, upper, first leaf) of the exact search's root on one mask, set
-    by set: the binding rows and greedy partitions built with Python sets,
-    the completion bound at t = 0, and the first leaf taking each masked
-    region's least residual in index order."""
+def _reference_root(uset, regions):
+    """The exact search's fixed data on one mask, built with Python sets:
+    the masked region indices, the residual caps (each region's own cap,
+    then the binding rows'), each region's limits, and each level's two
+    greedy partitions as (residual, regions) groups, the rule that takes the
+    row holding most of what is left first."""
     picked = np.flatnonzero(np.asarray(regions, dtype=bool))
     n, m = uset.n_regions, len(picked)
     rows = np.vstack([uset.adjacency[:, picked], uset.coverage_ball[:, picked], np.ones((1, m), dtype=bool)])
@@ -146,24 +147,54 @@ def reference_demand_bounds(uset, regions) -> tuple[int, int, np.ndarray]:
     for c, p in np.argwhere(rows[binding]).tolist():
         holds[m + c].add(p)
         limits[p].append(m + c)
+    ub = [min(residual[k] for k in limits[p]) for p in range(m)]
+
+    def most(left, k):  # regions held
+        return len(left & holds[k])
+
+    def saved(left, k):  # open bounds over the cap
+        return sum(ub[p] for p in left & holds[k]) - residual[k]
+
     partitions = []
     for level in range(3):
-        groups, left = [], set(range(m))
         level_rows = [m + k for k, c in enumerate(binding) if c // n == level]
-        while left:  # the row that holds most of what is left, else one region alone
-            k = max(level_rows + [min(left)], key=lambda k: len(left & holds[k]))
-            groups.append((k, sorted(left & holds[k])))
-            left -= holds[k]
-        partitions.append(groups)
-    ub = [min(residual[k] for k in limits[p]) for p in range(m)]
-    upper = min(sum(min(residual[k], sum(ub[p] for p in g)) for k, g in gs) for gs in partitions)
+        for gain in (most, saved):
+            groups, left = [], set(range(m))
+            while left:  # the first row of most gain, else every region left alone
+                k = max(level_rows, key=lambda k: gain(left, k), default=None)
+                if k is None or gain(left, k) <= 0:
+                    groups.extend((p, [p]) for p in sorted(left))
+                    break
+                groups.append((k, sorted(left & holds[k])))
+                left -= holds[k]
+            partitions.append(groups)
+    return picked, residual, limits, partitions
+
+
+def reference_root_values(uset, regions) -> list[tuple[int, int]]:
+    """Per level, the root values (the groups' summed min(cap, open bounds))
+    of the partitions taking the row that holds most of what is left and the
+    row that saves most."""
+    _, residual, limits, partitions = _reference_root(uset, regions)
+    ub = [min(residual[k] for k in held) for held in limits]
+    values = [sum(min(residual[k], sum(ub[p] for p in g)) for k, g in gs) for gs in partitions]
+    return list(zip(values[::2], values[1::2]))
+
+
+def reference_demand_bounds(uset, regions) -> tuple[int, int, np.ndarray]:
+    """(lower, upper, first leaf) of the exact search's root on one mask, set
+    by set: upper is the least root value over both greedy partitions of the
+    three levels, and the first leaf takes each masked region's least
+    residual in index order."""
+    picked, residual, limits, _ = _reference_root(uset, regions)
+    upper = min(min(pair) for pair in reference_root_values(uset, regions))
     leaf = []
     for held in limits:
         v = min(residual[k] for k in held)
         for k in held:
             residual[k] -= v
         leaf.append(v)
-    out = np.zeros(n, dtype=np.int64)
+    out = np.zeros(uset.n_regions, dtype=np.int64)
     out[picked] = leaf
     return sum(leaf), upper, out
 

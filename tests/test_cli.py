@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -196,6 +197,64 @@ def test_missing_calls_file_is_exit_3(tmp_path):
     out = tmp_path / "out"
     assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 3
+
+
+@pytest.fixture(scope="module")
+def fitted_run(city, tmp_path_factory):
+    """An output directory through grid, preprocess and fit."""
+    out = tmp_path_factory.mktemp("fitted") / "run"
+    for sub in ("grid", "preprocess", "fit"):
+        assert run(city, sub, out) == 0
+    return out
+
+
+def _drop_global_cap(doc):
+    del doc["global_cap"]
+
+
+def _short_single_caps(doc):
+    doc["single_cap"] = doc["single_cap"][:-1]
+
+
+def _negative_local_cap(doc):
+    doc["local_cap"][0] = -1
+
+
+def _fractional_regional_cap(doc):
+    doc["regional_cap"][0] = 1.5
+
+
+@pytest.mark.parametrize("spoil", [None, _drop_global_cap, _short_single_caps, _negative_local_cap,
+                                   _fractional_regional_cap],
+                         ids=["invalid-json", "missing-key", "cap-length", "negative-cap", "non-integer-cap"])
+def test_malformed_uncertainty_set_is_exit_3(city, fitted_run, tmp_path, capsys, spoil):
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    path = out / "uncertainty.json"
+    if spoil is None:
+        path.write_text(path.read_text()[:-10])
+    else:
+        doc = json.loads(path.read_text())
+        spoil(doc)
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(city, "optimize", out) == 3
+    assert "uncertainty.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, spoil", [(3, lambda row: row[:-1]), (2, lambda row: row[:1] + ["1.5"] + row[2:])],
+                         ids=["row-width", "non-integer-count"])
+def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, line, spoil):
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    path = out / "demand_matrix.csv"
+    lines = path.read_text().splitlines()
+    lines[line - 1] = ",".join(spoil(lines[line - 1].split(",")))
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(city, "fit", out) == 3
+    err = capsys.readouterr().err
+    assert "demand_matrix.csv" in err and f"line {line}:" in err
 
 
 def test_missing_upstream_names_prior_subcommand(city, tmp_path, capsys):

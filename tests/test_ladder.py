@@ -4,8 +4,9 @@ set grows from 8 to 14, pinned to the values the full 2^I cut enumeration
 gave before the search scored closed cuts only; at 16 and 20 stations, with
 a fleet of 2, checked against exhaustive search and the certificate's own
 shortfall; one robust rung at alpha 0.001, pinned to the values of the full
-W table; and the I = 12 cut table's bounds, pinned to the values the
-per-set bound pass gave."""
+W table; the I = 12 cut table's bounds, pinned to the values the per-set
+bound pass gave; and the exact W of every set of that table at alpha 0.001,
+pinned to the values the search gave with one greedy partition per level."""
 
 import hashlib
 from datetime import time as clock_time
@@ -39,16 +40,23 @@ GOLDEN = {
 }
 CLOSED = {10: 188, 12: 544, 14: 875, 16: 1255, 20: 3424}
 # robust at alpha 0.001 and 12 stations: (x, worst case, certificate), where
-# the full W table took about 7 s
+# the full W table once took about 7 s and now under 2 s (LOW_ALPHA_W_TABLE)
 LOW_ALPHA = ([0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0], 8, {3: 2, 4: 2, 17: 1, 18: 2, 22: 2, 23: 1, 24: 1})
 # best-first nodes at I = 12 when every bound pooled the free units at any station
 FULL_POOL_NODES_I12 = 4132
-# the fresh I = 12 cut table's 544 region sets, as the per-set bound pass
-# built it: SHA-256 of the lower values', the upper values' and the first
-# leaves' int64 bytes, and the number of sets whose bounds meet
+# the fresh I = 12 cut table's 544 region sets: SHA-256 of the lower values',
+# the upper values' and the first leaves' int64 bytes, and the number of sets
+# whose bounds meet. The lower values and leaves are the per-set bound pass's;
+# the upper values take the better of two greedy partitions per level, which
+# meet on 497 sets where the one partition that takes the row holding most
+# met on 439
 TABLE_I12 = ("f0a86a1747c60620303fabc0be12079344916ca088a853a8b1d905b10bf01e7b",
-             "54598fd0243bee07b3cd0bed2deaf4321e08efa3d1e9b583b8494b09dd3f84af",
-             "0eef831d2f72862486f6e1d23ec3b496f1944353b603cd7c213400c4c5835f98", 439)
+             "7d99ff332eba67b634288e3e3f0564af4f9431316f954d8e8548b075b566dc89",
+             "0eef831d2f72862486f6e1d23ec3b496f1944353b603cd7c213400c4c5835f98", 497)
+# every set of that table at alpha 0.001, searched exactly: SHA-256 of the W
+# values' and the maximizers' int64 bytes
+LOW_ALPHA_W_TABLE = ("94f819bb555b28f89966d4ea318053df2a0919964b8737e1c96c7203f93fbd84",
+                     "f6bd2f84df73a4151c254027cd2ac24c2e4d2aaf00a8cf7b454b9688c022b720")
 
 
 @pytest.fixture(scope="module")
@@ -152,3 +160,16 @@ def test_cut_table_bounds_match_the_per_set_pass(city):
     digests = tuple(hashlib.sha256(a.astype(np.int64).tobytes()).hexdigest()
                     for a in (cuts.lower, cuts.upper, cuts._leaves))
     assert digests + (int((cuts.lower == cuts.upper).sum()),) == TABLE_I12
+
+
+def test_low_alpha_w_table_matches_the_one_partition_search(fitted):
+    bounds, _, adjacency, ball, rates = fitted
+    uset = demand.build_uncertainty_set(rates, 0.001, adjacency, ball)
+    cuts = robust.CutTable(uset, ladder_edges(bounds, 12))
+    found = [uset.max_demand(regions) for regions in cuts._regions]
+    w = np.array([value for value, _ in found], dtype=np.int64)
+    d = np.array([best for _, best in found], dtype=np.int64)
+    assert len(w) == CLOSED[12]
+    assert (cuts.lower <= w).all() and (w <= cuts.upper).all()
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest() for a in (w, d))
+    assert digests == LOW_ALPHA_W_TABLE

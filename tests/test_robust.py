@@ -13,7 +13,13 @@ from emsdeploy.robust import (
     worst_case_demand,
 )
 from emsdeploy.stochastic import ScenarioSet, SearchConfig, solve_stochastic
-from oracles import box_members, brute_min_shortfall_many, compositions_at_most, reference_demand_bounds
+from oracles import (
+    box_members,
+    brute_min_shortfall_many,
+    compositions_at_most,
+    reference_demand_bounds,
+    reference_root_values,
+)
 
 
 def full_edges(n_i, n_j):
@@ -333,6 +339,37 @@ def test_demand_bounds_bracket_max_demand(uset):
             assert np.array_equal(d, best)
 
 
+@settings(max_examples=300, deadline=None)
+@given(binding_sets(max_regions=8, max_cap=4), st.data())
+def test_partitions_cover_each_mask_and_never_loosen_the_greedy_bound(uset, data):
+    n_j = uset.n_regions
+    drawn = data.draw(st.lists(st.lists(st.booleans(), min_size=n_j, max_size=n_j), min_size=1, max_size=8))
+    stack = np.array(drawn, dtype=bool)
+    rows, caps = uset._rows()
+    binding, steps, root = uset._partitions(stack)
+    assert root.shape == (3, len(stack))
+    for s, mask in enumerate(stack):
+        # a region's open bound: its single cap, or a binding row's cap if less
+        open_bound = np.array([min([int(uset.single_cap[p])] + caps[binding[s] & rows[:, p]].tolist())
+                               for p in range(n_j)])
+        greedy = reference_root_values(uset, mask)
+        for level, (lo, hi) in enumerate(((0, n_j), (n_j, 2 * n_j), (2 * n_j, 2 * n_j + 1))):
+            seen, value = np.zeros(n_j, dtype=bool), 0
+            for row, group in steps[level]:
+                r, g = int(row[s]), group[s]
+                assert not (g & seen).any()
+                seen |= g
+                if r < 0:
+                    value += int(open_bound[g].sum())
+                else:
+                    assert lo <= r < hi and binding[s, r]
+                    assert not (g & ~rows[r]).any()
+                    value += min(int(caps[r]), int(open_bound[g].sum()))
+            assert seen.tolist() == mask.tolist()
+            most, saved = greedy[level]
+            assert int(root[level, s]) == value == min(most, saved) <= most
+
+
 def test_open_bound_is_at_most_the_single_cap():
     # every row, the global one too, holds region 0: only its single cap of 0 bounds it
     full = np.ones((2, 2), dtype=bool)
@@ -427,13 +464,15 @@ def test_robust_solve_searches_again_when_a_lower_value_misleads():
 
 
 def test_worst_case_searches_a_tied_set_once():
-    # one ball holds both regions, capped at 2 in row 0 and 1 in row 1: W = 1
-    # on both, but the upper bound's partition takes row 0, so it reads 2.
-    # Station 0 covers nothing, so the subsets {} and {0} share a region set
-    # and, at x_0 = 0, a station side: both tie on the upper value
-    uset = CountingSet(alpha=0.05, single_cap=[1, 2], local_cap=[1, 2], regional_cap=[2, 1], global_cap=3,
-                       adjacency=np.eye(2, dtype=bool), coverage_ball=np.ones((2, 2), dtype=bool))
-    assert uset.demand_bounds(np.ones(2, dtype=bool))[:2] == (1, 2)
-    wc = worst_case_demand(np.array([0, 1]), uset, EdgeSet([(1, 1)], 2, 2))
-    assert (wc.shortfall, wc.demand.tolist()) == (1, [1, 0])
+    # three regions on an odd cycle of neighborhoods, each pair capped at 1:
+    # W = 1 on all three, but every partition holds one pair and one region
+    # alone, so the upper bound reads 2. Station 0 covers nothing, so the
+    # subsets {} and {0} share a region set and, at x_0 = 0, a station side:
+    # both tie on the upper value
+    adjacency = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)
+    uset = CountingSet(alpha=0.05, single_cap=[1, 1, 1], local_cap=[1, 1, 1], regional_cap=[1, 1, 1],
+                       global_cap=3, adjacency=adjacency, coverage_ball=np.eye(3, dtype=bool))
+    assert uset.demand_bounds(np.ones(3, dtype=bool))[:2] == (1, 2)
+    wc = worst_case_demand(np.array([0, 1]), uset, EdgeSet([(1, 2)], 2, 3))
+    assert (wc.shortfall, wc.demand.tolist()) == (1, [1, 0, 0])
     assert len(uset.searched) == 1
