@@ -22,6 +22,7 @@ import sys
 from dataclasses import dataclass, field
 from datetime import time
 from pathlib import Path
+from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 
 import numpy as np
 
@@ -112,6 +113,10 @@ class RunConfig:
             raise ConfigError("speed_kmh must be positive")
         if not (0 < self.alpha < 1):
             raise ConfigError("alpha must lie in (0, 1)")
+        try:
+            ZoneInfo(self.timezone)
+        except (ZoneInfoNotFoundError, ValueError) as exc:
+            raise ConfigError(f"unknown timezone {self.timezone!r} ({exc})")
         for name, kinds, what in (
             ("alphas", (int, float), "numbers"),
             ("station_cells", int, "integers"),
@@ -165,6 +170,17 @@ class RunConfig:
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
 
+# the JSON types a non-string value may take, by the type of the field's
+# default: bool before int, which it subclasses; lists are checked in validate
+_JSON_KINDS = (
+    (bool, (bool,), "true or false"),
+    (int, (int,), "an integer"),
+    (float, (int, float), "a number"),
+    (str, (str,), "a string"),
+    (type(None), (str, type(None)), "a path string or null"),
+)
+
+
 def _coerce(name: str, value, current):
     if isinstance(value, str):
         text = value
@@ -182,6 +198,11 @@ def _coerce(name: str, value, current):
         if isinstance(current, list):
             return json.loads(text)
         return text
+    for default_type, kinds, what in _JSON_KINDS:
+        if isinstance(current, default_type):
+            if not isinstance(value, kinds) or (isinstance(value, bool) and default_type is not bool):
+                raise ConfigError(f"{name} must be {what}, got {value!r}")
+            break
     return value
 
 

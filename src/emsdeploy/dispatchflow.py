@@ -243,54 +243,65 @@ def min_shortfall(x, d, edges) -> ShortfallResult:
     return ShortfallResult(z=z, total=int(z.sum()), routing=routing)
 
 
-def shortfall_total(x, d, edges) -> int:
-    """Minimum total shortfall, value only."""
-    d = np.asarray(d, dtype=np.int64)
-    return int(scenario_totals(x, d.reshape(1, -1), edges)[0])
+class ClosedCutEvaluator:
+    """The closed cuts' station side, shared by the solvers' evaluators.
+
+    ``stochastic.minimize_deployment`` asks an evaluator for ``value(x)``,
+    its exact objective, and ``bound(x, free, k)``, a lower bound on the
+    value of every completion adding at most ``free`` units at stations k
+    and later. Those units are pooled: the pool adds to the station side of
+    each cut leaving such a station outside S (reach >= k), the only cuts
+    on which a completion's added units count, so no completion has a larger
+    side on any cut. Both objectives fall as station sides rise, so the
+    bound is admissible; at k = |I| the pool raises no cut.
+    """
+
+    def __init__(self, edges: EdgeSet):
+        self.edges = edges
+        self._inside, self._covered, self._reach = edges.closed_cuts()
+        self._outside = (~self._inside).astype(np.float64)  # row: the stations not in S
+
+    def station_side(self, x, free_units: int = 0, first_free: int = 0) -> np.ndarray:
+        """x(I \\ S) per closed cut S, plus ``free_units`` pooled for stations
+        ``first_free`` and later."""
+        pool = np.where(self._reach >= first_free, float(free_units), 0.0)
+        return self._outside @ np.asarray(x, dtype=np.float64) + pool
 
 
-def scenario_totals(x, demands, edges) -> np.ndarray:
-    """Minimum shortfall totals of one stationing against many demand rows."""
-    demands = np.asarray(demands, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    es = _as_edges(edges, len(x), demands.shape[1])
-    return ScenarioEvaluator(es, demands).totals(x)
+class ScenarioEvaluator(ClosedCutEvaluator):
+    """Batched shortfall totals for a fixed edge set and demand matrix; the
+    objective is their mean over the scenarios.
 
-
-class ScenarioEvaluator:
-    """Batched shortfall totals for a fixed edge set and demand matrix.
-
-    Caches the closed cuts' station and region sides so solvers can score
-    many candidate stationings cheaply.
+    Caches the closed cuts' region sides so solvers can score many
+    candidate stationings cheaply.
     """
 
     def __init__(self, edges: EdgeSet, demands: np.ndarray):
-        self.edges = edges
+        super().__init__(edges)
         self.demands = np.asarray(demands, dtype=np.int64)
         if self.demands.ndim != 2 or self.demands.shape[1] != edges.n_regions:
             raise DataError("demand matrix must be scenarios x regions")
-        inside, covered, self._reach = edges.closed_cuts()
-        self._outside = (~inside).astype(np.float64)  # row: the stations not in S
         # cost of the region side of each closed cut, per cut x scenario
-        self._region_cost = covered.astype(np.float64) @ self.demands.T.astype(np.float64)
+        self._region_cost = self._covered.astype(np.float64) @ self.demands.T.astype(np.float64)
         self._demand_sums = self.demands.sum(axis=1)
 
     def totals(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=np.int64)
         if x.shape != (self.edges.n_stations,):
             raise DataError("stationing length must match station count")
-        return self._shortfall(self._outside @ x.astype(np.float64))
+        return self._shortfall(self.station_side(x))
 
     def relaxed_totals(self, x, free_units: int, first_free: int = 0) -> np.ndarray:
-        """Totals when ``free_units`` more ambulances form one pool that
-        stations ``first_free`` and later may draw on: the pool adds to the
-        cuts that leave such a station outside S. A lower bound on every
-        completion stationing at most ``free_units`` more there, never below
-        max(totals - free_units, 0)."""
-        pool = np.where(self._reach >= first_free, float(free_units), 0.0)
-        return self._shortfall(self._outside @ np.asarray(x, dtype=np.float64) + pool)
+        """Totals with ``free_units`` more ambulances pooled for stations
+        ``first_free`` and later, never below max(totals - free_units, 0)."""
+        return self._shortfall(self.station_side(x, free_units, first_free))
+
+    def bound(self, x, free_units: int, first_free: int) -> float:
+        return float(self.relaxed_totals(x, free_units, first_free).mean())
+
+    def value(self, x) -> float:
+        return self.bound(x, 0, self.edges.n_stations)
 
     def _shortfall(self, station_side: np.ndarray) -> np.ndarray:
         maxflow = (station_side[:, None] + self._region_cost).min(axis=0)
         return np.rint(self._demand_sums - maxflow).astype(np.int64)
-

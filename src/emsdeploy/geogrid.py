@@ -176,17 +176,6 @@ def build_grid(
     )
 
 
-def build_square_grid(num_regions: int, bounds: Bounds, provider: TravelTimeProvider, **kw) -> Grid:
-    """Convenience wrapper taking a region count instead of rows x cols.
-
-    num_regions must be a perfect square.
-    """
-    side = math.isqrt(num_regions)
-    if side * side != num_regions:
-        raise ConfigError(f"num_regions must be a perfect square, got {num_regions}")
-    return build_grid(bounds, side, side, provider, **kw)
-
-
 def assign_cells(
     grid: Grid, lats: Sequence[float], lons: Sequence[float], snap_cells: float = 0.0
 ) -> tuple[np.ndarray, np.ndarray]:

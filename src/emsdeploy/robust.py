@@ -12,8 +12,9 @@ The table is lazy, after column-and-constraint generation (Zeng & Zhao
 2013): each W starts as a cheap lower and upper bound, all of them from one
 batched pass over the table's region sets, and is searched exactly only
 when a cut on it can set the worst case of the stationing being checked.
-The branch and bound runs over the lower values, and runs again until its
-stationing's exact worst case meets its objective.
+The table is the evaluator of the stochastic solve's branch and bound: a
+prefix is bounded over the lower values, and a complete stationing's exact
+worst case, which raises some of them, is its value.
 
 The table holds only the closed subsets (see ``dispatchflow``): closing S
 keeps N(S), so W(S), and shrinks x(I \\ S), so the max is always attained
@@ -32,9 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .demand import UncertaintySet
-from .dispatchflow import Deployment, EdgeSet
+from .dispatchflow import ClosedCutEvaluator, Deployment, EdgeSet
 from .errors import SolverError
-from .stochastic import SearchConfig, max_aggregator, minimize_deployment
+from .stochastic import SearchConfig, minimize_deployment
 
 
 @dataclass
@@ -44,24 +45,22 @@ class WorstCaseResult:
     exact: bool  # always True: the worst case is solved exactly
 
 
-class CutTable:
+class CutTable(ClosedCutEvaluator):
     """Search evaluator over W(S) - x(I \\ S) for the closed station subsets
     S, built lazily. Set k, the regions cut k leaves uncovered, holds a
     lower and an upper bound on its W, and a member attaining the lower one,
     all from one ``UncertaintySet.demand_bounds_stack`` pass; W is known
     when they are equal, and ``max_demand`` runs on a set only when its cut
-    can set the worst case of an x given to ``worst_case``.
-    ``totals`` and ``relaxed_totals`` read the lower values, so a search
-    over them minimizes a lower bound on the worst case."""
+    can set the worst case of an x given to ``worst_case``. ``bound`` reads
+    the lower values, which only rise, and ``value`` is the exact worst case."""
 
     def __init__(self, uset: UncertaintySet, edges: EdgeSet):
-        self.uset, self.edges = uset, edges
-        self._inside, covered, self._reach = edges.closed_cuts()
-        self._regions = ~covered
+        super().__init__(edges)
+        self.uset = uset
+        self._regions = ~self._covered
         # leaf k attains set k's lower value: the first leaf, and once set k
         # is searched, W's maximizer
         self.lower, self.upper, self._leaves = uset.demand_bounds_stack(self._regions)
-        self._outside = (~self._inside).astype(np.int64)  # row k: the stations not in cut k
         b_i, b_j = edges.incidence()
         self._cover = b_i @ b_j.T  # stations x regions
 
@@ -71,15 +70,14 @@ class CutTable:
         self.lower[k] = self.upper[k] = w
         return w
 
-    def totals(self, x) -> np.ndarray:
-        return self.lower - self._outside @ np.asarray(x, dtype=np.int64)
+    def bound(self, x, free_units: int, first_free: int) -> float:
+        """The max over the lower values: W(I) >= 0 is a row whose station
+        side is empty, so it is never below max(value - free_units, 0) once
+        ``value(x)`` has refined the cuts attaining it."""
+        return float((self.lower - self.station_side(x, free_units, first_free)).max())
 
-    def relaxed_totals(self, x, free_units: int, first_free: int = 0) -> np.ndarray:
-        """Under the max, a lower bound on every completion stationing at most
-        ``free_units`` more at stations ``first_free`` and later, which lower
-        only the cuts leaving such a station outside S. W(I) >= 0 is a row,
-        so the max is never below max(totals - free_units, 0)."""
-        return self.totals(x) - np.where(self._reach >= first_free, int(free_units), 0)
+    def value(self, x) -> float:
+        return float(self.worst_case(x)[0])
 
     def worst_case(self, x) -> tuple[int, np.ndarray]:
         """Exact max_S [W(S) - x(I \\ S)], and W's stored maximizer on the
@@ -92,7 +90,7 @@ class CutTable:
         searching a set only while its cut is tied.
         """
         x = np.asarray(x, dtype=np.int64)
-        out = self._outside @ x
+        out = self.station_side(x)
         upper = self.upper - out
         value = int((self.lower - out).max())
         for k in np.argsort(-upper, kind="stable"):
@@ -170,26 +168,20 @@ def solve_robust_ccg(
 ) -> RobustSolution:
     """Exact min over stationings (sum <= n) of the worst-case shortfall.
 
-    Branch and bound with the max aggregator over the CutTable's lower
-    values, then the incumbent's exact worst case. When the two agree, the
-    search's minimum, at most the true one, is attained, and any
-    lexicographically smaller true optimum would have been a search optimum
-    too. Otherwise the exact evaluation has raised a lower value and the
-    search runs again. ``converged`` is False only when ``max_nodes``
-    stopped a search, and then x is its incumbent, with its own exact worst
-    case, and the history's lower bound is the search's lowest open bound.
-    The name, and the ``epsilon``, ``max_iter`` and ``size_budget``
-    keywords, which are accepted and ignored, remain from the
-    column-and-constraint generation this replaced.
+    One branch and bound, ``stochastic.minimize_deployment``, with the
+    CutTable as its evaluator: prefixes are bounded over the lower values,
+    and a complete stationing returns only once its exact worst case meets
+    its key, so x is the lexicographically smallest exact optimum. The
+    certificate is then read off the refined table. ``converged`` is False
+    only when ``max_nodes`` stopped the search, and then x is its
+    incumbent, with its own exact worst case, and the history's lower bound
+    is the search's lowest open bound. The name, and the ``epsilon``,
+    ``max_iter`` and ``size_budget`` keywords, which are accepted and
+    ignored, remain from the column-and-constraint generation this replaced.
     """
     cuts = CutTable(uset, edges)
-    for _ in range(len(cuts.lower) + 1):  # every search after the first follows an exact one
-        result = minimize_deployment(cuts, n, max_aggregator, search_config)
-        wc = worst_case_demand(result.x, uset, edges, cuts)
-        if wc.shortfall == result.objective or result.flag.kind != "exact":
-            break
-    else:
-        raise SolverError("the cut table's lower values stopped rising")
+    result = minimize_deployment(cuts, n, search_config)
+    wc = worst_case_demand(result.x, uset, edges, cuts)
     return RobustSolution(
         x_star=Deployment(result.x, n),
         worst_case_shortfall=wc.shortfall,

@@ -3,16 +3,14 @@ demand scenarios.
 
 The exact search is a best-first branch and bound over integer stationing
 vectors summing to at most the fleet bound, fixing stations in index order.
-A prefix of length k is bounded by pooling its unplaced ambulances for
-stations k and later, so the pool lowers only the cuts that leave such a
-station out: that relaxes only how the free units split, so it is
-admissible. Both evaluators score closed cuts only (see ``dispatchflow``),
-which changes no value. The frontier is ordered by (bound, prefix), so the
-first complete assignment popped is an exact optimum and, among ties, the
-lexicographically smallest.
-
-The robust solve runs the same search over its table of min-cut values,
-with the max aggregator in place of the scenario mean.
+It is the one search of both solvers: the evaluator owns the objective, its
+exact ``value`` and the ``bound`` of a prefix, which pools the prefix's
+unplaced ambulances for the stations it has not fixed (see
+``dispatchflow.ClosedCutEvaluator``). Here the evaluator is a
+``ScenarioEvaluator`` and the objective the scenario mean; the robust solve
+passes its ``robust.CutTable``. The frontier is ordered by (bound, prefix),
+so the first complete assignment returned is an exact optimum and, among
+ties, the lexicographically smallest.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ import heapq
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 
@@ -29,17 +26,6 @@ from .dispatchflow import Deployment, EdgeSet, ScenarioEvaluator, ShortfallResul
 from .errors import ConfigError, DataError, SolverError
 from .ingest import DemandMatrix
 from .rng import substream
-
-Aggregator = Callable[[np.ndarray], float]
-
-
-def mean_aggregator(totals: np.ndarray) -> float:
-    return float(totals.mean())
-
-
-def max_aggregator(totals: np.ndarray) -> float:
-    return float(totals.max())
-
 
 @dataclass
 class ScenarioSet:
@@ -91,19 +77,16 @@ class SearchResult:
     nodes: int
 
 
-def minimize_deployment(
-    ev,
-    n: int,
-    aggregator: Aggregator = mean_aggregator,
-    config: SearchConfig | None = None,
-) -> SearchResult:
-    """Exact min over stationings (sum <= n) of ``aggregator(ev.totals(x))``.
+def minimize_deployment(ev, n: int, config: SearchConfig | None = None) -> SearchResult:
+    """Exact min over stationings (sum <= n) of ``ev.value(x)``.
 
-    ``ev`` has ``edges``, ``totals(x)`` and ``relaxed_totals(x, free, k)``,
-    and ``aggregator(ev.relaxed_totals(x, free, k))`` must lower-bound the
-    objective of every completion of x that stations at most ``free`` more
-    units at stations k and later (for a ScenarioEvaluator: ``aggregator``
-    is entrywise nondecreasing). k is the length of the node's prefix.
+    ``ev`` has ``edges``, ``value(x)`` and ``bound(x, free, k)``, a lower
+    bound on the value of every completion of the prefix x[:k] that adds at
+    most ``free`` units at stations k and later (see
+    ``dispatchflow.ClosedCutEvaluator``); bounds may rise between calls. A
+    popped complete stationing whose value exceeds its key is pushed back
+    under its value, so every key stays a valid bound and a leaf returns
+    only when its key is its value.
     """
     config = config or SearchConfig()
     if n < 0:
@@ -112,13 +95,13 @@ def minimize_deployment(
     if n_i < 1:
         raise DataError("need at least one station")
 
+    def padded(prefix: tuple[int, ...]) -> np.ndarray:
+        x = np.zeros(n_i, dtype=np.int64)
+        x[: len(prefix)] = prefix
+        return x
+
     def bound_of(prefix: tuple[int, ...]) -> float:
-        free = n - sum(prefix)
-        if len(prefix) == n_i:
-            return aggregator(ev.totals(np.array(prefix, dtype=np.int64)))
-        padded = np.zeros(n_i, dtype=np.int64)
-        padded[: len(prefix)] = prefix
-        return aggregator(ev.relaxed_totals(padded, free, len(prefix)))
+        return ev.bound(padded(prefix), n - sum(prefix), len(prefix))
 
     heap: list[tuple[float, tuple[int, ...]]] = [(bound_of(()), ())]
     nodes = 0
@@ -126,17 +109,15 @@ def minimize_deployment(
         bound, prefix = heapq.heappop(heap)
         nodes += 1
         if len(prefix) == n_i:
-            return SearchResult(
-                x=np.array(prefix, dtype=np.int64),
-                objective=bound,
-                flag=OptimalityFlag("exact"),
-                nodes=nodes,
-            )
+            value = ev.value(padded(prefix))
+            if value > bound:
+                heapq.heappush(heap, (value, prefix))
+                continue
+            return SearchResult(x=padded(prefix), objective=value, flag=OptimalityFlag("exact"), nodes=nodes)
         if nodes >= config.max_nodes:
             # keep the most promising node as an incumbent, never fail silently
-            incumbent = np.zeros(n_i, dtype=np.int64)
-            incumbent[: len(prefix)] = prefix
-            obj = aggregator(ev.totals(incumbent))
+            incumbent = padded(prefix)
+            obj = ev.value(incumbent)
             lowest = min(bound, min((b for b, _ in heap), default=bound))
             return SearchResult(
                 x=incumbent,
@@ -189,7 +170,7 @@ def solve_stochastic(
     """Minimize the empirical mean shortfall over the scenario set. The
     objective is the search's own: the mean of the stationing's integer
     shortfall totals, as least closed cuts."""
-    result = minimize_deployment(ScenarioEvaluator(edges, scenarios.demands), n, mean_aggregator, config)
+    result = minimize_deployment(ScenarioEvaluator(edges, scenarios.demands), n, config)
     return StochasticSolution(
         x_star=Deployment(result.x, n),
         objective=result.objective,
@@ -197,13 +178,6 @@ def solve_stochastic(
         scenarios=scenarios,
         edges=edges,
     )
-
-
-def evaluate_deployment(x, scenarios: ScenarioSet | np.ndarray, edges: EdgeSet) -> float:
-    """Mean minimum shortfall of a stationing over a scenario set."""
-    demands = scenarios.demands if isinstance(scenarios, ScenarioSet) else np.asarray(scenarios)
-    ev = ScenarioEvaluator(edges, demands)
-    return float(ev.totals(np.asarray(x, dtype=np.int64)).mean())
 
 
 def save_solution(solution: StochasticSolution, path: str | Path) -> None:

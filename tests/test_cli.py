@@ -176,6 +176,29 @@ def test_non_list_config_field_is_exit_2(city, tmp_path, name, value):
     assert run(city, "grid", tmp_path / "x", (f"--{name}", value)) == 2
 
 
+@pytest.mark.parametrize("sub, name, value", [
+    ("optimize", "n_ambulances", 2.5), ("grid", "n_rows", 6.0), ("grid", "n_rows", True),
+    ("grid", "alpha", None), ("grid", "speed_kmh", True),
+    ("grid", "peak_filter", 1), ("grid", "timezone", 5), ("grid", "calls_csv", 3),
+])
+def test_config_value_of_the_wrong_json_type_is_exit_2(city, tmp_path, sub, name, value):
+    # refused while the config loads, not with a TypeError in validate or a stage
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**city["raw"], name: value}))
+    assert main([sub, "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+
+
+def test_config_values_keep_their_json_type():
+    # an int is a number: kept as given, so the resolved config reads as written
+    cfg = load_config(None, {"alpha": 0.05, "speed_kmh": 60, "n_rows": 7, "sweep_robust": False, "svi_csv": None})
+    assert (cfg.alpha, cfg.speed_kmh, cfg.n_rows, cfg.sweep_robust, cfg.svi_csv) == (0.05, 60, 7, False, None)
+    assert isinstance(cfg.speed_kmh, int)
+
+
+def test_unknown_timezone_is_exit_2(city, tmp_path):
+    assert run(city, "preprocess", tmp_path / "x", ("--timezone", "Not/AZone")) == 2
+
+
 def test_analysis_report_golden(city, tmp_path):
     # model order and every 4-decimal average MSE of the city fixture
     out = tmp_path / "analysis"

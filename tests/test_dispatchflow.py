@@ -10,8 +10,6 @@ from emsdeploy.dispatchflow import (
     ScenarioEvaluator,
     edges_from_coverage,
     min_shortfall,
-    scenario_totals,
-    shortfall_total,
 )
 from emsdeploy.errors import DataError
 from oracles import brute_min_shortfall
@@ -113,9 +111,13 @@ def test_value_paths_agree():
         edges = EdgeSet(pairs, n_i, n_j)
         x = rng.integers(0, 4, size=n_i)
         demands = rng.integers(0, 4, size=(6, n_j))
-        fast = scenario_totals(x, demands, edges)
+        fast = ScenarioEvaluator(edges, demands).totals(x)
         slow = np.array([min_shortfall(x, d, edges).total for d in demands])
         assert np.array_equal(fast, slow)
+
+
+def shortfall_total(x, d, edges) -> int:
+    return int(ScenarioEvaluator(edges, np.array([d])).totals(x)[0])
 
 
 def test_monotonicity_in_x_and_d():

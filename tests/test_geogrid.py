@@ -12,7 +12,6 @@ from emsdeploy.geogrid import (
     assign_cell,
     assign_cells,
     build_grid,
-    build_square_grid,
     derive_adjacency,
     derive_coverage,
     derive_region_ball,
@@ -49,14 +48,6 @@ def test_2x2_travel_matches_hand_haversine():
             lb, lob = g.cell_centers[b]
             expect = haversine_km_alt(la, lo, lb, lob) / 60.0 * 3600.0
             assert t[a, b] == pytest.approx(expect, rel=1e-9)
-
-
-def test_square_grid_by_region_count():
-    g = build_square_grid(100, BOUNDS, SyntheticSpeedProvider(40.0))
-    assert g.n_rows == 10 and g.n_cols == 10
-    assert g.n_cells == 100
-    with pytest.raises(ConfigError):
-        build_square_grid(10, BOUNDS, SyntheticSpeedProvider(40.0))
 
 
 def test_degenerate_bounds_rejected():

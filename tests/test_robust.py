@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from emsdeploy import dispatchflow
 from emsdeploy.demand import UncertaintySet, enumerate_set
-from emsdeploy.dispatchflow import EdgeSet, min_shortfall, scenario_totals
+from emsdeploy.dispatchflow import EdgeSet, ScenarioEvaluator, min_shortfall
 from emsdeploy.errors import SolverError
 from emsdeploy.robust import (
     CutTable,
@@ -17,6 +17,7 @@ from oracles import (
     box_members,
     brute_min_shortfall_many,
     compositions_at_most,
+    exhaustive_best_deployment,
     reference_demand_bounds,
     reference_root_values,
 )
@@ -193,7 +194,8 @@ def test_robust_exact_beyond_enumeration_budget():
     reach = [range(0, 8), range(6, 14), range(12, 18)]
     edges = EdgeSet([(i, j) for i, regions in enumerate(reach) for j in regions], 3, n_j)
     members = enumerate_set(uset, size_budget=10**6)
-    best = min(int(scenario_totals(x, members, edges).max()) for x in compositions_at_most(3, 3))
+    ev = ScenarioEvaluator(edges, members)
+    best = min(int(ev.totals(x).max()) for x in compositions_at_most(3, 3))
     sol = solve_robust_ccg(uset, 3, edges)
     assert sol.converged
     assert sol.worst_case_shortfall == best
@@ -272,6 +274,8 @@ def test_robust_solve_matches_brute_minimax(uset, data):
     sol = solve_robust_ccg(uset, n, edges)
     assert sol.converged
     assert sol.worst_case_shortfall == best
+    # ties go to the lexicographically smallest stationing
+    assert tuple(sol.x_star.x) == exhaustive_best_deployment(members, n, n_i, pairs, lambda t: int(t.max()))[0]
     assert [h[:2] for h in sol.state.history] == [(best, best)]
     assert uset.contains(sol.certifying_demand)
     assert int(brute_min_shortfall_many(sol.x_star.x, sol.certifying_demand[None, :], pairs)[0]) == best

@@ -6,8 +6,6 @@ from emsdeploy.errors import ConfigError, DataError
 from emsdeploy.stochastic import (
     SearchConfig,
     ScenarioSet,
-    evaluate_deployment,
-    max_aggregator,
     minimize_deployment,
     sample_scenarios,
     solve_stochastic,
@@ -127,14 +125,13 @@ def test_scaling_demand_scales_zero_fleet_objective():
 def test_evaluate_deployment():
     edges = full_edges(2, 2)
     demands = np.array([[1, 1], [2, 0]])
-    scen = ScenarioSet(demands)
-    assert evaluate_deployment([0, 0], scen, edges) == pytest.approx(2.0)
+    ev = ScenarioEvaluator(edges, demands)
+    assert ev.value([0, 0]) == pytest.approx(2.0)
     # duplicating the scenario list leaves the mean unchanged
-    doubled = ScenarioSet(np.vstack([demands, demands]))
-    assert evaluate_deployment([1, 1], doubled, edges) == evaluate_deployment([1, 1], scen, edges)
+    assert ScenarioEvaluator(edges, np.vstack([demands, demands])).value([1, 1]) == ev.value([1, 1])
     # matches per-scenario recomputation
     totals = brute_min_shortfall_many([1, 1], demands, list(edges.edges))
-    assert evaluate_deployment([1, 1], scen, edges) == pytest.approx(totals.mean())
+    assert ev.value([1, 1]) == pytest.approx(totals.mean())
 
 
 def test_node_budget_returns_flagged_incumbent():
@@ -146,17 +143,6 @@ def test_node_budget_returns_flagged_incumbent():
     assert sol.optimality_flag.gap >= 0.0
     exact = solve_stochastic(ScenarioSet(demands), 3, edges)
     assert sol.objective >= exact.objective
-
-
-def test_minimize_deployment_max_aggregator():
-    edges = EdgeSet([(0, 0), (1, 1)], 2, 2)  # each station serves only its own region
-    demands = np.array([[2, 0], [0, 2]])
-    res = minimize_deployment(ScenarioEvaluator(edges, demands), 2, max_aggregator)
-    # splitting the fleet leaves one unit short in either scenario
-    assert res.objective == pytest.approx(1.0)
-    assert res.x.tolist() == [1, 1]
-    res4 = minimize_deployment(ScenarioEvaluator(edges, demands), 4, max_aggregator)
-    assert res4.objective == pytest.approx(0.0)
 
 
 def test_rejects_bad_arguments():
