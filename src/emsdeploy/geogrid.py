@@ -56,13 +56,27 @@ class SyntheticSpeedProvider:
         self.speed_kmh = speed_kmh
 
     def matrix(self, centers: Sequence[tuple[float, float]]) -> np.ndarray:
-        n = len(centers)
+        # synthetic_travel_time per pair, with each centre's radians and
+        # cos(lat) taken once; the per-pair expression and its order are
+        # haversine_km's, so every entry is bit-identical (libm, not numpy)
+        lats = [math.radians(lat) for lat, _ in centers]
+        lons = [math.radians(lon) for _, lon in centers]
+        cos_lats = [math.cos(lat) for lat in lats]
+        two_r = 2.0 * EARTH_RADIUS_KM
+        sin, asin, sqrt = math.sin, math.asin, math.sqrt
+        speed = self.speed_kmh
+        n = len(lats)
+        upper = [
+            two_r * asin(min(1.0, sqrt(
+                sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2
+            ))) / speed * 3600.0
+            for i, (lat1, lon1, cos1) in enumerate(zip(lats, lons, cos_lats))
+            for lat2, lon2, cos2 in zip(lats[i + 1:], lons[i + 1:], cos_lats[i + 1:])
+        ]
         out = np.zeros((n, n), dtype=np.float64)
-        for i in range(n):
-            for j in range(i + 1, n):
-                t = synthetic_travel_time(centers[i], centers[j], self.speed_kmh)
-                out[i, j] = t
-                out[j, i] = t
+        rows, cols = np.triu_indices(n, 1)
+        out[rows, cols] = upper
+        out[cols, rows] = upper
         return out
 
 

@@ -164,15 +164,16 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[lis
 def serialize_calls(records: Iterable[CallRecord], path: str | Path) -> None:
     """Write records back out with the default column names (ISO timestamps).
 
-    Rows stream through one writerows pass; csv writes a float as its repr
-    and None as an empty field.
+    Each row is joined here and streamed to the file: a float is written as
+    its repr and None as an empty field, CRLF-terminated. These are the
+    bytes ``csv.writer`` writes, since it quotes only a field holding a
+    comma, a quote or a line break, and no ISO timestamp or float repr does.
     """
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(list(DEFAULT_COLUMNS.values()))
-        writer.writerows(
-            (r.timestamp.isoformat(), float(r.lat), float(r.lon),
-             *[None if v is None else float(v) for v in r[3:]])
+        f.write(",".join(DEFAULT_COLUMNS.values()) + "\r\n")
+        f.writelines(
+            ",".join([r[0].isoformat(), repr(float(r[1])), repr(float(r[2])),
+                      *["" if v is None else repr(float(v)) for v in r[3:]]]) + "\r\n"
             for r in records
         )
 
@@ -281,8 +282,9 @@ def save_demand_matrix(matrix: DemandMatrix, path: str | Path) -> None:
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["period_start"] + [f"region_{j}" for j in range(matrix.n_regions)])
-        for ts, row in zip(matrix.period_start_times, matrix.counts):
-            writer.writerow([ts.isoformat()] + [int(v) for v in row])
+        writer.writerows(
+            [ts.isoformat(), *row] for ts, row in zip(matrix.period_start_times, matrix.counts.tolist())
+        )
 
 
 def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> DemandMatrix:

@@ -7,12 +7,14 @@ from __future__ import annotations
 
 import csv
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .geogrid import Grid, SyntheticSpeedProvider, build_grid
 from .ingest import CallRecord
 from .rng import substream
@@ -87,19 +89,42 @@ def synth_calls(grid: Grid, n_calls: int, seed: int = 0, cfg: SynthConfig | None
     jittered coordinates inside their cell, and include reported travel and
     on-scene fields generated from a known ground-truth model so that the
     calibration and analysis stages have something real to recover.
+
+    Each call makes the same scalar ``Generator`` draws in the same order,
+    so a seed always gives the same log. Raises ConfigError, before any
+    draw, for a negative ``n_calls``, a ``calls_per_hour`` that is not a
+    positive finite number, or a grid without station cells.
     """
     cfg = cfg or SynthConfig()
+    if n_calls < 0:
+        raise ConfigError(f"n_calls must be nonnegative, got {n_calls}")
+    if not (math.isfinite(cfg.calls_per_hour) and cfg.calls_per_hour > 0):
+        raise ConfigError(f"calls_per_hour must be positive and finite, got {cfg.calls_per_hour}")
+    if not grid.station_cells:
+        raise ConfigError("the grid has no station cells to dispatch calls from")
     rng = substream(seed, "synth-calls")
-    weights = _cell_weights(grid, cfg)
+    # the CDF that rng.choice(n_cells, p=weights) builds on every call: bisecting
+    # it with one rng.random() double picks the same cell from the same draw
+    cdf = _cell_weights(grid, cfg).cumsum()
+    cdf /= cdf[-1]
+    cdf = cdf.tolist()
     h = grid.cell_height_deg
     w = grid.cell_width_deg
-    station_cells = np.asarray(grid.station_cells)
+    centers = grid.cell_centers
+    # every call is dispatched from a station, so only those rows are read
+    stations = [(centers[s], grid.travel_time_s[s].tolist()) for s in grid.station_cells]
+    n_stations = len(stations)
+    random, integers, normal, uniform, exponential = rng.random, rng.integers, rng.normal, rng.uniform, rng.exponential
+    mean_gap_h = 1.0 / cfg.calls_per_hour
+    a, b, noise_sigma = cfg.reported_a, cfg.reported_b, cfg.reported_noise_sigma
+    scene_mu, scene_sigma = cfg.on_scene_mu, cfg.on_scene_sigma
     records: list[CallRecord] = []
+    append = records.append
     t = cfg.start
     peak_len_h = 12.0
     for _ in range(n_calls):
         # exponential interarrival, folded into the 08:00-20:00 weekday window
-        t = t + timedelta(hours=float(rng.exponential(1.0 / cfg.calls_per_hour)))
+        t = t + timedelta(hours=exponential(mean_gap_h))
         while True:
             hour = t.hour + t.minute / 60.0
             if t.weekday() >= 5:
@@ -112,35 +137,18 @@ def synth_calls(grid: Grid, n_calls: int, seed: int = 0, cfg: SynthConfig | None
                 t = t.replace(hour=8)
                 continue
             break
-        cell = int(rng.choice(grid.n_cells, p=weights))
-        lat_c, lon_c = grid.cell_centers[cell]
-        lat = lat_c + (rng.random() - 0.5) * 0.9 * h
-        lon = lon_c + (rng.random() - 0.5) * 0.9 * w
-        origin = int(station_cells[rng.integers(0, len(station_cells))])
-        grid_s = float(grid.travel_time_s[origin, cell])
+        cell = bisect_right(cdf, random())
+        lat_c, lon_c = centers[cell]
+        lat = lat_c + (random() - 0.5) * 0.9 * h
+        lon = lon_c + (random() - 0.5) * 0.9 * w
+        (amb_lat, amb_lon), times = stations[integers(0, n_stations)]
+        grid_s = times[cell]
         if grid_s <= 0:
-            reported = float(rng.uniform(30.0, 90.0))
+            reported = uniform(30.0, 90.0)
         else:
-            reported = math.exp(
-                cfg.reported_a
-                + cfg.reported_b * math.log(grid_s)
-                + rng.normal(0.0, cfg.reported_noise_sigma)
-            )
-        on_scene = math.exp(rng.normal(cfg.on_scene_mu, cfg.on_scene_sigma)) * 60.0
-        amb_lat, amb_lon = grid.cell_centers[origin]
-        records.append(
-            CallRecord(
-                timestamp=t,
-                lat=lat,
-                lon=lon,
-                reported_response_s=reported + float(rng.uniform(20.0, 60.0)),
-                reported_travel_s=reported,
-                ambulance_lat=amb_lat,
-                ambulance_lon=amb_lon,
-                on_scene_s=on_scene,
-                to_hospital_s=None,
-            )
-        )
+            reported = math.exp(a + b * math.log(grid_s) + normal(0.0, noise_sigma))
+        on_scene = math.exp(normal(scene_mu, scene_sigma)) * 60.0
+        append(CallRecord(t, lat, lon, reported + uniform(20.0, 60.0), reported, amb_lat, amb_lon, on_scene, None))
     return records
 
 

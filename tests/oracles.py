@@ -5,8 +5,9 @@ the package code: a second haversine formula, high-precision Poisson CDF
 summation, brute-force routing enumeration, exhaustive stationing search,
 the demand search's root bounds built set by set with Python sets, a
 dispatch simulation that keeps every call in one event heap, one-point
-grid snapping, a call-log parser built on ``csv.DictReader``, and a LASSO
-that keeps the full residual vector. Keep these slow and obvious.
+grid snapping, a call-log parser built on ``csv.DictReader``, a call-log
+writer built on ``csv.writer``, and a LASSO that keeps the full residual
+vector. Keep these slow and obvious.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import numpy as np
 from emsdeploy import simcore
 from emsdeploy.calibrate import apply
 from emsdeploy.errors import ConfigError, DataError, SolverError
-from emsdeploy.ingest import MANDATORY_FIELDS, CallRecord, CallSchema, ParseReport
+from emsdeploy.ingest import DEFAULT_COLUMNS, MANDATORY_FIELDS, CallRecord, CallSchema, ParseReport
 from emsdeploy.rng import substream
 
 
@@ -390,6 +391,19 @@ def reference_parse_calls(path, schema=None):
             report.n_parsed += 1
     records.sort(key=lambda r: r.timestamp)
     return records, report
+
+
+def reference_serialize_calls(records, path) -> None:
+    """The call-log writer over ``csv.writer``: default column names, ISO
+    timestamps, each value as a float (written as its repr), None empty."""
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(list(DEFAULT_COLUMNS.values()))
+        writer.writerows(
+            (r.timestamp.isoformat(), float(r.lat), float(r.lon),
+             *[None if v is None else float(v) for v in r[3:]])
+            for r in records
+        )
 
 
 def reference_fit_lasso(X, y, lam: float, tol: float = 1e-8, max_sweeps: int = 100_000) -> np.ndarray:

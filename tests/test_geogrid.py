@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emsdeploy import synth
 from emsdeploy.errors import ConfigError, DataError, OutOfBoundsError
 from emsdeploy.geogrid import (
     MatrixProvider,
@@ -75,6 +76,15 @@ def test_haversine_against_alternative_formula():
         ours = haversine_km((lat1, lon1), (lat2, lon2))
         theirs = haversine_km_alt(lat1, lon1, lat2, lon2)
         assert ours == pytest.approx(theirs, rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("n", [6, 12])
+def test_synthetic_matrix_is_per_pair_travel_time(n):
+    cfg = synth.SynthConfig(n_rows=n, n_cols=n)
+    grid = synth.synth_grid(cfg)
+    c = grid.cell_centers
+    want = np.array([[synthetic_travel_time(a, b, cfg.speed_kmh) for b in c] for a in c])
+    assert np.array_equal(grid.travel_time_s, want)
 
 
 def test_assign_cell_centers_map_to_self():

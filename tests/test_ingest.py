@@ -1,7 +1,9 @@
+import csv
 import math
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from emsdeploy.geogrid import SyntheticSpeedProvider, build_grid
 from emsdeploy.ingest import (
     CallRecord,
     CallSchema,
+    DemandMatrix,
     build_demand_matrix,
     calibration_pairs,
     filter_peak,
@@ -25,7 +28,7 @@ from emsdeploy.ingest import (
     split_train_test,
     trim_quantiles,
 )
-from oracles import reference_parse_calls
+from oracles import reference_parse_calls, reference_serialize_calls
 
 UTC = timezone.utc
 
@@ -210,6 +213,38 @@ def test_serialize_calls_text(tmp_path):
     )
 
 
+# every value a record field may hold: ints, numpy floats, signed zeros,
+# non-finite values and subnormals
+FIELD_VALUES = st.one_of(
+    st.integers(-2**40, 2**40),
+    st.floats(),
+    st.floats().map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
+)
+ZONES = st.one_of(
+    st.none(),
+    st.sampled_from([UTC, timezone(timedelta(hours=-5)), timezone(timedelta(hours=5, minutes=30, seconds=7)),
+                     ZoneInfo("America/Chicago")]),
+)
+
+
+@st.composite
+def call_records(draw):
+    ts = draw(st.datetimes(timezones=ZONES))
+    optional = [draw(st.one_of(st.none(), FIELD_VALUES)) for _ in range(6)]
+    return CallRecord(ts, draw(FIELD_VALUES), draw(FIELD_VALUES), *optional)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(call_records(), max_size=6))
+def test_serialize_calls_matches_csv_writer(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        serialize_calls(iter(records), got)
+        reference_serialize_calls(records, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
 def test_filter_peak_rules():
     saturday = rec(datetime(2024, 1, 6, 12, 0, tzinfo=UTC))
     monday_open = rec(datetime(2024, 1, 8, 8, 0, tzinfo=UTC))
@@ -286,6 +321,22 @@ def test_demand_matrix_export_roundtrip(tmp_path):
     loaded = load_demand_matrix(path)
     assert np.array_equal(loaded.counts, m.counts)
     assert loaded.period_start_times == m.period_start_times
+
+
+def test_save_demand_matrix_text_as_per_row_writer(tmp_path):
+    counts = np.array([[0, 0, 0], [1, 2**31, 0], [2**40 + 3, 0, 7]], dtype=np.int64)
+    starts = [datetime(2024, 1, 1, h, tzinfo=UTC) for h in range(3)]
+    m = DemandMatrix(counts, 3600.0, starts)
+    path = tmp_path / "demand.csv"
+    save_demand_matrix(m, path)
+    want = tmp_path / "want.csv"
+    with open(want, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["period_start"] + [f"region_{j}" for j in range(m.n_regions)])
+        for ts, row in zip(m.period_start_times, m.counts):
+            writer.writerow([ts.isoformat()] + [int(v) for v in row])
+    assert path.read_text() == want.read_text()
+    assert np.array_equal(load_demand_matrix(path).counts, counts)
 
 
 def test_peak_period_mask_and_selection():
