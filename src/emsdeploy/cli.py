@@ -6,6 +6,12 @@ Every subcommand reads a flat JSON config (any field overridable with
 ``--out``, and finishes with a manifest listing file hashes. Reruns with
 the same resolved config are byte-identical. Exit codes: 0 ok, 2 config
 error, 3 data error, 4 solver failure.
+
+Every read of a call log goes through ``ingest.parse_calls_kept``, so
+``--out`` also holds one hidden kept parse per call log
+(``.<log file name>.parse``). It is keyed by the log's content and the
+schema, never listed in a manifest, and safe to delete: a missing or
+stale one only means the next read parses the log again.
 """
 
 from __future__ import annotations
@@ -286,11 +292,17 @@ def _snap_batch_calls(cfg: RunConfig, grid: geogrid.Grid, calls) -> list[tuple[f
     return _snap_calls(cfg, grid, calls)
 
 
-def _parse_calls(cfg: RunConfig) -> tuple[list[ingest.CallRecord], ingest.ParseReport]:
+def _parse_calls(cfg: RunConfig, out: Path) -> tuple[list[ingest.CallRecord], ingest.ParseReport]:
     if not cfg.calls_csv:
         raise ConfigError("calls_csv is required for this subcommand")
     schema = ingest.CallSchema(timezone=cfg.timezone)
-    return ingest.parse_calls(cfg.calls_csv, schema)
+    return ingest.parse_calls_kept(cfg.calls_csv, schema, out)
+
+
+def _read_calls(out: Path, name: str) -> list[ingest.CallRecord]:
+    """The records of a call log that preprocess wrote to ``out``."""
+    calls, _ = ingest.parse_calls_kept(_require(out / name, "preprocess"), None, out)
+    return calls
 
 
 def _peak(cfg: RunConfig, calls):
@@ -336,7 +348,7 @@ def cmd_grid(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(cfg, out)
-    calls, report = _parse_calls(cfg)
+    calls, report = _parse_calls(cfg, out)
     peak_calls = _peak(cfg, calls)
     if len(peak_calls) < 2:
         raise DataError(f"only {len(peak_calls)} calls remain after peak filtering")
@@ -379,8 +391,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
     if cfg.calibration_kind == "identity":
         model = calibrate.identity_model()
     else:
-        train_calls, _ = ingest.parse_calls(_require(out / "calls_train.csv", "preprocess"))
-        pairs, n_excluded = ingest.calibration_pairs(train_calls, grid, cfg.snap_cells)
+        pairs, n_excluded = ingest.calibration_pairs(_read_calls(out, "calls_train.csv"), grid, cfg.snap_cells)
         if cfg.calibration_kind == "loglog":
             model = calibrate.fit_loglog(pairs, cfg.trim_p)
         else:
@@ -417,7 +428,7 @@ def _load_deployment(path: Path, n: int) -> np.ndarray:
 def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(cfg, out)
     model = calibrate.load_model(_require(out / "calibration.json", "fit"))
-    test_calls, _ = ingest.parse_calls(_require(out / "calls_test.csv", "preprocess"))
+    test_calls = _read_calls(out, "calls_test.csv")
     policies = []
     for label, fname in (("stochastic", "deployment_stochastic.json"), ("robust", "deployment_robust.json")):
         x = _load_deployment(_require(out / fname, "optimize"), cfg.n_ambulances)
@@ -439,7 +450,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:
 def cmd_verify(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(cfg, out)
     model = calibrate.load_model(_require(out / "calibration.json", "fit"))
-    test_calls, _ = ingest.parse_calls(_require(out / "calls_test.csv", "preprocess"))
+    test_calls = _read_calls(out, "calls_test.csv")
     report = calibrate.verify(
         test_calls, grid, model, cfg.verify_batch_size, cfg.verify_n_batches, cfg.snap_cells
     )
@@ -449,7 +460,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(cfg, out)
-    calls, _ = _parse_calls(cfg)
+    calls, _ = _parse_calls(cfg, out)
     peak_calls = _peak(cfg, calls)
     edges = _edges(cfg, grid)
     adjacency = geogrid.derive_adjacency(grid)
@@ -520,7 +531,7 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(cfg, out)
     matrix = ingest.load_demand_matrix(_require(out / "demand_matrix.csv", "preprocess"), cfg.period_length_s)
     model = calibrate.load_model(_require(out / "calibration.json", "fit"))
-    test_calls, _ = ingest.parse_calls(_require(out / "calls_test.csv", "preprocess"))
+    test_calls = _read_calls(out, "calls_test.csv")
     edges = _edges(cfg, grid)
     adjacency = geogrid.derive_adjacency(grid)
     ball = geogrid.derive_region_ball(grid, cfg.coverage_threshold_s)
@@ -560,7 +571,7 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_analyze(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(cfg, out)
-    calls, _ = _parse_calls(cfg)
+    calls, _ = _parse_calls(cfg, out)
     if not cfg.svi_csv or not cfg.tract_map_csv:
         raise ConfigError("analyze requires svi_csv and tract_map_csv")
     svi = analysis.load_svi_table(cfg.svi_csv)
@@ -583,7 +594,7 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> dict[str, Path]:
 def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(cfg, out)
     files: dict[str, Path] = {}
-    calls, _ = _parse_calls(cfg)
+    calls, _ = _parse_calls(cfg, out)
 
     with open(out / "plot_temporal_heatmap.csv", "w", newline="") as f:
         writer = csv.writer(f)
@@ -607,7 +618,7 @@ def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
     files["plot_spatial_heatmap.csv"] = out / "plot_spatial_heatmap.csv"
 
     model = calibrate.load_model(_require(out / "calibration.json", "fit"))
-    test_calls, _ = ingest.parse_calls(_require(out / "calls_test.csv", "preprocess"))
+    test_calls = _read_calls(out, "calls_test.csv")
     pairs, _ = ingest.calibration_pairs(test_calls, grid, cfg.snap_cells)
     with open(out / "plot_regression_scatter.csv", "w", newline="") as f:
         writer = csv.writer(f)

@@ -2,18 +2,27 @@
 train/test splitting, and quantile trimming.
 
 All transformations are pure; malformed or out-of-bounds rows are counted
-and reported rather than silently discarded.
+and reported rather than silently discarded. ``parse_calls_kept`` keeps a
+log's parse on disk, so a pipeline whose stages each re-read the same log
+parses it once.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
+import io
+import json
+import logging
 import math
+import os
+import tempfile
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, time, timedelta
+from datetime import datetime, time, timedelta, timezone
+from itertools import chain, repeat
+from operator import add, floordiv, itemgetter, sub
 from pathlib import Path
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 from zoneinfo import ZoneInfo
 
@@ -35,6 +44,8 @@ DEFAULT_COLUMNS = {
     "to_hospital_s": "to_hospital_s",
 }
 MANDATORY_FIELDS = ("datetime", "latitude", "longitude")
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -159,6 +170,123 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[lis
     report.n_dropped = report.n_rows - report.n_parsed
     records.sort(key=lambda r: r.timestamp)
     return records, report
+
+
+# the layout of a kept parse: change it whenever the layout or what a parse
+# returns changes, so that no older kept file matches a key
+_KEPT_FORMAT = b"emsdeploy kept parse 1"
+_SCHEMA_ZONE = np.iinfo(np.int64).min  # the zone code of a stamp in the schema's zone
+_MICROSECOND = timedelta(microseconds=1)
+
+
+def parse_calls_kept(
+    path: str | Path, schema: CallSchema | None, keep_dir: str | Path
+) -> tuple[list[CallRecord], ParseReport]:
+    """``parse_calls`` of a log whose parse is kept in ``keep_dir``.
+
+    The parse is kept in one hidden file, ``.<log file name>.parse``,
+    under a key: the SHA-256 of the format version, the schema (timezone
+    and column mapping) and the log's bytes. When the kept file's key
+    matches, the records and report are loaded from it. Otherwise (no kept
+    file, a changed log or schema, an empty, truncated or foreign file)
+    the log is parsed and its parse kept, written to a temporary file and
+    renamed into place. Either way the result is what ``parse_calls``
+    returns: every record equal by ``repr`` (zone, signed zeros and None
+    fields included) and the same report, its reasons in first-seen order.
+    Two logs of the same file name share one kept file, so reading them in
+    turn re-parses each; the kept file can be deleted at any time.
+    """
+    schema = schema or CallSchema()
+    kept = Path(keep_dir) / f".{Path(path).name}.parse"
+    key = _kept_key(path, schema)
+    loaded = _load_kept(kept, key, schema)
+    if loaded is None:
+        records, report = parse_calls(path, schema)
+        _keep(kept, key, records, report)
+    else:
+        records, report = loaded
+    log.info("%s: %d rows, %s", Path(path).name, report.n_rows,
+             "parsed" if loaded is None else "read from its kept parse")
+    return records, report
+
+
+def _kept_key(path: str | Path, schema: CallSchema) -> bytes:
+    """The bytes a kept parse of this log under this schema starts with:
+    its key as the file's first array."""
+    digest = hashlib.sha256(_KEPT_FORMAT + b"\0")
+    # a JSON text holds no NUL, so the schema ends where the log begins
+    digest.update(json.dumps([schema.timezone, schema.columns], sort_keys=True).encode() + b"\0")
+    try:
+        with open(path, "rb") as f:
+            for chunk in iter(lambda: f.read(1 << 20), b""):
+                digest.update(chunk)
+    except FileNotFoundError:
+        raise DataError(f"call log not found: {path}") from None
+    key = io.BytesIO()
+    np.lib.format.write_array(key, np.frombuffer(digest.digest(), dtype=np.uint8), allow_pickle=False)
+    return key.getvalue()
+
+
+def _keep(kept: Path, key: bytes, records: list[CallRecord], report: ParseReport) -> None:
+    """Write a parse as a run of .npy arrays after its key: the report's
+    counts, its reason names and counts, each stamp's wall time (us since
+    1970-01-01 in its own zone) and zone code (the UTC offset in us, or
+    ``_SCHEMA_ZONE``), and the eight float fields, NaN for None (a parsed
+    field is never NaN)."""
+    stamps = [r[0] for r in records]
+    zones = [t.tzinfo for t in stamps]
+    epochs = {z: datetime(1970, 1, 1, tzinfo=z) for z in set(zones)}
+    codes = {z: _SCHEMA_ZONE if isinstance(z, ZoneInfo) else z.utcoffset(None) // _MICROSECOND for z in epochs}
+    # a stamp minus an epoch in the same zone is wall-clock time, whatever the zone's offsets
+    since = map(sub, stamps, map(epochs.__getitem__, zones))
+    arrays = (
+        np.array([report.n_rows, report.n_parsed, report.n_dropped], dtype=np.int64),
+        np.array(list(report.reasons), dtype=str),
+        np.array(list(report.reasons.values()), dtype=np.int64),
+        np.fromiter(map(floordiv, since, repeat(_MICROSECOND)), dtype=np.int64, count=len(stamps)),
+        np.fromiter(map(codes.__getitem__, zones), dtype=np.int64, count=len(stamps)),
+        np.array([[r[j] for r in records] for j in range(1, 9)], dtype=np.float64),
+    )
+    fd, tmp = tempfile.mkstemp(prefix=kept.name, dir=kept.parent)
+    try:
+        with open(fd, "wb") as f:
+            f.write(key)
+            for array in arrays:
+                np.lib.format.write_array(f, array, allow_pickle=False)
+        os.replace(tmp, kept)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _load_kept(kept: Path, key: bytes, schema: CallSchema) -> tuple[list[CallRecord], ParseReport] | None:
+    """The parse ``_keep`` wrote under ``key``, or None for a file that is
+    missing, unreadable, truncated or kept under another key."""
+    try:
+        with open(kept, "rb") as f:
+            if f.read(len(key)) != key:
+                return None
+            counts, names, reason_counts, wall_us, codes, values = (
+                np.lib.format.read_array(f, allow_pickle=False) for _ in range(6)
+            )
+    except (OSError, ValueError):
+        return None
+    zone = schema.zone()
+    epochs = {
+        code: datetime(1970, 1, 1, tzinfo=zone if code == _SCHEMA_ZONE else timezone(code * _MICROSECOND))
+        for code in set(codes.tolist())
+    }
+    stamps = map(add, map(epochs.__getitem__, codes.tolist()), wall_us.astype("m8[us]").tolist())
+    # CallRecord._make without its per-row length check: each row has nine fields
+    records = list(map(tuple.__new__, repeat(CallRecord), zip(stamps, *map(_none_for_nan, values))))
+    report = ParseReport(*counts.tolist(), Counter(dict(zip(names.tolist(), reason_counts.tolist()))))
+    return records, report
+
+
+def _none_for_nan(values: np.ndarray) -> list[float | None]:
+    column = values.astype(object)
+    column[np.isnan(values)] = None
+    return column.tolist()
 
 
 def serialize_calls(records: Iterable[CallRecord], path: str | Path) -> None:
@@ -292,24 +420,28 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
     number for a row whose width differs from the header's, a period start
     that is not an ISO timestamp, or a count that is not an integer."""
     starts: list[datetime] = []
-    rows: list[list[int]] = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
-        if header is None:
+        if not header:
             raise DataError(f"{path}: empty demand matrix file")
         width = len(header)
-        try:
+
+        def count_fields():
             for line in reader:
                 if len(line) != width:
                     raise DataError(f"{path}: line {reader.line_num}: {len(line)} fields, the header has {width}")
                 starts.append(datetime.fromisoformat(line[0]))
-                rows.append(list(map(int, line[1:])))
+                yield line[1:]
+
+        # the counts are converted as the lines stream by, so a ValueError
+        # comes while reader.line_num is still the line that raised it
+        try:
+            counts = list(map(int, chain.from_iterable(count_fields())))
         except ValueError as exc:
             raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
-        return DemandMatrix(np.zeros((0, 0), dtype=np.int64), period_length_s, [])
-    return DemandMatrix(np.array(rows, dtype=np.int64), period_length_s, starts)
+    counts = np.array(counts, dtype=np.int64).reshape(len(starts), width - 1)
+    return DemandMatrix(counts, period_length_s, starts)
 
 
 def split_train_test(

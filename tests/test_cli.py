@@ -1,9 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import emsdeploy
 from emsdeploy import geogrid, simcore
 from emsdeploy.cli import RunConfig, load_config, main
 from emsdeploy.errors import ConfigError
@@ -102,6 +107,30 @@ def test_rerun_is_byte_identical(city, tmp_path):
     before = (out_a / "manifest.json").read_bytes()
     assert run(city, "optimize", out_a) == 0
     assert (out_a / "manifest.json").read_bytes() == before
+
+
+def test_rerun_in_a_fresh_process_reads_the_kept_parses(city, tmp_path):
+    out = tmp_path / "run"
+    for sub in ("grid", "preprocess", "fit", "optimize", "simulate"):
+        assert run(city, sub, out) == 0
+    assert sorted(p.name for p in out.iterdir() if p.name.startswith(".")) == [
+        ".calls.csv.parse", ".calls_test.csv.parse", ".calls_train.csv.parse",
+    ]
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    package_root = str(Path(emsdeploy.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]),
+           "EMSDEPLOY_LOG": "INFO"}
+    for sub, log_name in (("preprocess", "calls.csv"), ("simulate", "calls_test.csv")):
+        done = subprocess.run(
+            [sys.executable, "-m", "emsdeploy", sub, "--config", str(city["config"]), "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        reads = [line for line in done.stderr.splitlines() if line.startswith("INFO emsdeploy.ingest:")]
+        assert len(reads) == 1 and reads[0].startswith(f"INFO emsdeploy.ingest: {log_name}: ")
+        assert reads[0].endswith(" rows, read from its kept parse")
+    # the kept parses were read, not written, and every output is byte-identical
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_alpha_cv_table_shape(city, tmp_path):

@@ -1,8 +1,10 @@
 import csv
+import logging
 import math
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from emsdeploy import ingest
 from emsdeploy.errors import ConfigError, DataError
 from emsdeploy.geogrid import SyntheticSpeedProvider, build_grid
 from emsdeploy.ingest import (
@@ -21,6 +24,7 @@ from emsdeploy.ingest import (
     filter_peak,
     load_demand_matrix,
     parse_calls,
+    parse_calls_kept,
     peak_period_mask,
     save_demand_matrix,
     select_periods,
@@ -185,6 +189,115 @@ def test_parse_calls_matches_reference(case):
     assert list(report.reasons.items()) == list(want.reasons.items())
 
 
+def _same_parse(got, want):
+    # repr tells apart equal instants in different zones or folds, 0.0 from -0.0
+    # and None from a number; the reasons must come in first-seen order
+    (records, report), (want_records, want_report) = got, want
+    assert [repr(r) for r in records] == [repr(r) for r in want_records]
+    assert report == want_report
+    assert list(report.reasons.items()) == list(want_report.reasons.items())
+
+
+@settings(max_examples=300, deadline=None)
+@given(call_logs())
+def test_kept_parse_is_parse_calls(case):
+    text, tz = case
+    schema = CallSchema(timezone=tz)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "calls.csv"
+        path.write_text(text)
+        try:
+            want = parse_calls(path, schema)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                parse_calls_kept(path, schema, tmp)
+            assert str(err.value) == str(exc)
+            assert list(Path(tmp).iterdir()) == [path]  # nothing is kept
+            return
+        _same_parse(parse_calls_kept(path, schema, tmp), want)
+        with mock.patch.object(ingest, "parse_calls", side_effect=AssertionError("parsed again")):
+            hit = parse_calls_kept(path, schema, tmp)
+    _same_parse(hit, want)
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Names of the logs that ``parse_calls`` reads, in order."""
+    names = []
+    inner = ingest.parse_calls
+
+    def counting(path, schema=None):
+        names.append(Path(path).name)
+        return inner(path, schema)
+
+    monkeypatch.setattr(ingest, "parse_calls", counting)
+    return names
+
+
+NAIVE_LOG = (
+    "datetime,latitude,longitude,lat2,travel_time_s\n"
+    "2024-03-10T02:30:00,30.1,-97.6,30.2,\n"
+    "2024-11-03T01:30:00,30.1,-97.6,-0.0,12.5\n"
+    "2024-01-01T09:00:00-05:00,30.1,-97.6,30.3,-1\n"
+)
+
+
+@pytest.mark.parametrize("change", ["log byte", "timezone", "column mapping"])
+def test_kept_parse_reparses_a_changed_log_or_schema(tmp_path, parsed, change):
+    path = tmp_path / "calls.csv"
+    path.write_text(NAIVE_LOG)
+    schema = CallSchema()
+    parse_calls_kept(path, schema, tmp_path)
+    parse_calls_kept(path, schema, tmp_path)
+    assert parsed == ["calls.csv"]
+    if change == "log byte":
+        path.write_text(NAIVE_LOG.replace("-97.6,30.3", "-97.5,30.3"))
+    elif change == "timezone":
+        schema = CallSchema(timezone="America/Chicago")
+    else:
+        schema = CallSchema(columns={**schema.columns, "latitude": "lat2"})
+    got = parse_calls_kept(path, schema, tmp_path)
+    assert parsed == ["calls.csv"] * 2
+    _same_parse(got, parse_calls(path, schema))
+    _same_parse(parse_calls_kept(path, schema, tmp_path), got)
+    assert parsed == ["calls.csv"] * 2
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda kept: b"",
+    lambda kept: kept[:40],
+    lambda kept: kept[:-8],
+    lambda kept: b"datetime,latitude,longitude\n",
+], ids=["empty", "truncated-key", "truncated-data", "not-numpy"])
+def test_kept_parse_reparses_a_spoiled_kept_file(tmp_path, parsed, spoil):
+    path = tmp_path / "calls.csv"
+    path.write_text(NAIVE_LOG)
+    want = parse_calls_kept(path, None, tmp_path)
+    kept = tmp_path / ".calls.csv.parse"
+    good = kept.read_bytes()
+    kept.write_bytes(spoil(good))
+    _same_parse(parse_calls_kept(path, None, tmp_path), want)
+    assert parsed == ["calls.csv"] * 2
+    # the parse is kept again, in the same bytes
+    assert kept.read_bytes() == good
+    assert sorted(p.name for p in tmp_path.iterdir()) == [".calls.csv.parse", "calls.csv"]
+
+
+def test_kept_parse_of_a_missing_log_is_a_data_error(tmp_path):
+    with pytest.raises(DataError, match="call log not found"):
+        parse_calls_kept(tmp_path / "absent.csv", None, tmp_path)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_kept_parse_logs_each_read(tmp_path, caplog):
+    path = tmp_path / "calls.csv"
+    path.write_text(NAIVE_LOG)
+    with caplog.at_level(logging.INFO, logger="emsdeploy"):
+        parse_calls_kept(path, None, tmp_path)
+        parse_calls_kept(path, None, tmp_path)
+    assert caplog.messages == ["calls.csv: 3 rows, parsed", "calls.csv: 3 rows, read from its kept parse"]
+
+
 def test_roundtrip_identity(tmp_path):
     records = [
         rec(datetime(2024, 1, 1, 9, tzinfo=UTC), reported_travel_s=123.5, on_scene_s=60.0),
@@ -321,6 +434,25 @@ def test_demand_matrix_export_roundtrip(tmp_path):
     loaded = load_demand_matrix(path)
     assert np.array_equal(loaded.counts, m.counts)
     assert loaded.period_start_times == m.period_start_times
+
+
+def test_demand_matrix_header_only_roundtrip(tmp_path):
+    m = DemandMatrix(np.zeros((0, 4), dtype=np.int64), 3600.0, [])
+    path = tmp_path / "demand.csv"
+    save_demand_matrix(m, path)
+    loaded = load_demand_matrix(path)
+    assert loaded.counts.shape == (0, 4)
+    assert loaded.period_start_times == []
+
+
+@pytest.mark.parametrize("bad_line", [2, 3, 4])
+def test_load_demand_matrix_names_the_line_of_a_bad_count(tmp_path, bad_line):
+    lines = ["period_start,region_0,region_1"] + [f"2024-01-01T0{h}:00:00+00:00,1,2" for h in range(3)]
+    lines[bad_line - 1] = lines[bad_line - 1][:-1] + "x"
+    path = tmp_path / "demand.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match=f"line {bad_line}: invalid literal for int"):
+        load_demand_matrix(path)
 
 
 def test_save_demand_matrix_text_as_per_row_writer(tmp_path):
