@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, SolverError
 from .geogrid import Grid, assign_cells
-from .ingest import CallRecord
+from .ingest import CallRecord, call_column
 from .rng import derive_seed, substream
 
 SVI_COLUMNS = (
@@ -92,31 +92,30 @@ def assemble_tracts(
     cell_min_min = station_times.min(axis=0) / 60.0
     cell_avg_min = station_times.mean(axis=0) / 60.0
 
-    cell_calls: dict[int, int] = {}
-    tract_reported: dict[str, list[float]] = {}
-    reported = [r for r in calls if r.reported_travel_s is not None]
-    cells, inside = assign_cells(grid, [r.lat for r in reported], [r.lon for r in reported], snap_cells)
-    for r, cell, ok in zip(reported, cells.tolist(), inside.tolist()):
-        if not ok:
-            continue
-        tract = tract_map.get(cell)
-        if tract is None:
-            continue
-        cell_calls[cell] = cell_calls.get(cell, 0) + 1
-        tract_reported.setdefault(tract, []).append(float(r.reported_travel_s) / 60.0)
-
     tract_cells: dict[str, list[int]] = {}
     for cell, tract in tract_map.items():
         tract_cells.setdefault(tract, []).append(int(cell))
+    # each call with a reported travel time, by the tract of its cell (-1: none)
+    tracts = sorted(tract_cells)
+    tract_of_cell = np.full(grid.n_cells, -1, dtype=np.int64)
+    for t, tract in enumerate(tracts):
+        cells_in = [c for c in tract_cells[tract] if 0 <= c < grid.n_cells]
+        tract_of_cell[cells_in] = t
+    reported_s = call_column(calls, "reported_travel_s")
+    has = ~np.isnan(reported_s)
+    call_cells, inside = assign_cells(grid, call_column(calls, "lat")[has], call_column(calls, "lon")[has], snap_cells)
+    call_tract = np.where(inside, tract_of_cell[np.where(inside, call_cells, 0)], -1)
+    cell_calls = np.bincount(call_cells[call_tract >= 0], minlength=grid.n_cells)
+    minutes = reported_s[has] / 60.0
 
     tract_ids: list[str] = []
     ys: list[float] = []
     rows: list[list[float]] = []
     dropped_no_svi = 0
     no_calls = 0
-    for tract in sorted(tract_cells):
-        reported = tract_reported.get(tract)
-        if not reported:
+    for t, tract in enumerate(tracts):
+        reported = minutes[call_tract == t]
+        if not len(reported):
             no_calls += 1
             continue
         svi = svi_table.get(tract)
@@ -124,7 +123,7 @@ def assemble_tracts(
             dropped_no_svi += 1
             continue
         cells = tract_cells[tract]
-        weights = np.array([cell_calls.get(c, 0) for c in cells], dtype=np.float64)
+        weights = np.array([cell_calls[c] if 0 <= c < grid.n_cells else 0 for c in cells], dtype=np.float64)
         if weights.sum() == 0:
             no_calls += 1
             continue

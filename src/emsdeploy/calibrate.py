@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, SolverError
 from .geogrid import Grid
-from .ingest import CallRecord, calibration_cells, trim_quantiles
+from .ingest import CallRecord, calibration_cells, call_column, trim_quantiles
 
 
 @dataclass
@@ -167,10 +167,8 @@ def verify(
     # unusable calls ahead of the last one used
     usable, a, b = usable[:needed], a[:needed], b[:needed]
     excluded = int(usable[-1]) + 1 - needed if needed else 0
-    errors = [
-        apply(model, grid_s) - float(test_calls[k].reported_travel_s)
-        for k, grid_s in zip(usable.tolist(), grid.travel_time_s[a, b].tolist())
-    ]
+    reported = call_column(test_calls, "reported_travel_s")[usable].tolist()
+    errors = [apply(model, grid_s) - r for grid_s, r in zip(grid.travel_time_s[a, b].tolist(), reported)]
     batches = np.array(errors, dtype=np.float64).reshape(n_batches, batch_size)
     means = batches.mean(axis=1)
     overall = float(means.mean())

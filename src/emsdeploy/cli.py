@@ -11,7 +11,11 @@ Every read of a call log goes through ``ingest.parse_calls_kept``, so
 ``--out`` also holds one hidden kept parse per call log
 (``.<log file name>.parse``). It is keyed by the log's content and the
 schema, never listed in a manifest, and safe to delete: a missing or
-stale one only means the next read parses the log again.
+stale one only means the next read parses the log again. Preprocess
+writes the kept parses of the two split logs with the logs themselves
+(``ingest.serialize_calls_kept``), so a pipeline parses only
+``calls_csv``. The stages work on the ``ingest.CallTable`` that a read
+returns, column by column; no stage builds a record per call.
 """
 
 from __future__ import annotations
@@ -156,10 +160,14 @@ class RunConfig:
             if any(not (0 <= c < n) for c in cells):
                 raise ConfigError(f"{name} contains an index outside 0..{n - 1}")
         try:
-            self._parse_time(self.peak_start)
-            self._parse_time(self.peak_end)
+            start, end = self.peak_window()
         except ValueError as exc:
             raise ConfigError(f"bad peak window time: {exc}")
+        # a window that can hold no call would only fail later, as a data error
+        if not start < end:
+            raise ConfigError(f"peak_start {self.peak_start} must come before peak_end {self.peak_end}")
+        if not all(0 <= d <= 6 for d in self.peak_weekdays):
+            raise ConfigError(f"peak_weekdays must lie in 0..6 (Monday is 0), got {self.peak_weekdays}")
 
     @staticmethod
     def _parse_time(text: str) -> time:
@@ -277,14 +285,14 @@ def _sim_params(cfg: RunConfig, model: calibrate.CalibrationModel | None) -> sim
     )
 
 
-def _snap_calls(cfg: RunConfig, grid: geogrid.Grid, calls) -> list[tuple[float, int]]:
+def _snap_calls(cfg: RunConfig, grid: geogrid.Grid, calls: ingest.CallTable) -> list[tuple[float, int]]:
     """(epoch_seconds, cell) pairs for a stage that simulates ``calls`` many
     times, so each call is snapped to the grid once, not once per run."""
-    cells = geogrid.assign_cells_or_raise(grid, [c.lat for c in calls], [c.lon for c in calls], cfg.snap_cells)
-    return list(zip([c.epoch_s() for c in calls], cells.tolist()))
+    cells = geogrid.assign_cells_or_raise(grid, calls.lat, calls.lon, cfg.snap_cells)
+    return list(zip(calls.utc_s.tolist(), cells.tolist()))
 
 
-def _snap_batch_calls(cfg: RunConfig, grid: geogrid.Grid, calls) -> list[tuple[float, int]]:
+def _snap_batch_calls(cfg: RunConfig, grid: geogrid.Grid, calls: ingest.CallTable) -> list[tuple[float, int]]:
     """``_snap_calls`` of the calls ``simcore.run_batches`` can draw on:
     without resampling, only the first n_calls * n_batches."""
     if not cfg.sample_with_replacement:
@@ -292,22 +300,22 @@ def _snap_batch_calls(cfg: RunConfig, grid: geogrid.Grid, calls) -> list[tuple[f
     return _snap_calls(cfg, grid, calls)
 
 
-def _parse_calls(cfg: RunConfig, out: Path) -> tuple[list[ingest.CallRecord], ingest.ParseReport]:
+def _parse_calls(cfg: RunConfig, out: Path) -> tuple[ingest.CallTable, ingest.ParseReport]:
     if not cfg.calls_csv:
         raise ConfigError("calls_csv is required for this subcommand")
     schema = ingest.CallSchema(timezone=cfg.timezone)
     return ingest.parse_calls_kept(cfg.calls_csv, schema, out)
 
 
-def _read_calls(out: Path, name: str) -> list[ingest.CallRecord]:
-    """The records of a call log that preprocess wrote to ``out``."""
+def _read_calls(out: Path, name: str) -> ingest.CallTable:
+    """The calls of a log that preprocess wrote to ``out``."""
     calls, _ = ingest.parse_calls_kept(_require(out / name, "preprocess"), None, out)
     return calls
 
 
 def _peak(cfg: RunConfig, calls):
     if not cfg.peak_filter:
-        return list(calls)
+        return calls
     start, end = cfg.peak_window()
     return ingest.filter_peak(calls, start, end, cfg.peak_weekdays)
 
@@ -357,8 +365,8 @@ def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
     )
     matrix = _demand_for_rates(cfg, train, grid)
     files = {}
-    ingest.serialize_calls(train, out / "calls_train.csv")
-    ingest.serialize_calls(test, out / "calls_test.csv")
+    ingest.serialize_calls_kept(train, out / "calls_train.csv", out)
+    ingest.serialize_calls_kept(test, out / "calls_test.csv", out)
     ingest.save_demand_matrix(matrix, out / "demand_matrix.csv")
     summary = {
         "n_rows_read": report.n_rows,
@@ -599,9 +607,8 @@ def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
     with open(out / "plot_temporal_heatmap.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["weekday", "hour", "count"])
-        counts = np.zeros((7, 24), dtype=np.int64)
-        for r in calls:
-            counts[r.timestamp.weekday(), r.timestamp.hour] += 1
+        weekday, clock_us = ingest.weekday_and_clock_us(calls.wall_us)
+        counts = np.bincount(weekday * 24 + clock_us // 3_600_000_000, minlength=7 * 24).reshape(7, 24)
         for wd in range(7):
             for hour in range(24):
                 writer.writerow([wd, hour, int(counts[wd, hour])])
@@ -610,7 +617,7 @@ def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
     with open(out / "plot_spatial_heatmap.csv", "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["cell", "lat", "lon", "count"])
-        cells, inside = geogrid.assign_cells(grid, [r.lat for r in calls], [r.lon for r in calls], cfg.snap_cells)
+        cells, inside = geogrid.assign_cells(grid, calls.lat, calls.lon, cfg.snap_cells)
         cell_counts = np.bincount(cells[inside], minlength=grid.n_cells)
         for j in range(grid.n_cells):
             lat, lon = grid.cell_centers[j]

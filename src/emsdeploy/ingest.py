@@ -4,7 +4,10 @@ train/test splitting, and quantile trimming.
 All transformations are pure; malformed or out-of-bounds rows are counted
 and reported rather than silently discarded. ``parse_calls_kept`` keeps a
 log's parse on disk, so a pipeline whose stages each re-read the same log
-parses it once.
+parses it once, and returns it as a ``CallTable`` of numpy columns;
+``serialize_calls_kept`` keeps the parse of a log it writes without
+parsing it. Each rule on calls is written once, on columns: given
+``CallRecord``s, it builds the columns it reads (``call_column``).
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import logging
 import math
 import os
 import tempfile
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
-from itertools import chain, repeat
-from operator import add, floordiv, itemgetter, sub
+from itertools import chain, compress, repeat
+from operator import add, attrgetter, floordiv, itemgetter, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 from zoneinfo import ZoneInfo
@@ -174,40 +178,188 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[lis
 
 # the layout of a kept parse: change it whenever the layout or what a parse
 # returns changes, so that no older kept file matches a key
-_KEPT_FORMAT = b"emsdeploy kept parse 1"
+_KEPT_FORMAT = b"emsdeploy kept parse 2"
 _SCHEMA_ZONE = np.iinfo(np.int64).min  # the zone code of a stamp in the schema's zone
 _MICROSECOND = timedelta(microseconds=1)
+_UTC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_DAY_US = 86_400_000_000
+
+
+class CallTable(Sequence[CallRecord]):
+    """Parsed calls as numpy columns, one entry per call, in order.
+
+    ``wall_us`` is each stamp's wall-clock time in us since 1970-01-01 in
+    its own zone, ``zone`` its zone code (the fixed UTC offset in us, or
+    ``_SCHEMA_ZONE`` for a stamp in the zone ``tz``) and ``utc_us`` its
+    instant in us since the Unix epoch. ``values`` holds the eight float
+    fields as rows, NaN for None; each is also a column named as its
+    ``CallRecord`` field (``table.lat``, ``table.reported_travel_s``, ...).
+
+    A read-only ``Sequence[CallRecord]``: an integer index, or iterating,
+    builds the records ``parse_calls`` returns, equal by ``repr``; a slice,
+    a boolean mask or an array of positions gives a CallTable.
+    """
+
+    __slots__ = ("wall_us", "zone", "utc_us", "values", "tz")
+
+    def __init__(self, wall_us: np.ndarray, zone: np.ndarray, utc_us: np.ndarray, values: np.ndarray, tz: ZoneInfo):
+        for column in (wall_us, zone, utc_us, values):
+            column.flags.writeable = False
+        self.wall_us, self.zone, self.utc_us, self.values, self.tz = wall_us, zone, utc_us, values, tz
+
+    @classmethod
+    def from_records(cls, records: Sequence[CallRecord], tz: ZoneInfo) -> "CallTable":
+        """The table of ``parse_calls`` records whose ZoneInfo stamps are in ``tz``."""
+        stamps, *fields = zip(*records) if records else [()] * 9
+        zones = [t.tzinfo for t in stamps]
+        codes = {z: _SCHEMA_ZONE if isinstance(z, ZoneInfo) else z.utcoffset(None) // _MICROSECOND for z in set(zones)}
+        zone = np.fromiter(map(codes.__getitem__, zones), dtype=np.int64, count=len(stamps))
+        since_epoch = map(sub, stamps, repeat(_UTC_EPOCH))
+        utc_us = np.fromiter(map(floordiv, since_epoch, repeat(_MICROSECOND)), dtype=np.int64, count=len(stamps))
+        # a fixed offset's wall time is its instant plus the offset; only a ZoneInfo stamp is read
+        in_tz = zone == _SCHEMA_ZONE
+        wall_us = utc_us + np.where(in_tz, 0, zone)
+        wall_us[in_tz] = _wall_us([stamps[k] for k in np.flatnonzero(in_tz).tolist()])
+        return cls(wall_us, zone, utc_us, np.array(fields, dtype=np.float64).reshape(8, len(stamps)), tz)
+
+    def __len__(self) -> int:
+        return len(self.wall_us)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            k = range(len(self))[index]
+            return self[k:k + 1].records()[0]
+        return CallTable(self.wall_us[index], self.zone[index], self.utc_us[index], self.values[:, index], self.tz)
+
+    def __iter__(self):
+        return iter(self.records())
+
+    @property
+    def utc_s(self) -> np.ndarray:
+        """Each call's instant in seconds since the Unix epoch: the float
+        ``CallRecord.epoch_s`` returns, since both divide the same integer
+        number of us by 10**6 with one rounding."""
+        return self.utc_us / 1e6
+
+    def records(self) -> list[CallRecord]:
+        """The calls as ``CallRecord``s: each stamp is its zone's 1970 epoch
+        plus its wall time, so DST-gap and fold wall times, ``timezone.utc``
+        against ``ZoneInfo('UTC')`` and fixed offsets come back as parsed."""
+        epochs = {
+            code: datetime(1970, 1, 1, tzinfo=self.tz if code == _SCHEMA_ZONE else timezone(code * _MICROSECOND))
+            for code in set(self.zone.tolist())
+        }
+        stamps = map(add, map(epochs.__getitem__, self.zone.tolist()), self.wall_us.astype("m8[us]").tolist())
+        # CallRecord._make without its per-row length check: each row has nine fields
+        return list(map(tuple.__new__, repeat(CallRecord), zip(stamps, *map(_none_for_nan, self.values))))
+
+
+for _j, _name in enumerate(CallRecord._fields[1:]):
+    setattr(CallTable, _name, property(lambda table, j=_j: table.values[j], doc=f"The {_name} column."))
+del _j, _name
+
+
+def call_column(calls: Sequence[CallRecord], name: str) -> np.ndarray:
+    """Column ``name`` of ``calls``: ``wall_us``, ``utc_s`` or a float field.
+
+    A CallTable's own column, or the same column built from records (NaN
+    for None), so that every rule on calls is written once, on arrays.
+    """
+    if isinstance(calls, CallTable):
+        return getattr(calls, name)
+    if name == "wall_us":
+        return _wall_us(list(map(itemgetter(0), calls)))
+    if name == "utc_s":
+        return np.fromiter(map(datetime.timestamp, map(itemgetter(0), calls)), dtype=np.float64, count=len(calls))
+    return np.array(list(map(attrgetter(name), calls)), dtype=np.float64)
+
+
+def _take(calls: Sequence[CallRecord], index: slice | np.ndarray) -> Sequence[CallRecord]:
+    """The calls at a slice or a boolean mask: a CallTable of a table, a
+    list of records otherwise."""
+    if isinstance(calls, CallTable):
+        return calls[index]
+    if isinstance(index, slice):
+        return list(calls[index])
+    return list(compress(calls, index.tolist()))
+
+
+def _wall_us(stamps: Sequence[datetime]) -> np.ndarray:
+    """Each stamp's wall-clock time, in us since 1970-01-01 in its own zone."""
+    epochs = {z: datetime(1970, 1, 1, tzinfo=z) for z in set(map(attrgetter("tzinfo"), stamps))}
+    # a stamp minus an epoch in the same zone is wall-clock time, whatever the zone's offsets
+    since = map(sub, stamps, map(epochs.__getitem__, map(attrgetter("tzinfo"), stamps)))
+    return np.fromiter(map(floordiv, since, repeat(_MICROSECOND)), dtype=np.int64, count=len(stamps))
+
+
+def weekday_and_clock_us(wall_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weekday (Monday 0) and us since midnight of each wall time:
+    1970-01-01 was a Thursday."""
+    days, clock_us = np.divmod(wall_us, _DAY_US)
+    return (days + 3) % 7, clock_us
+
+
+def _in_window(wall_us: np.ndarray, start: time, end: time, weekdays: Sequence[int]) -> np.ndarray:
+    """Which wall times lie in [start, end) on one of the weekdays."""
+    weekday, clock_us = weekday_and_clock_us(wall_us)
+    start_us, end_us = (((t.hour * 60 + t.minute) * 60 + t.second) * 1_000_000 + t.microsecond for t in (start, end))
+    return np.isin(weekday, list(weekdays)) & (start_us <= clock_us) & (clock_us < end_us)
 
 
 def parse_calls_kept(
     path: str | Path, schema: CallSchema | None, keep_dir: str | Path
-) -> tuple[list[CallRecord], ParseReport]:
-    """``parse_calls`` of a log whose parse is kept in ``keep_dir``.
+) -> tuple[CallTable, ParseReport]:
+    """``parse_calls`` of a log whose parse is kept in ``keep_dir``, as a
+    CallTable.
 
     The parse is kept in one hidden file, ``.<log file name>.parse``,
     under a key: the SHA-256 of the format version, the schema (timezone
     and column mapping) and the log's bytes. When the kept file's key
-    matches, the records and report are loaded from it. Otherwise (no kept
+    matches, the table and report are loaded from it. Otherwise (no kept
     file, a changed log or schema, an empty, truncated or foreign file)
     the log is parsed and its parse kept, written to a temporary file and
-    renamed into place. Either way the result is what ``parse_calls``
-    returns: every record equal by ``repr`` (zone, signed zeros and None
-    fields included) and the same report, its reasons in first-seen order.
-    Two logs of the same file name share one kept file, so reading them in
-    turn re-parses each; the kept file can be deleted at any time.
+    renamed into place. Either way the table's records are what
+    ``parse_calls`` returns, equal by ``repr`` (zone, signed zeros and None
+    fields included), and the report is its report, its reasons in
+    first-seen order. Two logs of the same file name share one kept file,
+    so reading them in turn re-parses each; the kept file can be deleted at
+    any time.
     """
     schema = schema or CallSchema()
-    kept = Path(keep_dir) / f".{Path(path).name}.parse"
+    kept = _kept_path(path, keep_dir)
     key = _kept_key(path, schema)
     loaded = _load_kept(kept, key, schema)
     if loaded is None:
         records, report = parse_calls(path, schema)
-        _keep(kept, key, records, report)
+        table = CallTable.from_records(records, schema.zone())
+        _keep(kept, key, table, report)
     else:
-        records, report = loaded
+        table, report = loaded
     log.info("%s: %d rows, %s", Path(path).name, report.n_rows,
              "parsed" if loaded is None else "read from its kept parse")
-    return records, report
+    return table, report
+
+
+def serialize_calls_kept(calls: CallTable, path: str | Path, keep_dir: str | Path) -> None:
+    """``serialize_calls``, then keep the written log's parse in
+    ``keep_dir`` without parsing it, for ``parse_calls_kept`` under the
+    default schema.
+
+    The kept parse is what ``parse_calls`` returns of the written bytes:
+    every written stamp carries its UTC offset, so each comes back with
+    that fixed offset, and the records are sorted by instant; the table's
+    values pass the parser's checks again, so the report drops nothing.
+    """
+    serialize_calls(calls, path)
+    order = np.argsort(calls.utc_us, kind="stable")
+    fixed = calls.wall_us - calls.utc_us  # each stamp's UTC offset in us
+    seeded = CallTable(calls.wall_us[order], fixed[order], calls.utc_us[order], calls.values[:, order], calls.tz)
+    schema = CallSchema()
+    _keep(_kept_path(path, keep_dir), _kept_key(path, schema), seeded, ParseReport(len(calls), len(calls), 0))
+
+
+def _kept_path(path: str | Path, keep_dir: str | Path) -> Path:
+    return Path(keep_dir) / f".{Path(path).name}.parse"
 
 
 def _kept_key(path: str | Path, schema: CallSchema) -> bytes:
@@ -227,60 +379,42 @@ def _kept_key(path: str | Path, schema: CallSchema) -> bytes:
     return key.getvalue()
 
 
-def _keep(kept: Path, key: bytes, records: list[CallRecord], report: ParseReport) -> None:
+def _keep(kept: Path, key: bytes, table: CallTable, report: ParseReport) -> None:
     """Write a parse as a run of .npy arrays after its key: the report's
-    counts, its reason names and counts, each stamp's wall time (us since
-    1970-01-01 in its own zone) and zone code (the UTC offset in us, or
-    ``_SCHEMA_ZONE``), and the eight float fields, NaN for None (a parsed
-    field is never NaN)."""
-    stamps = [r[0] for r in records]
-    zones = [t.tzinfo for t in stamps]
-    epochs = {z: datetime(1970, 1, 1, tzinfo=z) for z in set(zones)}
-    codes = {z: _SCHEMA_ZONE if isinstance(z, ZoneInfo) else z.utcoffset(None) // _MICROSECOND for z in epochs}
-    # a stamp minus an epoch in the same zone is wall-clock time, whatever the zone's offsets
-    since = map(sub, stamps, map(epochs.__getitem__, zones))
+    counts, its reason names and counts, then the table's columns (a
+    parsed field is never NaN, so NaN stands for None)."""
     arrays = (
         np.array([report.n_rows, report.n_parsed, report.n_dropped], dtype=np.int64),
         np.array(list(report.reasons), dtype=str),
         np.array(list(report.reasons.values()), dtype=np.int64),
-        np.fromiter(map(floordiv, since, repeat(_MICROSECOND)), dtype=np.int64, count=len(stamps)),
-        np.fromiter(map(codes.__getitem__, zones), dtype=np.int64, count=len(stamps)),
-        np.array([[r[j] for r in records] for j in range(1, 9)], dtype=np.float64),
+        table.wall_us, table.zone, table.utc_us, table.values,
     )
     fd, tmp = tempfile.mkstemp(prefix=kept.name, dir=kept.parent)
     try:
         with open(fd, "wb") as f:
             f.write(key)
             for array in arrays:
-                np.lib.format.write_array(f, array, allow_pickle=False)
+                np.lib.format.write_array(f, np.ascontiguousarray(array), allow_pickle=False)
         os.replace(tmp, kept)
     except BaseException:
         os.unlink(tmp)
         raise
 
 
-def _load_kept(kept: Path, key: bytes, schema: CallSchema) -> tuple[list[CallRecord], ParseReport] | None:
+def _load_kept(kept: Path, key: bytes, schema: CallSchema) -> tuple[CallTable, ParseReport] | None:
     """The parse ``_keep`` wrote under ``key``, or None for a file that is
     missing, unreadable, truncated or kept under another key."""
     try:
         with open(kept, "rb") as f:
             if f.read(len(key)) != key:
                 return None
-            counts, names, reason_counts, wall_us, codes, values = (
-                np.lib.format.read_array(f, allow_pickle=False) for _ in range(6)
+            counts, names, reason_counts, wall_us, zone, utc_us, values = (
+                np.lib.format.read_array(f, allow_pickle=False) for _ in range(7)
             )
     except (OSError, ValueError):
         return None
-    zone = schema.zone()
-    epochs = {
-        code: datetime(1970, 1, 1, tzinfo=zone if code == _SCHEMA_ZONE else timezone(code * _MICROSECOND))
-        for code in set(codes.tolist())
-    }
-    stamps = map(add, map(epochs.__getitem__, codes.tolist()), wall_us.astype("m8[us]").tolist())
-    # CallRecord._make without its per-row length check: each row has nine fields
-    records = list(map(tuple.__new__, repeat(CallRecord), zip(stamps, *map(_none_for_nan, values))))
     report = ParseReport(*counts.tolist(), Counter(dict(zip(names.tolist(), reason_counts.tolist()))))
-    return records, report
+    return CallTable(wall_us, zone, utc_us, values, schema.zone()), report
 
 
 def _none_for_nan(values: np.ndarray) -> list[float | None]:
@@ -296,9 +430,13 @@ def serialize_calls(records: Iterable[CallRecord], path: str | Path) -> None:
     its repr and None as an empty field, CRLF-terminated. These are the
     bytes ``csv.writer`` writes, since it quotes only a field holding a
     comma, a quote or a line break, and no ISO timestamp or float repr does.
+    A CallTable is written from its columns, in the same bytes.
     """
     with open(path, "w", newline="") as f:
         f.write(",".join(DEFAULT_COLUMNS.values()) + "\r\n")
+        if isinstance(records, CallTable):
+            f.writelines(_table_rows(records))
+            return
         f.writelines(
             ",".join([r[0].isoformat(), repr(float(r[1])), repr(float(r[2])),
                       *["" if v is None else repr(float(v)) for v in r[3:]]]) + "\r\n"
@@ -306,24 +444,37 @@ def serialize_calls(records: Iterable[CallRecord], path: str | Path) -> None:
         )
 
 
+def _table_rows(table: CallTable) -> Iterable[str]:
+    """``serialize_calls``'s rows of a table, in chunks of whole rows."""
+    offsets, which = np.unique(table.wall_us - table.utc_us, return_inverse=True)
+    # an ISO UTC offset as isoformat writes it: +HH:MM, then :SS and .ffffff if not zero
+    suffixes = np.array([datetime(2000, 1, 1, tzinfo=timezone(o * _MICROSECOND)).isoformat()[19:]
+                         for o in offsets.tolist()])
+    rows = 1 << 14
+    for k in range(0, len(table), rows):
+        chunk = table[k:k + rows]
+        # isoformat writes the microseconds only when they are not zero
+        stamps = np.datetime_as_string(chunk.wall_us.astype("M8[us]"), unit="us")
+        stamps = np.where(chunk.wall_us % 1_000_000 == 0, stamps.astype("U19"), stamps)
+        stamps = np.char.add(stamps, suffixes[which[k:k + rows]])
+        text = "\r\n".join(map(",".join, zip(stamps.tolist(), *(map(repr, v) for v in chunk.values.tolist()))))
+        # a float's repr holds "nan" only for NaN, which stands for None here
+        yield text.replace("nan", "") + "\r\n"
+
+
 def filter_peak(
     calls: Sequence[CallRecord],
     start: time = time(8, 0),
     end: time = time(20, 0),
     weekdays: Sequence[int] = (0, 1, 2, 3, 4),
-) -> list[CallRecord]:
+) -> Sequence[CallRecord]:
     """Keep calls whose local time lies in [start, end) on one of the weekdays.
 
     Monday is weekday 0. The default window is the high, consistent demand
-    period of weekday daytime hours.
+    period of weekday daytime hours. A CallTable gives a CallTable, records
+    a list.
     """
-    wd = set(weekdays)
-    out = []
-    for r in calls:
-        t = r.timestamp
-        if t.weekday() in wd and start <= t.time() < end:
-            out.append(r)
-    return out
+    return _take(calls, _in_window(call_column(calls, "wall_us"), start, end, weekdays))
 
 
 @dataclass
@@ -362,9 +513,11 @@ def build_demand_matrix(
 ) -> DemandMatrix:
     """Count calls per (period, region).
 
-    Periods tile contiguously from the local midnight preceding the first
-    call. Calls farther than snap_cells cell-widths outside the grid are
-    dropped and counted in n_dropped.
+    Periods tile contiguously, in absolute time, from the local midnight
+    preceding the first call; each period's start is that instant, to the
+    microsecond, in the first call's zone, so a start after a DST change
+    carries the new offset. Calls farther than snap_cells cell-widths
+    outside the grid are dropped and counted in n_dropped.
     """
     if period_length_s <= 0:
         raise ConfigError(f"period_length_s must be positive, got {period_length_s}")
@@ -373,15 +526,18 @@ def build_demand_matrix(
     first = calls[0].timestamp
     anchor = first.replace(hour=0, minute=0, second=0, microsecond=0)
     anchor_s = anchor.timestamp()
-    cells, inside = assign_cells(grid, [r.lat for r in calls], [r.lon for r in calls], snap_cells)
-    epoch = np.array([r.timestamp.timestamp() for r in calls], dtype=np.float64)
-    periods = np.floor((epoch[inside] - anchor_s) / period_length_s)
+    cells, inside = assign_cells(grid, call_column(calls, "lat"), call_column(calls, "lon"), snap_cells)
+    periods = np.floor((call_column(calls, "utc_s")[inside] - anchor_s) / period_length_s)
     if np.any(periods < 0):
         raise DataError("calls must not precede the first call's midnight anchor")
     n_periods = int(periods.max()) + 1 if len(periods) else 1
     flat = periods.astype(np.int64) * grid.n_cells + cells[inside]
     counts = np.bincount(flat, minlength=n_periods * grid.n_cells).reshape(n_periods, grid.n_cells)
-    starts = [anchor + timedelta(seconds=k * period_length_s) for k in range(n_periods)]
+    # the calls are binned by absolute time, so the starts step in absolute time too
+    steps_us = np.rint(np.arange(n_periods) * (period_length_s * 1e6)).astype(np.int64)
+    start_us = (anchor - _UTC_EPOCH) // _MICROSECOND + steps_us
+    instants = map(add, repeat(_UTC_EPOCH), start_us.astype("m8[us]").tolist())
+    starts = list(map(datetime.astimezone, instants, repeat(anchor.tzinfo)))
     return DemandMatrix(counts, period_length_s, starts, n_dropped=int(len(calls) - inside.sum()))
 
 
@@ -392,11 +548,7 @@ def peak_period_mask(
     weekdays: Sequence[int] = (0, 1, 2, 3, 4),
 ) -> np.ndarray:
     """Boolean mask of periods whose start lies inside the peak window."""
-    wd = set(weekdays)
-    mask = np.zeros(matrix.n_periods, dtype=bool)
-    for i, ts in enumerate(matrix.period_start_times):
-        mask[i] = ts.weekday() in wd and start <= ts.time() < end
-    return mask
+    return _in_window(_wall_us(matrix.period_start_times), start, end, weekdays)
 
 
 def select_periods(matrix: DemandMatrix, mask: np.ndarray) -> DemandMatrix:
@@ -418,7 +570,42 @@ def save_demand_matrix(matrix: DemandMatrix, path: str | Path) -> None:
 def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> DemandMatrix:
     """Read ``save_demand_matrix``'s CSV. Raises DataError with the line
     number for a row whose width differs from the header's, a period start
-    that is not an ISO timestamp, or a count that is not an integer."""
+    that is not an ISO timestamp, or a count that is not an integer.
+
+    The counts are read by ``np.loadtxt``. A file that it, or the checks
+    around it, do not take as written is read again line by line, which
+    words the error (or reads what ``int`` takes and ``np.loadtxt`` does
+    not, such as ``1_000``).
+    """
+    try:
+        return _load_demand_matrix_columns(path, period_length_s)
+    except (ValueError, DeprecationWarning):
+        return _load_demand_matrix_lines(path, period_length_s)
+
+
+def _load_demand_matrix_columns(path: str | Path, period_length_s: float) -> DemandMatrix:
+    with open(path) as f:
+        text = f.read()
+    header, *lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()  # the last line's break
+    width = len(next(csv.reader([header]), []))
+    # every row has at least the header's width once np.loadtxt reads them;
+    # with as many commas in all as the header's width asks, each has exactly that
+    if width < 2 or "" in lines or text.count(",", len(header)) != (width - 1) * len(lines):
+        raise ValueError("not as save_demand_matrix writes it")
+    starts = [datetime.fromisoformat(line[:line.index(",")]) for line in lines]
+    if not lines:
+        return DemandMatrix(np.zeros((0, width - 1), dtype=np.int64), period_length_s, [])
+    with warnings.catch_warnings():
+        # numpy 1.23-1.x parses an integer via a float, with a DeprecationWarning
+        warnings.simplefilter("error", DeprecationWarning)
+        counts = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None,
+                            usecols=range(1, width), ndmin=2)
+    return DemandMatrix(counts, period_length_s, starts)
+
+
+def _load_demand_matrix_lines(path: str | Path, period_length_s: float) -> DemandMatrix:
     starts: list[datetime] = []
     with open(path, newline="") as f:
         reader = csv.reader(f)
@@ -451,12 +638,13 @@ def split_train_test(
     k: int = 5,
     fold_index: int = 0,
     seed: int = 0,
-) -> tuple[list[CallRecord], list[CallRecord]]:
+) -> tuple[Sequence[CallRecord], Sequence[CallRecord]]:
     """Disjoint, exhaustive train/test split.
 
     chronological: the earliest ``fraction`` of calls become the train set.
     kfold: a seeded shuffle partitions calls into k folds; fold_index is the
-    test fold. Both modes keep each side in chronological order.
+    test fold. Both modes keep each side in chronological order. A
+    CallTable gives two CallTables, records two lists.
     """
     n = len(calls)
     if n < 2:
@@ -465,16 +653,14 @@ def split_train_test(
         if not (0 < fraction < 1):
             raise ConfigError(f"fraction must be in (0, 1), got {fraction}")
         n_train = min(max(int(math.floor(n * fraction)), 1), n - 1)
-        return list(calls[:n_train]), list(calls[n_train:])
+        return _take(calls, slice(None, n_train)), _take(calls, slice(n_train, None))
     if mode == "kfold":
         if k < 2 or not (0 <= fold_index < k):
             raise ConfigError(f"need k >= 2 and 0 <= fold_index < k, got k={k}, fold_index={fold_index}")
         perm = substream(seed, "folds").permutation(n)
-        folds = np.array_split(perm, k)
-        test_idx = set(int(i) for i in folds[fold_index])
-        train = [c for i, c in enumerate(calls) if i not in test_idx]
-        test = [c for i, c in enumerate(calls) if i in test_idx]
-        return train, test
+        in_test = np.zeros(n, dtype=bool)
+        in_test[np.array_split(perm, k)[fold_index]] = True
+        return _take(calls, ~in_test), _take(calls, in_test)
     raise ConfigError(f"unknown split mode: {mode!r}")
 
 
@@ -511,7 +697,7 @@ def calibration_pairs(
     """
     usable, a, b = calibration_cells(calls, grid, snap_cells)
     travel = grid.travel_time_s[a, b].tolist()
-    reported = [float(calls[k].reported_travel_s) for k in usable.tolist()]
+    reported = call_column(calls, "reported_travel_s")[usable].tolist()
     return list(zip(travel, reported)), len(calls) - len(usable)
 
 
@@ -524,14 +710,14 @@ def calibration_cells(
     and call cells, in call order.
 
     A call is usable if it has a reported travel time and an ambulance
-    origin, and both its points lie on the snappable grid.
+    origin (a NaN reads as missing), and both its points lie on the
+    snappable grid.
     """
-    complete = [
-        k for k, r in enumerate(calls)
-        if r.reported_travel_s is not None and r.ambulance_lat is not None and r.ambulance_lon is not None
-    ]
-    picked = [calls[k] for k in complete]
-    a, a_inside = assign_cells(grid, [r.ambulance_lat for r in picked], [r.ambulance_lon for r in picked], snap_cells)
-    b, b_inside = assign_cells(grid, [r.lat for r in picked], [r.lon for r in picked], snap_cells)
+    amb_lat, amb_lon = call_column(calls, "ambulance_lat"), call_column(calls, "ambulance_lon")
+    complete = np.flatnonzero(~(np.isnan(call_column(calls, "reported_travel_s")) | np.isnan(amb_lat) | np.isnan(amb_lon)))
+    a, a_inside = assign_cells(grid, amb_lat[complete], amb_lon[complete], snap_cells)
+    b, b_inside = assign_cells(
+        grid, call_column(calls, "lat")[complete], call_column(calls, "lon")[complete], snap_cells
+    )
     ok = a_inside & b_inside
-    return np.asarray(complete, dtype=np.int64)[ok], a[ok], b[ok]
+    return complete[ok], a[ok], b[ok]

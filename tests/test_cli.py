@@ -224,6 +224,18 @@ def test_config_values_keep_their_json_type():
     assert isinstance(cfg.speed_kmh, int)
 
 
+@pytest.mark.parametrize("window", [
+    ("--peak_weekdays", "[7]"), ("--peak_weekdays", "[0, -1]"),
+    ("--peak_start", "20:00", "--peak_end", "08:00"), ("--peak_start", "08:00", "--peak_end", "08:00"),
+])
+def test_peak_window_that_holds_no_call_is_exit_2(city, tmp_path, capsys, window):
+    # refused while the config loads, not as "0 calls remain" (exit 3) in preprocess
+    assert run(city, "grid", tmp_path / "x") == 0
+    capsys.readouterr()
+    assert run(city, "preprocess", tmp_path / "x", window) == 2
+    assert "config error: peak_" in capsys.readouterr().err
+
+
 def test_unknown_timezone_is_exit_2(city, tmp_path):
     assert run(city, "preprocess", tmp_path / "x", ("--timezone", "Not/AZone")) == 2
 

@@ -3,6 +3,7 @@ import logging
 import math
 import tempfile
 from datetime import datetime, timedelta, timezone
+from datetime import time as datetime_time
 from pathlib import Path
 from unittest import mock
 from zoneinfo import ZoneInfo
@@ -18,6 +19,7 @@ from emsdeploy.geogrid import SyntheticSpeedProvider, build_grid
 from emsdeploy.ingest import (
     CallRecord,
     CallSchema,
+    CallTable,
     DemandMatrix,
     build_demand_matrix,
     calibration_pairs,
@@ -29,6 +31,7 @@ from emsdeploy.ingest import (
     save_demand_matrix,
     select_periods,
     serialize_calls,
+    serialize_calls_kept,
     split_train_test,
     trim_quantiles,
 )
@@ -559,3 +562,190 @@ def test_calibration_pairs_exclude_non_finite_points():
     nan_scene = rec(t, lat=math.nan, reported_travel_s=90.0, ambulance_lat=30.15, ambulance_lon=-97.55)
     pairs, excluded = calibration_pairs([nan_origin, full, nan_scene], g)
     assert [p[1] for p in pairs] == [120.0] and excluded == 2
+
+
+# --- the CallTable a kept parse loads, and the rules written on its columns
+
+def _parsed_table(text, tz, tmp):
+    """A call log's parse, as ``parse_calls_kept``'s table and as records."""
+    path = Path(tmp) / "calls.csv"
+    path.write_text(text)
+    schema = CallSchema(timezone=tz)
+    try:
+        records, report = parse_calls(path, schema)
+    except DataError:
+        return None
+    table, table_report = parse_calls_kept(path, schema, tmp)
+    assert table_report == report
+    return table, records
+
+
+@settings(max_examples=300, deadline=None)
+@given(call_logs())
+def test_call_table_is_the_parse_calls_records(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        parsed = _parsed_table(*case, tmp)
+    if parsed is None:
+        return
+    table, records = parsed
+    want = [repr(r) for r in records]
+    assert [repr(r) for r in table] == want
+    assert [repr(table[k]) for k in range(-len(table), len(table))] == want + want
+    assert [repr(r) for r in table[::-1]] == want[::-1]
+    with pytest.raises(IndexError):
+        table[len(table)]
+    # the columns are the records' fields, NaN for None
+    for name in CallRecord._fields[1:]:
+        np.testing.assert_array_equal(getattr(table, name), [math.nan if v is None else v for v in
+                                                            (getattr(r, name) for r in records)])
+    assert table.utc_s.tolist() == [r.epoch_s() for r in records]
+
+
+@settings(max_examples=300, deadline=None)
+@given(call_logs())
+def test_seeded_kept_parse_is_parse_calls_of_the_written_log(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        parsed = _parsed_table(*case, tmp)
+        if parsed is None:
+            return
+        table, records = parsed
+        sides = [table] if len(table) < 2 else list(split_train_test(table, mode="kfold", k=2, seed=3))
+        for k, calls in enumerate(sides):
+            path = Path(tmp) / f"split{k}.csv"
+            serialize_calls_kept(calls, path, tmp)
+            seeded = (Path(tmp) / f".split{k}.csv.parse").read_bytes()
+            # written from the columns in the bytes the records write
+            serialize_calls(list(calls), Path(tmp) / "from_records.csv")
+            assert path.read_bytes() == (Path(tmp) / "from_records.csv").read_bytes()
+            with mock.patch.object(ingest, "parse_calls", side_effect=AssertionError("parsed")):
+                hit = parse_calls_kept(path, None, tmp)
+            want = parse_calls(path)
+            # naive stamps under a ZoneInfo schema come back with fixed offsets
+            assert all(r.timestamp.tzinfo is not None and not isinstance(r.timestamp.tzinfo, ZoneInfo)
+                       for r in want[0])
+            _same_parse(hit, want)
+            # a parse of the log keeps the same bytes that seeding did
+            (Path(tmp) / f".split{k}.csv.parse").unlink()
+            _same_parse(parse_calls_kept(path, None, tmp), want)
+            assert (Path(tmp) / f".split{k}.csv.parse").read_bytes() == seeded
+
+
+PARSED_ZONES = st.sampled_from([UTC, timezone(timedelta(hours=-5)),
+                                timezone(timedelta(hours=5, minutes=30, seconds=7, microseconds=9)),
+                                ZoneInfo("America/Chicago")])
+PARSED_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def parsed_records(draw):
+    """Records as a parse gives them: aware stamps of any year, fold 0, and
+    finite fields or None."""
+    ts = draw(st.datetimes(timezones=PARSED_ZONES)).replace(fold=0)
+    optional = [draw(st.one_of(st.none(), PARSED_FLOATS)) for _ in range(6)]
+    return CallRecord(ts, draw(PARSED_FLOATS), draw(PARSED_FLOATS), *optional)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(parsed_records(), max_size=6))
+def test_call_table_of_records_round_trips_and_serializes_as_them(records):
+    table = CallTable.from_records(records, ZoneInfo("America/Chicago"))
+    assert [repr(r) for r in table] == [repr(r) for r in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
+        serialize_calls(table, got)
+        serialize_calls(records, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+WINDOWS = st.tuples(
+    st.integers(0, 23), st.integers(1, 24), st.lists(st.integers(0, 6), max_size=7),
+).filter(lambda w: w[0] < w[1])
+
+
+def _window(w):
+    start, end, weekdays = w
+    return datetime_time(start), datetime_time(end) if end < 24 else datetime_time.max, weekdays
+
+
+@settings(max_examples=300, deadline=None)
+@given(call_logs(), WINDOWS)
+def test_column_rules_are_the_record_rules(case, window):
+    grid = make_grid()
+    with tempfile.TemporaryDirectory() as tmp:
+        parsed = _parsed_table(*case, tmp)
+    if parsed is None:
+        return
+    table, records = parsed
+    start, end, weekdays = _window(window)
+    peak = filter_peak(table, start, end, weekdays)
+    assert isinstance(peak, CallTable)
+    assert [repr(r) for r in peak] == [repr(r) for r in filter_peak(records, start, end, weekdays)]
+    # the weekday and clock come from the wall time as datetime reads them
+    assert [repr(r) for r in peak] == [
+        repr(r) for r in records if r.timestamp.weekday() in weekdays and start <= r.timestamp.time() < end
+    ]
+    if len(records) >= 2:
+        for mode in ("chronological", "kfold"):
+            got = split_train_test(table, 0.6, mode, 3, 1, seed=5)
+            want = split_train_test(records, 0.6, mode, 3, 1, seed=5)
+            assert [[repr(r) for r in side] for side in got] == [[repr(r) for r in side] for side in want]
+    try:
+        want_matrix = build_demand_matrix(records, grid)
+    except DataError as exc:
+        with pytest.raises(DataError, match=str(exc)):
+            build_demand_matrix(table, grid)
+    else:
+        got_matrix = build_demand_matrix(table, grid)
+        assert np.array_equal(got_matrix.counts, want_matrix.counts)
+        assert [repr(t) for t in got_matrix.period_start_times] == [repr(t) for t in want_matrix.period_start_times]
+        assert got_matrix.n_dropped == want_matrix.n_dropped
+        assert np.array_equal(peak_period_mask(got_matrix, start, end, weekdays), [
+            t.weekday() in weekdays and start <= t.time() < end for t in want_matrix.period_start_times
+        ])
+    assert calibration_pairs(table, grid) == calibration_pairs(records, grid)
+
+
+def test_demand_matrix_starts_step_in_absolute_time_across_dst(tmp_path):
+    # US DST began 2024-03-10 at 02:00 CST in Chicago: that day has 23 hours
+    path = tmp_path / "calls.csv"
+    path.write_text("datetime,latitude,longitude\n" + "".join(
+        f"2024-03-{day:02d}T{hour:02d}:30:00,30.05,-97.65\n" for day in (9, 10, 11) for hour in (1, 10, 23)
+    ))
+    schema = CallSchema(timezone="America/Chicago")
+    table, _ = parse_calls_kept(path, schema, tmp_path)
+    records, _ = parse_calls(path, schema)
+    assert len(records) == 9
+    for calls in (table, records):
+        m = build_demand_matrix(calls, make_grid())
+        # each call is counted in the period whose labelled start and end hold it
+        for r in records:
+            (k,) = [k for k, s in enumerate(m.period_start_times) if s <= r.timestamp < s + timedelta(hours=1)]
+            assert m.counts[k].sum() == 1
+        starts = [t.isoformat() for t in m.period_start_times]
+        assert starts[24 + 10] == "2024-03-10T11:00:00-05:00"  # 34 hours after the midnight anchor
+        assert "2024-03-10T10:00:00-05:00" in starts and "2024-03-10T02:00:00-05:00" not in starts
+        # so the peak window reads each start's true local hour
+        mask = peak_period_mask(m, datetime_time(10), datetime_time(11), [6])
+        assert [starts[k] for k in np.flatnonzero(mask)] == ["2024-03-10T10:00:00-05:00"]
+
+
+@pytest.mark.parametrize("body, error", [
+    ("2024-01-01T00:00:00+00:00,1,2,3\n", "line 2: 4 fields, the header has 3"),
+    ("2024-01-01T00:00:00+00:00,1,2\n\n2024-01-01T01:00:00+00:00,1,2\n", "line 3: 0 fields"),
+    ("2024-01-01T00:00:00+00:00,1,2#3\n", "line 2: invalid literal for int"),
+    ("2024-01-01T00:00:00+00:00,1,2.0\n", "line 2: invalid literal for int"),
+    ("2024-01-01T00:00:00,1,2\nnot a time,1,2\n", "line 3: Invalid isoformat"),
+])
+def test_load_demand_matrix_refuses_what_the_line_reader_refuses(tmp_path, body, error):
+    path = tmp_path / "demand.csv"
+    path.write_text("period_start,region_0,region_1\n" + body)
+    with pytest.raises(DataError, match=error):
+        load_demand_matrix(path)
+
+
+def test_load_demand_matrix_reads_what_int_reads(tmp_path):
+    path = tmp_path / "demand.csv"
+    path.write_text("period_start,region_0,region_1\r\n2024-01-01T00:00:00+00:00,1_000, 2\r\n")
+    m = load_demand_matrix(path)
+    assert m.counts.tolist() == [[1000, 2]]
+    assert m.period_start_times == [datetime(2024, 1, 1, tzinfo=UTC)]
