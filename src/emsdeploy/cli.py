@@ -111,18 +111,31 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ConfigError("n_rows and n_cols must be at least 1")
+        for f in dataclasses.fields(self):
+            if isinstance(f.default, float) and not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
+        for name in ("speed_kmh", "coverage_threshold_s", "lognormal_sigma", "period_length_s"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
+        for name in ("n_rows", "n_cols", "m_scenarios", "max_nodes", "n_calls", "n_batches",
+                     "verify_batch_size", "verify_n_batches"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        if self.snap_cells < 0:
+            raise ConfigError(f"snap_cells must be nonnegative, got {self.snap_cells!r}")
         if not (self.min_lat < self.max_lat and self.min_lon < self.max_lon):
             raise ConfigError("grid bounds are degenerate")
-        if self.travel_provider not in ("synthetic", "matrix"):
-            raise ConfigError(f"unknown travel_provider {self.travel_provider!r}")
+        for name, choices in (
+            ("travel_provider", ("synthetic", "matrix")), ("rate_periods", ("peak", "all")),
+            ("calibration_kind", ("identity", "linear", "loglog")), ("split_mode", ("chronological", "kfold")),
+        ):
+            if getattr(self, name) not in choices:
+                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         if self.travel_provider == "matrix" and not self.travel_matrix_csv:
             raise ConfigError("travel_provider=matrix requires travel_matrix_csv")
-        if self.speed_kmh <= 0:
-            raise ConfigError("speed_kmh must be positive")
-        if not (0 < self.alpha < 1):
-            raise ConfigError("alpha must lie in (0, 1)")
+        for name in ("alpha", "train_fraction"):
+            if not 0 < getattr(self, name) < 1:
+                raise ConfigError(f"{name} must lie in (0, 1)")
         try:
             ZoneInfo(self.timezone)
         except (ZoneInfoNotFoundError, ValueError) as exc:
@@ -143,16 +156,8 @@ class RunConfig:
             and all(isinstance(v, (int, float)) and 0 <= v < math.inf for v in self.lambda_grid)
         ):
             raise ConfigError("lambda_grid must be a nonempty list of finite, nonnegative lambdas")
-        if not (0 < self.train_fraction < 1):
-            raise ConfigError("train_fraction must lie in (0, 1)")
-        if self.rate_periods not in ("peak", "all"):
-            raise ConfigError(f"unknown rate_periods {self.rate_periods!r}")
-        if self.calibration_kind not in ("identity", "linear", "loglog"):
-            raise ConfigError(f"unknown calibration_kind {self.calibration_kind!r}")
-        if self.split_mode not in ("chronological", "kfold"):
-            raise ConfigError(f"unknown split_mode {self.split_mode!r}")
-        if self.n_ambulances < 0 or self.m_scenarios < 1:
-            raise ConfigError("need n_ambulances >= 0 and m_scenarios >= 1")
+        if self.n_ambulances < 0:
+            raise ConfigError("n_ambulances must be nonnegative")
         if self.n_min < 1 or self.n_min > self.n_max:
             raise ConfigError("need 1 <= n_min <= n_max for the fleet sweep")
         n = self.n_rows * self.n_cols
@@ -197,21 +202,20 @@ _JSON_KINDS = (
 
 def _coerce(name: str, value, current):
     if isinstance(value, str):
-        text = value
         if isinstance(current, bool):
-            low = text.strip().lower()
+            low = value.strip().lower()
             if low in ("true", "1", "yes"):
                 return True
             if low in ("false", "0", "no"):
                 return False
-            raise ConfigError(f"cannot parse boolean for {name}: {text!r}")
+            raise ConfigError(f"cannot parse boolean for {name}: {value!r}")
         if isinstance(current, int) and not isinstance(current, bool):
-            return int(text)
+            return int(value)
         if isinstance(current, float):
-            return float(text)
+            return float(value)
         if isinstance(current, list):
-            return json.loads(text)
-        return text
+            return json.loads(value)
+        return value
     for default_type, kinds, what in _JSON_KINDS:
         if isinstance(current, default_type):
             if not isinstance(value, kinds) or (isinstance(value, bool) and default_type is not bool):
@@ -249,12 +253,6 @@ def load_config(path: str | None, overrides: dict[str, object]) -> RunConfig:
 # shared pipeline pieces
 
 
-def _require(path: Path, produced_by: str) -> Path:
-    if not path.exists():
-        raise DataError(f"missing {path.name}; run `emsdeploy {produced_by}` first")
-    return path
-
-
 def _build_grid(cfg: RunConfig) -> geogrid.Grid:
     bounds = (cfg.min_lat, cfg.max_lat, cfg.min_lon, cfg.max_lon)
     if cfg.travel_provider == "matrix":
@@ -267,12 +265,17 @@ def _build_grid(cfg: RunConfig) -> geogrid.Grid:
     )
 
 
-def _load_grid(cfg: RunConfig, out: Path) -> geogrid.Grid:
-    return geogrid.load_grid(_require(out / "grid.json", "grid"))
-
-
 def _edges(cfg: RunConfig, grid: geogrid.Grid) -> EdgeSet:
     return edges_from_coverage(geogrid.derive_coverage(grid, cfg.coverage_threshold_s))
+
+
+def _regions(cfg: RunConfig, grid: geogrid.Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The regions' adjacency and coverage ball, which shape the demand model."""
+    return geogrid.derive_adjacency(grid), geogrid.derive_region_ball(grid, cfg.coverage_threshold_s)
+
+
+def _search(cfg: RunConfig) -> stochastic.SearchConfig:
+    return stochastic.SearchConfig(max_nodes=cfg.max_nodes)
 
 
 def _sim_params(cfg: RunConfig, model: calibrate.CalibrationModel | None) -> simcore.SimParams:
@@ -285,19 +288,17 @@ def _sim_params(cfg: RunConfig, model: calibrate.CalibrationModel | None) -> sim
     )
 
 
-def _snap_calls(cfg: RunConfig, grid: geogrid.Grid, calls: ingest.CallTable) -> list[tuple[float, int]]:
+def _snap_calls(
+    cfg: RunConfig, grid: geogrid.Grid, calls: ingest.CallTable, batches: bool = False
+) -> list[tuple[float, int]]:
     """(epoch_seconds, cell) pairs for a stage that simulates ``calls`` many
-    times, so each call is snapped to the grid once, not once per run."""
+    times, so each call is snapped to the grid once, not once per run. For
+    ``simcore.run_batches`` (``batches``), only the calls it can draw on:
+    without resampling, the first n_calls * n_batches."""
+    if batches and not cfg.sample_with_replacement:
+        calls = calls[: cfg.n_calls * cfg.n_batches]
     cells = geogrid.assign_cells_or_raise(grid, calls.lat, calls.lon, cfg.snap_cells)
     return list(zip(calls.utc_s.tolist(), cells.tolist()))
-
-
-def _snap_batch_calls(cfg: RunConfig, grid: geogrid.Grid, calls: ingest.CallTable) -> list[tuple[float, int]]:
-    """``_snap_calls`` of the calls ``simcore.run_batches`` can draw on:
-    without resampling, only the first n_calls * n_batches."""
-    if not cfg.sample_with_replacement:
-        calls = calls[: cfg.n_calls * cfg.n_batches]
-    return _snap_calls(cfg, grid, calls)
 
 
 def _parse_calls(cfg: RunConfig, out: Path) -> tuple[ingest.CallTable, ingest.ParseReport]:
@@ -305,12 +306,6 @@ def _parse_calls(cfg: RunConfig, out: Path) -> tuple[ingest.CallTable, ingest.Pa
         raise ConfigError("calls_csv is required for this subcommand")
     schema = ingest.CallSchema(timezone=cfg.timezone)
     return ingest.parse_calls_kept(cfg.calls_csv, schema, out)
-
-
-def _read_calls(out: Path, name: str) -> ingest.CallTable:
-    """The calls of a log that preprocess wrote to ``out``."""
-    calls, _ = ingest.parse_calls_kept(_require(out / name, "preprocess"), None, out)
-    return calls
 
 
 def _peak(cfg: RunConfig, calls):
@@ -326,6 +321,13 @@ def _write_json(path: Path, doc) -> None:
         f.write("\n")
 
 
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _demand_for_rates(cfg: RunConfig, calls, grid) -> ingest.DemandMatrix:
     matrix = ingest.build_demand_matrix(calls, grid, cfg.period_length_s, cfg.snap_cells)
     if cfg.rate_periods == "peak":
@@ -335,12 +337,45 @@ def _demand_for_rates(cfg: RunConfig, calls, grid) -> ingest.DemandMatrix:
     return matrix
 
 
-def _fit_uncertainty(cfg: RunConfig, matrix: ingest.DemandMatrix, grid) -> tuple[demand.PoissonRates, demand.UncertaintySet]:
-    adjacency = geogrid.derive_adjacency(grid)
-    ball = geogrid.derive_region_ball(grid, cfg.coverage_threshold_s)
-    rates = demand.fit_rates(matrix, adjacency, ball)
-    uset = demand.build_uncertainty_set(rates, cfg.alpha, adjacency, ball)
-    return rates, uset
+# ---------------------------------------------------------------------------
+# run-directory files: one loader each, which names the stage that writes it
+
+
+def _require(path: Path, produced_by: str) -> Path:
+    if not path.exists():
+        raise DataError(f"missing {path.name}; run `emsdeploy {produced_by}` first")
+    return path
+
+
+def _load_grid(out: Path) -> geogrid.Grid:
+    return geogrid.load_grid(_require(out / "grid.json", "grid"))
+
+
+def _read_calls(out: Path, name: str) -> ingest.CallTable:
+    """The calls of a log that preprocess wrote to ``out``."""
+    calls, _ = ingest.parse_calls_kept(_require(out / name, "preprocess"), None, out)
+    return calls
+
+
+def _load_matrix(cfg: RunConfig, out: Path) -> ingest.DemandMatrix:
+    return ingest.load_demand_matrix(_require(out / "demand_matrix.csv", "preprocess"), cfg.period_length_s)
+
+
+def _load_model(out: Path) -> calibrate.CalibrationModel:
+    return calibrate.load_model(_require(out / "calibration.json", "fit"))
+
+
+def _load_uset(cfg: RunConfig, out: Path, grid: geogrid.Grid) -> demand.UncertaintySet:
+    return demand.load_uncertainty_set(_require(out / "uncertainty.json", "fit"), *_regions(cfg, grid))
+
+
+def _load_stationings(cfg: RunConfig, out: Path) -> list[tuple[str, np.ndarray]]:
+    """The stochastic and robust stationings, each placing at most n_ambulances."""
+    stationings = []
+    for label in ("stochastic", "robust"):
+        with open(_require(out / f"deployment_{label}.json", "optimize")) as f:
+            stationings.append((label, Deployment(json.load(f)["x"], cfg.n_ambulances).x))
+    return stationings
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +383,12 @@ def _fit_uncertainty(cfg: RunConfig, matrix: ingest.DemandMatrix, grid) -> tuple
 
 
 def cmd_grid(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _build_grid(cfg)
-    path = out / "grid.json"
-    geogrid.save_grid(grid, path)
-    return {"grid.json": path, "grid_travel.csv": out / "grid_travel.csv"}
+    geogrid.save_grid(_build_grid(cfg), out / "grid.json")
+    return {name: out / name for name in ("grid.json", "grid_travel.csv")}
 
 
 def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(cfg, out)
+    grid = _load_grid(out)
     calls, report = _parse_calls(cfg, out)
     peak_calls = _peak(cfg, calls)
     if len(peak_calls) < 2:
@@ -364,7 +397,6 @@ def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
         peak_calls, cfg.train_fraction, cfg.split_mode, cfg.split_k, cfg.split_fold, cfg.seed
     )
     matrix = _demand_for_rates(cfg, train, grid)
-    files = {}
     ingest.serialize_calls_kept(train, out / "calls_train.csv", out)
     ingest.serialize_calls_kept(test, out / "calls_test.csv", out)
     ingest.save_demand_matrix(matrix, out / "demand_matrix.csv")
@@ -380,15 +412,16 @@ def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
         "n_dropped_out_of_grid": matrix.n_dropped,
     }
     _write_json(out / "preprocess_summary.json", summary)
-    for name in ("calls_train.csv", "calls_test.csv", "demand_matrix.csv", "preprocess_summary.json"):
-        files[name] = out / name
-    return files
+    names = ("calls_train.csv", "calls_test.csv", "demand_matrix.csv", "preprocess_summary.json")
+    return {name: out / name for name in names}
 
 
 def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(cfg, out)
-    matrix = ingest.load_demand_matrix(_require(out / "demand_matrix.csv", "preprocess"), cfg.period_length_s)
-    rates, uset = _fit_uncertainty(cfg, matrix, grid)
+    grid = _load_grid(out)
+    matrix = _load_matrix(cfg, out)
+    adjacency, ball = _regions(cfg, grid)
+    rates = demand.fit_rates(matrix, adjacency, ball)
+    uset = demand.build_uncertainty_set(rates, cfg.alpha, adjacency, ball)
     _write_json(out / "rates.json", {
         "single": [float(v) for v in rates.single],
         "local": [float(v) for v in rates.local],
@@ -410,54 +443,38 @@ def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_optimize(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(cfg, out)
-    matrix = ingest.load_demand_matrix(_require(out / "demand_matrix.csv", "preprocess"), cfg.period_length_s)
+    grid = _load_grid(out)
+    matrix = _load_matrix(cfg, out)
     edges = _edges(cfg, grid)
-    adjacency = geogrid.derive_adjacency(grid)
-    ball = geogrid.derive_region_ball(grid, cfg.coverage_threshold_s)
-    uset = demand.load_uncertainty_set(_require(out / "uncertainty.json", "fit"), adjacency, ball)
+    uset = _load_uset(cfg, out, grid)
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
-    search = stochastic.SearchConfig(max_nodes=cfg.max_nodes)
-    sol = stochastic.solve_stochastic(scenarios, cfg.n_ambulances, edges, search)
+    sol = stochastic.solve_stochastic(scenarios, cfg.n_ambulances, edges, _search(cfg))
     stochastic.save_solution(sol, out / "deployment_stochastic.json")
-    rob = robust.solve_robust_ccg(uset, cfg.n_ambulances, edges, search_config=search)
+    rob = robust.solve_robust_ccg(uset, cfg.n_ambulances, edges, search_config=_search(cfg))
     robust.save_robust_solution(rob, out / "deployment_robust.json", alpha=cfg.alpha)
     robust.save_ccg_history(rob.state, out / "ccg_history.csv")
     return {name: out / name for name in ("deployment_stochastic.json", "deployment_robust.json", "ccg_history.csv")}
 
 
-def _load_deployment(path: Path, n: int) -> np.ndarray:
-    """Stationing from a deployment file; it may place at most ``n`` units."""
-    with open(path) as f:
-        doc = json.load(f)
-    return Deployment(doc["x"], n).x
-
-
 def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(cfg, out)
-    model = calibrate.load_model(_require(out / "calibration.json", "fit"))
+    grid = _load_grid(out)
+    model = _load_model(out)
     test_calls = _read_calls(out, "calls_test.csv")
-    policies = []
-    for label, fname in (("stochastic", "deployment_stochastic.json"), ("robust", "deployment_robust.json")):
-        x = _load_deployment(_require(out / fname, "optimize"), cfg.n_ambulances)
-        policies.append((label, x))
+    policies = _load_stationings(cfg, out)
     comparison = simcore.compare_policies(
-        policies, _snap_batch_calls(cfg, grid, test_calls), grid, _sim_params(cfg, model),
+        policies, _snap_calls(cfg, grid, test_calls, batches=True), grid, _sim_params(cfg, model),
         cfg.n_calls, cfg.n_batches, cfg.seed, cfg.sample_with_replacement,
     )
     _write_json(out / "sim_comparison.json", comparison.to_dict())
-    files = {"sim_comparison.json": out / "sim_comparison.json"}
     # one event log per policy, first batch, for inspection and plotting
     for (label, _), outcome in zip(policies, comparison.first_batch):
-        name = f"event_log_{label}.csv"
-        simcore.save_event_log(outcome.event_log, out / name)
-        files[name] = out / name
-    return files
+        simcore.save_event_log(outcome.event_log, out / f"event_log_{label}.csv")
+    return {name: out / name for name in ("sim_comparison.json", "event_log_stochastic.csv", "event_log_robust.csv")}
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(cfg, out)
-    model = calibrate.load_model(_require(out / "calibration.json", "fit"))
+    grid = _load_grid(out)
+    model = _load_model(out)
     test_calls = _read_calls(out, "calls_test.csv")
     report = calibrate.verify(
         test_calls, grid, model, cfg.verify_batch_size, cfg.verify_n_batches, cfg.snap_cells
@@ -467,13 +484,11 @@ def cmd_verify(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(cfg, out)
+    grid = _load_grid(out)
     calls, _ = _parse_calls(cfg, out)
     peak_calls = _peak(cfg, calls)
     edges = _edges(cfg, grid)
-    adjacency = geogrid.derive_adjacency(grid)
-    ball = geogrid.derive_region_ball(grid, cfg.coverage_threshold_s)
-    search = stochastic.SearchConfig(max_nodes=cfg.max_nodes)
+    adjacency, ball = _regions(cfg, grid)
     table: list[list[float | None]] = []
     saturated: dict[float, bool] = {a: False for a in cfg.alphas}
     errors: list[str] = []
@@ -489,7 +504,7 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
         for alpha in cfg.alphas:
             uset = demand.build_uncertainty_set(rates, alpha, adjacency, ball)
             try:
-                rob = robust.solve_robust_ccg(uset, cfg.n_ambulances, edges, search_config=search)
+                rob = robust.solve_robust_ccg(uset, cfg.n_ambulances, edges, search_config=_search(cfg))
             except EmsDeployError as exc:
                 errors.append(f"fold {fold} alpha {alpha}: {exc}")
                 row.append(None)
@@ -512,11 +527,9 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
                 mrt_by_x[key] = outcome.mean_response_s / 60.0
             row.append(mrt_by_x[key])
         table.append(row)
-    with open(out / "alpha_cv.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["fold"] + [f"alpha_{a}" for a in cfg.alphas])
-        for fold, row in enumerate(table):
-            writer.writerow([fold + 1] + ["" if v is None else f"{v:.4f}" for v in row])
+    _write_csv(out / "alpha_cv.csv", ["fold"] + [f"alpha_{a}" for a in cfg.alphas], (
+        [fold + 1] + ["" if v is None else f"{v:.4f}" for v in row] for fold, row in enumerate(table)
+    ))
     means = {}
     for i, alpha in enumerate(cfg.alphas):
         vals = [row[i] for row in table if row[i] is not None]
@@ -536,18 +549,16 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(cfg, out)
-    matrix = ingest.load_demand_matrix(_require(out / "demand_matrix.csv", "preprocess"), cfg.period_length_s)
-    model = calibrate.load_model(_require(out / "calibration.json", "fit"))
+    grid = _load_grid(out)
+    matrix = _load_matrix(cfg, out)
+    model = _load_model(out)
     test_calls = _read_calls(out, "calls_test.csv")
     edges = _edges(cfg, grid)
-    adjacency = geogrid.derive_adjacency(grid)
-    ball = geogrid.derive_region_ball(grid, cfg.coverage_threshold_s)
-    uset_caps = demand.load_uncertainty_set(_require(out / "uncertainty.json", "fit"), adjacency, ball)
+    uset = _load_uset(cfg, out, grid)
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
-    search = stochastic.SearchConfig(max_nodes=cfg.max_nodes)
+    search = _search(cfg)
     params = _sim_params(cfg, model)
-    test_pairs = _snap_batch_calls(cfg, grid, test_calls)
+    test_pairs = _snap_calls(cfg, grid, test_calls, batches=True)
     mrt_by_x: dict[bytes, float] = {}  # every stationing runs on the same batches
 
     def mrt_min(x: np.ndarray) -> float:
@@ -565,20 +576,18 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
         sol = stochastic.solve_stochastic(scenarios, n, edges, search)
         row = {"n": n, "stochastic_mrt_min": mrt_min(sol.x_star.x)}
         if cfg.sweep_robust:
-            rob = robust.solve_robust_ccg(uset_caps, n, edges, search_config=search)
+            rob = robust.solve_robust_ccg(uset, n, edges, search_config=search)
             row["robust_mrt_min"] = mrt_min(rob.x_star.x)
         rows.append(row)
-    with open(out / "fleet_sweep.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        header = ["n", "stochastic_mrt_min"] + (["robust_mrt_min"] if cfg.sweep_robust else [])
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([row[h] if h == "n" else f"{row[h]:.4f}" for h in header])
+    header = ["n", "stochastic_mrt_min"] + (["robust_mrt_min"] if cfg.sweep_robust else [])
+    _write_csv(out / "fleet_sweep.csv", header, (
+        [row[h] if h == "n" else f"{row[h]:.4f}" for h in header] for row in rows
+    ))
     return {"fleet_sweep.csv": out / "fleet_sweep.csv"}
 
 
 def cmd_analyze(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(cfg, out)
+    grid = _load_grid(out)
     calls, _ = _parse_calls(cfg, out)
     if not cfg.svi_csv or not cfg.tract_map_csv:
         raise ConfigError("analyze requires svi_csv and tract_map_csv")
@@ -600,60 +609,42 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(cfg, out)
-    files: dict[str, Path] = {}
+    grid = _load_grid(out)
     calls, _ = _parse_calls(cfg, out)
 
-    with open(out / "plot_temporal_heatmap.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["weekday", "hour", "count"])
-        weekday, clock_us = ingest.weekday_and_clock_us(calls.wall_us)
-        counts = np.bincount(weekday * 24 + clock_us // 3_600_000_000, minlength=7 * 24).reshape(7, 24)
-        for wd in range(7):
-            for hour in range(24):
-                writer.writerow([wd, hour, int(counts[wd, hour])])
-    files["plot_temporal_heatmap.csv"] = out / "plot_temporal_heatmap.csv"
+    weekday, clock_us = ingest.weekday_and_clock_us(calls.wall_us)
+    counts = np.bincount(weekday * 24 + clock_us // 3_600_000_000, minlength=7 * 24).reshape(7, 24)
+    _write_csv(out / "plot_temporal_heatmap.csv", ["weekday", "hour", "count"], (
+        [wd, hour, int(counts[wd, hour])] for wd in range(7) for hour in range(24)
+    ))
 
-    with open(out / "plot_spatial_heatmap.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["cell", "lat", "lon", "count"])
-        cells, inside = geogrid.assign_cells(grid, calls.lat, calls.lon, cfg.snap_cells)
-        cell_counts = np.bincount(cells[inside], minlength=grid.n_cells)
-        for j in range(grid.n_cells):
-            lat, lon = grid.cell_centers[j]
-            writer.writerow([j, repr(lat), repr(lon), int(cell_counts[j])])
-    files["plot_spatial_heatmap.csv"] = out / "plot_spatial_heatmap.csv"
+    cells, inside = geogrid.assign_cells(grid, calls.lat, calls.lon, cfg.snap_cells)
+    cell_counts = np.bincount(cells[inside], minlength=grid.n_cells)
+    _write_csv(out / "plot_spatial_heatmap.csv", ["cell", "lat", "lon", "count"], (
+        [j, repr(lat), repr(lon), int(cell_counts[j])] for j, (lat, lon) in enumerate(grid.cell_centers)
+    ))
 
-    model = calibrate.load_model(_require(out / "calibration.json", "fit"))
-    test_calls = _read_calls(out, "calls_test.csv")
-    pairs, _ = ingest.calibration_pairs(test_calls, grid, cfg.snap_cells)
-    with open(out / "plot_regression_scatter.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["grid_s", "reported_s", "adjusted_s"])
-        for g, r in pairs:
-            writer.writerow([repr(g), repr(r), repr(calibrate.apply(model, g))])
-    files["plot_regression_scatter.csv"] = out / "plot_regression_scatter.csv"
+    model = _load_model(out)
+    pairs, _ = ingest.calibration_pairs(_read_calls(out, "calls_test.csv"), grid, cfg.snap_cells)
+    _write_csv(out / "plot_regression_scatter.csv", ["grid_s", "reported_s", "adjusted_s"], (
+        [repr(g), repr(r), repr(calibrate.apply(model, g))] for g, r in pairs
+    ))
 
     with open(_require(out / "verification.json", "verify")) as f:
         vdoc = json.load(f)
-    with open(out / "plot_verification_points.csv", "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["batch", "mean_error_s"])
-        for i, err in enumerate(vdoc["batch_errors_s"], start=1):
-            writer.writerow([i, repr(err)])
-    files["plot_verification_points.csv"] = out / "plot_verification_points.csv"
+    _write_csv(out / "plot_verification_points.csv", ["batch", "mean_error_s"], (
+        [i, repr(err)] for i, err in enumerate(vdoc["batch_errors_s"], start=1)
+    ))
 
-    for label, fname in (("stochastic", "deployment_stochastic.json"), ("robust", "deployment_robust.json")):
-        x = _load_deployment(_require(out / fname, "optimize"), cfg.n_ambulances)
-        name = f"plot_stationing_{label}.csv"
-        with open(out / name, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["station", "cell", "lat", "lon", "count"])
-            for i, cell in enumerate(grid.station_cells):
-                lat, lon = grid.cell_centers[cell]
-                writer.writerow([i, cell, repr(lat), repr(lon), int(x[i])])
-        files[name] = out / name
-    return files
+    stations = [(i, cell, *grid.cell_centers[cell]) for i, cell in enumerate(grid.station_cells)]
+    for label, x in _load_stationings(cfg, out):
+        _write_csv(out / f"plot_stationing_{label}.csv", ["station", "cell", "lat", "lon", "count"], (
+            [i, cell, repr(lat), repr(lon), int(x[i])] for i, cell, lat, lon in stations
+        ))
+    return {name: out / name for name in (
+        "plot_temporal_heatmap.csv", "plot_spatial_heatmap.csv", "plot_regression_scatter.csv",
+        "plot_verification_points.csv", "plot_stationing_stochastic.csv", "plot_stationing_robust.csv",
+    )}
 
 
 COMMANDS = {

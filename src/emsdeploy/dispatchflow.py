@@ -44,18 +44,12 @@ class EdgeSet:
         self.n_stations = int(n_stations)
         self.n_regions = int(n_regions)
         self.station_regions: list[list[int]] = [[] for _ in range(n_stations)]
-        self.region_stations: list[list[int]] = [[] for _ in range(n_regions)]
         for i, j in self.edges:
             self.station_regions[i].append(j)
-            self.region_stations[j].append(i)
-        self._edge_index = {e: k for k, e in enumerate(self.edges)}
         self._closed_cuts: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def __len__(self) -> int:
         return len(self.edges)
-
-    def __contains__(self, edge: tuple[int, int]) -> bool:
-        return tuple(edge) in self._edge_index
 
     def incidence(self) -> tuple[np.ndarray, np.ndarray]:
         """(B_I, B_J): per-station and per-region incidence over edge columns."""

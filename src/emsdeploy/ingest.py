@@ -24,7 +24,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from operator import add, attrgetter, floordiv, itemgetter, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -572,62 +572,44 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
     number for a row whose width differs from the header's, a period start
     that is not an ISO timestamp, or a count that is not an integer.
 
-    The counts are read by ``np.loadtxt``. A file that it, or the checks
-    around it, do not take as written is read again line by line, which
-    words the error (or reads what ``int`` takes and ``np.loadtxt`` does
-    not, such as ``1_000``).
+    One pass over the text checks each row's width and start; ``np.loadtxt``
+    reads the counts, and only if it refuses them does ``int`` convert them
+    line by line, to word the error or to read what ``int`` takes (``1_000``,
+    `` 2``). Fields are split at every comma: ``save_demand_matrix`` never
+    quotes one, so a quoted field is refused with its line number.
     """
-    try:
-        return _load_demand_matrix_columns(path, period_length_s)
-    except (ValueError, DeprecationWarning):
-        return _load_demand_matrix_lines(path, period_length_s)
-
-
-def _load_demand_matrix_columns(path: str | Path, period_length_s: float) -> DemandMatrix:
     with open(path) as f:
-        text = f.read()
-    header, *lines = text.split("\n")
+        header, *lines = f.read().split("\n")
+    if not header:
+        raise DataError(f"{path}: empty demand matrix file")
     if lines and lines[-1] == "":
         lines.pop()  # the last line's break
-    width = len(next(csv.reader([header]), []))
-    # every row has at least the header's width once np.loadtxt reads them;
-    # with as many commas in all as the header's width asks, each has exactly that
-    if width < 2 or "" in lines or text.count(",", len(header)) != (width - 1) * len(lines):
-        raise ValueError("not as save_demand_matrix writes it")
-    starts = [datetime.fromisoformat(line[:line.index(",")]) for line in lines]
+    width = header.count(",") + 1
+    starts = []
+    for n, line in enumerate(lines, start=2):
+        fields = line.count(",") + 1 if line else 0
+        if fields != width:
+            raise DataError(f"{path}: line {n}: {fields} fields, the header has {width}")
+        try:
+            starts.append(datetime.fromisoformat(line.partition(",")[0]))
+        except ValueError as exc:
+            raise DataError(f"{path}: line {n}: {exc}") from None
     if not lines:
         return DemandMatrix(np.zeros((0, width - 1), dtype=np.int64), period_length_s, [])
-    with warnings.catch_warnings():
-        # numpy 1.23-1.x parses an integer via a float, with a DeprecationWarning
-        warnings.simplefilter("error", DeprecationWarning)
-        counts = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None,
-                            usecols=range(1, width), ndmin=2)
-    return DemandMatrix(counts, period_length_s, starts)
-
-
-def _load_demand_matrix_lines(path: str | Path, period_length_s: float) -> DemandMatrix:
-    starts: list[datetime] = []
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader, None)
-        if not header:
-            raise DataError(f"{path}: empty demand matrix file")
-        width = len(header)
-
-        def count_fields():
-            for line in reader:
-                if len(line) != width:
-                    raise DataError(f"{path}: line {reader.line_num}: {len(line)} fields, the header has {width}")
-                starts.append(datetime.fromisoformat(line[0]))
-                yield line[1:]
-
-        # the counts are converted as the lines stream by, so a ValueError
-        # comes while reader.line_num is still the line that raised it
-        try:
-            counts = list(map(int, chain.from_iterable(count_fields())))
-        except ValueError as exc:
-            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
-    counts = np.array(counts, dtype=np.int64).reshape(len(starts), width - 1)
+    try:
+        with warnings.catch_warnings():
+            # numpy 1.23-1.x parses an integer via a float, with a DeprecationWarning
+            warnings.simplefilter("error", DeprecationWarning)
+            counts = np.loadtxt(lines, dtype=np.int64, delimiter=",", comments=None,
+                                usecols=range(1, width), ndmin=2)
+    except (ValueError, DeprecationWarning):
+        rows = []
+        for n, line in enumerate(lines, start=2):
+            try:
+                rows.append([int(v) for v in line.split(",")[1:]])
+            except ValueError as exc:
+                raise DataError(f"{path}: line {n}: {exc}") from None
+        counts = np.array(rows, dtype=np.int64).reshape(len(lines), width - 1)
     return DemandMatrix(counts, period_length_s, starts)
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .calibrate import CalibrationModel, apply
 from .errors import ConfigError, DataError
 from .geogrid import Grid, assign_cells_or_raise
-from .ingest import CallRecord
+from .ingest import CallRecord, CallTable, call_column
 from .rng import derive_seed, substream
 
 NEW_CALL = "NewCall"
@@ -171,40 +171,31 @@ def draw_service_time(params: SimParams, rng: np.random.Generator) -> float:
     return draw_service_times(params, rng, 1)[0]
 
 
-def _as_sim_calls(calls: Sequence, grid: Grid, snap_cells: float) -> tuple[list[float], list[int]]:
-    """Call times and cells; CallRecords are snapped to the grid here."""
-    times: list[float] = []
-    cells: list[int] = []
-    records: list[int] = []  # positions of the CallRecords, snapped together below
-    lats: list[float] = []
-    lons: list[float] = []
-    for c in calls:
-        if isinstance(c, CallRecord):
-            records.append(len(cells))
-            lats.append(c.lat)
-            lons.append(c.lon)
-            times.append(c.epoch_s())
-            cells.append(-1)
-        else:
-            t, cell = c
-            times.append(float(t))
-            cells.append(int(cell))
-    if records:
-        for k, cell in zip(records, assign_cells_or_raise(grid, lats, lons, snap_cells).tolist()):
-            cells[k] = cell
-    if any(b < a for a, b in zip(times, times[1:])):
-        raise DataError("calls must be sorted by time")
-    return times, cells
+def _as_sim_calls(calls: Sequence) -> tuple[list[float], list[int] | None]:
+    """Each call's epoch seconds and, for (epoch_s, cell) pairs, its cell,
+    in one conversion of the list: CallRecords (or a CallTable) through
+    their ``utc_s`` column, with None for the cells they are yet to be
+    snapped to; pairs through one ``zip``. A mix of both is a DataError."""
+    if len(calls) == 0:
+        return [], []
+    try:
+        if isinstance(calls, CallTable) or isinstance(calls[0], CallRecord):
+            return call_column(calls, "utc_s").tolist(), None
+        t, c = zip(*calls)
+        return list(map(float, t)), list(map(int, c))
+    except (TypeError, AttributeError):
+        raise DataError("calls must be all CallRecords or all (epoch_s, cell) pairs") from None
 
 
 def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, seed: int = 0) -> SimOutcome:
     """Run one dispatch simulation of ``calls`` under stationing ``x``.
 
-    ``calls`` may be CallRecords or (epoch_seconds, cell) pairs, sorted by
-    time; a caller that simulates one call list many times should snap it
-    to pairs once. Travel times are grid times passed through the
-    calibration model when one is configured. Ambulances are numbered by
-    station, and the closest free one goes, ties to the lower number.
+    ``calls`` are CallRecords or (epoch_seconds, cell) pairs, not a mix,
+    sorted by time and converted once per list; a caller that simulates
+    one list many times should snap it to pairs once. Travel times are
+    grid times passed through the calibration model when one is
+    configured. Ambulances are numbered by station, and the closest free
+    one goes, ties to the lower number.
     """
     params = params or SimParams()
     x = np.asarray(x, dtype=np.int64)
@@ -214,7 +205,12 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
         raise DataError("stationing must be nonnegative")
     if x.sum() < 1:
         raise DataError("need at least one stationed ambulance")
-    call_t, call_cell = _as_sim_calls(calls, grid, params.snap_cells)
+    call_t, call_cell = _as_sim_calls(calls)
+    if call_cell is None:  # CallRecords, snapped to the grid together
+        lats, lons = call_column(calls, "lat"), call_column(calls, "lon")
+        call_cell = assign_cells_or_raise(grid, lats, lons, params.snap_cells).tolist()
+    if any(b < a for a, b in zip(call_t, call_t[1:])):
+        raise DataError("calls must be sorted by time")
     n_calls = len(call_t)
 
     # A leg starts at a station (a free unit is at home) or where a unit
@@ -342,14 +338,13 @@ def _batch_slices(
         if not calls:
             raise DataError("cannot sample batches from an empty call list")
 
-        def key(c):
-            return c.epoch_s() if isinstance(c, CallRecord) else float(c[0])
-
+        times = np.array(_as_sim_calls(calls)[0])
         out = []
         for i in range(n_batches):
             rng = substream(seed, "batchsample", i)
             idx = rng.integers(0, len(calls), size=n_calls)
-            out.append(sorted((calls[k] for k in idx), key=key))
+            # a stable sort by time keeps tied calls in the order drawn
+            out.append([calls[k] for k in idx[np.argsort(times[idx], kind="stable")].tolist()])
         return out
     if n_calls * n_batches > len(calls):
         raise DataError(
@@ -430,20 +425,18 @@ def compare_policies(
     if not policies:
         raise ConfigError("need at least one policy to compare")
     labels = [label for label, _ in policies]
-    all_means = []
     summaries = []
     first_batch = []
     for _, x in policies:
         outcomes, summary = run_batches(
             x, calls, grid, params, n_calls, n_batches, seed, sample_with_replacement
         )
-        all_means.append(summary.batch_means_s)
         summaries.append(summary)
         first_batch.append(outcomes[0])
         del outcomes  # free the other batches before the next policy runs
     return PolicyComparison(
         labels=labels,
-        batch_means_s=np.array(all_means, dtype=np.float64).T,
+        batch_means_s=np.array([s.batch_means_s for s in summaries], dtype=np.float64).T,
         summaries=summaries,
         first_batch=first_batch,
     )

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -215,6 +216,19 @@ def test_config_value_of_the_wrong_json_type_is_exit_2(city, tmp_path, sub, name
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**city["raw"], name: value}))
     assert main([sub, "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("name, value", [
+    ("speed_kmh", math.nan), ("speed_kmh", math.inf), ("min_lat", -math.inf), ("shortfall_threshold_s", math.inf),
+    ("coverage_threshold_s", math.nan), ("coverage_threshold_s", 0), ("lognormal_sigma", math.nan),
+    ("lognormal_sigma", 0), ("period_length_s", 0), ("snap_cells", -5), ("snap_cells", math.nan),
+    ("max_nodes", 0), ("n_calls", 0), ("n_batches", 0), ("verify_batch_size", 0), ("verify_n_batches", 0),
+])
+def test_non_finite_or_out_of_range_config_number_is_exit_2(city, tmp_path, name, value):
+    # refused while the config loads, not turned into NaN outputs or a data error in a later stage
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**city["raw"], name: value}))
+    assert main(["grid", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
 
 
 def test_config_values_keep_their_json_type():

@@ -749,3 +749,14 @@ def test_load_demand_matrix_reads_what_int_reads(tmp_path):
     m = load_demand_matrix(path)
     assert m.counts.tolist() == [[1000, 2]]
     assert m.period_start_times == [datetime(2024, 1, 1, tzinfo=UTC)]
+
+
+@pytest.mark.parametrize("row", ['2024-01-01T01:00:00+00:00,"1",2', '"2024-01-01T01:00:00+00:00",1,2'],
+                         ids=["quoted-count", "quoted-start"])
+def test_load_demand_matrix_refuses_a_quoted_field_by_its_line(tmp_path, row):
+    # save_demand_matrix never quotes a field, so the reader splits at every comma
+    lines = ["period_start,region_0,region_1", "2024-01-01T00:00:00+00:00,1,2", row, "2024-01-01T02:00:00+00:00,1,2"]
+    path = tmp_path / "demand.csv"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(DataError, match="line 3: "):
+        load_demand_matrix(path)

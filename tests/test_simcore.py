@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 from collections import Counter, defaultdict
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from oracles import reference_simulate
 from emsdeploy import simcore
 from emsdeploy.calibrate import CalibrationModel
 from emsdeploy.errors import ConfigError, DataError
-from emsdeploy.geogrid import MatrixProvider, SyntheticSpeedProvider, build_grid
+from emsdeploy.geogrid import MatrixProvider, SyntheticSpeedProvider, assign_cell, build_grid
+from emsdeploy.ingest import CallTable
 from emsdeploy.rng import substream
 from emsdeploy.simcore import (
     AMBULANCE_AVAILABLE,
@@ -30,6 +32,7 @@ from emsdeploy.simcore import (
     save_event_log,
     simulate,
 )
+from emsdeploy.synth import SynthConfig, synth_calls, synth_grid
 
 BOUNDS = (30.0, 30.2, -97.2, -97.0)
 
@@ -466,3 +469,52 @@ def test_simulate_matches_reference_with_tied_service_times(city, minutes):
     events, outcomes = reference_simulate(x, calls, g, params, seed)
     assert out.events == events
     assert out.call_rows == outcomes
+
+
+def synth_city(n_calls=400):
+    """The synthetic city's grid, records, and the records snapped to
+    (epoch_s, cell) pairs one at a time."""
+    g = synth_grid(SynthConfig())
+    records = synth_calls(g, n_calls, seed=3)
+    pairs = [(r.epoch_s(), assign_cell(g, r.lat, r.lon)) for r in records]
+    return g, records, pairs
+
+
+def test_simulate_records_equals_their_snapped_pairs():
+    g, records, pairs = synth_city()
+    x = [1] * len(g.station_cells)
+    want = simulate(x, pairs, g, SimParams(), seed=9)
+    for calls in (records, CallTable.from_records(records, ZoneInfo("UTC"))):
+        out = simulate(x, calls, g, SimParams(), seed=9)
+        assert out.call_rows == want.call_rows
+        assert out.events == want.events
+
+
+def test_resampled_batches_of_records_equal_those_of_their_pairs():
+    g, records, pairs = synth_city()
+    x = [1] * len(g.station_cells)
+    kwargs = dict(n_calls=150, n_batches=3, seed=4, sample_with_replacement=True)
+    _, from_pairs = run_batches(x, pairs, g, SimParams(), **kwargs)
+    _, from_records = run_batches(x, records, g, SimParams(), **kwargs)
+    assert from_records.batch_means_s == from_pairs.batch_means_s
+
+
+def test_resampled_batch_keeps_tied_calls_in_the_order_drawn():
+    g = build_grid(BOUNDS, 2, 2, SyntheticSpeedProvider(40.0), station_cells=[0, 3])
+    calls = [(0.0, 1), (0.0, 2), (60.0, 3), (60.0, 0), (60.0, 1)]
+    outcomes, _ = run_batches([2, 2], calls, g, SimParams(), n_calls=12, n_batches=3, seed=8,
+                              sample_with_replacement=True)
+    for i, outcome in enumerate(outcomes):
+        drawn = substream(8, "batchsample", i).integers(0, len(calls), size=12)
+        assert [row[1:3] for row in outcome.call_rows] == sorted((calls[k] for k in drawn), key=lambda c: c[0])
+
+
+@pytest.mark.parametrize("records_first", [True, False])
+def test_a_mix_of_records_and_pairs_is_refused(records_first):
+    g, records, pairs = synth_city(8)
+    x = [1] * len(g.station_cells)
+    mixed = records[:4] + pairs[4:] if records_first else pairs[:4] + records[4:]
+    with pytest.raises(DataError, match="all CallRecords or all"):
+        simulate(x, mixed, g, SimParams())
+    with pytest.raises(DataError, match="all CallRecords or all"):
+        run_batches(x, mixed, g, SimParams(), n_calls=4, n_batches=2, sample_with_replacement=True)
