@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, SolverError
 from .geogrid import Grid, assign_cells
-from .ingest import CallRecord, call_column
+from .ingest import CallTable
 from .rng import derive_seed, substream
 
 SVI_COLUMNS = (
@@ -72,7 +72,7 @@ class TractDataset:
 
 
 def assemble_tracts(
-    calls: Sequence[CallRecord],
+    calls: CallTable,
     grid: Grid,
     tract_map: Mapping[int, str],
     svi_table: Mapping[str, Mapping[str, float]],
@@ -101,9 +101,9 @@ def assemble_tracts(
     for t, tract in enumerate(tracts):
         cells_in = [c for c in tract_cells[tract] if 0 <= c < grid.n_cells]
         tract_of_cell[cells_in] = t
-    reported_s = call_column(calls, "reported_travel_s")
+    reported_s = calls.reported_travel_s
     has = ~np.isnan(reported_s)
-    call_cells, inside = assign_cells(grid, call_column(calls, "lat")[has], call_column(calls, "lon")[has], snap_cells)
+    call_cells, inside = assign_cells(grid, calls.lat[has], calls.lon[has], snap_cells)
     call_tract = np.where(inside, tract_of_cell[np.where(inside, call_cells, 0)], -1)
     cell_calls = np.bincount(call_cells[call_tract >= 0], minlength=grid.n_cells)
     minutes = reported_s[has] / 60.0

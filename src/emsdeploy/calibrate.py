@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, SolverError
 from .geogrid import Grid
-from .ingest import CallRecord, calibration_cells, call_column, trim_quantiles
+from .ingest import CallTable, calibration_cells, trim_quantiles
 
 
 @dataclass
@@ -144,7 +144,7 @@ class VerificationReport:
 
 
 def verify(
-    test_calls: Sequence[CallRecord],
+    test_calls: CallTable,
     grid: Grid,
     model: CalibrationModel,
     batch_size: int = 1000,
@@ -167,7 +167,7 @@ def verify(
     # unusable calls ahead of the last one used
     usable, a, b = usable[:needed], a[:needed], b[:needed]
     excluded = int(usable[-1]) + 1 - needed if needed else 0
-    reported = call_column(test_calls, "reported_travel_s")[usable].tolist()
+    reported = test_calls.reported_travel_s[usable].tolist()
     errors = [apply(model, grid_s) - r for grid_s, r in zip(grid.travel_time_s[a, b].tolist(), reported)]
     batches = np.array(errors, dtype=np.float64).reshape(n_batches, batch_size)
     means = batches.mean(axis=1)

@@ -121,6 +121,9 @@ class RunConfig:
                      "verify_batch_size", "verify_n_batches"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        for name in ("cv_folds", "analysis_folds"):
+            if getattr(self, name) < 2:
+                raise ConfigError(f"{name} must be at least 2, got {getattr(self, name)!r}")
         if self.snap_cells < 0:
             raise ConfigError(f"snap_cells must be nonnegative, got {self.snap_cells!r}")
         if not (self.min_lat < self.max_lat and self.min_lon < self.max_lon):

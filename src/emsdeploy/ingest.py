@@ -6,8 +6,9 @@ and reported rather than silently discarded. ``parse_calls_kept`` keeps a
 log's parse on disk, so a pipeline whose stages each re-read the same log
 parses it once, and returns it as a ``CallTable`` of numpy columns;
 ``serialize_calls_kept`` keeps the parse of a log it writes without
-parsing it. Each rule on calls is written once, on columns: given
-``CallRecord``s, it builds the columns it reads (``call_column``).
+parsing it. Every rule on calls takes a ``CallTable`` and reads its
+columns; ``CallTable.from_records`` is the one bridge from hand-built
+``CallRecord``s.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
-from itertools import compress, repeat
+from itertools import repeat
 from operator import add, attrgetter, floordiv, itemgetter, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
@@ -86,8 +87,8 @@ class ParseReport:
     reasons: Counter = field(default_factory=Counter)
 
 
-def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[list[CallRecord], ParseReport]:
-    """Parse a call-log CSV into records sorted by timestamp (a stable sort).
+def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[CallTable, ParseReport]:
+    """Parse a call-log CSV into a CallTable sorted by timestamp (a stable sort).
 
     Naive timestamps are interpreted in the schema's timezone (earlier
     offset on DST transitions). Blank lines are skipped and not counted; a
@@ -173,7 +174,7 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[lis
     report.n_parsed = len(records)
     report.n_dropped = report.n_rows - report.n_parsed
     records.sort(key=lambda r: r.timestamp)
-    return records, report
+    return CallTable.from_records(records, zone), report
 
 
 # the layout of a kept parse: change it whenever the layout or what a parse
@@ -196,7 +197,7 @@ class CallTable(Sequence[CallRecord]):
     ``CallRecord`` field (``table.lat``, ``table.reported_travel_s``, ...).
 
     A read-only ``Sequence[CallRecord]``: an integer index, or iterating,
-    builds the records ``parse_calls`` returns, equal by ``repr``; a slice,
+    builds the records the table was made of, equal by ``repr``; a slice,
     a boolean mask or an array of positions gives a CallTable.
     """
 
@@ -209,9 +210,12 @@ class CallTable(Sequence[CallRecord]):
 
     @classmethod
     def from_records(cls, records: Sequence[CallRecord], tz: ZoneInfo) -> "CallTable":
-        """The table of ``parse_calls`` records whose ZoneInfo stamps are in ``tz``."""
+        """The table of records whose ZoneInfo stamps are in ``tz``.
+        Raises DataError for a naive stamp, naming the first one's position."""
         stamps, *fields = zip(*records) if records else [()] * 9
         zones = [t.tzinfo for t in stamps]
+        if None in zones:
+            raise DataError(f"call {zones.index(None)} has a naive timestamp; a CallTable needs a zone")
         codes = {z: _SCHEMA_ZONE if isinstance(z, ZoneInfo) else z.utcoffset(None) // _MICROSECOND for z in set(zones)}
         zone = np.fromiter(map(codes.__getitem__, zones), dtype=np.int64, count=len(stamps))
         since_epoch = map(sub, stamps, repeat(_UTC_EPOCH))
@@ -241,47 +245,25 @@ class CallTable(Sequence[CallRecord]):
         number of us by 10**6 with one rounding."""
         return self.utc_us / 1e6
 
-    def records(self) -> list[CallRecord]:
-        """The calls as ``CallRecord``s: each stamp is its zone's 1970 epoch
-        plus its wall time, so DST-gap and fold wall times, ``timezone.utc``
-        against ``ZoneInfo('UTC')`` and fixed offsets come back as parsed."""
+    def _stamps(self) -> list[datetime]:
+        """The calls' timestamps: each is its zone's 1970 epoch plus its wall
+        time, so DST-gap and fold wall times, ``timezone.utc`` against
+        ``ZoneInfo('UTC')`` and fixed offsets come back as parsed."""
         epochs = {
             code: datetime(1970, 1, 1, tzinfo=self.tz if code == _SCHEMA_ZONE else timezone(code * _MICROSECOND))
             for code in set(self.zone.tolist())
         }
-        stamps = map(add, map(epochs.__getitem__, self.zone.tolist()), self.wall_us.astype("m8[us]").tolist())
+        return list(map(add, map(epochs.__getitem__, self.zone.tolist()), self.wall_us.astype("m8[us]").tolist()))
+
+    def records(self) -> list[CallRecord]:
+        """The calls as ``CallRecord``s, as the table was made of them."""
         # CallRecord._make without its per-row length check: each row has nine fields
-        return list(map(tuple.__new__, repeat(CallRecord), zip(stamps, *map(_none_for_nan, self.values))))
+        return list(map(tuple.__new__, repeat(CallRecord), zip(self._stamps(), *map(_none_for_nan, self.values))))
 
 
 for _j, _name in enumerate(CallRecord._fields[1:]):
     setattr(CallTable, _name, property(lambda table, j=_j: table.values[j], doc=f"The {_name} column."))
 del _j, _name
-
-
-def call_column(calls: Sequence[CallRecord], name: str) -> np.ndarray:
-    """Column ``name`` of ``calls``: ``wall_us``, ``utc_s`` or a float field.
-
-    A CallTable's own column, or the same column built from records (NaN
-    for None), so that every rule on calls is written once, on arrays.
-    """
-    if isinstance(calls, CallTable):
-        return getattr(calls, name)
-    if name == "wall_us":
-        return _wall_us(list(map(itemgetter(0), calls)))
-    if name == "utc_s":
-        return np.fromiter(map(datetime.timestamp, map(itemgetter(0), calls)), dtype=np.float64, count=len(calls))
-    return np.array(list(map(attrgetter(name), calls)), dtype=np.float64)
-
-
-def _take(calls: Sequence[CallRecord], index: slice | np.ndarray) -> Sequence[CallRecord]:
-    """The calls at a slice or a boolean mask: a CallTable of a table, a
-    list of records otherwise."""
-    if isinstance(calls, CallTable):
-        return calls[index]
-    if isinstance(index, slice):
-        return list(calls[index])
-    return list(compress(calls, index.tolist()))
 
 
 def _wall_us(stamps: Sequence[datetime]) -> np.ndarray:
@@ -318,9 +300,9 @@ def parse_calls_kept(
     matches, the table and report are loaded from it. Otherwise (no kept
     file, a changed log or schema, an empty, truncated or foreign file)
     the log is parsed and its parse kept, written to a temporary file and
-    renamed into place. Either way the table's records are what
-    ``parse_calls`` returns, equal by ``repr`` (zone, signed zeros and None
-    fields included), and the report is its report, its reasons in
+    renamed into place. Either way the table's records are those of the
+    table ``parse_calls`` returns, equal by ``repr`` (zone, signed zeros and
+    None fields included), and the report is its report, its reasons in
     first-seen order. Two logs of the same file name share one kept file,
     so reading them in turn re-parses each; the kept file can be deleted at
     any time.
@@ -330,8 +312,7 @@ def parse_calls_kept(
     key = _kept_key(path, schema)
     loaded = _load_kept(kept, key, schema)
     if loaded is None:
-        records, report = parse_calls(path, schema)
-        table = CallTable.from_records(records, schema.zone())
+        table, report = parse_calls(path, schema)
         _keep(kept, key, table, report)
     else:
         table, report = loaded
@@ -423,29 +404,22 @@ def _none_for_nan(values: np.ndarray) -> list[float | None]:
     return column.tolist()
 
 
-def serialize_calls(records: Iterable[CallRecord], path: str | Path) -> None:
-    """Write records back out with the default column names (ISO timestamps).
+def serialize_calls(calls: CallTable, path: str | Path) -> None:
+    """Write calls out with the default column names (ISO timestamps).
 
-    Each row is joined here and streamed to the file: a float is written as
-    its repr and None as an empty field, CRLF-terminated. These are the
-    bytes ``csv.writer`` writes, since it quotes only a field holding a
+    Each row is joined here from the table's columns and streamed to the
+    file: a stamp as ``isoformat`` writes it, a float as its repr and None
+    as an empty field, CRLF-terminated. These are the bytes ``csv.writer``
+    writes of the calls' records, since it quotes only a field holding a
     comma, a quote or a line break, and no ISO timestamp or float repr does.
-    A CallTable is written from its columns, in the same bytes.
     """
     with open(path, "w", newline="") as f:
         f.write(",".join(DEFAULT_COLUMNS.values()) + "\r\n")
-        if isinstance(records, CallTable):
-            f.writelines(_table_rows(records))
-            return
-        f.writelines(
-            ",".join([r[0].isoformat(), repr(float(r[1])), repr(float(r[2])),
-                      *["" if v is None else repr(float(v)) for v in r[3:]]]) + "\r\n"
-            for r in records
-        )
+        f.writelines(_table_rows(calls))
 
 
 def _table_rows(table: CallTable) -> Iterable[str]:
-    """``serialize_calls``'s rows of a table, in chunks of whole rows."""
+    """``serialize_calls``'s rows, in chunks of whole rows."""
     offsets, which = np.unique(table.wall_us - table.utc_us, return_inverse=True)
     # an ISO UTC offset as isoformat writes it: +HH:MM, then :SS and .ffffff if not zero
     suffixes = np.array([datetime(2000, 1, 1, tzinfo=timezone(o * _MICROSECOND)).isoformat()[19:]
@@ -463,18 +437,17 @@ def _table_rows(table: CallTable) -> Iterable[str]:
 
 
 def filter_peak(
-    calls: Sequence[CallRecord],
+    calls: CallTable,
     start: time = time(8, 0),
     end: time = time(20, 0),
     weekdays: Sequence[int] = (0, 1, 2, 3, 4),
-) -> Sequence[CallRecord]:
+) -> CallTable:
     """Keep calls whose local time lies in [start, end) on one of the weekdays.
 
     Monday is weekday 0. The default window is the high, consistent demand
-    period of weekday daytime hours. A CallTable gives a CallTable, records
-    a list.
+    period of weekday daytime hours.
     """
-    return _take(calls, _in_window(call_column(calls, "wall_us"), start, end, weekdays))
+    return calls[_in_window(calls.wall_us, start, end, weekdays)]
 
 
 @dataclass
@@ -506,7 +479,7 @@ class DemandMatrix:
 
 
 def build_demand_matrix(
-    calls: Sequence[CallRecord],
+    calls: CallTable,
     grid: Grid,
     period_length_s: float = 3600.0,
     snap_cells: float = 1.0,
@@ -521,13 +494,13 @@ def build_demand_matrix(
     """
     if period_length_s <= 0:
         raise ConfigError(f"period_length_s must be positive, got {period_length_s}")
-    if not calls:
+    if not len(calls):
         return DemandMatrix(np.zeros((0, grid.n_cells), dtype=np.int64), period_length_s, [])
-    first = calls[0].timestamp
+    first = calls[:1]._stamps()[0]
     anchor = first.replace(hour=0, minute=0, second=0, microsecond=0)
     anchor_s = anchor.timestamp()
-    cells, inside = assign_cells(grid, call_column(calls, "lat"), call_column(calls, "lon"), snap_cells)
-    periods = np.floor((call_column(calls, "utc_s")[inside] - anchor_s) / period_length_s)
+    cells, inside = assign_cells(grid, calls.lat, calls.lon, snap_cells)
+    periods = np.floor((calls.utc_s[inside] - anchor_s) / period_length_s)
     if np.any(periods < 0):
         raise DataError("calls must not precede the first call's midnight anchor")
     n_periods = int(periods.max()) + 1 if len(periods) else 1
@@ -614,19 +587,18 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
 
 
 def split_train_test(
-    calls: Sequence[CallRecord],
+    calls: CallTable,
     fraction: float = 0.8,
     mode: str = "chronological",
     k: int = 5,
     fold_index: int = 0,
     seed: int = 0,
-) -> tuple[Sequence[CallRecord], Sequence[CallRecord]]:
+) -> tuple[CallTable, CallTable]:
     """Disjoint, exhaustive train/test split.
 
     chronological: the earliest ``fraction`` of calls become the train set.
     kfold: a seeded shuffle partitions calls into k folds; fold_index is the
-    test fold. Both modes keep each side in chronological order. A
-    CallTable gives two CallTables, records two lists.
+    test fold. Both modes keep each side in chronological order.
     """
     n = len(calls)
     if n < 2:
@@ -635,14 +607,14 @@ def split_train_test(
         if not (0 < fraction < 1):
             raise ConfigError(f"fraction must be in (0, 1), got {fraction}")
         n_train = min(max(int(math.floor(n * fraction)), 1), n - 1)
-        return _take(calls, slice(None, n_train)), _take(calls, slice(n_train, None))
+        return calls[:n_train], calls[n_train:]
     if mode == "kfold":
         if k < 2 or not (0 <= fold_index < k):
             raise ConfigError(f"need k >= 2 and 0 <= fold_index < k, got k={k}, fold_index={fold_index}")
         perm = substream(seed, "folds").permutation(n)
         in_test = np.zeros(n, dtype=bool)
         in_test[np.array_split(perm, k)[fold_index]] = True
-        return _take(calls, ~in_test), _take(calls, in_test)
+        return calls[~in_test], calls[in_test]
     raise ConfigError(f"unknown split mode: {mode!r}")
 
 
@@ -668,7 +640,7 @@ def trim_quantiles(pairs: Sequence[tuple[float, float]], p: float) -> list[tuple
 
 
 def calibration_pairs(
-    calls: Sequence[CallRecord],
+    calls: CallTable,
     grid: Grid,
     snap_cells: float = 1.0,
 ) -> tuple[list[tuple[float, float]], int]:
@@ -679,12 +651,12 @@ def calibration_pairs(
     """
     usable, a, b = calibration_cells(calls, grid, snap_cells)
     travel = grid.travel_time_s[a, b].tolist()
-    reported = call_column(calls, "reported_travel_s")[usable].tolist()
+    reported = calls.reported_travel_s[usable].tolist()
     return list(zip(travel, reported)), len(calls) - len(usable)
 
 
 def calibration_cells(
-    calls: Sequence[CallRecord],
+    calls: CallTable,
     grid: Grid,
     snap_cells: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -695,11 +667,9 @@ def calibration_cells(
     origin (a NaN reads as missing), and both its points lie on the
     snappable grid.
     """
-    amb_lat, amb_lon = call_column(calls, "ambulance_lat"), call_column(calls, "ambulance_lon")
-    complete = np.flatnonzero(~(np.isnan(call_column(calls, "reported_travel_s")) | np.isnan(amb_lat) | np.isnan(amb_lon)))
+    amb_lat, amb_lon = calls.ambulance_lat, calls.ambulance_lon
+    complete = np.flatnonzero(~(np.isnan(calls.reported_travel_s) | np.isnan(amb_lat) | np.isnan(amb_lon)))
     a, a_inside = assign_cells(grid, amb_lat[complete], amb_lon[complete], snap_cells)
-    b, b_inside = assign_cells(
-        grid, call_column(calls, "lat")[complete], call_column(calls, "lon")[complete], snap_cells
-    )
+    b, b_inside = assign_cells(grid, calls.lat[complete], calls.lon[complete], snap_cells)
     ok = a_inside & b_inside
     return complete[ok], a[ok], b[ok]

@@ -28,7 +28,7 @@ import numpy as np
 from .calibrate import CalibrationModel, apply
 from .errors import ConfigError, DataError
 from .geogrid import Grid, assign_cells_or_raise
-from .ingest import CallRecord, CallTable, call_column
+from .ingest import CallTable
 from .rng import derive_seed, substream
 
 NEW_CALL = "NewCall"
@@ -55,7 +55,8 @@ class SimParams:
     The lognormal on-scene parameters are on the minutes scale; a call whose
     response exceeds ``shortfall_threshold_s`` counts as a shortfall;
     ``calibration`` (when set) maps every grid travel time to an adjusted
-    one; ``snap_cells`` is the off-grid snapping tolerance for CallRecords.
+    one; ``snap_cells`` is the off-grid snapping tolerance for a CallTable's
+    calls.
     """
 
     lognormal_mu: float = 3.65
@@ -171,28 +172,32 @@ def draw_service_time(params: SimParams, rng: np.random.Generator) -> float:
     return draw_service_times(params, rng, 1)[0]
 
 
-def _as_sim_calls(calls: Sequence) -> tuple[list[float], list[int] | None]:
+def _as_sim_calls(calls: CallTable | Sequence[tuple[float, int]]) -> tuple[list[float], list[int] | None]:
     """Each call's epoch seconds and, for (epoch_s, cell) pairs, its cell,
-    in one conversion of the list: CallRecords (or a CallTable) through
-    their ``utc_s`` column, with None for the cells they are yet to be
-    snapped to; pairs through one ``zip``. A mix of both is a DataError."""
+    in one conversion: a CallTable through its ``utc_s`` column, with None
+    for the cells its calls are yet to be snapped to; pairs through one
+    ``zip``. Anything else, such as a list of CallRecords or a mix, is a
+    DataError."""
+    if isinstance(calls, CallTable):
+        return calls.utc_s.tolist(), None
     if len(calls) == 0:
         return [], []
     try:
-        if isinstance(calls, CallTable) or isinstance(calls[0], CallRecord):
-            return call_column(calls, "utc_s").tolist(), None
         t, c = zip(*calls)
         return list(map(float, t)), list(map(int, c))
-    except (TypeError, AttributeError):
-        raise DataError("calls must be all CallRecords or all (epoch_s, cell) pairs") from None
+    except (TypeError, ValueError):
+        raise DataError("calls must be a CallTable or a list of (epoch_s, cell) pairs") from None
 
 
-def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, seed: int = 0) -> SimOutcome:
+def simulate(
+    x, calls: CallTable | Sequence[tuple[float, int]], grid: Grid, params: SimParams | None = None, seed: int = 0
+) -> SimOutcome:
     """Run one dispatch simulation of ``calls`` under stationing ``x``.
 
-    ``calls`` are CallRecords or (epoch_seconds, cell) pairs, not a mix,
-    sorted by time and converted once per list; a caller that simulates
-    one list many times should snap it to pairs once. Travel times are
+    ``calls`` are a CallTable or a list of (epoch_seconds, cell) pairs,
+    sorted by time; a table's calls are snapped to the grid on each run, so
+    a caller that simulates one table many times should snap it to pairs
+    once. Travel times are
     grid times passed through the calibration model when one is
     configured. Ambulances are numbered by station, and the closest free
     one goes, ties to the lower number.
@@ -206,9 +211,8 @@ def simulate(x, calls: Sequence, grid: Grid, params: SimParams | None = None, se
     if x.sum() < 1:
         raise DataError("need at least one stationed ambulance")
     call_t, call_cell = _as_sim_calls(calls)
-    if call_cell is None:  # CallRecords, snapped to the grid together
-        lats, lons = call_column(calls, "lat"), call_column(calls, "lon")
-        call_cell = assign_cells_or_raise(grid, lats, lons, params.snap_cells).tolist()
+    if call_cell is None:  # a CallTable, its calls snapped to the grid together
+        call_cell = assign_cells_or_raise(grid, calls.lat, calls.lon, params.snap_cells).tolist()
     if any(b < a for a, b in zip(call_t, call_t[1:])):
         raise DataError("calls must be sorted by time")
     n_calls = len(call_t)
@@ -325,17 +329,18 @@ class BatchSummary:
 
 
 def _batch_slices(
-    calls: Sequence,
+    calls: CallTable | Sequence[tuple[float, int]],
     n_calls: int,
     n_batches: int,
     seed: int,
     sample_with_replacement: bool,
-) -> list[list]:
-    calls = list(calls)
+) -> list:
+    """The batches ``run_batches`` simulates: tables of a table, lists of
+    a list of pairs."""
     if n_calls < 1 or n_batches < 1:
         raise ConfigError("n_calls and n_batches must both be at least 1")
     if sample_with_replacement:
-        if not calls:
+        if len(calls) == 0:
             raise DataError("cannot sample batches from an empty call list")
 
         times = np.array(_as_sim_calls(calls)[0])
@@ -344,19 +349,20 @@ def _batch_slices(
             rng = substream(seed, "batchsample", i)
             idx = rng.integers(0, len(calls), size=n_calls)
             # a stable sort by time keeps tied calls in the order drawn
-            out.append([calls[k] for k in idx[np.argsort(times[idx], kind="stable")].tolist()])
+            drawn = idx[np.argsort(times[idx], kind="stable")]
+            out.append(calls[drawn] if isinstance(calls, CallTable) else [calls[k] for k in drawn.tolist()])
         return out
     if n_calls * n_batches > len(calls):
         raise DataError(
             f"need {n_calls * n_batches} calls for {n_batches} batches of {n_calls}, "
             f"have {len(calls)}; set sample_with_replacement to resample"
         )
-    return [list(calls[i * n_calls : (i + 1) * n_calls]) for i in range(n_batches)]
+    return [calls[i * n_calls : (i + 1) * n_calls] for i in range(n_batches)]
 
 
 def run_batches(
     x,
-    calls: Sequence,
+    calls: CallTable | Sequence[tuple[float, int]],
     grid: Grid,
     params: SimParams | None = None,
     n_calls: int = 1000,
@@ -409,7 +415,7 @@ class PolicyComparison:
 
 def compare_policies(
     policies: Sequence[tuple[str, np.ndarray]],
-    calls: Sequence,
+    calls: CallTable | Sequence[tuple[float, int]],
     grid: Grid,
     params: SimParams | None = None,
     n_calls: int = 1000,

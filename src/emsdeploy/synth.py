@@ -11,12 +11,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import numpy as np
 
 from .errors import ConfigError
 from .geogrid import Grid, SyntheticSpeedProvider, build_grid
-from .ingest import CallRecord
+from .ingest import CallRecord, CallTable
 from .rng import substream
 
 
@@ -82,13 +83,14 @@ def _cell_weights(grid: Grid, cfg: SynthConfig) -> np.ndarray:
     return weights / weights.sum()
 
 
-def synth_calls(grid: Grid, n_calls: int, seed: int = 0, cfg: SynthConfig | None = None) -> list[CallRecord]:
+def synth_calls(grid: Grid, n_calls: int, seed: int = 0, cfg: SynthConfig | None = None) -> CallTable:
     """Seeded call log over the grid, with demand concentrated at a hotspot.
 
     Calls arrive as a Poisson stream folded into weekday peak hours, carry
     jittered coordinates inside their cell, and include reported travel and
     on-scene fields generated from a known ground-truth model so that the
-    calibration and analysis stages have something real to recover.
+    calibration and analysis stages have something real to recover. The
+    calls come as a CallTable, in time order.
 
     Each call makes the same scalar ``Generator`` draws in the same order,
     so a seed always gives the same log. Raises ConfigError, before any
@@ -149,7 +151,8 @@ def synth_calls(grid: Grid, n_calls: int, seed: int = 0, cfg: SynthConfig | None
             reported = math.exp(a + b * math.log(grid_s) + normal(0.0, noise_sigma))
         on_scene = math.exp(normal(scene_mu, scene_sigma)) * 60.0
         append(CallRecord(t, lat, lon, reported + uniform(20.0, 60.0), reported, amb_lat, amb_lon, on_scene, None))
-    return records
+    zone = cfg.start.tzinfo
+    return CallTable.from_records(records, zone if isinstance(zone, ZoneInfo) else ZoneInfo("UTC"))
 
 
 def synth_tract_dataset(seed: int = 0, n_tracts: int = 150):

@@ -238,8 +238,9 @@ def test_criterion_7_calibration_recovery():
             geogrid.SyntheticSpeedProvider(40.0), station_cells=[0],
         )
         rng = substream(1007, "verify-acceptance")
-        from emsdeploy.ingest import CallRecord
+        from emsdeploy.ingest import CallRecord, CallTable
         from datetime import datetime, timedelta, timezone
+        from zoneinfo import ZoneInfo
 
         t0 = datetime(2024, 1, 1, 8, tzinfo=timezone.utc)
         amb_lat, amb_lon = grid.cell_centers[0]
@@ -257,6 +258,7 @@ def test_criterion_7_calibration_recovery():
                 lat=lat, lon=lon, reported_travel_s=reported,
                 ambulance_lat=amb_lat, ambulance_lon=amb_lon,
             ))
+        calls = CallTable.from_records(calls, ZoneInfo("UTC"))
         cal_pairs, _ = ingest.calibration_pairs(calls, grid)
         fitted = calibrate.fit_loglog(cal_pairs, trim_p=0.01)
         report = calibrate.verify(calls, grid, fitted, batch_size=60, n_batches=10)

@@ -1,5 +1,6 @@
 import math
 from datetime import datetime, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from emsdeploy.analysis import (
 )
 from emsdeploy.errors import SolverError
 from emsdeploy.geogrid import MatrixProvider, build_grid
-from emsdeploy.ingest import CallRecord
+from emsdeploy.ingest import CallRecord, CallTable
 
 from oracles import reference_fit_lasso
 
@@ -41,6 +42,10 @@ def call_at(grid, cell, reported_min, minute):
     )
 
 
+def table(records):
+    return CallTable.from_records(records, ZoneInfo("UTC"))
+
+
 def station_grid():
     travel = np.array(
         [
@@ -58,7 +63,7 @@ def test_assemble_single_tract_mean_dependent():
     tract_map = {1: "T1"}
     svi = {"T1": svi_row(rng)}
     calls = [call_at(g, 1, 4.0, 0), call_at(g, 1, 6.0, 1)]
-    ds = assemble_tracts(calls, g, tract_map, svi)
+    ds = assemble_tracts(table(calls), g, tract_map, svi)
     assert ds.tract_ids == ["T1"]
     assert ds.y[0] == pytest.approx(5.0)
     # single cell: features are that cell's min and avg station time in minutes
@@ -72,7 +77,7 @@ def test_assemble_call_weighted_average():
     tract_map = {1: "T", 2: "T"}
     svi = {"T": svi_row(rng)}
     calls = [call_at(g, 1, 5.0, i) for i in range(3)] + [call_at(g, 2, 5.0, 10)]
-    ds = assemble_tracts(calls, g, tract_map, svi)
+    ds = assemble_tracts(table(calls), g, tract_map, svi)
     # cell avg times are 10 and 20 minutes, weighted 3:1
     assert ds.X[0, 1] == pytest.approx(12.5)
 
@@ -83,7 +88,7 @@ def test_assemble_drops_missing_svi_and_empty_tracts():
     tract_map = {0: "T0", 1: "T1", 2: "T2"}
     svi = {"T1": svi_row(rng)}  # T0 missing from the table, T2 has no calls
     calls = [call_at(g, 0, 3.0, 0), call_at(g, 1, 4.0, 1)]
-    ds = assemble_tracts(calls, g, tract_map, svi)
+    ds = assemble_tracts(table(calls), g, tract_map, svi)
     assert ds.tract_ids == ["T1"]
     assert ds.n_dropped_no_svi == 1
     assert ds.n_tracts_no_calls == 1
@@ -100,7 +105,7 @@ def test_assemble_matches_two_pass_oracle():
         for _ in range(count):
             calls.append(call_at(g, cell, float(rng.uniform(2, 12)), minute))
             minute += 1
-    ds = assemble_tracts(calls, g, tract_map, svi)
+    ds = assemble_tracts(table(calls), g, tract_map, svi)
     # independent aggregation
     station_times = g.travel_time_s[np.array(g.station_cells), :]
     for row, tract in enumerate(ds.tract_ids):

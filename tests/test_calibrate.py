@@ -1,5 +1,6 @@
 import math
 from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from emsdeploy.calibrate import (
 )
 from emsdeploy.errors import DataError, SolverError
 from emsdeploy.geogrid import SyntheticSpeedProvider, build_grid
-from emsdeploy.ingest import CallRecord
+from emsdeploy.ingest import CallRecord, CallTable
 
 UTC = timezone.utc
 
@@ -156,6 +157,10 @@ def make_verify_calls(grid, model_a, model_b, n, rng, bias_s=0.0, noise=0.0, exa
     return calls
 
 
+def table(records):
+    return CallTable.from_records(records, ZoneInfo("UTC"))
+
+
 def verify_grid():
     return build_grid((30.0, 30.3, -97.3, -97.0), 3, 3, SyntheticSpeedProvider(40.0),
                       station_cells=[0])
@@ -165,7 +170,7 @@ def test_verify_identity_on_exact_grid_times():
     g = verify_grid()
     rng = np.random.default_rng(31)
     calls = make_verify_calls(g, 0.0, 1.0, 40, rng, exact_identity=True)
-    report = verify(calls, g, identity_model(), batch_size=10, n_batches=4)
+    report = verify(table(calls), g, identity_model(), batch_size=10, n_batches=4)
     assert report.batch_errors_s == pytest.approx([0.0] * 4, abs=1e-9)
     assert report.mean_error_s == pytest.approx(0.0, abs=1e-9)
 
@@ -176,9 +181,9 @@ def test_verify_fitted_model_is_unbiased():
     calls = make_verify_calls(g, 1.0, 0.8, 400, rng, noise=0.2)
     from emsdeploy.ingest import calibration_pairs
 
-    pairs, _ = calibration_pairs(calls, g)
+    pairs, _ = calibration_pairs(table(calls), g)
     model = fit_loglog(pairs, trim_p=0.01)
-    report = verify(calls, g, model, batch_size=40, n_batches=10)
+    report = verify(table(calls), g, model, batch_size=40, n_batches=10)
     se = report.std_error_s / math.sqrt(report.n_batches)
     assert abs(report.mean_error_s) <= 3 * se
 
@@ -189,10 +194,10 @@ def test_verify_detects_injected_bias():
     calls = make_verify_calls(g, 1.0, 0.8, 400, rng, noise=0.15)
     from emsdeploy.ingest import calibration_pairs
 
-    pairs, _ = calibration_pairs(calls, g)
+    pairs, _ = calibration_pairs(table(calls), g)
     model = fit_loglog(pairs, trim_p=0.01)
     biased = make_verify_calls(g, 1.0, 0.8, 400, np.random.default_rng(41), bias_s=60.0, noise=0.15)
-    report = verify(biased, g, model, batch_size=40, n_batches=10)
+    report = verify(table(biased), g, model, batch_size=40, n_batches=10)
     se = report.std_error_s / math.sqrt(report.n_batches)
     assert report.mean_error_s == pytest.approx(-60.0, abs=3 * se + 5.0)
 
@@ -201,7 +206,7 @@ def test_verify_overall_mean_is_mean_of_batches():
     g = verify_grid()
     rng = np.random.default_rng(43)
     calls = make_verify_calls(g, 1.0, 0.8, 120, rng, noise=0.3)
-    report = verify(calls, g, identity_model(), batch_size=30, n_batches=4)
+    report = verify(table(calls), g, identity_model(), batch_size=30, n_batches=4)
     assert report.mean_error_s == pytest.approx(float(np.mean(report.batch_errors_s)))
 
 
@@ -212,7 +217,7 @@ def test_verify_excludes_and_counts_incomplete_calls():
     incomplete = CallRecord(
         timestamp=datetime(2024, 1, 1, tzinfo=UTC), lat=30.1, lon=-97.1
     )
-    report = verify([incomplete] + calls, g, identity_model(), batch_size=10, n_batches=5)
+    report = verify(table([incomplete] + calls), g, identity_model(), batch_size=10, n_batches=5)
     assert report.n_excluded == 1
 
 
@@ -228,9 +233,9 @@ def test_verify_counts_exclusions_up_to_the_last_call_used():
                            ambulance_lat=math.nan, ambulance_lon=-97.1)
     used = calls[:20] + [incomplete, off_grid, no_origin] + calls[20:]
     # the 50 usable calls fill the batches; nothing after the last one counts
-    report = verify(used + [incomplete, off_grid], g, identity_model(), batch_size=10, n_batches=5)
+    report = verify(table(used + [incomplete, off_grid]), g, identity_model(), batch_size=10, n_batches=5)
     assert report.n_excluded == 3
-    assert report.to_dict() == verify(used, g, identity_model(), batch_size=10, n_batches=5).to_dict()
+    assert report.to_dict() == verify(table(used), g, identity_model(), batch_size=10, n_batches=5).to_dict()
 
 
 def test_verify_needs_enough_calls():
@@ -238,4 +243,4 @@ def test_verify_needs_enough_calls():
     rng = np.random.default_rng(53)
     calls = make_verify_calls(g, 1.0, 0.8, 10, rng)
     with pytest.raises(DataError):
-        verify(calls, g, identity_model(), batch_size=10, n_batches=2)
+        verify(table(calls), g, identity_model(), batch_size=10, n_batches=2)

@@ -4,16 +4,17 @@ import os
 import shutil
 import subprocess
 import sys
+from datetime import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import emsdeploy
-from emsdeploy import geogrid, simcore
-from emsdeploy.cli import RunConfig, load_config, main
+from emsdeploy import geogrid, ingest, simcore
+from emsdeploy.cli import COMMANDS, RunConfig, load_config, main
 from emsdeploy.errors import ConfigError
-from emsdeploy.ingest import serialize_calls
+from emsdeploy.ingest import CallTable, serialize_calls
 from emsdeploy.synth import SynthConfig, synth_calls, synth_grid, synth_tracts, write_svi_csv, write_tract_map_csv
 
 
@@ -176,6 +177,32 @@ def test_alpha_cv_simulates_and_snaps_each_fold_once(city, tmp_path, monkeypatch
     assert sum(snapped) == sum(fold_sizes.values())
 
 
+def test_no_rule_builds_a_record_per_call(city, tmp_path, monkeypatch):
+    """Every stage and rule works on a CallTable's columns: building the
+    table's records, which indexing or iterating it does, fails the test."""
+
+    def no_records(table):
+        raise AssertionError(f"built the records of {len(table)} calls")
+
+    monkeypatch.setattr(CallTable, "records", no_records)
+    out = tmp_path / "run"
+    for sub in COMMANDS:
+        assert run(city, sub, out) == 0, f"{sub} failed"
+    # the station-ladder benchmark's set-up chain on a synthetic table
+    peak = (time(8), time(20), (0, 1, 2, 3, 4))
+    grid = synth_grid(SynthConfig())
+    train, _ = ingest.split_train_test(ingest.filter_peak(synth_calls(grid, 2000, seed=3), *peak), 0.8)
+    matrix = ingest.build_demand_matrix(train, grid, 3600.0, 1.0)
+    assert ingest.select_periods(matrix, ingest.peak_period_mask(matrix, *peak)).counts.sum() > 0
+    # the simulator on a parsed table, its batches sliced and resampled
+    calls, _ = ingest.parse_calls(city["raw"]["calls_csv"])
+    x = np.ones(len(grid.station_cells), dtype=np.int64)
+    for resample in (False, True):
+        comparison = simcore.compare_policies([("a", x), ("b", 2 * x)], calls, grid, simcore.SimParams(),
+                                              n_calls=30, n_batches=3, seed=5, sample_with_replacement=resample)
+        assert comparison.batch_means_s.shape == (3, 2)
+
+
 def test_unknown_config_field_is_exit_2(city, tmp_path):
     assert run(city, "grid", tmp_path / "x", ("--no_such_field", "1")) == 2
     # a field that was removed is unknown too
@@ -223,6 +250,7 @@ def test_config_value_of_the_wrong_json_type_is_exit_2(city, tmp_path, sub, name
     ("coverage_threshold_s", math.nan), ("coverage_threshold_s", 0), ("lognormal_sigma", math.nan),
     ("lognormal_sigma", 0), ("period_length_s", 0), ("snap_cells", -5), ("snap_cells", math.nan),
     ("max_nodes", 0), ("n_calls", 0), ("n_batches", 0), ("verify_batch_size", 0), ("verify_n_batches", 0),
+    ("cv_folds", 0), ("cv_folds", -2), ("cv_folds", 1), ("analysis_folds", 1), ("analysis_folds", 0),
 ])
 def test_non_finite_or_out_of_range_config_number_is_exit_2(city, tmp_path, name, value):
     # refused while the config loads, not turned into NaN outputs or a data error in a later stage

@@ -44,6 +44,11 @@ def rec(ts, lat=30.1, lon=-97.6, **kw):
     return CallRecord(timestamp=ts, lat=lat, lon=lon, **kw)
 
 
+def table(records, tz="UTC"):
+    """The CallTable of hand-built records whose ZoneInfo stamps are in ``tz``."""
+    return CallTable.from_records(records, ZoneInfo(tz))
+
+
 def make_grid():
     return build_grid((30.0, 30.2, -97.7, -97.5), 2, 2, SyntheticSpeedProvider(50.0))
 
@@ -52,7 +57,7 @@ def test_parse_empty_file(tmp_path):
     path = tmp_path / "calls.csv"
     path.write_text("datetime,latitude,longitude\n")
     records, report = parse_calls(path)
-    assert records == []
+    assert list(records) == []
     assert report.n_dropped == 0
 
 
@@ -307,10 +312,10 @@ def test_roundtrip_identity(tmp_path):
         rec(datetime(2024, 1, 1, 10, tzinfo=UTC), ambulance_lat=30.12, ambulance_lon=-97.61),
     ]
     path = tmp_path / "calls.csv"
-    serialize_calls(records, path)
+    serialize_calls(table(records), path)
     loaded, report = parse_calls(path)
     assert report.n_dropped == 0
-    assert loaded == records
+    assert list(loaded) == records
 
 
 def test_serialize_calls_text(tmp_path):
@@ -320,7 +325,7 @@ def test_serialize_calls_text(tmp_path):
         rec(datetime(2024, 1, 1, 10, 0, 0, 5, tzinfo=UTC), ambulance_lat=np.float64(-0.0), to_hospital_s=1e16),
     ]
     path = tmp_path / "calls.csv"
-    serialize_calls(iter(records), path)
+    serialize_calls(table(records), path)
     assert path.read_bytes() == (
         b"datetime,latitude,longitude,response_time_s,travel_time_s,amb_latitude,amb_longitude,"
         b"on_scene_s,to_hospital_s\r\n"
@@ -329,19 +334,17 @@ def test_serialize_calls_text(tmp_path):
     )
 
 
-# every value a record field may hold: ints, numpy floats, signed zeros,
-# non-finite values and subnormals
+# every value a table's record field may hold: ints, numpy floats, signed
+# zeros, infinities and subnormals (a table holds NaN only for None)
 FIELD_VALUES = st.one_of(
     st.integers(-2**40, 2**40),
-    st.floats(),
-    st.floats().map(np.float64),
-    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.nan, math.inf, -math.inf]),
+    st.floats(allow_nan=False),
+    st.floats(allow_nan=False).map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, math.inf, -math.inf]),
 )
-ZONES = st.one_of(
-    st.none(),
-    st.sampled_from([UTC, timezone(timedelta(hours=-5)), timezone(timedelta(hours=5, minutes=30, seconds=7)),
-                     ZoneInfo("America/Chicago")]),
-)
+# a table's stamps carry a zone
+ZONES = st.sampled_from([UTC, timezone(timedelta(hours=-5)), timezone(timedelta(hours=5, minutes=30, seconds=7)),
+                         ZoneInfo("America/Chicago")])
 
 
 @st.composite
@@ -356,7 +359,7 @@ def call_records(draw):
 def test_serialize_calls_matches_csv_writer(records):
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
-        serialize_calls(iter(records), got)
+        serialize_calls(table(records, "America/Chicago"), got)
         reference_serialize_calls(records, want)
         assert got.read_bytes() == want.read_bytes()
 
@@ -365,21 +368,21 @@ def test_filter_peak_rules():
     saturday = rec(datetime(2024, 1, 6, 12, 0, tzinfo=UTC))
     monday_open = rec(datetime(2024, 1, 8, 8, 0, tzinfo=UTC))
     monday_close = rec(datetime(2024, 1, 8, 20, 0, tzinfo=UTC))
-    kept = filter_peak([saturday, monday_open, monday_close])
-    assert kept == [monday_open]
+    kept = filter_peak(table([saturday, monday_open, monday_close]))
+    assert list(kept) == [monday_open]
 
 
 def test_filter_peak_idempotent():
     calls = [rec(datetime(2024, 1, 8, h, 30, tzinfo=UTC)) for h in range(8, 20)]
-    once = filter_peak(calls)
-    assert once == calls
-    assert filter_peak(once) == once
+    once = filter_peak(table(calls))
+    assert list(once) == calls
+    assert list(filter_peak(once)) == list(once)
 
 
 def test_demand_matrix_single_call():
     g = make_grid()
     calls = [rec(datetime(2024, 1, 1, 9, 30, tzinfo=UTC), 30.05, -97.65)]
-    m = build_demand_matrix(calls, g)
+    m = build_demand_matrix(table(calls), g)
     assert m.counts.sum() == 1
     assert m.counts.shape[1] == 4
     assert m.counts[9].sum() == 1  # 9 hours after the midnight anchor
@@ -389,7 +392,7 @@ def test_demand_matrix_same_cell_same_hour():
     g = make_grid()
     t = datetime(2024, 1, 1, 9, 0, tzinfo=UTC)
     calls = [rec(t, 30.05, -97.65), rec(t + timedelta(minutes=20), 30.06, -97.64)]
-    m = build_demand_matrix(calls, g)
+    m = build_demand_matrix(table(calls), g)
     assert m.counts.max() == 2
     assert m.counts.sum() == 2
 
@@ -408,7 +411,7 @@ def test_demand_matrix_conserves_and_matches_recount():
             )
         )
     calls.sort(key=lambda r: r.timestamp)
-    m = build_demand_matrix(calls, g, 3600.0)
+    m = build_demand_matrix(table(calls), g, 3600.0)
     assert int(m.counts.sum()) == len(calls)
     # independent recount per period
     by_period = {}
@@ -423,7 +426,7 @@ def test_demand_matrix_drops_and_counts_far_calls():
     g = make_grid()
     inside = rec(datetime(2024, 1, 1, 9, 30, tzinfo=UTC), 30.05, -97.65)
     far = rec(datetime(2024, 1, 1, 10, 30, tzinfo=UTC), 32.0, -97.65)
-    m = build_demand_matrix([inside, far], g)
+    m = build_demand_matrix(table([inside, far]), g)
     assert int(m.counts.sum()) == 1
     assert m.n_dropped == 1
 
@@ -431,7 +434,7 @@ def test_demand_matrix_drops_and_counts_far_calls():
 def test_demand_matrix_export_roundtrip(tmp_path):
     g = make_grid()
     calls = [rec(datetime(2024, 1, 1, 9, 30, tzinfo=UTC))]
-    m = build_demand_matrix(calls, g)
+    m = build_demand_matrix(table(calls), g)
     path = tmp_path / "demand.csv"
     save_demand_matrix(m, path)
     loaded = load_demand_matrix(path)
@@ -480,7 +483,7 @@ def test_peak_period_mask_and_selection():
         rec(datetime(2024, 1, 1, 3, 0, tzinfo=UTC)),
         rec(datetime(2024, 1, 1, 9, 0, tzinfo=UTC)),
     ]
-    m = build_demand_matrix(calls, g)
+    m = build_demand_matrix(table(calls), g)
     mask = peak_period_mask(m)
     assert not mask[3] and mask[9]
     peak_only = select_periods(m, mask)
@@ -489,31 +492,31 @@ def test_peak_period_mask_and_selection():
 
 def test_split_chronological():
     calls = [rec(datetime(2024, 1, 1, 8, i, tzinfo=UTC)) for i in range(10)]
-    train, test = split_train_test(calls, 0.8)
-    assert train == calls[:8]
-    assert test == calls[8:]
+    train, test = split_train_test(table(calls), 0.8)
+    assert list(train) == calls[:8]
+    assert list(test) == calls[8:]
 
 
 def test_split_kfold_partitions():
     calls = [rec(datetime(2024, 1, 1, 8, i, tzinfo=UTC)) for i in range(11)]
     seen = []
     for fold in range(3):
-        train, test = split_train_test(calls, mode="kfold", k=3, fold_index=fold, seed=5)
-        assert sorted(train + test, key=lambda r: r.timestamp) == calls
+        train, test = split_train_test(table(calls), mode="kfold", k=3, fold_index=fold, seed=5)
+        assert sorted([*train, *test], key=lambda r: r.timestamp) == calls
         seen.extend(test)
     assert sorted(seen, key=lambda r: r.timestamp) == calls  # folds partition the data
 
 
 def test_split_kfold_deterministic():
     calls = [rec(datetime(2024, 1, 1, 8, i, tzinfo=UTC)) for i in range(9)]
-    a = split_train_test(calls, mode="kfold", k=3, fold_index=1, seed=42)
-    b = split_train_test(calls, mode="kfold", k=3, fold_index=1, seed=42)
-    assert a == b
+    a = split_train_test(table(calls), mode="kfold", k=3, fold_index=1, seed=42)
+    b = split_train_test(table(calls), mode="kfold", k=3, fold_index=1, seed=42)
+    assert [list(side) for side in a] == [list(side) for side in b]
 
 
 def test_split_too_few_calls():
     with pytest.raises(DataError):
-        split_train_test([rec(datetime(2024, 1, 1, 8, tzinfo=UTC))])
+        split_train_test(table([rec(datetime(2024, 1, 1, 8, tzinfo=UTC))]))
 
 
 def test_trim_p_zero_is_identity():
@@ -549,7 +552,7 @@ def test_calibration_pairs_excludes_incomplete():
         ambulance_lon=-97.55,
     )
     missing = rec(datetime(2024, 1, 1, 10, tzinfo=UTC), reported_travel_s=100.0)
-    pairs, excluded = calibration_pairs([full, missing], g)
+    pairs, excluded = calibration_pairs(table([full, missing]), g)
     assert len(pairs) == 1 and excluded == 1
     assert pairs[0][1] == 120.0
 
@@ -560,14 +563,15 @@ def test_calibration_pairs_exclude_non_finite_points():
     full = rec(t, reported_travel_s=120.0, ambulance_lat=30.15, ambulance_lon=-97.55)
     nan_origin = rec(t, reported_travel_s=90.0, ambulance_lat=math.nan, ambulance_lon=-97.55)
     nan_scene = rec(t, lat=math.nan, reported_travel_s=90.0, ambulance_lat=30.15, ambulance_lon=-97.55)
-    pairs, excluded = calibration_pairs([nan_origin, full, nan_scene], g)
+    pairs, excluded = calibration_pairs(table([nan_origin, full, nan_scene]), g)
     assert [p[1] for p in pairs] == [120.0] and excluded == 2
 
 
 # --- the CallTable a kept parse loads, and the rules written on its columns
 
 def _parsed_table(text, tz, tmp):
-    """A call log's parse, as ``parse_calls_kept``'s table and as records."""
+    """A call log's parse, as ``parse_calls_kept``'s table and as the records
+    of ``parse_calls``'s table."""
     path = Path(tmp) / "calls.csv"
     path.write_text(text)
     schema = CallSchema(timezone=tz)
@@ -577,7 +581,7 @@ def _parsed_table(text, tz, tmp):
         return None
     table, table_report = parse_calls_kept(path, schema, tmp)
     assert table_report == report
-    return table, records
+    return table, list(records)
 
 
 @settings(max_examples=300, deadline=None)
@@ -615,7 +619,7 @@ def test_seeded_kept_parse_is_parse_calls_of_the_written_log(case):
             serialize_calls_kept(calls, path, tmp)
             seeded = (Path(tmp) / f".split{k}.csv.parse").read_bytes()
             # written from the columns in the bytes the records write
-            serialize_calls(list(calls), Path(tmp) / "from_records.csv")
+            serialize_calls(CallTable.from_records(list(calls), calls.tz), Path(tmp) / "from_records.csv")
             assert path.read_bytes() == (Path(tmp) / "from_records.csv").read_bytes()
             with mock.patch.object(ingest, "parse_calls", side_effect=AssertionError("parsed")):
                 hit = parse_calls_kept(path, None, tmp)
@@ -653,8 +657,15 @@ def test_call_table_of_records_round_trips_and_serializes_as_them(records):
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
         serialize_calls(table, got)
-        serialize_calls(records, want)
+        reference_serialize_calls(records, want)
         assert got.read_bytes() == want.read_bytes()
+
+
+def test_call_table_of_a_naive_stamp_names_its_position():
+    aware = rec(datetime(2024, 1, 1, 9, tzinfo=UTC))
+    naive = rec(datetime(2024, 1, 1, 10))
+    with pytest.raises(DataError, match="call 2 has a naive timestamp"):
+        table([aware, aware, naive, aware, naive])
 
 
 WINDOWS = st.tuples(
@@ -676,10 +687,11 @@ def test_column_rules_are_the_record_rules(case, window):
     if parsed is None:
         return
     table, records = parsed
+    rebuilt = CallTable.from_records(records, table.tz)
     start, end, weekdays = _window(window)
     peak = filter_peak(table, start, end, weekdays)
     assert isinstance(peak, CallTable)
-    assert [repr(r) for r in peak] == [repr(r) for r in filter_peak(records, start, end, weekdays)]
+    assert [repr(r) for r in peak] == [repr(r) for r in filter_peak(rebuilt, start, end, weekdays)]
     # the weekday and clock come from the wall time as datetime reads them
     assert [repr(r) for r in peak] == [
         repr(r) for r in records if r.timestamp.weekday() in weekdays and start <= r.timestamp.time() < end
@@ -687,10 +699,10 @@ def test_column_rules_are_the_record_rules(case, window):
     if len(records) >= 2:
         for mode in ("chronological", "kfold"):
             got = split_train_test(table, 0.6, mode, 3, 1, seed=5)
-            want = split_train_test(records, 0.6, mode, 3, 1, seed=5)
+            want = split_train_test(rebuilt, 0.6, mode, 3, 1, seed=5)
             assert [[repr(r) for r in side] for side in got] == [[repr(r) for r in side] for side in want]
     try:
-        want_matrix = build_demand_matrix(records, grid)
+        want_matrix = build_demand_matrix(rebuilt, grid)
     except DataError as exc:
         with pytest.raises(DataError, match=str(exc)):
             build_demand_matrix(table, grid)
@@ -702,7 +714,7 @@ def test_column_rules_are_the_record_rules(case, window):
         assert np.array_equal(peak_period_mask(got_matrix, start, end, weekdays), [
             t.weekday() in weekdays and start <= t.time() < end for t in want_matrix.period_start_times
         ])
-    assert calibration_pairs(table, grid) == calibration_pairs(records, grid)
+    assert calibration_pairs(table, grid) == calibration_pairs(rebuilt, grid)
 
 
 def test_demand_matrix_starts_step_in_absolute_time_across_dst(tmp_path):

@@ -472,8 +472,8 @@ def test_simulate_matches_reference_with_tied_service_times(city, minutes):
 
 
 def synth_city(n_calls=400):
-    """The synthetic city's grid, records, and the records snapped to
-    (epoch_s, cell) pairs one at a time."""
+    """The synthetic city's grid, calls (a CallTable), and the calls'
+    records snapped to (epoch_s, cell) pairs one at a time."""
     g = synth_grid(SynthConfig())
     records = synth_calls(g, n_calls, seed=3)
     pairs = [(r.epoch_s(), assign_cell(g, r.lat, r.lon)) for r in records]
@@ -484,7 +484,7 @@ def test_simulate_records_equals_their_snapped_pairs():
     g, records, pairs = synth_city()
     x = [1] * len(g.station_cells)
     want = simulate(x, pairs, g, SimParams(), seed=9)
-    for calls in (records, CallTable.from_records(records, ZoneInfo("UTC"))):
+    for calls in (records, CallTable.from_records(list(records), ZoneInfo("UTC"))):
         out = simulate(x, calls, g, SimParams(), seed=9)
         assert out.call_rows == want.call_rows
         assert out.events == want.events
@@ -511,10 +511,13 @@ def test_resampled_batch_keeps_tied_calls_in_the_order_drawn():
 
 @pytest.mark.parametrize("records_first", [True, False])
 def test_a_mix_of_records_and_pairs_is_refused(records_first):
+    """A list of records, or a mix of records and pairs, is refused."""
     g, records, pairs = synth_city(8)
     x = [1] * len(g.station_cells)
+    records = list(records)
     mixed = records[:4] + pairs[4:] if records_first else pairs[:4] + records[4:]
-    with pytest.raises(DataError, match="all CallRecords or all"):
-        simulate(x, mixed, g, SimParams())
-    with pytest.raises(DataError, match="all CallRecords or all"):
-        run_batches(x, mixed, g, SimParams(), n_calls=4, n_batches=2, sample_with_replacement=True)
+    for calls in (records, mixed):
+        with pytest.raises(DataError, match="a CallTable or a list of"):
+            simulate(x, calls, g, SimParams())
+        with pytest.raises(DataError, match="a CallTable or a list of"):
+            run_batches(x, calls, g, SimParams(), n_calls=4, n_batches=2, sample_with_replacement=True)

@@ -66,7 +66,7 @@ def test_bisected_cdf_draws_as_generator_choice(weights):
 
 
 def test_zero_calls_is_an_empty_log():
-    assert synth.synth_calls(synth.synth_grid(), 0) == []
+    assert len(synth.synth_calls(synth.synth_grid(), 0)) == 0
 
 
 @pytest.mark.parametrize("n_calls, calls_per_hour", [
