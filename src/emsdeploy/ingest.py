@@ -24,9 +24,9 @@ import tempfile
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, time, timedelta, timezone
-from itertools import repeat
-from operator import add, attrgetter, floordiv, itemgetter, sub
+from datetime import datetime, time, timedelta, timezone, tzinfo
+from itertools import compress, islice, repeat
+from operator import add, attrgetter, floordiv, is_not, sub
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 from zoneinfo import ZoneInfo
@@ -88,7 +88,8 @@ class ParseReport:
 
 
 def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[CallTable, ParseReport]:
-    """Parse a call-log CSV into a CallTable sorted by timestamp (a stable sort).
+    """Parse a call-log CSV into a CallTable in order of instant (a stable
+    sort of the UTC us).
 
     Naive timestamps are interpreted in the schema's timezone (earlier
     offset on DST transitions). Blank lines are skipped and not counted; a
@@ -97,14 +98,22 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[Cal
     counted in the report with a reason: ``bad_timestamp``,
     ``bad_coordinates`` (missing or non-finite), or ``bad_optional_field``
     (a negative or non-finite duration, a non-finite ambulance position,
-    or a non-number).
+    or a non-number); a row takes the first reason in that order, and the
+    reasons come in the order first seen.
+
+    The rows are read ``_CHUNK_ROWS`` at a time and each chunk goes straight
+    into columns: one ``datetime.fromisoformat`` and one ``float`` map per
+    column, and a validity mask per check. Two stamps compare by instant,
+    also in the schema's zone, where ``datetime`` compares wall times: a
+    naive stamp in a DST gap (read at its earlier offset) sorts after a
+    later wall time that is the earlier instant.
     """
     schema = schema or CallSchema()
     zone = schema.zone()
     cols = schema.columns
     report = ParseReport()
-    records: list[CallRecord] = []
-    inf = math.inf
+    # each chunk's wall us, zone code, UTC us and floats, after those of no rows
+    chunks = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((8, 0)))]
     try:
         f = open(path, newline="")
     except FileNotFoundError:
@@ -117,70 +126,135 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[Cal
             raise DataError(f"{path}: missing mandatory columns: {', '.join(missing)}")
         width = len(header)
         position = {name: i for i, name in enumerate(header)}  # the last of a repeated name
-        # every row is brought to the header's width plus one trailing None,
-        # the field an optional column absent from the header reads
-        pick = itemgetter(*(
-            position.get(cols[k], width) for k in (
-                "datetime", "latitude", "longitude", "response_time_s", "travel_time_s",
-                "amb_latitude", "amb_longitude", "on_scene_s", "to_hospital_s",
-            )
-        ))
-        for row in reader:
-            if len(row) != width:
-                if not row:
+        picks = [position.get(cols[k]) for k in _CSV_FIELDS]  # None for a column the header lacks
+        while rows := list(islice(reader, _CHUNK_ROWS)):
+            if set(map(len, rows)) != {width}:
+                # blank lines go; every other row is cut or padded with None to the header's width
+                rows = [row[:width] + [None] * (width - len(row)) for row in rows if row]
+                if not rows:
                     continue
-                row = row[:width] + [None] * (width - len(row))
-            row.append(None)
-            report.n_rows += 1
-            raw_ts, lat, lon, resp, trav, amb_lat, amb_lon, scene, hosp = pick(row)
-            try:
-                ts = datetime.fromisoformat(raw_ts.strip())
-            except (ValueError, AttributeError):
-                report.reasons["bad_timestamp"] += 1
-                continue
-            if ts.tzinfo is None:
-                ts = ts.replace(tzinfo=zone, fold=0)
-            try:
-                lat = float(lat)
-                lon = float(lon)
-            except (ValueError, TypeError):
-                report.reasons["bad_coordinates"] += 1
-                continue
-            if not (-inf < lat < inf and -inf < lon < inf):
-                report.reasons["bad_coordinates"] += 1
-                continue
-            # an optional field that is missing or blank reads as None
-            try:
-                resp = float(resp) if resp and resp.strip() else None
-                trav = float(trav) if trav and trav.strip() else None
-                amb_lat = float(amb_lat) if amb_lat and amb_lat.strip() else None
-                amb_lon = float(amb_lon) if amb_lon and amb_lon.strip() else None
-                scene = float(scene) if scene and scene.strip() else None
-                hosp = float(hosp) if hosp and hosp.strip() else None
-            except ValueError:
-                report.reasons["bad_optional_field"] += 1
-                continue
-            if (
-                (resp is not None and not 0.0 <= resp < inf)
-                or (trav is not None and not 0.0 <= trav < inf)
-                or (amb_lat is not None and not -inf < amb_lat < inf)
-                or (amb_lon is not None and not -inf < amb_lon < inf)
-                or (scene is not None and not 0.0 <= scene < inf)
-                or (hosp is not None and not 0.0 <= hosp < inf)
-            ):
-                report.reasons["bad_optional_field"] += 1
-                continue
-            records.append(CallRecord(ts, lat, lon, resp, trav, amb_lat, amb_lon, scene, hosp))
-    report.n_parsed = len(records)
+            columns = list(zip(*rows))
+            chunks.append(_parse_chunk([None if k is None else columns[k] for k in picks], zone, report))
+    wall_us, code, utc_us, values = (np.concatenate(c, axis=-1) for c in zip(*chunks))
+    report.n_parsed = len(utc_us)
     report.n_dropped = report.n_rows - report.n_parsed
-    records.sort(key=lambda r: r.timestamp)
-    return CallTable.from_records(records, zone), report
+    if np.any(utc_us[1:] < utc_us[:-1]):
+        order = np.argsort(utc_us, kind="stable")
+        wall_us, code, utc_us, values = wall_us[order], code[order], utc_us[order], values[:, order]
+    return CallTable(wall_us, code, utc_us, values, zone), report
+
+
+# the CSV fields in CallRecord order: a stamp, then the eight float fields
+_CSV_FIELDS = (
+    "datetime", "latitude", "longitude", "response_time_s", "travel_time_s",
+    "amb_latitude", "amb_longitude", "on_scene_s", "to_hospital_s",
+)
+_DURATIONS = np.array([True, True, False, False, True, True])  # of the six optional fields
+_REASONS = ("bad_timestamp", "bad_coordinates", "bad_optional_field")
+_CHUNK_ROWS = 1 << 10  # rows read and turned into columns at a time
+
+
+def _parse_chunk(fields: list, zone: ZoneInfo, report: ParseReport) -> tuple[np.ndarray, ...]:
+    """One chunk's kept rows as table columns (wall us, zone code, UTC us
+    and the eight floats), from its nine fields: each a tuple of texts (None
+    past the end of a short row), or None for a column the header lacks.
+    Counts the rows, and each dropped row's first reason, in ``report``."""
+    raw_ts, *numbers = fields
+    n = len(raw_ts)
+    report.n_rows += n
+    stamps = _iso_stamps_of(raw_ts)
+    values = np.full((8, n), math.nan)
+    values[0], values[1] = _floats(numbers[0]), _floats(numbers[1])
+    present = np.zeros((6, n), dtype=bool)
+    for j, texts in enumerate(numbers[2:]):
+        if texts is not None:
+            values[j + 2], present[j] = _optional_floats(texts)
+    optional = values[2:]
+    with np.errstate(invalid="ignore"):  # a NaN, which a field that is not a number reads as, fails
+        fits = np.where(_DURATIONS[:, None], (0.0 <= optional) & (optional < math.inf), np.isfinite(optional))
+    checks = (
+        np.fromiter(map(is_not, stamps, repeat(None)), dtype=bool, count=n) if None in stamps else np.ones(n, bool),
+        np.isfinite(values[0]) & np.isfinite(values[1]),
+        (fits | ~present).all(axis=0),
+    )
+    keep = np.logical_and.reduce(checks)
+    if not keep.all():
+        # each dropped row's reason is its first failed check
+        reason = np.argmin(np.array(checks)[:, ~keep], axis=0)
+        found, first, count = np.unique(reason, return_index=True, return_counts=True)
+        for k in np.argsort(first).tolist():
+            report.reasons[_REASONS[found[k]]] += int(count[k])
+        stamps = list(compress(stamps, keep))
+    wall_us, code, utc_us = _stamp_columns(stamps, zone)
+    return wall_us, code, utc_us, values[:, keep]
+
+
+def _iso_stamps_of(texts: Sequence[str | None]) -> list[datetime | None]:
+    """``datetime.fromisoformat`` of each stripped text, None where it
+    refuses the text or the field is missing."""
+    try:
+        return list(map(datetime.fromisoformat, map(str.strip, texts)))
+    except (ValueError, TypeError):
+        return list(map(_iso_stamp_of, texts))
+
+
+def _iso_stamp_of(text: str | None) -> datetime | None:
+    try:
+        return datetime.fromisoformat(text.strip())
+    except (ValueError, AttributeError):
+        return None
+
+
+def _floats(texts: Iterable[str | None]) -> np.ndarray:
+    """``float`` of each text, NaN where ``float`` refuses it."""
+    texts = list(texts)
+    try:
+        return np.array(list(map(float, texts)), dtype=np.float64)
+    except (ValueError, TypeError):
+        return np.array(list(map(_float_or_nan, texts)), dtype=np.float64)
+
+
+def _optional_floats(texts: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
+    """``_floats`` of the fields that are not blank, and which those are: a
+    blank or missing field reads as None, NaN here."""
+    if None in texts:  # a field past the end of a short row
+        texts = ["" if t is None else t for t in texts]
+    present = np.fromiter(map(bool, map(str.strip, texts)), dtype=bool, count=len(texts))
+    values = np.full(len(texts), math.nan)
+    values[present] = _floats(compress(texts, present))
+    return values, present
+
+
+def _float_or_nan(text: str | None) -> float:
+    try:
+        return float(text)
+    except (ValueError, TypeError):
+        return math.nan
+
+
+def _stamp_columns(stamps: list[datetime], zone: ZoneInfo) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Wall us, zone code and UTC us of parsed stamps: a naive stamp is in
+    ``zone`` (the earlier offset in a DST gap or fold), an aware one in its
+    fixed offset."""
+    wall_us = _wall_us(stamps)
+    tzs = list(map(attrgetter("tzinfo"), stamps))
+    codes = {tz: _SCHEMA_ZONE if tz is None else tz.utcoffset(None) // _MICROSECOND for tz in set(tzs)}
+    code = np.fromiter(map(codes.__getitem__, tzs), dtype=np.int64, count=len(stamps))
+    naive = code == _SCHEMA_ZONE
+    utc_us = wall_us - np.where(naive, 0, code)
+    if naive.any():
+        # a naive stamp's fold is 0, so the zone reads its offset as a replace(tzinfo=zone) would
+        at = np.flatnonzero(naive).tolist()
+        offsets = map(zone.utcoffset, [stamps[k] for k in at])
+        utc_us[at] -= np.fromiter(map(floordiv, offsets, repeat(_MICROSECOND)), dtype=np.int64, count=len(at))
+    return wall_us, code, utc_us
 
 
 # the layout of a kept parse: change it whenever the layout or what a parse
 # returns changes, so that no older kept file matches a key
-_KEPT_FORMAT = b"emsdeploy kept parse 2"
+_KEPT_FORMAT = b"emsdeploy kept parse 3"
 _SCHEMA_ZONE = np.iinfo(np.int64).min  # the zone code of a stamp in the schema's zone
+_NAIVE = np.iinfo(np.int64).min  # the UTC offset code of a naive period start
 _MICROSECOND = timedelta(microseconds=1)
 _UTC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _DAY_US = 86_400_000_000
@@ -211,11 +285,16 @@ class CallTable(Sequence[CallRecord]):
     @classmethod
     def from_records(cls, records: Sequence[CallRecord], tz: ZoneInfo) -> "CallTable":
         """The table of records whose ZoneInfo stamps are in ``tz``.
-        Raises DataError for a naive stamp, naming the first one's position."""
+        Raises DataError for a naive stamp or one in another ZoneInfo zone,
+        naming the first one's position."""
         stamps, *fields = zip(*records) if records else [()] * 9
         zones = [t.tzinfo for t in stamps]
         if None in zones:
             raise DataError(f"call {zones.index(None)} has a naive timestamp; a CallTable needs a zone")
+        foreign = [z for z in set(zones) if isinstance(z, ZoneInfo) and z is not tz]
+        if foreign:
+            k = min(map(zones.index, foreign))
+            raise DataError(f"call {k} is stamped in {zones[k]}, not in the table's zone {tz}")
         codes = {z: _SCHEMA_ZONE if isinstance(z, ZoneInfo) else z.utcoffset(None) // _MICROSECOND for z in set(zones)}
         zone = np.fromiter(map(codes.__getitem__, zones), dtype=np.int64, count=len(stamps))
         since_epoch = map(sub, stamps, repeat(_UTC_EPOCH))
@@ -420,20 +499,36 @@ def serialize_calls(calls: CallTable, path: str | Path) -> None:
 
 def _table_rows(table: CallTable) -> Iterable[str]:
     """``serialize_calls``'s rows, in chunks of whole rows."""
-    offsets, which = np.unique(table.wall_us - table.utc_us, return_inverse=True)
-    # an ISO UTC offset as isoformat writes it: +HH:MM, then :SS and .ffffff if not zero
-    suffixes = np.array([datetime(2000, 1, 1, tzinfo=timezone(o * _MICROSECOND)).isoformat()[19:]
-                         for o in offsets.tolist()])
+    suffixes, which = _iso_suffixes(table.wall_us - table.utc_us)
     rows = 1 << 14
     for k in range(0, len(table), rows):
         chunk = table[k:k + rows]
-        # isoformat writes the microseconds only when they are not zero
-        stamps = np.datetime_as_string(chunk.wall_us.astype("M8[us]"), unit="us")
-        stamps = np.where(chunk.wall_us % 1_000_000 == 0, stamps.astype("U19"), stamps)
-        stamps = np.char.add(stamps, suffixes[which[k:k + rows]])
-        text = "\r\n".join(map(",".join, zip(stamps.tolist(), *(map(repr, v) for v in chunk.values.tolist()))))
+        stamps = _iso_text(chunk.wall_us, suffixes, which[k:k + rows]).tolist()
+        text = "\r\n".join(map(",".join, zip(stamps, *(map(repr, v) for v in chunk.values.tolist()))))
+        del stamps  # freed before the next chunk's are built, which keeps the peak memory down
         # a float's repr holds "nan" only for NaN, which stands for None here
         yield text.replace("nan", "") + "\r\n"
+
+
+def _iso_suffixes(offset_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct UTC offsets (in us, ``_NAIVE`` for a naive stamp) as
+    ``isoformat`` ends a stamp, +HH:MM with :SS and .ffffff if not zero or
+    nothing for a naive stamp, and which of them each offset is."""
+    offsets, which = np.unique(offset_us, return_inverse=True)
+    suffixes = np.array([
+        "" if o == _NAIVE else datetime(2000, 1, 1, tzinfo=timezone(o * _MICROSECOND)).isoformat()[19:]
+        for o in offsets.tolist()
+    ], dtype=str)
+    return suffixes, which
+
+
+def _iso_text(wall_us: np.ndarray, suffixes: np.ndarray, which: np.ndarray) -> np.ndarray:
+    """Each wall time (us since 1970-01-01) as ``isoformat`` writes it, its
+    microseconds only when they are not zero, then the suffix of its offset
+    (``_iso_suffixes``)."""
+    stamps = np.datetime_as_string(wall_us.astype("M8[us]"), unit="us")
+    stamps = np.where(wall_us % 1_000_000 == 0, stamps.astype("U19"), stamps)
+    return np.char.add(stamps, suffixes[which])
 
 
 def filter_peak(
@@ -452,11 +547,21 @@ def filter_peak(
 
 @dataclass
 class DemandMatrix:
-    """Per-period, per-region call counts. Rows tile the data span contiguously."""
+    """Per-period, per-region call counts. Rows tile the data span contiguously.
+
+    The period starts are int64 columns: ``start_wall_us``, each start's
+    wall-clock time in us since 1970-01-01, and ``start_offset_us``, its
+    UTC offset in us (``_NAIVE`` for a naive start), so its instant is the
+    one less the other. ``zone`` is the zone every start is in, the anchor
+    call's; it is None when each start carries its own fixed offset, as
+    read from a file.
+    """
 
     counts: np.ndarray
     period_length_s: float
-    period_start_times: list[datetime]
+    start_wall_us: np.ndarray
+    start_offset_us: np.ndarray
+    zone: tzinfo | None = None
     n_dropped: int = 0
 
     def __post_init__(self):
@@ -465,9 +570,22 @@ class DemandMatrix:
             raise DataError(f"counts must be 2-D, got shape {c.shape}")
         if np.any(c < 0):
             raise DataError("counts must be nonnegative")
-        if len(self.period_start_times) != c.shape[0]:
-            raise DataError("period_start_times length must match row count")
+        self.start_wall_us = np.asarray(self.start_wall_us, dtype=np.int64)
+        self.start_offset_us = np.asarray(self.start_offset_us, dtype=np.int64)
+        if not len(self.start_wall_us) == len(self.start_offset_us) == c.shape[0]:
+            raise DataError("period start columns must match the row count")
         self.counts = c
+
+    @classmethod
+    def from_starts(
+        cls, counts: np.ndarray, period_length_s: float, starts: Sequence[datetime], n_dropped: int = 0
+    ) -> "DemandMatrix":
+        """The matrix of period starts given as datetimes, each coded with
+        its own UTC offset at that instant, or as naive."""
+        offsets = list(map(datetime.utcoffset, starts))
+        codes = {o: _NAIVE if o is None else o // _MICROSECOND for o in set(offsets)}
+        offset_us = np.fromiter(map(codes.__getitem__, offsets), dtype=np.int64, count=len(starts))
+        return cls(counts, period_length_s, _wall_us(starts), offset_us, None, n_dropped)
 
     @property
     def n_periods(self) -> int:
@@ -476,6 +594,19 @@ class DemandMatrix:
     @property
     def n_regions(self) -> int:
         return self.counts.shape[1]
+
+    @property
+    def period_start_times(self) -> list[datetime]:
+        """The period starts as datetimes, built on each read: in ``zone``
+        when it is set, otherwise each in its own fixed offset (or naive)."""
+        if self.zone is not None:
+            instants = (self.start_wall_us - self.start_offset_us).astype("m8[us]").tolist()
+            return list(map(datetime.astimezone, map(add, repeat(_UTC_EPOCH), instants), repeat(self.zone)))
+        offsets = self.start_offset_us.tolist()
+        epochs = {
+            o: datetime(1970, 1, 1, tzinfo=None if o == _NAIVE else timezone(o * _MICROSECOND)) for o in set(offsets)
+        }
+        return list(map(add, map(epochs.__getitem__, offsets), self.start_wall_us.astype("m8[us]").tolist()))
 
 
 def build_demand_matrix(
@@ -495,7 +626,7 @@ def build_demand_matrix(
     if period_length_s <= 0:
         raise ConfigError(f"period_length_s must be positive, got {period_length_s}")
     if not len(calls):
-        return DemandMatrix(np.zeros((0, grid.n_cells), dtype=np.int64), period_length_s, [])
+        return DemandMatrix(np.zeros((0, grid.n_cells), dtype=np.int64), period_length_s, [], [])
     first = calls[:1]._stamps()[0]
     anchor = first.replace(hour=0, minute=0, second=0, microsecond=0)
     anchor_s = anchor.timestamp()
@@ -509,9 +640,13 @@ def build_demand_matrix(
     # the calls are binned by absolute time, so the starts step in absolute time too
     steps_us = np.rint(np.arange(n_periods) * (period_length_s * 1e6)).astype(np.int64)
     start_us = (anchor - _UTC_EPOCH) // _MICROSECOND + steps_us
-    instants = map(add, repeat(_UTC_EPOCH), start_us.astype("m8[us]").tolist())
-    starts = list(map(datetime.astimezone, instants, repeat(anchor.tzinfo)))
-    return DemandMatrix(counts, period_length_s, starts, n_dropped=int(len(calls) - inside.sum()))
+    zone = anchor.tzinfo
+    if isinstance(zone, ZoneInfo):  # each start's offset is the zone's at that instant
+        instants = map(add, repeat(_UTC_EPOCH), start_us.astype("m8[us]").tolist())
+        wall_us = _wall_us(list(map(datetime.astimezone, instants, repeat(zone))))
+    else:
+        wall_us = start_us + zone.utcoffset(None) // _MICROSECOND
+    return DemandMatrix(counts, period_length_s, wall_us, wall_us - start_us, zone, int(len(calls) - inside.sum()))
 
 
 def peak_period_mask(
@@ -521,23 +656,35 @@ def peak_period_mask(
     weekdays: Sequence[int] = (0, 1, 2, 3, 4),
 ) -> np.ndarray:
     """Boolean mask of periods whose start lies inside the peak window."""
-    return _in_window(_wall_us(matrix.period_start_times), start, end, weekdays)
+    return _in_window(matrix.start_wall_us, start, end, weekdays)
 
 
 def select_periods(matrix: DemandMatrix, mask: np.ndarray) -> DemandMatrix:
     keep = np.asarray(mask, dtype=bool)
-    starts = [ts for ts, k in zip(matrix.period_start_times, keep) if k]
-    return DemandMatrix(matrix.counts[keep], matrix.period_length_s, starts, matrix.n_dropped)
+    return DemandMatrix(matrix.counts[keep], matrix.period_length_s, matrix.start_wall_us[keep],
+                        matrix.start_offset_us[keep], matrix.zone, matrix.n_dropped)
 
 
 def save_demand_matrix(matrix: DemandMatrix, path: str | Path) -> None:
-    """CSV export: one row per period, first column the ISO period start."""
+    """CSV export: one row per period, first column the ISO period start.
+
+    The bytes ``csv.writer`` writes of each start's ``isoformat`` and its
+    counts, CRLF-terminated: no field holds a comma, a quote or a line
+    break. Each count is looked up in one table of digit strings: every
+    count up to the largest, or the distinct counts when that is shorter.
+    """
+    counts = matrix.counts
+    top = int(counts.max()) if counts.size else 0
+    if top <= counts.size:
+        table, index = np.arange(top + 1), counts
+    else:
+        table, index = np.unique(counts, return_inverse=True)
+    digits = np.array(list(map(str, table.tolist())), dtype=str)[index.reshape(counts.shape)]
+    stamps = _iso_text(matrix.start_wall_us, *_iso_suffixes(matrix.start_offset_us)).tolist()
     with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["period_start"] + [f"region_{j}" for j in range(matrix.n_regions)])
-        writer.writerows(
-            [ts.isoformat(), *row] for ts, row in zip(matrix.period_start_times, matrix.counts.tolist())
-        )
+        f.write(",".join(["period_start"] + [f"region_{j}" for j in range(matrix.n_regions)]) + "\r\n")
+        if stamps:
+            f.write("\r\n".join(map(",".join, zip(stamps, *digits.T.tolist()))) + "\r\n")
 
 
 def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> DemandMatrix:
@@ -568,7 +715,7 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
         except ValueError as exc:
             raise DataError(f"{path}: line {n}: {exc}") from None
     if not lines:
-        return DemandMatrix(np.zeros((0, width - 1), dtype=np.int64), period_length_s, [])
+        return DemandMatrix(np.zeros((0, width - 1), dtype=np.int64), period_length_s, [], [])
     try:
         with warnings.catch_warnings():
             # numpy 1.23-1.x parses an integer via a float, with a DeprecationWarning
@@ -583,7 +730,7 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
             except ValueError as exc:
                 raise DataError(f"{path}: line {n}: {exc}") from None
         counts = np.array(rows, dtype=np.int64).reshape(len(lines), width - 1)
-    return DemandMatrix(counts, period_length_s, starts)
+    return DemandMatrix.from_starts(counts, period_length_s, starts)
 
 
 def split_train_test(

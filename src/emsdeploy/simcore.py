@@ -172,19 +172,19 @@ def draw_service_time(params: SimParams, rng: np.random.Generator) -> float:
     return draw_service_times(params, rng, 1)[0]
 
 
-def _as_sim_calls(calls: CallTable | Sequence[tuple[float, int]]) -> tuple[list[float], list[int] | None]:
-    """Each call's epoch seconds and, for (epoch_s, cell) pairs, its cell,
-    in one conversion: a CallTable through its ``utc_s`` column, with None
-    for the cells its calls are yet to be snapped to; pairs through one
-    ``zip``. Anything else, such as a list of CallRecords or a mix, is a
-    DataError."""
+def _as_sim_calls(calls: CallTable | Sequence[tuple[float, int]]) -> tuple[np.ndarray, list[int] | None]:
+    """Each call's epoch seconds as an array and, for (epoch_s, cell)
+    pairs, its cell, in one conversion: a CallTable through its ``utc_s``
+    column, with None for the cells its calls are yet to be snapped to;
+    pairs through one ``zip``. Anything else, such as a list of CallRecords
+    or a mix, is a DataError."""
     if isinstance(calls, CallTable):
-        return calls.utc_s.tolist(), None
+        return calls.utc_s, None
     if len(calls) == 0:
-        return [], []
+        return np.zeros(0), []
     try:
         t, c = zip(*calls)
-        return list(map(float, t)), list(map(int, c))
+        return np.array(list(map(float, t)), dtype=np.float64), list(map(int, c))
     except (TypeError, ValueError):
         raise DataError("calls must be a CallTable or a list of (epoch_s, cell) pairs") from None
 
@@ -210,40 +210,49 @@ def simulate(
         raise DataError("stationing must be nonnegative")
     if x.sum() < 1:
         raise DataError("need at least one stationed ambulance")
-    call_t, call_cell = _as_sim_calls(calls)
+    times, call_cell = _as_sim_calls(calls)
     if call_cell is None:  # a CallTable, its calls snapped to the grid together
         call_cell = assign_cells_or_raise(grid, calls.lat, calls.lon, params.snap_cells).tolist()
-    if any(b < a for a, b in zip(call_t, call_t[1:])):
-        raise DataError("calls must be sorted by time")
+    with np.errstate(invalid="ignore"):  # a NaN time compares as in order, as it did call by call
+        if np.any(times[1:] < times[:-1]):
+            raise DataError("calls must be sorted by time")
+    call_t = times.tolist()
     n_calls = len(call_t)
 
     # A leg starts at a station (a free unit is at home) or where a unit
     # frees: its call's hospital, or the scene when the grid has none. Only
     # those rows of travel[a][b], calibrated seconds from cell a to cell b,
     # are built; scene-to-hospital legs are looked up per cell.
-    grid_s = grid.travel_time_s.tolist()
-    model = params.calibration
-
-    def calibrated(t: float) -> float:
-        return t if model is None else apply(model, t)
-
     stations = grid.station_cells
     hospitals = grid.hospital_cells
-    starts = set(stations) | set(hospitals) if hospitals else range(grid.n_cells)
+    starts = sorted(set(stations) | set(hospitals)) if hospitals else list(range(grid.n_cells))
+    rows = grid.travel_time_s[starts]
+    if hospitals:
+        # nearest hospital per cell by raw grid time, ties to the lower cell index
+        by_cell = np.array(sorted(set(hospitals)))
+        nearest = by_cell[np.argmin(grid.travel_time_s[:, by_cell], axis=1)]
+        legs = grid.travel_time_s[np.arange(grid.n_cells), nearest]
+    else:
+        nearest = legs = np.zeros(0)
+    model = params.calibration
+    if model is not None:
+        # each distinct grid time (by its bits, so -0.0 apart from 0.0) is calibrated once
+        grid_s = np.concatenate([rows.ravel(), legs])
+        distinct, which = np.unique(grid_s.view(np.int64), return_inverse=True)
+        calibrated = np.array([apply(model, t) for t in distinct.view(np.float64).tolist()], dtype=np.float64)
+        grid_s = calibrated[which.ravel()]
+        rows, legs = grid_s[:rows.size].reshape(rows.shape), grid_s[rows.size:]
     travel: list[list[float] | None] = [None] * grid.n_cells
-    for a in starts:
-        travel[a] = [calibrated(t) for t in grid_s[a]]
-    # nearest hospital per cell by raw grid time, ties to the lower cell index,
-    # and the calibrated leg there
-    hospital_of = [min(hospitals, key=lambda h: (row[h], h)) if hospitals else None for row in grid_s]
-    to_hospital = [None if h is None else calibrated(row[h]) for row, h in zip(grid_s, hospital_of)]
+    for a, row in zip(starts, rows.tolist()):
+        travel[a] = row
+    hospital_of = nearest.tolist() if hospitals else [None] * grid.n_cells
+    to_hospital = legs.tolist() if hospitals else [None] * grid.n_cells
     # A free ambulance is always at its home station, so the closest free
     # unit is the lowest-numbered free unit of the first station, in order
-    # of (travel to the call's cell, station index), that has one.
-    station_order = [
-        sorted(range(len(stations)), key=lambda i: (travel[stations[i]][cell], i))
-        for cell in range(grid.n_cells)
-    ]
+    # of (travel to the call's cell, station index), that has one: a stable
+    # sort of each cell's column of the stations' rows.
+    row_of = {a: k for k, a in enumerate(starts)}
+    station_order = np.argsort(rows[[row_of[s] for s in stations]], axis=0, kind="stable").T.tolist()
     station_of = [i for i, n in enumerate(x.tolist()) for _ in range(n)]  # per ambulance
     idle: list[list[int]] = [[] for _ in stations]  # per station, a min-heap of free ids
     for a, i in enumerate(station_of):  # ascending, so each list is a heap
@@ -343,7 +352,7 @@ def _batch_slices(
         if len(calls) == 0:
             raise DataError("cannot sample batches from an empty call list")
 
-        times = np.array(_as_sim_calls(calls)[0])
+        times = _as_sim_calls(calls)[0]
         out = []
         for i in range(n_batches):
             rng = substream(seed, "batchsample", i)

@@ -17,7 +17,7 @@ import heapq
 import itertools
 import math
 from collections import deque
-from datetime import datetime
+from datetime import datetime, timezone
 
 import mpmath
 import numpy as np
@@ -389,7 +389,7 @@ def reference_parse_calls(path, schema=None):
                 continue
             records.append(rec)
             report.n_parsed += 1
-    records.sort(key=lambda r: r.timestamp)
+    records.sort(key=lambda r: r.timestamp.astimezone(timezone.utc))  # by instant
     return records, report
 
 

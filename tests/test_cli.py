@@ -178,20 +178,26 @@ def test_alpha_cv_simulates_and_snaps_each_fold_once(city, tmp_path, monkeypatch
 
 
 def test_no_rule_builds_a_record_per_call(city, tmp_path, monkeypatch):
-    """Every stage and rule works on a CallTable's columns: building the
-    table's records, which indexing or iterating it does, fails the test."""
+    """Every stage and rule works on a CallTable's columns, and a parse
+    fills them without records: building the table's records, which
+    indexing or iterating it does, or a table of records fails the test."""
 
     def no_records(table):
         raise AssertionError(f"built the records of {len(table)} calls")
 
+    def no_table_of_records(records, tz):
+        raise AssertionError(f"built a table of {len(records)} records")
+
+    # the station-ladder benchmark's set-up chain starts from a synthetic table, built of records
+    grid = synth_grid(SynthConfig())
+    synthetic = synth_calls(grid, 2000, seed=3)
     monkeypatch.setattr(CallTable, "records", no_records)
+    monkeypatch.setattr(CallTable, "from_records", staticmethod(no_table_of_records))
     out = tmp_path / "run"
     for sub in COMMANDS:
         assert run(city, sub, out) == 0, f"{sub} failed"
-    # the station-ladder benchmark's set-up chain on a synthetic table
     peak = (time(8), time(20), (0, 1, 2, 3, 4))
-    grid = synth_grid(SynthConfig())
-    train, _ = ingest.split_train_test(ingest.filter_peak(synth_calls(grid, 2000, seed=3), *peak), 0.8)
+    train, _ = ingest.split_train_test(ingest.filter_peak(synthetic, *peak), 0.8)
     matrix = ingest.build_demand_matrix(train, grid, 3600.0, 1.0)
     assert ingest.select_periods(matrix, ingest.peak_period_mask(matrix, *peak)).counts.sum() > 0
     # the simulator on a parsed table, its batches sliced and resampled

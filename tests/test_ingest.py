@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emsdeploy import ingest
+from emsdeploy import ingest, simcore
 from emsdeploy.errors import ConfigError, DataError
 from emsdeploy.geogrid import SyntheticSpeedProvider, build_grid
 from emsdeploy.ingest import (
@@ -133,17 +133,17 @@ def test_parse_short_long_and_duplicated_columns(tmp_path):
 
 HEADER_NAMES = list(CallSchema().columns.values())
 TIMESTAMPS = [
-    "2024-03-10T02:30:00", "2024-11-03T01:30:00", "2024-01-01T09:00:00+00:00",
+    "2024-03-10T02:30:00", "2024-03-10T03:10:00", "2024-11-03T01:30:00", "2024-01-01T09:00:00+00:00",
     " 2024-01-01T09:00:00-05:00 ", "2024-01-01 09:00", "not-a-time", "", "2024-13-01T00:00:00",
 ]
 NUMBERS = ["30.1", " -97.6 ", "0", "-0.0", "1e3", "12.5", "-5", "", "  ", "nan", "inf", "-inf", "abc", "1_000"]
 
 
 @st.composite
-def call_logs(draw):
+def call_logs(draw, max_rows=12, max_blank_run=1):
     """A call-log CSV text with reordered, missing, duplicated and unknown
-    columns, blank lines, short and long rows, and field values that parse,
-    pad, go blank, go negative or non-finite, or fail."""
+    columns, runs of blank lines, short and long rows, and field values
+    that parse, pad, go blank, go negative or non-finite, or fail."""
     names = draw(st.lists(st.sampled_from(HEADER_NAMES + ["unit_id", " latitude"]), max_size=12))
     if draw(st.integers(0, 3)):  # usually every mandatory column is there
         names += ["datetime", "latitude", "longitude"]
@@ -153,9 +153,9 @@ def call_logs(draw):
     degrees = st.one_of(st.sampled_from(["30.1", "-97.6"]), st.sampled_from(NUMBERS))
     seconds = st.one_of(st.sampled_from(["12.5", ""]), st.sampled_from(NUMBERS))
     lines = [",".join(names)]
-    for _ in range(draw(st.integers(0, 12))):
+    for _ in range(draw(st.integers(0, max_rows))):
         if draw(st.integers(0, 9)) == 0:
-            lines.append("")
+            lines.extend([""] * draw(st.integers(1, max_blank_run)))
             continue
         width = len(names) + draw(st.sampled_from([0, 0, 0, -1, -2, 1]))
         row = []
@@ -226,6 +226,61 @@ def test_kept_parse_is_parse_calls(case):
         with mock.patch.object(ingest, "parse_calls", side_effect=AssertionError("parsed again")):
             hit = parse_calls_kept(path, schema, tmp)
     _same_parse(hit, want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(call_logs(max_rows=40, max_blank_run=6), st.integers(1, 5))
+def test_chunked_parse_is_the_reference_parse(case, chunk_rows):
+    # logs several chunks long, so that blank-only chunks, short and long
+    # rows and every drop reason fall on chunk boundaries
+    text, tz = case
+    schema = CallSchema(timezone=tz)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        path = Path(tmp) / "calls.csv"
+        path.write_text(text)
+        try:
+            want = reference_parse_calls(path, schema)
+        except DataError:
+            return
+        _same_parse(parse_calls(path, schema), want)
+        _same_parse(parse_calls_kept(path, schema, tmp), want)
+
+
+def test_chunks_of_blank_lines_and_reasons_across_chunks(tmp_path, monkeypatch):
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", 2)
+    path = tmp_path / "calls.csv"
+    path.write_text(
+        "datetime,latitude,longitude,travel_time_s\n"
+        "\n\n"  # a chunk of blank lines only
+        "2024-01-01T12:00:00,30.1,-97.6,5,extra\n"
+        "2024-01-01T11:00:00,30.1,-97.6,-5\n"  # bad_optional_field
+        "\n\n\n"
+        "2024-01-01T10:00:00,30.1\n"  # short: bad_coordinates
+        "2024-01-01T09:00:00,30.1,-97.6\n"
+        "not-a-time,30.1,-97.6,5\n"  # bad_timestamp
+        "2024-01-01T08:00:00,30.1,-97.6,,\n"
+        "\n\n"
+    )
+    calls, report = parse_calls(path)
+    assert [r.timestamp.hour for r in calls] == [8, 9, 12]
+    assert (report.n_rows, report.n_parsed, report.n_dropped) == (6, 3, 3)
+    assert list(report.reasons) == ["bad_optional_field", "bad_coordinates", "bad_timestamp"]
+    _same_parse((calls, report), reference_parse_calls(path))
+
+
+def test_parse_orders_by_instant_across_the_spring_gap(tmp_path):
+    # Chicago sprang forward at 2024-03-10 02:00 CST: 02:30 lies in the gap
+    # and reads at its earlier offset (fold 0), 08:30Z, after 03:10 CDT, 08:10Z
+    path = tmp_path / "calls.csv"
+    path.write_text("datetime,latitude,longitude\n2024-03-10T02:30:00,30.05,-97.65\n2024-03-10T03:10:00,30.15,-97.55\n")
+    schema = CallSchema(timezone="America/Chicago")
+    grid = build_grid((30.0, 30.2, -97.7, -97.5), 2, 2, SyntheticSpeedProvider(50.0), station_cells=[0])
+    for calls, _ in (parse_calls(path, schema), parse_calls_kept(path, schema, tmp_path)):
+        assert calls.utc_s.tolist() == [1710058200.0, 1710059400.0]
+        assert [r.timestamp.isoformat() for r in calls] == ["2024-03-10T03:10:00-05:00", "2024-03-10T02:30:00-06:00"]
+        outcome = simcore.simulate([1], calls, grid)
+        assert [row[1] for row in outcome.call_rows] == [1710058200.0, 1710059400.0]
 
 
 @pytest.fixture
@@ -443,7 +498,7 @@ def test_demand_matrix_export_roundtrip(tmp_path):
 
 
 def test_demand_matrix_header_only_roundtrip(tmp_path):
-    m = DemandMatrix(np.zeros((0, 4), dtype=np.int64), 3600.0, [])
+    m = DemandMatrix.from_starts(np.zeros((0, 4), dtype=np.int64), 3600.0, [])
     path = tmp_path / "demand.csv"
     save_demand_matrix(m, path)
     loaded = load_demand_matrix(path)
@@ -464,7 +519,7 @@ def test_load_demand_matrix_names_the_line_of_a_bad_count(tmp_path, bad_line):
 def test_save_demand_matrix_text_as_per_row_writer(tmp_path):
     counts = np.array([[0, 0, 0], [1, 2**31, 0], [2**40 + 3, 0, 7]], dtype=np.int64)
     starts = [datetime(2024, 1, 1, h, tzinfo=UTC) for h in range(3)]
-    m = DemandMatrix(counts, 3600.0, starts)
+    m = DemandMatrix.from_starts(counts, 3600.0, starts)
     path = tmp_path / "demand.csv"
     save_demand_matrix(m, path)
     want = tmp_path / "want.csv"
@@ -666,6 +721,17 @@ def test_call_table_of_a_naive_stamp_names_its_position():
     naive = rec(datetime(2024, 1, 1, 10))
     with pytest.raises(DataError, match="call 2 has a naive timestamp"):
         table([aware, aware, naive, aware, naive])
+
+
+def test_call_table_of_a_stamp_in_another_zone_names_its_position():
+    aware = rec(datetime(2024, 1, 1, 9, tzinfo=UTC))
+    tokyo = rec(datetime(2024, 1, 1, 9, tzinfo=ZoneInfo("Asia/Tokyo")))
+    with pytest.raises(DataError, match="call 1 is stamped in Asia/Tokyo, not in the table's zone UTC"):
+        table([aware, tokyo, aware, tokyo])
+    # in the table's own zone it is coded as the instant it is
+    calls = table([tokyo, aware], "Asia/Tokyo")
+    assert calls.utc_s.tolist() == [r.epoch_s() for r in (tokyo, aware)]
+    assert [repr(r) for r in calls] == [repr(tokyo), repr(aware)]
 
 
 WINDOWS = st.tuples(
