@@ -15,7 +15,8 @@ stale one only means the next read parses the log again. Preprocess
 writes the kept parses of the two split logs with the logs themselves
 (``ingest.serialize_calls_kept``), so a pipeline parses only
 ``calls_csv``. The stages work on the ``ingest.CallTable`` that a read
-returns, column by column; no stage builds a record per call.
+returns, column by column, and hand the simulator that table as it is; no
+stage builds a record per call.
 """
 
 from __future__ import annotations
@@ -291,19 +292,6 @@ def _sim_params(cfg: RunConfig, model: calibrate.CalibrationModel | None) -> sim
     )
 
 
-def _snap_calls(
-    cfg: RunConfig, grid: geogrid.Grid, calls: ingest.CallTable, batches: bool = False
-) -> list[tuple[float, int]]:
-    """(epoch_seconds, cell) pairs for a stage that simulates ``calls`` many
-    times, so each call is snapped to the grid once, not once per run. For
-    ``simcore.run_batches`` (``batches``), only the calls it can draw on:
-    without resampling, the first n_calls * n_batches."""
-    if batches and not cfg.sample_with_replacement:
-        calls = calls[: cfg.n_calls * cfg.n_batches]
-    cells = geogrid.assign_cells_or_raise(grid, calls.lat, calls.lon, cfg.snap_cells)
-    return list(zip(calls.utc_s.tolist(), cells.tolist()))
-
-
 def _parse_calls(cfg: RunConfig, out: Path) -> tuple[ingest.CallTable, ingest.ParseReport]:
     if not cfg.calls_csv:
         raise ConfigError("calls_csv is required for this subcommand")
@@ -465,7 +453,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:
     test_calls = _read_calls(out, "calls_test.csv")
     policies = _load_stationings(cfg, out)
     comparison = simcore.compare_policies(
-        policies, _snap_calls(cfg, grid, test_calls, batches=True), grid, _sim_params(cfg, model),
+        policies, test_calls, grid, _sim_params(cfg, model),
         cfg.n_calls, cfg.n_batches, cfg.seed, cfg.sample_with_replacement,
     )
     _write_json(out / "sim_comparison.json", comparison.to_dict())
@@ -501,7 +489,6 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
         )
         matrix = _demand_for_rates(cfg, train, grid)
         rates = demand.fit_rates(matrix, adjacency, ball)
-        test_pairs = _snap_calls(cfg, grid, test)
         mrt_by_x: dict[bytes, float] = {}  # alphas that pick the same stationing share its run
         row: list[float | None] = []
         for alpha in cfg.alphas:
@@ -525,7 +512,7 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
             key = x.tobytes()
             if key not in mrt_by_x:
                 outcome = simcore.simulate(
-                    x, test_pairs, grid, _sim_params(cfg, None), seed=derive_seed(cfg.seed, "alphacv", fold)
+                    x, test, grid, _sim_params(cfg, None), seed=derive_seed(cfg.seed, "alphacv", fold)
                 )
                 mrt_by_x[key] = outcome.mean_response_s / 60.0
             row.append(mrt_by_x[key])
@@ -561,14 +548,13 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
     search = _search(cfg)
     params = _sim_params(cfg, model)
-    test_pairs = _snap_calls(cfg, grid, test_calls, batches=True)
     mrt_by_x: dict[bytes, float] = {}  # every stationing runs on the same batches
 
     def mrt_min(x: np.ndarray) -> float:
         key = x.tobytes()
         if key not in mrt_by_x:
             _, summary = simcore.run_batches(
-                x, test_pairs, grid, params,
+                x, test_calls, grid, params,
                 cfg.n_calls, cfg.n_batches, cfg.seed, cfg.sample_with_replacement,
             )
             mrt_by_x[key] = summary.overall_mean_s / 60.0

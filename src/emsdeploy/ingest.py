@@ -692,7 +692,8 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
     number for a row whose width differs from the header's, a period start
     that is not an ISO timestamp, or a count that is not an integer.
 
-    One pass over the text checks each row's width and start; ``np.loadtxt``
+    One pass over the text checks each row's width and start, and codes the
+    start's wall time and UTC offset as it reads it; ``np.loadtxt``
     reads the counts, and only if it refuses them does ``int`` convert them
     line by line, to word the error or to read what ``int`` takes (``1_000``,
     `` 2``). Fields are split at every comma: ``save_demand_matrix`` never
@@ -705,15 +706,23 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
     if lines and lines[-1] == "":
         lines.pop()  # the last line's break
     width = header.count(",") + 1
-    starts = []
+    wall_us, offset_us = [], []
+    zone = epoch = offset = None  # the zone of the last start, its 1970 epoch and its offset code
     for n, line in enumerate(lines, start=2):
         fields = line.count(",") + 1 if line else 0
         if fields != width:
             raise DataError(f"{path}: line {n}: {fields} fields, the header has {width}")
         try:
-            starts.append(datetime.fromisoformat(line.partition(",")[0]))
+            start = datetime.fromisoformat(line.partition(",")[0])
         except ValueError as exc:
             raise DataError(f"{path}: line {n}: {exc}") from None
+        # a fixed offset (or none), so a start less its zone's epoch is its wall time
+        if epoch is None or start.tzinfo != zone:
+            zone = start.tzinfo
+            epoch = datetime(1970, 1, 1, tzinfo=zone)
+            offset = _NAIVE if zone is None else zone.utcoffset(None) // _MICROSECOND
+        wall_us.append((start - epoch) // _MICROSECOND)
+        offset_us.append(offset)
     if not lines:
         return DemandMatrix(np.zeros((0, width - 1), dtype=np.int64), period_length_s, [], [])
     try:
@@ -730,7 +739,7 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
             except ValueError as exc:
                 raise DataError(f"{path}: line {n}: {exc}") from None
         counts = np.array(rows, dtype=np.int64).reshape(len(lines), width - 1)
-    return DemandMatrix.from_starts(counts, period_length_s, starts)
+    return DemandMatrix(counts, period_length_s, wall_us, offset_us)
 
 
 def split_train_test(

@@ -55,8 +55,7 @@ class SimParams:
     The lognormal on-scene parameters are on the minutes scale; a call whose
     response exceeds ``shortfall_threshold_s`` counts as a shortfall;
     ``calibration`` (when set) maps every grid travel time to an adjusted
-    one; ``snap_cells`` is the off-grid snapping tolerance for a CallTable's
-    calls.
+    one; ``snap_cells`` is the off-grid snapping tolerance for the calls.
     """
 
     lognormal_mu: float = 3.65
@@ -172,35 +171,20 @@ def draw_service_time(params: SimParams, rng: np.random.Generator) -> float:
     return draw_service_times(params, rng, 1)[0]
 
 
-def _as_sim_calls(calls: CallTable | Sequence[tuple[float, int]]) -> tuple[np.ndarray, list[int] | None]:
-    """Each call's epoch seconds as an array and, for (epoch_s, cell)
-    pairs, its cell, in one conversion: a CallTable through its ``utc_s``
-    column, with None for the cells its calls are yet to be snapped to;
-    pairs through one ``zip``. Anything else, such as a list of CallRecords
-    or a mix, is a DataError."""
-    if isinstance(calls, CallTable):
-        return calls.utc_s, None
-    if len(calls) == 0:
-        return np.zeros(0), []
-    try:
-        t, c = zip(*calls)
-        return np.array(list(map(float, t)), dtype=np.float64), list(map(int, c))
-    except (TypeError, ValueError):
-        raise DataError("calls must be a CallTable or a list of (epoch_s, cell) pairs") from None
+def _require_table(calls) -> CallTable:
+    if not isinstance(calls, CallTable):
+        raise DataError(f"calls must be a CallTable, got {type(calls).__name__}")
+    return calls
 
 
-def simulate(
-    x, calls: CallTable | Sequence[tuple[float, int]], grid: Grid, params: SimParams | None = None, seed: int = 0
-) -> SimOutcome:
+def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, seed: int = 0) -> SimOutcome:
     """Run one dispatch simulation of ``calls`` under stationing ``x``.
 
-    ``calls`` are a CallTable or a list of (epoch_seconds, cell) pairs,
-    sorted by time; a table's calls are snapped to the grid on each run, so
-    a caller that simulates one table many times should snap it to pairs
-    once. Travel times are
-    grid times passed through the calibration model when one is
-    configured. Ambulances are numbered by station, and the closest free
-    one goes, ties to the lower number.
+    ``calls`` is a CallTable sorted by time; its calls are snapped to the
+    grid together, in one bulk snap per run. Travel times are grid times
+    passed through the calibration model when one is configured.
+    Ambulances are numbered by station, and the closest free one goes,
+    ties to the lower number.
     """
     params = params or SimParams()
     x = np.asarray(x, dtype=np.int64)
@@ -210,9 +194,8 @@ def simulate(
         raise DataError("stationing must be nonnegative")
     if x.sum() < 1:
         raise DataError("need at least one stationed ambulance")
-    times, call_cell = _as_sim_calls(calls)
-    if call_cell is None:  # a CallTable, its calls snapped to the grid together
-        call_cell = assign_cells_or_raise(grid, calls.lat, calls.lon, params.snap_cells).tolist()
+    times = _require_table(calls).utc_s
+    call_cell = assign_cells_or_raise(grid, calls.lat, calls.lon, params.snap_cells).tolist()
     with np.errstate(invalid="ignore"):  # a NaN time compares as in order, as it did call by call
         if np.any(times[1:] < times[:-1]):
             raise DataError("calls must be sorted by time")
@@ -338,28 +321,23 @@ class BatchSummary:
 
 
 def _batch_slices(
-    calls: CallTable | Sequence[tuple[float, int]],
-    n_calls: int,
-    n_batches: int,
-    seed: int,
-    sample_with_replacement: bool,
-) -> list:
-    """The batches ``run_batches`` simulates: tables of a table, lists of
-    a list of pairs."""
+    calls: CallTable, n_calls: int, n_batches: int, seed: int, sample_with_replacement: bool
+) -> list[CallTable]:
+    """The batches ``run_batches`` simulates, each a table of ``calls``."""
     if n_calls < 1 or n_batches < 1:
         raise ConfigError("n_calls and n_batches must both be at least 1")
     if sample_with_replacement:
         if len(calls) == 0:
             raise DataError("cannot sample batches from an empty call list")
 
-        times = _as_sim_calls(calls)[0]
+        times = calls.utc_s
         out = []
         for i in range(n_batches):
             rng = substream(seed, "batchsample", i)
             idx = rng.integers(0, len(calls), size=n_calls)
             # a stable sort by time keeps tied calls in the order drawn
             drawn = idx[np.argsort(times[idx], kind="stable")]
-            out.append(calls[drawn] if isinstance(calls, CallTable) else [calls[k] for k in drawn.tolist()])
+            out.append(calls[drawn])
         return out
     if n_calls * n_batches > len(calls):
         raise DataError(
@@ -371,7 +349,7 @@ def _batch_slices(
 
 def run_batches(
     x,
-    calls: CallTable | Sequence[tuple[float, int]],
+    calls: CallTable,
     grid: Grid,
     params: SimParams | None = None,
     n_calls: int = 1000,
@@ -382,9 +360,13 @@ def run_batches(
     """Simulate contiguous chronological batches and summarize mean response.
 
     Each batch runs on an independent RNG substream derived from the root
-    seed, so batches are reproducible individually and in any order.
+    seed, so batches are reproducible individually and in any order. A
+    resampled batch can draw any call, so then the whole table is snapped
+    once too, and an off-grid call is refused wherever it is.
     """
-    batches = _batch_slices(calls, n_calls, n_batches, seed, sample_with_replacement)
+    batches = _batch_slices(_require_table(calls), n_calls, n_batches, seed, sample_with_replacement)
+    if sample_with_replacement:
+        assign_cells_or_raise(grid, calls.lat, calls.lon, (params or SimParams()).snap_cells)
     outcomes = [
         simulate(x, batch, grid, params, seed=derive_seed(seed, "batch", i))
         for i, batch in enumerate(batches)
@@ -424,7 +406,7 @@ class PolicyComparison:
 
 def compare_policies(
     policies: Sequence[tuple[str, np.ndarray]],
-    calls: CallTable | Sequence[tuple[float, int]],
+    calls: CallTable,
     grid: Grid,
     params: SimParams | None = None,
     n_calls: int = 1000,

@@ -172,9 +172,34 @@ def test_alpha_cv_simulates_and_snaps_each_fold_once(city, tmp_path, monkeypatch
     # some alphas pick the same stationing in a fold, and that stationing runs once
     assert 0 < len(runs) < filled
     assert len({(seed, x) for seed, x, _ in runs}) == len(runs)
-    # each test-fold record is snapped once, however many runs use it
-    fold_sizes = {seed: n for seed, _, n in runs}
-    assert sum(snapped) == sum(fold_sizes.values())
+    # each run snaps its own calls in one bulk snap, and no call is snapped alone
+    assert sum(snapped) == sum(n for _, _, n in runs)
+    assert snapped == [n for _, _, n in runs]
+
+
+@pytest.mark.parametrize("resample, row, code", [
+    ("false", 1, 3), ("true", 1, 3), ("true", -1, 3), ("false", -1, 0),
+])
+def test_an_off_grid_test_call_the_batches_can_draw_is_exit_3(city, fitted_run, tmp_path, capsys, resample, row, code):
+    # one call of calls_test.csv (180 calls) moved off the grid. Unresampled
+    # batches take the first 60 calls, so only the first call is drawn; a
+    # resampled batch can draw any call, so then either one is refused
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    for path in out.glob(".*.parse"):
+        path.unlink()
+    path = out / "calls_test.csv"
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 + 180
+    fields = lines[row].split(",")
+    fields[1] = "45.0"  # the latitude, far north of the grid
+    lines[row] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    assert run(city, "optimize", out) == 0
+    for sub in ("simulate", "fleet-sweep"):
+        capsys.readouterr()
+        assert run(city, sub, out, ("--sample_with_replacement", resample)) == code, sub
+        assert ("outside bounds" in capsys.readouterr().err) == (code == 3)
 
 
 def test_no_rule_builds_a_record_per_call(city, tmp_path, monkeypatch):

@@ -829,6 +829,21 @@ def test_load_demand_matrix_reads_what_int_reads(tmp_path):
     assert m.period_start_times == [datetime(2024, 1, 1, tzinfo=UTC)]
 
 
+def test_load_demand_matrix_codes_each_start_in_its_own_offset(tmp_path):
+    # starts across a DST change, in another offset, naive, and back: each
+    # start's wall time and offset are those from_starts codes from it
+    texts = ["2024-11-03T00:00:00-05:00", "2024-11-03T01:00:00-05:00", "2024-11-03T01:00:00-06:00",
+             "2024-11-03T02:00:00-06:00", "2024-11-03T09:00:00+01:30", "2024-11-03T09:30:00",
+             "2024-11-03T10:00:00", "2024-11-03T05:00:00-06:00", "2024-11-03T11:00:00.000001+00:00"]
+    path = tmp_path / "demand.csv"
+    path.write_text("period_start,region_0\n" + "".join(f"{t},{k}\n" for k, t in enumerate(texts)))
+    loaded = load_demand_matrix(path)
+    want = DemandMatrix.from_starts(loaded.counts, 3600.0, [datetime.fromisoformat(t) for t in texts])
+    assert loaded.start_wall_us.tolist() == want.start_wall_us.tolist()
+    assert loaded.start_offset_us.tolist() == want.start_offset_us.tolist()
+    assert [t.isoformat() for t in loaded.period_start_times] == texts
+
+
 @pytest.mark.parametrize("row", ['2024-01-01T01:00:00+00:00,"1",2', '"2024-01-01T01:00:00+00:00",1,2'],
                          ids=["quoted-count", "quoted-start"])
 def test_load_demand_matrix_refuses_a_quoted_field_by_its_line(tmp_path, row):

@@ -37,6 +37,15 @@ from emsdeploy.synth import SynthConfig, synth_calls, synth_grid
 BOUNDS = (30.0, 30.2, -97.2, -97.0)
 
 
+def table(grid, pairs):
+    """The CallTable of (epoch_s, cell) pairs: each call at its cell's
+    centre, stamped at its time in whole us in UTC."""
+    utc_us = np.array([round(t * 1e6) for t, _ in pairs], dtype=np.int64)
+    values = np.full((8, len(pairs)), np.nan)
+    values[:2] = np.array([grid.cell_centers[c] for _, c in pairs]).reshape(len(pairs), 2).T
+    return CallTable(utc_us, np.zeros(len(pairs), dtype=np.int64), utc_us, values, ZoneInfo("UTC"))
+
+
 def line_grid(stations=(0,), hospitals=()):
     return build_grid(BOUNDS, 1, 2, SyntheticSpeedProvider(40.0),
                       station_cells=list(stations), hospital_cells=list(hospitals))
@@ -44,7 +53,7 @@ def line_grid(stations=(0,), hospitals=()):
 
 def test_zero_travel_response():
     g = line_grid(stations=(1,))
-    out = simulate([1], [(0.0, 1)], g, SimParams(), seed=1)
+    out = simulate([1], table(g, [(0.0, 1)]), g, SimParams(), seed=1)
     assert out.calls[0].response_s == 0.0
     assert out.calls[0].dispatch_wait_s == 0.0
     assert not out.calls[0].shortfall
@@ -54,7 +63,7 @@ def test_zero_travel_response():
 def test_two_simultaneous_calls_one_ambulance_chain():
     g = line_grid(stations=(0,))
     travel = float(g.travel_time_s[0, 1])
-    out = simulate([1], [(0.0, 1), (0.0, 1)], g, SimParams(), seed=3)
+    out = simulate([1], table(g, [(0.0, 1), (0.0, 1)]), g, SimParams(), seed=3)
     first, second = out.calls
     assert first.dispatch_wait_s == 0.0
     assert first.travel_s == travel
@@ -70,7 +79,7 @@ def test_two_simultaneous_calls_one_ambulance_chain():
 
 def test_hospital_leg_present_when_configured():
     g = line_grid(stations=(0,), hospitals=(0,))
-    out = simulate([1], [(0.0, 1)], g, SimParams(), seed=5)
+    out = simulate([1], table(g, [(0.0, 1)]), g, SimParams(), seed=5)
     kinds = [e.kind for e in out.event_log if e.call_id == 0]
     assert kinds == [NEW_CALL, CALL_ENROUTE, CALL_ARRIVE_SCENE, CALL_DEPART_SCENE,
                      CALL_ARRIVE_HOSPITAL, AMBULANCE_AVAILABLE]
@@ -81,7 +90,7 @@ def test_hospital_leg_present_when_configured():
 
 def test_hospital_leg_skipped_without_hospitals():
     g = line_grid(stations=(0,))
-    out = simulate([1], [(0.0, 1)], g, SimParams(), seed=5)
+    out = simulate([1], table(g, [(0.0, 1)]), g, SimParams(), seed=5)
     kinds = [e.kind for e in out.event_log]
     assert CALL_ARRIVE_HOSPITAL not in kinds
     assert out.hospital_leg_skipped
@@ -89,7 +98,7 @@ def test_hospital_leg_skipped_without_hospitals():
 
 def test_event_times_nondecreasing_along_call_chain():
     g = line_grid(stations=(0,), hospitals=(1,))
-    out = simulate([2], [(0.0, 1), (10.0, 0), (20.0, 1)], g, SimParams(), seed=7)
+    out = simulate([2], table(g, [(0.0, 1), (10.0, 0), (20.0, 1)]), g, SimParams(), seed=7)
     order = [NEW_CALL, CALL_ENROUTE, CALL_ARRIVE_SCENE, CALL_DEPART_SCENE,
              CALL_ARRIVE_HOSPITAL, AMBULANCE_AVAILABLE]
     by_call = defaultdict(list)
@@ -105,7 +114,7 @@ def test_event_times_nondecreasing_along_call_chain():
 
 def test_determinism_identical_event_logs():
     g = line_grid(stations=(0,), hospitals=(1,))
-    calls = [(float(i) * 120.0, i % 2) for i in range(20)]
+    calls = table(g, [(float(i) * 120.0, i % 2) for i in range(20)])
     a = simulate([2], calls, g, SimParams(), seed=42)
     b = simulate([2], calls, g, SimParams(), seed=42)
     assert a.event_log == b.event_log
@@ -117,16 +126,16 @@ def test_determinism_identical_event_logs():
 def test_requires_sorted_calls_and_fleet():
     g = line_grid(stations=(0,))
     with pytest.raises(DataError):
-        simulate([1], [(10.0, 0), (0.0, 0)], g, SimParams(), seed=1)
+        simulate([1], table(g, [(10.0, 0), (0.0, 0)]), g, SimParams(), seed=1)
     with pytest.raises(DataError):
-        simulate([0], [(0.0, 0)], g, SimParams(), seed=1)
+        simulate([0], table(g, [(0.0, 0)]), g, SimParams(), seed=1)
 
 
 def test_negative_stationing_rejected():
     g = build_grid(BOUNDS, 2, 2, SyntheticSpeedProvider(40.0), station_cells=[0, 1, 2, 3])
     # the sum is positive, but no station can hold -2 units
     with pytest.raises(DataError, match="nonnegative"):
-        simulate([3, -2, 0, 0], [(0.0, 0)], g, SimParams(), seed=1)
+        simulate([3, -2, 0, 0], table(g, [(0.0, 0)]), g, SimParams(), seed=1)
 
 
 def test_nearest_ambulance_tie_breaks_by_station_then_id():
@@ -137,12 +146,12 @@ def test_nearest_ambulance_tie_breaks_by_station_then_id():
     ])
     g = build_grid(BOUNDS, 1, 3, MatrixProvider(travel), station_cells=[0, 2])
     # both stations exactly equidistant from the middle cell
-    out = simulate([1, 1], [(0.0, 1)], g, SimParams(), seed=1)
+    out = simulate([1, 1], table(g, [(0.0, 1)]), g, SimParams(), seed=1)
     enroute = [e for e in out.event_log if e.kind == CALL_ENROUTE][0]
     assert enroute.ambulance_id == 0  # station 0's unit
     # two units at one station: the lower ambulance id goes
     g2 = build_grid(BOUNDS, 1, 3, MatrixProvider(travel), station_cells=[0])
-    out2 = simulate([2], [(0.0, 1)], g2, SimParams(), seed=1)
+    out2 = simulate([2], table(g2, [(0.0, 1)]), g2, SimParams(), seed=1)
     enroute2 = [e for e in out2.event_log if e.kind == CALL_ENROUTE][0]
     assert enroute2.ambulance_id == 0
 
@@ -150,7 +159,7 @@ def test_nearest_ambulance_tie_breaks_by_station_then_id():
 def test_fifo_queue_discipline():
     g = line_grid(stations=(0,))
     calls = [(0.0, 1)] + [(float(i), 1) for i in range(1, 6)]
-    out = simulate([1], calls, g, SimParams(), seed=9)
+    out = simulate([1], table(g, calls), g, SimParams(), seed=9)
     waited = [e for e in out.event_log if e.kind == CALL_ENROUTE]
     dispatch_order = [e.call_id for e in waited]
     assert dispatch_order == sorted(dispatch_order)  # arrival order = call id order
@@ -159,7 +168,7 @@ def test_fifo_queue_discipline():
 def test_conservation_counts():
     g = line_grid(stations=(0,), hospitals=(1,))
     calls = [(float(i) * 30.0, i % 2) for i in range(50)]
-    out = simulate([2], calls, g, SimParams(), seed=11)
+    out = simulate([2], table(g, calls), g, SimParams(), seed=11)
     counts = Counter(e.kind for e in out.event_log)
     assert counts[NEW_CALL] == 50
     assert counts[CALL_ENROUTE] == 50
@@ -172,7 +181,7 @@ def test_conservation_counts():
 def test_no_double_booking():
     g = line_grid(stations=(0,), hospitals=(0,))
     calls = [(float(i) * 45.0, i % 2) for i in range(40)]
-    out = simulate([3], calls, g, SimParams(), seed=13)
+    out = simulate([3], table(g, calls), g, SimParams(), seed=13)
     busy = {}
     for e in out.event_log:
         if e.kind == CALL_ENROUTE:
@@ -185,7 +194,7 @@ def test_no_double_booking():
 def test_response_equals_wait_plus_travel_identically():
     g = line_grid(stations=(0,), hospitals=(1,))
     calls = [(float(i) * 15.0, i % 2) for i in range(60)]
-    out = simulate([1], calls, g, SimParams(), seed=17)
+    out = simulate([1], table(g, calls), g, SimParams(), seed=17)
     for c in out.calls:
         assert c.response_s == c.dispatch_wait_s + c.travel_s
 
@@ -193,7 +202,7 @@ def test_response_equals_wait_plus_travel_identically():
 def test_infinite_fleet_everywhere_gives_zero_response():
     g = build_grid(BOUNDS, 2, 2, SyntheticSpeedProvider(40.0), station_cells=[0, 1, 2, 3])
     calls = [(float(i), i % 4) for i in range(30)]
-    out = simulate([30, 30, 30, 30], calls, g, SimParams(), seed=19)
+    out = simulate([30, 30, 30, 30], table(g, calls), g, SimParams(), seed=19)
     assert out.mean_response_s == 0.0
 
 
@@ -202,7 +211,7 @@ def test_shortfall_threshold():
     travel = float(g.travel_time_s[0, 1])
     assert travel > 0
     params = SimParams(shortfall_threshold_s=travel - 1.0)
-    out = simulate([1], [(0.0, 1)], g, params, seed=1)
+    out = simulate([1], table(g, [(0.0, 1)]), g, params, seed=1)
     assert out.calls[0].shortfall
     assert out.shortfall_rate == 1.0
 
@@ -239,7 +248,7 @@ def test_draw_service_time_degenerate_sigma():
 def test_run_batches_single_batch():
     g = line_grid(stations=(0,))
     calls = [(float(i) * 100.0, i % 2) for i in range(10)]
-    outcomes, summary = run_batches([1], calls, g, SimParams(), n_calls=10, n_batches=1, seed=1)
+    outcomes, summary = run_batches([1], table(g, calls), g, SimParams(), n_calls=10, n_batches=1, seed=1)
     assert len(outcomes) == 1
     assert summary.single_batch
     assert summary.overall_std_s == 0.0
@@ -248,7 +257,7 @@ def test_run_batches_single_batch():
 
 def test_run_batches_requires_enough_calls():
     g = line_grid(stations=(0,))
-    calls = [(float(i), 0) for i in range(5)]
+    calls = table(g, [(float(i), 0) for i in range(5)])
     with pytest.raises(DataError):
         run_batches([1], calls, g, SimParams(), n_calls=4, n_batches=2, seed=1)
     # the resampling flag lifts the requirement
@@ -260,7 +269,7 @@ def test_run_batches_requires_enough_calls():
 def test_run_batches_summary_matches_recomputation():
     g = line_grid(stations=(0,), hospitals=(1,))
     calls = [(float(i) * 200.0, i % 2) for i in range(48)]
-    outcomes, summary = run_batches([2], calls, g, SimParams(), n_calls=4, n_batches=12, seed=5)
+    outcomes, summary = run_batches([2], table(g, calls), g, SimParams(), n_calls=4, n_batches=12, seed=5)
     means = [o.mean_response_s for o in outcomes]
     assert summary.batch_means_s == means
     assert summary.overall_mean_s == pytest.approx(float(np.mean(means)))
@@ -269,7 +278,7 @@ def test_run_batches_summary_matches_recomputation():
 
 def test_batch_determinism_and_independence():
     g = line_grid(stations=(0,))
-    calls = [(float(i) * 150.0, i % 2) for i in range(40)]
+    calls = table(g, [(float(i) * 150.0, i % 2) for i in range(40)])
     _, s1 = run_batches([1], calls, g, SimParams(), n_calls=10, n_batches=4, seed=7)
     _, s2 = run_batches([1], calls, g, SimParams(), n_calls=10, n_batches=4, seed=7)
     assert s1.batch_means_s == s2.batch_means_s
@@ -282,33 +291,33 @@ def test_formatted_minutes():
 
 def test_compare_policies_identical_policy_identical_columns():
     g = line_grid(stations=(0,), hospitals=(1,))
-    calls = [(float(i) * 100.0, i % 2) for i in range(40)]
-    table = compare_policies(
+    calls = table(g, [(float(i) * 100.0, i % 2) for i in range(40)])
+    comparison = compare_policies(
         [("a", np.array([1])), ("b", np.array([1]))], calls, g, SimParams(),
         n_calls=10, n_batches=4, seed=3,
     )
-    assert np.array_equal(table.batch_means_s[:, 0], table.batch_means_s[:, 1])
+    assert np.array_equal(comparison.batch_means_s[:, 0], comparison.batch_means_s[:, 1])
 
 
 def test_compare_policies_monotone_under_fleet_growth():
     g = build_grid(BOUNDS, 2, 2, SyntheticSpeedProvider(40.0), station_cells=[0, 3])
-    calls = [(float(i) * 90.0, i % 4) for i in range(80)]
-    table = compare_policies(
+    calls = table(g, [(float(i) * 90.0, i % 4) for i in range(80)])
+    comparison = compare_policies(
         [("small", np.array([1, 0])), ("big", np.array([1, 1]))], calls, g, SimParams(),
         n_calls=20, n_batches=4, seed=11,
     )
-    assert np.all(table.batch_means_s[:, 1] <= table.batch_means_s[:, 0])
+    assert np.all(comparison.batch_means_s[:, 1] <= comparison.batch_means_s[:, 0])
 
 
 def test_compare_policies_empty_rejected():
     g = line_grid(stations=(0,))
     with pytest.raises(ConfigError):
-        compare_policies([], [(0.0, 0)], g, SimParams())
+        compare_policies([], table(g, [(0.0, 0)]), g, SimParams())
 
 
 def test_event_log_export(tmp_path):
     g = line_grid(stations=(0,))
-    out = simulate([1], [(0.0, 1)], g, SimParams(), seed=1)
+    out = simulate([1], table(g, [(0.0, 1)]), g, SimParams(), seed=1)
     path = tmp_path / "events.csv"
     save_event_log(out.event_log, path)
     lines = path.read_text().strip().split("\n")
@@ -327,7 +336,7 @@ def golden_city():
 
 def test_golden_event_log_and_outcomes(tmp_path):
     g, calls, params = golden_city()
-    out = simulate([1, 1], calls, g, params, seed=2024)
+    out = simulate([1, 1], table(g, calls), g, params, seed=2024)
     assert sum(c.dispatch_wait_s > 0 for c in out.calls) == 30
     path = tmp_path / "events.csv"
     save_event_log(out.event_log, path)
@@ -349,7 +358,7 @@ def test_returning_unit_redispatched_from_home_cell():
     g = build_grid(BOUNDS, 1, 3, MatrixProvider(travel), station_cells=[0])
     # ~600 s on scene: the unit frees at cell 2 near t=900 and would be home at t=1200
     params = SimParams(lognormal_mu=math.log(10.0), lognormal_sigma=1e-12)
-    out = simulate([1], [(0.0, 2), (1000.0, 1)], g, params, seed=1)
+    out = simulate([1], table(g, [(0.0, 2), (1000.0, 1)]), g, params, seed=1)
     freed = [e for e in out.event_log if e.kind == AMBULANCE_AVAILABLE and e.call_id == 0][0]
     assert freed.cell == 2 and freed.time_s + travel[2, 0] > 1000.0
     second = out.calls[1]
@@ -370,7 +379,7 @@ def test_calibration_applied_at_most_once_per_cell_pair(monkeypatch):
         return inner(model, grid_s)
 
     monkeypatch.setattr(simcore, "apply", counting_apply)
-    simulate([1, 1], calls, g, params, seed=2024)
+    simulate([1, 1], table(g, calls), g, params, seed=2024)
     assert 0 < len(seen) <= g.n_cells ** 2
 
 
@@ -385,7 +394,7 @@ def test_calibration_only_for_rows_a_leg_starts_from(monkeypatch):
         return inner(model, grid_s)
 
     monkeypatch.setattr(simcore, "apply", counting_apply)
-    simulate([1, 1], calls, g, params, seed=2024)
+    simulate([1, 1], table(g, calls), g, params, seed=2024)
     starts = set(g.station_cells) | set(g.hospital_cells)
     assert 0 < len(seen) <= (len(starts) + 1) * g.n_cells
 
@@ -432,7 +441,7 @@ def small_cities(draw):
 @given(small_cities())
 def test_simulate_matches_reference(city):
     x, calls, g, params, seed = city
-    out = simulate(x, calls, g, params, seed=seed)
+    out = simulate(x, table(g, calls), g, params, seed=seed)
     events, outcomes = reference_simulate(x, calls, g, params, seed)
     assert out.events == events
     assert out.call_rows == outcomes
@@ -465,7 +474,7 @@ def test_simulate_matches_reference_with_tied_service_times(city, minutes):
     x, calls, g, params, seed = city
     params = dataclasses.replace(params, lognormal_mu=math.log(minutes), lognormal_sigma=1e-300)
     assert len(set(draw_service_times(params, substream(seed, "service"), 3))) == 1
-    out = simulate(x, calls, g, params, seed=seed)
+    out = simulate(x, table(g, calls), g, params, seed=seed)
     events, outcomes = reference_simulate(x, calls, g, params, seed)
     assert out.events == events
     assert out.call_rows == outcomes
@@ -483,7 +492,7 @@ def synth_city(n_calls=400):
 def test_simulate_records_equals_their_snapped_pairs():
     g, records, pairs = synth_city()
     x = [1] * len(g.station_cells)
-    want = simulate(x, pairs, g, SimParams(), seed=9)
+    want = simulate(x, table(g, pairs), g, SimParams(), seed=9)
     for calls in (records, CallTable.from_records(list(records), ZoneInfo("UTC"))):
         out = simulate(x, calls, g, SimParams(), seed=9)
         assert out.call_rows == want.call_rows
@@ -494,7 +503,7 @@ def test_resampled_batches_of_records_equal_those_of_their_pairs():
     g, records, pairs = synth_city()
     x = [1] * len(g.station_cells)
     kwargs = dict(n_calls=150, n_batches=3, seed=4, sample_with_replacement=True)
-    _, from_pairs = run_batches(x, pairs, g, SimParams(), **kwargs)
+    _, from_pairs = run_batches(x, table(g, pairs), g, SimParams(), **kwargs)
     _, from_records = run_batches(x, records, g, SimParams(), **kwargs)
     assert from_records.batch_means_s == from_pairs.batch_means_s
 
@@ -502,7 +511,7 @@ def test_resampled_batches_of_records_equal_those_of_their_pairs():
 def test_resampled_batch_keeps_tied_calls_in_the_order_drawn():
     g = build_grid(BOUNDS, 2, 2, SyntheticSpeedProvider(40.0), station_cells=[0, 3])
     calls = [(0.0, 1), (0.0, 2), (60.0, 3), (60.0, 0), (60.0, 1)]
-    outcomes, _ = run_batches([2, 2], calls, g, SimParams(), n_calls=12, n_batches=3, seed=8,
+    outcomes, _ = run_batches([2, 2], table(g, calls), g, SimParams(), n_calls=12, n_batches=3, seed=8,
                               sample_with_replacement=True)
     for i, outcome in enumerate(outcomes):
         drawn = substream(8, "batchsample", i).integers(0, len(calls), size=12)
@@ -511,13 +520,17 @@ def test_resampled_batch_keeps_tied_calls_in_the_order_drawn():
 
 @pytest.mark.parametrize("records_first", [True, False])
 def test_a_mix_of_records_and_pairs_is_refused(records_first):
-    """A list of records, or a mix of records and pairs, is refused."""
+    """A list of records, a list of pairs, or a mix of the two, is refused
+    with a DataError that names the CallTable the simulator takes."""
     g, records, pairs = synth_city(8)
     x = [1] * len(g.station_cells)
     records = list(records)
     mixed = records[:4] + pairs[4:] if records_first else pairs[:4] + records[4:]
-    for calls in (records, mixed):
-        with pytest.raises(DataError, match="a CallTable or a list of"):
+    for calls in (records, pairs, mixed):
+        with pytest.raises(DataError, match="must be a CallTable"):
             simulate(x, calls, g, SimParams())
-        with pytest.raises(DataError, match="a CallTable or a list of"):
-            run_batches(x, calls, g, SimParams(), n_calls=4, n_batches=2, sample_with_replacement=True)
+        for resample in (False, True):
+            with pytest.raises(DataError, match="must be a CallTable"):
+                run_batches(x, calls, g, SimParams(), n_calls=4, n_batches=2, sample_with_replacement=resample)
+        with pytest.raises(DataError, match="must be a CallTable"):
+            compare_policies([("a", x)], calls, g, SimParams(), n_calls=4, n_batches=2)
