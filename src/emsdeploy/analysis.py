@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, SolverError
 from .geogrid import Grid, assign_cells
-from .ingest import CallTable
+from .ingest import CallTable, check_table
 from .rng import derive_seed, substream
 
 SVI_COLUMNS = (
@@ -101,7 +101,7 @@ def assemble_tracts(
     for t, tract in enumerate(tracts):
         cells_in = [c for c in tract_cells[tract] if 0 <= c < grid.n_cells]
         tract_of_cell[cells_in] = t
-    reported_s = calls.reported_travel_s
+    reported_s = check_table(calls).reported_travel_s
     has = ~np.isnan(reported_s)
     call_cells, inside = assign_cells(grid, calls.lat[has], calls.lon[has], snap_cells)
     call_tract = np.where(inside, tract_of_cell[np.where(inside, call_cells, 0)], -1)

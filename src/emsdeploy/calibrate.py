@@ -190,8 +190,16 @@ def save_model(model: CalibrationModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> CalibrationModel:
+    """Read ``save_model``'s JSON. Raises DataError naming the file when it
+    is missing or not JSON, or does not describe a model."""
     try:
         with open(path) as f:
-            return CalibrationModel.from_dict(json.load(f))
+            doc = json.load(f)
     except FileNotFoundError:
         raise DataError(f"calibration model not found: {path}")
+    except ValueError as exc:  # not JSON, or not text
+        raise DataError(f"{path}: not a JSON calibration model ({exc})") from None
+    try:
+        return CalibrationModel.from_dict(doc)
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{path}: not a calibration model ({type(exc).__name__}: {exc})") from None

@@ -364,8 +364,13 @@ def _load_stationings(cfg: RunConfig, out: Path) -> list[tuple[str, np.ndarray]]
     """The stochastic and robust stationings, each placing at most n_ambulances."""
     stationings = []
     for label in ("stochastic", "robust"):
-        with open(_require(out / f"deployment_{label}.json", "optimize")) as f:
-            stationings.append((label, Deployment(json.load(f)["x"], cfg.n_ambulances).x))
+        path = _require(out / f"deployment_{label}.json", "optimize")
+        try:
+            with open(path) as f:
+                x = json.load(f)["x"]
+            stationings.append((label, Deployment(x, cfg.n_ambulances).x))
+        except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+            raise DataError(f"{path}: not a stationing ({type(exc).__name__}: {exc})") from None
     return stationings
 
 

@@ -241,14 +241,17 @@ class UncertaintySet:
         return picked, residual, limits, partitions
 
     def demand_bounds_stack(self, masks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``demand_bounds`` of every mask in an S x n boolean stack, in one
-        batched pass: (lower, upper, leaves), S, S and S x n.
+        """Two cheap bounds on ``max_demand``'s value from the root of its
+        search, for every mask in an S x n boolean stack in one batched
+        pass: (lower, upper, leaves), S, S and S x n. A leaf is the search's
+        first leaf, the lexicographically largest member zero off the mask,
+        and lower is its total; when upper, the least of the three
+        partitions' root values (``_partitions``), equals it, the leaf is
+        the maximizer ``max_demand`` returns.
 
-        The upper bound is the least of the three partitions' root values,
-        from ``_partitions``. The first leaf gives each masked region in index
-        order the most the caps left allow; a row that does not bind keeps at
-        least the single caps of the regions it still holds, so all rows can
-        take part."""
+        The first leaf gives each masked region in index order the most the
+        caps left allow; a row that does not bind keeps at least the single
+        caps of the regions it still holds, so all rows can take part."""
         masks = np.asarray(masks, dtype=bool).reshape(-1, self.n_regions)
         rows, caps = self._rows()
         _, _, root = self._partitions(masks)
@@ -261,16 +264,6 @@ class UncertaintySet:
             leaves[:, p] = v
         return leaves.sum(axis=1), root.min(axis=0), leaves
 
-    def demand_bounds(self, regions) -> tuple[int, int, np.ndarray]:
-        """Two cheap bounds on ``max_demand(regions)``'s value, from the root of
-        its search: (lower, upper, d). d is the search's first leaf, the
-        lexicographically largest member zero off the mask, and lower is its
-        total; upper is the root's completion bound. When the two are equal,
-        d is the maximizer ``max_demand`` returns. ``demand_bounds_stack``
-        gives the same for a stack of masks at once."""
-        lower, upper, leaves = self.demand_bounds_stack(np.asarray(regions, dtype=bool)[None])
-        return int(lower[0]), int(upper[0]), leaves[0]
-
     def max_demand(self, regions) -> tuple[int, np.ndarray]:
         """Most total demand a member places on ``regions`` (a boolean mask),
         and the lexicographically largest maximizer, zero off the mask.
@@ -281,11 +274,12 @@ class UncertaintySet:
         partitions of the mask (local neighborhoods, coverage balls, all under
         the global cap) of the groups' summed min(residual cap, open bounds).
         The partitions are ``_partitions``' best of two greedy rules per
-        level, so the root bound is the one ``demand_bounds`` reports; the
-        bound reads residuals and open bounds through getters built once per
-        region and per group. Exponential in the mask size at worst;
-        ``demand_bounds`` gives the root's bound and first leaf, which meet on
-        most masks, and then the search's first leaf is already optimal.
+        level, so the root bound is the one ``demand_bounds_stack`` reports;
+        the bound reads residuals and open bounds through getters built once
+        per region and per group. Exponential in the mask size at worst;
+        ``demand_bounds_stack`` gives the root's bound and first leaf, which
+        meet on most masks, and then the search's first leaf is already
+        optimal.
         """
         picked, residual, limits, partitions = self._prepare(regions)
         m = len(picked)

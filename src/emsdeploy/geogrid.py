@@ -301,6 +301,8 @@ def save_grid(grid: Grid, json_path: str | Path) -> None:
 
 
 def load_grid(json_path: str | Path) -> Grid:
+    """Read ``save_grid``'s files. Raises DataError naming the file when it
+    is missing or not JSON, or does not describe a grid."""
     json_path = Path(json_path)
     try:
         with open(json_path) as f:
@@ -309,16 +311,18 @@ def load_grid(json_path: str | Path) -> Grid:
         raise DataError(f"grid file not found: {json_path}")
     except json.JSONDecodeError as exc:
         raise DataError(f"{json_path}: invalid JSON: {exc}")
-    travel = load_travel_matrix(json_path.parent / doc["travel_time_ref"])
-    return Grid(
-        n_rows=int(doc["n_rows"]),
-        n_cols=int(doc["n_cols"]),
-        bounds=tuple(doc["bounds"]),
-        cell_centers=[tuple(c) for c in doc["cell_centers"]],
-        travel_time_s=travel,
-        station_cells=doc.get("station_cells", []),
-        hospital_cells=doc.get("hospital_cells", []),
-    )
+    try:
+        return Grid(
+            n_rows=int(doc["n_rows"]),
+            n_cols=int(doc["n_cols"]),
+            bounds=tuple(doc["bounds"]),
+            cell_centers=[tuple(c) for c in doc["cell_centers"]],
+            travel_time_s=load_travel_matrix(json_path.parent / doc["travel_time_ref"]),
+            station_cells=doc.get("station_cells", []),
+            hospital_cells=doc.get("hospital_cells", []),
+        )
+    except (KeyError, TypeError, ValueError, AttributeError, OSError) as exc:
+        raise DataError(f"{json_path}: not a grid file ({type(exc).__name__}: {exc})") from None
 
 
 def derive_adjacency(grid: Grid) -> np.ndarray:

@@ -7,8 +7,7 @@ log's parse on disk, so a pipeline whose stages each re-read the same log
 parses it once, and returns it as a ``CallTable`` of numpy columns;
 ``serialize_calls_kept`` keeps the parse of a log it writes without
 parsing it. Every rule on calls takes a ``CallTable`` and reads its
-columns; ``CallTable.from_records`` is the one bridge from hand-built
-``CallRecord``s.
+columns, and refuses anything else with a DataError (``check_table``).
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import tempfile
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, time, timedelta, timezone, tzinfo
+from datetime import datetime, time, timedelta, timezone
 from itertools import compress, islice, repeat
 from operator import add, attrgetter, floordiv, is_not, sub
 from pathlib import Path
@@ -271,8 +270,10 @@ class CallTable(Sequence[CallRecord]):
     ``CallRecord`` field (``table.lat``, ``table.reported_travel_s``, ...).
 
     A read-only ``Sequence[CallRecord]``: an integer index, or iterating,
-    builds the records the table was made of, equal by ``repr``; a slice,
-    a boolean mask or an array of positions gives a CallTable.
+    builds each call's record, its stamp in its own zone and None for NaN;
+    a slice, a boolean mask or an array of positions gives a CallTable. No
+    rule of the package builds a record: a parse, ``synth.synth_calls`` and
+    the kept parses fill the columns directly.
     """
 
     __slots__ = ("wall_us", "zone", "utc_us", "values", "tz")
@@ -281,29 +282,6 @@ class CallTable(Sequence[CallRecord]):
         for column in (wall_us, zone, utc_us, values):
             column.flags.writeable = False
         self.wall_us, self.zone, self.utc_us, self.values, self.tz = wall_us, zone, utc_us, values, tz
-
-    @classmethod
-    def from_records(cls, records: Sequence[CallRecord], tz: ZoneInfo) -> "CallTable":
-        """The table of records whose ZoneInfo stamps are in ``tz``.
-        Raises DataError for a naive stamp or one in another ZoneInfo zone,
-        naming the first one's position."""
-        stamps, *fields = zip(*records) if records else [()] * 9
-        zones = [t.tzinfo for t in stamps]
-        if None in zones:
-            raise DataError(f"call {zones.index(None)} has a naive timestamp; a CallTable needs a zone")
-        foreign = [z for z in set(zones) if isinstance(z, ZoneInfo) and z is not tz]
-        if foreign:
-            k = min(map(zones.index, foreign))
-            raise DataError(f"call {k} is stamped in {zones[k]}, not in the table's zone {tz}")
-        codes = {z: _SCHEMA_ZONE if isinstance(z, ZoneInfo) else z.utcoffset(None) // _MICROSECOND for z in set(zones)}
-        zone = np.fromiter(map(codes.__getitem__, zones), dtype=np.int64, count=len(stamps))
-        since_epoch = map(sub, stamps, repeat(_UTC_EPOCH))
-        utc_us = np.fromiter(map(floordiv, since_epoch, repeat(_MICROSECOND)), dtype=np.int64, count=len(stamps))
-        # a fixed offset's wall time is its instant plus the offset; only a ZoneInfo stamp is read
-        in_tz = zone == _SCHEMA_ZONE
-        wall_us = utc_us + np.where(in_tz, 0, zone)
-        wall_us[in_tz] = _wall_us([stamps[k] for k in np.flatnonzero(in_tz).tolist()])
-        return cls(wall_us, zone, utc_us, np.array(fields, dtype=np.float64).reshape(8, len(stamps)), tz)
 
     def __len__(self) -> int:
         return len(self.wall_us)
@@ -343,6 +321,14 @@ class CallTable(Sequence[CallRecord]):
 for _j, _name in enumerate(CallRecord._fields[1:]):
     setattr(CallTable, _name, property(lambda table, j=_j: table.values[j], doc=f"The {_name} column."))
 del _j, _name
+
+
+def check_table(calls) -> CallTable:
+    """``calls``, when it is a CallTable; every rule on calls refuses
+    anything else with a DataError."""
+    if not isinstance(calls, CallTable):
+        raise DataError(f"calls must be a CallTable, got {type(calls).__name__}")
+    return calls
 
 
 def _wall_us(stamps: Sequence[datetime]) -> np.ndarray:
@@ -492,9 +478,10 @@ def serialize_calls(calls: CallTable, path: str | Path) -> None:
     writes of the calls' records, since it quotes only a field holding a
     comma, a quote or a line break, and no ISO timestamp or float repr does.
     """
+    rows = _table_rows(check_table(calls))
     with open(path, "w", newline="") as f:
         f.write(",".join(DEFAULT_COLUMNS.values()) + "\r\n")
-        f.writelines(_table_rows(calls))
+        f.writelines(rows)
 
 
 def _table_rows(table: CallTable) -> Iterable[str]:
@@ -542,7 +529,7 @@ def filter_peak(
     Monday is weekday 0. The default window is the high, consistent demand
     period of weekday daytime hours.
     """
-    return calls[_in_window(calls.wall_us, start, end, weekdays)]
+    return calls[_in_window(check_table(calls).wall_us, start, end, weekdays)]
 
 
 @dataclass
@@ -552,16 +539,13 @@ class DemandMatrix:
     The period starts are int64 columns: ``start_wall_us``, each start's
     wall-clock time in us since 1970-01-01, and ``start_offset_us``, its
     UTC offset in us (``_NAIVE`` for a naive start), so its instant is the
-    one less the other. ``zone`` is the zone every start is in, the anchor
-    call's; it is None when each start carries its own fixed offset, as
-    read from a file.
+    one less the other.
     """
 
     counts: np.ndarray
     period_length_s: float
     start_wall_us: np.ndarray
     start_offset_us: np.ndarray
-    zone: tzinfo | None = None
     n_dropped: int = 0
 
     def __post_init__(self):
@@ -576,17 +560,6 @@ class DemandMatrix:
             raise DataError("period start columns must match the row count")
         self.counts = c
 
-    @classmethod
-    def from_starts(
-        cls, counts: np.ndarray, period_length_s: float, starts: Sequence[datetime], n_dropped: int = 0
-    ) -> "DemandMatrix":
-        """The matrix of period starts given as datetimes, each coded with
-        its own UTC offset at that instant, or as naive."""
-        offsets = list(map(datetime.utcoffset, starts))
-        codes = {o: _NAIVE if o is None else o // _MICROSECOND for o in set(offsets)}
-        offset_us = np.fromiter(map(codes.__getitem__, offsets), dtype=np.int64, count=len(starts))
-        return cls(counts, period_length_s, _wall_us(starts), offset_us, None, n_dropped)
-
     @property
     def n_periods(self) -> int:
         return self.counts.shape[0]
@@ -594,19 +567,6 @@ class DemandMatrix:
     @property
     def n_regions(self) -> int:
         return self.counts.shape[1]
-
-    @property
-    def period_start_times(self) -> list[datetime]:
-        """The period starts as datetimes, built on each read: in ``zone``
-        when it is set, otherwise each in its own fixed offset (or naive)."""
-        if self.zone is not None:
-            instants = (self.start_wall_us - self.start_offset_us).astype("m8[us]").tolist()
-            return list(map(datetime.astimezone, map(add, repeat(_UTC_EPOCH), instants), repeat(self.zone)))
-        offsets = self.start_offset_us.tolist()
-        epochs = {
-            o: datetime(1970, 1, 1, tzinfo=None if o == _NAIVE else timezone(o * _MICROSECOND)) for o in set(offsets)
-        }
-        return list(map(add, map(epochs.__getitem__, offsets), self.start_wall_us.astype("m8[us]").tolist()))
 
 
 def build_demand_matrix(
@@ -625,7 +585,7 @@ def build_demand_matrix(
     """
     if period_length_s <= 0:
         raise ConfigError(f"period_length_s must be positive, got {period_length_s}")
-    if not len(calls):
+    if not len(check_table(calls)):
         return DemandMatrix(np.zeros((0, grid.n_cells), dtype=np.int64), period_length_s, [], [])
     first = calls[:1]._stamps()[0]
     anchor = first.replace(hour=0, minute=0, second=0, microsecond=0)
@@ -646,7 +606,7 @@ def build_demand_matrix(
         wall_us = _wall_us(list(map(datetime.astimezone, instants, repeat(zone))))
     else:
         wall_us = start_us + zone.utcoffset(None) // _MICROSECOND
-    return DemandMatrix(counts, period_length_s, wall_us, wall_us - start_us, zone, int(len(calls) - inside.sum()))
+    return DemandMatrix(counts, period_length_s, wall_us, wall_us - start_us, int(len(calls) - inside.sum()))
 
 
 def peak_period_mask(
@@ -662,7 +622,7 @@ def peak_period_mask(
 def select_periods(matrix: DemandMatrix, mask: np.ndarray) -> DemandMatrix:
     keep = np.asarray(mask, dtype=bool)
     return DemandMatrix(matrix.counts[keep], matrix.period_length_s, matrix.start_wall_us[keep],
-                        matrix.start_offset_us[keep], matrix.zone, matrix.n_dropped)
+                        matrix.start_offset_us[keep], matrix.n_dropped)
 
 
 def save_demand_matrix(matrix: DemandMatrix, path: str | Path) -> None:
@@ -756,7 +716,7 @@ def split_train_test(
     kfold: a seeded shuffle partitions calls into k folds; fold_index is the
     test fold. Both modes keep each side in chronological order.
     """
-    n = len(calls)
+    n = len(check_table(calls))
     if n < 2:
         raise DataError(f"need at least 2 calls to split, got {n}")
     if mode == "chronological":
@@ -823,6 +783,7 @@ def calibration_cells(
     origin (a NaN reads as missing), and both its points lie on the
     snappable grid.
     """
+    check_table(calls)
     amb_lat, amb_lon = calls.ambulance_lat, calls.ambulance_lon
     complete = np.flatnonzero(~(np.isnan(calls.reported_travel_s) | np.isnan(amb_lat) | np.isnan(amb_lon)))
     a, a_inside = assign_cells(grid, amb_lat[complete], amb_lon[complete], snap_cells)

@@ -28,7 +28,7 @@ import numpy as np
 from .calibrate import CalibrationModel, apply
 from .errors import ConfigError, DataError
 from .geogrid import Grid, assign_cells_or_raise
-from .ingest import CallTable
+from .ingest import CallTable, check_table
 from .rng import derive_seed, substream
 
 NEW_CALL = "NewCall"
@@ -166,17 +166,6 @@ def draw_service_times(params: SimParams, rng: np.random.Generator, n: int) -> l
     return [math.exp(z) * 60.0 for z in rng.normal(params.lognormal_mu, params.lognormal_sigma, n).tolist()]
 
 
-def draw_service_time(params: SimParams, rng: np.random.Generator) -> float:
-    """One lognormal on-scene duration, drawn in minutes, returned in seconds."""
-    return draw_service_times(params, rng, 1)[0]
-
-
-def _require_table(calls) -> CallTable:
-    if not isinstance(calls, CallTable):
-        raise DataError(f"calls must be a CallTable, got {type(calls).__name__}")
-    return calls
-
-
 def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, seed: int = 0) -> SimOutcome:
     """Run one dispatch simulation of ``calls`` under stationing ``x``.
 
@@ -194,7 +183,7 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
         raise DataError("stationing must be nonnegative")
     if x.sum() < 1:
         raise DataError("need at least one stationed ambulance")
-    times = _require_table(calls).utc_s
+    times = check_table(calls).utc_s
     call_cell = assign_cells_or_raise(grid, calls.lat, calls.lon, params.snap_cells).tolist()
     with np.errstate(invalid="ignore"):  # a NaN time compares as in order, as it did call by call
         if np.any(times[1:] < times[:-1]):
@@ -364,7 +353,7 @@ def run_batches(
     resampled batch can draw any call, so then the whole table is snapped
     once too, and an off-grid call is refused wherever it is.
     """
-    batches = _batch_slices(_require_table(calls), n_calls, n_batches, seed, sample_with_replacement)
+    batches = _batch_slices(check_table(calls), n_calls, n_batches, seed, sample_with_replacement)
     if sample_with_replacement:
         assign_cells_or_raise(grid, calls.lat, calls.lon, (params or SimParams()).snap_cells)
     outcomes = [

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dispatchflow import Deployment, EdgeSet, ScenarioEvaluator, ShortfallResult, min_shortfall
+from .dispatchflow import Deployment, EdgeSet, ScenarioEvaluator
 from .errors import ConfigError, DataError, SolverError
 from .ingest import DemandMatrix
 from .rng import substream
@@ -138,13 +138,6 @@ class StochasticSolution:
     objective: float
     optimality_flag: OptimalityFlag
     scenarios: ScenarioSet
-    edges: EdgeSet
-
-    @property
-    def per_scenario(self) -> list[ShortfallResult]:
-        """x's optimal routing against each scenario, by max flow on each read;
-        ``objective`` is the mean of their totals."""
-        return [min_shortfall(self.x_star.x, d, self.edges) for d in self.scenarios.demands]
 
     def to_dict(self) -> dict:
         return {
@@ -176,7 +169,6 @@ def solve_stochastic(
         objective=result.objective,
         optimality_flag=result.flag,
         scenarios=scenarios,
-        edges=edges,
     )
 
 

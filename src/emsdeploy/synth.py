@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geogrid import Grid, SyntheticSpeedProvider, build_grid
-from .ingest import CallRecord, CallTable
+from .ingest import _MICROSECOND, CallTable, _stamp_columns, _wall_us
 from .rng import substream
 
 
@@ -90,18 +90,24 @@ def synth_calls(grid: Grid, n_calls: int, seed: int = 0, cfg: SynthConfig | None
     jittered coordinates inside their cell, and include reported travel and
     on-scene fields generated from a known ground-truth model so that the
     calibration and analysis stages have something real to recover. The
-    calls come as a CallTable, in time order.
+    calls come as a CallTable, in time order, its columns filled in the
+    draw loop: a ``ZoneInfo`` start's stamps are in the table's zone, and a
+    fixed-offset start's carry that offset in a UTC table.
 
     Each call makes the same scalar ``Generator`` draws in the same order,
     so a seed always gives the same log. Raises ConfigError, before any
     draw, for a negative ``n_calls``, a ``calls_per_hour`` that is not a
-    positive finite number, or a grid without station cells.
+    positive finite number, a start in neither a ``ZoneInfo`` zone nor a
+    fixed UTC offset, or a grid without station cells.
     """
     cfg = cfg or SynthConfig()
     if n_calls < 0:
         raise ConfigError(f"n_calls must be nonnegative, got {n_calls}")
     if not (math.isfinite(cfg.calls_per_hour) and cfg.calls_per_hour > 0):
         raise ConfigError(f"calls_per_hour must be positive and finite, got {cfg.calls_per_hour}")
+    zone = cfg.start.tzinfo
+    if not isinstance(zone, (ZoneInfo, timezone)):
+        raise ConfigError(f"start must be in a ZoneInfo zone or a fixed UTC offset, got {cfg.start!r}")
     if not grid.station_cells:
         raise ConfigError("the grid has no station cells to dispatch calls from")
     rng = substream(seed, "synth-calls")
@@ -120,9 +126,10 @@ def synth_calls(grid: Grid, n_calls: int, seed: int = 0, cfg: SynthConfig | None
     mean_gap_h = 1.0 / cfg.calls_per_hour
     a, b, noise_sigma = cfg.reported_a, cfg.reported_b, cfg.reported_noise_sigma
     scene_mu, scene_sigma = cfg.on_scene_mu, cfg.on_scene_sigma
-    records: list[CallRecord] = []
-    append = records.append
-    t = cfg.start
+    stamps: list[datetime] = []
+    fields: list[tuple[float, ...]] = []  # each call's floats but to_hospital_s, which is None
+    # an aware stamp's arithmetic, weekday and hour are its wall time's, so the loop runs on wall times
+    t = cfg.start.replace(tzinfo=None)
     peak_len_h = 12.0
     for _ in range(n_calls):
         # exponential interarrival, folded into the 08:00-20:00 weekday window
@@ -150,9 +157,16 @@ def synth_calls(grid: Grid, n_calls: int, seed: int = 0, cfg: SynthConfig | None
         else:
             reported = math.exp(a + b * math.log(grid_s) + normal(0.0, noise_sigma))
         on_scene = math.exp(normal(scene_mu, scene_sigma)) * 60.0
-        append(CallRecord(t, lat, lon, reported + uniform(20.0, 60.0), reported, amb_lat, amb_lon, on_scene, None))
-    zone = cfg.start.tzinfo
-    return CallTable.from_records(records, zone if isinstance(zone, ZoneInfo) else ZoneInfo("UTC"))
+        stamps.append(t)
+        fields.append((lat, lon, reported + uniform(20.0, 60.0), reported, amb_lat, amb_lon, on_scene))
+    values = np.full((8, n_calls), math.nan)
+    values[:7] = np.array(fields, dtype=np.float64).reshape(n_calls, 7).T
+    if isinstance(zone, ZoneInfo):
+        # a naive stamp is coded as in the table's zone, as the parser codes it
+        return CallTable(*_stamp_columns(stamps, zone), values, zone)
+    offset_us = zone.utcoffset(None) // _MICROSECOND
+    wall_us = _wall_us(stamps)
+    return CallTable(wall_us, np.full(n_calls, offset_us, dtype=np.int64), wall_us - offset_us, values, ZoneInfo("UTC"))
 
 
 def synth_tract_dataset(seed: int = 0, n_tracts: int = 150):

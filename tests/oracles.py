@@ -6,8 +6,9 @@ summation, brute-force routing enumeration, exhaustive stationing search,
 the demand search's root bounds built set by set with Python sets, a
 dispatch simulation that keeps every call in one event heap, one-point
 grid snapping, a call-log parser built on ``csv.DictReader``, a call-log
-writer built on ``csv.writer``, and a LASSO that keeps the full residual
-vector. Keep these slow and obvious.
+writer built on ``csv.writer``, the bridge that codes hand-built records
+as a ``CallTable`` one record at a time, and a LASSO that keeps the full
+residual vector. Keep these slow and obvious.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import heapq
 import itertools
 import math
 from collections import deque
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import mpmath
 import numpy as np
@@ -25,7 +27,16 @@ import numpy as np
 from emsdeploy import simcore
 from emsdeploy.calibrate import apply
 from emsdeploy.errors import ConfigError, DataError, SolverError
-from emsdeploy.ingest import DEFAULT_COLUMNS, MANDATORY_FIELDS, CallRecord, CallSchema, ParseReport
+from emsdeploy.ingest import (
+    _NAIVE,
+    _SCHEMA_ZONE,
+    DEFAULT_COLUMNS,
+    MANDATORY_FIELDS,
+    CallRecord,
+    CallSchema,
+    CallTable,
+    ParseReport,
+)
 from emsdeploy.rng import substream
 
 
@@ -404,6 +415,54 @@ def reference_serialize_calls(records, path) -> None:
              *[None if v is None else float(v) for v in r[3:]])
             for r in records
         )
+
+
+_US = timedelta(microseconds=1)
+_WALL_EPOCH = datetime(1970, 1, 1)
+_UTC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+def _wall_us(stamp: datetime) -> int:
+    """A stamp's wall-clock time in us since 1970-01-01, whatever its zone."""
+    return (stamp.replace(tzinfo=None) - _WALL_EPOCH) // _US
+
+
+def table_from_records(records, tz: ZoneInfo) -> CallTable:
+    """The CallTable of hand-built records whose ZoneInfo stamps are in
+    ``tz``, coded one record at a time: a ZoneInfo stamp as in the table's
+    zone, any other by its fixed UTC offset, and None as NaN. Raises
+    DataError for a naive stamp, or else for one in another ZoneInfo zone,
+    naming the first one's position."""
+    zones = [r.timestamp.tzinfo for r in records]
+    if None in zones:
+        raise DataError(f"call {zones.index(None)} has a naive timestamp; a CallTable needs a zone")
+    for k, z in enumerate(zones):
+        if isinstance(z, ZoneInfo) and z is not tz:
+            raise DataError(f"call {k} is stamped in {z}, not in the table's zone {tz}")
+    wall_us = [_wall_us(r.timestamp) for r in records]
+    code = [_SCHEMA_ZONE if isinstance(z, ZoneInfo) else z.utcoffset(None) // _US for z in zones]
+    utc_us = [(r.timestamp - _UTC_EPOCH) // _US for r in records]
+    values = np.array([r[1:] for r in records], dtype=np.float64).reshape(len(records), 8)
+    return CallTable(*(np.array(c, dtype=np.int64) for c in (wall_us, code, utc_us)),
+                     np.ascontiguousarray(values.T), tz)
+
+
+def start_columns(starts) -> tuple[list[int], list[int]]:
+    """Demand-matrix period starts given as datetimes, as the matrix's
+    columns: each start's wall time in us, and its UTC offset in us at that
+    instant (``_NAIVE`` for a naive start)."""
+    offsets = [t.utcoffset() for t in starts]
+    return [_wall_us(t) for t in starts], [_NAIVE if o is None else o // _US for o in offsets]
+
+
+def start_times(matrix) -> list[datetime]:
+    """A demand matrix's period starts as datetimes, each in its own fixed
+    UTC offset, or naive."""
+    return [
+        _WALL_EPOCH + wall * _US if offset == _NAIVE
+        else (_WALL_EPOCH + wall * _US).replace(tzinfo=timezone(offset * _US))
+        for wall, offset in zip(matrix.start_wall_us.tolist(), matrix.start_offset_us.tolist())
+    ]
 
 
 def reference_fit_lasso(X, y, lam: float, tol: float = 1e-8, max_sweeps: int = 100_000) -> np.ndarray:

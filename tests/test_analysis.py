@@ -20,9 +20,9 @@ from emsdeploy.analysis import (
 )
 from emsdeploy.errors import SolverError
 from emsdeploy.geogrid import MatrixProvider, build_grid
-from emsdeploy.ingest import CallRecord, CallTable
+from emsdeploy.ingest import CallRecord
 
-from oracles import reference_fit_lasso
+from oracles import reference_fit_lasso, table_from_records
 
 UTC = timezone.utc
 BOUNDS = (30.0, 30.1, -97.3, -97.0)
@@ -43,7 +43,7 @@ def call_at(grid, cell, reported_min, minute):
 
 
 def table(records):
-    return CallTable.from_records(records, ZoneInfo("UTC"))
+    return table_from_records(records, ZoneInfo("UTC"))
 
 
 def station_grid():

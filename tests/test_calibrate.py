@@ -17,7 +17,8 @@ from emsdeploy.calibrate import (
 )
 from emsdeploy.errors import DataError, SolverError
 from emsdeploy.geogrid import SyntheticSpeedProvider, build_grid
-from emsdeploy.ingest import CallRecord, CallTable
+from emsdeploy.ingest import CallRecord
+from oracles import table_from_records
 
 UTC = timezone.utc
 
@@ -158,7 +159,7 @@ def make_verify_calls(grid, model_a, model_b, n, rng, bias_s=0.0, noise=0.0, exa
 
 
 def table(records):
-    return CallTable.from_records(records, ZoneInfo("UTC"))
+    return table_from_records(records, ZoneInfo("UTC"))
 
 
 def verify_grid():

@@ -14,7 +14,7 @@ import emsdeploy
 from emsdeploy import geogrid, ingest, simcore
 from emsdeploy.cli import COMMANDS, RunConfig, load_config, main
 from emsdeploy.errors import ConfigError
-from emsdeploy.ingest import CallTable, serialize_calls
+from emsdeploy.ingest import CallRecord, CallTable, serialize_calls
 from emsdeploy.synth import SynthConfig, synth_calls, synth_grid, synth_tracts, write_svi_csv, write_tract_map_csv
 
 
@@ -204,20 +204,21 @@ def test_an_off_grid_test_call_the_batches_can_draw_is_exit_3(city, fitted_run, 
 
 def test_no_rule_builds_a_record_per_call(city, tmp_path, monkeypatch):
     """Every stage and rule works on a CallTable's columns, and a parse
-    fills them without records: building the table's records, which
-    indexing or iterating it does, or a table of records fails the test."""
+    and the synthetic log fill them without records: building the table's
+    records, which indexing or iterating it does, or any CallRecord fails
+    the test."""
 
     def no_records(table):
         raise AssertionError(f"built the records of {len(table)} calls")
 
-    def no_table_of_records(records, tz):
-        raise AssertionError(f"built a table of {len(records)} records")
+    def no_record(cls, *fields, **named):
+        raise AssertionError("built a CallRecord")
 
-    # the station-ladder benchmark's set-up chain starts from a synthetic table, built of records
+    monkeypatch.setattr(CallTable, "records", no_records)
+    monkeypatch.setattr(CallRecord, "__new__", no_record)
+    # the station-ladder benchmark's set-up chain starts from a synthetic table
     grid = synth_grid(SynthConfig())
     synthetic = synth_calls(grid, 2000, seed=3)
-    monkeypatch.setattr(CallTable, "records", no_records)
-    monkeypatch.setattr(CallTable, "from_records", staticmethod(no_table_of_records))
     out = tmp_path / "run"
     for sub in COMMANDS:
         assert run(city, sub, out) == 0, f"{sub} failed"
@@ -392,6 +393,28 @@ def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, l
     assert run(city, "fit", out) == 3
     err = capsys.readouterr().err
     assert "demand_matrix.csv" in err and f"line {line}:" in err
+
+
+@pytest.mark.parametrize("name, text, sub", [
+    ("calibration.json", "{not json", "verify"),
+    ("calibration.json", "{}", "verify"),
+    ("deployment_robust.json", "{}", "simulate"),
+    ("grid.json", "{}", "verify"),
+    ("grid.json", "[1]", "verify"),
+    ("grid_travel.csv", None, "verify"),
+], ids=["calibration-invalid-json", "calibration-empty", "deployment-empty", "grid-empty", "grid-list",
+        "grid-travel-missing"])
+def test_malformed_run_directory_file_is_exit_3(city, fitted_run, tmp_path, capsys, name, text, sub):
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    (out / "deployment_stochastic.json").write_text('{"x": [1, 1, 1, 1]}')
+    if text is None:
+        (out / name).unlink()
+    else:
+        (out / name).write_text(text)
+    capsys.readouterr()
+    assert run(city, sub, out) == 3
+    assert name in capsys.readouterr().err
 
 
 def test_missing_upstream_names_prior_subcommand(city, tmp_path, capsys):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emsdeploy import ingest, simcore
+from emsdeploy import analysis, calibrate, ingest, simcore
 from emsdeploy.errors import ConfigError, DataError
 from emsdeploy.geogrid import SyntheticSpeedProvider, build_grid
 from emsdeploy.ingest import (
@@ -35,7 +35,13 @@ from emsdeploy.ingest import (
     split_train_test,
     trim_quantiles,
 )
-from oracles import reference_parse_calls, reference_serialize_calls
+from oracles import (
+    reference_parse_calls,
+    reference_serialize_calls,
+    start_columns,
+    start_times,
+    table_from_records,
+)
 
 UTC = timezone.utc
 
@@ -46,11 +52,40 @@ def rec(ts, lat=30.1, lon=-97.6, **kw):
 
 def table(records, tz="UTC"):
     """The CallTable of hand-built records whose ZoneInfo stamps are in ``tz``."""
-    return CallTable.from_records(records, ZoneInfo(tz))
+    return table_from_records(records, ZoneInfo(tz))
 
 
 def make_grid():
     return build_grid((30.0, 30.2, -97.7, -97.5), 2, 2, SyntheticSpeedProvider(50.0))
+
+
+# each public rule that takes calls, called on ``calls`` with a one-station grid and a file path
+RULES_ON_CALLS = {
+    "filter_peak": lambda calls, grid, path: filter_peak(calls),
+    "split_train_test": lambda calls, grid, path: split_train_test(calls),
+    "build_demand_matrix": lambda calls, grid, path: build_demand_matrix(calls, grid),
+    "calibration_pairs": lambda calls, grid, path: calibration_pairs(calls, grid),
+    "calibration_cells": lambda calls, grid, path: ingest.calibration_cells(calls, grid),
+    "serialize_calls": lambda calls, grid, path: serialize_calls(calls, path),
+    "serialize_calls_kept": lambda calls, grid, path: serialize_calls_kept(calls, path, path.parent),
+    "calibrate.verify": lambda calls, grid, path: calibrate.verify(calls, grid, calibrate.identity_model(), 1, 1),
+    "analysis.assemble_tracts": lambda calls, grid, path: analysis.assemble_tracts(calls, grid, {0: "T0"}, {}),
+    "simcore.simulate": lambda calls, grid, path: simcore.simulate([1], calls, grid),
+    "simcore.run_batches": lambda calls, grid, path: simcore.run_batches([1], calls, grid, n_calls=1, n_batches=2),
+    "simcore.compare_policies": lambda calls, grid, path: simcore.compare_policies(
+        [("a", [1])], calls, grid, n_calls=1, n_batches=2),
+}
+
+
+@pytest.mark.parametrize("rule", RULES_ON_CALLS)
+def test_every_rule_on_calls_refuses_anything_but_a_call_table(rule, tmp_path):
+    grid = build_grid((30.0, 30.2, -97.7, -97.5), 2, 2, SyntheticSpeedProvider(50.0), station_cells=[0])
+    records = [rec(datetime(2024, 1, 1, h, tzinfo=UTC), 30.05, -97.65, reported_travel_s=60.0,
+                   ambulance_lat=30.05, ambulance_lon=-97.65) for h in (9, 10)]
+    path = tmp_path / "calls.csv"
+    with pytest.raises(DataError, match="calls must be a CallTable, got list"):
+        RULES_ON_CALLS[rule](records, grid, path)
+    assert not path.exists()
 
 
 def test_parse_empty_file(tmp_path):
@@ -494,16 +529,17 @@ def test_demand_matrix_export_roundtrip(tmp_path):
     save_demand_matrix(m, path)
     loaded = load_demand_matrix(path)
     assert np.array_equal(loaded.counts, m.counts)
-    assert loaded.period_start_times == m.period_start_times
+    assert loaded.start_wall_us.tolist() == m.start_wall_us.tolist()
+    assert loaded.start_offset_us.tolist() == m.start_offset_us.tolist()
 
 
 def test_demand_matrix_header_only_roundtrip(tmp_path):
-    m = DemandMatrix.from_starts(np.zeros((0, 4), dtype=np.int64), 3600.0, [])
+    m = DemandMatrix(np.zeros((0, 4), dtype=np.int64), 3600.0, [], [])
     path = tmp_path / "demand.csv"
     save_demand_matrix(m, path)
     loaded = load_demand_matrix(path)
     assert loaded.counts.shape == (0, 4)
-    assert loaded.period_start_times == []
+    assert len(loaded.start_wall_us) == len(loaded.start_offset_us) == 0
 
 
 @pytest.mark.parametrize("bad_line", [2, 3, 4])
@@ -519,14 +555,14 @@ def test_load_demand_matrix_names_the_line_of_a_bad_count(tmp_path, bad_line):
 def test_save_demand_matrix_text_as_per_row_writer(tmp_path):
     counts = np.array([[0, 0, 0], [1, 2**31, 0], [2**40 + 3, 0, 7]], dtype=np.int64)
     starts = [datetime(2024, 1, 1, h, tzinfo=UTC) for h in range(3)]
-    m = DemandMatrix.from_starts(counts, 3600.0, starts)
+    m = DemandMatrix(counts, 3600.0, *start_columns(starts))
     path = tmp_path / "demand.csv"
     save_demand_matrix(m, path)
     want = tmp_path / "want.csv"
     with open(want, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(["period_start"] + [f"region_{j}" for j in range(m.n_regions)])
-        for ts, row in zip(m.period_start_times, m.counts):
+        for ts, row in zip(starts, m.counts):
             writer.writerow([ts.isoformat()] + [int(v) for v in row])
     assert path.read_text() == want.read_text()
     assert np.array_equal(load_demand_matrix(path).counts, counts)
@@ -674,7 +710,7 @@ def test_seeded_kept_parse_is_parse_calls_of_the_written_log(case):
             serialize_calls_kept(calls, path, tmp)
             seeded = (Path(tmp) / f".split{k}.csv.parse").read_bytes()
             # written from the columns in the bytes the records write
-            serialize_calls(CallTable.from_records(list(calls), calls.tz), Path(tmp) / "from_records.csv")
+            serialize_calls(table_from_records(list(calls), calls.tz), Path(tmp) / "from_records.csv")
             assert path.read_bytes() == (Path(tmp) / "from_records.csv").read_bytes()
             with mock.patch.object(ingest, "parse_calls", side_effect=AssertionError("parsed")):
                 hit = parse_calls_kept(path, None, tmp)
@@ -707,7 +743,7 @@ def parsed_records(draw):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(parsed_records(), max_size=6))
 def test_call_table_of_records_round_trips_and_serializes_as_them(records):
-    table = CallTable.from_records(records, ZoneInfo("America/Chicago"))
+    table = table_from_records(records, ZoneInfo("America/Chicago"))
     assert [repr(r) for r in table] == [repr(r) for r in records]
     with tempfile.TemporaryDirectory() as tmp:
         got, want = Path(tmp) / "got.csv", Path(tmp) / "want.csv"
@@ -753,7 +789,7 @@ def test_column_rules_are_the_record_rules(case, window):
     if parsed is None:
         return
     table, records = parsed
-    rebuilt = CallTable.from_records(records, table.tz)
+    rebuilt = table_from_records(records, table.tz)
     start, end, weekdays = _window(window)
     peak = filter_peak(table, start, end, weekdays)
     assert isinstance(peak, CallTable)
@@ -775,10 +811,11 @@ def test_column_rules_are_the_record_rules(case, window):
     else:
         got_matrix = build_demand_matrix(table, grid)
         assert np.array_equal(got_matrix.counts, want_matrix.counts)
-        assert [repr(t) for t in got_matrix.period_start_times] == [repr(t) for t in want_matrix.period_start_times]
+        assert got_matrix.start_wall_us.tolist() == want_matrix.start_wall_us.tolist()
+        assert got_matrix.start_offset_us.tolist() == want_matrix.start_offset_us.tolist()
         assert got_matrix.n_dropped == want_matrix.n_dropped
         assert np.array_equal(peak_period_mask(got_matrix, start, end, weekdays), [
-            t.weekday() in weekdays and start <= t.time() < end for t in want_matrix.period_start_times
+            t.weekday() in weekdays and start <= t.time() < end for t in start_times(want_matrix)
         ])
     assert calibration_pairs(table, grid) == calibration_pairs(rebuilt, grid)
 
@@ -797,9 +834,9 @@ def test_demand_matrix_starts_step_in_absolute_time_across_dst(tmp_path):
         m = build_demand_matrix(calls, make_grid())
         # each call is counted in the period whose labelled start and end hold it
         for r in records:
-            (k,) = [k for k, s in enumerate(m.period_start_times) if s <= r.timestamp < s + timedelta(hours=1)]
+            (k,) = [k for k, s in enumerate(start_times(m)) if s <= r.timestamp < s + timedelta(hours=1)]
             assert m.counts[k].sum() == 1
-        starts = [t.isoformat() for t in m.period_start_times]
+        starts = [t.isoformat() for t in start_times(m)]
         assert starts[24 + 10] == "2024-03-10T11:00:00-05:00"  # 34 hours after the midnight anchor
         assert "2024-03-10T10:00:00-05:00" in starts and "2024-03-10T02:00:00-05:00" not in starts
         # so the peak window reads each start's true local hour
@@ -826,22 +863,22 @@ def test_load_demand_matrix_reads_what_int_reads(tmp_path):
     path.write_text("period_start,region_0,region_1\r\n2024-01-01T00:00:00+00:00,1_000, 2\r\n")
     m = load_demand_matrix(path)
     assert m.counts.tolist() == [[1000, 2]]
-    assert m.period_start_times == [datetime(2024, 1, 1, tzinfo=UTC)]
+    assert (m.start_wall_us.tolist(), m.start_offset_us.tolist()) == start_columns([datetime(2024, 1, 1, tzinfo=UTC)])
 
 
 def test_load_demand_matrix_codes_each_start_in_its_own_offset(tmp_path):
     # starts across a DST change, in another offset, naive, and back: each
-    # start's wall time and offset are those from_starts codes from it
+    # start's wall time and offset are those the oracle codes from it
     texts = ["2024-11-03T00:00:00-05:00", "2024-11-03T01:00:00-05:00", "2024-11-03T01:00:00-06:00",
              "2024-11-03T02:00:00-06:00", "2024-11-03T09:00:00+01:30", "2024-11-03T09:30:00",
              "2024-11-03T10:00:00", "2024-11-03T05:00:00-06:00", "2024-11-03T11:00:00.000001+00:00"]
     path = tmp_path / "demand.csv"
     path.write_text("period_start,region_0\n" + "".join(f"{t},{k}\n" for k, t in enumerate(texts)))
     loaded = load_demand_matrix(path)
-    want = DemandMatrix.from_starts(loaded.counts, 3600.0, [datetime.fromisoformat(t) for t in texts])
-    assert loaded.start_wall_us.tolist() == want.start_wall_us.tolist()
-    assert loaded.start_offset_us.tolist() == want.start_offset_us.tolist()
-    assert [t.isoformat() for t in loaded.period_start_times] == texts
+    want_wall_us, want_offset_us = start_columns([datetime.fromisoformat(t) for t in texts])
+    assert loaded.start_wall_us.tolist() == want_wall_us
+    assert loaded.start_offset_us.tolist() == want_offset_us
+    assert [t.isoformat() for t in start_times(loaded)] == texts
 
 
 @pytest.mark.parametrize("row", ['2024-01-01T01:00:00+00:00,"1",2', '"2024-01-01T01:00:00+00:00",1,2'],

@@ -328,7 +328,7 @@ def test_demand_bounds_bracket_max_demand(uset):
     members = box_members(uset)
     for mask in range(1 << uset.n_regions):
         regions = np.array([(mask >> j) & 1 for j in range(uset.n_regions)], dtype=bool)
-        lower, upper, d = uset.demand_bounds(regions)
+        (lower,), (upper,), (d,) = uset.demand_bounds_stack(regions[None])
         value, best = uset.max_demand(regions)
         rows = on_mask(members, regions)
         assert lower <= value <= upper
@@ -381,7 +381,7 @@ def test_open_bound_is_at_most_the_single_cap():
                           regional_cap=np.array([1, 1]), global_cap=1, adjacency=full, coverage_ball=full)
     lower, upper, leaves = uset.demand_bounds_stack(np.ones((1, 2), dtype=bool))
     assert (int(lower[0]), int(upper[0]), leaves[0].tolist()) == (1, 1, [0, 1])
-    assert uset.demand_bounds(np.ones(2, dtype=bool))[:2] == reference_demand_bounds(uset, np.ones(2, dtype=bool))[:2]
+    assert (int(lower[0]), int(upper[0])) == reference_demand_bounds(uset, np.ones(2, dtype=bool))[:2]
 
 
 @settings(max_examples=300, deadline=None)
@@ -398,8 +398,9 @@ def test_stacked_demand_bounds_match_the_per_set_reference(uset, data):
         want_lower, want_upper, want_leaf = reference_demand_bounds(uset, regions)
         want = (want_lower, want_upper, want_leaf.tolist())
         assert (int(lower[k]), int(upper[k]), leaves[k].tolist()) == want
-        one_lower, one_upper, one_leaf = uset.demand_bounds(regions)
-        assert (one_lower, one_upper, one_leaf.tolist()) == want
+        # a stack of the one mask bounds it alike
+        (one_lower,), (one_upper,), (one_leaf,) = uset.demand_bounds_stack(regions[None])
+        assert (int(one_lower), int(one_upper), one_leaf.tolist()) == want
 
 
 @settings(max_examples=150, deadline=None)
@@ -455,7 +456,8 @@ def test_robust_solve_searches_again_when_a_lower_value_misleads():
     adjacency[0, 2] = ball[0, 1] = True
     uset = UncertaintySet(alpha=0.05, single_cap=[1, 1, 1], local_cap=[1, 1, 1], regional_cap=[1, 1, 1],
                           global_cap=3, adjacency=adjacency, coverage_ball=ball)
-    assert uset.demand_bounds(np.ones(3, dtype=bool))[:2] == (1, 2)
+    lower, upper, _ = uset.demand_bounds_stack(np.ones((1, 3), dtype=bool))
+    assert (lower.tolist(), upper.tolist()) == ([1], [2])
     edges = EdgeSet([(0, 0), (0, 2)], 2, 3)
     sol = solve_robust_ccg(uset, 1, edges)
     assert sol.converged
@@ -476,7 +478,8 @@ def test_worst_case_searches_a_tied_set_once():
     adjacency = np.array([[1, 1, 0], [0, 1, 1], [1, 0, 1]], dtype=bool)
     uset = CountingSet(alpha=0.05, single_cap=[1, 1, 1], local_cap=[1, 1, 1], regional_cap=[1, 1, 1],
                        global_cap=3, adjacency=adjacency, coverage_ball=np.eye(3, dtype=bool))
-    assert uset.demand_bounds(np.ones(3, dtype=bool))[:2] == (1, 2)
+    lower, upper, _ = uset.demand_bounds_stack(np.ones((1, 3), dtype=bool))
+    assert (lower.tolist(), upper.tolist()) == ([1], [2])
     wc = worst_case_demand(np.array([0, 1]), uset, EdgeSet([(1, 2)], 2, 3))
     assert (wc.shortfall, wc.demand.tolist()) == (1, [1, 0, 0])
     assert len(uset.searched) == 1

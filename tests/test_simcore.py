@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
-from oracles import reference_simulate
+from oracles import reference_simulate, table_from_records
 
 from emsdeploy import simcore
 from emsdeploy.calibrate import CalibrationModel
@@ -26,7 +26,6 @@ from emsdeploy.simcore import (
     BatchSummary,
     SimParams,
     compare_policies,
-    draw_service_time,
     draw_service_times,
     run_batches,
     save_event_log,
@@ -219,7 +218,7 @@ def test_shortfall_threshold():
 def test_draw_service_time_distribution():
     rng = substream(0, "svc-test")
     params = SimParams(lognormal_mu=3.65, lognormal_sigma=0.3)
-    draws = np.array([draw_service_time(params, rng) for _ in range(100_000)])
+    draws = np.array(draw_service_times(params, rng, 100_000))
     median_min = float(np.median(draws)) / 60.0
     assert abs(median_min - math.exp(3.65)) / math.exp(3.65) < 0.02
     logs = np.log(draws / 60.0)
@@ -234,13 +233,13 @@ def test_service_times_are_the_scalar_draws():
     scalar = [math.exp(rng.normal(3.1, 0.7)) * 60.0 for _ in range(500)]
     assert draw_service_times(params, substream(2, "svc-test"), 500) == scalar
     rng = substream(2, "svc-test")
-    assert [draw_service_time(params, rng) for _ in range(500)] == scalar
+    assert [draw_service_times(params, rng, 1)[0] for _ in range(500)] == scalar
 
 
 def test_draw_service_time_degenerate_sigma():
     rng = substream(1, "svc-test")
     params = SimParams(lognormal_mu=2.0, lognormal_sigma=1e-12)
-    draws = [draw_service_time(params, rng) for _ in range(10)]
+    draws = draw_service_times(params, rng, 10)
     for v in draws:
         assert v == pytest.approx(math.exp(2.0) * 60.0, rel=1e-9)
 
@@ -493,7 +492,7 @@ def test_simulate_records_equals_their_snapped_pairs():
     g, records, pairs = synth_city()
     x = [1] * len(g.station_cells)
     want = simulate(x, table(g, pairs), g, SimParams(), seed=9)
-    for calls in (records, CallTable.from_records(list(records), ZoneInfo("UTC"))):
+    for calls in (records, table_from_records(list(records), ZoneInfo("UTC"))):
         out = simulate(x, calls, g, SimParams(), seed=9)
         assert out.call_rows == want.call_rows
         assert out.events == want.events

@@ -4,9 +4,12 @@ against ``Generator.choice``, and its refusals of bad input."""
 import hashlib
 import math
 from bisect import bisect_right
+from datetime import datetime, timedelta, timezone
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
+from oracles import table_from_records
 
 from emsdeploy import geogrid, ingest, synth
 from emsdeploy.errors import ConfigError
@@ -63,6 +66,31 @@ def test_bisected_cdf_draws_as_generator_choice(weights):
     want = [int(g2.choice(len(p), p=p)) for _ in range(5000)]
     assert got == want
     assert g1.random() == g2.random()
+
+
+@pytest.mark.parametrize("start", [
+    synth.SynthConfig().start,
+    datetime(2024, 1, 1, 8, tzinfo=timezone(timedelta(hours=-6))),
+    # the calls run from February into April, across the March DST change
+    datetime(2024, 2, 26, 8, tzinfo=ZoneInfo("America/Chicago")),
+], ids=["utc", "fixed-offset", "zoneinfo-across-dst"])
+def test_columns_are_the_record_bridges_table(start):
+    cfg = synth.SynthConfig(start=start)
+    table = synth.synth_calls(synth.synth_grid(cfg), 1500, seed=5, cfg=cfg)
+    want = table_from_records(table.records(), table.tz)
+    for name in ("wall_us", "zone", "utc_us"):
+        assert getattr(table, name).tolist() == getattr(want, name).tolist(), name
+    np.testing.assert_array_equal(table.values, want.values)  # NaN-aware
+    assert table.tz is want.tz
+    if isinstance(start.tzinfo, ZoneInfo):
+        # both offsets occur: the table spans the change
+        assert len(set((table.wall_us - table.utc_us).tolist())) == 2
+
+
+def test_naive_start_refused():
+    cfg = synth.SynthConfig(start=datetime(2024, 1, 1, 8))
+    with pytest.raises(ConfigError, match="start must be in a ZoneInfo zone or a fixed UTC offset"):
+        synth.synth_calls(synth.synth_grid(cfg), 10, cfg=cfg)
 
 
 def test_zero_calls_is_an_empty_log():
