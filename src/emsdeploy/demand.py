@@ -68,10 +68,15 @@ def fit_rates(
     n_regions = counts.shape[1]
     if adjacency.shape != (n_regions, n_regions) or coverage_ball.shape != (n_regions, n_regions):
         raise DataError("membership matrices must be regions x regions")
-    single = counts.mean(axis=0)
-    local = (counts @ adjacency.T.astype(np.int64)).mean(axis=0)
-    regional = (counts @ coverage_ball.T.astype(np.int64)).mean(axis=0)
-    global_rate = float(counts.sum(axis=1).mean())
+    # a level's mean over periods of the per-period sums is its sum of the
+    # period totals over the period count; the integer totals are exact, so
+    # each rate is the float the mean of the per-period products is, bit for bit
+    n_periods = counts.shape[0]
+    totals = counts.sum(axis=0)
+    single = totals / n_periods
+    local = (totals @ adjacency.T.astype(np.int64)) / n_periods
+    regional = (totals @ coverage_ball.T.astype(np.int64)) / n_periods
+    global_rate = float(totals.sum() / n_periods)
     return PoissonRates(single, local, regional, global_rate)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -112,6 +113,15 @@ class Grid:
     hospital_cells: list[int] = field(default_factory=list)
 
     def __post_init__(self):
+        try:
+            bounds = tuple(self.bounds)
+        except TypeError:
+            bounds = ()
+        if len(bounds) != 4 or not all(_is_finite_number(b) for b in bounds):
+            raise DataError(f"bounds must be four finite numbers, got {self.bounds!r}")
+        min_lat, max_lat, min_lon, max_lon = bounds
+        if not (min_lat < max_lat and min_lon < max_lon):
+            raise DataError(f"degenerate bounds {self.bounds!r}: need min_lat < max_lat and min_lon < max_lon")
         n = self.n_rows * self.n_cols
         if len(self.cell_centers) != n:
             raise DataError(f"expected {n} cell centers, got {len(self.cell_centers)}")
@@ -150,6 +160,10 @@ class Grid:
 
     def cell_rowcol(self, index: int) -> tuple[int, int]:
         return divmod(index, self.n_cols)
+
+
+def _is_finite_number(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 def _validate_bounds(bounds: Bounds) -> None:
@@ -321,7 +335,7 @@ def load_grid(json_path: str | Path) -> Grid:
             station_cells=doc.get("station_cells", []),
             hospital_cells=doc.get("hospital_cells", []),
         )
-    except (KeyError, TypeError, ValueError, AttributeError, OSError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OSError, DataError) as exc:
         raise DataError(f"{json_path}: not a grid file ({type(exc).__name__}: {exc})") from None
 
 

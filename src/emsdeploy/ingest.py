@@ -24,10 +24,10 @@ import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
-from itertools import compress, islice, repeat
-from operator import add, attrgetter, floordiv, is_not, sub
+from itertools import chain, compress, islice, repeat
+from operator import add, attrgetter, floordiv, is_not, itemgetter, sub
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -100,9 +100,13 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[Cal
     or a non-number); a row takes the first reason in that order, and the
     reasons come in the order first seen.
 
-    The rows are read ``_CHUNK_ROWS`` at a time and each chunk goes straight
-    into columns: one ``datetime.fromisoformat`` and one ``float`` map per
-    column, and a validity mask per check. Two stamps compare by instant,
+    The lines are read ``_CHUNK_ROWS`` at a time (``_line_chunks``). A chunk
+    with no quote is split at its commas, in one split of the whole chunk
+    when every line is a full row; from the first chunk with a quote on, the
+    rows are ``csv.reader``'s, and a field ``csv`` refuses is a DataError
+    naming the line. Each chunk goes straight into columns: one
+    ``datetime.fromisoformat`` and one ``float`` map per column, and a
+    validity mask per check. Two stamps compare by instant,
     also in the schema's zone, where ``datetime`` compares wall times: a
     naive stamp in a DST gap (read at its earlier offset) sorts after a
     later wall time that is the earlier instant.
@@ -118,21 +122,29 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[Cal
     except FileNotFoundError:
         raise DataError(f"call log not found: {path}")
     with f:
-        reader = csv.reader(f)
-        header = next(reader, None) or []
+        pieces = _line_chunks(f, path)
+        lines, rows = next(pieces, ([""], None))  # the header's line, or row
+        header = rows[0] if lines is None else _split_line(lines[0])
         missing = [cols[k] for k in MANDATORY_FIELDS if cols[k] not in header]
         if missing:
             raise DataError(f"{path}: missing mandatory columns: {', '.join(missing)}")
         width = len(header)
         position = {name: i for i, name in enumerate(header)}  # the last of a repeated name
         picks = [position.get(cols[k]) for k in _CSV_FIELDS]  # None for a column the header lacks
-        while rows := list(islice(reader, _CHUNK_ROWS)):
-            if set(map(len, rows)) != {width}:
-                # blank lines go; every other row is cut or padded with None to the header's width
-                rows = [row[:width] + [None] * (width - len(row)) for row in rows if row]
-                if not rows:
-                    continue
-            columns = list(zip(*rows))
+        for lines, rows in pieces:
+            if lines is not None and set(map(str.count, lines, repeat(","))) == {width - 1}:
+                # every line is a full row: one split of the chunk, and column k is every width-th field
+                flat = ",".join(lines).split(",")
+                columns = {k: flat[k::width] for k in set(picks) - {None}}
+            else:
+                if lines is not None:
+                    rows = list(map(_split_line, lines))
+                if set(map(len, rows)) != {width}:
+                    # blank lines go; every other row is cut or padded with blank fields to the header's width
+                    rows = [row[:width] + [""] * (width - len(row)) for row in rows if row]
+                    if not rows:
+                        continue
+                columns = list(zip(*rows))
             chunks.append(_parse_chunk([None if k is None else columns[k] for k in picks], zone, report))
     wall_us, code, utc_us, values = (np.concatenate(c, axis=-1) for c in zip(*chunks))
     report.n_parsed = len(utc_us)
@@ -153,10 +165,45 @@ _REASONS = ("bad_timestamp", "bad_coordinates", "bad_optional_field")
 _CHUNK_ROWS = 1 << 10  # rows read and turned into columns at a time
 
 
+def _line_chunks(f, path: str | Path) -> Iterator[tuple[list[str] | None, list[list[str]] | None]]:
+    """The log's lines as (lines, None), the header's line alone first and
+    then ``_CHUNK_ROWS`` at a time, each without its line end, while a chunk
+    is plain: no quote, no NUL and no line longer than the csv field limit,
+    so that ``csv.reader`` would split each line at its commas. The first
+    chunk that is not plain, and the rest of the file, go to ``csv.reader``
+    and come as (None, rows), so a quoted field may span lines. A
+    ``csv.Error`` is a DataError naming the file and line."""
+    limit = csv.field_size_limit()
+    size, read = 1, 0
+    while lines := list(islice(f, size)):
+        text = "".join(lines)
+        if '"' in text or "\0" in text or max(map(len, lines)) > limit:
+            break
+        read += len(lines)
+        yield list(map(str.rstrip, lines, repeat("\r\n"))), None
+        size = _CHUNK_ROWS
+    else:
+        return
+    reader = csv.reader(chain(lines, f))
+    try:
+        while rows := list(islice(reader, size)):
+            yield None, rows
+            size = _CHUNK_ROWS
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {read + reader.line_num}: {exc}") from None
+
+
+def _split_line(line: str) -> list[str]:
+    """The fields ``csv.reader`` reads of a plain line without its end: none
+    for a blank line."""
+    return line.split(",") if line else []
+
+
 def _parse_chunk(fields: list, zone: ZoneInfo, report: ParseReport) -> tuple[np.ndarray, ...]:
     """One chunk's kept rows as table columns (wall us, zone code, UTC us
-    and the eight floats), from its nine fields: each a tuple of texts (None
-    past the end of a short row), or None for a column the header lacks.
+    and the eight floats), from its nine fields: each a sequence of texts
+    (blank past the end of a short row), or None for a column the header
+    lacks.
     Counts the rows, and each dropped row's first reason, in ``report``."""
     raw_ts, *numbers = fields
     n = len(raw_ts)
@@ -188,46 +235,50 @@ def _parse_chunk(fields: list, zone: ZoneInfo, report: ParseReport) -> tuple[np.
     return wall_us, code, utc_us, values[:, keep]
 
 
-def _iso_stamps_of(texts: Sequence[str | None]) -> list[datetime | None]:
+def _iso_stamps_of(texts: Sequence[str]) -> list[datetime | None]:
     """``datetime.fromisoformat`` of each stripped text, None where it
-    refuses the text or the field is missing."""
+    refuses the text."""
     try:
         return list(map(datetime.fromisoformat, map(str.strip, texts)))
-    except (ValueError, TypeError):
+    except ValueError:
         return list(map(_iso_stamp_of, texts))
 
 
-def _iso_stamp_of(text: str | None) -> datetime | None:
+def _iso_stamp_of(text: str) -> datetime | None:
     try:
         return datetime.fromisoformat(text.strip())
-    except (ValueError, AttributeError):
+    except ValueError:
         return None
 
 
-def _floats(texts: Iterable[str | None]) -> np.ndarray:
+def _floats(texts: Iterable[str]) -> np.ndarray:
     """``float`` of each text, NaN where ``float`` refuses it."""
     texts = list(texts)
     try:
         return np.array(list(map(float, texts)), dtype=np.float64)
-    except (ValueError, TypeError):
+    except ValueError:
         return np.array(list(map(_float_or_nan, texts)), dtype=np.float64)
 
 
-def _optional_floats(texts: Sequence[str | None]) -> tuple[np.ndarray, np.ndarray]:
+def _optional_floats(texts: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
     """``_floats`` of the fields that are not blank, and which those are: a
-    blank or missing field reads as None, NaN here."""
-    if None in texts:  # a field past the end of a short row
-        texts = ["" if t is None else t for t in texts]
-    present = np.fromiter(map(bool, map(str.strip, texts)), dtype=bool, count=len(texts))
-    values = np.full(len(texts), math.nan)
+    blank field reads as None, NaN here."""
+    n = len(texts)
+    try:  # float refuses every blank text, so a column it maps has none
+        return np.array(list(map(float, texts)), dtype=np.float64), np.ones(n, dtype=bool)
+    except ValueError:
+        if texts.count("") == n:
+            return np.full(n, math.nan), np.zeros(n, dtype=bool)
+    present = np.fromiter(map(bool, map(str.strip, texts)), dtype=bool, count=n)
+    values = np.full(n, math.nan)
     values[present] = _floats(compress(texts, present))
     return values, present
 
 
-def _float_or_nan(text: str | None) -> float:
+def _float_or_nan(text: str) -> float:
     try:
         return float(text)
-    except (ValueError, TypeError):
+    except ValueError:
         return math.nan
 
 
@@ -236,9 +287,7 @@ def _stamp_columns(stamps: list[datetime], zone: ZoneInfo) -> tuple[np.ndarray, 
     ``zone`` (the earlier offset in a DST gap or fold), an aware one in its
     fixed offset."""
     wall_us = _wall_us(stamps)
-    tzs = list(map(attrgetter("tzinfo"), stamps))
-    codes = {tz: _SCHEMA_ZONE if tz is None else tz.utcoffset(None) // _MICROSECOND for tz in set(tzs)}
-    code = np.fromiter(map(codes.__getitem__, tzs), dtype=np.int64, count=len(stamps))
+    code = _offset_codes(stamps, _SCHEMA_ZONE)
     naive = code == _SCHEMA_ZONE
     utc_us = wall_us - np.where(naive, 0, code)
     if naive.any():
@@ -337,6 +386,13 @@ def _wall_us(stamps: Sequence[datetime]) -> np.ndarray:
     # a stamp minus an epoch in the same zone is wall-clock time, whatever the zone's offsets
     since = map(sub, stamps, map(epochs.__getitem__, map(attrgetter("tzinfo"), stamps)))
     return np.fromiter(map(floordiv, since, repeat(_MICROSECOND)), dtype=np.int64, count=len(stamps))
+
+
+def _offset_codes(stamps: Sequence[datetime], naive_code: int) -> np.ndarray:
+    """Each stamp's fixed UTC offset in us, ``naive_code`` for a naive one."""
+    tzs = list(map(attrgetter("tzinfo"), stamps))
+    codes = {tz: naive_code if tz is None else tz.utcoffset(None) // _MICROSECOND for tz in set(tzs)}
+    return np.fromiter(map(codes.__getitem__, tzs), dtype=np.int64, count=len(stamps))
 
 
 def weekday_and_clock_us(wall_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -652,10 +708,12 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
     number for a row whose width differs from the header's, a period start
     that is not an ISO timestamp, or a count that is not an integer.
 
-    One pass over the text checks each row's width and start, and codes the
-    start's wall time and UTC offset as it reads it; ``np.loadtxt``
-    reads the counts, and only if it refuses them does ``int`` convert them
-    line by line, to word the error or to read what ``int`` takes (``1_000``,
+    The period starts are read by one mapped ``datetime.fromisoformat`` and
+    coded as ``parse_calls`` codes its stamps, and each row's width is
+    checked by one mapped comma count; only if either refuses a row is the
+    text read line by line, to word the error. ``np.loadtxt`` reads the
+    counts, and only if it refuses them does ``int`` convert them line by
+    line, to word the error or to read what ``int`` takes (``1_000``,
     `` 2``). Fields are split at every comma: ``save_demand_matrix`` never
     quotes one, so a quoted field is refused with its line number.
     """
@@ -666,25 +724,15 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
     if lines and lines[-1] == "":
         lines.pop()  # the last line's break
     width = header.count(",") + 1
-    wall_us, offset_us = [], []
-    zone = epoch = offset = None  # the zone of the last start, its 1970 epoch and its offset code
-    for n, line in enumerate(lines, start=2):
-        fields = line.count(",") + 1 if line else 0
-        if fields != width:
-            raise DataError(f"{path}: line {n}: {fields} fields, the header has {width}")
-        try:
-            start = datetime.fromisoformat(line.partition(",")[0])
-        except ValueError as exc:
-            raise DataError(f"{path}: line {n}: {exc}") from None
-        # a fixed offset (or none), so a start less its zone's epoch is its wall time
-        if epoch is None or start.tzinfo != zone:
-            zone = start.tzinfo
-            epoch = datetime(1970, 1, 1, tzinfo=zone)
-            offset = _NAIVE if zone is None else zone.utcoffset(None) // _MICROSECOND
-        wall_us.append((start - epoch) // _MICROSECOND)
-        offset_us.append(offset)
     if not lines:
         return DemandMatrix(np.zeros((0, width - 1), dtype=np.int64), period_length_s, [], [])
+    try:
+        starts = list(map(datetime.fromisoformat, map(itemgetter(0), map(str.partition, lines, repeat(",")))))
+    except ValueError:
+        starts = None
+    if starts is None or set(map(str.count, lines, repeat(","))) != {width - 1} or "" in lines:
+        raise _first_bad_row(path, lines, width)
+    wall_us, offset_us = _wall_us(starts), _offset_codes(starts, _NAIVE)
     try:
         with warnings.catch_warnings():
             # numpy 1.23-1.x parses an integer via a float, with a DeprecationWarning
@@ -700,6 +748,20 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
                 raise DataError(f"{path}: line {n}: {exc}") from None
         counts = np.array(rows, dtype=np.int64).reshape(len(lines), width - 1)
     return DemandMatrix(counts, period_length_s, wall_us, offset_us)
+
+
+def _first_bad_row(path: str | Path, lines: list[str], width: int) -> DataError:
+    """The error of the first demand-matrix row, from line 2, whose width
+    differs from the header's or whose start is not an ISO timestamp."""
+    for n, line in enumerate(lines, start=2):
+        fields = line.count(",") + 1 if line else 0
+        if fields != width:
+            return DataError(f"{path}: line {n}: {fields} fields, the header has {width}")
+        try:
+            datetime.fromisoformat(line.partition(",")[0])
+        except ValueError as exc:
+            return DataError(f"{path}: line {n}: {exc}")
+    raise AssertionError("every row reads")
 
 
 def split_train_test(

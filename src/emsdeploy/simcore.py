@@ -2,15 +2,20 @@
 
 Each call walks the chain NewCall -> CallEnroute -> CallArriveScene ->
 CallDepartScene -> (CallArriveHospital) -> AmbulanceAvailable. Arriving at
-the scene and leaving it change nothing a dispatch decision reads, so a
-dispatched unit enters the heap of in-flight units once, keyed by the time
-it frees. The time-sorted call list is merged with that heap; a call wins
-a timestamp tie, and tied in-flight events resolve in the order they were
-scheduled, so the run is fully determined by (inputs, seed). Dispatch is
-closest-available with zero setup delay, waiting calls are served FIFO,
-and a freed ambulance heads home but may be re-dispatched (from its home
-cell, the destination) while returning. The run keeps each call's chain
-of times; the event log is replayed from those chains when it is read.
+the scene and leaving it change nothing a dispatch decision reads, so the
+run keeps per unit only the time it frees and the call it served last, and
+walks the time-sorted calls in one loop. A unit is free for a call iff it
+frees strictly before the call arrives (a call wins a timestamp tie), so
+while no call waits a call takes the closest free unit and no heap is
+touched. When no unit is free a queue episode starts: the units' keys go
+into one heap, each unit that frees before the next call serves the head
+of the FIFO queue from where it freed, tied units in the order their
+events were scheduled, and the heap is dropped when the queue empties. So
+the run is fully determined by (inputs, seed). Dispatch has zero setup
+delay, and a freed ambulance heads home but may be re-dispatched (from its
+home cell, the destination) while returning. The run keeps each call's
+chain of times; the event log is replayed from those chains when it is
+read.
 """
 
 from __future__ import annotations
@@ -185,9 +190,8 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
         raise DataError("need at least one stationed ambulance")
     times = check_table(calls).utc_s
     call_cell = assign_cells_or_raise(grid, calls.lat, calls.lon, params.snap_cells).tolist()
-    with np.errstate(invalid="ignore"):  # a NaN time compares as in order, as it did call by call
-        if np.any(times[1:] < times[:-1]):
-            raise DataError("calls must be sorted by time")
+    if np.any(times[1:] < times[:-1]):
+        raise DataError("calls must be sorted by time")
     call_t = times.tolist()
     n_calls = len(call_t)
 
@@ -220,69 +224,94 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
     hospital_of = nearest.tolist() if hospitals else [None] * grid.n_cells
     to_hospital = legs.tolist() if hospitals else [None] * grid.n_cells
     # A free ambulance is always at its home station, so the closest free
-    # unit is the lowest-numbered free unit of the first station, in order
-    # of (travel to the call's cell, station index), that has one: a stable
-    # sort of each cell's column of the stations' rows.
+    # unit is the first free one in order of (travel from its station to
+    # the call's cell, id): ambulances are numbered by station, so that is
+    # the order of (travel, station index, id). One stable sort per cell.
     row_of = {a: k for k, a in enumerate(starts)}
-    station_order = np.argsort(rows[[row_of[s] for s in stations]], axis=0, kind="stable").T.tolist()
-    station_of = [i for i, n in enumerate(x.tolist()) for _ in range(n)]  # per ambulance
-    idle: list[list[int]] = [[] for _ in stations]  # per station, a min-heap of free ids
-    for a, i in enumerate(station_of):  # ascending, so each list is a heap
-        idle[i].append(a)
+    home = [s for s, n in zip(stations, x.tolist()) for _ in range(n)]  # per ambulance
+    unit_order = np.argsort(rows[[row_of[s] for s in home]], axis=0, kind="stable").T.tolist()
 
     service_s = draw_service_times(params, substream(seed, "service"), n_calls)
 
     threshold = params.shortfall_threshold_s
     call_rows: list[tuple] = [()] * n_calls
     chains: list[tuple] = [()] * n_calls
-    # One entry per dispatched unit: (free time, scene departure, scene
-    # arrival, dispatch count, call, ambulance). Tied steps of a chain run in
-    # the order they were scheduled, which is the order of the chain's
-    # previous steps, so units with equal free times free in key order; a
-    # shorter key such as (free time, dispatch count) would not.
-    heap: list[tuple[float, float, float, int, int, int]] = []
-    push, pop = heapq.heappush, heapq.heappop
-    d = 0
+    # Per unit, the time it frees and the call it served last. A unit is
+    # free for a call iff it frees strictly before the call arrives (a call
+    # wins a tie). While calls wait, units free in order of their keys,
+    # (free time, scene departure, scene arrival, last call, unit): tied
+    # steps of a chain run in the order they were scheduled, which is the
+    # order of the chain's previous steps, and calls are dispatched in call
+    # order, so the last call is the dispatch count.
+    free = [-math.inf] * len(home)
+    last = [-1] * len(home)
     waiting: deque[int] = deque()  # FIFO queue of call ids
-    k = 0  # next call to arrive
-    while k < n_calls or heap:
-        if k < n_calls and (not heap or call_t[k] <= heap[0][0]):
-            call = k
-            k += 1
-            now = call_t[call]
-            for i in station_order[call_cell[call]]:
-                if idle[i]:
-                    a = pop(idle[i])
-                    break
+    heap: list[tuple] | None = None  # the units' keys, only while calls wait
+
+    def serve(until: float | None) -> list[tuple] | None:
+        """Each unit that frees before ``until`` (any unit, for None) serves
+        the head of the queue from where it freed (the scene or the
+        hospital); the heap, or None once the queue is empty."""
+        while until is None or heap[0][0] < until:
+            now, _, _, by, a = heap[0]
+            call = waiting.popleft()
+            here = chains[by][6]
+            cell = call_cell[call]
+            leg = travel[here][cell]
+            wait = now - call_t[call]
+            response = wait + leg
+            call_rows[call] = (call, call_t[call], cell, a, wait, leg, response, response > threshold)
+            t_scene = now + leg
+            t_dep = t_scene + service_s[call]
+            hospital = hospital_of[cell]
+            if hospital is None:
+                chains[call] = (by, now, here, t_scene, t_dep, t_dep, cell)
+                t_free = t_dep
             else:
+                t_free = t_dep + to_hospital[cell]
+                chains[call] = (by, now, here, t_scene, t_dep, t_free, hospital)
+            free[a] = t_free
+            last[a] = call
+            if not waiting:
+                return None
+            heapq.heapreplace(heap, (t_free, t_dep, t_scene, call, a))
+        return heap
+
+    for call, now in enumerate(call_t):
+        if heap is not None:
+            heap = serve(now)
+            if heap is not None:
                 waiting.append(call)
                 continue
-            here = stations[i]
-            by = -1
-        else:
-            now, _, _, _, by, a = pop(heap)
-            if not waiting:
-                push(idle[station_of[a]], a)  # re-dispatch happens from the home cell
-                continue
-            here = chains[by][6]  # the unit is free at the scene or the hospital
-            call = waiting.popleft()
-        # dispatch ambulance a from cell here to the call at time now
         cell = call_cell[call]
+        for a in unit_order[cell]:
+            if free[a] < now:
+                break
+        else:  # no unit is free: a queue episode starts
+            heap = [(t, chains[c][4], chains[c][3], c, a) for a, (t, c) in enumerate(zip(free, last))]
+            heapq.heapify(heap)
+            waiting.append(call)
+            continue
+        # the unit leaves its home station at once; this is serve's dispatch
+        # written out for a wait of 0.0, since a call per dispatch would cost
+        # about a tenth of a run
+        here = home[a]
         leg = travel[here][cell]
-        wait = now - call_t[call]
-        response = wait + leg
-        call_rows[call] = (call, call_t[call], cell, a, wait, leg, response, response > threshold)
+        response = 0.0 + leg
+        call_rows[call] = (call, now, cell, a, 0.0, leg, response, response > threshold)
         t_scene = now + leg
         t_dep = t_scene + service_s[call]
         hospital = hospital_of[cell]
         if hospital is None:
-            chains[call] = (by, now, here, t_scene, t_dep, t_dep, cell)
-            push(heap, (t_dep, t_dep, t_scene, d, call, a))
+            chains[call] = (-1, now, here, t_scene, t_dep, t_dep, cell)
+            free[a] = t_dep
         else:
             t_free = t_dep + to_hospital[cell]
-            chains[call] = (by, now, here, t_scene, t_dep, t_free, hospital)
-            push(heap, (t_free, t_dep, t_scene, d, call, a))
-        d += 1
+            chains[call] = (-1, now, here, t_scene, t_dep, t_free, hospital)
+            free[a] = t_free
+        last[a] = call
+    if heap is not None:
+        serve(None)
 
     # fields 6 and 7 of a row are response_s and shortfall
     mean_response = float(np.mean([r[6] for r in call_rows])) if call_rows else 0.0

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -380,6 +381,40 @@ def test_malformed_uncertainty_set_is_exit_3(city, fitted_run, tmp_path, capsys,
     assert "uncertainty.json" in capsys.readouterr().err
 
 
+def _csv_refuses(path: Path) -> bool:
+    try:
+        with open(path, newline="") as f:
+            list(csv.reader(f))
+    except csv.Error:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("longitude", ["-97." + "9" * 140_000, "-97.6\0"], ids=["over-the-field-limit", "nul"])
+def test_a_call_log_csv_refuses_is_exit_3(city, tmp_path, capsys, longitude):
+    # csv refuses a field longer than csv.field_size_limit(), and before
+    # Python 3.11 a NUL; a log it reads goes through, its bad row dropped
+    lines = Path(city["raw"]["calls_csv"]).read_text().splitlines(keepends=True)
+    header = lines[0].rstrip("\r\n").split(",")
+    row = lines[2].rstrip("\r\n").split(",")
+    row[header.index("longitude")] = longitude
+    lines[2] = ",".join(row) + "\r\n"
+    log = tmp_path / "calls.csv"
+    log.write_text("".join(lines), newline="")
+    capsys.readouterr()
+    code = run(city, "grid", tmp_path / "run")
+    assert code == 0
+    code = run(city, "preprocess", tmp_path / "run", ("--calls_csv", str(log)))
+    if _csv_refuses(log):
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{log}: line 3:" in err
+    else:
+        assert code == 0
+        summary = json.loads((tmp_path / "run" / "preprocess_summary.json").read_text())
+        assert summary["drop_reasons"] == {"bad_coordinates": 1}
+
+
 @pytest.mark.parametrize("line, spoil", [(3, lambda row: row[:-1]), (2, lambda row: row[:1] + ["1.5"] + row[2:])],
                          ids=["row-width", "non-integer-count"])
 def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, line, spoil):
@@ -402,14 +437,17 @@ def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, l
     ("grid.json", "{}", "verify"),
     ("grid.json", "[1]", "verify"),
     ("grid_travel.csv", None, "verify"),
+    ("grid.json", lambda doc: {**doc, "bounds": [1, 2]}, "verify"),
 ], ids=["calibration-invalid-json", "calibration-empty", "deployment-empty", "grid-empty", "grid-list",
-        "grid-travel-missing"])
+        "grid-travel-missing", "grid-two-bounds"])
 def test_malformed_run_directory_file_is_exit_3(city, fitted_run, tmp_path, capsys, name, text, sub):
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)
     (out / "deployment_stochastic.json").write_text('{"x": [1, 1, 1, 1]}')
     if text is None:
         (out / name).unlink()
+    elif callable(text):  # a change to the file's JSON document
+        (out / name).write_text(json.dumps(text(json.loads((out / name).read_text()))))
     else:
         (out / name).write_text(text)
     capsys.readouterr()

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emsdeploy.demand import (
     PoissonRates,
@@ -69,6 +71,32 @@ def test_fit_rates_neighborhood_sums_match_second_pass():
     assert np.all(rates.local >= rates.single)
     assert np.all(rates.regional >= rates.local)
     assert rates.global_rate >= rates.single.max()
+
+
+@st.composite
+def count_matrices(draw):
+    """Integer counts of up to 40 periods by up to 6 regions, some of them
+    large, with random local and regional membership matrices."""
+    n_periods, n_regions = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    counts = draw(st.lists(st.integers(0, 10**6) | st.integers(0, 3),
+                           min_size=n_periods * n_regions, max_size=n_periods * n_regions))
+    members = st.lists(st.booleans(), min_size=n_regions * n_regions, max_size=n_regions * n_regions)
+    return (np.array(counts, dtype=np.int64).reshape(n_periods, n_regions),
+            np.array(draw(members)).reshape(n_regions, n_regions),
+            np.array(draw(members)).reshape(n_regions, n_regions))
+
+
+@settings(max_examples=200, deadline=None)
+@given(count_matrices())
+def test_fit_rates_is_the_mean_of_the_per_period_products(case):
+    # the definition: each period's neighbourhood sums, then their mean over periods
+    counts, adjacency, ball = case
+    rates = fit_rates(counts, adjacency, ball)
+    want = (counts.mean(axis=0), (counts @ adjacency.T.astype(np.int64)).mean(axis=0),
+            (counts @ ball.T.astype(np.int64)).mean(axis=0))
+    for got, expected in zip((rates.single, rates.local, rates.regional), want):
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    assert rates.global_rate == float(counts.sum(axis=1).mean())
 
 
 def test_fit_rates_requires_periods():

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from emsdeploy import synth
 from emsdeploy.errors import ConfigError, DataError, OutOfBoundsError
 from emsdeploy.geogrid import (
+    Grid,
     MatrixProvider,
     SyntheticSpeedProvider,
     assign_cell,
@@ -56,6 +57,17 @@ def test_degenerate_bounds_rejected():
         build_grid((30.0, 30.0, -97.9, -97.4), 2, 2, SyntheticSpeedProvider(40.0))
     with pytest.raises(ConfigError):
         build_grid((30.0, 30.5, -97.4, -97.4), 2, 2, SyntheticSpeedProvider(40.0))
+
+
+@pytest.mark.parametrize("bounds", [
+    (1, 2), (30.0, 30.5, -97.9), (30.0, 30.5, -97.9, -97.4, 0.0), 5, ("30", 30.5, -97.9, -97.4),
+    (True, 30.5, -97.9, -97.4), (math.nan, 30.5, -97.9, -97.4), (30.0, math.inf, -97.9, -97.4),
+    (30.5, 30.0, -97.9, -97.4), (30.0, 30.5, -97.4, -97.4),
+])
+def test_grid_refuses_bounds_that_are_not_four_ordered_finite_numbers(bounds):
+    g = build_grid((30.0, 30.5, -97.9, -97.4), 1, 2, SyntheticSpeedProvider(40.0))
+    with pytest.raises(DataError, match="bounds"):
+        Grid(g.n_rows, g.n_cols, bounds, g.cell_centers, g.travel_time_s)
 
 
 def test_synthetic_travel_time_basics():

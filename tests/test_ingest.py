@@ -304,6 +304,84 @@ def test_chunks_of_blank_lines_and_reasons_across_chunks(tmp_path, monkeypatch):
     _same_parse((calls, report), reference_parse_calls(path))
 
 
+STAMP, STAMP2 = "2024-01-01T09:00:00", "2024-01-01T10:30:00-05:00"
+SPLIT_LOGS = {
+    "quoted-comma": (
+        "datetime,latitude,longitude,travel_time_s\r\n"
+        f"{STAMP},30.1,-97.6,12\r\n"
+        f'"{STAMP}","30.1","-97.6","1,5"\r\n'
+        f'{STAMP2},30.1,-97.6,""\r\n'
+    ),
+    "quoted-line-break": (
+        "datetime,latitude,longitude,travel_time_s,on_scene_s\n"
+        f"{STAMP},30.1,-97.6,12,1\n"
+        f"{STAMP2},30.2,-97.6,,2\n"
+        f'{STAMP},30.1,-97.6,"12\n",3\n'
+        f'{STAMP2},30.1,-97.6,"1\r\n\r\n2",4\n'
+        f"{STAMP},30.3,-97.6,5,5\n"
+    ),
+    "quoted-header": '"datetime","latitude","lon\ngitude",longitude\n' f"{STAMP},30.1,x,-97.6\n{STAMP2},30.1,x,-97.7\n",
+    "line-ends": (
+        f"datetime,latitude,longitude\r{STAMP},30.1,-97.6\r\n\r{STAMP2},30.2,-97.6\n\n"
+        f"{STAMP},30.3,-97.6\r{STAMP2},30.4\r\n{STAMP},30.5,-97.6,extra\r"
+    ),
+    "no-final-line-end": f"datetime,latitude,longitude\n{STAMP},30.1,-97.6\n{STAMP2},30.1,-97.7",
+    "nul": f"datetime,latitude,longitude\n{STAMP},30.1,-97.6\n{STAMP2},30.1,-97.7\0\n{STAMP},30.2,-97.6\n",
+    "blank-optional-columns": (
+        "datetime,latitude,longitude,travel_time_s,on_scene_s,amb_latitude\n"
+        + "".join(f"{STAMP},30.{k},-97.6,,  ,{'' if k < 5 else ' 30.1'}\n" for k in range(8))
+    ),
+    "header-only": "datetime,latitude,longitude\r\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+@pytest.mark.parametrize("name", SPLIT_LOGS)
+def test_split_and_csv_reader_chunks_are_the_reference_parse(tmp_path, monkeypatch, name, chunk_rows):
+    # quote-free chunks are split at their commas and the first chunk with a
+    # quote or a NUL goes, with the rest of the log, to csv.reader
+    monkeypatch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+    path = tmp_path / "calls.csv"
+    with open(path, "w", newline="") as f:
+        f.write(SPLIT_LOGS[name])
+    try:
+        want = reference_parse_calls(path)
+    except csv.Error:  # a NUL before Python 3.11
+        with pytest.raises(DataError, match=r"calls\.csv: line 3: "):
+            parse_calls(path)
+        return
+    except DataError as exc:
+        with pytest.raises(DataError) as err:
+            parse_calls(path)
+        assert str(err.value) == str(exc)
+        return
+    _same_parse(parse_calls(path), want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(call_logs(max_rows=20, max_blank_run=3), st.integers(1, 3))
+def test_quoting_every_field_keeps_the_parse(case, chunk_rows):
+    # the csv.writer QUOTE_ALL rewrite of a log reads through csv.reader
+    # alone, and parses as the log does
+    text, tz = case
+    schema = CallSchema(timezone=tz)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        path, quoted = Path(tmp) / "calls.csv", Path(tmp) / "quoted.csv"
+        path.write_text(text)
+        with open(path, newline="") as f, open(quoted, "w", newline="") as out:
+            csv.writer(out, quoting=csv.QUOTE_ALL).writerows(csv.reader(f))
+        try:
+            want = parse_calls(path, schema)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                parse_calls(quoted, schema)
+            assert str(err.value) == str(exc).replace("calls.csv", "quoted.csv")
+            return
+        _same_parse(parse_calls(quoted, schema), want)
+
+
 def test_parse_orders_by_instant_across_the_spring_gap(tmp_path):
     # Chicago sprang forward at 2024-03-10 02:00 CST: 02:30 lies in the gap
     # and reads at its earlier offset (fold 0), 08:30Z, after 03:10 CDT, 08:10Z

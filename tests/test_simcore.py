@@ -479,6 +479,44 @@ def test_simulate_matches_reference_with_tied_service_times(city, minutes):
     assert out.call_rows == outcomes
 
 
+@st.composite
+def fleet_cities(draw):
+    """A 4x4 city shaped like a large-fleet one: 8 to 16 stations, one of
+    them with no unit, 1 to 40 units, some hospitals, and bursts of calls.
+    A burst larger than the free fleet opens a queue episode, and a long
+    gap after it lets every unit free, so one run opens and closes many."""
+    n = 16
+    minutes = draw(st.lists(st.integers(1, 10), min_size=n * n, max_size=n * n))
+    travel = np.array(minutes, dtype=np.float64).reshape(n, n) * 60.0
+    np.fill_diagonal(travel, 0.0)
+    cell = st.integers(0, n - 1)
+    stations = draw(st.lists(cell, min_size=8, max_size=16))
+    hospitals = draw(st.lists(cell, min_size=1, max_size=3) | st.just([]))
+    g = build_grid(BOUNDS, 4, 4, MatrixProvider(travel), station_cells=stations, hospital_cells=hospitals)
+    empty = draw(st.integers(0, len(stations) - 1))
+    x = [0] * len(stations)
+    for _ in range(draw(st.integers(1, 6) | st.integers(1, 40))):
+        x[draw(st.integers(0, len(stations) - 1).filter(lambda i: i != empty))] += 1
+    t, calls = 0, []
+    for _ in range(draw(st.integers(3, 8))):
+        for gap in draw(st.lists(st.sampled_from([0, 0, 0, 1, 2]), min_size=4, max_size=30)):
+            t += gap
+            calls.append((60.0 * t, draw(cell)))
+        t += draw(st.sampled_from([5, 30, 300]))
+    params = SimParams(calibration=draw(st.sampled_from(CALIBRATIONS)))
+    return x, calls, g, params, draw(st.integers(0, 2**31))
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(fleet_cities())
+def test_simulate_matches_reference_across_queue_episodes(city):
+    x, calls, g, params, seed = city
+    out = simulate(x, table(g, calls), g, params, seed=seed)
+    events, outcomes = reference_simulate(x, calls, g, params, seed)
+    assert out.events == events
+    assert out.call_rows == outcomes
+
+
 def synth_city(n_calls=400):
     """The synthetic city's grid, calls (a CallTable), and the calls'
     records snapped to (epoch_s, cell) pairs one at a time."""
