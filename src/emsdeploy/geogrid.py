@@ -113,15 +113,6 @@ class Grid:
     hospital_cells: list[int] = field(default_factory=list)
 
     def __post_init__(self):
-        try:
-            bounds = tuple(self.bounds)
-        except TypeError:
-            bounds = ()
-        if len(bounds) != 4 or not all(_is_finite_number(b) for b in bounds):
-            raise DataError(f"bounds must be four finite numbers, got {self.bounds!r}")
-        min_lat, max_lat, min_lon, max_lon = bounds
-        if not (min_lat < max_lat and min_lon < max_lon):
-            raise DataError(f"degenerate bounds {self.bounds!r}: need min_lat < max_lat and min_lon < max_lon")
         n = self.n_rows * self.n_cols
         if len(self.cell_centers) != n:
             raise DataError(f"expected {n} cell centers, got {len(self.cell_centers)}")
@@ -166,10 +157,14 @@ def _is_finite_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
-def _validate_bounds(bounds: Bounds) -> None:
+def _validate_bounds(bounds: Bounds, error: type[Exception] = ConfigError) -> None:
+    """Raise ``error`` unless ``bounds`` are four finite numbers with
+    min < max on both axes."""
+    if len(bounds) != 4 or not all(map(_is_finite_number, bounds)):
+        raise error(f"bounds must be four finite numbers, got {bounds!r}")
     min_lat, max_lat, min_lon, max_lon = bounds
     if not (min_lat < max_lat and min_lon < max_lon):
-        raise ConfigError(f"degenerate bounds {bounds}: need min_lat < max_lat and min_lon < max_lon")
+        raise error(f"degenerate bounds {bounds}: need min_lat < max_lat and min_lon < max_lon")
 
 
 def build_grid(
@@ -326,10 +321,12 @@ def load_grid(json_path: str | Path) -> Grid:
     except json.JSONDecodeError as exc:
         raise DataError(f"{json_path}: invalid JSON: {exc}")
     try:
+        bounds = tuple(doc["bounds"])
+        _validate_bounds(bounds, DataError)
         return Grid(
             n_rows=int(doc["n_rows"]),
             n_cols=int(doc["n_cols"]),
-            bounds=tuple(doc["bounds"]),
+            bounds=bounds,
             cell_centers=[tuple(c) for c in doc["cell_centers"]],
             travel_time_s=load_travel_matrix(json_path.parent / doc["travel_time_ref"]),
             station_cells=doc.get("station_cells", []),

@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
 from itertools import chain, compress, islice, repeat
-from operator import add, attrgetter, floordiv, is_not, itemgetter, sub
+from operator import add, attrgetter, floordiv, is_not, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 from zoneinfo import ZoneInfo
@@ -287,7 +287,9 @@ def _stamp_columns(stamps: list[datetime], zone: ZoneInfo) -> tuple[np.ndarray, 
     ``zone`` (the earlier offset in a DST gap or fold), an aware one in its
     fixed offset."""
     wall_us = _wall_us(stamps)
-    code = _offset_codes(stamps, _SCHEMA_ZONE)
+    tzs = list(map(attrgetter("tzinfo"), stamps))
+    codes = {tz: _SCHEMA_ZONE if tz is None else tz.utcoffset(None) // _MICROSECOND for tz in set(tzs)}
+    code = np.fromiter(map(codes.__getitem__, tzs), dtype=np.int64, count=len(stamps))
     naive = code == _SCHEMA_ZONE
     utc_us = wall_us - np.where(naive, 0, code)
     if naive.any():
@@ -386,13 +388,6 @@ def _wall_us(stamps: Sequence[datetime]) -> np.ndarray:
     # a stamp minus an epoch in the same zone is wall-clock time, whatever the zone's offsets
     since = map(sub, stamps, map(epochs.__getitem__, map(attrgetter("tzinfo"), stamps)))
     return np.fromiter(map(floordiv, since, repeat(_MICROSECOND)), dtype=np.int64, count=len(stamps))
-
-
-def _offset_codes(stamps: Sequence[datetime], naive_code: int) -> np.ndarray:
-    """Each stamp's fixed UTC offset in us, ``naive_code`` for a naive one."""
-    tzs = list(map(attrgetter("tzinfo"), stamps))
-    codes = {tz: naive_code if tz is None else tz.utcoffset(None) // _MICROSECOND for tz in set(tzs)}
-    return np.fromiter(map(codes.__getitem__, tzs), dtype=np.int64, count=len(stamps))
 
 
 def weekday_and_clock_us(wall_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -708,12 +703,10 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
     number for a row whose width differs from the header's, a period start
     that is not an ISO timestamp, or a count that is not an integer.
 
-    The period starts are read by one mapped ``datetime.fromisoformat`` and
-    coded as ``parse_calls`` codes its stamps, and each row's width is
-    checked by one mapped comma count; only if either refuses a row is the
-    text read line by line, to word the error. ``np.loadtxt`` reads the
-    counts, and only if it refuses them does ``int`` convert them line by
-    line, to word the error or to read what ``int`` takes (``1_000``,
+    One pass over the text checks each row's width and start, and codes the
+    start's wall time and UTC offset as it reads it; ``np.loadtxt``
+    reads the counts, and only if it refuses them does ``int`` convert them
+    line by line, to word the error or to read what ``int`` takes (``1_000``,
     `` 2``). Fields are split at every comma: ``save_demand_matrix`` never
     quotes one, so a quoted field is refused with its line number.
     """
@@ -724,15 +717,25 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
     if lines and lines[-1] == "":
         lines.pop()  # the last line's break
     width = header.count(",") + 1
+    wall_us, offset_us = [], []
+    zone = epoch = offset = None  # the zone of the last start, its 1970 epoch and its offset code
+    for n, line in enumerate(lines, start=2):
+        fields = line.count(",") + 1 if line else 0
+        if fields != width:
+            raise DataError(f"{path}: line {n}: {fields} fields, the header has {width}")
+        try:
+            start = datetime.fromisoformat(line.partition(",")[0])
+        except ValueError as exc:
+            raise DataError(f"{path}: line {n}: {exc}") from None
+        # a fixed offset (or none), so a start less its zone's epoch is its wall time
+        if epoch is None or start.tzinfo != zone:
+            zone = start.tzinfo
+            epoch = datetime(1970, 1, 1, tzinfo=zone)
+            offset = _NAIVE if zone is None else zone.utcoffset(None) // _MICROSECOND
+        wall_us.append((start - epoch) // _MICROSECOND)
+        offset_us.append(offset)
     if not lines:
         return DemandMatrix(np.zeros((0, width - 1), dtype=np.int64), period_length_s, [], [])
-    try:
-        starts = list(map(datetime.fromisoformat, map(itemgetter(0), map(str.partition, lines, repeat(",")))))
-    except ValueError:
-        starts = None
-    if starts is None or set(map(str.count, lines, repeat(","))) != {width - 1} or "" in lines:
-        raise _first_bad_row(path, lines, width)
-    wall_us, offset_us = _wall_us(starts), _offset_codes(starts, _NAIVE)
     try:
         with warnings.catch_warnings():
             # numpy 1.23-1.x parses an integer via a float, with a DeprecationWarning
@@ -748,20 +751,6 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
                 raise DataError(f"{path}: line {n}: {exc}") from None
         counts = np.array(rows, dtype=np.int64).reshape(len(lines), width - 1)
     return DemandMatrix(counts, period_length_s, wall_us, offset_us)
-
-
-def _first_bad_row(path: str | Path, lines: list[str], width: int) -> DataError:
-    """The error of the first demand-matrix row, from line 2, whose width
-    differs from the header's or whose start is not an ISO timestamp."""
-    for n, line in enumerate(lines, start=2):
-        fields = line.count(",") + 1 if line else 0
-        if fields != width:
-            return DataError(f"{path}: line {n}: {fields} fields, the header has {width}")
-        try:
-            datetime.fromisoformat(line.partition(",")[0])
-        except ValueError as exc:
-            return DataError(f"{path}: line {n}: {exc}")
-    raise AssertionError("every row reads")
 
 
 def split_train_test(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from hypothesis import strategies as st
 from emsdeploy import synth
 from emsdeploy.errors import ConfigError, DataError, OutOfBoundsError
 from emsdeploy.geogrid import (
-    Grid,
     MatrixProvider,
     SyntheticSpeedProvider,
     assign_cell,
@@ -64,10 +64,19 @@ def test_degenerate_bounds_rejected():
     (True, 30.5, -97.9, -97.4), (math.nan, 30.5, -97.9, -97.4), (30.0, math.inf, -97.9, -97.4),
     (30.5, 30.0, -97.9, -97.4), (30.0, 30.5, -97.4, -97.4),
 ])
-def test_grid_refuses_bounds_that_are_not_four_ordered_finite_numbers(bounds):
-    g = build_grid((30.0, 30.5, -97.9, -97.4), 1, 2, SyntheticSpeedProvider(40.0))
-    with pytest.raises(DataError, match="bounds"):
-        Grid(g.n_rows, g.n_cols, bounds, g.cell_centers, g.travel_time_s)
+def test_load_grid_refuses_bounds_that_are_not_four_ordered_finite_numbers(tmp_path, bounds):
+    path = tmp_path / "grid.json"
+    save_grid(build_grid(BOUNDS, 1, 2, SyntheticSpeedProvider(40.0)), path)
+    doc = json.loads(path.read_text())
+    doc["bounds"] = bounds  # json writes nan and inf as NaN and Infinity, and reads them back
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="grid.json: not a grid file"):
+        load_grid(path)
+
+
+def test_build_grid_refuses_non_finite_bounds():
+    with pytest.raises(ConfigError, match="four finite numbers"):
+        build_grid((30.0, math.nan, -97.9, -97.4), 2, 2, SyntheticSpeedProvider(40.0))
 
 
 def test_synthetic_travel_time_basics():
