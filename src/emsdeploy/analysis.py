@@ -392,10 +392,17 @@ def save_model_reports(reports: Sequence[ModelReport], path: str | Path) -> None
             writer.writerow([r.label, r.variables, f"{r.average_mse:.4f}"])
 
 
+def _open_table(path: str | Path):
+    try:
+        return open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
+
+
 def load_svi_table(path: str | Path) -> dict[str, dict[str, float]]:
     """SVI CSV keyed by tract id with the 19 expected columns."""
     out: dict[str, dict[str, float]] = {}
-    with open(path, newline="") as f:
+    with _open_table(path) as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         if "tract_id" not in header:
@@ -404,18 +411,24 @@ def load_svi_table(path: str | Path) -> dict[str, dict[str, float]]:
         if missing:
             raise DataError(f"{path}: missing SVI columns: {', '.join(missing)}")
         for row in reader:
-            out[row["tract_id"]] = {c: float(row[c]) for c in SVI_COLUMNS}
+            try:
+                out[row["tract_id"]] = {c: float(row[c]) for c in SVI_COLUMNS}
+            except (TypeError, ValueError) as exc:  # a TypeError is a short row's missing field
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return out
 
 
 def load_tract_map(path: str | Path) -> dict[int, str]:
     """Cell-to-tract CSV with columns cell_index, tract_id."""
     out: dict[int, str] = {}
-    with open(path, newline="") as f:
+    with _open_table(path) as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         if "cell_index" not in header or "tract_id" not in header:
             raise DataError(f"{path}: need columns cell_index, tract_id")
         for row in reader:
-            out[int(row["cell_index"])] = row["tract_id"]
+            try:
+                out[int(row["cell_index"])] = row["tract_id"]
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
     return out

@@ -12,13 +12,12 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import DataError, SolverError
 from .geogrid import Grid
-from .ingest import CallTable, calibration_cells, trim_quantiles
+from .ingest import CallTable, calibration_pairs, trim_quantiles
 
 
 @dataclass
@@ -77,6 +76,18 @@ def apply(model: CalibrationModel, grid_s: float) -> float:
     raise DataError(f"unknown calibration kind: {model.kind!r}")
 
 
+def apply_many(model: CalibrationModel, grid_s: np.ndarray) -> np.ndarray:
+    """``apply`` of each grid time, as float64 of ``grid_s``'s shape.
+
+    Each distinct time (by its bits, so -0.0 apart from 0.0) is calibrated
+    once, in ascending order of its bits.
+    """
+    grid_s = np.asarray(grid_s, dtype=np.float64)
+    distinct, which = np.unique(grid_s.ravel().view(np.int64), return_inverse=True)
+    calibrated = np.array([apply(model, t) for t in distinct.view(np.float64).tolist()], dtype=np.float64)
+    return calibrated[which.ravel()].reshape(grid_s.shape)
+
+
 def _ols(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     x_mean, y_mean = xs.mean(), ys.mean()
     sxx = float(((xs - x_mean) ** 2).sum())
@@ -90,34 +101,41 @@ def _ols(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
     return a, b, r2
 
 
-def fit_loglog(pairs: Sequence[tuple[float, float]], trim_p: float = 0.01) -> CalibrationModel:
+def _trimmed(grid_s: np.ndarray, reported_s: np.ndarray, trim_p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The two columns, less the pairs whose reported time ``trim_quantiles`` cuts."""
+    grid_s = np.asarray(grid_s, dtype=np.float64)
+    reported_s = np.asarray(reported_s, dtype=np.float64)
+    if grid_s.ndim != 1 or grid_s.shape != reported_s.shape:
+        raise DataError(f"need two equal-length columns, got shapes {grid_s.shape} and {reported_s.shape}")
+    keep = trim_quantiles(reported_s, trim_p)
+    return grid_s[keep], reported_s[keep]
+
+
+def fit_loglog(grid_s: np.ndarray, reported_s: np.ndarray, trim_p: float = 0.01) -> CalibrationModel:
     """Least squares of log reported time on log grid time, after trimming.
 
     Pairs with a nonpositive grid or reported time are dropped (logs are
     undefined there); at least 3 usable pairs must remain.
     """
-    kept = trim_quantiles(list(pairs), trim_p)
-    usable = [(g, r) for g, r in kept if g > 0 and r > 0]
-    if len(usable) < 3:
-        raise DataError(f"need at least 3 positive pairs after trimming, got {len(usable)}")
-    gs = np.log(np.array([g for g, _ in usable], dtype=np.float64))
-    rs = np.log(np.array([r for _, r in usable], dtype=np.float64))
-    a, b, r2 = _ols(gs, rs)
+    gs, rs = _trimmed(grid_s, reported_s, trim_p)
+    positive = (gs > 0) & (rs > 0)
+    n_used = int(positive.sum())
+    if n_used < 3:
+        raise DataError(f"need at least 3 positive pairs after trimming, got {n_used}")
+    a, b, r2 = _ols(np.log(gs[positive]), np.log(rs[positive]))
     return CalibrationModel(
-        kind="loglog", intercept=a, slope=b, r_squared=r2, n_used=len(usable), trim_p=trim_p
+        kind="loglog", intercept=a, slope=b, r_squared=r2, n_used=n_used, trim_p=trim_p
     )
 
 
-def fit_linear(pairs: Sequence[tuple[float, float]], trim_p: float = 0.01) -> CalibrationModel:
+def fit_linear(grid_s: np.ndarray, reported_s: np.ndarray, trim_p: float = 0.01) -> CalibrationModel:
     """Least squares of reported time on grid time, after trimming."""
-    kept = trim_quantiles(list(pairs), trim_p)
-    if len(kept) < 3:
-        raise DataError(f"need at least 3 pairs after trimming, got {len(kept)}")
-    gs = np.array([g for g, _ in kept], dtype=np.float64)
-    rs = np.array([r for _, r in kept], dtype=np.float64)
+    gs, rs = _trimmed(grid_s, reported_s, trim_p)
+    if len(gs) < 3:
+        raise DataError(f"need at least 3 pairs after trimming, got {len(gs)}")
     a, b, r2 = _ols(gs, rs)
     return CalibrationModel(
-        kind="linear", intercept=a, slope=b, r_squared=r2, n_used=len(kept), trim_p=trim_p
+        kind="linear", intercept=a, slope=b, r_squared=r2, n_used=len(gs), trim_p=trim_p
     )
 
 
@@ -158,18 +176,16 @@ def verify(
     fields or lying off-grid are excluded and counted.
     """
     needed = batch_size * n_batches
-    usable, a, b = calibration_cells(test_calls, grid, snap_cells)
+    usable, grid_s, reported_s = calibration_pairs(test_calls, grid, snap_cells)
     if len(usable) < needed:
         raise DataError(
             f"need {needed} usable test calls ({batch_size} x {n_batches}), got {len(usable)}"
         )
     # the first ``needed`` usable calls are used; the excluded are the
     # unusable calls ahead of the last one used
-    usable, a, b = usable[:needed], a[:needed], b[:needed]
-    excluded = int(usable[-1]) + 1 - needed if needed else 0
-    reported = test_calls.reported_travel_s[usable].tolist()
-    errors = [apply(model, grid_s) - r for grid_s, r in zip(grid.travel_time_s[a, b].tolist(), reported)]
-    batches = np.array(errors, dtype=np.float64).reshape(n_batches, batch_size)
+    excluded = int(usable[needed - 1]) + 1 - needed if needed else 0
+    errors = apply_many(model, grid_s[:needed]) - reported_s[:needed]
+    batches = errors.reshape(n_batches, batch_size)
     means = batches.mean(axis=1)
     overall = float(means.mean())
     std = float(means.std(ddof=1)) if n_batches > 1 else 0.0

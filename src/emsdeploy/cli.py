@@ -348,8 +348,8 @@ def _read_calls(out: Path, name: str) -> ingest.CallTable:
     return calls
 
 
-def _load_matrix(cfg: RunConfig, out: Path) -> ingest.DemandMatrix:
-    return ingest.load_demand_matrix(_require(out / "demand_matrix.csv", "preprocess"), cfg.period_length_s)
+def _load_matrix(out: Path) -> ingest.DemandMatrix:
+    return ingest.load_demand_matrix(_require(out / "demand_matrix.csv", "preprocess"))
 
 
 def _load_model(out: Path) -> calibrate.CalibrationModel:
@@ -372,6 +372,19 @@ def _load_stationings(cfg: RunConfig, out: Path) -> list[tuple[str, np.ndarray]]
         except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
             raise DataError(f"{path}: not a stationing ({type(exc).__name__}: {exc})") from None
     return stationings
+
+
+def _load_verification(out: Path) -> list[float]:
+    """The batch mean errors of verify's report."""
+    path = _require(out / "verification.json", "verify")
+    try:
+        with open(path) as f:
+            errors = json.load(f)["batch_errors_s"]
+        if not isinstance(errors, list) or not all(isinstance(e, float) for e in errors):
+            raise TypeError("batch_errors_s is not a list of numbers")
+    except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        raise DataError(f"{path}: not a verification report ({type(exc).__name__}: {exc})") from None
+    return errors
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +427,7 @@ def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
-    matrix = _load_matrix(cfg, out)
+    matrix = _load_matrix(out)
     adjacency, ball = _regions(cfg, grid)
     rates = demand.fit_rates(matrix, adjacency, ball)
     uset = demand.build_uncertainty_set(rates, cfg.alpha, adjacency, ball)
@@ -428,19 +441,18 @@ def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
     if cfg.calibration_kind == "identity":
         model = calibrate.identity_model()
     else:
-        pairs, n_excluded = ingest.calibration_pairs(_read_calls(out, "calls_train.csv"), grid, cfg.snap_cells)
-        if cfg.calibration_kind == "loglog":
-            model = calibrate.fit_loglog(pairs, cfg.trim_p)
-        else:
-            model = calibrate.fit_linear(pairs, cfg.trim_p)
-        log.info("calibration fitted on %d pairs (%d excluded)", model.n_used, n_excluded)
+        train = _read_calls(out, "calls_train.csv")
+        usable, grid_s, reported_s = ingest.calibration_pairs(train, grid, cfg.snap_cells)
+        fit = calibrate.fit_loglog if cfg.calibration_kind == "loglog" else calibrate.fit_linear
+        model = fit(grid_s, reported_s, cfg.trim_p)
+        log.info("calibration fitted on %d pairs (%d excluded)", model.n_used, len(train) - len(usable))
     calibrate.save_model(model, out / "calibration.json")
     return {name: out / name for name in ("rates.json", "uncertainty.json", "calibration.json")}
 
 
 def cmd_optimize(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
-    matrix = _load_matrix(cfg, out)
+    matrix = _load_matrix(out)
     edges = _edges(cfg, grid)
     uset = _load_uset(cfg, out, grid)
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
@@ -545,7 +557,7 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
-    matrix = _load_matrix(cfg, out)
+    matrix = _load_matrix(out)
     model = _load_model(out)
     test_calls = _read_calls(out, "calls_test.csv")
     edges = _edges(cfg, grid)
@@ -619,15 +631,14 @@ def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
     ))
 
     model = _load_model(out)
-    pairs, _ = ingest.calibration_pairs(_read_calls(out, "calls_test.csv"), grid, cfg.snap_cells)
+    _, grid_s, reported_s = ingest.calibration_pairs(_read_calls(out, "calls_test.csv"), grid, cfg.snap_cells)
+    adjusted_s = calibrate.apply_many(model, grid_s)
     _write_csv(out / "plot_regression_scatter.csv", ["grid_s", "reported_s", "adjusted_s"], (
-        [repr(g), repr(r), repr(calibrate.apply(model, g))] for g, r in pairs
+        [repr(g), repr(r), repr(a)] for g, r, a in zip(grid_s.tolist(), reported_s.tolist(), adjusted_s.tolist())
     ))
 
-    with open(_require(out / "verification.json", "verify")) as f:
-        vdoc = json.load(f)
     _write_csv(out / "plot_verification_points.csv", ["batch", "mean_error_s"], (
-        [i, repr(err)] for i, err in enumerate(vdoc["batch_errors_s"], start=1)
+        [i, repr(err)] for i, err in enumerate(_load_verification(out), start=1)
     ))
 
     stations = [(i, cell, *grid.cell_centers[cell]) for i, cell in enumerate(grid.station_cells)]

@@ -254,7 +254,11 @@ def assign_cell(grid: Grid, lat: float, lon: float, snap_cells: float = 0.0) -> 
 def load_travel_matrix(path: str | Path) -> np.ndarray:
     """Parse a headerless CSV of decimal seconds and validate it as a travel matrix."""
     rows: list[list[float]] = []
-    with open(path, newline="") as f:
+    try:
+        f = open(path, newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read travel matrix {path}: {exc.strerror or exc}") from None
+    with f:
         for r, line in enumerate(csv.reader(f)):
             if not line:
                 continue

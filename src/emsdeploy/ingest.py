@@ -594,7 +594,6 @@ class DemandMatrix:
     """
 
     counts: np.ndarray
-    period_length_s: float
     start_wall_us: np.ndarray
     start_offset_us: np.ndarray
     n_dropped: int = 0
@@ -637,7 +636,7 @@ def build_demand_matrix(
     if period_length_s <= 0:
         raise ConfigError(f"period_length_s must be positive, got {period_length_s}")
     if not len(check_table(calls)):
-        return DemandMatrix(np.zeros((0, grid.n_cells), dtype=np.int64), period_length_s, [], [])
+        return DemandMatrix(np.zeros((0, grid.n_cells), dtype=np.int64), [], [])
     first = calls[:1]._stamps()[0]
     anchor = first.replace(hour=0, minute=0, second=0, microsecond=0)
     anchor_s = anchor.timestamp()
@@ -657,7 +656,7 @@ def build_demand_matrix(
         wall_us = _wall_us(list(map(datetime.astimezone, instants, repeat(zone))))
     else:
         wall_us = start_us + zone.utcoffset(None) // _MICROSECOND
-    return DemandMatrix(counts, period_length_s, wall_us, wall_us - start_us, int(len(calls) - inside.sum()))
+    return DemandMatrix(counts, wall_us, wall_us - start_us, int(len(calls) - inside.sum()))
 
 
 def peak_period_mask(
@@ -672,8 +671,7 @@ def peak_period_mask(
 
 def select_periods(matrix: DemandMatrix, mask: np.ndarray) -> DemandMatrix:
     keep = np.asarray(mask, dtype=bool)
-    return DemandMatrix(matrix.counts[keep], matrix.period_length_s, matrix.start_wall_us[keep],
-                        matrix.start_offset_us[keep], matrix.n_dropped)
+    return DemandMatrix(matrix.counts[keep], matrix.start_wall_us[keep], matrix.start_offset_us[keep], matrix.n_dropped)
 
 
 def save_demand_matrix(matrix: DemandMatrix, path: str | Path) -> None:
@@ -698,7 +696,7 @@ def save_demand_matrix(matrix: DemandMatrix, path: str | Path) -> None:
             f.write("\r\n".join(map(",".join, zip(stamps, *digits.T.tolist()))) + "\r\n")
 
 
-def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> DemandMatrix:
+def load_demand_matrix(path: str | Path) -> DemandMatrix:
     """Read ``save_demand_matrix``'s CSV. Raises DataError with the line
     number for a row whose width differs from the header's, a period start
     that is not an ISO timestamp, or a count that is not an integer.
@@ -735,7 +733,7 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
         wall_us.append((start - epoch) // _MICROSECOND)
         offset_us.append(offset)
     if not lines:
-        return DemandMatrix(np.zeros((0, width - 1), dtype=np.int64), period_length_s, [], [])
+        return DemandMatrix(np.zeros((0, width - 1), dtype=np.int64), [], [])
     try:
         with warnings.catch_warnings():
             # numpy 1.23-1.x parses an integer via a float, with a DeprecationWarning
@@ -750,7 +748,7 @@ def load_demand_matrix(path: str | Path, period_length_s: float = 3600.0) -> Dem
             except ValueError as exc:
                 raise DataError(f"{path}: line {n}: {exc}") from None
         counts = np.array(rows, dtype=np.int64).reshape(len(lines), width - 1)
-    return DemandMatrix(counts, period_length_s, wall_us, offset_us)
+    return DemandMatrix(counts, wall_us, offset_us)
 
 
 def split_train_test(
@@ -785,50 +783,34 @@ def split_train_test(
     raise ConfigError(f"unknown split mode: {mode!r}")
 
 
-def trim_quantiles(pairs: Sequence[tuple[float, float]], p: float) -> list[tuple[float, float]]:
-    """Drop pairs whose reported time falls in the bottom or top p tail.
+def trim_quantiles(reported_s: np.ndarray, p: float) -> np.ndarray:
+    """Keep mask of the reported times outside the bottom and top p tails.
 
-    Cut points are the nearest-rank order statistics: with n pairs the
-    lowest ceil(p*n) and highest ceil(p*n) reported values fall outside
-    the retained range.
+    Cut points are the nearest-rank order statistics: with n values the
+    lowest ceil(p*n) and highest ceil(p*n) fall outside the retained range,
+    and every value inside it, ties at a cut point included, is kept.
     """
     if not (0 <= p < 0.5):
         raise ConfigError(f"trim fraction must be in [0, 0.5), got {p}")
-    pairs = list(pairs)
-    n = len(pairs)
+    reported_s = np.asarray(reported_s, dtype=np.float64)
+    n = len(reported_s)
     if n == 0 or p == 0:
-        return pairs
+        return np.ones(n, dtype=bool)
     k = math.ceil(p * n)
-    reported = sorted(v for _, v in pairs)
     if k > n - 1 - k:
-        return []
-    lo, hi = reported[k], reported[n - 1 - k]
-    return [pair for pair in pairs if lo <= pair[1] <= hi]
+        return np.zeros(n, dtype=bool)
+    ordered = np.sort(reported_s)
+    return (ordered[k] <= reported_s) & (reported_s <= ordered[n - 1 - k])
 
 
 def calibration_pairs(
     calls: CallTable,
     grid: Grid,
     snap_cells: float = 1.0,
-) -> tuple[list[tuple[float, float]], int]:
-    """(grid travel s, reported travel s) pairs for calibration fitting.
-
-    Calls missing a reported travel time or ambulance origin, or lying
-    outside the snappable grid, are excluded; the count is returned.
-    """
-    usable, a, b = calibration_cells(calls, grid, snap_cells)
-    travel = grid.travel_time_s[a, b].tolist()
-    reported = calls.reported_travel_s[usable].tolist()
-    return list(zip(travel, reported)), len(calls) - len(usable)
-
-
-def calibration_cells(
-    calls: CallTable,
-    grid: Grid,
-    snap_cells: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positions of the calls usable for calibration, with their ambulance
-    and call cells, in call order.
+    """The calls usable for calibration, in call order: their positions,
+    and two float64 columns, each call's grid travel seconds from its
+    ambulance's cell to its own cell and its reported travel seconds.
 
     A call is usable if it has a reported travel time and an ambulance
     origin (a NaN reads as missing), and both its points lie on the
@@ -840,4 +822,5 @@ def calibration_cells(
     a, a_inside = assign_cells(grid, amb_lat[complete], amb_lon[complete], snap_cells)
     b, b_inside = assign_cells(grid, calls.lat[complete], calls.lon[complete], snap_cells)
     ok = a_inside & b_inside
-    return complete[ok], a[ok], b[ok]
+    usable = complete[ok]
+    return usable, grid.travel_time_s[a[ok], b[ok]], calls.reported_travel_s[usable]

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibrate import CalibrationModel, apply
+from .calibrate import CalibrationModel, apply_many
 from .errors import ConfigError, DataError
 from .geogrid import Grid, assign_cells_or_raise
 from .ingest import CallTable, check_table
@@ -212,11 +212,7 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
         nearest = legs = np.zeros(0)
     model = params.calibration
     if model is not None:
-        # each distinct grid time (by its bits, so -0.0 apart from 0.0) is calibrated once
-        grid_s = np.concatenate([rows.ravel(), legs])
-        distinct, which = np.unique(grid_s.view(np.int64), return_inverse=True)
-        calibrated = np.array([apply(model, t) for t in distinct.view(np.float64).tolist()], dtype=np.float64)
-        grid_s = calibrated[which.ravel()]
+        grid_s = apply_many(model, np.concatenate([rows.ravel(), legs]))
         rows, legs = grid_s[:rows.size].reshape(rows.shape), grid_s[rows.size:]
     travel: list[list[float] | None] = [None] * grid.n_cells
     for a, row in zip(starts, rows.tolist()):

@@ -5,10 +5,11 @@ the package code: a second haversine formula, high-precision Poisson CDF
 summation, brute-force routing enumeration, exhaustive stationing search,
 the demand search's root bounds built set by set with Python sets, a
 dispatch simulation that keeps every call in one event heap, one-point
-grid snapping, a call-log parser built on ``csv.DictReader``, a call-log
-writer built on ``csv.writer``, the bridge that codes hand-built records
-as a ``CallTable`` one record at a time, and a LASSO that keeps the full
-residual vector. Keep these slow and obvious.
+grid snapping, quantile trimming of a list of pairs and a calibration fit
+on pairs built record by record, a call-log parser built on
+``csv.DictReader``, a call-log writer built on ``csv.writer``, the bridge
+that codes hand-built records as a ``CallTable`` one record at a time, and
+a LASSO that keeps the full residual vector. Keep these slow and obvious.
 """
 
 from __future__ import annotations
@@ -324,6 +325,48 @@ def reference_assign_cell(grid, lat: float, lon: float, snap_cells: float = 0.0)
     row = min(max(math.floor((lat - min_lat) / h), 0), grid.n_rows - 1)
     col = min(max(math.floor((lon - min_lon) / w), 0), grid.n_cols - 1)
     return row * grid.n_cols + col
+
+
+def reference_trim_quantiles(pairs, p: float) -> list[tuple[float, float]]:
+    """Drop (grid, reported) pairs whose reported time falls in the bottom
+    or top p tail, sorting the reported times in a Python list.
+
+    Cut points are the nearest-rank order statistics: with n pairs the
+    lowest ceil(p*n) and highest ceil(p*n) reported values fall outside
+    the retained range.
+    """
+    if not (0 <= p < 0.5):
+        raise ConfigError(f"trim fraction must be in [0, 0.5), got {p}")
+    pairs = list(pairs)
+    n = len(pairs)
+    if n == 0 or p == 0:
+        return pairs
+    k = math.ceil(p * n)
+    reported = sorted(v for _, v in pairs)
+    if k > n - 1 - k:
+        return []
+    lo, hi = reported[k], reported[n - 1 - k]
+    return [pair for pair in pairs if lo <= pair[1] <= hi]
+
+
+def reference_calibration_fit(records, grid, kind: str, trim_p: float, snap_cells: float = 1.0):
+    """(a, b, n_used) of a calibration fit on (grid, reported) pairs built
+    record by record: each point snapped on its own, the pairs trimmed by
+    ``reference_trim_quantiles``, loglog's nonpositive pairs dropped and
+    its logs taken, and the line fitted by ``np.polyfit``."""
+    pairs = []
+    for r in records:
+        if r.reported_travel_s is None or r.ambulance_lat is None or r.ambulance_lon is None:
+            continue
+        a = reference_assign_cell(grid, r.ambulance_lat, r.ambulance_lon, snap_cells)
+        b = reference_assign_cell(grid, r.lat, r.lon, snap_cells)
+        if a is not None and b is not None:
+            pairs.append((float(grid.travel_time_s[a, b]), r.reported_travel_s))
+    kept = reference_trim_quantiles(pairs, trim_p)
+    if kind == "loglog":
+        kept = [(math.log(g), math.log(r)) for g, r in kept if g > 0 and r > 0]
+    slope, intercept = np.polyfit([g for g, _ in kept], [r for _, r in kept], 1)
+    return float(intercept), float(slope), len(kept)
 
 
 def reference_parse_calls(path, schema=None):

@@ -202,8 +202,8 @@ def test_criterion_7_calibration_recovery():
     with criterion(7, "calibration recovery"):
         # noiseless recovery at 1e-9
         gs = np.linspace(40.0, 1500.0, 60)
-        pairs = [(float(g), float(math.exp(0.7 + 0.85 * math.log(g)))) for g in gs]
-        model = calibrate.fit_loglog(pairs, trim_p=0.01)
+        reported = np.array([math.exp(0.7 + 0.85 * math.log(g)) for g in gs.tolist()])
+        model = calibrate.fit_loglog(gs, reported, trim_p=0.01)
         assert model.intercept == pytest.approx(0.7, abs=1e-9)
         assert model.slope == pytest.approx(0.85, abs=1e-9)
         assert model.r_squared == pytest.approx(1.0, abs=1e-9)
@@ -216,7 +216,7 @@ def test_criterion_7_calibration_recovery():
             rng = substream(1007, "calib-acceptance", seed)
             g = rng.uniform(30.0, 1800.0, size=n)
             reported = np.exp(a_true + b_true * np.log(g) + rng.normal(0, 0.3, size=n))
-            fit = calibrate.fit_loglog(list(zip(g, reported)), trim_p=0.0)
+            fit = calibrate.fit_loglog(g, reported, trim_p=0.0)
             lx = np.log(g)
             resid = np.log(reported) - (fit.intercept + fit.slope * lx)
             s2 = float((resid**2).sum()) / (n - 2)
@@ -260,8 +260,8 @@ def test_criterion_7_calibration_recovery():
                 ambulance_lat=amb_lat, ambulance_lon=amb_lon,
             ))
         calls = table_from_records(calls, ZoneInfo("UTC"))
-        cal_pairs, _ = ingest.calibration_pairs(calls, grid)
-        fitted = calibrate.fit_loglog(cal_pairs, trim_p=0.01)
+        _, grid_s, reported_s = ingest.calibration_pairs(calls, grid)
+        fitted = calibrate.fit_loglog(grid_s, reported_s, trim_p=0.01)
         report = calibrate.verify(calls, grid, fitted, batch_size=60, n_batches=10)
         se = report.std_error_s / math.sqrt(report.n_batches)
         assert abs(report.mean_error_s) <= 3 * se

@@ -5,9 +5,11 @@ from zoneinfo import ZoneInfo
 import numpy as np
 import pytest
 
+from emsdeploy import calibrate
 from emsdeploy.calibrate import (
     CalibrationModel,
     apply,
+    apply_many,
     fit_linear,
     fit_loglog,
     identity_model,
@@ -17,28 +19,29 @@ from emsdeploy.calibrate import (
 )
 from emsdeploy.errors import DataError, SolverError
 from emsdeploy.geogrid import SyntheticSpeedProvider, build_grid
-from emsdeploy.ingest import CallRecord
+from emsdeploy.ingest import CallRecord, calibration_pairs
 from oracles import table_from_records
 
 UTC = timezone.utc
 
 
-def exact_pairs(a, b, n=50, lo=30.0, hi=1200.0):
+def exact_columns(a, b, n=50, lo=30.0, hi=1200.0):
+    """Grid times and the reported times the loglog model (a, b) gives them."""
     gs = np.linspace(lo, hi, n)
-    return [(float(g), float(math.exp(a + b * math.log(g)))) for g in gs]
+    return gs, np.array([math.exp(a + b * math.log(g)) for g in gs.tolist()])
 
 
 def test_noiseless_recovery():
-    model = fit_loglog(exact_pairs(0.5, 0.9), trim_p=0.01)
+    model = fit_loglog(*exact_columns(0.5, 0.9), trim_p=0.01)
     assert model.intercept == pytest.approx(0.5, abs=1e-9)
     assert model.slope == pytest.approx(0.9, abs=1e-9)
     assert model.r_squared == pytest.approx(1.0, abs=1e-9)
 
 
 def test_refit_on_own_predictions_is_idempotent():
-    model = fit_loglog(exact_pairs(0.8, 0.7), trim_p=0.0)
-    pairs = [(g, apply(model, g)) for g, _ in exact_pairs(0.8, 0.7)]
-    refit = fit_loglog(pairs, trim_p=0.0)
+    gs, reported = exact_columns(0.8, 0.7)
+    model = fit_loglog(gs, reported, trim_p=0.0)
+    refit = fit_loglog(gs, apply_many(model, gs), trim_p=0.0)
     assert refit.intercept == pytest.approx(model.intercept, abs=1e-9)
     assert refit.slope == pytest.approx(model.slope, abs=1e-9)
     assert refit.r_squared == pytest.approx(1.0, abs=1e-9)
@@ -48,7 +51,7 @@ def test_pure_noise_gives_flat_fit():
     rng = np.random.default_rng(21)
     gs = rng.uniform(30.0, 1200.0, size=1000)
     reported = np.exp(rng.normal(5.0, 0.4, size=1000))  # independent of grid time
-    model = fit_loglog(list(zip(gs, reported)), trim_p=0.01)
+    model = fit_loglog(gs, reported, trim_p=0.01)
     assert abs(model.slope) < 0.1
     assert model.r_squared < 0.02
 
@@ -65,7 +68,7 @@ def test_noisy_recovery_within_standard_error_bands():
         gs = rng.uniform(30.0, 1800.0, size=n)
         noise = rng.normal(0.0, 0.3, size=n)
         reported = np.exp(a_true + b_true * np.log(gs) + noise)
-        model = fit_loglog(list(zip(gs, reported)), trim_p=0.0)
+        model = fit_loglog(gs, reported, trim_p=0.0)
         lx = np.log(gs)
         resid = np.log(reported) - (model.intercept + model.slope * lx)
         s2 = float((resid**2).sum()) / (n - 2)
@@ -80,15 +83,20 @@ def test_noisy_recovery_within_standard_error_bands():
 
 def test_fit_requires_enough_positive_pairs():
     with pytest.raises(DataError):
-        fit_loglog([(1.0, 1.0), (2.0, 2.0)], trim_p=0.0)
+        fit_loglog([1.0, 2.0], [1.0, 2.0], trim_p=0.0)
     with pytest.raises(DataError):
-        fit_loglog([(0.0, 1.0), (0.0, 2.0), (0.0, 3.0)], trim_p=0.0)
+        fit_loglog([0.0, 0.0, 0.0], [1.0, 2.0, 3.0], trim_p=0.0)
+
+
+@pytest.mark.parametrize("fit", [fit_loglog, fit_linear])
+def test_fit_refuses_columns_of_different_lengths(fit):
+    with pytest.raises(DataError, match="equal-length columns"):
+        fit([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0], trim_p=0.0)
 
 
 def test_fit_rejects_constant_regressor():
-    pairs = [(5.0, float(v)) for v in (1.0, 2.0, 3.0, 4.0)]
     with pytest.raises(SolverError):
-        fit_loglog(pairs, trim_p=0.0)
+        fit_loglog([5.0] * 4, [1.0, 2.0, 3.0, 4.0], trim_p=0.0)
 
 
 def test_apply_identity_and_neutral_loglog():
@@ -101,13 +109,36 @@ def test_apply_identity_and_neutral_loglog():
 
 
 def test_apply_monotone_when_slope_positive():
-    model = fit_loglog(exact_pairs(0.3, 0.8), trim_p=0.0)
+    model = fit_loglog(*exact_columns(0.3, 0.8), trim_p=0.0)
     assert apply(model, 100.0) < apply(model, 200.0)
 
 
+@pytest.mark.parametrize("model", [
+    identity_model(),
+    CalibrationModel(kind="loglog", intercept=1.2, slope=0.8),
+    CalibrationModel(kind="linear", intercept=-30.0, slope=1.1),
+], ids=["identity", "loglog", "linear"])
+def test_apply_many_calls_apply_once_per_distinct_time(model, monkeypatch):
+    grid_s = np.array([[60.0, 0.0, -0.0], [10.0, 60.0, 0.0]])
+    seen = []
+
+    def counting_apply(model, t):
+        seen.append(t)
+        return apply(model, t)
+
+    monkeypatch.setattr(calibrate, "apply", counting_apply)
+    got = apply_many(model, grid_s)
+    assert got.dtype == np.float64 and got.shape == grid_s.shape
+    # each time's bits, -0.0's included, are those apply gives it
+    want = [[apply(model, t) for t in row] for row in grid_s.tolist()]
+    assert [[repr(v) for v in row] for row in got.tolist()] == [[repr(v) for v in row] for row in want]
+    assert sorted(map(repr, seen)) == sorted(["60.0", "0.0", "-0.0", "10.0"])
+    assert apply_many(model, np.zeros(0)).shape == (0,)
+
+
 def test_fit_linear_recovers_line():
-    pairs = [(float(g), 30.0 + 0.5 * g) for g in np.linspace(10, 500, 40)]
-    model = fit_linear(pairs, trim_p=0.0)
+    gs = np.linspace(10, 500, 40)
+    model = fit_linear(gs, 30.0 + 0.5 * gs, trim_p=0.0)
     assert model.kind == "linear"
     assert model.intercept == pytest.approx(30.0, abs=1e-9)
     assert model.slope == pytest.approx(0.5, abs=1e-9)
@@ -115,7 +146,7 @@ def test_fit_linear_recovers_line():
 
 
 def test_model_json_roundtrip(tmp_path):
-    model = fit_loglog(exact_pairs(0.5, 0.9), trim_p=0.01)
+    model = fit_loglog(*exact_columns(0.5, 0.9), trim_p=0.01)
     path = tmp_path / "model.json"
     save_model(model, path)
     loaded = load_model(path)
@@ -180,10 +211,8 @@ def test_verify_fitted_model_is_unbiased():
     g = verify_grid()
     rng = np.random.default_rng(37)
     calls = make_verify_calls(g, 1.0, 0.8, 400, rng, noise=0.2)
-    from emsdeploy.ingest import calibration_pairs
-
-    pairs, _ = calibration_pairs(table(calls), g)
-    model = fit_loglog(pairs, trim_p=0.01)
+    _, grid_s, reported_s = calibration_pairs(table(calls), g)
+    model = fit_loglog(grid_s, reported_s, trim_p=0.01)
     report = verify(table(calls), g, model, batch_size=40, n_batches=10)
     se = report.std_error_s / math.sqrt(report.n_batches)
     assert abs(report.mean_error_s) <= 3 * se
@@ -193,10 +222,8 @@ def test_verify_detects_injected_bias():
     g = verify_grid()
     rng = np.random.default_rng(41)
     calls = make_verify_calls(g, 1.0, 0.8, 400, rng, noise=0.15)
-    from emsdeploy.ingest import calibration_pairs
-
-    pairs, _ = calibration_pairs(table(calls), g)
-    model = fit_loglog(pairs, trim_p=0.01)
+    _, grid_s, reported_s = calibration_pairs(table(calls), g)
+    model = fit_loglog(grid_s, reported_s, trim_p=0.01)
     biased = make_verify_calls(g, 1.0, 0.8, 400, np.random.default_rng(41), bias_s=60.0, noise=0.15)
     report = verify(table(biased), g, model, batch_size=40, n_batches=10)
     se = report.std_error_s / math.sqrt(report.n_batches)

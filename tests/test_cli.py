@@ -17,6 +17,7 @@ from emsdeploy.cli import COMMANDS, RunConfig, load_config, main
 from emsdeploy.errors import ConfigError
 from emsdeploy.ingest import CallRecord, CallTable, serialize_calls
 from emsdeploy.synth import SynthConfig, synth_calls, synth_grid, synth_tracts, write_svi_csv, write_tract_map_csv
+from oracles import reference_calibration_fit
 
 
 @pytest.fixture(scope="module")
@@ -438,8 +439,10 @@ def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, l
     ("grid.json", "[1]", "verify"),
     ("grid_travel.csv", None, "verify"),
     ("grid.json", lambda doc: {**doc, "bounds": [1, 2]}, "verify"),
+    ("verification.json", "{not json", "plotdata"),
+    ("verification.json", "{}", "plotdata"),
 ], ids=["calibration-invalid-json", "calibration-empty", "deployment-empty", "grid-empty", "grid-list",
-        "grid-travel-missing", "grid-two-bounds"])
+        "grid-travel-missing", "grid-two-bounds", "verification-invalid-json", "verification-empty"])
 def test_malformed_run_directory_file_is_exit_3(city, fitted_run, tmp_path, capsys, name, text, sub):
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)
@@ -453,6 +456,55 @@ def test_malformed_run_directory_file_is_exit_3(city, fitted_run, tmp_path, caps
     capsys.readouterr()
     assert run(city, sub, out) == 3
     assert name in capsys.readouterr().err
+
+
+def _spoil_first_row(path: Path, column: str, value: str) -> None:
+    rows = list(csv.reader(path.read_text().splitlines()))
+    rows[1][rows[0].index(column)] = value
+    path.write_text("".join(",".join(row) + "\n" for row in rows))
+
+
+@pytest.mark.parametrize("field, spoil, sub", [
+    ("svi_csv", None, "analyze"),
+    ("svi_csv", lambda path: _spoil_first_row(path, "E_POV", "many"), "analyze"),
+    ("tract_map_csv", None, "analyze"),
+    ("tract_map_csv", lambda path: _spoil_first_row(path, "cell_index", "1.5"), "analyze"),
+    ("travel_matrix_csv", None, "grid"),
+], ids=["svi-missing", "svi-non-number", "tract-map-missing", "tract-map-non-integer-cell", "travel-matrix-missing"])
+def test_malformed_config_named_file_is_exit_3(city, tmp_path, capsys, field, spoil, sub):
+    path = tmp_path / f"{field}.csv"
+    if spoil is not None:
+        shutil.copy(city["raw"][field], path)
+        spoil(path)
+    extra = ("--travel_provider", "matrix") if field == "travel_matrix_csv" else ()
+    out = tmp_path / "run"
+    assert run(city, "grid", out) == 0
+    capsys.readouterr()
+    assert run(city, sub, out, (f"--{field}", str(path), *extra)) == 3
+    assert str(path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["linear", "identity"])
+def test_each_calibration_kind_runs_fit_through_plotdata(city, tmp_path, kind):
+    out = tmp_path / "run"
+    for sub in ("grid", "preprocess", "fit", "optimize", "simulate", "verify", "plotdata"):
+        assert run(city, sub, out, ("--calibration_kind", kind)) == 0, f"{sub} failed"
+    model = json.loads((out / "calibration.json").read_text())
+    assert model["kind"] == kind
+    if kind == "identity":
+        assert (model["a"], model["b"], model["n_used"]) == (0.0, 1.0, 0)
+    else:
+        records = ingest.parse_calls(out / "calls_train.csv")[0].records()
+        a, b, n_used = reference_calibration_fit(records, geogrid.load_grid(out / "grid.json"), kind, model["trim_p"])
+        assert model["n_used"] == n_used > 0
+        assert model["a"] == pytest.approx(a, rel=1e-9, abs=1e-9)
+        assert model["b"] == pytest.approx(b, rel=1e-9, abs=1e-9)
+    with open(out / "plot_regression_scatter.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    assert rows
+    if kind == "identity":
+        assert all(row["adjusted_s"] == row["grid_s"] for row in rows)
+    assert json.loads((out / "verification.json").read_text())["n_batches"] == city["raw"]["verify_n_batches"]
 
 
 def test_missing_upstream_names_prior_subcommand(city, tmp_path, capsys):

@@ -38,6 +38,7 @@ from emsdeploy.ingest import (
 from oracles import (
     reference_parse_calls,
     reference_serialize_calls,
+    reference_trim_quantiles,
     start_columns,
     start_times,
     table_from_records,
@@ -65,7 +66,6 @@ RULES_ON_CALLS = {
     "split_train_test": lambda calls, grid, path: split_train_test(calls),
     "build_demand_matrix": lambda calls, grid, path: build_demand_matrix(calls, grid),
     "calibration_pairs": lambda calls, grid, path: calibration_pairs(calls, grid),
-    "calibration_cells": lambda calls, grid, path: ingest.calibration_cells(calls, grid),
     "serialize_calls": lambda calls, grid, path: serialize_calls(calls, path),
     "serialize_calls_kept": lambda calls, grid, path: serialize_calls_kept(calls, path, path.parent),
     "calibrate.verify": lambda calls, grid, path: calibrate.verify(calls, grid, calibrate.identity_model(), 1, 1),
@@ -612,7 +612,7 @@ def test_demand_matrix_export_roundtrip(tmp_path):
 
 
 def test_demand_matrix_header_only_roundtrip(tmp_path):
-    m = DemandMatrix(np.zeros((0, 4), dtype=np.int64), 3600.0, [], [])
+    m = DemandMatrix(np.zeros((0, 4), dtype=np.int64), [], [])
     path = tmp_path / "demand.csv"
     save_demand_matrix(m, path)
     loaded = load_demand_matrix(path)
@@ -633,7 +633,7 @@ def test_load_demand_matrix_names_the_line_of_a_bad_count(tmp_path, bad_line):
 def test_save_demand_matrix_text_as_per_row_writer(tmp_path):
     counts = np.array([[0, 0, 0], [1, 2**31, 0], [2**40 + 3, 0, 7]], dtype=np.int64)
     starts = [datetime(2024, 1, 1, h, tzinfo=UTC) for h in range(3)]
-    m = DemandMatrix(counts, 3600.0, *start_columns(starts))
+    m = DemandMatrix(counts, *start_columns(starts))
     path = tmp_path / "demand.csv"
     save_demand_matrix(m, path)
     want = tmp_path / "want.csv"
@@ -689,27 +689,38 @@ def test_split_too_few_calls():
 
 
 def test_trim_p_zero_is_identity():
-    pairs = [(float(i), float(i * 2)) for i in range(10)]
-    assert trim_quantiles(pairs, 0.0) == pairs
+    reported = np.arange(10) * 2.0
+    assert trim_quantiles(reported, 0.0).tolist() == [True] * 10
 
 
 def test_trim_hundred_distinct_leaves_98():
-    pairs = [(1.0, float(v)) for v in range(100)]
-    kept = trim_quantiles(pairs, 0.01)
+    reported = np.arange(100, dtype=np.float64)
+    kept = reported[trim_quantiles(reported, 0.01)]
     assert len(kept) == 98
-    reported = [r for _, r in kept]
-    assert min(reported) == 1.0 and max(reported) == 98.0
+    assert kept.min() == 1.0 and kept.max() == 98.0
 
 
 def test_trim_removes_zero_reported_outliers():
-    pairs = [(1.0, 0.0)] + [(1.0, float(v)) for v in range(60, 360)]
-    kept = trim_quantiles(pairs, 0.01)
-    assert all(r > 0 for _, r in kept)
+    reported = np.array([0.0] + [float(v) for v in range(60, 360)])
+    assert np.all(reported[trim_quantiles(reported, 0.01)] > 0)
 
 
 def test_trim_rejects_bad_fraction():
     with pytest.raises(ConfigError):
-        trim_quantiles([(1.0, 1.0)], 0.5)
+        trim_quantiles(np.array([1.0]), 0.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(st.sampled_from([0.0, -0.0, 1.0, 30.0, 600.0]), st.floats(allow_nan=False)), max_size=60),
+    st.floats(0.0, 0.5, exclude_max=True),
+)
+def test_trim_keeps_the_pairs_the_list_trim_keeps(reported, p):
+    # ties come from the small pool; each pair's grid time is its position
+    pairs = [(float(i), r) for i, r in enumerate(reported)]
+    keep = trim_quantiles(np.array(reported, dtype=np.float64), p)
+    assert keep.dtype == bool and keep.shape == (len(pairs),)
+    assert [pair for pair, k in zip(pairs, keep.tolist()) if k] == reference_trim_quantiles(pairs, p)
 
 
 def test_calibration_pairs_excludes_incomplete():
@@ -721,9 +732,10 @@ def test_calibration_pairs_excludes_incomplete():
         ambulance_lon=-97.55,
     )
     missing = rec(datetime(2024, 1, 1, 10, tzinfo=UTC), reported_travel_s=100.0)
-    pairs, excluded = calibration_pairs(table([full, missing]), g)
-    assert len(pairs) == 1 and excluded == 1
-    assert pairs[0][1] == 120.0
+    usable, grid_s, reported_s = calibration_pairs(table([full, missing]), g)
+    assert usable.tolist() == [0]
+    assert grid_s.dtype == reported_s.dtype == np.float64
+    assert len(grid_s) == 1 and reported_s.tolist() == [120.0]
 
 
 def test_calibration_pairs_exclude_non_finite_points():
@@ -732,8 +744,8 @@ def test_calibration_pairs_exclude_non_finite_points():
     full = rec(t, reported_travel_s=120.0, ambulance_lat=30.15, ambulance_lon=-97.55)
     nan_origin = rec(t, reported_travel_s=90.0, ambulance_lat=math.nan, ambulance_lon=-97.55)
     nan_scene = rec(t, lat=math.nan, reported_travel_s=90.0, ambulance_lat=30.15, ambulance_lon=-97.55)
-    pairs, excluded = calibration_pairs(table([nan_origin, full, nan_scene]), g)
-    assert [p[1] for p in pairs] == [120.0] and excluded == 2
+    usable, grid_s, reported_s = calibration_pairs(table([nan_origin, full, nan_scene]), g)
+    assert usable.tolist() == [1] and len(grid_s) == 1 and reported_s.tolist() == [120.0]
 
 
 # --- the CallTable a kept parse loads, and the rules written on its columns
@@ -895,7 +907,8 @@ def test_column_rules_are_the_record_rules(case, window):
         assert np.array_equal(peak_period_mask(got_matrix, start, end, weekdays), [
             t.weekday() in weekdays and start <= t.time() < end for t in start_times(want_matrix)
         ])
-    assert calibration_pairs(table, grid) == calibration_pairs(rebuilt, grid)
+    for got, want in zip(calibration_pairs(table, grid), calibration_pairs(rebuilt, grid)):
+        assert got.tolist() == want.tolist()
 
 
 def test_demand_matrix_starts_step_in_absolute_time_across_dst(tmp_path):

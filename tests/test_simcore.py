@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_simulate, table_from_records
 
-from emsdeploy import simcore
+from emsdeploy import calibrate, simcore
 from emsdeploy.calibrate import CalibrationModel
 from emsdeploy.errors import ConfigError, DataError
 from emsdeploy.geogrid import MatrixProvider, SyntheticSpeedProvider, assign_cell, build_grid
@@ -371,13 +371,13 @@ def test_returning_unit_redispatched_from_home_cell():
 def test_calibration_applied_at_most_once_per_cell_pair(monkeypatch):
     g, calls, params = golden_city()
     seen = []
-    inner = simcore.apply
+    inner = calibrate.apply
 
     def counting_apply(model, grid_s):
         seen.append(grid_s)
         return inner(model, grid_s)
 
-    monkeypatch.setattr(simcore, "apply", counting_apply)
+    monkeypatch.setattr(calibrate, "apply", counting_apply)
     simulate([1, 1], table(g, calls), g, params, seed=2024)
     assert 0 < len(seen) <= g.n_cells ** 2
 
@@ -386,13 +386,13 @@ def test_calibration_only_for_rows_a_leg_starts_from(monkeypatch):
     # legs start at a station or a hospital; scene-to-hospital legs add one per cell
     g, calls, params = golden_city()
     seen = []
-    inner = simcore.apply
+    inner = calibrate.apply
 
     def counting_apply(model, grid_s):
         seen.append(grid_s)
         return inner(model, grid_s)
 
-    monkeypatch.setattr(simcore, "apply", counting_apply)
+    monkeypatch.setattr(calibrate, "apply", counting_apply)
     simulate([1, 1], table(g, calls), g, params, seed=2024)
     starts = set(g.station_cells) | set(g.hospital_cells)
     assert 0 < len(seen) <= (len(starts) + 1) * g.n_cells
