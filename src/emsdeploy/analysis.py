@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SolverError
+from .errors import ConfigError, DataError, SolverError, open_input
 from .geogrid import Grid, assign_cells
 from .ingest import CallTable, check_table
 from .rng import derive_seed, substream
@@ -84,7 +84,8 @@ def assemble_tracts(
     time from the stations, in minutes. Tract features are the
     call-frequency weighted average over the tract's cells; the dependent
     is the mean reported travel time of the tract's calls. Tracts without
-    calls, or missing from the SVI table, are dropped and counted.
+    calls, or missing from the SVI table, are dropped and counted; a tract
+    map cell outside the grid is a DataError naming it.
     """
     if not grid.station_cells:
         raise DataError("grid has no stations; grid-time features are undefined")
@@ -94,13 +95,14 @@ def assemble_tracts(
 
     tract_cells: dict[str, list[int]] = {}
     for cell, tract in tract_map.items():
+        if not 0 <= cell < grid.n_cells:
+            raise DataError(f"tract map cell {cell} (tract {tract}) is outside the {grid.n_cells}-cell grid")
         tract_cells.setdefault(tract, []).append(int(cell))
     # each call with a reported travel time, by the tract of its cell (-1: none)
     tracts = sorted(tract_cells)
     tract_of_cell = np.full(grid.n_cells, -1, dtype=np.int64)
     for t, tract in enumerate(tracts):
-        cells_in = [c for c in tract_cells[tract] if 0 <= c < grid.n_cells]
-        tract_of_cell[cells_in] = t
+        tract_of_cell[tract_cells[tract]] = t
     reported_s = check_table(calls).reported_travel_s
     has = ~np.isnan(reported_s)
     call_cells, inside = assign_cells(grid, calls.lat[has], calls.lon[has], snap_cells)
@@ -122,11 +124,9 @@ def assemble_tracts(
         if svi is None:
             dropped_no_svi += 1
             continue
+        # a reported call's cell is among its tract's cells, so the weights sum above 0
         cells = tract_cells[tract]
-        weights = np.array([cell_calls[c] if 0 <= c < grid.n_cells else 0 for c in cells], dtype=np.float64)
-        if weights.sum() == 0:
-            no_calls += 1
-            continue
+        weights = cell_calls[cells].astype(np.float64)
         weights /= weights.sum()
         min_t = float(np.dot(weights, cell_min_min[cells]))
         avg_t = float(np.dot(weights, cell_avg_min[cells]))
@@ -146,18 +146,11 @@ def assemble_tracts(
     )
 
 
-@dataclass
-class FoldStats:
-    mean: np.ndarray
-    std: np.ndarray
-    zero_variance_cols: list[int]
-
-
-def standardize_fold(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray, FoldStats]:
+def standardize_fold(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Standardize columns with the train mean and sample std (divisor n-1).
 
     The test side is transformed with the train statistics. Zero-variance
-    train columns are zeroed on both sides and flagged.
+    train columns are zeroed on both sides.
     """
     train = np.asarray(train, dtype=np.float64)
     test = np.asarray(test, dtype=np.float64)
@@ -165,14 +158,13 @@ def standardize_fold(train: np.ndarray, test: np.ndarray) -> tuple[np.ndarray, n
         raise DataError("need at least 2 train rows to standardize")
     mean = train.mean(axis=0)
     std = train.std(axis=0, ddof=1)
-    zero = [int(c) for c in np.nonzero(std == 0.0)[0]]
-    safe = np.where(std == 0.0, 1.0, std)
+    zero = std == 0.0
+    safe = np.where(zero, 1.0, std)
     train_z = (train - mean) / safe
     test_z = (test - mean) / safe
-    if zero:
-        train_z[:, zero] = 0.0
-        test_z[:, zero] = 0.0
-    return train_z, test_z, FoldStats(mean=mean, std=std, zero_variance_cols=zero)
+    train_z[:, zero] = 0.0
+    test_z[:, zero] = 0.0
+    return train_z, test_z
 
 
 def fit_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -285,52 +277,32 @@ def _predict(beta: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _select_lambda(
     X: np.ndarray, y: np.ndarray, grid: Sequence[float], seed: int, outer_fold: int
 ) -> float:
-    """Inner cross-validation over the lambda ladder; ties take the larger lambda."""
+    """Inner cross-validation over the lambda ladder; ties take the larger lambda.
+
+    ``X`` has at least 2 rows (the caller standardized it), so there are at
+    least 2 inner folds, none empty; an inner split with under 2 training rows
+    is skipped, and with none left the first lambda is taken. A fit that does
+    not converge raises its SolverError.
+    """
     n = X.shape[0]
-    k_inner = min(5, n)
-    if k_inner < 2:
-        return float(grid[0])
     # each inner fold is standardized once and fitted at every lambda
     splits = []
-    for fold in _fold_indices(n, k_inner, derive_seed(seed, "lambda-select", outer_fold)):
+    for fold in _fold_indices(n, min(5, n), derive_seed(seed, "lambda-select", outer_fold)):
         mask = np.ones(n, dtype=bool)
         mask[fold] = False
-        if mask.sum() < 2 or len(fold) == 0:
+        if mask.sum() < 2:
             continue
-        tr_x, te_x, _ = standardize_fold(X[mask], X[fold])
+        tr_x, te_x = standardize_fold(X[mask], X[fold])
         splits.append((tr_x, y[mask], te_x, y[fold]))
+    if not splits:
+        return float(grid[0])
     best_lam, best_mse = None, None
     for lam in grid:
-        mses = []
-        try:
-            for tr_x, tr_y, te_x, te_y in splits:
-                beta = fit_lasso(tr_x, tr_y, lam)
-                mses.append(float(((te_y - _predict(beta, te_x)) ** 2).mean()))
-        except SolverError:
-            continue  # a lambda that cannot converge is disqualified
-        if not mses:
-            continue
-        avg = float(np.mean(mses))
+        avg = float(np.mean([((te_y - _predict(fit_lasso(tr_x, tr_y, lam), te_x)) ** 2).mean()
+                             for tr_x, tr_y, te_x, te_y in splits]))
         if best_mse is None or avg < best_mse or (avg == best_mse and lam > best_lam):
             best_lam, best_mse = float(lam), avg
-    return float(grid[0]) if best_lam is None else best_lam
-
-
-def _fit_lasso_with_fallback(X: np.ndarray, y: np.ndarray, lam: float, grid: Sequence[float]) -> np.ndarray:
-    """Fit at lam, stepping up the ladder if coordinate descent stalls.
-
-    Larger penalties converge faster, so the first convergent value above
-    the requested one is used; only if every candidate fails is the error
-    propagated.
-    """
-    ladder = [lam] + sorted(v for v in grid if v > lam)
-    last_err: SolverError | None = None
-    for v in ladder:
-        try:
-            return fit_lasso(X, y, v)
-        except SolverError as err:
-            last_err = err
-    raise last_err
+    return best_lam
 
 
 def compare_models(
@@ -368,10 +340,10 @@ def compare_models(
             if cols is None:
                 pred = np.full(len(fold), y_tr.mean())
             else:
-                tr_x, te_x, _ = standardize_fold(dataset.X[mask][:, cols], dataset.X[fold][:, cols])
+                tr_x, te_x = standardize_fold(dataset.X[mask][:, cols], dataset.X[fold][:, cols])
                 if label == "Lasso":
                     lam = _select_lambda(dataset.X[mask][:, cols], y_tr, lambda_grid, seed, fold_no)
-                    beta = _fit_lasso_with_fallback(tr_x, y_tr, lam, lambda_grid)
+                    beta = fit_lasso(tr_x, y_tr, lam)
                 else:
                     beta = fit_ols(tr_x, y_tr)
                 pred = _predict(beta, te_x)
@@ -392,17 +364,10 @@ def save_model_reports(reports: Sequence[ModelReport], path: str | Path) -> None
             writer.writerow([r.label, r.variables, f"{r.average_mse:.4f}"])
 
 
-def _open_table(path: str | Path):
-    try:
-        return open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror or exc}") from None
-
-
 def load_svi_table(path: str | Path) -> dict[str, dict[str, float]]:
     """SVI CSV keyed by tract id with the 19 expected columns."""
     out: dict[str, dict[str, float]] = {}
-    with _open_table(path) as f:
+    with open_input(path, "SVI table") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         if "tract_id" not in header:
@@ -421,7 +386,7 @@ def load_svi_table(path: str | Path) -> dict[str, dict[str, float]]:
 def load_tract_map(path: str | Path) -> dict[int, str]:
     """Cell-to-tract CSV with columns cell_index, tract_id."""
     out: dict[int, str] = {}
-    with _open_table(path) as f:
+    with open_input(path, "tract map") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
         if "cell_index" not in header or "tract_id" not in header:

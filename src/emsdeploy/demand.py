@@ -175,11 +175,12 @@ class UncertaintySet:
         row holding most of what is left, the other the binding row whose
         left regions' open bounds exceed its cap by the most, each the first
         such row on ties; once no row holds (or saves) anything, every region
-        left goes alone. Each set keeps, per level, the partition of lower
-        root value, the first rule's on ties. Returns (binding, steps, root):
-        binding is S x R over ``_rows()``; steps[level] lists the steps as
-        (row, group), row the S taken rows, -1 for regions alone, and group
-        the S x n regions the step takes; root is 3 x S."""
+        left goes alone. Returns (binding, steps, root): binding is S x R
+        over ``_rows()``; steps[level] holds both rules' steps, each rule's a
+        list of (row, group), row the S taken rows, -1 for regions alone, and
+        group the S x n regions the step takes; root[level] is both rules'
+        root values, 3 x 2 x S. A set's bound at a level is the lower of its
+        two values."""
         rows, caps = self._rows()
         n = self.n_regions
         # float products (exact on these small integers) run in BLAS
@@ -207,25 +208,22 @@ class UncertaintySet:
             weight = held * open_bound[:, None]
             most, most_value = greedy(lo, hi, lambda left: left @ held)
             saved, saved_value = greedy(lo, hi, lambda left: left @ weight - caps[lo:hi])
-            pick = saved_value < most_value
-            empty = (np.full(len(masks), -1), np.zeros_like(masks))
-            steps.append([(np.where(pick, r_saved, r_most), np.where(pick[:, None], g_saved, g_most))
-                          for (r_most, g_most), (r_saved, g_saved)
-                          in itertools.zip_longest(most, saved, fillvalue=empty)])
-            root.append(np.minimum(most_value, saved_value))
+            steps.append((most, saved))
+            root.append((most_value, saved_value))
         return binding, steps, np.array(root)
 
     def _prepare(self, regions) -> tuple[np.ndarray, list[int], list[list[int]], list]:
         """The fixed data of a search on ``regions`` (a boolean mask): the
         masked region indices; the residual caps, region p's own cap for
         p < m, then the binding rows' caps; each region's limits, the
-        residuals that hold it; and the three partitions of ``_partitions``
-        as (residual, regions) groups."""
+        residuals that hold it; and, per level, the partition of
+        ``_partitions``' rule of lower root value as (residual, regions)
+        groups."""
         mask = np.asarray(regions, dtype=bool)
         picked = np.flatnonzero(mask)
         m = len(picked)
         rows, caps = self._rows()
-        binding, steps, _ = self._partitions(mask[None])
+        binding, steps, root = self._partitions(mask[None])
         bound = np.flatnonzero(binding[0])
         residual = self.single_cap[picked].tolist() + caps[bound].tolist()
         limits = [[p] for p in range(m)]
@@ -234,9 +232,10 @@ class UncertaintySet:
         slot = dict(zip(bound.tolist(), range(m, m + len(bound))))
         position = np.cumsum(mask) - 1  # masked region -> its index in picked
         partitions = []
-        for level in steps:
+        for (most, saved), (most_value, saved_value) in zip(steps, root):
             groups = []
-            for row, group in level:
+            # the tighter rule's partition, the first rule's on ties
+            for row, group in saved if saved_value[0] < most_value[0] else most:
                 held = position[group[0]].tolist()
                 if row[0] < 0:
                     groups.extend((p, [p]) for p in held)
@@ -267,7 +266,7 @@ class UncertaintySet:
             v = np.where(masks[:, p], np.minimum(residual[:, holding].min(axis=1), self.single_cap[p]), 0)
             residual[:, holding] -= v[:, None]
             leaves[:, p] = v
-        return leaves.sum(axis=1), root.min(axis=0), leaves
+        return leaves.sum(axis=1), root.min(axis=(0, 1)), leaves
 
     def max_demand(self, regions) -> tuple[int, np.ndarray]:
         """Most total demand a member places on ``regions`` (a boolean mask),

@@ -18,7 +18,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, OutOfBoundsError
+from .errors import ConfigError, DataError, OutOfBoundsError, open_input
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -254,11 +254,7 @@ def assign_cell(grid: Grid, lat: float, lon: float, snap_cells: float = 0.0) -> 
 def load_travel_matrix(path: str | Path) -> np.ndarray:
     """Parse a headerless CSV of decimal seconds and validate it as a travel matrix."""
     rows: list[list[float]] = []
-    try:
-        f = open(path, newline="")
-    except OSError as exc:
-        raise DataError(f"cannot read travel matrix {path}: {exc.strerror or exc}") from None
-    with f:
+    with open_input(path, "travel matrix") as f:
         for r, line in enumerate(csv.reader(f)):
             if not line:
                 continue

@@ -32,7 +32,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, open_input
 from .geogrid import Grid, assign_cells
 from .rng import substream
 
@@ -88,7 +88,8 @@ class ParseReport:
 
 def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[CallTable, ParseReport]:
     """Parse a call-log CSV into a CallTable in order of instant (a stable
-    sort of the UTC us).
+    sort of the UTC us). The log is read as UTF-8: a file that is missing, or
+    not UTF-8, is a DataError naming it.
 
     Naive timestamps are interpreted in the schema's timezone (earlier
     offset on DST transitions). Blank lines are skipped and not counted; a
@@ -117,11 +118,7 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[Cal
     report = ParseReport()
     # each chunk's wall us, zone code, UTC us and floats, after those of no rows
     chunks = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((8, 0)))]
-    try:
-        f = open(path, newline="")
-    except FileNotFoundError:
-        raise DataError(f"call log not found: {path}")
-    with f:
+    with open_input(path, "call log") as f:
         pieces = _line_chunks(f, path)
         lines, rows = next(pieces, ([""], None))  # the header's line, or row
         header = rows[0] if lines is None else _split_line(lines[0])

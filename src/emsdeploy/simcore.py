@@ -195,21 +195,21 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
     call_t = times.tolist()
     n_calls = len(call_t)
 
-    # A leg starts at a station (a free unit is at home) or where a unit
-    # frees: its call's hospital, or the scene when the grid has none. Only
-    # those rows of travel[a][b], calibrated seconds from cell a to cell b,
-    # are built; scene-to-hospital legs are looked up per cell.
+    # A unit frees where its call's last leg ends: the nearest hospital by raw
+    # grid time (ties to the lower cell index), or the scene itself, a leg of
+    # 0.0 s that is never calibrated, when the grid has none. A leg starts at
+    # a station (a free unit is at home) or at a free cell, so only those rows
+    # of travel[a][b], calibrated seconds from cell a to cell b, are built.
     stations = grid.station_cells
-    hospitals = grid.hospital_cells
-    starts = sorted(set(stations) | set(hospitals)) if hospitals else list(range(grid.n_cells))
-    rows = grid.travel_time_s[starts]
+    hospitals = sorted(set(grid.hospital_cells))
     if hospitals:
-        # nearest hospital per cell by raw grid time, ties to the lower cell index
-        by_cell = np.array(sorted(set(hospitals)))
-        nearest = by_cell[np.argmin(grid.travel_time_s[:, by_cell], axis=1)]
+        nearest = np.array(hospitals)[np.argmin(grid.travel_time_s[:, hospitals], axis=1)]
         legs = grid.travel_time_s[np.arange(grid.n_cells), nearest]
     else:
-        nearest = legs = np.zeros(0)
+        nearest, legs = np.arange(grid.n_cells), np.zeros(0)
+    free_cell = nearest.tolist()
+    starts = sorted(set(stations) | set(free_cell))
+    rows = grid.travel_time_s[starts]
     model = params.calibration
     if model is not None:
         grid_s = apply_many(model, np.concatenate([rows.ravel(), legs]))
@@ -217,8 +217,7 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
     travel: list[list[float] | None] = [None] * grid.n_cells
     for a, row in zip(starts, rows.tolist()):
         travel[a] = row
-    hospital_of = nearest.tolist() if hospitals else [None] * grid.n_cells
-    to_hospital = legs.tolist() if hospitals else [None] * grid.n_cells
+    to_free = legs.tolist() if hospitals else [0.0] * grid.n_cells
     # A free ambulance is always at its home station, so the closest free
     # unit is the first free one in order of (travel from its station to
     # the call's cell, id): ambulances are numbered by station, so that is
@@ -246,8 +245,8 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
 
     def serve(until: float | None) -> list[tuple] | None:
         """Each unit that frees before ``until`` (any unit, for None) serves
-        the head of the queue from where it freed (the scene or the
-        hospital); the heap, or None once the queue is empty."""
+        the head of the queue from where it freed (its call's free cell);
+        the heap, or None once the queue is empty."""
         while until is None or heap[0][0] < until:
             now, _, _, by, a = heap[0]
             call = waiting.popleft()
@@ -259,13 +258,8 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
             call_rows[call] = (call, call_t[call], cell, a, wait, leg, response, response > threshold)
             t_scene = now + leg
             t_dep = t_scene + service_s[call]
-            hospital = hospital_of[cell]
-            if hospital is None:
-                chains[call] = (by, now, here, t_scene, t_dep, t_dep, cell)
-                t_free = t_dep
-            else:
-                t_free = t_dep + to_hospital[cell]
-                chains[call] = (by, now, here, t_scene, t_dep, t_free, hospital)
+            t_free = t_dep + to_free[cell]
+            chains[call] = (by, now, here, t_scene, t_dep, t_free, free_cell[cell])
             free[a] = t_free
             last[a] = call
             if not waiting:
@@ -297,14 +291,8 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
         call_rows[call] = (call, now, cell, a, 0.0, leg, response, response > threshold)
         t_scene = now + leg
         t_dep = t_scene + service_s[call]
-        hospital = hospital_of[cell]
-        if hospital is None:
-            chains[call] = (-1, now, here, t_scene, t_dep, t_dep, cell)
-            free[a] = t_dep
-        else:
-            t_free = t_dep + to_hospital[cell]
-            chains[call] = (-1, now, here, t_scene, t_dep, t_free, hospital)
-            free[a] = t_free
+        t_free = free[a] = t_dep + to_free[cell]
+        chains[call] = (-1, now, here, t_scene, t_dep, t_free, free_cell[cell])
         last[a] = call
     if heap is not None:
         serve(None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from emsdeploy import analysis
 from emsdeploy.analysis import (
     FEATURE_NAMES,
     SVI_COLUMNS,
@@ -128,28 +129,29 @@ def test_assemble_matches_two_pass_oracle():
 def test_standardize_two_point_column():
     train = np.array([[1.0], [3.0]])
     test = np.array([[2.0], [5.0]])
-    tr, te, stats = standardize_fold(train, test)
+    tr, te = standardize_fold(train, test)
     # sample std with divisor n-1: std of {1, 3} is sqrt(2)
     expected = 1.0 / np.sqrt(2.0)
     assert tr.ravel().tolist() == pytest.approx([-expected, expected])
-    assert te[0, 0] == 0.0  # test value at the train mean
-    assert stats.mean[0] == 2.0
-    assert stats.std[0] == pytest.approx(np.sqrt(2.0))
+    # the test side by the train mean 2 and std sqrt(2)
+    assert te[0, 0] == 0.0
+    assert te[1, 0] == pytest.approx(3.0 / np.sqrt(2.0))
 
 
 def test_standardize_idempotent():
     rng = np.random.default_rng(5)
     train = rng.normal(10, 3, size=(20, 4))
-    tr, _, _ = standardize_fold(train, train)
-    tr2, _, _ = standardize_fold(tr, tr)
+    tr, _ = standardize_fold(train, train)
+    tr2, _ = standardize_fold(tr, tr)
     assert np.allclose(tr, tr2, atol=1e-12)
 
 
 def test_standardize_zero_variance_column_zeroed():
     train = np.array([[5.0, 1.0], [5.0, 2.0], [5.0, 3.0]])
-    tr, te, stats = standardize_fold(train, train)
-    assert stats.zero_variance_cols == [0]
-    assert np.all(tr[:, 0] == 0.0)
+    tr, te = standardize_fold(train, np.array([[7.0, 4.0]]))
+    # column 0 is zeroed on both sides, off the train value too; column 1 is scaled
+    assert tr[:, 0].tolist() == [0.0, 0.0, 0.0] and te[0, 0] == 0.0
+    assert tr[:, 1].tolist() == [-1.0, 0.0, 1.0] and te[0, 1] == 2.0
 
 
 def test_ols_noiseless_recovery():
@@ -352,6 +354,20 @@ def test_compare_models_deterministic():
     assert [(r.label, r.variables, r.average_mse) for r in a] == [
         (r.label, r.variables, r.average_mse) for r in b
     ]
+
+
+def test_compare_models_raises_the_lasso_failure_at_its_lambda(monkeypatch):
+    # a fit that does not converge at one lambda of the ladder is not
+    # disqualified nor refit at a larger lambda: its error reaches the caller
+    def stalls_at_tenth(X, y, lam, **kwargs):
+        if lam == 0.1:
+            raise SolverError(f"LASSO did not converge within 100000 sweeps (lambda={lam})")
+        return fit_lasso(X, y, lam, **kwargs)
+
+    monkeypatch.setattr(analysis, "fit_lasso", stalls_at_tenth)
+    ds = random_dataset(np.random.default_rng(16), n_tracts=30)
+    with pytest.raises(SolverError, match=r"\(lambda=0\.1\)"):
+        compare_models(ds, k=5, seed=2)
 
 
 def test_compare_models_reports_all_five():

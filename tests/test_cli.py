@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import emsdeploy
-from emsdeploy import geogrid, ingest, simcore
+from emsdeploy import analysis, geogrid, ingest, simcore
 from emsdeploy.cli import COMMANDS, RunConfig, load_config, main
-from emsdeploy.errors import ConfigError
+from emsdeploy.errors import ConfigError, SolverError
 from emsdeploy.ingest import CallRecord, CallTable, serialize_calls
 from emsdeploy.synth import SynthConfig, synth_calls, synth_grid, synth_tracts, write_svi_csv, write_tract_map_csv
 from oracles import reference_calibration_fit
@@ -464,24 +464,59 @@ def _spoil_first_row(path: Path, column: str, value: str) -> None:
     path.write_text("".join(",".join(row) + "\n" for row in rows))
 
 
-@pytest.mark.parametrize("field, spoil, sub", [
-    ("svi_csv", None, "analyze"),
-    ("svi_csv", lambda path: _spoil_first_row(path, "E_POV", "many"), "analyze"),
-    ("tract_map_csv", None, "analyze"),
-    ("tract_map_csv", lambda path: _spoil_first_row(path, "cell_index", "1.5"), "analyze"),
-    ("travel_matrix_csv", None, "grid"),
-], ids=["svi-missing", "svi-non-number", "tract-map-missing", "tract-map-non-integer-cell", "travel-matrix-missing"])
-def test_malformed_config_named_file_is_exit_3(city, tmp_path, capsys, field, spoil, sub):
+def _not_utf8(path: Path) -> None:
+    path.write_bytes(b"\xff\xfe0,1\n")  # a UTF-16 byte-order mark: \xff never starts a UTF-8 character
+
+
+def _add_row(row: str):
+    return lambda path: path.write_text(path.read_text() + row + "\n")
+
+
+@pytest.mark.parametrize("field, spoil, sub, named", [
+    ("svi_csv", None, "analyze", None),
+    ("svi_csv", lambda path: _spoil_first_row(path, "E_POV", "many"), "analyze", None),
+    ("svi_csv", _not_utf8, "analyze", None),
+    ("tract_map_csv", None, "analyze", None),
+    ("tract_map_csv", lambda path: _spoil_first_row(path, "cell_index", "1.5"), "analyze", None),
+    ("tract_map_csv", _not_utf8, "analyze", None),
+    ("tract_map_csv", _add_row("99,T00"), "analyze", "cell 99 "),
+    ("tract_map_csv", _add_row("-1,T00"), "analyze", "cell -1 "),
+    ("travel_matrix_csv", None, "grid", None),
+    ("travel_matrix_csv", _not_utf8, "grid", None),
+    ("calls_csv", _not_utf8, "preprocess", None),
+], ids=["svi-missing", "svi-non-number", "svi-not-utf8", "tract-map-missing", "tract-map-non-integer-cell",
+        "tract-map-not-utf8", "tract-map-cell-past-grid", "tract-map-negative-cell", "travel-matrix-missing",
+        "travel-matrix-not-utf8", "calls-not-utf8"])
+def test_malformed_config_named_file_is_exit_3(city, tmp_path, capsys, field, spoil, sub, named):
+    # the error names the file, or the tract map's cell outside the grid
     path = tmp_path / f"{field}.csv"
     if spoil is not None:
-        shutil.copy(city["raw"][field], path)
+        if field in city["raw"]:
+            shutil.copy(city["raw"][field], path)
         spoil(path)
     extra = ("--travel_provider", "matrix") if field == "travel_matrix_csv" else ()
     out = tmp_path / "run"
     assert run(city, "grid", out) == 0
     capsys.readouterr()
     assert run(city, sub, out, (f"--{field}", str(path), *extra)) == 3
-    assert str(path) in capsys.readouterr().err
+    assert (named or str(path)) in capsys.readouterr().err
+
+
+def test_lasso_failure_is_exit_4_naming_its_lambda(city, tmp_path, capsys, monkeypatch):
+    # a LASSO fit that does not converge is not refit at another lambda
+    fit_lasso = analysis.fit_lasso
+
+    def stalls_at_tenth(X, y, lam, **kwargs):
+        if lam == 0.1:
+            raise SolverError(f"LASSO did not converge within 100000 sweeps (lambda={lam})")
+        return fit_lasso(X, y, lam, **kwargs)
+
+    monkeypatch.setattr(analysis, "fit_lasso", stalls_at_tenth)
+    out = tmp_path / "run"
+    assert run(city, "grid", out) == 0
+    capsys.readouterr()
+    assert run(city, "analyze", out) == 4
+    assert "(lambda=0.1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["linear", "identity"])

@@ -351,27 +351,33 @@ def test_partitions_cover_each_mask_and_never_loosen_the_greedy_bound(uset, data
     stack = np.array(drawn, dtype=bool)
     rows, caps = uset._rows()
     binding, steps, root = uset._partitions(stack)
-    assert root.shape == (3, len(stack))
+    assert root.shape == (3, 2, len(stack))
     for s, mask in enumerate(stack):
         # a region's open bound: its single cap, or a binding row's cap if less
         open_bound = np.array([min([int(uset.single_cap[p])] + caps[binding[s] & rows[:, p]].tolist())
                                for p in range(n_j)])
         greedy = reference_root_values(uset, mask)
         for level, (lo, hi) in enumerate(((0, n_j), (n_j, 2 * n_j), (2 * n_j, 2 * n_j + 1))):
-            seen, value = np.zeros(n_j, dtype=bool), 0
-            for row, group in steps[level]:
-                r, g = int(row[s]), group[s]
-                assert not (g & seen).any()
-                seen |= g
-                if r < 0:
-                    value += int(open_bound[g].sum())
-                else:
-                    assert lo <= r < hi and binding[s, r]
-                    assert not (g & ~rows[r]).any()
-                    value += min(int(caps[r]), int(open_bound[g].sum()))
-            assert seen.tolist() == mask.tolist()
-            most, saved = greedy[level]
-            assert int(root[level, s]) == value == min(most, saved) <= most
+            # each rule's steps partition the mask into groups worth its root value
+            for rule in range(2):
+                seen, value = np.zeros(n_j, dtype=bool), 0
+                for row, group in steps[level][rule]:
+                    r, g = int(row[s]), group[s]
+                    assert not (g & seen).any()
+                    seen |= g
+                    if r < 0:
+                        value += int(open_bound[g].sum())
+                    else:
+                        assert lo <= r < hi and binding[s, r]
+                        assert not (g & ~rows[r]).any()
+                        value += min(int(caps[r]), int(open_bound[g].sum()))
+                assert seen.tolist() == mask.tolist()
+                assert int(root[level, rule, s]) == value == greedy[level][rule]
+        # the search bounds by the tighter rule's partition at each level
+        _, residual, limits, partitions = uset._prepare(mask)
+        ub = [min(residual[k] for k in held) for held in limits]
+        values = [sum(min(residual[k], sum(ub[p] for p in g)) for k, g in groups) for groups in partitions]
+        assert values == [min(pair) for pair in greedy]
 
 
 def test_open_bound_is_at_most_the_single_cap():

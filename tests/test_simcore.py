@@ -402,6 +402,8 @@ CALIBRATIONS = (
     None,
     CalibrationModel(kind="loglog", intercept=1.2, slope=0.8),
     CalibrationModel(kind="linear", intercept=-30.0, slope=1.1),
+    # maps 0 s to 30 s, so a scene leg (0 s, never calibrated) would show if calibrated
+    CalibrationModel(kind="linear", intercept=30.0, slope=0.9),
 )
 
 
