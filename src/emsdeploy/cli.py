@@ -233,10 +233,14 @@ def load_config(path: str | None, overrides: dict[str, object]) -> RunConfig:
     doc: dict = {}
     if path:
         try:
-            with open(path) as f:
+            with open(path, encoding="utf-8") as f:
                 doc = json.load(f)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
+        except OSError as exc:
+            raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"config file {path} is not UTF-8 text: {exc.reason}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}")
         if not isinstance(doc, dict):
@@ -711,7 +715,10 @@ def main(argv: list[str] | None = None) -> int:
             overrides["seed"] = args.seed
         cfg = load_config(args.config, overrides)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out}: {exc.strerror or exc}")
         files = COMMANDS[args.subcommand](cfg, out)
         config_path = out / "config_resolved.json"
         _write_json(config_path, cfg.to_dict())

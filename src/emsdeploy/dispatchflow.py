@@ -240,26 +240,49 @@ def min_shortfall(x, d, edges) -> ShortfallResult:
 class ClosedCutEvaluator:
     """The closed cuts' station side, shared by the solvers' evaluators.
 
-    ``stochastic.minimize_deployment`` asks an evaluator for ``value(x)``,
-    its exact objective, and ``bound(x, free, k)``, a lower bound on the
-    value of every completion adding at most ``free`` units at stations k
-    and later. Those units are pooled: the pool adds to the station side of
-    each cut leaving such a station outside S (reach >= k), the only cuts
-    on which a completion's added units count, so no completion has a larger
-    side on any cut. Both objectives fall as station sides rise, so the
-    bound is admissible; at k = |I| the pool raises no cut.
+    ``stochastic.minimize_deployment`` asks an evaluator for three things:
+
+    - ``value(x)``, its exact objective;
+    - ``bound(x, free, k)``, a lower bound on the value of every completion
+      adding at most ``free`` units at stations k and later, used for the
+      root and by the admissibility tests;
+    - ``child_bounds(x, free, k)``, the bounds of the ``free + 1`` children
+      of the node fixing x[:k]: child v fixes x_k = v and pools the other
+      ``free - v`` units, and its entry equals
+      ``bound(x + v e_k, free - v, k + 1)`` exactly.
+
+    The pooled units add to the station side of each cut leaving a station
+    k or later outside S (reach >= k), the only cuts on which a completion's
+    added units count, so no completion has a larger side on any cut. Both
+    objectives fall as station sides rise, so the bound is admissible; at
+    k = |I| the pool raises no cut.
+
+    On cut c, child v's station side is A_c + v D_c, with A_c = x[:k](I \\ S_c)
+    + free [reach_c >= k + 1] and D_c = [k not in S_c] - [reach_c >= k + 1],
+    which is -1, 0 or +1. So each objective needs, per group of cuts with
+    one D, a single extreme over A (``child_sides``), and every child's bound
+    follows from those three numbers; all are integers, exact in float64.
     """
 
     def __init__(self, edges: EdgeSet):
         self.edges = edges
         self._inside, self._covered, self._reach = edges.closed_cuts()
         self._outside = (~self._inside).astype(np.float64)  # row: the stations not in S
+        # per station k, the cuts with D = 0, +1 and -1
+        d = (~self._inside).astype(np.int8) - (self._reach[:, None] > np.arange(edges.n_stations))
+        self._groups = [tuple(np.flatnonzero(d[:, k] == g) for g in (0, 1, -1)) for k in range(edges.n_stations)]
 
     def station_side(self, x, free_units: int = 0, first_free: int = 0) -> np.ndarray:
         """x(I \\ S) per closed cut S, plus ``free_units`` pooled for stations
         ``first_free`` and later."""
         pool = np.where(self._reach >= first_free, float(free_units), 0.0)
         return self._outside @ np.asarray(x, dtype=np.float64) + pool
+
+    def child_sides(self, x, free_units: int, k: int) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+        """A, the station side the children of the node fixing x[:k] share
+        (x is zero from k on), and the indices of the cuts with D = 0, +1
+        and -1."""
+        return self.station_side(x, free_units, k + 1), self._groups[k]
 
 
 class ScenarioEvaluator(ClosedCutEvaluator):
@@ -295,6 +318,19 @@ class ScenarioEvaluator(ClosedCutEvaluator):
 
     def value(self, x) -> float:
         return self.bound(x, 0, self.edges.n_stations)
+
+    def child_bounds(self, x, free_units: int, k: int) -> list[float]:
+        """Child v's max flow per scenario is min(m0, m+ + v, m- - v), m_D
+        the least A + region cost over the cuts with that D."""
+        side, groups = self.child_sides(x, free_units, k)
+        least = []
+        for g in groups:
+            cost = self._region_cost[g]
+            cost += side[g, None]
+            least.append(cost.min(axis=0, initial=np.inf))
+        v = np.arange(free_units + 1)[:, None]
+        maxflow = np.minimum(least[0], np.minimum(least[1] + v, least[2] - v))
+        return np.rint(self._demand_sums - maxflow).astype(np.int64).mean(axis=1).tolist()
 
     def _shortfall(self, station_side: np.ndarray) -> np.ndarray:
         maxflow = (station_side[:, None] + self._region_cost).min(axis=0)

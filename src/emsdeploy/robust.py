@@ -51,8 +51,9 @@ class CutTable(ClosedCutEvaluator):
     lower and an upper bound on its W, and a member attaining the lower one,
     all from one ``UncertaintySet.demand_bounds_stack`` pass; W is known
     when they are equal, and ``max_demand`` runs on a set only when its cut
-    can set the worst case of an x given to ``worst_case``. ``bound`` reads
-    the lower values, which only rise, and ``value`` is the exact worst case."""
+    can set the worst case of an x given to ``worst_case``. ``bound`` and
+    ``child_bounds`` read the lower values, which only rise, and ``value`` is
+    the exact worst case."""
 
     def __init__(self, uset: UncertaintySet, edges: EdgeSet):
         super().__init__(edges)
@@ -75,6 +76,14 @@ class CutTable(ClosedCutEvaluator):
         side is empty, so it is never below max(value - free_units, 0) once
         ``value(x)`` has refined the cuts attaining it."""
         return float((self.lower - self.station_side(x, free_units, first_free)).max())
+
+    def child_bounds(self, x, free_units: int, k: int) -> list[float]:
+        """Child v's bound is max(M0, M+ - v, M- + v), M_D the max of the
+        lower values less A over the cuts with that D."""
+        side, groups = self.child_sides(x, free_units, k)
+        slack = self.lower - side
+        top0, top_plus, top_minus = (slack[g].max(initial=-np.inf) for g in groups)
+        return [float(max(top0, top_plus - v, top_minus + v)) for v in range(free_units + 1)]
 
     def value(self, x) -> float:
         return float(self.worst_case(x)[0])

@@ -5,7 +5,8 @@ The exact search is a best-first branch and bound over integer stationing
 vectors summing to at most the fleet bound, fixing stations in index order.
 It is the one search of both solvers: the evaluator owns the objective, its
 exact ``value`` and the ``bound`` of a prefix, which pools the prefix's
-unplaced ambulances for the stations it has not fixed (see
+unplaced ambulances for the stations it has not fixed, and gives all of a
+node's children's bounds in one pass (see
 ``dispatchflow.ClosedCutEvaluator``). Here the evaluator is a
 ``ScenarioEvaluator`` and the objective the scenario mean; the robust solve
 passes its ``robust.CutTable``. The frontier is ordered by (bound, prefix),
@@ -80,10 +81,13 @@ class SearchResult:
 def minimize_deployment(ev, n: int, config: SearchConfig | None = None) -> SearchResult:
     """Exact min over stationings (sum <= n) of ``ev.value(x)``.
 
-    ``ev`` has ``edges``, ``value(x)`` and ``bound(x, free, k)``, a lower
-    bound on the value of every completion of the prefix x[:k] that adds at
-    most ``free`` units at stations k and later (see
-    ``dispatchflow.ClosedCutEvaluator``); bounds may rise between calls. A
+    ``ev`` has ``edges`` and the evaluator protocol of
+    ``dispatchflow.ClosedCutEvaluator``: ``value(x)``; ``bound(x, free, k)``,
+    a lower bound on the value of every completion of the prefix x[:k] that
+    adds at most ``free`` units at stations k and later, here only for the
+    root; and ``child_bounds(x, free, k)``, the ``free + 1`` children's
+    bounds from one pass over the cuts, child v's equal to
+    ``bound(x + v e_k, free - v, k + 1)``. Bounds may rise between calls. A
     popped complete stationing whose value exceeds its key is pushed back
     under its value, so every key stays a valid bound and a leaf returns
     only when its key is its value.
@@ -100,10 +104,7 @@ def minimize_deployment(ev, n: int, config: SearchConfig | None = None) -> Searc
         x[: len(prefix)] = prefix
         return x
 
-    def bound_of(prefix: tuple[int, ...]) -> float:
-        return ev.bound(padded(prefix), n - sum(prefix), len(prefix))
-
-    heap: list[tuple[float, tuple[int, ...]]] = [(bound_of(()), ())]
+    heap: list[tuple[float, tuple[int, ...]]] = [(ev.bound(padded(()), n, 0), ())]
     nodes = 0
     while heap:
         bound, prefix = heapq.heappop(heap)
@@ -126,9 +127,8 @@ def minimize_deployment(ev, n: int, config: SearchConfig | None = None) -> Searc
                 nodes=nodes,
             )
         free = n - sum(prefix)
-        for v in range(free + 1):
-            child = prefix + (v,)
-            heapq.heappush(heap, (bound_of(child), child))
+        for v, child_bound in enumerate(ev.child_bounds(padded(prefix), free, len(prefix))):
+            heapq.heappush(heap, (child_bound, prefix + (v,)))
     raise SolverError("search frontier exhausted without a complete stationing")
 
 

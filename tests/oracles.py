@@ -6,7 +6,8 @@ summation, brute-force routing enumeration, exhaustive stationing search,
 the demand search's root bounds built set by set with Python sets, a
 dispatch simulation that keeps every call in one event heap, one-point
 grid snapping, quantile trimming of a list of pairs and a calibration fit
-on pairs built record by record, a call-log parser built on
+on pairs built record by record, the stationing branch and bound bounding
+each child with its own ``bound`` call, a call-log parser built on
 ``csv.DictReader``, a call-log writer built on ``csv.writer``, the bridge
 that codes hand-built records as a ``CallTable`` one record at a time, and
 a LASSO that keeps the full residual vector. Keep these slow and obvious.
@@ -39,6 +40,7 @@ from emsdeploy.ingest import (
     ParseReport,
 )
 from emsdeploy.rng import substream
+from emsdeploy.stochastic import OptimalityFlag, SearchResult
 
 
 def haversine_km_alt(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
@@ -130,6 +132,43 @@ def exhaustive_best_deployment(demands: np.ndarray, n: int, n_stations: int,
         if best_obj is None or obj < best_obj:
             best_x, best_obj = x, obj
     return best_x, best_obj
+
+
+def reference_minimize_deployment(ev, n: int, max_nodes: int = 1_000_000):
+    """``stochastic.minimize_deployment`` as it was before ``child_bounds``:
+    the same best-first search over (bound, prefix), with every child
+    bounded by its own ``ev.bound`` pass over the cuts."""
+    n_i = ev.edges.n_stations
+
+    def padded(prefix):
+        x = np.zeros(n_i, dtype=np.int64)
+        x[: len(prefix)] = prefix
+        return x
+
+    def bound_of(prefix):
+        return ev.bound(padded(prefix), n - sum(prefix), len(prefix))
+
+    heap = [(bound_of(()), ())]
+    nodes = 0
+    while heap:
+        bound, prefix = heapq.heappop(heap)
+        nodes += 1
+        if len(prefix) == n_i:
+            value = ev.value(padded(prefix))
+            if value > bound:
+                heapq.heappush(heap, (value, prefix))
+                continue
+            return SearchResult(x=padded(prefix), objective=value, flag=OptimalityFlag("exact"), nodes=nodes)
+        if nodes >= max_nodes:
+            incumbent = padded(prefix)
+            obj = ev.value(incumbent)
+            lowest = min(bound, min((b for b, _ in heap), default=bound))
+            return SearchResult(x=incumbent, objective=obj,
+                                flag=OptimalityFlag("bound_gap", gap=max(obj - lowest, 0.0)), nodes=nodes)
+        for v in range(n - sum(prefix) + 1):
+            child = prefix + (v,)
+            heapq.heappush(heap, (bound_of(child), child))
+    raise SolverError("search frontier exhausted without a complete stationing")
 
 
 def box_members(uset) -> np.ndarray:

@@ -249,6 +249,29 @@ def test_bad_config_value_is_exit_2(city, tmp_path):
     assert run(city, "grid", tmp_path / "x", ("--alpha", "2.0")) == 2
 
 
+@pytest.mark.parametrize("spoil, message", [("not-utf8", "config file"), ("directory", "cannot read config file")])
+def test_unreadable_config_file_is_exit_2_naming_it(tmp_path, capsys, spoil, message):
+    # refused as a config error, not a UnicodeDecodeError or IsADirectoryError traceback
+    config = tmp_path / "config.json"
+    if spoil == "not-utf8":
+        config.write_bytes(b"\xff\xfe{}")
+    else:
+        config.mkdir()
+    assert main(["grid", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert f"config error: {message} {config}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("under", [False, True])
+def test_out_that_cannot_be_a_directory_is_exit_2_naming_it(city, tmp_path, capsys, under):
+    # --out naming a regular file, or a path under one: refused before any stage runs
+    taken = tmp_path / "taken"
+    taken.write_text("a file\n")
+    out = taken / "run" if under else taken
+    assert run(city, "grid", out) == 2
+    assert f"config error: cannot make output directory {out}" in capsys.readouterr().err
+    assert taken.read_text() == "a file\n"
+
+
 @pytest.mark.parametrize("grid", ["[]", "[-0.1]", "[0.01, NaN]", "[Infinity]", '["a"]', "0.1"])
 def test_bad_lambda_grid_is_exit_2(city, tmp_path, monkeypatch, grid):
     # refused while the config loads, before any stage parses the calls

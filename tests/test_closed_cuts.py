@@ -11,8 +11,14 @@ from hypothesis import strategies as st
 
 from emsdeploy.dispatchflow import ScenarioEvaluator, edges_from_coverage, min_shortfall
 from emsdeploy.robust import CutTable, solve_robust_ccg
-from emsdeploy.stochastic import ScenarioSet, solve_stochastic
-from oracles import box_members, brute_min_shortfall_many, compositions_at_most, exhaustive_best_deployment
+from emsdeploy.stochastic import ScenarioSet, SearchConfig, minimize_deployment, solve_stochastic
+from oracles import (
+    box_members,
+    brute_min_shortfall_many,
+    compositions_at_most,
+    exhaustive_best_deployment,
+    reference_minimize_deployment,
+)
 from test_robust import binding_sets
 
 
@@ -86,6 +92,56 @@ def test_cut_table_bound_is_admissible_and_tighter(uset, data):
     edges = data.draw(nested_coverages(5, uset.n_regions))
     x = np.array(data.draw(st.lists(st.integers(0, 2), min_size=edges.n_stations, max_size=edges.n_stations)))
     check_bound(CutTable(uset, edges), x)
+
+
+def check_child_bounds(ev, x):
+    """At every node x[:k], child v's entry is the bound of x[:k] + (v,)
+    with the other free - v units pooled, to the bit."""
+    n_i = ev.edges.n_stations
+    for k in range(n_i):
+        prefix = x.copy()
+        prefix[k:] = 0
+        for free in range(4):
+            got = ev.child_bounds(prefix, free, k)
+            want = []
+            for v in range(free + 1):
+                child = prefix.copy()
+                child[k] = v
+                want.append(ev.bound(child, free - v, k + 1))
+            assert got == want
+
+
+@settings(max_examples=150, deadline=None)
+@given(binding_sets(max_regions=4), st.data())
+def test_child_bounds_equal_each_childs_bound(uset, data):
+    n_j = uset.n_regions
+    edges = data.draw(nested_coverages(5, n_j))
+    m = data.draw(st.integers(1, 3))
+    demands = np.array(data.draw(st.lists(st.integers(0, 3), min_size=m * n_j, max_size=m * n_j))).reshape(m, n_j)
+    x = np.array(data.draw(st.lists(st.integers(0, 2), min_size=edges.n_stations, max_size=edges.n_stations)))
+    check_child_bounds(ScenarioEvaluator(edges, demands), x)
+    cuts = CutTable(uset, edges)
+    check_child_bounds(cuts, x)
+    # again once the exact worst cases of some stationings have raised lower values
+    for y in (x, np.zeros_like(x), np.ones_like(x)):
+        cuts.value(y)
+    check_child_bounds(cuts, x)
+
+
+@settings(max_examples=100, deadline=None)
+@given(binding_sets(max_regions=4), st.data())
+def test_search_matches_the_per_child_reference(uset, data):
+    n_j = uset.n_regions
+    edges = data.draw(nested_coverages(6, n_j))
+    m = data.draw(st.integers(1, 3))
+    demands = np.array(data.draw(st.lists(st.integers(0, 3), min_size=m * n_j, max_size=m * n_j))).reshape(m, n_j)
+    n = data.draw(st.integers(0, 4))
+    # a node limit also stops both searches at the same incumbent and gap
+    max_nodes = data.draw(st.sampled_from([1, 2, 5, 1_000_000]))
+    for make in (lambda: ScenarioEvaluator(edges, demands), lambda: CutTable(uset, edges)):
+        got = minimize_deployment(make(), n, SearchConfig(max_nodes))
+        want = reference_minimize_deployment(make(), n, max_nodes)
+        assert (got.x.tolist(), got.objective, got.nodes, got.flag) == (want.x.tolist(), want.objective, want.nodes, want.flag)
 
 
 @settings(max_examples=120, deadline=None)

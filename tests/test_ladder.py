@@ -5,8 +5,10 @@ gave before the search scored closed cuts only; at 16 and 20 stations, with
 a fleet of 2, checked against exhaustive search and the certificate's own
 shortfall; one robust rung at alpha 0.001, pinned to the values of the full
 W table; the I = 12 cut table's bounds, pinned to the values the per-set
-bound pass gave; and the exact W of every set of that table at alpha 0.001,
-pinned to the values the search gave with one greedy partition per level."""
+bound pass gave; the exact W of every set of that table at alpha 0.001,
+pinned to the values the search gave with one greedy partition per level;
+and the nodes both searches visit at fleet 6 from 8 to 20 stations, pinned
+to the counts of the search that bounded each child on its own."""
 
 import hashlib
 from datetime import time as clock_time
@@ -44,6 +46,13 @@ CLOSED = {10: 188, 12: 544, 14: 875, 16: 1255, 20: 3424}
 LOW_ALPHA = ([0, 0, 0, 1, 1, 1, 0, 1, 1, 0, 0, 0], 8, {3: 2, 4: 2, 17: 1, 18: 2, 22: 2, 23: 1, 24: 1})
 # best-first nodes at I = 12 when every bound pooled the free units at any station
 FULL_POOL_NODES_I12 = 4132
+# best-first nodes at fleet 6, stochastic and robust, as the search visited
+# them when each child of a node was bounded by its own pass over the cuts
+NODES = {8: (64, 31), 10: (121, 67), 12: (204, 96), 14: (441, 166), 16: (1103, 284)}
+# fleet 6 at 20 stations: the stochastic x, objective and nodes, and the
+# robust nodes. The stochastic search took 9.8 s with a pass per child and
+# takes 3.8 s with one per node, so this rung also guards the node's cost
+RUNG_20 = ([0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 0, 0, 0, 1, 1, 0, 0, 1, 0], 0.68, 5541, 812)
 # the fresh I = 12 cut table's 544 region sets: SHA-256 of the lower values',
 # the upper values' and the first leaves' int64 bytes, and the number of sets
 # whose bounds meet. The lower values and leaves are the per-set bound pass's;
@@ -130,6 +139,28 @@ def test_depth_aware_bound_visits_a_fifth_of_the_nodes(city):
     result = stochastic.minimize_deployment(dispatchflow.ScenarioEvaluator(edges, scenarios.demands), FLEET)
     assert result.x.tolist() == GOLDEN[12][0]
     assert result.nodes <= FULL_POOL_NODES_I12 // 5
+
+
+@pytest.mark.parametrize("n_stations", sorted(NODES))
+def test_search_visits_the_pinned_nodes(city, n_stations):
+    bounds, uset, scenarios = city
+    edges = ladder_edges(bounds, n_stations)
+    sto = stochastic.minimize_deployment(dispatchflow.ScenarioEvaluator(edges, scenarios.demands), FLEET)
+    rob = stochastic.minimize_deployment(robust.CutTable(uset, edges), FLEET)
+    assert (sto.nodes, rob.nodes) == NODES[n_stations]
+    if n_stations in GOLDEN:
+        assert [sto.x.tolist(), rob.x.tolist()] == [GOLDEN[n_stations][0], GOLDEN[n_stations][2]]
+
+
+def test_twenty_station_rung_at_full_fleet(city):
+    bounds, uset, scenarios = city
+    edges = ladder_edges(bounds, 20)
+    sto_x, objective, sto_nodes, rob_nodes = RUNG_20
+    sto = stochastic.minimize_deployment(dispatchflow.ScenarioEvaluator(edges, scenarios.demands), FLEET)
+    assert sto.x.tolist() == sto_x
+    assert sto.objective == pytest.approx(objective, abs=1e-12)
+    assert (sto.flag.kind, sto.nodes) == ("exact", sto_nodes)
+    assert stochastic.minimize_deployment(robust.CutTable(uset, edges), FLEET).nodes == rob_nodes
 
 
 def test_low_alpha_rung_matches_full_enumeration(fitted):
