@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, SolverError
+from .errors import DataError, SolverError, read_json
 from .geogrid import Grid
 from .ingest import CallTable, calibration_pairs, trim_quantiles
 
@@ -208,13 +208,7 @@ def save_model(model: CalibrationModel, path: str | Path) -> None:
 def load_model(path: str | Path) -> CalibrationModel:
     """Read ``save_model``'s JSON. Raises DataError naming the file when it
     is missing or not JSON, or does not describe a model."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise DataError(f"calibration model not found: {path}")
-    except ValueError as exc:  # not JSON, or not text
-        raise DataError(f"{path}: not a JSON calibration model ({exc})") from None
+    doc = read_json(path, "calibration model")
     try:
         return CalibrationModel.from_dict(doc)
     except (KeyError, TypeError, ValueError, AttributeError) as exc:

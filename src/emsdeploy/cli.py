@@ -7,16 +7,15 @@ Every subcommand reads a flat JSON config (any field overridable with
 the same resolved config are byte-identical. Exit codes: 0 ok, 2 config
 error, 3 data error, 4 solver failure.
 
-Every read of a call log goes through ``ingest.parse_calls_kept``, so
-``--out`` also holds one hidden kept parse per call log
-(``.<log file name>.parse``). It is keyed by the log's content and the
-schema, never listed in a manifest, and safe to delete: a missing or
-stale one only means the next read parses the log again. Preprocess
-writes the kept parses of the two split logs with the logs themselves
-(``ingest.serialize_calls_kept``), so a pipeline parses only
-``calls_csv``. The stages work on the ``ingest.CallTable`` that a read
-returns, column by column, and hand the simulator that table as it is; no
-stage builds a record per call.
+Every read of ``calls_csv`` goes through ``ingest.parse_calls_kept``, so
+``--out`` also holds its hidden kept parse (``.<log file name>.parse``),
+keyed by the log's content and the schema, never listed in a manifest and
+safe to delete, and a pipeline parses ``calls_csv`` once. No stage writes
+a call log: ``_read_split`` derives the peak-hour train/test split again
+wherever a stage needs it, and exits 2 naming a split field of the config
+that differs from those preprocess recorded in its summary. The stages
+work on the ``ingest.CallTable`` of a parse, column by column, and hand
+the simulator that table as it is; no stage builds a record per call.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 
 from . import analysis, calibrate, demand, geogrid, ingest, robust, simcore, stochastic
 from .dispatchflow import Deployment, EdgeSet, edges_from_coverage
-from .errors import ConfigError, DataError, EmsDeployError, SolverError
+from .errors import ConfigError, DataError, EmsDeployError, SolverError, read_json
 from .rng import derive_seed
 
 log = logging.getLogger("emsdeploy")
@@ -310,6 +309,22 @@ def _peak(cfg: RunConfig, calls):
     return ingest.filter_peak(calls, start, end, cfg.peak_weekdays)
 
 
+def _split_fields(cfg: RunConfig) -> dict:
+    """The config fields the train/test split of ``calls_csv`` reads, and only those."""
+    names = ["timezone", "peak_filter", "split_mode"]
+    if cfg.peak_filter:
+        names += ["peak_start", "peak_end", "peak_weekdays"]
+    names += ["train_fraction"] if cfg.split_mode == "chronological" else ["split_k", "split_fold", "seed"]
+    return {name: getattr(cfg, name) for name in names}
+
+
+def _split(cfg: RunConfig, calls: ingest.CallTable) -> tuple[ingest.CallTable, ingest.CallTable]:
+    """The train and test calls of a parse of ``calls_csv``: its peak calls, split as the config says."""
+    return ingest.split_train_test(
+        _peak(cfg, calls), cfg.train_fraction, cfg.split_mode, cfg.split_k, cfg.split_fold, cfg.seed
+    )
+
+
 def _write_json(path: Path, doc) -> None:
     with open(path, "w") as f:
         json.dump(doc, f, sort_keys=True, indent=1)
@@ -346,10 +361,28 @@ def _load_grid(out: Path) -> geogrid.Grid:
     return geogrid.load_grid(_require(out / "grid.json", "grid"))
 
 
-def _read_calls(out: Path, name: str) -> ingest.CallTable:
-    """The calls of a log that preprocess wrote to ``out``."""
-    calls, _ = ingest.parse_calls_kept(_require(out / name, "preprocess"), None, out)
-    return calls
+def _load_split_fields(out: Path) -> dict:
+    """The split fields preprocess recorded in its summary."""
+    path = _require(out / "preprocess_summary.json", "preprocess")
+    try:
+        fields = read_json(path, "preprocess summary")["split"]
+        if not isinstance(fields, dict):
+            raise TypeError("split is not an object")
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{path}: not a preprocess summary ({type(exc).__name__}: {exc})") from None
+    return fields
+
+
+def _read_split(cfg: RunConfig, out: Path, calls: ingest.CallTable | None = None):
+    """The (train, test) split preprocess built ``out``'s demand matrix from,
+    derived again from ``calls`` or else the kept parse of ``calls_csv``.
+    A split field that differs from preprocess's is a config error."""
+    recorded = _load_split_fields(out)
+    for name, value in _split_fields(cfg).items():
+        if recorded.get(name) != value:
+            raise ConfigError(f"{name} is {value!r}, but preprocess split the calls with {recorded.get(name)!r}; "
+                              "rerun `emsdeploy preprocess` with this config")
+    return _split(cfg, _parse_calls(cfg, out)[0] if calls is None else calls)
 
 
 def _load_matrix(out: Path) -> ingest.DemandMatrix:
@@ -370,10 +403,9 @@ def _load_stationings(cfg: RunConfig, out: Path) -> list[tuple[str, np.ndarray]]
     for label in ("stochastic", "robust"):
         path = _require(out / f"deployment_{label}.json", "optimize")
         try:
-            with open(path) as f:
-                x = json.load(f)["x"]
+            x = read_json(path, "stationing")["x"]
             stationings.append((label, Deployment(x, cfg.n_ambulances).x))
-        except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: not a stationing ({type(exc).__name__}: {exc})") from None
     return stationings
 
@@ -382,11 +414,10 @@ def _load_verification(out: Path) -> list[float]:
     """The batch mean errors of verify's report."""
     path = _require(out / "verification.json", "verify")
     try:
-        with open(path) as f:
-            errors = json.load(f)["batch_errors_s"]
+        errors = read_json(path, "verification report")["batch_errors_s"]
         if not isinstance(errors, list) or not all(isinstance(e, float) for e in errors):
             raise TypeError("batch_errors_s is not a list of numbers")
-    except (KeyError, TypeError, ValueError) as exc:  # a JSONDecodeError is a ValueError
+    except (KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a verification report ({type(exc).__name__}: {exc})") from None
     return errors
 
@@ -403,30 +434,23 @@ def cmd_grid(cfg: RunConfig, out: Path) -> dict[str, Path]:
 def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
     calls, report = _parse_calls(cfg, out)
-    peak_calls = _peak(cfg, calls)
-    if len(peak_calls) < 2:
-        raise DataError(f"only {len(peak_calls)} calls remain after peak filtering")
-    train, test = ingest.split_train_test(
-        peak_calls, cfg.train_fraction, cfg.split_mode, cfg.split_k, cfg.split_fold, cfg.seed
-    )
+    train, test = _split(cfg, calls)
     matrix = _demand_for_rates(cfg, train, grid)
-    ingest.serialize_calls_kept(train, out / "calls_train.csv", out)
-    ingest.serialize_calls_kept(test, out / "calls_test.csv", out)
     ingest.save_demand_matrix(matrix, out / "demand_matrix.csv")
     summary = {
         "n_rows_read": report.n_rows,
         "n_parsed": report.n_parsed,
         "n_dropped_parse": report.n_dropped,
         "drop_reasons": dict(sorted(report.reasons.items())),
-        "n_peak": len(peak_calls),
+        "n_peak": len(train) + len(test),
         "n_train": len(train),
         "n_test": len(test),
         "n_demand_periods": matrix.n_periods,
         "n_dropped_out_of_grid": matrix.n_dropped,
+        "split": _split_fields(cfg),
     }
     _write_json(out / "preprocess_summary.json", summary)
-    names = ("calls_train.csv", "calls_test.csv", "demand_matrix.csv", "preprocess_summary.json")
-    return {name: out / name for name in names}
+    return {name: out / name for name in ("demand_matrix.csv", "preprocess_summary.json")}
 
 
 def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
@@ -445,7 +469,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
     if cfg.calibration_kind == "identity":
         model = calibrate.identity_model()
     else:
-        train = _read_calls(out, "calls_train.csv")
+        train, _ = _read_split(cfg, out)
         usable, grid_s, reported_s = ingest.calibration_pairs(train, grid, cfg.snap_cells)
         fit = calibrate.fit_loglog if cfg.calibration_kind == "loglog" else calibrate.fit_linear
         model = fit(grid_s, reported_s, cfg.trim_p)
@@ -471,7 +495,7 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> dict[str, Path]:
 def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
     model = _load_model(out)
-    test_calls = _read_calls(out, "calls_test.csv")
+    _, test_calls = _read_split(cfg, out)
     policies = _load_stationings(cfg, out)
     comparison = simcore.compare_policies(
         policies, test_calls, grid, _sim_params(cfg, model),
@@ -487,7 +511,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:
 def cmd_verify(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
     model = _load_model(out)
-    test_calls = _read_calls(out, "calls_test.csv")
+    _, test_calls = _read_split(cfg, out)
     report = calibrate.verify(
         test_calls, grid, model, cfg.verify_batch_size, cfg.verify_n_batches, cfg.snap_cells
     )
@@ -563,7 +587,7 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
     matrix = _load_matrix(out)
     model = _load_model(out)
-    test_calls = _read_calls(out, "calls_test.csv")
+    _, test_calls = _read_split(cfg, out)
     edges = _edges(cfg, grid)
     uset = _load_uset(cfg, out, grid)
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
@@ -635,7 +659,8 @@ def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
     ))
 
     model = _load_model(out)
-    _, grid_s, reported_s = ingest.calibration_pairs(_read_calls(out, "calls_test.csv"), grid, cfg.snap_cells)
+    test_calls = _read_split(cfg, out, calls)[1] if len(calls) else calls  # an empty log has no split
+    _, grid_s, reported_s = ingest.calibration_pairs(test_calls, grid, cfg.snap_cells)
     adjusted_s = calibrate.apply_many(model, grid_s)
     _write_csv(out / "plot_regression_scatter.csv", ["grid_s", "reported_s", "adjusted_s"], (
         [repr(g), repr(r), repr(a)] for g, r, a in zip(grid_s.tolist(), reported_s.tolist(), adjusted_s.tolist())

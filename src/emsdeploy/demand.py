@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SetTooLargeError, SolverError
+from .errors import ConfigError, DataError, SetTooLargeError, SolverError, read_json
 from .ingest import DemandMatrix
 
 
@@ -386,13 +386,7 @@ def load_uncertainty_set(path: str | Path, adjacency: np.ndarray, coverage_ball:
 
     Raises DataError naming the file when it is missing or not JSON, lacks a
     key, or its caps are not nonnegative integers, one per grid region."""
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise DataError(f"uncertainty set not found: {path}")
-    except ValueError as exc:  # not JSON, or not text
-        raise DataError(f"{path}: not a JSON uncertainty set ({exc})") from None
+    doc = read_json(path, "uncertainty set")
     keys = ("alpha", "single_cap", "local_cap", "regional_cap", "global_cap")
     if not isinstance(doc, dict):
         raise DataError(f"{path}: expected a JSON object with keys {', '.join(keys)}")

@@ -1,5 +1,6 @@
-"""Exception hierarchy shared across the package, and ``open_input``,
-which opens a CSV input and reports what is wrong with it as a DataError.
+"""Exception hierarchy shared across the package, ``open_input``, which
+opens an input file, and ``read_json``, which reads a JSON one; both report
+what is wrong with the file as a DataError naming it.
 
 The CLI maps these onto distinct exit codes: ConfigError -> 2,
 DataError -> 3, SolverError -> 4.
@@ -7,6 +8,7 @@ DataError -> 3, SolverError -> 4.
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
@@ -37,12 +39,12 @@ class SetTooLargeError(EmsDeployError):
 
 
 @contextmanager
-def open_input(path: str | Path, what: str) -> Iterator[TextIO]:
-    """``path``, a CSV input, open as UTF-8 text with ``newline=""``, csv's
-    rule. A file that cannot be opened, or whose bytes are not UTF-8, is a
-    DataError naming it as ``what``."""
+def open_input(path: str | Path, what: str, newline: str | None = "") -> Iterator[TextIO]:
+    """``path``, an input file, open as UTF-8 text with ``newline``: ``""``,
+    csv's rule, unless told otherwise. A file that cannot be opened, or whose
+    bytes are not UTF-8, is a DataError naming it as ``what``."""
     try:
-        f = open(path, newline="", encoding="utf-8")
+        f = open(path, newline=newline, encoding="utf-8")
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
     except OSError as exc:
@@ -52,3 +54,13 @@ def open_input(path: str | Path, what: str) -> Iterator[TextIO]:
             yield f
         except UnicodeDecodeError as exc:
             raise DataError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
+
+
+def read_json(path: str | Path, what: str):
+    """The JSON document in ``path``, read through ``open_input``: a file
+    that is not JSON is a DataError naming it as ``what`` too."""
+    with open_input(path, what) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}: not a JSON {what} ({exc})") from None

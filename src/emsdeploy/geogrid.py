@@ -18,7 +18,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, OutOfBoundsError, open_input
+from .errors import ConfigError, DataError, OutOfBoundsError, open_input, read_json
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -311,15 +311,9 @@ def save_grid(grid: Grid, json_path: str | Path) -> None:
 
 def load_grid(json_path: str | Path) -> Grid:
     """Read ``save_grid``'s files. Raises DataError naming the file when it
-    is missing or not JSON, or does not describe a grid."""
+    is missing, not UTF-8 or not JSON, or does not describe a grid."""
     json_path = Path(json_path)
-    try:
-        with open(json_path) as f:
-            doc = json.load(f)
-    except FileNotFoundError:
-        raise DataError(f"grid file not found: {json_path}")
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{json_path}: invalid JSON: {exc}")
+    doc = read_json(json_path, "grid file")
     try:
         bounds = tuple(doc["bounds"])
         _validate_bounds(bounds, DataError)

@@ -4,10 +4,11 @@ train/test splitting, and quantile trimming.
 All transformations are pure; malformed or out-of-bounds rows are counted
 and reported rather than silently discarded. ``parse_calls_kept`` keeps a
 log's parse on disk, so a pipeline whose stages each re-read the same log
-parses it once, and returns it as a ``CallTable`` of numpy columns;
-``serialize_calls_kept`` keeps the parse of a log it writes without
-parsing it. Every rule on calls takes a ``CallTable`` and reads its
-columns, and refuses anything else with a DataError (``check_table``).
+parses it once, and returns it as a ``CallTable`` of numpy columns. No
+stage writes a call log: the train/test split is derived in memory
+(``split_train_test``) wherever it is needed. Every rule on calls takes a
+``CallTable`` and reads its columns, and refuses anything else with a
+DataError (``check_table``).
 """
 
 from __future__ import annotations
@@ -421,7 +422,7 @@ def parse_calls_kept(
     any time.
     """
     schema = schema or CallSchema()
-    kept = _kept_path(path, keep_dir)
+    kept = Path(keep_dir) / f".{Path(path).name}.parse"
     key = _kept_key(path, schema)
     loaded = _load_kept(kept, key, schema)
     if loaded is None:
@@ -432,28 +433,6 @@ def parse_calls_kept(
     log.info("%s: %d rows, %s", Path(path).name, report.n_rows,
              "parsed" if loaded is None else "read from its kept parse")
     return table, report
-
-
-def serialize_calls_kept(calls: CallTable, path: str | Path, keep_dir: str | Path) -> None:
-    """``serialize_calls``, then keep the written log's parse in
-    ``keep_dir`` without parsing it, for ``parse_calls_kept`` under the
-    default schema.
-
-    The kept parse is what ``parse_calls`` returns of the written bytes:
-    every written stamp carries its UTC offset, so each comes back with
-    that fixed offset, and the records are sorted by instant; the table's
-    values pass the parser's checks again, so the report drops nothing.
-    """
-    serialize_calls(calls, path)
-    order = np.argsort(calls.utc_us, kind="stable")
-    fixed = calls.wall_us - calls.utc_us  # each stamp's UTC offset in us
-    seeded = CallTable(calls.wall_us[order], fixed[order], calls.utc_us[order], calls.values[:, order], calls.tz)
-    schema = CallSchema()
-    _keep(_kept_path(path, keep_dir), _kept_key(path, schema), seeded, ParseReport(len(calls), len(calls), 0))
-
-
-def _kept_path(path: str | Path, keep_dir: str | Path) -> Path:
-    return Path(keep_dir) / f".{Path(path).name}.parse"
 
 
 def _kept_key(path: str | Path, schema: CallSchema) -> bytes:
@@ -703,9 +682,10 @@ def load_demand_matrix(path: str | Path) -> DemandMatrix:
     reads the counts, and only if it refuses them does ``int`` convert them
     line by line, to word the error or to read what ``int`` takes (``1_000``,
     `` 2``). Fields are split at every comma: ``save_demand_matrix`` never
-    quotes one, so a quoted field is refused with its line number.
+    quotes one, so a quoted field is refused with its line number. A file
+    that is missing or not UTF-8 is a DataError naming it (``open_input``).
     """
-    with open(path) as f:
+    with open_input(path, "demand matrix", newline=None) as f:
         header, *lines = f.read().split("\n")
     if not header:
         raise DataError(f"{path}: empty demand matrix file")

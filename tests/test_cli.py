@@ -67,8 +67,7 @@ def test_full_pipeline(city, tmp_path):
                 "fleet-sweep", "analyze", "plotdata"):
         assert run(city, sub, out) == 0, f"{sub} failed"
     for name in (
-        "grid.json", "grid_travel.csv", "calls_train.csv", "calls_test.csv",
-        "demand_matrix.csv", "preprocess_summary.json", "rates.json",
+        "grid.json", "grid_travel.csv", "demand_matrix.csv", "preprocess_summary.json", "rates.json",
         "uncertainty.json", "calibration.json", "deployment_stochastic.json",
         "deployment_robust.json", "ccg_history.csv", "sim_comparison.json",
         "event_log_stochastic.csv", "event_log_robust.csv", "verification.json",
@@ -117,21 +116,19 @@ def test_rerun_in_a_fresh_process_reads_the_kept_parses(city, tmp_path):
     out = tmp_path / "run"
     for sub in ("grid", "preprocess", "fit", "optimize", "simulate"):
         assert run(city, sub, out) == 0
-    assert sorted(p.name for p in out.iterdir() if p.name.startswith(".")) == [
-        ".calls.csv.parse", ".calls_test.csv.parse", ".calls_train.csv.parse",
-    ]
+    assert sorted(p.name for p in out.iterdir() if p.name.startswith(".")) == [".calls.csv.parse"]
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     package_root = str(Path(emsdeploy.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]),
            "EMSDEPLOY_LOG": "INFO"}
-    for sub, log_name in (("preprocess", "calls.csv"), ("simulate", "calls_test.csv")):
+    for sub in ("preprocess", "simulate"):
         done = subprocess.run(
             [sys.executable, "-m", "emsdeploy", sub, "--config", str(city["config"]), "--out", str(out)],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert done.returncode == 0, done.stderr
         reads = [line for line in done.stderr.splitlines() if line.startswith("INFO emsdeploy.ingest:")]
-        assert len(reads) == 1 and reads[0].startswith(f"INFO emsdeploy.ingest: {log_name}: ")
+        assert len(reads) == 1 and reads[0].startswith("INFO emsdeploy.ingest: calls.csv: ")
         assert reads[0].endswith(" rows, read from its kept parse")
     # the kept parses were read, not written, and every output is byte-identical
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
@@ -179,29 +176,69 @@ def test_alpha_cv_simulates_and_snaps_each_fold_once(city, tmp_path, monkeypatch
     assert snapped == [n for _, _, n in runs]
 
 
+def _city_split(city) -> tuple[CallTable, CallTable]:
+    """The train and test calls of the city's config: its peak calls, split chronologically 80/20."""
+    calls, _ = ingest.parse_calls(city["raw"]["calls_csv"])
+    return ingest.split_train_test(ingest.filter_peak(calls), 0.8)
+
+
 @pytest.mark.parametrize("resample, row, code", [
     ("false", 1, 3), ("true", 1, 3), ("true", -1, 3), ("false", -1, 0),
 ])
 def test_an_off_grid_test_call_the_batches_can_draw_is_exit_3(city, fitted_run, tmp_path, capsys, resample, row, code):
-    # one call of calls_test.csv (180 calls) moved off the grid. Unresampled
-    # batches take the first 60 calls, so only the first call is drawn; a
-    # resampled batch can draw any call, so then either one is refused
+    # the row of calls.csv that becomes the second or the last call of the
+    # derived test split (180 calls), moved off the grid. Unresampled batches
+    # take the first 60 calls, so only the second call is drawn; a resampled
+    # batch can draw any call, so then either one is refused
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)
-    for path in out.glob(".*.parse"):
-        path.unlink()
-    path = out / "calls_test.csv"
-    lines = path.read_text().splitlines()
-    assert len(lines) == 1 + 180
-    fields = lines[row].split(",")
+    _, test = _city_split(city)
+    assert len(test) == 180
+    stamp = test[row].timestamp.isoformat()
+    lines = Path(city["raw"]["calls_csv"]).read_text().splitlines()
+    (at,) = [i for i, line in enumerate(lines) if line.startswith(stamp + ",")]
+    fields = lines[at].split(",")
     fields[1] = "45.0"  # the latitude, far north of the grid
-    lines[row] = ",".join(fields)
-    path.write_text("\n".join(lines) + "\n")
+    lines[at] = ",".join(fields)
+    log = tmp_path / "calls.csv"
+    log.write_text("\n".join(lines) + "\n")
     assert run(city, "optimize", out) == 0
     for sub in ("simulate", "fleet-sweep"):
         capsys.readouterr()
-        assert run(city, sub, out, ("--sample_with_replacement", resample)) == code, sub
+        assert run(city, sub, out, ("--calls_csv", str(log), "--sample_with_replacement", resample)) == code, sub
         assert ("outside bounds" in capsys.readouterr().err) == (code == 3)
+
+
+def _drop_split(path: Path) -> None:
+    summary = json.loads(path.read_text())
+    del summary["split"]
+    path.write_text(json.dumps(summary))
+
+
+@pytest.mark.parametrize("split_mode, extra, code, named", [
+    ("chronological", ("--train_fraction", "0.7"), 2, "train_fraction is 0.7, but preprocess split the calls with 0.8"),
+    ("chronological", ("--seed", "8"), 0, None),
+    ("kfold", ("--seed", "8"), 2, "seed is 8, but preprocess split the calls with 11"),
+    ("chronological", _drop_split, 3, "preprocess_summary.json"),
+    ("chronological", Path.unlink, 3, "missing preprocess_summary.json; run `emsdeploy preprocess` first"),
+], ids=["train-fraction", "seed-chronological", "seed-kfold", "summary-without-split", "no-summary"])
+def test_a_stage_splits_the_calls_as_preprocess_did(city, fitted_run, tmp_path, capsys, split_mode, extra, code, named):
+    # a stage derives the split again from calls.csv, so its config must agree with
+    # preprocess's on every field the split reads; the seed is one only under kfold
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    mode = ("--split_mode", split_mode)
+    assert run(city, "preprocess", out, mode) == 0
+    if callable(extra):
+        extra(out / "preprocess_summary.json")
+        extra = ()
+    capsys.readouterr()
+    assert run(city, "verify", out, (*mode, *extra)) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert f"config error: {named}; rerun `emsdeploy preprocess` with this config" in err
+    elif code == 3:
+        assert named in err
 
 
 def test_no_rule_builds_a_record_per_call(city, tmp_path, monkeypatch):
@@ -439,19 +476,31 @@ def test_a_call_log_csv_refuses_is_exit_3(city, tmp_path, capsys, longitude):
         assert summary["drop_reasons"] == {"bad_coordinates": 1}
 
 
-@pytest.mark.parametrize("line, spoil", [(3, lambda row: row[:-1]), (2, lambda row: row[:1] + ["1.5"] + row[2:])],
-                         ids=["row-width", "non-integer-count"])
-def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, line, spoil):
+def _spoil_line(line: int, spoil):
+    def spoil_line(path: Path) -> None:
+        lines = path.read_text().splitlines()
+        lines[line - 1] = ",".join(spoil(lines[line - 1].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+    return spoil_line
+
+
+def _not_utf8(path: Path) -> None:
+    path.write_bytes(b"\xff\xfe0,1\n")  # a UTF-16 byte-order mark: \xff never starts a UTF-8 character
+
+
+@pytest.mark.parametrize("spoil, named", [
+    (_spoil_line(3, lambda row: row[:-1]), "line 3:"),
+    (_spoil_line(2, lambda row: row[:1] + ["1.5"] + row[2:]), "line 2:"),
+    (_not_utf8, "is not UTF-8 text"),
+], ids=["row-width", "non-integer-count", "not-utf8"])
+def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, spoil, named):
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)
-    path = out / "demand_matrix.csv"
-    lines = path.read_text().splitlines()
-    lines[line - 1] = ",".join(spoil(lines[line - 1].split(",")))
-    path.write_text("\n".join(lines) + "\n")
+    spoil(out / "demand_matrix.csv")
     capsys.readouterr()
     assert run(city, "fit", out) == 3
     err = capsys.readouterr().err
-    assert "demand_matrix.csv" in err and f"line {line}:" in err
+    assert "demand_matrix.csv" in err and named in err
 
 
 @pytest.mark.parametrize("name, text, sub", [
@@ -460,12 +509,16 @@ def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, l
     ("deployment_robust.json", "{}", "simulate"),
     ("grid.json", "{}", "verify"),
     ("grid.json", "[1]", "verify"),
+    ("grid.json", b"\xff{}", "verify"),
     ("grid_travel.csv", None, "verify"),
     ("grid.json", lambda doc: {**doc, "bounds": [1, 2]}, "verify"),
     ("verification.json", "{not json", "plotdata"),
     ("verification.json", "{}", "plotdata"),
-], ids=["calibration-invalid-json", "calibration-empty", "deployment-empty", "grid-empty", "grid-list",
-        "grid-travel-missing", "grid-two-bounds", "verification-invalid-json", "verification-empty"])
+    ("preprocess_summary.json", "{not json", "verify"),
+    ("preprocess_summary.json", '{"split": [1]}', "verify"),
+], ids=["calibration-invalid-json", "calibration-empty", "deployment-empty", "grid-empty", "grid-list", "grid-not-utf8",
+        "grid-travel-missing", "grid-two-bounds", "verification-invalid-json", "verification-empty",
+        "preprocess-summary-invalid-json", "preprocess-summary-split-list"])
 def test_malformed_run_directory_file_is_exit_3(city, fitted_run, tmp_path, capsys, name, text, sub):
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)
@@ -474,6 +527,8 @@ def test_malformed_run_directory_file_is_exit_3(city, fitted_run, tmp_path, caps
         (out / name).unlink()
     elif callable(text):  # a change to the file's JSON document
         (out / name).write_text(json.dumps(text(json.loads((out / name).read_text()))))
+    elif isinstance(text, bytes):
+        (out / name).write_bytes(text)
     else:
         (out / name).write_text(text)
     capsys.readouterr()
@@ -485,10 +540,6 @@ def _spoil_first_row(path: Path, column: str, value: str) -> None:
     rows = list(csv.reader(path.read_text().splitlines()))
     rows[1][rows[0].index(column)] = value
     path.write_text("".join(",".join(row) + "\n" for row in rows))
-
-
-def _not_utf8(path: Path) -> None:
-    path.write_bytes(b"\xff\xfe0,1\n")  # a UTF-16 byte-order mark: \xff never starts a UTF-8 character
 
 
 def _add_row(row: str):
@@ -552,7 +603,7 @@ def test_each_calibration_kind_runs_fit_through_plotdata(city, tmp_path, kind):
     if kind == "identity":
         assert (model["a"], model["b"], model["n_used"]) == (0.0, 1.0, 0)
     else:
-        records = ingest.parse_calls(out / "calls_train.csv")[0].records()
+        records = _city_split(city)[0].records()
         a, b, n_used = reference_calibration_fit(records, geogrid.load_grid(out / "grid.json"), kind, model["trim_p"])
         assert model["n_used"] == n_used > 0
         assert model["a"] == pytest.approx(a, rel=1e-9, abs=1e-9)

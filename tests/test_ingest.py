@@ -31,7 +31,6 @@ from emsdeploy.ingest import (
     save_demand_matrix,
     select_periods,
     serialize_calls,
-    serialize_calls_kept,
     split_train_test,
     trim_quantiles,
 )
@@ -67,7 +66,6 @@ RULES_ON_CALLS = {
     "build_demand_matrix": lambda calls, grid, path: build_demand_matrix(calls, grid),
     "calibration_pairs": lambda calls, grid, path: calibration_pairs(calls, grid),
     "serialize_calls": lambda calls, grid, path: serialize_calls(calls, path),
-    "serialize_calls_kept": lambda calls, grid, path: serialize_calls_kept(calls, path, path.parent),
     "calibrate.verify": lambda calls, grid, path: calibrate.verify(calls, grid, calibrate.identity_model(), 1, 1),
     "analysis.assemble_tracts": lambda calls, grid, path: analysis.assemble_tracts(calls, grid, {0: "T0"}, {}),
     "simcore.simulate": lambda calls, grid, path: simcore.simulate([1], calls, grid),
@@ -788,7 +786,7 @@ def test_call_table_is_the_parse_calls_records(case):
 
 @settings(max_examples=300, deadline=None)
 @given(call_logs())
-def test_seeded_kept_parse_is_parse_calls_of_the_written_log(case):
+def test_kept_parse_of_a_written_log_is_parse_calls(case):
     with tempfile.TemporaryDirectory() as tmp:
         parsed = _parsed_table(*case, tmp)
         if parsed is None:
@@ -797,22 +795,23 @@ def test_seeded_kept_parse_is_parse_calls_of_the_written_log(case):
         sides = [table] if len(table) < 2 else list(split_train_test(table, mode="kfold", k=2, seed=3))
         for k, calls in enumerate(sides):
             path = Path(tmp) / f"split{k}.csv"
-            serialize_calls_kept(calls, path, tmp)
-            seeded = (Path(tmp) / f".split{k}.csv.parse").read_bytes()
+            serialize_calls(calls, path)
             # written from the columns in the bytes the records write
             serialize_calls(table_from_records(list(calls), calls.tz), Path(tmp) / "from_records.csv")
             assert path.read_bytes() == (Path(tmp) / "from_records.csv").read_bytes()
-            with mock.patch.object(ingest, "parse_calls", side_effect=AssertionError("parsed")):
-                hit = parse_calls_kept(path, None, tmp)
             want = parse_calls(path)
             # naive stamps under a ZoneInfo schema come back with fixed offsets
             assert all(r.timestamp.tzinfo is not None and not isinstance(r.timestamp.tzinfo, ZoneInfo)
                        for r in want[0])
+            _same_parse(parse_calls_kept(path, None, tmp), want)
+            kept = (Path(tmp) / f".split{k}.csv.parse").read_bytes()
+            with mock.patch.object(ingest, "parse_calls", side_effect=AssertionError("parsed")):
+                hit = parse_calls_kept(path, None, tmp)
             _same_parse(hit, want)
-            # a parse of the log keeps the same bytes that seeding did
+            # a parse of the log keeps the same bytes again
             (Path(tmp) / f".split{k}.csv.parse").unlink()
             _same_parse(parse_calls_kept(path, None, tmp), want)
-            assert (Path(tmp) / f".split{k}.csv.parse").read_bytes() == seeded
+            assert (Path(tmp) / f".split{k}.csv.parse").read_bytes() == kept
 
 
 PARSED_ZONES = st.sampled_from([UTC, timezone(timedelta(hours=-5)),
