@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from operator import mul
 from pathlib import Path
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SolverError, open_input
+from .errors import ConfigError, DataError, open_input
 from .geogrid import Grid, assign_cells
 from .ingest import CallTable, check_table
 from .rng import derive_seed, substream
@@ -183,72 +182,73 @@ def fit_ols(X: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.linalg.solve(gram + 1e-8 * np.eye(gram.shape[0]), rhs)
 
 
-def lasso_objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
-    """RSS / (2n) + lam * L1, with beta laid out as [intercept, coefs...]."""
-    n = X.shape[0]
-    resid = y - beta[0] - X @ beta[1:]
-    return float((resid**2).sum()) / (2 * n) + lam * float(np.abs(beta[1:]).sum())
+def lasso_path(X: np.ndarray, y: np.ndarray, lambdas: Sequence[float]) -> np.ndarray:
+    """The LASSO at each lambda, one row [intercept, coefficients...] per
+    lambda in the order given: RSS/(2n) + lam * L1 with an unpenalized
+    intercept, solved exactly by the homotopy path (Osborne, Presnell &
+    Turlach 2000; Efron, Hastie, Johnstone & Tibshirani 2004).
 
-
-def fit_lasso(
-    X: np.ndarray,
-    y: np.ndarray,
-    lam: float,
-    tol: float = 1e-8,
-    max_sweeps: int = 100_000,
-) -> np.ndarray:
-    """Cyclic coordinate descent with covariance updates for the L1-penalized
-    least squares (Friedman, Hastie & Tibshirani 2010).
-
-    Objective RSS/(2n) + lam * L1 with an unpenalized intercept; converged
-    when no coefficient moves more than tol in a sweep. Returns
-    [intercept, coefficients...].
-
-    The design A = [1 X] is read once into its Gram matrix G = A^T A and
-    A^T y, and a sweep works on those alone, in plain floats: coordinate j
-    moves to soft(A_j^T y - sum over k != j of G_jk b_k, lam * n) / G_jj,
-    p + 1 products whatever the row count. The intercept is coordinate 0,
-    unpenalized and visited last in each sweep; a column with G_jj = 0
-    keeps a zero coefficient.
+    On centred X and y the coefficients are piecewise linear in lambda. The
+    walk starts at lambda_max = max|X^T y|/n with the column of that
+    correlation active and moves lambda down; the active coefficients move
+    along d, the least-squares solution of G_AA d = s_A (G = X^T X/n, s the
+    signs of the active correlations), until a breakpoint, where one column
+    joins (its correlation reaches lambda) or leaves (its coefficient
+    reaches zero). A breakpoint within 1e-12 lambda_max of a grid lambda is
+    that lambda. A column of zero norm, or equal to an earlier one up to
+    sign, adds nothing to the fit and never joins.
     """
-    if tol <= 0:
-        raise ConfigError(f"tol must be positive, got {tol}")
-    if lam < 0:
-        raise ConfigError(f"lambda must be nonnegative, got {lam}")
+    lambdas = np.asarray(lambdas, dtype=np.float64)
+    if np.any(lambdas < 0):
+        raise ConfigError(f"lambda must be nonnegative, got {lambdas.min()}")
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n, p = X.shape
-    design = np.hstack([np.ones((n, 1)), X])
-    xy = (design.T @ y).tolist()
-    gram = (design.T @ design).tolist()
-    # (j, row j of G with its diagonal zeroed, G_jj, soft threshold)
-    coords = []
-    for j in [*range(1, p + 1), 0]:
-        row = gram[j]
-        norm2 = row[j]
-        if norm2 != 0.0:
-            row[j] = 0.0
-            coords.append((j, row, norm2, lam * n if j else 0.0))
-    beta = [float(y.mean())] + [0.0] * p
-    for _ in range(max_sweeps):
-        max_delta = 0.0
-        for j, off_diag, norm2, threshold in coords:
-            rho = xy[j] - sum(map(mul, off_diag, beta))
-            if rho > threshold:
-                new = (rho - threshold) / norm2
-            elif rho < -threshold:
-                new = (rho + threshold) / norm2
+    x_mean, y_mean = X.mean(axis=0), y.mean()
+    Xc = np.where(np.ptp(X, axis=0) > 0, X - x_mean, 0.0)
+    yc = y - y_mean
+    gram = Xc.T @ Xc / n
+    c = Xc.T @ yc / n
+    lead = Xc[np.argmax(Xc != 0, axis=0), np.arange(p)]  # each column's first nonzero entry
+    usable = np.zeros(p, dtype=bool)
+    usable[np.unique(np.where(lead < 0, -Xc, Xc), axis=1, return_index=True)[1]] = True
+    usable &= np.diag(gram) > 0
+    beta, signs, active = np.zeros(p), np.sign(c), np.zeros(p, dtype=bool)
+    lam = lam_max = np.abs(c[usable]).max(initial=0.0)
+    active[np.argmax(np.where(usable, np.abs(c), -1.0))] = lam > 0
+    path = np.empty((len(lambdas), p + 1))
+    for i in np.argsort(-lambdas):
+        while lam > lambdas[i]:
+            A = np.flatnonzero(active)
+            d = np.linalg.lstsq(gram[np.ix_(A, A)], signs[A], rcond=None)[0]
+            a = gram[:, A] @ d  # how fast each correlation falls with lambda
+            c = Xc.T @ (yc - Xc @ beta) / n
+            # the lambda step to each breakpoint: a column joins at +lambda (row 0)
+            # or -lambda (row 1), or an active coefficient reaches zero (row 2)
+            steps = np.full((3, p), np.inf)
+            for row, sign in enumerate((1.0, -1.0)):
+                joins = usable & ~active & (sign * a < 1.0)
+                steps[row, joins] = np.maximum(lam - sign * c[joins], 0.0) / (1.0 - sign * a[joins])
+            shrinks = beta[A] * d < 0
+            steps[2, A[shrinks]] = -beta[A[shrinks]] / d[shrinks]
+            row, j = np.unravel_index(np.argmin(steps), steps.shape)
+            if steps[row, j] >= lam - lambdas[i] - 1e-12 * lam_max:
+                beta[A] += (lam - lambdas[i]) * d
+                lam = lambdas[i]
             else:
-                new = 0.0
-            delta = abs(new - beta[j])
-            beta[j] = new
-            if delta > max_delta:
-                max_delta = delta
-        if max_delta < tol:
-            return np.array(beta)
-    err = SolverError(f"LASSO did not converge within {max_sweeps} sweeps (lambda={lam})")
-    err.last_iterate = np.array(beta)
-    raise err
+                beta[A] += steps[row, j] * d
+                lam -= steps[row, j]
+                if row == 2:
+                    active[j], beta[j] = False, 0.0
+                else:
+                    active[j], signs[j] = True, 1.0 - 2.0 * row
+        path[i] = [y_mean - x_mean @ beta, *beta]
+    return path
+
+
+def fit_lasso(X: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
+    """The LASSO at one lambda: ``lasso_path`` at [lam]."""
+    return lasso_path(X, y, [lam])[0]
 
 
 @dataclass
@@ -281,11 +281,10 @@ def _select_lambda(
 
     ``X`` has at least 2 rows (the caller standardized it), so there are at
     least 2 inner folds, none empty; an inner split with under 2 training rows
-    is skipped, and with none left the first lambda is taken. A fit that does
-    not converge raises its SolverError.
+    is skipped, and with none left the first lambda is taken.
     """
     n = X.shape[0]
-    # each inner fold is standardized once and fitted at every lambda
+    # each inner split is standardized once and walked along one path through every lambda
     splits = []
     for fold in _fold_indices(n, min(5, n), derive_seed(seed, "lambda-select", outer_fold)):
         mask = np.ones(n, dtype=bool)
@@ -293,13 +292,12 @@ def _select_lambda(
         if mask.sum() < 2:
             continue
         tr_x, te_x = standardize_fold(X[mask], X[fold])
-        splits.append((tr_x, y[mask], te_x, y[fold]))
+        splits.append((lasso_path(tr_x, y[mask], grid), te_x, y[fold]))
     if not splits:
         return float(grid[0])
     best_lam, best_mse = None, None
-    for lam in grid:
-        avg = float(np.mean([((te_y - _predict(fit_lasso(tr_x, tr_y, lam), te_x)) ** 2).mean()
-                             for tr_x, tr_y, te_x, te_y in splits]))
+    for g, lam in enumerate(grid):
+        avg = float(np.mean([((te_y - _predict(path[g], te_x)) ** 2).mean() for path, te_x, te_y in splits]))
         if best_mse is None or avg < best_mse or (avg == best_mse and lam > best_lam):
             best_lam, best_mse = float(lam), avg
     return best_lam

@@ -145,19 +145,18 @@ class RunConfig:
             raise ConfigError(f"unknown timezone {self.timezone!r} ({exc})")
         for name, kinds, what in (
             ("alphas", (int, float), "numbers"),
+            ("lambda_grid", (int, float), "numbers"),
             ("station_cells", int, "integers"),
             ("hospital_cells", int, "integers"),
             ("peak_weekdays", int, "integers"),
         ):
             value = getattr(self, name)
-            if not (isinstance(value, list) and all(isinstance(v, kinds) for v in value)):
+            # a bool is an int to isinstance, but true is no number here
+            if not (isinstance(value, list) and all(isinstance(v, kinds) and not isinstance(v, bool) for v in value)):
                 raise ConfigError(f"{name} must be a list of {what}, got {value!r}")
         if not all(0 < a < 1 for a in self.alphas):
             raise ConfigError("every alpha-cv value must lie in (0, 1)")
-        if not (
-            isinstance(self.lambda_grid, list) and self.lambda_grid
-            and all(isinstance(v, (int, float)) and 0 <= v < math.inf for v in self.lambda_grid)
-        ):
+        if not (self.lambda_grid and all(0 <= v < math.inf for v in self.lambda_grid)):
             raise ConfigError("lambda_grid must be a nonempty list of finite, nonnegative lambdas")
         if self.n_ambulances < 0:
             raise ConfigError("n_ambulances must be nonnegative")
@@ -311,11 +310,14 @@ def _peak(cfg: RunConfig, calls):
 
 def _split_fields(cfg: RunConfig) -> dict:
     """The config fields the train/test split of ``calls_csv`` reads, and only those."""
-    names = ["timezone", "peak_filter", "split_mode"]
+    fields = {name: getattr(cfg, name) for name in ("timezone", "peak_filter", "split_mode")}
     if cfg.peak_filter:
-        names += ["peak_start", "peak_end", "peak_weekdays"]
-    names += ["train_fraction"] if cfg.split_mode == "chronological" else ["split_k", "split_fold", "seed"]
-    return {name: getattr(cfg, name) for name in names}
+        # the window as the filter reads it: 8:00 is 08:00, and the weekdays are a set
+        start, end = cfg.peak_window()
+        fields |= {"peak_start": f"{start:%H:%M}", "peak_end": f"{end:%H:%M}",
+                   "peak_weekdays": sorted(set(cfg.peak_weekdays))}
+    names = ["train_fraction"] if cfg.split_mode == "chronological" else ["split_k", "split_fold", "seed"]
+    return fields | {name: getattr(cfg, name) for name in names}
 
 
 def _split(cfg: RunConfig, calls: ingest.CallTable) -> tuple[ingest.CallTable, ingest.CallTable]:

@@ -10,7 +10,8 @@ on pairs built record by record, the stationing branch and bound bounding
 each child with its own ``bound`` call, a call-log parser built on
 ``csv.DictReader``, a call-log writer built on ``csv.writer``, the bridge
 that codes hand-built records as a ``CallTable`` one record at a time, and
-a LASSO that keeps the full residual vector. Keep these slow and obvious.
+a LASSO by coordinate descent on the full residual vector, with the
+objective it minimizes. Keep these slow and obvious.
 """
 
 from __future__ import annotations
@@ -547,12 +548,19 @@ def start_times(matrix) -> list[datetime]:
     ]
 
 
+def lasso_objective(X: np.ndarray, y: np.ndarray, beta: np.ndarray, lam: float) -> float:
+    """RSS / (2n) + lam * L1, with beta laid out as [intercept, coefs...]."""
+    n = X.shape[0]
+    resid = y - beta[0] - X @ beta[1:]
+    return float((resid**2).sum()) / (2 * n) + lam * float(np.abs(beta[1:]).sum())
+
+
 def reference_fit_lasso(X, y, lam: float, tol: float = 1e-8, max_sweeps: int = 100_000) -> np.ndarray:
     """Cyclic coordinate descent on the n-vector residual, one column at a time.
 
-    Same objective (RSS/(2n) + lam * L1, unpenalized intercept), coordinate
-    order, stopping rule (no move of tol or more in a sweep) and errors as
-    ``analysis.fit_lasso``, which works on the Gram matrix instead. Returns
+    Same objective (RSS/(2n) + lam * L1, unpenalized intercept) as
+    ``analysis.fit_lasso``, which follows the exact homotopy path instead;
+    converged when no coefficient moves tol or more in a sweep. Returns
     [intercept, coefficients...].
     """
 

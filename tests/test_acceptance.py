@@ -313,7 +313,7 @@ def test_criterion_9_analysis_protocol():
         rng = substream(1009, "lasso-acceptance")
         X = rng.normal(size=(40, 5))
         y = rng.normal(size=40)
-        assert np.allclose(fit_lasso(X, y, lam=0.0, tol=1e-12), fit_ols(X, y), atol=1e-6)
+        assert np.allclose(fit_lasso(X, y, lam=0.0), fit_ols(X, y), atol=1e-6)
 
         raw = rng.normal(size=(64, 4))
         raw -= raw.mean(axis=0)
@@ -322,7 +322,7 @@ def test_criterion_9_analysis_protocol():
         yo = 3.0 + Xo @ np.array([1.5, -0.8, 0.3, 0.0]) + rng.normal(0, 0.1, size=64)
         ols = fit_ols(Xo, yo)
         for lam in (0.05, 0.2, 0.6):
-            lasso = fit_lasso(Xo, yo, lam=lam, tol=1e-12)
+            lasso = fit_lasso(Xo, yo, lam=lam)
             want = np.sign(ols[1:]) * np.maximum(np.abs(ols[1:]) - lam, 0.0)
             assert np.allclose(lasso[1:], want, atol=1e-6)
 

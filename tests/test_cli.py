@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import emsdeploy
-from emsdeploy import analysis, geogrid, ingest, simcore
+from emsdeploy import geogrid, ingest, simcore
 from emsdeploy.cli import COMMANDS, RunConfig, load_config, main
-from emsdeploy.errors import ConfigError, SolverError
+from emsdeploy.errors import ConfigError
 from emsdeploy.ingest import CallRecord, CallTable, serialize_calls
 from emsdeploy.synth import SynthConfig, synth_calls, synth_grid, synth_tracts, write_svi_csv, write_tract_map_csv
 from oracles import reference_calibration_fit
@@ -221,10 +221,15 @@ def _drop_split(path: Path) -> None:
     ("kfold", ("--seed", "8"), 2, "seed is 8, but preprocess split the calls with 11"),
     ("chronological", _drop_split, 3, "preprocess_summary.json"),
     ("chronological", Path.unlink, 3, "missing preprocess_summary.json; run `emsdeploy preprocess` first"),
-], ids=["train-fraction", "seed-chronological", "seed-kfold", "summary-without-split", "no-summary"])
+    ("chronological", ("--peak_start", "8:00"), 0, None),
+    ("chronological", ("--peak_weekdays", "[4, 3, 2, 1, 0]"), 0, None),
+    ("chronological", ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'"),
+], ids=["train-fraction", "seed-chronological", "seed-kfold", "summary-without-split", "no-summary",
+        "peak-start-unpadded", "peak-weekdays-reordered", "peak-start"])
 def test_a_stage_splits_the_calls_as_preprocess_did(city, fitted_run, tmp_path, capsys, split_mode, extra, code, named):
     # a stage derives the split again from calls.csv, so its config must agree with
-    # preprocess's on every field the split reads; the seed is one only under kfold
+    # preprocess's on every field the split reads, compared as the split reads them
+    # (the window's times, its weekdays as a set); the seed is one only under kfold
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)
     mode = ("--split_mode", split_mode)
@@ -325,6 +330,16 @@ def test_bad_lambda_grid_is_exit_2(city, tmp_path, monkeypatch, grid):
 def test_non_list_config_field_is_exit_2(city, tmp_path, name, value):
     # refused while the config loads, not with a TypeError in the first stage that iterates it
     assert run(city, "grid", tmp_path / "x", (f"--{name}", value)) == 2
+
+
+@pytest.mark.parametrize("name, value", [
+    ("lambda_grid", "[true, 0.1]"), ("station_cells", "[7, true]"),
+    ("hospital_cells", "[false]"), ("peak_weekdays", "[true, 2]"),
+])
+def test_boolean_in_a_list_config_field_is_exit_2_naming_it(city, tmp_path, capsys, name, value):
+    # a bool is an int to isinstance, but true is neither a lambda, a cell nor a weekday
+    assert run(city, "grid", tmp_path / "x", (f"--{name}", value)) == 2
+    assert f"config error: {name} must be a list of" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("sub, name, value", [
@@ -574,23 +589,6 @@ def test_malformed_config_named_file_is_exit_3(city, tmp_path, capsys, field, sp
     capsys.readouterr()
     assert run(city, sub, out, (f"--{field}", str(path), *extra)) == 3
     assert (named or str(path)) in capsys.readouterr().err
-
-
-def test_lasso_failure_is_exit_4_naming_its_lambda(city, tmp_path, capsys, monkeypatch):
-    # a LASSO fit that does not converge is not refit at another lambda
-    fit_lasso = analysis.fit_lasso
-
-    def stalls_at_tenth(X, y, lam, **kwargs):
-        if lam == 0.1:
-            raise SolverError(f"LASSO did not converge within 100000 sweeps (lambda={lam})")
-        return fit_lasso(X, y, lam, **kwargs)
-
-    monkeypatch.setattr(analysis, "fit_lasso", stalls_at_tenth)
-    out = tmp_path / "run"
-    assert run(city, "grid", out) == 0
-    capsys.readouterr()
-    assert run(city, "analyze", out) == 4
-    assert "(lambda=0.1)" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind", ["linear", "identity"])
