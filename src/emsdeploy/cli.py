@@ -9,7 +9,7 @@ error, 3 data error, 4 solver failure.
 
 Every read of ``calls_csv`` goes through ``ingest.parse_calls_kept``, so
 ``--out`` also holds its hidden kept parse (``.<log file name>.parse``),
-keyed by the log's content and the schema, never listed in a manifest and
+keyed by the log's content and the timezone, never listed in a manifest and
 safe to delete, and a pipeline parses ``calls_csv`` once. No stage writes
 a call log: ``_read_split`` derives the peak-hour train/test split again
 wherever a stage needs it, and exits 2 naming a split field of the config
@@ -62,7 +62,6 @@ class RunConfig:
     max_lon: float = -97.60
     station_cells: list[int] = field(default_factory=lambda: [7, 10, 25, 28])
     hospital_cells: list[int] = field(default_factory=lambda: [14])
-    travel_provider: str = "synthetic"  # synthetic | matrix
     # at 60 km/h the default stations cover the whole default grid within
     # the 600 s threshold, keeping the robust model non-degenerate
     speed_kmh: float = 60.0
@@ -74,7 +73,6 @@ class RunConfig:
     peak_end: str = "20:00"
     peak_weekdays: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
     period_length_s: float = 3600.0
-    rate_periods: str = "peak"  # peak | all
     snap_cells: float = 1.0
     train_fraction: float = 0.8
     split_mode: str = "chronological"  # chronological | kfold
@@ -90,7 +88,6 @@ class RunConfig:
     n_batches: int = 12
     lognormal_mu: float = 3.65
     lognormal_sigma: float = 0.3
-    shortfall_threshold_s: float = 600.0
     sample_with_replacement: bool = False
     # calibration / verification
     calibration_kind: str = "loglog"  # identity | linear | loglog
@@ -103,7 +100,6 @@ class RunConfig:
     # fleet sweep
     n_min: int = 4
     n_max: int = 8
-    sweep_robust: bool = True
     # analysis
     analysis_folds: int = 5
     lambda_grid: list[float] = field(default_factory=lambda: [0.001, 0.01, 0.1, 1.0, 10.0])
@@ -129,13 +125,10 @@ class RunConfig:
         if not (self.min_lat < self.max_lat and self.min_lon < self.max_lon):
             raise ConfigError("grid bounds are degenerate")
         for name, choices in (
-            ("travel_provider", ("synthetic", "matrix")), ("rate_periods", ("peak", "all")),
             ("calibration_kind", ("identity", "linear", "loglog")), ("split_mode", ("chronological", "kfold")),
         ):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
-        if self.travel_provider == "matrix" and not self.travel_matrix_csv:
-            raise ConfigError("travel_provider=matrix requires travel_matrix_csv")
         for name in ("alpha", "train_fraction"):
             if not 0 < getattr(self, name) < 1:
                 raise ConfigError(f"{name} must lie in (0, 1)")
@@ -170,11 +163,12 @@ class RunConfig:
             start, end = self.peak_window()
         except ValueError as exc:
             raise ConfigError(f"bad peak window time: {exc}")
-        # a window that can hold no call would only fail later, as a data error
+        # a window that can hold no call would only fail later, as a data error;
+        # the rates are fitted on its periods whatever peak_filter says
         if not start < end:
             raise ConfigError(f"peak_start {self.peak_start} must come before peak_end {self.peak_end}")
-        if not all(0 <= d <= 6 for d in self.peak_weekdays):
-            raise ConfigError(f"peak_weekdays must lie in 0..6 (Monday is 0), got {self.peak_weekdays}")
+        if not (self.peak_weekdays and all(0 <= d <= 6 for d in self.peak_weekdays)):
+            raise ConfigError(f"peak_weekdays must be nonempty, in 0..6 (Monday is 0), got {self.peak_weekdays}")
 
     @staticmethod
     def _parse_time(text: str) -> time:
@@ -261,7 +255,7 @@ def load_config(path: str | None, overrides: dict[str, object]) -> RunConfig:
 
 def _build_grid(cfg: RunConfig) -> geogrid.Grid:
     bounds = (cfg.min_lat, cfg.max_lat, cfg.min_lon, cfg.max_lon)
-    if cfg.travel_provider == "matrix":
+    if cfg.travel_matrix_csv:
         provider = geogrid.MatrixProvider(geogrid.load_travel_matrix(cfg.travel_matrix_csv))
     else:
         provider = geogrid.SyntheticSpeedProvider(cfg.speed_kmh)
@@ -288,7 +282,6 @@ def _sim_params(cfg: RunConfig, model: calibrate.CalibrationModel | None) -> sim
     return simcore.SimParams(
         lognormal_mu=cfg.lognormal_mu,
         lognormal_sigma=cfg.lognormal_sigma,
-        shortfall_threshold_s=cfg.shortfall_threshold_s,
         calibration=model,
         snap_cells=cfg.snap_cells,
     )
@@ -297,8 +290,7 @@ def _sim_params(cfg: RunConfig, model: calibrate.CalibrationModel | None) -> sim
 def _parse_calls(cfg: RunConfig, out: Path) -> tuple[ingest.CallTable, ingest.ParseReport]:
     if not cfg.calls_csv:
         raise ConfigError("calls_csv is required for this subcommand")
-    schema = ingest.CallSchema(timezone=cfg.timezone)
-    return ingest.parse_calls_kept(cfg.calls_csv, schema, out)
+    return ingest.parse_calls_kept(cfg.calls_csv, cfg.timezone, out)
 
 
 def _peak(cfg: RunConfig, calls):
@@ -341,12 +333,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def _demand_for_rates(cfg: RunConfig, calls, grid) -> ingest.DemandMatrix:
+    """The demand matrix of ``calls``, kept to the periods that start in the peak window."""
     matrix = ingest.build_demand_matrix(calls, grid, cfg.period_length_s, cfg.snap_cells)
-    if cfg.rate_periods == "peak":
-        start, end = cfg.peak_window()
-        mask = ingest.peak_period_mask(matrix, start, end, cfg.peak_weekdays)
-        matrix = ingest.select_periods(matrix, mask)
-    return matrix
+    start, end = cfg.peak_window()
+    return ingest.select_periods(matrix, ingest.peak_period_mask(matrix, start, end, cfg.peak_weekdays))
 
 
 # ---------------------------------------------------------------------------
@@ -610,15 +600,9 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
     rows = []
     for n in range(cfg.n_min, cfg.n_max + 1):
         sol = stochastic.solve_stochastic(scenarios, n, edges, search)
-        row = {"n": n, "stochastic_mrt_min": mrt_min(sol.x_star.x)}
-        if cfg.sweep_robust:
-            rob = robust.solve_robust_ccg(uset, n, edges, search_config=search)
-            row["robust_mrt_min"] = mrt_min(rob.x_star.x)
-        rows.append(row)
-    header = ["n", "stochastic_mrt_min"] + (["robust_mrt_min"] if cfg.sweep_robust else [])
-    _write_csv(out / "fleet_sweep.csv", header, (
-        [row[h] if h == "n" else f"{row[h]:.4f}" for h in header] for row in rows
-    ))
+        rob = robust.solve_robust_ccg(uset, n, edges, search_config=search)
+        rows.append([n, f"{mrt_min(sol.x_star.x):.4f}", f"{mrt_min(rob.x_star.x):.4f}"])
+    _write_csv(out / "fleet_sweep.csv", ["n", "stochastic_mrt_min", "robust_mrt_min"], rows)
     return {"fleet_sweep.csv": out / "fleet_sweep.csv"}
 
 

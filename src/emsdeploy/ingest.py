@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import logging
 import math
 import os
@@ -37,31 +36,14 @@ from .errors import ConfigError, DataError, open_input
 from .geogrid import Grid, assign_cells
 from .rng import substream
 
-DEFAULT_COLUMNS = {
-    "datetime": "datetime",
-    "latitude": "latitude",
-    "longitude": "longitude",
-    "response_time_s": "response_time_s",
-    "travel_time_s": "travel_time_s",
-    "amb_latitude": "amb_latitude",
-    "amb_longitude": "amb_longitude",
-    "on_scene_s": "on_scene_s",
-    "to_hospital_s": "to_hospital_s",
-}
-MANDATORY_FIELDS = ("datetime", "latitude", "longitude")
+# the call-log CSV columns in CallRecord order: the three mandatory ones (a
+# stamp and the call's position), then the six optional float fields
+COLUMNS = (
+    "datetime", "latitude", "longitude", "response_time_s", "travel_time_s",
+    "amb_latitude", "amb_longitude", "on_scene_s", "to_hospital_s",
+)
 
 log = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True)
-class CallSchema:
-    """Column-name mapping and timestamp interpretation for a call-log CSV."""
-
-    columns: dict[str, str] = field(default_factory=lambda: dict(DEFAULT_COLUMNS))
-    timezone: str = "UTC"
-
-    def zone(self) -> ZoneInfo:
-        return ZoneInfo(self.timezone)
 
 
 class CallRecord(NamedTuple):
@@ -87,15 +69,16 @@ class ParseReport:
     reasons: Counter = field(default_factory=Counter)
 
 
-def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[CallTable, ParseReport]:
+def parse_calls(path: str | Path, timezone: str = "UTC") -> tuple[CallTable, ParseReport]:
     """Parse a call-log CSV into a CallTable in order of instant (a stable
     sort of the UTC us). The log is read as UTF-8: a file that is missing, or
     not UTF-8, is a DataError naming it.
 
-    Naive timestamps are interpreted in the schema's timezone (earlier
-    offset on DST transitions). Blank lines are skipped and not counted; a
-    field past the end of a short row reads as missing; a column name the
-    header repeats reads its last column. Malformed rows are dropped and
+    The header names its columns from ``COLUMNS``. Naive timestamps are
+    interpreted in the zone ``timezone`` names (earlier offset on DST
+    transitions). Blank lines are skipped and not counted; a field past the
+    end of a short row reads as missing; a column name the header repeats
+    reads its last column. Malformed rows are dropped and
     counted in the report with a reason: ``bad_timestamp``,
     ``bad_coordinates`` (missing or non-finite), or ``bad_optional_field``
     (a negative or non-finite duration, a non-finite ambulance position,
@@ -109,13 +92,11 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[Cal
     naming the line. Each chunk goes straight into columns: one
     ``datetime.fromisoformat`` and one ``float`` map per column, and a
     validity mask per check. Two stamps compare by instant,
-    also in the schema's zone, where ``datetime`` compares wall times: a
+    also in ``timezone``, where ``datetime`` compares wall times: a
     naive stamp in a DST gap (read at its earlier offset) sorts after a
     later wall time that is the earlier instant.
     """
-    schema = schema or CallSchema()
-    zone = schema.zone()
-    cols = schema.columns
+    zone = ZoneInfo(timezone)
     report = ParseReport()
     # each chunk's wall us, zone code, UTC us and floats, after those of no rows
     chunks = [(np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros((8, 0)))]
@@ -123,12 +104,12 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[Cal
         pieces = _line_chunks(f, path)
         lines, rows = next(pieces, ([""], None))  # the header's line, or row
         header = rows[0] if lines is None else _split_line(lines[0])
-        missing = [cols[k] for k in MANDATORY_FIELDS if cols[k] not in header]
+        missing = [name for name in COLUMNS[:3] if name not in header]
         if missing:
             raise DataError(f"{path}: missing mandatory columns: {', '.join(missing)}")
         width = len(header)
         position = {name: i for i, name in enumerate(header)}  # the last of a repeated name
-        picks = [position.get(cols[k]) for k in _CSV_FIELDS]  # None for a column the header lacks
+        picks = [position.get(name) for name in COLUMNS]  # None for a column the header lacks
         for lines, rows in pieces:
             if lines is not None and set(map(str.count, lines, repeat(","))) == {width - 1}:
                 # every line is a full row: one split of the chunk, and column k is every width-th field
@@ -153,11 +134,6 @@ def parse_calls(path: str | Path, schema: CallSchema | None = None) -> tuple[Cal
     return CallTable(wall_us, code, utc_us, values, zone), report
 
 
-# the CSV fields in CallRecord order: a stamp, then the eight float fields
-_CSV_FIELDS = (
-    "datetime", "latitude", "longitude", "response_time_s", "travel_time_s",
-    "amb_latitude", "amb_longitude", "on_scene_s", "to_hospital_s",
-)
 _DURATIONS = np.array([True, True, False, False, True, True])  # of the six optional fields
 _REASONS = ("bad_timestamp", "bad_coordinates", "bad_optional_field")
 _CHUNK_ROWS = 1 << 10  # rows read and turned into columns at a time
@@ -301,7 +277,7 @@ def _stamp_columns(stamps: list[datetime], zone: ZoneInfo) -> tuple[np.ndarray, 
 # the layout of a kept parse: change it whenever the layout or what a parse
 # returns changes, so that no older kept file matches a key
 _KEPT_FORMAT = b"emsdeploy kept parse 3"
-_SCHEMA_ZONE = np.iinfo(np.int64).min  # the zone code of a stamp in the schema's zone
+_SCHEMA_ZONE = np.iinfo(np.int64).min  # the zone code of a stamp in the parse's zone
 _NAIVE = np.iinfo(np.int64).min  # the UTC offset code of a naive period start
 _MICROSECOND = timedelta(microseconds=1)
 _UTC_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -402,31 +378,27 @@ def _in_window(wall_us: np.ndarray, start: time, end: time, weekdays: Sequence[i
     return np.isin(weekday, list(weekdays)) & (start_us <= clock_us) & (clock_us < end_us)
 
 
-def parse_calls_kept(
-    path: str | Path, schema: CallSchema | None, keep_dir: str | Path
-) -> tuple[CallTable, ParseReport]:
+def parse_calls_kept(path: str | Path, timezone: str, keep_dir: str | Path) -> tuple[CallTable, ParseReport]:
     """``parse_calls`` of a log whose parse is kept in ``keep_dir``, as a
     CallTable.
 
     The parse is kept in one hidden file, ``.<log file name>.parse``,
-    under a key: the SHA-256 of the format version, the schema (timezone
-    and column mapping) and the log's bytes. When the kept file's key
-    matches, the table and report are loaded from it. Otherwise (no kept
-    file, a changed log or schema, an empty, truncated or foreign file)
-    the log is parsed and its parse kept, written to a temporary file and
-    renamed into place. Either way the table's records are those of the
+    under a key: the SHA-256 of the format version, the timezone name and
+    the log's bytes. When the kept file's key matches, the table and report
+    are loaded from it. Otherwise (no kept file, a changed log or timezone,
+    an empty, truncated or foreign file) the log is parsed and its parse
+    kept, written to a temporary file and renamed into place. Either way the table's records are those of the
     table ``parse_calls`` returns, equal by ``repr`` (zone, signed zeros and
     None fields included), and the report is its report, its reasons in
     first-seen order. Two logs of the same file name share one kept file,
     so reading them in turn re-parses each; the kept file can be deleted at
     any time.
     """
-    schema = schema or CallSchema()
     kept = Path(keep_dir) / f".{Path(path).name}.parse"
-    key = _kept_key(path, schema)
-    loaded = _load_kept(kept, key, schema)
+    key = _kept_key(path, timezone)
+    loaded = _load_kept(kept, key, timezone)
     if loaded is None:
-        table, report = parse_calls(path, schema)
+        table, report = parse_calls(path, timezone)
         _keep(kept, key, table, report)
     else:
         table, report = loaded
@@ -435,12 +407,12 @@ def parse_calls_kept(
     return table, report
 
 
-def _kept_key(path: str | Path, schema: CallSchema) -> bytes:
-    """The bytes a kept parse of this log under this schema starts with:
+def _kept_key(path: str | Path, timezone: str) -> bytes:
+    """The bytes a kept parse of this log in this timezone starts with:
     its key as the file's first array."""
     digest = hashlib.sha256(_KEPT_FORMAT + b"\0")
-    # a JSON text holds no NUL, so the schema ends where the log begins
-    digest.update(json.dumps([schema.timezone, schema.columns], sort_keys=True).encode() + b"\0")
+    # a zone name holds no NUL, so the name ends where the log begins
+    digest.update(timezone.encode() + b"\0")
     try:
         with open(path, "rb") as f:
             for chunk in iter(lambda: f.read(1 << 20), b""):
@@ -474,7 +446,7 @@ def _keep(kept: Path, key: bytes, table: CallTable, report: ParseReport) -> None
         raise
 
 
-def _load_kept(kept: Path, key: bytes, schema: CallSchema) -> tuple[CallTable, ParseReport] | None:
+def _load_kept(kept: Path, key: bytes, timezone: str) -> tuple[CallTable, ParseReport] | None:
     """The parse ``_keep`` wrote under ``key``, or None for a file that is
     missing, unreadable, truncated or kept under another key."""
     try:
@@ -487,7 +459,7 @@ def _load_kept(kept: Path, key: bytes, schema: CallSchema) -> tuple[CallTable, P
     except (OSError, ValueError):
         return None
     report = ParseReport(*counts.tolist(), Counter(dict(zip(names.tolist(), reason_counts.tolist()))))
-    return CallTable(wall_us, zone, utc_us, values, schema.zone()), report
+    return CallTable(wall_us, zone, utc_us, values, ZoneInfo(timezone)), report
 
 
 def _none_for_nan(values: np.ndarray) -> list[float | None]:
@@ -497,7 +469,7 @@ def _none_for_nan(values: np.ndarray) -> list[float | None]:
 
 
 def serialize_calls(calls: CallTable, path: str | Path) -> None:
-    """Write calls out with the default column names (ISO timestamps).
+    """Write calls out under the ``COLUMNS`` header (ISO timestamps).
 
     Each row is joined here from the table's columns and streamed to the
     file: a stamp as ``isoformat`` writes it, a float as its repr and None
@@ -507,7 +479,7 @@ def serialize_calls(calls: CallTable, path: str | Path) -> None:
     """
     rows = _table_rows(check_table(calls))
     with open(path, "w", newline="") as f:
-        f.write(",".join(DEFAULT_COLUMNS.values()) + "\r\n")
+        f.write(",".join(COLUMNS) + "\r\n")
         f.writelines(rows)
 
 

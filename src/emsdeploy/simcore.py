@@ -57,15 +57,13 @@ class Event:
 class SimParams:
     """Simulation knobs.
 
-    The lognormal on-scene parameters are on the minutes scale; a call whose
-    response exceeds ``shortfall_threshold_s`` counts as a shortfall;
+    The lognormal on-scene parameters are on the minutes scale;
     ``calibration`` (when set) maps every grid travel time to an adjusted
     one; ``snap_cells`` is the off-grid snapping tolerance for the calls.
     """
 
     lognormal_mu: float = 3.65
     lognormal_sigma: float = 0.3
-    shortfall_threshold_s: float = 600.0
     calibration: CalibrationModel | None = None
     snap_cells: float = 1.0
 
@@ -79,7 +77,6 @@ class CallOutcome:
     dispatch_wait_s: float
     travel_s: float
     response_s: float
-    shortfall: bool
 
 
 @dataclass
@@ -93,7 +90,6 @@ class SimOutcome:
 
     call_rows: list[tuple]  # one per call, by call id
     mean_response_s: float
-    shortfall_rate: float
     chains: list[tuple]  # one per call, by call id
     hospital_leg_skipped: bool
 
@@ -228,7 +224,6 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
 
     service_s = draw_service_times(params, substream(seed, "service"), n_calls)
 
-    threshold = params.shortfall_threshold_s
     call_rows: list[tuple] = [()] * n_calls
     chains: list[tuple] = [()] * n_calls
     # Per unit, the time it frees and the call it served last. A unit is
@@ -254,8 +249,7 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
             cell = call_cell[call]
             leg = travel[here][cell]
             wait = now - call_t[call]
-            response = wait + leg
-            call_rows[call] = (call, call_t[call], cell, a, wait, leg, response, response > threshold)
+            call_rows[call] = (call, call_t[call], cell, a, wait, leg, wait + leg)
             t_scene = now + leg
             t_dep = t_scene + service_s[call]
             t_free = t_dep + to_free[cell]
@@ -287,8 +281,7 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
         # about a tenth of a run
         here = home[a]
         leg = travel[here][cell]
-        response = 0.0 + leg
-        call_rows[call] = (call, now, cell, a, 0.0, leg, response, response > threshold)
+        call_rows[call] = (call, now, cell, a, 0.0, leg, 0.0 + leg)
         t_scene = now + leg
         t_dep = t_scene + service_s[call]
         t_free = free[a] = t_dep + to_free[cell]
@@ -297,13 +290,11 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
     if heap is not None:
         serve(None)
 
-    # fields 6 and 7 of a row are response_s and shortfall
+    # field 6 of a row is response_s
     mean_response = float(np.mean([r[6] for r in call_rows])) if call_rows else 0.0
-    rate = float(np.mean([r[7] for r in call_rows])) if call_rows else 0.0
     return SimOutcome(
         call_rows=call_rows,
         mean_response_s=mean_response,
-        shortfall_rate=rate,
         chains=chains,
         hospital_leg_skipped=not hospitals,
     )

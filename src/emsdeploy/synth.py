@@ -169,30 +169,6 @@ def synth_calls(grid: Grid, n_calls: int, seed: int = 0, cfg: SynthConfig | None
     return CallTable(wall_us, np.full(n_calls, offset_us, dtype=np.int64), wall_us - offset_us, values, ZoneInfo("UTC"))
 
 
-def synth_tract_dataset(seed: int = 0, n_tracts: int = 150):
-    """Tract regression dataset where geography alone drives travel time.
-
-    The dependent is linear in the average station time plus sparse noise;
-    the minimum station time is heavy-tailed and carries no signal, and the
-    social-vulnerability columns are pure noise. Under the five-model
-    comparison the average-time regression should come out on top.
-    """
-    from .analysis import SVI_COLUMNS, TractDataset
-
-    rng = substream(seed, "synth-tracts")
-    avg = rng.uniform(5, 15, size=n_tracts)
-    minimum = np.exp(rng.normal(0.5, 2.6, size=n_tracts))
-    svi = rng.normal(0, 1, size=(n_tracts, len(SVI_COLUMNS)))
-    mask = rng.random(n_tracts) < 0.08
-    noise = np.where(mask, rng.normal(0, 2.0, size=n_tracts), 0.0)
-    y = 2.0 + avg + noise
-    return TractDataset(
-        tract_ids=[f"T{i}" for i in range(n_tracts)],
-        y=y,
-        X=np.column_stack([minimum, avg, svi]),
-    )
-
-
 def synth_tracts(grid: Grid, seed: int = 0, tracts_per_side: int = 3) -> tuple[dict[int, str], dict[str, dict[str, float]]]:
     """Quadrant-style tract map plus a random SVI table for those tracts."""
     from .analysis import SVI_COLUMNS

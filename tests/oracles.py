@@ -9,9 +9,10 @@ grid snapping, quantile trimming of a list of pairs and a calibration fit
 on pairs built record by record, the stationing branch and bound bounding
 each child with its own ``bound`` call, a call-log parser built on
 ``csv.DictReader``, a call-log writer built on ``csv.writer``, the bridge
-that codes hand-built records as a ``CallTable`` one record at a time, and
-a LASSO by coordinate descent on the full residual vector, with the
-objective it minimizes. Keep these slow and obvious.
+that codes hand-built records as a ``CallTable`` one record at a time, a
+LASSO by coordinate descent on the full residual vector with the objective
+it minimizes, and a tract dataset whose best model is known. Keep these
+slow and obvious.
 """
 
 from __future__ import annotations
@@ -28,15 +29,14 @@ import mpmath
 import numpy as np
 
 from emsdeploy import simcore
+from emsdeploy.analysis import SVI_COLUMNS, TractDataset
 from emsdeploy.calibrate import apply
 from emsdeploy.errors import ConfigError, DataError, SolverError
 from emsdeploy.ingest import (
     _NAIVE,
     _SCHEMA_ZONE,
-    DEFAULT_COLUMNS,
-    MANDATORY_FIELDS,
+    COLUMNS,
     CallRecord,
-    CallSchema,
     CallTable,
     ParseReport,
 )
@@ -260,7 +260,7 @@ def reference_simulate(x, calls, grid, params, seed: int):
     full on every dispatch. ``calls`` are sorted (epoch_seconds, cell)
     pairs. Returns the event log as (time_s, kind, call_id, ambulance_id,
     cell) tuples and one (call_id, time_s, cell, ambulance_id,
-    dispatch_wait_s, travel_s, response_s, shortfall) tuple per call.
+    dispatch_wait_s, travel_s, response_s) tuple per call.
     """
     def travel(a: int, b: int) -> float:
         t = float(grid.travel_time_s[a, b])
@@ -297,8 +297,7 @@ def reference_simulate(x, calls, grid, params, seed: int):
         t_call, cell = calls[k]
         wait = now - t_call
         leg = travel(unit["cell"], cell)
-        outcomes[k] = (k, t_call, cell, unit["id"], wait, leg, wait + leg,
-                       wait + leg > params.shortfall_threshold_s)
+        outcomes[k] = (k, t_call, cell, unit["id"], wait, leg, wait + leg)
         unit["free"] = False
         log.append((now, simcore.CALL_ENROUTE, k, unit["id"], unit["cell"]))
         push(now + leg, simcore.CALL_ARRIVE_SCENE, k, unit["id"])
@@ -409,7 +408,7 @@ def reference_calibration_fit(records, grid, kind: str, trim_p: float, snap_cell
     return float(intercept), float(slope), len(kept)
 
 
-def reference_parse_calls(path, schema=None):
+def reference_parse_calls(path, timezone="UTC"):
     """The call-log parser over ``csv.DictReader``, one dict per row.
 
     Same rules as ``ingest.parse_calls``: blank lines are skipped and not
@@ -418,9 +417,7 @@ def reference_parse_calls(path, schema=None):
     and bad optional fields (negative or non-finite durations, non-finite
     ambulance degrees, non-numbers) drop the row with a reason.
     """
-    schema = schema or CallSchema()
-    zone = schema.zone()
-    cols = schema.columns
+    zone = ZoneInfo(timezone)
     report = ParseReport()
     records = []
 
@@ -443,13 +440,13 @@ def reference_parse_calls(path, schema=None):
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         header = reader.fieldnames or []
-        missing = [cols[k] for k in MANDATORY_FIELDS if cols[k] not in header]
+        missing = [name for name in COLUMNS[:3] if name not in header]
         if missing:
             raise DataError(f"{path}: missing mandatory columns: {', '.join(missing)}")
         for row in reader:
             report.n_rows += 1
             try:
-                ts = datetime.fromisoformat(row[cols["datetime"]].strip())
+                ts = datetime.fromisoformat(row["datetime"].strip())
             except (ValueError, AttributeError):
                 report.n_dropped += 1
                 report.reasons["bad_timestamp"] += 1
@@ -457,8 +454,8 @@ def reference_parse_calls(path, schema=None):
             if ts.tzinfo is None:
                 ts = ts.replace(tzinfo=zone, fold=0)
             try:
-                lat = float(row[cols["latitude"]])
-                lon = float(row[cols["longitude"]])
+                lat = float(row["latitude"])
+                lon = float(row["longitude"])
                 if not (math.isfinite(lat) and math.isfinite(lon)):
                     raise ValueError("non-finite coordinate")
             except (ValueError, TypeError):
@@ -470,12 +467,12 @@ def reference_parse_calls(path, schema=None):
                     timestamp=ts,
                     lat=lat,
                     lon=lon,
-                    reported_response_s=seconds(row.get(cols["response_time_s"])),
-                    reported_travel_s=seconds(row.get(cols["travel_time_s"])),
-                    ambulance_lat=degrees(row.get(cols["amb_latitude"])),
-                    ambulance_lon=degrees(row.get(cols["amb_longitude"])),
-                    on_scene_s=seconds(row.get(cols["on_scene_s"])),
-                    to_hospital_s=seconds(row.get(cols["to_hospital_s"])),
+                    reported_response_s=seconds(row.get("response_time_s")),
+                    reported_travel_s=seconds(row.get("travel_time_s")),
+                    ambulance_lat=degrees(row.get("amb_latitude")),
+                    ambulance_lon=degrees(row.get("amb_longitude")),
+                    on_scene_s=seconds(row.get("on_scene_s")),
+                    to_hospital_s=seconds(row.get("to_hospital_s")),
                 )
             except ValueError:
                 report.n_dropped += 1
@@ -483,16 +480,16 @@ def reference_parse_calls(path, schema=None):
                 continue
             records.append(rec)
             report.n_parsed += 1
-    records.sort(key=lambda r: r.timestamp.astimezone(timezone.utc))  # by instant
+    records.sort(key=lambda r: r.timestamp - _UTC_EPOCH)  # by instant
     return records, report
 
 
 def reference_serialize_calls(records, path) -> None:
-    """The call-log writer over ``csv.writer``: default column names, ISO
+    """The call-log writer over ``csv.writer``: the ``COLUMNS`` header, ISO
     timestamps, each value as a float (written as its repr), None empty."""
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
-        writer.writerow(list(DEFAULT_COLUMNS.values()))
+        writer.writerow(list(COLUMNS))
         writer.writerows(
             (r.timestamp.isoformat(), float(r.lat), float(r.lon),
              *[None if v is None else float(v) for v in r[3:]])
@@ -604,3 +601,25 @@ def reference_fit_lasso(X, y, lam: float, tol: float = 1e-8, max_sweeps: int = 1
     err = SolverError(f"LASSO did not converge within {max_sweeps} sweeps (lambda={lam})")
     err.last_iterate = np.concatenate([[intercept], beta])
     raise err
+
+
+def synth_tract_dataset(seed: int = 0, n_tracts: int = 150):
+    """Tract regression dataset where geography alone drives travel time.
+
+    The dependent is linear in the average station time plus sparse noise;
+    the minimum station time is heavy-tailed and carries no signal, and the
+    social-vulnerability columns are pure noise. Under the five-model
+    comparison the average-time regression should come out on top.
+    """
+    rng = substream(seed, "synth-tracts")
+    avg = rng.uniform(5, 15, size=n_tracts)
+    minimum = np.exp(rng.normal(0.5, 2.6, size=n_tracts))
+    svi = rng.normal(0, 1, size=(n_tracts, len(SVI_COLUMNS)))
+    mask = rng.random(n_tracts) < 0.08
+    noise = np.where(mask, rng.normal(0, 2.0, size=n_tracts), 0.0)
+    y = 2.0 + avg + noise
+    return TractDataset(
+        tract_ids=[f"T{i}" for i in range(n_tracts)],
+        y=y,
+        X=np.column_stack([minimum, avg, svi]),
+    )

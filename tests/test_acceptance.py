@@ -18,12 +18,13 @@ from emsdeploy.demand import UncertaintySet, enumerate_set, poisson_var
 from emsdeploy.dispatchflow import EdgeSet, min_shortfall
 from emsdeploy.robust import solve_robust_ccg
 from emsdeploy.rng import substream
-from emsdeploy.synth import SynthConfig, synth_calls, synth_grid, synth_tract_dataset
+from emsdeploy.synth import SynthConfig, synth_calls, synth_grid
 from oracles import (
     brute_min_shortfall_many,
     compositions_at_most,
     exhaustive_best_deployment,
     poisson_var_oracle,
+    synth_tract_dataset,
     table_from_records,
 )
 

@@ -312,7 +312,7 @@ def test_compare_models_constant_dependent():
 
 def test_compare_models_geography_signal_ranks_avg_first():
     # the full 20-seed dominance claim lives in the acceptance suite
-    from emsdeploy.synth import synth_tract_dataset
+    from oracles import synth_tract_dataset
 
     wins = 0
     for seed in range(5):

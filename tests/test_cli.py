@@ -5,7 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
-from datetime import time
+from datetime import datetime, time
 from pathlib import Path
 
 import numpy as np
@@ -355,7 +355,7 @@ def test_config_value_of_the_wrong_json_type_is_exit_2(city, tmp_path, sub, name
 
 
 @pytest.mark.parametrize("name, value", [
-    ("speed_kmh", math.nan), ("speed_kmh", math.inf), ("min_lat", -math.inf), ("shortfall_threshold_s", math.inf),
+    ("speed_kmh", math.nan), ("speed_kmh", math.inf), ("min_lat", -math.inf),
     ("coverage_threshold_s", math.nan), ("coverage_threshold_s", 0), ("lognormal_sigma", math.nan),
     ("lognormal_sigma", 0), ("period_length_s", 0), ("snap_cells", -5), ("snap_cells", math.nan),
     ("max_nodes", 0), ("n_calls", 0), ("n_batches", 0), ("verify_batch_size", 0), ("verify_n_batches", 0),
@@ -370,14 +370,15 @@ def test_non_finite_or_out_of_range_config_number_is_exit_2(city, tmp_path, name
 
 def test_config_values_keep_their_json_type():
     # an int is a number: kept as given, so the resolved config reads as written
-    cfg = load_config(None, {"alpha": 0.05, "speed_kmh": 60, "n_rows": 7, "sweep_robust": False, "svi_csv": None})
-    assert (cfg.alpha, cfg.speed_kmh, cfg.n_rows, cfg.sweep_robust, cfg.svi_csv) == (0.05, 60, 7, False, None)
+    cfg = load_config(None, {"alpha": 0.05, "speed_kmh": 60, "n_rows": 7, "peak_filter": False, "svi_csv": None})
+    assert (cfg.alpha, cfg.speed_kmh, cfg.n_rows, cfg.peak_filter, cfg.svi_csv) == (0.05, 60, 7, False, None)
     assert isinstance(cfg.speed_kmh, int)
 
 
 @pytest.mark.parametrize("window", [
     ("--peak_weekdays", "[7]"), ("--peak_weekdays", "[0, -1]"),
     ("--peak_start", "20:00", "--peak_end", "08:00"), ("--peak_start", "08:00", "--peak_end", "08:00"),
+    ("--peak_weekdays", "[]"), ("--peak_filter", "false", "--peak_weekdays", "[]"),
 ])
 def test_peak_window_that_holds_no_call_is_exit_2(city, tmp_path, capsys, window):
     # refused while the config loads, not as "0 calls remain" (exit 3) in preprocess
@@ -583,11 +584,10 @@ def test_malformed_config_named_file_is_exit_3(city, tmp_path, capsys, field, sp
         if field in city["raw"]:
             shutil.copy(city["raw"][field], path)
         spoil(path)
-    extra = ("--travel_provider", "matrix") if field == "travel_matrix_csv" else ()
     out = tmp_path / "run"
     assert run(city, "grid", out) == 0
     capsys.readouterr()
-    assert run(city, sub, out, (f"--{field}", str(path), *extra)) == 3
+    assert run(city, sub, out, (f"--{field}", str(path))) == 3
     assert (named or str(path)) in capsys.readouterr().err
 
 
@@ -677,24 +677,50 @@ def test_plotdata_with_empty_calls_writes_headers(city, tmp_path):
     assert spatial[0] == "cell,lat,lon,count"
 
 
-def test_custom_column_schema(tmp_path):
-    from emsdeploy.ingest import CallSchema, parse_calls
-
-    path = tmp_path / "renamed.csv"
-    path.write_text("when,lat,lng\n2024-01-01T09:00:00,30.1,-97.6\n")
-    schema = CallSchema(columns={**CallSchema().columns,
-                                 "datetime": "when", "latitude": "lat", "longitude": "lng"})
-    records, report = parse_calls(path, schema)
-    assert len(records) == 1 and report.n_dropped == 0
-
-
 def test_load_config_defaults_and_validation():
     cfg = load_config(None, {})
     assert isinstance(cfg, RunConfig)
     with pytest.raises(ConfigError):
-        load_config(None, {"travel_provider": "teleport"})
+        load_config(None, {"split_mode": "teleport"})
     with pytest.raises(ConfigError):
         load_config(None, {"n_rows": "0"})
     cfg2 = load_config(None, {"station_cells": "[1, 2]", "peak_filter": "false"})
     assert cfg2.station_cells == [1, 2]
     assert cfg2.peak_filter is False
+
+
+@pytest.mark.parametrize("name, value", [
+    ("travel_provider", "synthetic"), ("rate_periods", "peak"), ("sweep_robust", True),
+    ("shortfall_threshold_s", 600.0),
+])
+def test_removed_config_field_is_exit_2(tmp_path, capsys, name, value):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({name: value}))
+    with pytest.raises(ConfigError, match=f"^unknown config field: {name}$"):
+        load_config(str(config), {})
+    assert main(["grid", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+    assert f"config error: unknown config field: {name}\n" in capsys.readouterr().err
+
+
+def test_travel_matrix_file_selects_the_matrix(city, tmp_path):
+    # travel_matrix_csv alone builds the grid on that matrix, not on the fixed speed
+    synthetic = tmp_path / "synthetic"
+    assert run(city, "grid", synthetic) == 0
+    matrix = tmp_path / "m.csv"
+    with open(synthetic / "grid_travel.csv", newline="") as f, open(matrix, "w", newline="") as doubled:
+        csv.writer(doubled).writerows([repr(2 * float(v)) for v in row] for row in csv.reader(f))
+    out = tmp_path / "run"
+    assert run(city, "grid", out, ("--travel_matrix_csv", str(matrix))) == 0
+    assert (out / "grid_travel.csv").read_bytes() == matrix.read_bytes()
+
+
+@pytest.mark.parametrize("peak_filter", ["true", "false"])
+def test_rates_are_fitted_on_peak_window_periods(city, tmp_path, peak_filter):
+    # the demand matrix keeps the periods that start in the peak window, whether or not the calls were filtered
+    out = tmp_path / "run"
+    assert run(city, "grid", out) == 0
+    assert run(city, "preprocess", out, ("--peak_filter", peak_filter)) == 0
+    with open(out / "demand_matrix.csv", newline="") as f:
+        starts = [datetime.fromisoformat(row[0]) for row in list(csv.reader(f))[1:]]
+    assert starts
+    assert all(s.weekday() < 5 and 8 <= s.hour < 20 for s in starts)

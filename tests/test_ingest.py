@@ -18,7 +18,6 @@ from emsdeploy.errors import ConfigError, DataError
 from emsdeploy.geogrid import SyntheticSpeedProvider, build_grid
 from emsdeploy.ingest import (
     CallRecord,
-    CallSchema,
     CallTable,
     DemandMatrix,
     build_demand_matrix,
@@ -131,7 +130,7 @@ def test_parse_sorts_by_timestamp(tmp_path):
 def test_parse_naive_timestamps_get_schema_zone(tmp_path):
     path = tmp_path / "calls.csv"
     path.write_text("datetime,latitude,longitude\n2024-01-01T09:00:00,30.1,-97.6\n")
-    records, _ = parse_calls(path, CallSchema(timezone="America/Chicago"))
+    records, _ = parse_calls(path, "America/Chicago")
     assert records[0].timestamp.utcoffset() == timedelta(hours=-6)
 
 
@@ -164,7 +163,7 @@ def test_parse_short_long_and_duplicated_columns(tmp_path):
     assert report.n_rows == 2 and report.reasons["bad_coordinates"] == 1
 
 
-HEADER_NAMES = list(CallSchema().columns.values())
+HEADER_NAMES = list(ingest.COLUMNS)
 TIMESTAMPS = [
     "2024-03-10T02:30:00", "2024-03-10T03:10:00", "2024-11-03T01:30:00", "2024-01-01T09:00:00+00:00",
     " 2024-01-01T09:00:00-05:00 ", "2024-01-01 09:00", "not-a-time", "", "2024-13-01T00:00:00",
@@ -211,18 +210,17 @@ def call_logs(draw, max_rows=12, max_blank_run=1):
 @given(call_logs())
 def test_parse_calls_matches_reference(case):
     text, tz = case
-    schema = CallSchema(timezone=tz)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "calls.csv"
         path.write_text(text)
         try:
-            expected = reference_parse_calls(path, schema)
+            expected = reference_parse_calls(path, tz)
         except DataError as exc:
             with pytest.raises(DataError) as err:
-                parse_calls(path, schema)
+                parse_calls(path, tz)
             assert str(err.value) == str(exc)
             return
-        records, report = parse_calls(path, schema)
+        records, report = parse_calls(path, tz)
     want_records, want = expected
     # repr tells apart equal instants in different zones or folds, and 0.0 from -0.0
     assert [repr(r) for r in records] == [repr(r) for r in want_records]
@@ -243,21 +241,20 @@ def _same_parse(got, want):
 @given(call_logs())
 def test_kept_parse_is_parse_calls(case):
     text, tz = case
-    schema = CallSchema(timezone=tz)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "calls.csv"
         path.write_text(text)
         try:
-            want = parse_calls(path, schema)
+            want = parse_calls(path, tz)
         except DataError as exc:
             with pytest.raises(DataError) as err:
-                parse_calls_kept(path, schema, tmp)
+                parse_calls_kept(path, tz, tmp)
             assert str(err.value) == str(exc)
             assert list(Path(tmp).iterdir()) == [path]  # nothing is kept
             return
-        _same_parse(parse_calls_kept(path, schema, tmp), want)
+        _same_parse(parse_calls_kept(path, tz, tmp), want)
         with mock.patch.object(ingest, "parse_calls", side_effect=AssertionError("parsed again")):
-            hit = parse_calls_kept(path, schema, tmp)
+            hit = parse_calls_kept(path, tz, tmp)
     _same_parse(hit, want)
 
 
@@ -267,17 +264,16 @@ def test_chunked_parse_is_the_reference_parse(case, chunk_rows):
     # logs several chunks long, so that blank-only chunks, short and long
     # rows and every drop reason fall on chunk boundaries
     text, tz = case
-    schema = CallSchema(timezone=tz)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
         path = Path(tmp) / "calls.csv"
         path.write_text(text)
         try:
-            want = reference_parse_calls(path, schema)
+            want = reference_parse_calls(path, tz)
         except DataError:
             return
-        _same_parse(parse_calls(path, schema), want)
-        _same_parse(parse_calls_kept(path, schema, tmp), want)
+        _same_parse(parse_calls(path, tz), want)
+        _same_parse(parse_calls_kept(path, tz, tmp), want)
 
 
 def test_chunks_of_blank_lines_and_reasons_across_chunks(tmp_path, monkeypatch):
@@ -363,7 +359,6 @@ def test_quoting_every_field_keeps_the_parse(case, chunk_rows):
     # the csv.writer QUOTE_ALL rewrite of a log reads through csv.reader
     # alone, and parses as the log does
     text, tz = case
-    schema = CallSchema(timezone=tz)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
         patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
         path, quoted = Path(tmp) / "calls.csv", Path(tmp) / "quoted.csv"
@@ -371,13 +366,13 @@ def test_quoting_every_field_keeps_the_parse(case, chunk_rows):
         with open(path, newline="") as f, open(quoted, "w", newline="") as out:
             csv.writer(out, quoting=csv.QUOTE_ALL).writerows(csv.reader(f))
         try:
-            want = parse_calls(path, schema)
+            want = parse_calls(path, tz)
         except DataError as exc:
             with pytest.raises(DataError) as err:
-                parse_calls(quoted, schema)
+                parse_calls(quoted, tz)
             assert str(err.value) == str(exc).replace("calls.csv", "quoted.csv")
             return
-        _same_parse(parse_calls(quoted, schema), want)
+        _same_parse(parse_calls(quoted, tz), want)
 
 
 def test_parse_orders_by_instant_across_the_spring_gap(tmp_path):
@@ -385,9 +380,9 @@ def test_parse_orders_by_instant_across_the_spring_gap(tmp_path):
     # and reads at its earlier offset (fold 0), 08:30Z, after 03:10 CDT, 08:10Z
     path = tmp_path / "calls.csv"
     path.write_text("datetime,latitude,longitude\n2024-03-10T02:30:00,30.05,-97.65\n2024-03-10T03:10:00,30.15,-97.55\n")
-    schema = CallSchema(timezone="America/Chicago")
+    tz = "America/Chicago"
     grid = build_grid((30.0, 30.2, -97.7, -97.5), 2, 2, SyntheticSpeedProvider(50.0), station_cells=[0])
-    for calls, _ in (parse_calls(path, schema), parse_calls_kept(path, schema, tmp_path)):
+    for calls, _ in (parse_calls(path, tz), parse_calls_kept(path, tz, tmp_path)):
         assert calls.utc_s.tolist() == [1710058200.0, 1710059400.0]
         assert [r.timestamp.isoformat() for r in calls] == ["2024-03-10T03:10:00-05:00", "2024-03-10T02:30:00-06:00"]
         outcome = simcore.simulate([1], calls, grid)
@@ -400,9 +395,9 @@ def parsed(monkeypatch):
     names = []
     inner = ingest.parse_calls
 
-    def counting(path, schema=None):
+    def counting(path, timezone="UTC"):
         names.append(Path(path).name)
-        return inner(path, schema)
+        return inner(path, timezone)
 
     monkeypatch.setattr(ingest, "parse_calls", counting)
     return names
@@ -416,24 +411,22 @@ NAIVE_LOG = (
 )
 
 
-@pytest.mark.parametrize("change", ["log byte", "timezone", "column mapping"])
+@pytest.mark.parametrize("change", ["log byte", "timezone"])
 def test_kept_parse_reparses_a_changed_log_or_schema(tmp_path, parsed, change):
     path = tmp_path / "calls.csv"
     path.write_text(NAIVE_LOG)
-    schema = CallSchema()
-    parse_calls_kept(path, schema, tmp_path)
-    parse_calls_kept(path, schema, tmp_path)
+    tz = "UTC"
+    parse_calls_kept(path, tz, tmp_path)
+    parse_calls_kept(path, tz, tmp_path)
     assert parsed == ["calls.csv"]
     if change == "log byte":
         path.write_text(NAIVE_LOG.replace("-97.6,30.3", "-97.5,30.3"))
-    elif change == "timezone":
-        schema = CallSchema(timezone="America/Chicago")
     else:
-        schema = CallSchema(columns={**schema.columns, "latitude": "lat2"})
-    got = parse_calls_kept(path, schema, tmp_path)
+        tz = "America/Chicago"
+    got = parse_calls_kept(path, tz, tmp_path)
     assert parsed == ["calls.csv"] * 2
-    _same_parse(got, parse_calls(path, schema))
-    _same_parse(parse_calls_kept(path, schema, tmp_path), got)
+    _same_parse(got, parse_calls(path, tz))
+    _same_parse(parse_calls_kept(path, tz, tmp_path), got)
     assert parsed == ["calls.csv"] * 2
 
 
@@ -446,11 +439,11 @@ def test_kept_parse_reparses_a_changed_log_or_schema(tmp_path, parsed, change):
 def test_kept_parse_reparses_a_spoiled_kept_file(tmp_path, parsed, spoil):
     path = tmp_path / "calls.csv"
     path.write_text(NAIVE_LOG)
-    want = parse_calls_kept(path, None, tmp_path)
+    want = parse_calls_kept(path, "UTC", tmp_path)
     kept = tmp_path / ".calls.csv.parse"
     good = kept.read_bytes()
     kept.write_bytes(spoil(good))
-    _same_parse(parse_calls_kept(path, None, tmp_path), want)
+    _same_parse(parse_calls_kept(path, "UTC", tmp_path), want)
     assert parsed == ["calls.csv"] * 2
     # the parse is kept again, in the same bytes
     assert kept.read_bytes() == good
@@ -459,7 +452,7 @@ def test_kept_parse_reparses_a_spoiled_kept_file(tmp_path, parsed, spoil):
 
 def test_kept_parse_of_a_missing_log_is_a_data_error(tmp_path):
     with pytest.raises(DataError, match="call log not found"):
-        parse_calls_kept(tmp_path / "absent.csv", None, tmp_path)
+        parse_calls_kept(tmp_path / "absent.csv", "UTC", tmp_path)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -467,8 +460,8 @@ def test_kept_parse_logs_each_read(tmp_path, caplog):
     path = tmp_path / "calls.csv"
     path.write_text(NAIVE_LOG)
     with caplog.at_level(logging.INFO, logger="emsdeploy"):
-        parse_calls_kept(path, None, tmp_path)
-        parse_calls_kept(path, None, tmp_path)
+        parse_calls_kept(path, "UTC", tmp_path)
+        parse_calls_kept(path, "UTC", tmp_path)
     assert caplog.messages == ["calls.csv: 3 rows, parsed", "calls.csv: 3 rows, read from its kept parse"]
 
 
@@ -753,12 +746,11 @@ def _parsed_table(text, tz, tmp):
     of ``parse_calls``'s table."""
     path = Path(tmp) / "calls.csv"
     path.write_text(text)
-    schema = CallSchema(timezone=tz)
     try:
-        records, report = parse_calls(path, schema)
+        records, report = parse_calls(path, tz)
     except DataError:
         return None
-    table, table_report = parse_calls_kept(path, schema, tmp)
+    table, table_report = parse_calls_kept(path, tz, tmp)
     assert table_report == report
     return table, list(records)
 
@@ -800,17 +792,17 @@ def test_kept_parse_of_a_written_log_is_parse_calls(case):
             serialize_calls(table_from_records(list(calls), calls.tz), Path(tmp) / "from_records.csv")
             assert path.read_bytes() == (Path(tmp) / "from_records.csv").read_bytes()
             want = parse_calls(path)
-            # naive stamps under a ZoneInfo schema come back with fixed offsets
+            # naive stamps parsed in a ZoneInfo zone come back with fixed offsets
             assert all(r.timestamp.tzinfo is not None and not isinstance(r.timestamp.tzinfo, ZoneInfo)
                        for r in want[0])
-            _same_parse(parse_calls_kept(path, None, tmp), want)
+            _same_parse(parse_calls_kept(path, "UTC", tmp), want)
             kept = (Path(tmp) / f".split{k}.csv.parse").read_bytes()
             with mock.patch.object(ingest, "parse_calls", side_effect=AssertionError("parsed")):
-                hit = parse_calls_kept(path, None, tmp)
+                hit = parse_calls_kept(path, "UTC", tmp)
             _same_parse(hit, want)
             # a parse of the log keeps the same bytes again
             (Path(tmp) / f".split{k}.csv.parse").unlink()
-            _same_parse(parse_calls_kept(path, None, tmp), want)
+            _same_parse(parse_calls_kept(path, "UTC", tmp), want)
             assert (Path(tmp) / f".split{k}.csv.parse").read_bytes() == kept
 
 
@@ -916,9 +908,9 @@ def test_demand_matrix_starts_step_in_absolute_time_across_dst(tmp_path):
     path.write_text("datetime,latitude,longitude\n" + "".join(
         f"2024-03-{day:02d}T{hour:02d}:30:00,30.05,-97.65\n" for day in (9, 10, 11) for hour in (1, 10, 23)
     ))
-    schema = CallSchema(timezone="America/Chicago")
-    table, _ = parse_calls_kept(path, schema, tmp_path)
-    records, _ = parse_calls(path, schema)
+    tz = "America/Chicago"
+    table, _ = parse_calls_kept(path, tz, tmp_path)
+    records, _ = parse_calls(path, tz)
     assert len(records) == 9
     for calls in (table, records):
         m = build_demand_matrix(calls, make_grid())

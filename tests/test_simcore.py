@@ -55,7 +55,6 @@ def test_zero_travel_response():
     out = simulate([1], table(g, [(0.0, 1)]), g, SimParams(), seed=1)
     assert out.calls[0].response_s == 0.0
     assert out.calls[0].dispatch_wait_s == 0.0
-    assert not out.calls[0].shortfall
     assert out.mean_response_s == 0.0
 
 
@@ -203,16 +202,6 @@ def test_infinite_fleet_everywhere_gives_zero_response():
     calls = [(float(i), i % 4) for i in range(30)]
     out = simulate([30, 30, 30, 30], table(g, calls), g, SimParams(), seed=19)
     assert out.mean_response_s == 0.0
-
-
-def test_shortfall_threshold():
-    g = line_grid(stations=(0,))
-    travel = float(g.travel_time_s[0, 1])
-    assert travel > 0
-    params = SimParams(shortfall_threshold_s=travel - 1.0)
-    out = simulate([1], table(g, [(0.0, 1)]), g, params, seed=1)
-    assert out.calls[0].shortfall
-    assert out.shortfall_rate == 1.0
 
 
 def test_draw_service_time_distribution():
@@ -448,7 +437,6 @@ def test_simulate_matches_reference(city):
     assert out.call_rows == outcomes
     if outcomes:
         assert out.mean_response_s == float(np.mean([o[6] for o in outcomes]))
-        assert out.shortfall_rate == float(np.mean([o[7] for o in outcomes]))
 
 
 def staggered_city():
