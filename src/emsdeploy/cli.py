@@ -7,15 +7,14 @@ Every subcommand reads a flat JSON config (any field overridable with
 the same resolved config are byte-identical. Exit codes: 0 ok, 2 config
 error, 3 data error, 4 solver failure.
 
-Every read of ``calls_csv`` goes through ``ingest.parse_calls_kept``, so
-``--out`` also holds its hidden kept parse (``.<log file name>.parse``),
-keyed by the log's content and the timezone, never listed in a manifest and
-safe to delete, and a pipeline parses ``calls_csv`` once. No stage writes
-a call log: ``_read_split`` derives the peak-hour train/test split again
-wherever a stage needs it, and exits 2 naming a split field of the config
-that differs from those preprocess recorded in its summary. The stages
-work on the ``ingest.CallTable`` of a parse, column by column, and hand
-the simulator that table as it is; no stage builds a record per call.
+Only preprocess reads ``calls_csv``: it parses the log once and saves the
+parse as ``calls_table.bin``, which every later stage loads (``_load_calls``).
+No stage writes a call log: ``_read_split`` derives the peak-hour
+train/test split again wherever a stage needs it, and exits 2 naming a
+split field of the config that differs from those preprocess recorded in
+its summary. The stages work on the ``ingest.CallTable`` of the parse,
+column by column, and hand the simulator that table as it is; no stage
+builds a record per call.
 """
 
 from __future__ import annotations
@@ -287,12 +286,6 @@ def _sim_params(cfg: RunConfig, model: calibrate.CalibrationModel | None) -> sim
     )
 
 
-def _parse_calls(cfg: RunConfig, out: Path) -> tuple[ingest.CallTable, ingest.ParseReport]:
-    if not cfg.calls_csv:
-        raise ConfigError("calls_csv is required for this subcommand")
-    return ingest.parse_calls_kept(cfg.calls_csv, cfg.timezone, out)
-
-
 def _peak(cfg: RunConfig, calls):
     if not cfg.peak_filter:
         return calls
@@ -301,19 +294,18 @@ def _peak(cfg: RunConfig, calls):
 
 
 def _split_fields(cfg: RunConfig) -> dict:
-    """The config fields the train/test split of ``calls_csv`` reads, and only those."""
+    """The config fields the train/test split of the calls and the rate periods read, and only those."""
     fields = {name: getattr(cfg, name) for name in ("timezone", "peak_filter", "split_mode")}
-    if cfg.peak_filter:
-        # the window as the filter reads it: 8:00 is 08:00, and the weekdays are a set
-        start, end = cfg.peak_window()
-        fields |= {"peak_start": f"{start:%H:%M}", "peak_end": f"{end:%H:%M}",
-                   "peak_weekdays": sorted(set(cfg.peak_weekdays))}
+    # the window as the filter and the rate periods read it: 8:00 is 08:00, and the weekdays are a set
+    start, end = cfg.peak_window()
+    fields |= {"peak_start": f"{start:%H:%M}", "peak_end": f"{end:%H:%M}",
+               "peak_weekdays": sorted(set(cfg.peak_weekdays))}
     names = ["train_fraction"] if cfg.split_mode == "chronological" else ["split_k", "split_fold", "seed"]
     return fields | {name: getattr(cfg, name) for name in names}
 
 
 def _split(cfg: RunConfig, calls: ingest.CallTable) -> tuple[ingest.CallTable, ingest.CallTable]:
-    """The train and test calls of a parse of ``calls_csv``: its peak calls, split as the config says."""
+    """The train and test calls of a parse: its peak calls, split as the config says."""
     return ingest.split_train_test(
         _peak(cfg, calls), cfg.train_fraction, cfg.split_mode, cfg.split_k, cfg.split_fold, cfg.seed
     )
@@ -365,16 +357,20 @@ def _load_split_fields(out: Path) -> dict:
     return fields
 
 
+def _load_calls(out: Path) -> ingest.CallTable:
+    return ingest.load_call_table(_require(out / "calls_table.bin", "preprocess"))
+
+
 def _read_split(cfg: RunConfig, out: Path, calls: ingest.CallTable | None = None):
     """The (train, test) split preprocess built ``out``'s demand matrix from,
-    derived again from ``calls`` or else the kept parse of ``calls_csv``.
+    derived again from ``calls`` or else the calls preprocess saved.
     A split field that differs from preprocess's is a config error."""
     recorded = _load_split_fields(out)
     for name, value in _split_fields(cfg).items():
         if recorded.get(name) != value:
             raise ConfigError(f"{name} is {value!r}, but preprocess split the calls with {recorded.get(name)!r}; "
                               "rerun `emsdeploy preprocess` with this config")
-    return _split(cfg, _parse_calls(cfg, out)[0] if calls is None else calls)
+    return _split(cfg, _load_calls(out) if calls is None else calls)
 
 
 def _load_matrix(out: Path) -> ingest.DemandMatrix:
@@ -425,8 +421,12 @@ def cmd_grid(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
-    calls, report = _parse_calls(cfg, out)
+    if not cfg.calls_csv:
+        raise ConfigError("calls_csv is required for preprocess")
+    calls, report = ingest.parse_calls(cfg.calls_csv, cfg.timezone)
+    log.info("%s: %d rows, parsed", Path(cfg.calls_csv).name, report.n_rows)
     train, test = _split(cfg, calls)
+    ingest.save_call_table(calls, out / "calls_table.bin")
     matrix = _demand_for_rates(cfg, train, grid)
     ingest.save_demand_matrix(matrix, out / "demand_matrix.csv")
     summary = {
@@ -442,7 +442,7 @@ def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
         "split": _split_fields(cfg),
     }
     _write_json(out / "preprocess_summary.json", summary)
-    return {name: out / name for name in ("demand_matrix.csv", "preprocess_summary.json")}
+    return {name: out / name for name in ("calls_table.bin", "demand_matrix.csv", "preprocess_summary.json")}
 
 
 def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
@@ -513,8 +513,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
-    calls, _ = _parse_calls(cfg, out)
-    peak_calls = _peak(cfg, calls)
+    peak_calls = _peak(cfg, _load_calls(out))
     edges = _edges(cfg, grid)
     adjacency, ball = _regions(cfg, grid)
     table: list[list[float | None]] = []
@@ -608,9 +607,9 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_analyze(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
-    calls, _ = _parse_calls(cfg, out)
     if not cfg.svi_csv or not cfg.tract_map_csv:
         raise ConfigError("analyze requires svi_csv and tract_map_csv")
+    calls = _load_calls(out)
     svi = analysis.load_svi_table(cfg.svi_csv)
     tract_map = analysis.load_tract_map(cfg.tract_map_csv)
     dataset = analysis.assemble_tracts(_peak(cfg, calls), grid, tract_map, svi, cfg.snap_cells)
@@ -630,7 +629,7 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
-    calls, _ = _parse_calls(cfg, out)
+    calls = _load_calls(out)
 
     weekday, clock_us = ingest.weekday_and_clock_us(calls.wall_us)
     counts = np.bincount(weekday * 24 + clock_us // 3_600_000_000, minlength=7 * 24).reshape(7, 24)
@@ -645,7 +644,7 @@ def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
     ))
 
     model = _load_model(out)
-    test_calls = _read_split(cfg, out, calls)[1] if len(calls) else calls  # an empty log has no split
+    test_calls = _read_split(cfg, out, calls)[1]
     _, grid_s, reported_s = ingest.calibration_pairs(test_calls, grid, cfg.snap_cells)
     adjusted_s = calibrate.apply_many(model, grid_s)
     _write_csv(out / "plot_regression_scatter.csv", ["grid_s", "reported_s", "adjusted_s"], (

@@ -2,24 +2,18 @@
 train/test splitting, and quantile trimming.
 
 All transformations are pure; malformed or out-of-bounds rows are counted
-and reported rather than silently discarded. ``parse_calls_kept`` keeps a
-log's parse on disk, so a pipeline whose stages each re-read the same log
-parses it once, and returns it as a ``CallTable`` of numpy columns. No
-stage writes a call log: the train/test split is derived in memory
-(``split_train_test``) wherever it is needed. Every rule on calls takes a
-``CallTable`` and reads its columns, and refuses anything else with a
-DataError (``check_table``).
+and reported rather than silently discarded. A parse is a ``CallTable`` of
+numpy columns, which ``save_call_table`` writes and ``load_call_table``
+reads back, so a pipeline parses its log once. No stage writes a call log:
+the train/test split is derived in memory (``split_train_test``) wherever
+it is needed. Every rule on calls takes a ``CallTable`` and reads its
+columns, and refuses anything else with a DataError (``check_table``).
 """
 
 from __future__ import annotations
 
 import csv
-import hashlib
-import io
-import logging
 import math
-import os
-import tempfile
 import warnings
 from collections import Counter
 from dataclasses import dataclass, field
@@ -42,8 +36,6 @@ COLUMNS = (
     "datetime", "latitude", "longitude", "response_time_s", "travel_time_s",
     "amb_latitude", "amb_longitude", "on_scene_s", "to_hospital_s",
 )
-
-log = logging.getLogger(__name__)
 
 
 class CallRecord(NamedTuple):
@@ -274,9 +266,6 @@ def _stamp_columns(stamps: list[datetime], zone: ZoneInfo) -> tuple[np.ndarray, 
     return wall_us, code, utc_us
 
 
-# the layout of a kept parse: change it whenever the layout or what a parse
-# returns changes, so that no older kept file matches a key
-_KEPT_FORMAT = b"emsdeploy kept parse 3"
 _SCHEMA_ZONE = np.iinfo(np.int64).min  # the zone code of a stamp in the parse's zone
 _NAIVE = np.iinfo(np.int64).min  # the UTC offset code of a naive period start
 _MICROSECOND = timedelta(microseconds=1)
@@ -298,7 +287,7 @@ class CallTable(Sequence[CallRecord]):
     builds each call's record, its stamp in its own zone and None for NaN;
     a slice, a boolean mask or an array of positions gives a CallTable. No
     rule of the package builds a record: a parse, ``synth.synth_calls`` and
-    the kept parses fill the columns directly.
+    ``load_call_table`` fill the columns directly.
     """
 
     __slots__ = ("wall_us", "zone", "utc_us", "values", "tz")
@@ -378,88 +367,33 @@ def _in_window(wall_us: np.ndarray, start: time, end: time, weekdays: Sequence[i
     return np.isin(weekday, list(weekdays)) & (start_us <= clock_us) & (clock_us < end_us)
 
 
-def parse_calls_kept(path: str | Path, timezone: str, keep_dir: str | Path) -> tuple[CallTable, ParseReport]:
-    """``parse_calls`` of a log whose parse is kept in ``keep_dir``, as a
-    CallTable.
-
-    The parse is kept in one hidden file, ``.<log file name>.parse``,
-    under a key: the SHA-256 of the format version, the timezone name and
-    the log's bytes. When the kept file's key matches, the table and report
-    are loaded from it. Otherwise (no kept file, a changed log or timezone,
-    an empty, truncated or foreign file) the log is parsed and its parse
-    kept, written to a temporary file and renamed into place. Either way the table's records are those of the
-    table ``parse_calls`` returns, equal by ``repr`` (zone, signed zeros and
-    None fields included), and the report is its report, its reasons in
-    first-seen order. Two logs of the same file name share one kept file,
-    so reading them in turn re-parses each; the kept file can be deleted at
-    any time.
-    """
-    kept = Path(keep_dir) / f".{Path(path).name}.parse"
-    key = _kept_key(path, timezone)
-    loaded = _load_kept(kept, key, timezone)
-    if loaded is None:
-        table, report = parse_calls(path, timezone)
-        _keep(kept, key, table, report)
-    else:
-        table, report = loaded
-    log.info("%s: %d rows, %s", Path(path).name, report.n_rows,
-             "parsed" if loaded is None else "read from its kept parse")
-    return table, report
+def save_call_table(calls: CallTable, path: str | Path) -> None:
+    """Write a table as a run of .npy arrays: its zone name, then its
+    columns ``wall_us``, ``zone``, ``utc_us`` and ``values`` (a parsed field
+    is never NaN, so NaN stands for None). No array records when it was
+    written, so a table writes the same bytes each time."""
+    with open(path, "wb") as f:
+        for array in (np.array([check_table(calls).tz.key]), calls.wall_us, calls.zone, calls.utc_us, calls.values):
+            np.lib.format.write_array(f, np.ascontiguousarray(array), allow_pickle=False)
 
 
-def _kept_key(path: str | Path, timezone: str) -> bytes:
-    """The bytes a kept parse of this log in this timezone starts with:
-    its key as the file's first array."""
-    digest = hashlib.sha256(_KEPT_FORMAT + b"\0")
-    # a zone name holds no NUL, so the name ends where the log begins
-    digest.update(timezone.encode() + b"\0")
+def load_call_table(path: str | Path) -> CallTable:
+    """Read ``save_call_table``'s file. A file that cannot be read, is
+    empty or truncated, or holds anything but a call table's arrays is a
+    DataError naming it."""
     try:
         with open(path, "rb") as f:
-            for chunk in iter(lambda: f.read(1 << 20), b""):
-                digest.update(chunk)
-    except FileNotFoundError:
-        raise DataError(f"call log not found: {path}") from None
-    key = io.BytesIO()
-    np.lib.format.write_array(key, np.frombuffer(digest.digest(), dtype=np.uint8), allow_pickle=False)
-    return key.getvalue()
-
-
-def _keep(kept: Path, key: bytes, table: CallTable, report: ParseReport) -> None:
-    """Write a parse as a run of .npy arrays after its key: the report's
-    counts, its reason names and counts, then the table's columns (a
-    parsed field is never NaN, so NaN stands for None)."""
-    arrays = (
-        np.array([report.n_rows, report.n_parsed, report.n_dropped], dtype=np.int64),
-        np.array(list(report.reasons), dtype=str),
-        np.array(list(report.reasons.values()), dtype=np.int64),
-        table.wall_us, table.zone, table.utc_us, table.values,
-    )
-    fd, tmp = tempfile.mkstemp(prefix=kept.name, dir=kept.parent)
-    try:
-        with open(fd, "wb") as f:
-            f.write(key)
-            for array in arrays:
-                np.lib.format.write_array(f, np.ascontiguousarray(array), allow_pickle=False)
-        os.replace(tmp, kept)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
-def _load_kept(kept: Path, key: bytes, timezone: str) -> tuple[CallTable, ParseReport] | None:
-    """The parse ``_keep`` wrote under ``key``, or None for a file that is
-    missing, unreadable, truncated or kept under another key."""
-    try:
-        with open(kept, "rb") as f:
-            if f.read(len(key)) != key:
-                return None
-            counts, names, reason_counts, wall_us, zone, utc_us, values = (
-                np.lib.format.read_array(f, allow_pickle=False) for _ in range(7)
-            )
-    except (OSError, ValueError):
-        return None
-    report = ParseReport(*counts.tolist(), Counter(dict(zip(names.tolist(), reason_counts.tolist()))))
-    return CallTable(wall_us, zone, utc_us, values, ZoneInfo(timezone)), report
+            name, wall_us, zone, utc_us, values = (np.lib.format.read_array(f, allow_pickle=False) for _ in range(5))
+            if f.read(1):
+                raise ValueError("bytes follow the last array")
+        n = wall_us.size
+        columns = all(c.dtype == np.int64 and c.shape == (n,) for c in (wall_us, zone, utc_us))
+        if not (columns and name.dtype.kind == "U" and name.shape == (1,) and values.dtype == np.float64
+                and values.shape == (8, n)):
+            raise ValueError("the arrays are not a zone name and a call table's columns")
+        return CallTable(wall_us, zone, utc_us, values, ZoneInfo(str(name[0])))
+    except (OSError, ValueError, KeyError) as exc:  # an unknown zone name is a KeyError
+        raise DataError(f"{path}: not a call table ({type(exc).__name__}: {exc})") from None
 
 
 def _none_for_nan(values: np.ndarray) -> list[float | None]:

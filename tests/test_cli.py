@@ -67,8 +67,8 @@ def test_full_pipeline(city, tmp_path):
                 "fleet-sweep", "analyze", "plotdata"):
         assert run(city, sub, out) == 0, f"{sub} failed"
     for name in (
-        "grid.json", "grid_travel.csv", "demand_matrix.csv", "preprocess_summary.json", "rates.json",
-        "uncertainty.json", "calibration.json", "deployment_stochastic.json",
+        "grid.json", "grid_travel.csv", "calls_table.bin", "demand_matrix.csv", "preprocess_summary.json",
+        "rates.json", "uncertainty.json", "calibration.json", "deployment_stochastic.json",
         "deployment_robust.json", "ccg_history.csv", "sim_comparison.json",
         "event_log_stochastic.csv", "event_log_robust.csv", "verification.json",
         "fleet_sweep.csv", "analysis_report.csv", "analysis_details.json",
@@ -112,31 +112,38 @@ def test_rerun_is_byte_identical(city, tmp_path):
     assert (out_a / "manifest.json").read_bytes() == before
 
 
-def test_rerun_in_a_fresh_process_reads_the_kept_parses(city, tmp_path):
-    out = tmp_path / "run"
-    for sub in ("grid", "preprocess", "fit", "optimize", "simulate"):
-        assert run(city, sub, out) == 0
-    assert sorted(p.name for p in out.iterdir() if p.name.startswith(".")) == [".calls.csv.parse"]
-    before = {p.name: p.read_bytes() for p in out.iterdir()}
+def test_stages_after_preprocess_run_without_the_call_log(city, tmp_path):
+    # only preprocess reads calls_csv: once it has run, each later stage runs in
+    # a fresh process with the log moved away, and writes what it writes beside it
+    log = tmp_path / "calls.csv"
+    shutil.copy(city["raw"]["calls_csv"], log)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**city["raw"], "calls_csv": str(log)}))
+    with_log, without_log = tmp_path / "with", tmp_path / "without"
+    for sub in COMMANDS:
+        assert main([sub, "--config", str(config), "--out", str(with_log)]) == 0, sub
+    for sub in ("grid", "preprocess"):
+        assert main([sub, "--config", str(config), "--out", str(without_log)]) == 0, sub
+    log.rename(tmp_path / "moved.csv")
     package_root = str(Path(emsdeploy.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([package_root, os.environ.get("PYTHONPATH", "")]),
            "EMSDEPLOY_LOG": "INFO"}
-    for sub in ("preprocess", "simulate"):
+    for sub in list(COMMANDS)[2:]:
         done = subprocess.run(
-            [sys.executable, "-m", "emsdeploy", sub, "--config", str(city["config"]), "--out", str(out)],
+            [sys.executable, "-m", "emsdeploy", sub, "--config", str(config), "--out", str(without_log)],
             capture_output=True, text=True, env=env, timeout=300,
         )
         assert done.returncode == 0, done.stderr
-        reads = [line for line in done.stderr.splitlines() if line.startswith("INFO emsdeploy.ingest:")]
-        assert len(reads) == 1 and reads[0].startswith("INFO emsdeploy.ingest: calls.csv: ")
-        assert reads[0].endswith(" rows, read from its kept parse")
-    # the kept parses were read, not written, and every output is byte-identical
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert " rows, parsed" not in done.stderr
+    assert {p.name: p.read_bytes() for p in without_log.iterdir()} == {
+        p.name: p.read_bytes() for p in with_log.iterdir()
+    }
 
 
 def test_alpha_cv_table_shape(city, tmp_path):
     out = tmp_path / "cv"
     assert run(city, "grid", out) == 0
+    assert run(city, "preprocess", out) == 0
     assert run(city, "alpha-cv", out) == 0
     lines = (out / "alpha_cv.csv").read_text().strip().split("\n")
     assert lines[0] == "fold,alpha_0.1,alpha_0.05"
@@ -161,6 +168,7 @@ def test_alpha_cv_simulates_and_snaps_each_fold_once(city, tmp_path, monkeypatch
 
     out = tmp_path / "cv"
     assert run(city, "grid", out) == 0
+    assert run(city, "preprocess", out) == 0
     monkeypatch.setattr(simcore, "simulate", counting_simulate)
     # the CLI and the simulator both snap through geogrid.assign_cells_or_raise,
     # which looks up the module's assign_cells
@@ -202,10 +210,11 @@ def test_an_off_grid_test_call_the_batches_can_draw_is_exit_3(city, fitted_run, 
     lines[at] = ",".join(fields)
     log = tmp_path / "calls.csv"
     log.write_text("\n".join(lines) + "\n")
+    assert run(city, "preprocess", out, ("--calls_csv", str(log))) == 0
     assert run(city, "optimize", out) == 0
     for sub in ("simulate", "fleet-sweep"):
         capsys.readouterr()
-        assert run(city, sub, out, ("--calls_csv", str(log), "--sample_with_replacement", resample)) == code, sub
+        assert run(city, sub, out, ("--sample_with_replacement", resample)) == code, sub
         assert ("outside bounds" in capsys.readouterr().err) == (code == 3)
 
 
@@ -215,24 +224,29 @@ def _drop_split(path: Path) -> None:
     path.write_text(json.dumps(summary))
 
 
-@pytest.mark.parametrize("split_mode, extra, code, named", [
-    ("chronological", ("--train_fraction", "0.7"), 2, "train_fraction is 0.7, but preprocess split the calls with 0.8"),
-    ("chronological", ("--seed", "8"), 0, None),
-    ("kfold", ("--seed", "8"), 2, "seed is 8, but preprocess split the calls with 11"),
-    ("chronological", _drop_split, 3, "preprocess_summary.json"),
-    ("chronological", Path.unlink, 3, "missing preprocess_summary.json; run `emsdeploy preprocess` first"),
-    ("chronological", ("--peak_start", "8:00"), 0, None),
-    ("chronological", ("--peak_weekdays", "[4, 3, 2, 1, 0]"), 0, None),
-    ("chronological", ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'"),
+CHRONOLOGICAL, KFOLD, UNFILTERED = ("--split_mode", "chronological"), ("--split_mode", "kfold"), ("--peak_filter", "false")
+
+
+@pytest.mark.parametrize("mode, extra, code, named", [
+    (CHRONOLOGICAL, ("--train_fraction", "0.7"), 2, "train_fraction is 0.7, but preprocess split the calls with 0.8"),
+    (CHRONOLOGICAL, ("--seed", "8"), 0, None),
+    (KFOLD, ("--seed", "8"), 2, "seed is 8, but preprocess split the calls with 11"),
+    (CHRONOLOGICAL, _drop_split, 3, "preprocess_summary.json"),
+    (CHRONOLOGICAL, Path.unlink, 3, "missing preprocess_summary.json; run `emsdeploy preprocess` first"),
+    (CHRONOLOGICAL, ("--peak_start", "8:00"), 0, None),
+    (CHRONOLOGICAL, ("--peak_weekdays", "[4, 3, 2, 1, 0]"), 0, None),
+    (CHRONOLOGICAL, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'"),
+    (UNFILTERED, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'"),
 ], ids=["train-fraction", "seed-chronological", "seed-kfold", "summary-without-split", "no-summary",
-        "peak-start-unpadded", "peak-weekdays-reordered", "peak-start"])
-def test_a_stage_splits_the_calls_as_preprocess_did(city, fitted_run, tmp_path, capsys, split_mode, extra, code, named):
-    # a stage derives the split again from calls.csv, so its config must agree with
-    # preprocess's on every field the split reads, compared as the split reads them
-    # (the window's times, its weekdays as a set); the seed is one only under kfold
+        "peak-start-unpadded", "peak-weekdays-reordered", "peak-start", "peak-start-unfiltered"])
+def test_a_stage_splits_the_calls_as_preprocess_did(city, fitted_run, tmp_path, capsys, mode, extra, code, named):
+    # a stage derives the split again from the calls preprocess saved, so its config
+    # must agree with preprocess's on every field the split reads, compared as the
+    # split reads them (the window's times, its weekdays as a set); the seed is one
+    # only under kfold, and the window is one with no peak filter too, as the rates
+    # are fitted on its periods
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)
-    mode = ("--split_mode", split_mode)
     assert run(city, "preprocess", out, mode) == 0
     if callable(extra):
         extra(out / "preprocess_summary.json")
@@ -317,7 +331,7 @@ def test_out_that_cannot_be_a_directory_is_exit_2_naming_it(city, tmp_path, caps
 @pytest.mark.parametrize("grid", ["[]", "[-0.1]", "[0.01, NaN]", "[Infinity]", '["a"]', "0.1"])
 def test_bad_lambda_grid_is_exit_2(city, tmp_path, monkeypatch, grid):
     # refused while the config loads, before any stage parses the calls
-    monkeypatch.setattr("emsdeploy.cli._parse_calls", lambda cfg: pytest.fail("calls were parsed"))
+    monkeypatch.setattr("emsdeploy.cli._load_calls", lambda out: pytest.fail("calls were loaded"))
     assert run(city, "analyze", tmp_path / "x", ("--lambda_grid", grid)) == 2
 
 
@@ -396,6 +410,7 @@ def test_analysis_report_golden(city, tmp_path):
     # model order and every 4-decimal average MSE of the city fixture
     out = tmp_path / "analysis"
     assert run(city, "grid", out) == 0
+    assert run(city, "preprocess", out) == 0
     assert run(city, "analyze", out) == 0
     assert (out / "analysis_report.csv").read_text() == (
         "Model,Variables,Average MSE\n"
@@ -407,12 +422,18 @@ def test_analysis_report_golden(city, tmp_path):
     )
 
 
-def test_missing_calls_file_is_exit_3(tmp_path):
+def test_missing_calls_file_is_exit_3(tmp_path, capsys):
+    # a calls_csv that is absent, or a directory, is refused naming it
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"calls_csv": str(tmp_path / "absent.csv")}))
     out = tmp_path / "out"
-    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
-    assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 3
+    (tmp_path / "directory.csv").mkdir()
+    for calls_csv in (tmp_path / "absent.csv", tmp_path / "directory.csv"):
+        cfg.write_text(json.dumps({"calls_csv": str(calls_csv)}))
+        assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and str(calls_csv) in err
 
 
 @pytest.fixture(scope="module")
@@ -532,15 +553,23 @@ def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, s
     ("verification.json", "{}", "plotdata"),
     ("preprocess_summary.json", "{not json", "verify"),
     ("preprocess_summary.json", '{"split": [1]}', "verify"),
+    ("calls_table.bin", None, "verify"),
+    ("calls_table.bin", b"", "verify"),
+    ("calls_table.bin", slice(40), "verify"),
+    ("calls_table.bin", slice(-8), "verify"),
+    ("calls_table.bin", "datetime,latitude,longitude\n", "verify"),
 ], ids=["calibration-invalid-json", "calibration-empty", "deployment-empty", "grid-empty", "grid-list", "grid-not-utf8",
         "grid-travel-missing", "grid-two-bounds", "verification-invalid-json", "verification-empty",
-        "preprocess-summary-invalid-json", "preprocess-summary-split-list"])
+        "preprocess-summary-invalid-json", "preprocess-summary-split-list", "calls-table-missing", "calls-table-empty",
+        "calls-table-truncated-header", "calls-table-truncated-data", "calls-table-not-numpy"])
 def test_malformed_run_directory_file_is_exit_3(city, fitted_run, tmp_path, capsys, name, text, sub):
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)
     (out / "deployment_stochastic.json").write_text('{"x": [1, 1, 1, 1]}')
     if text is None:
         (out / name).unlink()
+    elif isinstance(text, slice):  # a cut of the file's bytes
+        (out / name).write_bytes((out / name).read_bytes()[text])
     elif callable(text):  # a change to the file's JSON document
         (out / name).write_text(json.dumps(text(json.loads((out / name).read_text()))))
     elif isinstance(text, bytes):
@@ -586,6 +615,8 @@ def test_malformed_config_named_file_is_exit_3(city, tmp_path, capsys, field, sp
         spoil(path)
     out = tmp_path / "run"
     assert run(city, "grid", out) == 0
+    if sub == "analyze":
+        assert run(city, "preprocess", out) == 0
     capsys.readouterr()
     assert run(city, sub, out, (f"--{field}", str(path))) == 3
     assert (named or str(path)) in capsys.readouterr().err
@@ -661,20 +692,6 @@ def test_solver_failure_is_exit_4(tmp_path):
     assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["preprocess", "--config", str(cfg), "--out", str(out)]) == 0
     assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 4
-
-
-def test_plotdata_with_empty_calls_writes_headers(city, tmp_path):
-    out = tmp_path / "empty"
-    for sub in ("grid", "preprocess", "fit", "optimize", "simulate", "verify"):
-        assert run(city, sub, out) == 0
-    empty_csv = tmp_path / "none.csv"
-    empty_csv.write_text("datetime,latitude,longitude\n")
-    assert run(city, "plotdata", out, ("--calls_csv", str(empty_csv))) == 0
-    temporal = (out / "plot_temporal_heatmap.csv").read_text().strip().split("\n")
-    assert temporal[0] == "weekday,hour,count"
-    assert all(line.endswith(",0") for line in temporal[1:])
-    spatial = (out / "plot_spatial_heatmap.csv").read_text().strip().split("\n")
-    assert spatial[0] == "cell,lat,lon,count"
 
 
 def test_load_config_defaults_and_validation():

@@ -1,11 +1,11 @@
 import csv
-import logging
+import io
 import math
+import re
 import tempfile
 from datetime import datetime, timedelta, timezone
 from datetime import time as datetime_time
 from pathlib import Path
-from unittest import mock
 from zoneinfo import ZoneInfo
 
 import numpy as np
@@ -23,10 +23,11 @@ from emsdeploy.ingest import (
     build_demand_matrix,
     calibration_pairs,
     filter_peak,
+    load_call_table,
     load_demand_matrix,
     parse_calls,
-    parse_calls_kept,
     peak_period_mask,
+    save_call_table,
     save_demand_matrix,
     select_periods,
     serialize_calls,
@@ -237,25 +238,31 @@ def _same_parse(got, want):
     assert list(report.reasons.items()) == list(want_report.reasons.items())
 
 
+def _saved_and_loaded(table, tmp):
+    """``table`` kept as ``save_call_table`` writes it and read back by
+    ``load_call_table``; saving the loaded table writes the same bytes."""
+    path = Path(tmp) / "calls_table.bin"
+    save_call_table(table, path)
+    saved = path.read_bytes()
+    loaded = load_call_table(path)
+    save_call_table(loaded, path)
+    assert path.read_bytes() == saved
+    return loaded
+
+
 @settings(max_examples=300, deadline=None)
 @given(call_logs())
 def test_kept_parse_is_parse_calls(case):
+    # a parse saved and loaded again is the parse
     text, tz = case
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "calls.csv"
         path.write_text(text)
         try:
             want = parse_calls(path, tz)
-        except DataError as exc:
-            with pytest.raises(DataError) as err:
-                parse_calls_kept(path, tz, tmp)
-            assert str(err.value) == str(exc)
-            assert list(Path(tmp).iterdir()) == [path]  # nothing is kept
+        except DataError:
             return
-        _same_parse(parse_calls_kept(path, tz, tmp), want)
-        with mock.patch.object(ingest, "parse_calls", side_effect=AssertionError("parsed again")):
-            hit = parse_calls_kept(path, tz, tmp)
-    _same_parse(hit, want)
+        _same_parse((_saved_and_loaded(want[0], tmp), want[1]), want)
 
 
 @settings(max_examples=300, deadline=None)
@@ -272,8 +279,9 @@ def test_chunked_parse_is_the_reference_parse(case, chunk_rows):
             want = reference_parse_calls(path, tz)
         except DataError:
             return
-        _same_parse(parse_calls(path, tz), want)
-        _same_parse(parse_calls_kept(path, tz, tmp), want)
+        calls, report = parse_calls(path, tz)
+        _same_parse((calls, report), want)
+        _same_parse((_saved_and_loaded(calls, tmp), report), want)
 
 
 def test_chunks_of_blank_lines_and_reasons_across_chunks(tmp_path, monkeypatch):
@@ -382,87 +390,41 @@ def test_parse_orders_by_instant_across_the_spring_gap(tmp_path):
     path.write_text("datetime,latitude,longitude\n2024-03-10T02:30:00,30.05,-97.65\n2024-03-10T03:10:00,30.15,-97.55\n")
     tz = "America/Chicago"
     grid = build_grid((30.0, 30.2, -97.7, -97.5), 2, 2, SyntheticSpeedProvider(50.0), station_cells=[0])
-    for calls, _ in (parse_calls(path, tz), parse_calls_kept(path, tz, tmp_path)):
+    parsed, _ = parse_calls(path, tz)
+    for calls in (parsed, _saved_and_loaded(parsed, tmp_path)):
         assert calls.utc_s.tolist() == [1710058200.0, 1710059400.0]
         assert [r.timestamp.isoformat() for r in calls] == ["2024-03-10T03:10:00-05:00", "2024-03-10T02:30:00-06:00"]
         outcome = simcore.simulate([1], calls, grid)
         assert [row[1] for row in outcome.call_rows] == [1710058200.0, 1710059400.0]
 
 
-@pytest.fixture
-def parsed(monkeypatch):
-    """Names of the logs that ``parse_calls`` reads, in order."""
-    names = []
-    inner = ingest.parse_calls
-
-    def counting(path, timezone="UTC"):
-        names.append(Path(path).name)
-        return inner(path, timezone)
-
-    monkeypatch.setattr(ingest, "parse_calls", counting)
-    return names
-
-
-NAIVE_LOG = (
-    "datetime,latitude,longitude,lat2,travel_time_s\n"
-    "2024-03-10T02:30:00,30.1,-97.6,30.2,\n"
-    "2024-11-03T01:30:00,30.1,-97.6,-0.0,12.5\n"
-    "2024-01-01T09:00:00-05:00,30.1,-97.6,30.3,-1\n"
-)
-
-
-@pytest.mark.parametrize("change", ["log byte", "timezone"])
-def test_kept_parse_reparses_a_changed_log_or_schema(tmp_path, parsed, change):
-    path = tmp_path / "calls.csv"
-    path.write_text(NAIVE_LOG)
-    tz = "UTC"
-    parse_calls_kept(path, tz, tmp_path)
-    parse_calls_kept(path, tz, tmp_path)
-    assert parsed == ["calls.csv"]
-    if change == "log byte":
-        path.write_text(NAIVE_LOG.replace("-97.6,30.3", "-97.5,30.3"))
-    else:
-        tz = "America/Chicago"
-    got = parse_calls_kept(path, tz, tmp_path)
-    assert parsed == ["calls.csv"] * 2
-    _same_parse(got, parse_calls(path, tz))
-    _same_parse(parse_calls_kept(path, tz, tmp_path), got)
-    assert parsed == ["calls.csv"] * 2
+def _other_arrays(saved: bytes) -> bytes:
+    """A run of five .npy arrays that are not a zone name and a table's columns."""
+    out = io.BytesIO()
+    for _ in range(5):
+        np.lib.format.write_array(out, np.zeros(3))
+    return out.getvalue()
 
 
 @pytest.mark.parametrize("spoil", [
-    lambda kept: b"",
-    lambda kept: kept[:40],
-    lambda kept: kept[:-8],
-    lambda kept: b"datetime,latitude,longitude\n",
-], ids=["empty", "truncated-key", "truncated-data", "not-numpy"])
-def test_kept_parse_reparses_a_spoiled_kept_file(tmp_path, parsed, spoil):
+    lambda saved: b"",
+    lambda saved: saved[:40],
+    lambda saved: saved[:-8],
+    lambda saved: b"datetime,latitude,longitude\n",
+    _other_arrays,
+], ids=["empty", "truncated-header", "truncated-data", "not-numpy", "other-arrays"])
+def test_spoiled_call_table_is_a_data_error_naming_it(tmp_path, spoil):
     path = tmp_path / "calls.csv"
-    path.write_text(NAIVE_LOG)
-    want = parse_calls_kept(path, "UTC", tmp_path)
-    kept = tmp_path / ".calls.csv.parse"
-    good = kept.read_bytes()
-    kept.write_bytes(spoil(good))
-    _same_parse(parse_calls_kept(path, "UTC", tmp_path), want)
-    assert parsed == ["calls.csv"] * 2
-    # the parse is kept again, in the same bytes
-    assert kept.read_bytes() == good
-    assert sorted(p.name for p in tmp_path.iterdir()) == [".calls.csv.parse", "calls.csv"]
-
-
-def test_kept_parse_of_a_missing_log_is_a_data_error(tmp_path):
-    with pytest.raises(DataError, match="call log not found"):
-        parse_calls_kept(tmp_path / "absent.csv", "UTC", tmp_path)
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_kept_parse_logs_each_read(tmp_path, caplog):
-    path = tmp_path / "calls.csv"
-    path.write_text(NAIVE_LOG)
-    with caplog.at_level(logging.INFO, logger="emsdeploy"):
-        parse_calls_kept(path, "UTC", tmp_path)
-        parse_calls_kept(path, "UTC", tmp_path)
-    assert caplog.messages == ["calls.csv: 3 rows, parsed", "calls.csv: 3 rows, read from its kept parse"]
+    path.write_text(
+        "datetime,latitude,longitude,lat2,travel_time_s\n"
+        "2024-03-10T02:30:00,30.1,-97.6,30.2,\n"
+        "2024-11-03T01:30:00,30.1,-97.6,-0.0,12.5\n"
+    )
+    saved = tmp_path / "calls_table.bin"
+    save_call_table(parse_calls(path, "America/Chicago")[0], saved)
+    saved.write_bytes(spoil(saved.read_bytes()))
+    with pytest.raises(DataError, match=f"^{re.escape(str(saved))}: not a call table "):
+        load_call_table(saved)
 
 
 def test_roundtrip_identity(tmp_path):
@@ -739,20 +701,18 @@ def test_calibration_pairs_exclude_non_finite_points():
     assert usable.tolist() == [1] and len(grid_s) == 1 and reported_s.tolist() == [120.0]
 
 
-# --- the CallTable a kept parse loads, and the rules written on its columns
+# --- the CallTable of a saved parse, and the rules written on its columns
 
 def _parsed_table(text, tz, tmp):
-    """A call log's parse, as ``parse_calls_kept``'s table and as the records
-    of ``parse_calls``'s table."""
+    """A call log's parse, as the table ``load_call_table`` reads back and as
+    the records of ``parse_calls``'s table."""
     path = Path(tmp) / "calls.csv"
     path.write_text(text)
     try:
-        records, report = parse_calls(path, tz)
+        calls, _ = parse_calls(path, tz)
     except DataError:
         return None
-    table, table_report = parse_calls_kept(path, tz, tmp)
-    assert table_report == report
-    return table, list(records)
+    return _saved_and_loaded(calls, tmp), list(calls)
 
 
 @settings(max_examples=300, deadline=None)
@@ -795,15 +755,7 @@ def test_kept_parse_of_a_written_log_is_parse_calls(case):
             # naive stamps parsed in a ZoneInfo zone come back with fixed offsets
             assert all(r.timestamp.tzinfo is not None and not isinstance(r.timestamp.tzinfo, ZoneInfo)
                        for r in want[0])
-            _same_parse(parse_calls_kept(path, "UTC", tmp), want)
-            kept = (Path(tmp) / f".split{k}.csv.parse").read_bytes()
-            with mock.patch.object(ingest, "parse_calls", side_effect=AssertionError("parsed")):
-                hit = parse_calls_kept(path, "UTC", tmp)
-            _same_parse(hit, want)
-            # a parse of the log keeps the same bytes again
-            (Path(tmp) / f".split{k}.csv.parse").unlink()
-            _same_parse(parse_calls_kept(path, "UTC", tmp), want)
-            assert (Path(tmp) / f".split{k}.csv.parse").read_bytes() == kept
+            _same_parse((_saved_and_loaded(want[0], tmp), want[1]), want)
 
 
 PARSED_ZONES = st.sampled_from([UTC, timezone(timedelta(hours=-5)),
@@ -909,8 +861,8 @@ def test_demand_matrix_starts_step_in_absolute_time_across_dst(tmp_path):
         f"2024-03-{day:02d}T{hour:02d}:30:00,30.05,-97.65\n" for day in (9, 10, 11) for hour in (1, 10, 23)
     ))
     tz = "America/Chicago"
-    table, _ = parse_calls_kept(path, tz, tmp_path)
     records, _ = parse_calls(path, tz)
+    table = _saved_and_loaded(records, tmp_path)
     assert len(records) == 9
     for calls in (table, records):
         m = build_demand_matrix(calls, make_grid())
