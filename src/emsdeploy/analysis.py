@@ -353,15 +353,6 @@ def compare_models(
     return sorted(reports, key=lambda r: r.average_mse)
 
 
-def save_model_reports(reports: Sequence[ModelReport], path: str | Path) -> None:
-    """CSV with the comparison-table columns: Model, Variables, Average MSE."""
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["Model", "Variables", "Average MSE"])
-        for r in reports:
-            writer.writerow([r.label, r.variables, f"{r.average_mse:.4f}"])
-
-
 def load_svi_table(path: str | Path) -> dict[str, dict[str, float]]:
     """SVI CSV keyed by tract id with the 19 expected columns."""
     out: dict[str, dict[str, float]] = {}

@@ -8,16 +8,18 @@ adjusted grid times against reported times batch by batch.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, SolverError, read_json
+from .errors import DataError, SolverError, read_json, write_json
 from .geogrid import Grid
 from .ingest import CallTable, calibration_pairs, trim_quantiles
+
+
+KINDS = ("identity", "linear", "loglog")
 
 
 @dataclass
@@ -43,6 +45,8 @@ class CalibrationModel:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CalibrationModel":
+        if doc["kind"] not in KINDS:
+            raise ValueError(f"unknown calibration kind: {doc['kind']!r}")
         return cls(
             kind=doc["kind"],
             intercept=float(doc.get("a", 0.0)),
@@ -200,16 +204,10 @@ def verify(
 
 
 def save_model(model: CalibrationModel, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump(model.to_dict(), f, sort_keys=True, indent=1)
-        f.write("\n")
+    write_json(path, model.to_dict())
 
 
 def load_model(path: str | Path) -> CalibrationModel:
     """Read ``save_model``'s JSON. Raises DataError naming the file when it
-    is missing or not JSON, or does not describe a model."""
-    doc = read_json(path, "calibration model")
-    try:
-        return CalibrationModel.from_dict(doc)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DataError(f"{path}: not a calibration model ({type(exc).__name__}: {exc})") from None
+    is missing or not JSON, or does not describe a model of a known kind."""
+    return read_json(path, "calibration model", CalibrationModel.from_dict)

@@ -10,17 +10,18 @@ error, 3 data error, 4 solver failure.
 Only preprocess reads ``calls_csv``: it parses the log once and saves the
 parse as ``calls_table.bin``, which every later stage loads (``_load_calls``).
 No stage writes a call log: ``_read_split`` derives the peak-hour
-train/test split again wherever a stage needs it, and exits 2 naming a
-split field of the config that differs from those preprocess recorded in
-its summary. The stages work on the ``ingest.CallTable`` of the parse,
-column by column, and hand the simulator that table as it is; no stage
-builds a record per call.
+train/test split again wherever a stage needs it. A stage that loads the
+calls exits 2 naming a field of the config that differs from the one
+preprocess recorded in its summary: any split field where the stage splits
+the calls as preprocess did, and a zone or peak-window field in alpha-cv,
+which makes its own folds, and analyze, which does not split. The stages
+work on the ``ingest.CallTable`` of the parse, column by column, and hand
+the simulator that table as it is; no stage builds a record per call.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -37,7 +38,7 @@ import numpy as np
 
 from . import analysis, calibrate, demand, geogrid, ingest, robust, simcore, stochastic
 from .dispatchflow import Deployment, EdgeSet, edges_from_coverage
-from .errors import ConfigError, DataError, EmsDeployError, SolverError, read_json
+from .errors import ConfigError, DataError, EmsDeployError, SolverError, read_json, write_csv, write_json
 from .rng import derive_seed
 
 log = logging.getLogger("emsdeploy")
@@ -123,9 +124,7 @@ class RunConfig:
             raise ConfigError(f"snap_cells must be nonnegative, got {self.snap_cells!r}")
         if not (self.min_lat < self.max_lat and self.min_lon < self.max_lon):
             raise ConfigError("grid bounds are degenerate")
-        for name, choices in (
-            ("calibration_kind", ("identity", "linear", "loglog")), ("split_mode", ("chronological", "kfold")),
-        ):
+        for name, choices in (("calibration_kind", calibrate.KINDS), ("split_mode", ("chronological", "kfold"))):
             if getattr(self, name) not in choices:
                 raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
         for name in ("alpha", "train_fraction"):
@@ -293,15 +292,18 @@ def _peak(cfg: RunConfig, calls):
     return ingest.filter_peak(calls, start, end, cfg.peak_weekdays)
 
 
-def _split_fields(cfg: RunConfig) -> dict:
-    """The config fields the train/test split of the calls and the rate periods read, and only those."""
-    fields = {name: getattr(cfg, name) for name in ("timezone", "peak_filter", "split_mode")}
+def _window_fields(cfg: RunConfig) -> dict:
+    """The config fields the calls' zone, the peak filter and the rate periods read, and only those."""
     # the window as the filter and the rate periods read it: 8:00 is 08:00, and the weekdays are a set
     start, end = cfg.peak_window()
-    fields |= {"peak_start": f"{start:%H:%M}", "peak_end": f"{end:%H:%M}",
-               "peak_weekdays": sorted(set(cfg.peak_weekdays))}
+    return {"timezone": cfg.timezone, "peak_filter": cfg.peak_filter, "peak_start": f"{start:%H:%M}",
+            "peak_end": f"{end:%H:%M}", "peak_weekdays": sorted(set(cfg.peak_weekdays))}
+
+
+def _split_fields(cfg: RunConfig) -> dict:
+    """The config fields the train/test split of the calls and the rate periods read, and only those."""
     names = ["train_fraction"] if cfg.split_mode == "chronological" else ["split_k", "split_fold", "seed"]
-    return fields | {name: getattr(cfg, name) for name in names}
+    return _window_fields(cfg) | {name: getattr(cfg, name) for name in ["split_mode", *names]}
 
 
 def _split(cfg: RunConfig, calls: ingest.CallTable) -> tuple[ingest.CallTable, ingest.CallTable]:
@@ -309,19 +311,6 @@ def _split(cfg: RunConfig, calls: ingest.CallTable) -> tuple[ingest.CallTable, i
     return ingest.split_train_test(
         _peak(cfg, calls), cfg.train_fraction, cfg.split_mode, cfg.split_k, cfg.split_fold, cfg.seed
     )
-
-
-def _write_json(path: Path, doc) -> None:
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _demand_for_rates(cfg: RunConfig, calls, grid) -> ingest.DemandMatrix:
@@ -347,30 +336,31 @@ def _load_grid(out: Path) -> geogrid.Grid:
 
 def _load_split_fields(out: Path) -> dict:
     """The split fields preprocess recorded in its summary."""
-    path = _require(out / "preprocess_summary.json", "preprocess")
-    try:
-        fields = read_json(path, "preprocess summary")["split"]
-        if not isinstance(fields, dict):
+
+    def split(doc: dict) -> dict:
+        if not isinstance(doc["split"], dict):
             raise TypeError("split is not an object")
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: not a preprocess summary ({type(exc).__name__}: {exc})") from None
-    return fields
+        return doc["split"]
+
+    return read_json(_require(out / "preprocess_summary.json", "preprocess"), "preprocess summary", split)
 
 
-def _load_calls(out: Path) -> ingest.CallTable:
-    return ingest.load_call_table(_require(out / "calls_table.bin", "preprocess"))
-
-
-def _read_split(cfg: RunConfig, out: Path, calls: ingest.CallTable | None = None):
-    """The (train, test) split preprocess built ``out``'s demand matrix from,
-    derived again from ``calls`` or else the calls preprocess saved.
-    A split field that differs from preprocess's is a config error."""
+def _load_calls(out: Path, fields: dict) -> ingest.CallTable:
+    """The calls preprocess saved, for a stage that reads them as ``fields``
+    (``_window_fields`` or ``_split_fields`` of its config) says. A field
+    that differs from the one preprocess recorded is a config error."""
     recorded = _load_split_fields(out)
-    for name, value in _split_fields(cfg).items():
+    for name, value in fields.items():
         if recorded.get(name) != value:
             raise ConfigError(f"{name} is {value!r}, but preprocess split the calls with {recorded.get(name)!r}; "
                               "rerun `emsdeploy preprocess` with this config")
-    return _split(cfg, _load_calls(out) if calls is None else calls)
+    return ingest.load_call_table(_require(out / "calls_table.bin", "preprocess"))
+
+
+def _read_split(cfg: RunConfig, out: Path):
+    """The (train, test) split preprocess built ``out``'s demand matrix from,
+    derived again from the calls it saved."""
+    return _split(cfg, _load_calls(out, _split_fields(cfg)))
 
 
 def _load_matrix(out: Path) -> ingest.DemandMatrix:
@@ -387,27 +377,23 @@ def _load_uset(cfg: RunConfig, out: Path, grid: geogrid.Grid) -> demand.Uncertai
 
 def _load_stationings(cfg: RunConfig, out: Path) -> list[tuple[str, np.ndarray]]:
     """The stochastic and robust stationings, each placing at most n_ambulances."""
-    stationings = []
-    for label in ("stochastic", "robust"):
-        path = _require(out / f"deployment_{label}.json", "optimize")
-        try:
-            x = read_json(path, "stationing")["x"]
-            stationings.append((label, Deployment(x, cfg.n_ambulances).x))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"{path}: not a stationing ({type(exc).__name__}: {exc})") from None
-    return stationings
+    return [
+        (label, read_json(_require(out / f"deployment_{label}.json", "optimize"), "stationing",
+                          lambda doc: Deployment(doc["x"], cfg.n_ambulances).x))
+        for label in ("stochastic", "robust")
+    ]
 
 
 def _load_verification(out: Path) -> list[float]:
     """The batch mean errors of verify's report."""
-    path = _require(out / "verification.json", "verify")
-    try:
-        errors = read_json(path, "verification report")["batch_errors_s"]
+
+    def batch_errors(doc: dict) -> list[float]:
+        errors = doc["batch_errors_s"]
         if not isinstance(errors, list) or not all(isinstance(e, float) for e in errors):
             raise TypeError("batch_errors_s is not a list of numbers")
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"{path}: not a verification report ({type(exc).__name__}: {exc})") from None
-    return errors
+        return errors
+
+    return read_json(_require(out / "verification.json", "verify"), "verification report", batch_errors)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +427,7 @@ def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
         "n_dropped_out_of_grid": matrix.n_dropped,
         "split": _split_fields(cfg),
     }
-    _write_json(out / "preprocess_summary.json", summary)
+    write_json(out / "preprocess_summary.json", summary)
     return {name: out / name for name in ("calls_table.bin", "demand_matrix.csv", "preprocess_summary.json")}
 
 
@@ -451,7 +437,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
     adjacency, ball = _regions(cfg, grid)
     rates = demand.fit_rates(matrix, adjacency, ball)
     uset = demand.build_uncertainty_set(rates, cfg.alpha, adjacency, ball)
-    _write_json(out / "rates.json", {
+    write_json(out / "rates.json", {
         "single": [float(v) for v in rates.single],
         "local": [float(v) for v in rates.local],
         "regional": [float(v) for v in rates.regional],
@@ -477,10 +463,12 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> dict[str, Path]:
     uset = _load_uset(cfg, out, grid)
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
     sol = stochastic.solve_stochastic(scenarios, cfg.n_ambulances, edges, _search(cfg))
-    stochastic.save_solution(sol, out / "deployment_stochastic.json")
+    write_json(out / "deployment_stochastic.json", sol.to_dict())
     rob = robust.solve_robust_ccg(uset, cfg.n_ambulances, edges, search_config=_search(cfg))
-    robust.save_robust_solution(rob, out / "deployment_robust.json", alpha=cfg.alpha)
-    robust.save_ccg_history(rob.state, out / "ccg_history.csv")
+    write_json(out / "deployment_robust.json", rob.to_dict(cfg.alpha))
+    write_csv(out / "ccg_history.csv", ["iteration", "lower_bound", "upper_bound"], (
+        [k, repr(lb), repr(ub)] for k, (lb, ub, _) in enumerate(rob.state.history, start=1)
+    ))
     return {name: out / name for name in ("deployment_stochastic.json", "deployment_robust.json", "ccg_history.csv")}
 
 
@@ -493,7 +481,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:
         policies, test_calls, grid, _sim_params(cfg, model),
         cfg.n_calls, cfg.n_batches, cfg.seed, cfg.sample_with_replacement,
     )
-    _write_json(out / "sim_comparison.json", comparison.to_dict())
+    write_json(out / "sim_comparison.json", comparison.to_dict())
     # one event log per policy, first batch, for inspection and plotting
     for (label, _), outcome in zip(policies, comparison.first_batch):
         simcore.save_event_log(outcome.event_log, out / f"event_log_{label}.csv")
@@ -507,13 +495,13 @@ def cmd_verify(cfg: RunConfig, out: Path) -> dict[str, Path]:
     report = calibrate.verify(
         test_calls, grid, model, cfg.verify_batch_size, cfg.verify_n_batches, cfg.snap_cells
     )
-    _write_json(out / "verification.json", report.to_dict())
+    write_json(out / "verification.json", report.to_dict())
     return {"verification.json": out / "verification.json"}
 
 
 def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
-    peak_calls = _peak(cfg, _load_calls(out))
+    peak_calls = _peak(cfg, _load_calls(out, _window_fields(cfg)))
     edges = _edges(cfg, grid)
     adjacency, ball = _regions(cfg, grid)
     table: list[list[float | None]] = []
@@ -553,7 +541,7 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
                 mrt_by_x[key] = outcome.mean_response_s / 60.0
             row.append(mrt_by_x[key])
         table.append(row)
-    _write_csv(out / "alpha_cv.csv", ["fold"] + [f"alpha_{a}" for a in cfg.alphas], (
+    write_csv(out / "alpha_cv.csv", ["fold"] + [f"alpha_{a}" for a in cfg.alphas], (
         [fold + 1] + ["" if v is None else f"{v:.4f}" for v in row] for fold, row in enumerate(table)
     ))
     means = {}
@@ -565,7 +553,7 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
         if not saturated[a] and means[str(a)] is not None
     ]
     recommended = min(candidates, key=lambda a: means[str(a)]) if candidates else None
-    _write_json(out / "alpha_cv_summary.json", {
+    write_json(out / "alpha_cv_summary.json", {
         "mean_mrt_minutes": means,
         "saturated": {str(a): saturated[a] for a in cfg.alphas},
         "recommended_alpha": recommended,
@@ -601,7 +589,7 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
         sol = stochastic.solve_stochastic(scenarios, n, edges, search)
         rob = robust.solve_robust_ccg(uset, n, edges, search_config=search)
         rows.append([n, f"{mrt_min(sol.x_star.x):.4f}", f"{mrt_min(rob.x_star.x):.4f}"])
-    _write_csv(out / "fleet_sweep.csv", ["n", "stochastic_mrt_min", "robust_mrt_min"], rows)
+    write_csv(out / "fleet_sweep.csv", ["n", "stochastic_mrt_min", "robust_mrt_min"], rows)
     return {"fleet_sweep.csv": out / "fleet_sweep.csv"}
 
 
@@ -609,13 +597,15 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
     if not cfg.svi_csv or not cfg.tract_map_csv:
         raise ConfigError("analyze requires svi_csv and tract_map_csv")
-    calls = _load_calls(out)
+    calls = _load_calls(out, _window_fields(cfg))
     svi = analysis.load_svi_table(cfg.svi_csv)
     tract_map = analysis.load_tract_map(cfg.tract_map_csv)
     dataset = analysis.assemble_tracts(_peak(cfg, calls), grid, tract_map, svi, cfg.snap_cells)
     reports = analysis.compare_models(dataset, cfg.analysis_folds, cfg.seed, cfg.lambda_grid)
-    analysis.save_model_reports(reports, out / "analysis_report.csv")
-    _write_json(out / "analysis_details.json", {
+    write_csv(out / "analysis_report.csv", ["Model", "Variables", "Average MSE"], (
+        [r.label, r.variables, f"{r.average_mse:.4f}"] for r in reports
+    ))
+    write_json(out / "analysis_details.json", {
         "n_tracts": len(dataset.tract_ids),
         "n_dropped_no_svi": dataset.n_dropped_no_svi,
         "n_tracts_no_calls": dataset.n_tracts_no_calls,
@@ -629,35 +619,35 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
-    calls = _load_calls(out)
+    calls = _load_calls(out, _split_fields(cfg))
 
     weekday, clock_us = ingest.weekday_and_clock_us(calls.wall_us)
     counts = np.bincount(weekday * 24 + clock_us // 3_600_000_000, minlength=7 * 24).reshape(7, 24)
-    _write_csv(out / "plot_temporal_heatmap.csv", ["weekday", "hour", "count"], (
+    write_csv(out / "plot_temporal_heatmap.csv", ["weekday", "hour", "count"], (
         [wd, hour, int(counts[wd, hour])] for wd in range(7) for hour in range(24)
     ))
 
     cells, inside = geogrid.assign_cells(grid, calls.lat, calls.lon, cfg.snap_cells)
     cell_counts = np.bincount(cells[inside], minlength=grid.n_cells)
-    _write_csv(out / "plot_spatial_heatmap.csv", ["cell", "lat", "lon", "count"], (
+    write_csv(out / "plot_spatial_heatmap.csv", ["cell", "lat", "lon", "count"], (
         [j, repr(lat), repr(lon), int(cell_counts[j])] for j, (lat, lon) in enumerate(grid.cell_centers)
     ))
 
     model = _load_model(out)
-    test_calls = _read_split(cfg, out, calls)[1]
+    test_calls = _split(cfg, calls)[1]
     _, grid_s, reported_s = ingest.calibration_pairs(test_calls, grid, cfg.snap_cells)
     adjusted_s = calibrate.apply_many(model, grid_s)
-    _write_csv(out / "plot_regression_scatter.csv", ["grid_s", "reported_s", "adjusted_s"], (
+    write_csv(out / "plot_regression_scatter.csv", ["grid_s", "reported_s", "adjusted_s"], (
         [repr(g), repr(r), repr(a)] for g, r, a in zip(grid_s.tolist(), reported_s.tolist(), adjusted_s.tolist())
     ))
 
-    _write_csv(out / "plot_verification_points.csv", ["batch", "mean_error_s"], (
+    write_csv(out / "plot_verification_points.csv", ["batch", "mean_error_s"], (
         [i, repr(err)] for i, err in enumerate(_load_verification(out), start=1)
     ))
 
     stations = [(i, cell, *grid.cell_centers[cell]) for i, cell in enumerate(grid.station_cells)]
     for label, x in _load_stationings(cfg, out):
-        _write_csv(out / f"plot_stationing_{label}.csv", ["station", "cell", "lat", "lon", "count"], (
+        write_csv(out / f"plot_stationing_{label}.csv", ["station", "cell", "lat", "lon", "count"], (
             [i, cell, repr(lat), repr(lon), int(x[i])] for i, cell, lat, lon in stations
         ))
     return {name: out / name for name in (
@@ -731,14 +721,14 @@ def main(argv: list[str] | None = None) -> int:
             raise ConfigError(f"cannot make output directory {out}: {exc.strerror or exc}")
         files = COMMANDS[args.subcommand](cfg, out)
         config_path = out / "config_resolved.json"
-        _write_json(config_path, cfg.to_dict())
+        write_json(config_path, cfg.to_dict())
         files["config_resolved.json"] = config_path
         manifest = {
             "subcommand": args.subcommand,
             "config": cfg.to_dict(),
             "files": {name: _sha256(path) for name, path in sorted(files.items())},
         }
-        _write_json(out / "manifest.json", manifest)
+        write_json(out / "manifest.json", manifest)
         print(f"emsdeploy {args.subcommand}: wrote {len(files)} files to {out}")
         return 0
     except ConfigError as exc:

@@ -17,7 +17,6 @@ search reads its partitions from the same routine.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from operator import itemgetter
@@ -25,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, SetTooLargeError, SolverError, read_json
+from .errors import ConfigError, DataError, SetTooLargeError, SolverError, read_json, write_json
 from .ingest import DemandMatrix
 
 
@@ -369,16 +368,13 @@ def enumerate_set(uset: UncertaintySet, size_budget: int = 200_000) -> np.ndarra
 
 
 def save_uncertainty_set(uset: UncertaintySet, path: str | Path) -> None:
-    doc = {
+    write_json(path, {
         "alpha": uset.alpha,
         "single_cap": [int(v) for v in uset.single_cap],
         "local_cap": [int(v) for v in uset.local_cap],
         "regional_cap": [int(v) for v in uset.regional_cap],
         "global_cap": int(uset.global_cap),
-    }
-    with open(path, "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
-        f.write("\n")
+    })
 
 
 def load_uncertainty_set(path: str | Path, adjacency: np.ndarray, coverage_ball: np.ndarray) -> UncertaintySet:

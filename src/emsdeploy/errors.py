@@ -1,17 +1,22 @@
-"""Exception hierarchy shared across the package, ``open_input``, which
-opens an input file, and ``read_json``, which reads a JSON one; both report
-what is wrong with the file as a DataError naming it.
+"""Exception hierarchy shared across the package, which the CLI maps onto
+distinct exit codes (ConfigError -> 2, DataError -> 3, SolverError -> 4),
+and the one reader and the one writer of each file format.
 
-The CLI maps these onto distinct exit codes: ConfigError -> 2,
-DataError -> 3, SolverError -> 4.
+``open_input`` opens an input file and ``read_json`` reads a JSON one,
+passing the document through an optional ``read`` that checks its shape;
+both report what is wrong with the file as a DataError naming it.
+``write_json`` and ``write_csv`` write every JSON and CSV output, bar the
+call log and the demand matrix, whose fast writers in ``ingest`` write the
+bytes ``write_csv`` would.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 
 class EmsDeployError(Exception):
@@ -56,11 +61,35 @@ def open_input(path: str | Path, what: str, newline: str | None = "") -> Iterato
             raise DataError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None
 
 
-def read_json(path: str | Path, what: str):
-    """The JSON document in ``path``, read through ``open_input``: a file
-    that is not JSON is a DataError naming it as ``what`` too."""
+def read_json(path: str | Path, what: str, read: Callable = lambda doc: doc):
+    """The JSON document in ``path``, read through ``open_input``, or what
+    ``read`` makes of it. A file that is not JSON, or a document ``read``
+    refuses with a KeyError, TypeError, ValueError, AttributeError or
+    DataError, is a DataError naming the file as ``what`` too."""
     with open_input(path, what) as f:
         try:
-            return json.load(f)
+            doc = json.load(f)
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}: not a JSON {what} ({exc})") from None
+    try:
+        return read(doc)
+    except (KeyError, TypeError, ValueError, AttributeError, DataError) as exc:
+        raise DataError(f"{path}: not a {what} ({type(exc).__name__}: {exc})") from None
+
+
+def write_json(path: str | Path, doc) -> None:
+    """``doc`` as JSON: keys sorted, one space of indent, a final newline."""
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(doc, f, sort_keys=True, indent=1)
+        f.write("\n")
+
+
+def write_csv(path: str | Path, header: Sequence | None, rows: Iterable[Sequence]) -> None:
+    """``header``, unless it is None, and then ``rows``, as ``csv.writer``
+    writes them: CRLF line ends, fields quoted only where they must be, None
+    an empty field."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)

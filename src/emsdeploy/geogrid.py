@@ -9,7 +9,6 @@ either a synthetic fixed-speed model or a precomputed matrix file.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -18,7 +17,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, DataError, OutOfBoundsError, open_input, read_json
+from .errors import ConfigError, DataError, OutOfBoundsError, open_input, read_json, write_csv, write_json
 
 EARTH_RADIUS_KM = 6371.0
 
@@ -284,10 +283,7 @@ def load_travel_matrix(path: str | Path) -> np.ndarray:
 
 
 def save_travel_matrix(matrix: np.ndarray, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        for row in np.asarray(matrix):
-            writer.writerow([repr(float(v)) for v in row])
+    write_csv(path, None, ([repr(float(v)) for v in row] for row in np.asarray(matrix)))
 
 
 def save_grid(grid: Grid, json_path: str | Path) -> None:
@@ -295,7 +291,7 @@ def save_grid(grid: Grid, json_path: str | Path) -> None:
     json_path = Path(json_path)
     travel_name = json_path.stem + "_travel.csv"
     save_travel_matrix(grid.travel_time_s, json_path.parent / travel_name)
-    doc = {
+    write_json(json_path, {
         "n_rows": grid.n_rows,
         "n_cols": grid.n_cols,
         "bounds": list(grid.bounds),
@@ -303,18 +299,15 @@ def save_grid(grid: Grid, json_path: str | Path) -> None:
         "station_cells": grid.station_cells,
         "hospital_cells": grid.hospital_cells,
         "travel_time_ref": travel_name,
-    }
-    with open(json_path, "w") as f:
-        json.dump(doc, f, sort_keys=True, indent=1)
-        f.write("\n")
+    })
 
 
 def load_grid(json_path: str | Path) -> Grid:
     """Read ``save_grid``'s files. Raises DataError naming the file when it
     is missing, not UTF-8 or not JSON, or does not describe a grid."""
     json_path = Path(json_path)
-    doc = read_json(json_path, "grid file")
-    try:
+
+    def read(doc: dict) -> Grid:
         bounds = tuple(doc["bounds"])
         _validate_bounds(bounds, DataError)
         return Grid(
@@ -326,8 +319,8 @@ def load_grid(json_path: str | Path) -> Grid:
             station_cells=doc.get("station_cells", []),
             hospital_cells=doc.get("hospital_cells", []),
         )
-    except (KeyError, TypeError, ValueError, AttributeError, OSError, DataError) as exc:
-        raise DataError(f"{json_path}: not a grid file ({type(exc).__name__}: {exc})") from None
+
+    return read_json(json_path, "grid file", read)
 
 
 def derive_adjacency(grid: Grid) -> np.ndarray:

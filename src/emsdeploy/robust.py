@@ -25,10 +25,7 @@ attaining subset over all 2^I of them, found from the attaining closed cuts.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -198,17 +195,3 @@ def solve_robust_ccg(
         converged=result.flag.kind == "exact",
         state=CcgState([(result.objective - result.flag.gap, float(wc.shortfall), wc.demand.copy())]),
     )
-
-
-def save_robust_solution(solution: RobustSolution, path: str | Path, alpha: float | None = None) -> None:
-    with open(path, "w") as f:
-        json.dump(solution.to_dict(alpha), f, sort_keys=True, indent=1)
-        f.write("\n")
-
-
-def save_ccg_history(state: CcgState, path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["iteration", "lower_bound", "upper_bound"])
-        for k, (lb, ub, _) in enumerate(state.history, start=1):
-            writer.writerow([k, repr(lb), repr(ub)])

@@ -20,7 +20,6 @@ read.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from collections import deque
@@ -31,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from .calibrate import CalibrationModel, apply_many
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, write_csv
 from .geogrid import Grid, assign_cells_or_raise
 from .ingest import CallTable, check_table
 from .rng import derive_seed, substream
@@ -433,14 +432,6 @@ def compare_policies(
 
 
 def save_event_log(events: Sequence[Event], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["time_s", "kind", "call_id", "ambulance_id", "cell"])
-        for e in events:
-            writer.writerow([
-                repr(float(e.time_s)),
-                e.kind,
-                "" if e.call_id is None else e.call_id,
-                "" if e.ambulance_id is None else e.ambulance_id,
-                "" if e.cell is None else e.cell,
-            ])
+    write_csv(path, ["time_s", "kind", "call_id", "ambulance_id", "cell"], (
+        [repr(float(e.time_s)), e.kind, e.call_id, e.ambulance_id, e.cell] for e in events
+    ))

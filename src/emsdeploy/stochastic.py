@@ -17,9 +17,7 @@ ties, the lexicographically smallest.
 from __future__ import annotations
 
 import heapq
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -170,9 +168,3 @@ def solve_stochastic(
         optimality_flag=result.flag,
         scenarios=scenarios,
     )
-
-
-def save_solution(solution: StochasticSolution, path: str | Path) -> None:
-    with open(path, "w") as f:
-        json.dump(solution.to_dict(), f, sort_keys=True, indent=1)
-        f.write("\n")

@@ -5,7 +5,6 @@ that cannot ship real dispatch data.
 
 from __future__ import annotations
 
-import csv
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -15,7 +14,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, write_csv
 from .geogrid import Grid, SyntheticSpeedProvider, build_grid
 from .ingest import _MICROSECOND, CallTable, _stamp_columns, _wall_us
 from .rng import substream
@@ -190,16 +189,10 @@ def synth_tracts(grid: Grid, seed: int = 0, tracts_per_side: int = 3) -> tuple[d
 def write_svi_csv(svi_table: dict[str, dict[str, float]], path: str | Path) -> None:
     from .analysis import SVI_COLUMNS
 
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["tract_id"] + list(SVI_COLUMNS))
-        for tract in sorted(svi_table):
-            writer.writerow([tract] + [repr(svi_table[tract][c]) for c in SVI_COLUMNS])
+    write_csv(path, ["tract_id", *SVI_COLUMNS], (
+        [tract] + [repr(svi_table[tract][c]) for c in SVI_COLUMNS] for tract in sorted(svi_table)
+    ))
 
 
 def write_tract_map_csv(tract_map: dict[int, str], path: str | Path) -> None:
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(["cell_index", "tract_id"])
-        for cell in sorted(tract_map):
-            writer.writerow([cell, tract_map[cell]])
+    write_csv(path, ["cell_index", "tract_id"], ([cell, tract_map[cell]] for cell in sorted(tract_map)))

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import math
 import os
@@ -110,6 +111,25 @@ def test_rerun_is_byte_identical(city, tmp_path):
     before = (out_a / "manifest.json").read_bytes()
     assert run(city, "optimize", out_a) == 0
     assert (out_a / "manifest.json").read_bytes() == before
+
+
+def test_every_output_is_written_in_the_one_format(city, tmp_path):
+    # each JSON file is json.dumps's text of its document (keys sorted, indent 1,
+    # a final newline), and each CSV file, the city's inputs too, is csv.writer's
+    # text of the rows csv.reader reads back from it
+    out = tmp_path / "run"
+    for sub in COMMANDS:
+        assert run(city, sub, out) == 0, sub
+    paths = sorted(out.iterdir())
+    assert {p.suffix for p in paths} == {".json", ".csv", ".bin"}
+    for path in [*paths, *sorted(city["root"].glob("*.csv"))]:
+        text = path.read_bytes().decode("utf-8") if path.suffix != ".bin" else None
+        if path.suffix == ".json":
+            assert text == json.dumps(json.loads(text), sort_keys=True, indent=1) + "\n", path.name
+        elif path.suffix == ".csv":
+            rewritten = io.StringIO(newline="")
+            csv.writer(rewritten).writerows(csv.reader(io.StringIO(text, newline="")))
+            assert text == rewritten.getvalue(), path.name
 
 
 def test_stages_after_preprocess_run_without_the_call_log(city, tmp_path):
@@ -227,24 +247,40 @@ def _drop_split(path: Path) -> None:
 CHRONOLOGICAL, KFOLD, UNFILTERED = ("--split_mode", "chronological"), ("--split_mode", "kfold"), ("--peak_filter", "false")
 
 
-@pytest.mark.parametrize("mode, extra, code, named", [
-    (CHRONOLOGICAL, ("--train_fraction", "0.7"), 2, "train_fraction is 0.7, but preprocess split the calls with 0.8"),
-    (CHRONOLOGICAL, ("--seed", "8"), 0, None),
-    (KFOLD, ("--seed", "8"), 2, "seed is 8, but preprocess split the calls with 11"),
-    (CHRONOLOGICAL, _drop_split, 3, "preprocess_summary.json"),
-    (CHRONOLOGICAL, Path.unlink, 3, "missing preprocess_summary.json; run `emsdeploy preprocess` first"),
-    (CHRONOLOGICAL, ("--peak_start", "8:00"), 0, None),
-    (CHRONOLOGICAL, ("--peak_weekdays", "[4, 3, 2, 1, 0]"), 0, None),
-    (CHRONOLOGICAL, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'"),
-    (UNFILTERED, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'"),
+@pytest.mark.parametrize("mode, extra, code, named, sub", [
+    (CHRONOLOGICAL, ("--train_fraction", "0.7"), 2, "train_fraction is 0.7, but preprocess split the calls with 0.8",
+     "verify"),
+    (CHRONOLOGICAL, ("--seed", "8"), 0, None, "verify"),
+    (KFOLD, ("--seed", "8"), 2, "seed is 8, but preprocess split the calls with 11", "verify"),
+    (CHRONOLOGICAL, _drop_split, 3, "preprocess_summary.json", "verify"),
+    (CHRONOLOGICAL, Path.unlink, 3, "missing preprocess_summary.json; run `emsdeploy preprocess` first", "verify"),
+    (CHRONOLOGICAL, ("--peak_start", "8:00"), 0, None, "verify"),
+    (CHRONOLOGICAL, ("--peak_weekdays", "[4, 3, 2, 1, 0]"), 0, None, "verify"),
+    (CHRONOLOGICAL, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'",
+     "verify"),
+    (UNFILTERED, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'",
+     "verify"),
+    (CHRONOLOGICAL, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'",
+     "alpha-cv"),
+    (UNFILTERED, ("--peak_filter", "true"), 2, "peak_filter is True, but preprocess split the calls with False",
+     "alpha-cv"),
+    (CHRONOLOGICAL, ("--train_fraction", "0.7"), 0, None, "alpha-cv"),
+    (CHRONOLOGICAL, ("--timezone", "America/Chicago"), 2,
+     "timezone is 'America/Chicago', but preprocess split the calls with 'UTC'", "analyze"),
+    (CHRONOLOGICAL, ("--peak_end", "12:00"), 2, "peak_end is '12:00', but preprocess split the calls with '20:00'",
+     "analyze"),
+    (KFOLD, ("--split_mode", "chronological"), 0, None, "analyze"),
 ], ids=["train-fraction", "seed-chronological", "seed-kfold", "summary-without-split", "no-summary",
-        "peak-start-unpadded", "peak-weekdays-reordered", "peak-start", "peak-start-unfiltered"])
-def test_a_stage_splits_the_calls_as_preprocess_did(city, fitted_run, tmp_path, capsys, mode, extra, code, named):
+        "peak-start-unpadded", "peak-weekdays-reordered", "peak-start", "peak-start-unfiltered",
+        "alpha-cv-peak-start", "alpha-cv-peak-filter", "alpha-cv-train-fraction", "analyze-timezone",
+        "analyze-peak-end", "analyze-split-mode"])
+def test_a_stage_splits_the_calls_as_preprocess_did(city, fitted_run, tmp_path, capsys, mode, extra, code, named, sub):
     # a stage derives the split again from the calls preprocess saved, so its config
     # must agree with preprocess's on every field the split reads, compared as the
     # split reads them (the window's times, its weekdays as a set); the seed is one
     # only under kfold, and the window is one with no peak filter too, as the rates
-    # are fitted on its periods
+    # are fitted on its periods. alpha-cv, which makes its own folds, and analyze,
+    # which does not split, must agree on the calls' zone and the peak window only
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)
     assert run(city, "preprocess", out, mode) == 0
@@ -252,7 +288,7 @@ def test_a_stage_splits_the_calls_as_preprocess_did(city, fitted_run, tmp_path, 
         extra(out / "preprocess_summary.json")
         extra = ()
     capsys.readouterr()
-    assert run(city, "verify", out, (*mode, *extra)) == code
+    assert run(city, sub, out, (*mode, *extra)) == code
     err = capsys.readouterr().err
     if code == 2:
         assert f"config error: {named}; rerun `emsdeploy preprocess` with this config" in err
@@ -543,6 +579,7 @@ def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, s
 @pytest.mark.parametrize("name, text, sub", [
     ("calibration.json", "{not json", "verify"),
     ("calibration.json", "{}", "verify"),
+    ("calibration.json", lambda doc: {**doc, "kind": "cubic"}, "verify"),
     ("deployment_robust.json", "{}", "simulate"),
     ("grid.json", "{}", "verify"),
     ("grid.json", "[1]", "verify"),
@@ -558,7 +595,7 @@ def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, s
     ("calls_table.bin", slice(40), "verify"),
     ("calls_table.bin", slice(-8), "verify"),
     ("calls_table.bin", "datetime,latitude,longitude\n", "verify"),
-], ids=["calibration-invalid-json", "calibration-empty", "deployment-empty", "grid-empty", "grid-list", "grid-not-utf8",
+], ids=["calibration-invalid-json", "calibration-empty", "calibration-unknown-kind", "deployment-empty", "grid-empty", "grid-list", "grid-not-utf8",
         "grid-travel-missing", "grid-two-bounds", "verification-invalid-json", "verification-empty",
         "preprocess-summary-invalid-json", "preprocess-summary-split-list", "calls-table-missing", "calls-table-empty",
         "calls-table-truncated-header", "calls-table-truncated-data", "calls-table-not-numpy"])
@@ -665,7 +702,8 @@ def test_deployment_over_fleet_bound_is_exit_3(city, tmp_path, capsys):
     assert placed >= 1
     capsys.readouterr()
     assert run(city, "simulate", out, ("--n_ambulances", str(placed - 1))) == 3
-    assert "fleet bound" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "fleet bound" in err and "deployment_" in err
     assert not (out / "sim_comparison.json").exists()
     assert run(city, "simulate", out, ("--n_ambulances", str(placed))) == 0
 
