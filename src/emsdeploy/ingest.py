@@ -501,6 +501,12 @@ class DemandMatrix:
         return self.counts.shape[1]
 
 
+# the largest demand matrix: a million periods (114 years of hours), and
+# 800 MB of int64 counts (ten years of hours over 1000 regions)
+MAX_PERIODS = 10**6
+MAX_DEMAND_COUNTS = 10**8
+
+
 def build_demand_matrix(
     calls: CallTable,
     grid: Grid,
@@ -523,10 +529,19 @@ def build_demand_matrix(
     anchor = first.replace(hour=0, minute=0, second=0, microsecond=0)
     anchor_s = anchor.timestamp()
     cells, inside = assign_cells(grid, calls.lat, calls.lon, snap_cells)
-    periods = np.floor((calls.utc_s[inside] - anchor_s) / period_length_s)
+    # a period short enough to overflow the float count is refused below
+    with np.errstate(over="ignore"):
+        periods = np.floor((calls.utc_s[inside] - anchor_s) / period_length_s)
     if np.any(periods < 0):
         raise DataError("calls must not precede the first call's midnight anchor")
-    n_periods = int(periods.max()) + 1 if len(periods) else 1
+    n_periods = periods.max() + 1 if len(periods) else 1
+    if n_periods > MAX_PERIODS or n_periods * grid.n_cells > MAX_DEMAND_COUNTS:
+        raise ConfigError(
+            f"period_length_s={period_length_s} cuts the calls' span into {n_periods:.3g} periods of "
+            f"{grid.n_cells} regions, more than the limits of {MAX_PERIODS} periods and "
+            f"{MAX_DEMAND_COUNTS} demand counts"
+        )
+    n_periods = int(n_periods)
     flat = periods.astype(np.int64) * grid.n_cells + cells[inside]
     counts = np.bincount(flat, minlength=n_periods * grid.n_cells).reshape(n_periods, grid.n_cells)
     # the calls are binned by absolute time, so the starts step in absolute time too

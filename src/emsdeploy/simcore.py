@@ -13,9 +13,12 @@ of the FIFO queue from where it freed, tied units in the order their
 events were scheduled, and the heap is dropped when the queue empties. So
 the run is fully determined by (inputs, seed). Dispatch has zero setup
 delay, and a freed ambulance heads home but may be re-dispatched (from its
-home cell, the destination) while returning. The run keeps each call's
-chain of times; the event log is replayed from those chains when it is
-read.
+home cell, the destination) while returning. The run writes per call only
+its unit and leg, and, when it waited, its dispatch time and dispatching
+call; a queue episode keys each unit by its last call's times, recomputed
+from those columns. The mean response is one numpy mean over the columns,
+and each call's row, its chain of times and the event log are rebuilt from
+them only when read.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -78,23 +81,76 @@ class CallOutcome:
     response_s: float
 
 
+@dataclass(frozen=True)
+class _Run:
+    """What a run keeps: per call, its arrival, cell, on-scene time, unit,
+    leg, dispatch time and dispatching call (-1 when it did not wait, and
+    then the dispatch time is its arrival); and the fleet's homes and the
+    grid's free cells and legs to them, by which the rest of each call's
+    chain of times is recomputed."""
+
+    call_t: list[float]
+    call_cell: list[int]
+    service_s: list[float]
+    unit: list[int]
+    leg: list[float]
+    t: list[float]
+    by: list[int]
+    home: list[int]
+    free_cell: list[int]
+    to_free: list[float]
+
+
 @dataclass
 class SimOutcome:
-    """One run. Per-call outcomes are kept as plain tuples in the field
-    order of CallOutcome. Each call's chain is the tuple (dispatching call
-    or -1, dispatch time, origin cell, scene arrival, scene departure, free
-    time, free cell): a call of -1 means the unit left at the call's own
-    arrival, otherwise at the step where that call's unit freed. ``events``,
-    ``calls`` and ``event_log`` are rebuilt on each read."""
+    """One run. A call's row is its CallOutcome's fields as a plain tuple.
+    Its chain is the tuple (dispatching call or -1, dispatch time, origin
+    cell, scene arrival, scene departure, free time, free cell): a call of
+    -1 means the unit left at the call's own arrival, otherwise at the step
+    where that call's unit freed. The run keeps per-call columns only;
+    ``call_rows``, ``chains``, ``events``, ``calls`` and ``event_log`` are
+    rebuilt from them on each read, repeating the run's float operations in
+    its order, so every time has the bits the run stepped on."""
 
-    call_rows: list[tuple]  # one per call, by call id
     mean_response_s: float
-    chains: list[tuple]  # one per call, by call id
     hospital_leg_skipped: bool
+    _run: _Run = field(repr=False)
 
     @property
     def n_calls(self) -> int:
-        return len(self.call_rows)
+        return len(self._run.unit)
+
+    @property
+    def call_rows(self) -> list[tuple]:
+        """One row per call, by call id."""
+        return self._tuples(chains=False)[0]
+
+    @property
+    def chains(self) -> list[tuple]:
+        """One chain per call, by call id."""
+        return self._tuples(chains=True)[1]
+
+    def _tuples(self, chains: bool) -> tuple[list[tuple], list[tuple] | None]:
+        """The rows, and the chains when asked for, from the run's columns."""
+        r = self._run
+        t, leg = np.array(r.t), np.array(r.leg)
+        wait = t - np.array(r.call_t)  # 0.0 where the call did not wait
+        rows = list(zip(range(len(r.unit)), r.call_t, r.call_cell, r.unit, wait.tolist(), r.leg,
+                        (wait + leg).tolist()))
+        if not chains:
+            return rows, None
+        free_cell = np.array(r.free_cell, dtype=np.int64)
+        cell = np.array(r.call_cell, dtype=np.int64)
+        by = np.array(r.by, dtype=np.int64)
+        waited = by >= 0
+        # a unit leaves from home, or from where it freed for the call before
+        here = np.array(r.home, dtype=np.int64)[np.array(r.unit, dtype=np.int64)]
+        here[waited] = free_cell[cell[by[waited]]]
+        t_scene = t + leg
+        t_dep = t_scene + np.array(r.service_s)
+        t_free = t_dep + np.array(r.to_free)[cell]
+        return rows, list(zip(r.by, r.t, here.tolist(), t_scene.tolist(), t_dep.tolist(),
+                              t_free.tolist(), free_cell[cell].tolist()))
 
     @property
     def calls(self) -> list[CallOutcome]:
@@ -109,7 +165,7 @@ class SimOutcome:
         """The run's events as Event-ordered tuples, in the order they
         happened: the chains replayed through a (time, seq) heap, with a
         call winning a timestamp tie, exactly as the run stepped."""
-        rows, chains = self.call_rows, self.chains
+        rows, chains = self._tuples(chains=True)
         n = len(rows)
         then = [-1] * n  # the call each freeing step dispatches, if any
         for c, chain in enumerate(chains):
@@ -163,7 +219,24 @@ def draw_service_times(params: SimParams, rng: np.random.Generator, n: int) -> l
         raise ConfigError(f"lognormal sigma must be positive, got {params.lognormal_sigma}")
     # one vector of normals is the same stream as n scalar draws; math.exp,
     # not np.exp, keeps every duration bit-identical to a scalar draw
-    return [math.exp(z) * 60.0 for z in rng.normal(params.lognormal_mu, params.lognormal_sigma, n).tolist()]
+    try:
+        return [math.exp(z) * 60.0 for z in rng.normal(params.lognormal_mu, params.lognormal_sigma, n).tolist()]
+    except OverflowError:
+        raise ConfigError(
+            f"an on-scene time drawn with lognormal_mu={params.lognormal_mu} and "
+            f"lognormal_sigma={params.lognormal_sigma} overflows a float"
+        ) from None
+
+
+def _check_finite(what: str, value: float, params: SimParams | None) -> None:
+    """Refuse a statistic that overflowed: only on-scene times can be long
+    enough for that, as travel times are grid times."""
+    if not math.isfinite(value):
+        params = params or SimParams()
+        raise ConfigError(
+            f"{what} is {value}: the on-scene times drawn with lognormal_mu={params.lognormal_mu} "
+            f"and lognormal_sigma={params.lognormal_sigma} are too long"
+        )
 
 
 def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, seed: int = 0) -> SimOutcome:
@@ -223,8 +296,12 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
 
     service_s = draw_service_times(params, substream(seed, "service"), n_calls)
 
-    call_rows: list[tuple] = [()] * n_calls
-    chains: list[tuple] = [()] * n_calls
+    # Per call, the unit and leg of its dispatch; the dispatch time and the
+    # dispatching call change from the arrival and -1 only if it waits.
+    unit = [0] * n_calls
+    legs = [0.0] * n_calls
+    disp_t = call_t.copy()
+    by_call = [-1] * n_calls
     # Per unit, the time it frees and the call it served last. A unit is
     # free for a call iff it frees strictly before the call arrives (a call
     # wins a tie). While calls wait, units free in order of their keys,
@@ -244,16 +321,14 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
         while until is None or heap[0][0] < until:
             now, _, _, by, a = heap[0]
             call = waiting.popleft()
-            here = chains[by][6]
             cell = call_cell[call]
-            leg = travel[here][cell]
-            wait = now - call_t[call]
-            call_rows[call] = (call, call_t[call], cell, a, wait, leg, wait + leg)
+            leg = legs[call] = travel[free_cell[call_cell[by]]][cell]
+            unit[call] = a
+            disp_t[call] = now
+            by_call[call] = by
             t_scene = now + leg
             t_dep = t_scene + service_s[call]
-            t_free = t_dep + to_free[cell]
-            chains[call] = (by, now, here, t_scene, t_dep, t_free, free_cell[cell])
-            free[a] = t_free
+            t_free = free[a] = t_dep + to_free[cell]
             last[a] = call
             if not waiting:
                 return None
@@ -270,32 +345,32 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
         for a in unit_order[cell]:
             if free[a] < now:
                 break
-        else:  # no unit is free: a queue episode starts
-            heap = [(t, chains[c][4], chains[c][3], c, a) for a, (t, c) in enumerate(zip(free, last))]
+        else:  # no unit is free: a queue episode starts, keyed by each unit's last call
+            heap = []
+            for a, c in enumerate(last):
+                t_scene = disp_t[c] + legs[c]
+                heap.append((free[a], t_scene + service_s[c], t_scene, c, a))
             heapq.heapify(heap)
             waiting.append(call)
             continue
         # the unit leaves its home station at once; this is serve's dispatch
         # written out for a wait of 0.0, since a call per dispatch would cost
         # about a tenth of a run
-        here = home[a]
-        leg = travel[here][cell]
-        call_rows[call] = (call, now, cell, a, 0.0, leg, 0.0 + leg)
-        t_scene = now + leg
-        t_dep = t_scene + service_s[call]
-        t_free = free[a] = t_dep + to_free[cell]
-        chains[call] = (-1, now, here, t_scene, t_dep, t_free, free_cell[cell])
+        leg = legs[call] = travel[home[a]][cell]
+        unit[call] = a
+        free[a] = now + leg + service_s[call] + to_free[cell]
         last[a] = call
     if heap is not None:
         serve(None)
 
-    # field 6 of a row is response_s
-    mean_response = float(np.mean([r[6] for r in call_rows])) if call_rows else 0.0
+    # a call that did not wait responds in 0.0 + leg, as its row says
+    with np.errstate(over="ignore"):
+        mean_response = float(np.mean((np.array(disp_t) - times) + np.array(legs))) if n_calls else 0.0
+    _check_finite("mean response time", mean_response, params)
     return SimOutcome(
-        call_rows=call_rows,
         mean_response_s=mean_response,
-        chains=chains,
         hospital_leg_skipped=not hospitals,
+        _run=_Run(call_t, call_cell, service_s, unit, legs, disp_t, by_call, home, free_cell, to_free),
     )
 
 
@@ -364,8 +439,11 @@ def run_batches(
         for i, batch in enumerate(batches)
     ]
     means = [o.mean_response_s for o in outcomes]
-    overall = float(np.mean(means))
-    std = float(np.std(means, ddof=1)) if n_batches > 1 else 0.0
+    with np.errstate(over="ignore"):
+        overall = float(np.mean(means))
+        std = float(np.std(means, ddof=1)) if n_batches > 1 else 0.0
+    _check_finite("batch mean response time", overall, params)
+    _check_finite("batch standard deviation", std, params)
     return outcomes, BatchSummary(
         batch_means_s=means,
         overall_mean_s=overall,

@@ -46,6 +46,11 @@ class ScenarioSet:
         return self.demands.shape[0]
 
 
+# the most demand counts a scenario set may hold, 800 MB as int64: 10**5
+# scenarios of 1000 regions
+MAX_SCENARIO_COUNTS = 10**8
+
+
 def sample_scenarios(matrix: DemandMatrix | np.ndarray, m: int, seed: int = 0) -> ScenarioSet:
     """Draw m period rows uniformly with replacement (the empirical distribution)."""
     counts = matrix.counts if isinstance(matrix, DemandMatrix) else np.asarray(matrix)
@@ -53,6 +58,11 @@ def sample_scenarios(matrix: DemandMatrix | np.ndarray, m: int, seed: int = 0) -
         raise ConfigError(f"need at least one scenario, got m={m}")
     if counts.ndim != 2 or counts.shape[0] == 0:
         raise DataError("cannot sample scenarios from an empty demand matrix")
+    if m * counts.shape[1] > MAX_SCENARIO_COUNTS:
+        raise ConfigError(
+            f"m_scenarios={m} scenarios of {counts.shape[1]} regions hold {m * counts.shape[1]} demand "
+            f"counts, more than the limit of {MAX_SCENARIO_COUNTS}"
+        )
     idx = substream(seed, "scenarios").integers(0, counts.shape[0], size=m)
     return ScenarioSet(counts[idx], seed=seed)
 
@@ -114,8 +124,15 @@ def minimize_deployment(ev, n: int, config: SearchConfig | None = None) -> Searc
                 continue
             return SearchResult(x=padded(prefix), objective=value, flag=OptimalityFlag("exact"), nodes=nodes)
         if nodes >= config.max_nodes:
-            # keep the most promising node as an incumbent, never fail silently
+            # keep the most promising node as an incumbent, never fail silently:
+            # each unit its prefix leaves unplaced goes where it lowers the value
+            # most, ties to the lower station. An added unit never raises the
+            # value, so the gap to the lowest open bound can only shrink
             incumbent = padded(prefix)
+            steps = np.eye(n_i, dtype=np.int64)
+            for _ in range(n - sum(prefix)):
+                values = [ev.value(incumbent + step) for step in steps]
+                incumbent[values.index(min(values))] += 1
             obj = ev.value(incumbent)
             lowest = min(bound, min((b for b, _ in heap), default=bound))
             return SearchResult(

@@ -138,7 +138,8 @@ def exhaustive_best_deployment(demands: np.ndarray, n: int, n_stations: int,
 def reference_minimize_deployment(ev, n: int, max_nodes: int = 1_000_000):
     """``stochastic.minimize_deployment`` as it was before ``child_bounds``:
     the same best-first search over (bound, prefix), with every child
-    bounded by its own ``ev.bound`` pass over the cuts."""
+    bounded by its own ``ev.bound`` pass over the cuts, and the same
+    completion of the incumbent when ``max_nodes`` stops it."""
     n_i = ev.edges.n_stations
 
     def padded(prefix):
@@ -161,7 +162,18 @@ def reference_minimize_deployment(ev, n: int, max_nodes: int = 1_000_000):
                 continue
             return SearchResult(x=padded(prefix), objective=value, flag=OptimalityFlag("exact"), nodes=nodes)
         if nodes >= max_nodes:
+            # the incumbent places the rest of the fleet one unit at a time,
+            # each at the first station of least value
             incumbent = padded(prefix)
+            for _ in range(n - sum(prefix)):
+                best = None
+                for i in range(n_i):
+                    trial = incumbent.copy()
+                    trial[i] += 1
+                    value = ev.value(trial)
+                    if best is None or value < best[0]:
+                        best = (value, trial)
+                incumbent = best[1]
             obj = ev.value(incumbent)
             lowest = min(bound, min((b for b, _ in heap), default=bound))
             return SearchResult(x=incumbent, objective=obj,

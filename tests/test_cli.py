@@ -708,6 +708,41 @@ def test_deployment_over_fleet_bound_is_exit_3(city, tmp_path, capsys):
     assert run(city, "simulate", out, ("--n_ambulances", str(placed))) == 0
 
 
+@pytest.mark.parametrize("mu", ["1000", "700"])
+def test_on_scene_times_that_overflow_are_exit_2(city, fitted_run, tmp_path, capsys, mu):
+    # at mu 1000 a draw overflows math.exp; at mu 700 each draw is finite,
+    # but the times a unit frees at are not
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    assert run(city, "optimize", out) == 0
+    capsys.readouterr()
+    assert run(city, "simulate", out, ("--lognormal_mu", mu)) == 2
+    err = capsys.readouterr().err
+    assert f"lognormal_mu={float(mu)}" in err and "lognormal_sigma=" in err
+    assert not (out / "sim_comparison.json").exists()
+
+
+@pytest.mark.parametrize("sub, name, value, named", [
+    ("optimize", "m_scenarios", "100000000", "m_scenarios=100000000"),  # 3.6e9 counts: 26.8 GiB of int64
+    ("preprocess", "period_length_s", "1e-3", "period_length_s=0.001"),  # 1.3e11 periods
+])
+def test_a_size_over_its_limit_is_exit_2_naming_the_field(city, fitted_run, tmp_path, capsys, sub, name, value, named):
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    capsys.readouterr()
+    assert run(city, sub, out, (f"--{name}", value)) == 2
+    assert f"config error: {named} " in capsys.readouterr().err
+
+
+def test_a_node_cap_keeps_the_fleet(city, fitted_run, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    assert run(city, "optimize", out, ("--max_nodes", "1")) == 0
+    for name in ("deployment_stochastic.json", "deployment_robust.json"):
+        assert sum(json.loads((out / name).read_text())["x"]) == city["raw"]["n_ambulances"]
+    assert run(city, "fleet-sweep", out, ("--max_nodes", "2")) == 0
+
+
 def test_seed_flag_overrides_config(city, tmp_path):
     out = tmp_path / "s"
     assert run(city, "grid", out, ("--seed", "99")) == 0

@@ -297,6 +297,33 @@ def test_compare_policies_monotone_under_fleet_growth():
     assert np.all(comparison.batch_means_s[:, 1] <= comparison.batch_means_s[:, 0])
 
 
+def test_rows_chains_and_events_are_built_only_when_read(monkeypatch):
+    # one unit and a call every 100 s: most calls wait, across queue episodes
+    g = line_grid(stations=(0,), hospitals=(1,))
+    calls = table(g, [(float(i) * 100.0, i % 2) for i in range(40)])
+    out = simulate([1], calls, g, SimParams(), seed=3)
+    assert sum(row[4] > 0 for row in out.call_rows) > 30
+    # each read rebuilds equal lists, and none is kept on the outcome
+    assert out.call_rows == out.call_rows and out.call_rows is not out.call_rows
+    assert out.chains == out.chains and out.events == out.events
+    assert out.events is not out.events
+    assert out.mean_response_s == float(np.mean([row[6] for row in out.call_rows]))
+
+    def refuse(self, chains):
+        raise AssertionError("a run's rows were built")
+
+    monkeypatch.setattr(simcore.SimOutcome, "_tuples", refuse)
+    # what the batch statistics, the policy comparison and alpha-cv read
+    _, summary = run_batches([1], calls, g, SimParams(), n_calls=20, n_batches=2, seed=3)
+    comparison = compare_policies([("a", np.array([1])), ("b", np.array([2]))], calls, g, SimParams(),
+                                  n_calls=20, n_batches=2, seed=3)
+    assert comparison.summaries[0].batch_means_s == summary.batch_means_s
+    assert simulate([1], calls, g, SimParams(), seed=3).mean_response_s == out.mean_response_s
+    assert simulate([1], calls, g, SimParams(), seed=3).n_calls == 40
+    with pytest.raises(AssertionError, match="rows were built"):
+        out.event_log
+
+
 def test_compare_policies_empty_rejected():
     g = line_grid(stations=(0,))
     with pytest.raises(ConfigError):

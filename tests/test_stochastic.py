@@ -145,6 +145,26 @@ def test_node_budget_returns_flagged_incumbent():
     assert sol.objective >= exact.objective
 
 
+def test_node_budget_incumbent_places_the_whole_fleet():
+    rng = np.random.default_rng(61)
+    for _ in range(12):
+        n_i, n_j = int(rng.integers(2, 5)), int(rng.integers(1, 5))
+        pairs = [(i, j) for i in range(n_i) for j in range(n_j) if rng.random() < 0.6]
+        edges = EdgeSet(pairs, n_i, n_j)
+        demands = rng.integers(0, 3, size=(int(rng.integers(1, 5)), n_j))
+        n = int(rng.integers(1, 5))
+        exact = minimize_deployment(ScenarioEvaluator(edges, demands), n)
+        # every node budget that stops the search before its exact leaf
+        for max_nodes in range(1, exact.nodes):
+            ev = ScenarioEvaluator(edges, demands)
+            got = minimize_deployment(ev, n, SearchConfig(max_nodes))
+            assert got.flag.kind == "bound_gap"
+            assert int(got.x.sum()) == n
+            assert got.objective == ev.value(got.x)
+            assert got.flag.gap >= 0.0
+            assert got.objective - got.flag.gap <= exact.objective <= got.objective
+
+
 def test_rejects_bad_arguments():
     edges = full_edges(1, 1)
     with pytest.raises(ConfigError):
