@@ -308,9 +308,18 @@ def _split_fields(cfg: RunConfig) -> dict:
 
 def _split(cfg: RunConfig, calls: ingest.CallTable) -> tuple[ingest.CallTable, ingest.CallTable]:
     """The train and test calls of a parse: its peak calls, split as the config says."""
+    calls = _peak(cfg, calls)
+    if cfg.split_mode == "kfold":
+        _check_folds("split_k", cfg.split_k, calls)
     return ingest.split_train_test(
-        _peak(cfg, calls), cfg.train_fraction, cfg.split_mode, cfg.split_k, cfg.split_fold, cfg.seed
+        calls, cfg.train_fraction, cfg.split_mode, cfg.split_k, cfg.split_fold, cfg.seed
     )
+
+
+def _check_folds(name: str, k: int, calls: ingest.CallTable) -> None:
+    """Refuse more folds than calls, before the folds are drawn: some would be empty."""
+    if k > len(calls):
+        raise ConfigError(f"{name}={k} folds of {len(calls)} calls: a fold would be empty")
 
 
 def _demand_for_rates(cfg: RunConfig, calls, grid) -> ingest.DemandMatrix:
@@ -466,9 +475,10 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> dict[str, Path]:
     write_json(out / "deployment_stochastic.json", sol.to_dict())
     rob = robust.solve_robust_ccg(uset, cfg.n_ambulances, edges, search_config=_search(cfg))
     write_json(out / "deployment_robust.json", rob.to_dict(cfg.alpha))
-    write_csv(out / "ccg_history.csv", ["iteration", "lower_bound", "upper_bound"], (
-        [k, repr(lb), repr(ub)] for k, (lb, ub, _) in enumerate(rob.state.history, start=1)
-    ))
+    history = rob.state.history
+    write_csv(out / "ccg_history.csv", ["iteration", "lower_bound", "upper_bound"], [
+        range(1, len(history) + 1), [lb for lb, _, _ in history], [ub for _, ub, _ in history]
+    ])
     return {name: out / name for name in ("deployment_stochastic.json", "deployment_robust.json", "ccg_history.csv")}
 
 
@@ -484,7 +494,7 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:
     write_json(out / "sim_comparison.json", comparison.to_dict())
     # one event log per policy, first batch, for inspection and plotting
     for (label, _), outcome in zip(policies, comparison.first_batch):
-        simcore.save_event_log(outcome.event_log, out / f"event_log_{label}.csv")
+        simcore.save_event_log(outcome.events, out / f"event_log_{label}.csv")
     return {name: out / name for name in ("sim_comparison.json", "event_log_stochastic.csv", "event_log_robust.csv")}
 
 
@@ -502,6 +512,7 @@ def cmd_verify(cfg: RunConfig, out: Path) -> dict[str, Path]:
 def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(out)
     peak_calls = _peak(cfg, _load_calls(out, _window_fields(cfg)))
+    _check_folds("cv_folds", cfg.cv_folds, peak_calls)
     edges = _edges(cfg, grid)
     adjacency, ball = _regions(cfg, grid)
     table: list[list[float | None]] = []
@@ -541,9 +552,10 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
                 mrt_by_x[key] = outcome.mean_response_s / 60.0
             row.append(mrt_by_x[key])
         table.append(row)
-    write_csv(out / "alpha_cv.csv", ["fold"] + [f"alpha_{a}" for a in cfg.alphas], (
-        [fold + 1] + ["" if v is None else f"{v:.4f}" for v in row] for fold, row in enumerate(table)
-    ))
+    write_csv(out / "alpha_cv.csv", ["fold"] + [f"alpha_{a}" for a in cfg.alphas], [
+        range(1, len(table) + 1),
+        *(["" if v is None else f"{v:.4f}" for v in column] for column in zip(*table)),
+    ])
     means = {}
     for i, alpha in enumerate(cfg.alphas):
         vals = [row[i] for row in table if row[i] is not None]
@@ -584,12 +596,14 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
             mrt_by_x[key] = summary.overall_mean_s / 60.0
         return mrt_by_x[key]
 
-    rows = []
-    for n in range(cfg.n_min, cfg.n_max + 1):
+    fleet = list(range(cfg.n_min, cfg.n_max + 1))
+    sto_mrt, rob_mrt = [], []
+    for n in fleet:
         sol = stochastic.solve_stochastic(scenarios, n, edges, search)
         rob = robust.solve_robust_ccg(uset, n, edges, search_config=search)
-        rows.append([n, f"{mrt_min(sol.x_star.x):.4f}", f"{mrt_min(rob.x_star.x):.4f}"])
-    write_csv(out / "fleet_sweep.csv", ["n", "stochastic_mrt_min", "robust_mrt_min"], rows)
+        sto_mrt.append(f"{mrt_min(sol.x_star.x):.4f}")
+        rob_mrt.append(f"{mrt_min(rob.x_star.x):.4f}")
+    write_csv(out / "fleet_sweep.csv", ["n", "stochastic_mrt_min", "robust_mrt_min"], [fleet, sto_mrt, rob_mrt])
     return {"fleet_sweep.csv": out / "fleet_sweep.csv"}
 
 
@@ -602,9 +616,9 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> dict[str, Path]:
     tract_map = analysis.load_tract_map(cfg.tract_map_csv)
     dataset = analysis.assemble_tracts(_peak(cfg, calls), grid, tract_map, svi, cfg.snap_cells)
     reports = analysis.compare_models(dataset, cfg.analysis_folds, cfg.seed, cfg.lambda_grid)
-    write_csv(out / "analysis_report.csv", ["Model", "Variables", "Average MSE"], (
-        [r.label, r.variables, f"{r.average_mse:.4f}"] for r in reports
-    ))
+    write_csv(out / "analysis_report.csv", ["Model", "Variables", "Average MSE"], [
+        [r.label for r in reports], [r.variables for r in reports], [f"{r.average_mse:.4f}" for r in reports]
+    ])
     write_json(out / "analysis_details.json", {
         "n_tracts": len(dataset.tract_ids),
         "n_dropped_no_svi": dataset.n_dropped_no_svi,
@@ -623,33 +637,36 @@ def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
     weekday, clock_us = ingest.weekday_and_clock_us(calls.wall_us)
     counts = np.bincount(weekday * 24 + clock_us // 3_600_000_000, minlength=7 * 24).reshape(7, 24)
-    write_csv(out / "plot_temporal_heatmap.csv", ["weekday", "hour", "count"], (
-        [wd, hour, int(counts[wd, hour])] for wd in range(7) for hour in range(24)
-    ))
+    write_csv(out / "plot_temporal_heatmap.csv", ["weekday", "hour", "count"], [
+        np.repeat(np.arange(7), 24), np.tile(np.arange(24), 7), counts.ravel()
+    ])
 
     cells, inside = geogrid.assign_cells(grid, calls.lat, calls.lon, cfg.snap_cells)
     cell_counts = np.bincount(cells[inside], minlength=grid.n_cells)
-    write_csv(out / "plot_spatial_heatmap.csv", ["cell", "lat", "lon", "count"], (
-        [j, repr(lat), repr(lon), int(cell_counts[j])] for j, (lat, lon) in enumerate(grid.cell_centers)
-    ))
+    write_csv(out / "plot_spatial_heatmap.csv", ["cell", "lat", "lon", "count"], [
+        range(grid.n_cells), [lat for lat, _ in grid.cell_centers], [lon for _, lon in grid.cell_centers],
+        cell_counts,
+    ])
 
     model = _load_model(out)
     test_calls = _split(cfg, calls)[1]
     _, grid_s, reported_s = ingest.calibration_pairs(test_calls, grid, cfg.snap_cells)
     adjusted_s = calibrate.apply_many(model, grid_s)
-    write_csv(out / "plot_regression_scatter.csv", ["grid_s", "reported_s", "adjusted_s"], (
-        [repr(g), repr(r), repr(a)] for g, r, a in zip(grid_s.tolist(), reported_s.tolist(), adjusted_s.tolist())
-    ))
+    write_csv(out / "plot_regression_scatter.csv", ["grid_s", "reported_s", "adjusted_s"], [
+        grid_s, reported_s, adjusted_s
+    ])
 
-    write_csv(out / "plot_verification_points.csv", ["batch", "mean_error_s"], (
-        [i, repr(err)] for i, err in enumerate(_load_verification(out), start=1)
-    ))
+    batch_errors = _load_verification(out)
+    write_csv(out / "plot_verification_points.csv", ["batch", "mean_error_s"], [
+        range(1, len(batch_errors) + 1), batch_errors
+    ])
 
-    stations = [(i, cell, *grid.cell_centers[cell]) for i, cell in enumerate(grid.station_cells)]
+    stations = grid.station_cells
+    centers = [grid.cell_centers[cell] for cell in stations]
     for label, x in _load_stationings(cfg, out):
-        write_csv(out / f"plot_stationing_{label}.csv", ["station", "cell", "lat", "lon", "count"], (
-            [i, cell, repr(lat), repr(lon), int(x[i])] for i, cell, lat, lon in stations
-        ))
+        write_csv(out / f"plot_stationing_{label}.csv", ["station", "cell", "lat", "lon", "count"], [
+            range(len(stations)), stations, [lat for lat, _ in centers], [lon for _, lon in centers], x
+        ])
     return {name: out / name for name in (
         "plot_temporal_heatmap.csv", "plot_spatial_heatmap.csv", "plot_regression_scatter.csv",
         "plot_verification_points.csv", "plot_stationing_stochastic.csv", "plot_stationing_robust.csv",

@@ -6,17 +6,19 @@ and the one reader and the one writer of each file format.
 passing the document through an optional ``read`` that checks its shape;
 both report what is wrong with the file as a DataError naming it.
 ``write_json`` and ``write_csv`` write every JSON and CSV output, bar the
-call log and the demand matrix, whose fast writers in ``ingest`` write the
-bytes ``write_csv`` would.
+call log, whose chunked writer in ``ingest`` writes the bytes ``write_csv``
+would. ``write_csv`` takes a table as its columns, formats each column once
+and writes the file in one piece.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterator, Sequence, TextIO
+
+import numpy as np
 
 
 class EmsDeployError(Exception):
@@ -84,12 +86,52 @@ def write_json(path: str | Path, doc) -> None:
         f.write("\n")
 
 
-def write_csv(path: str | Path, header: Sequence | None, rows: Iterable[Sequence]) -> None:
-    """``header``, unless it is None, and then ``rows``, as ``csv.writer``
-    writes them: CRLF line ends, fields quoted only where they must be, None
-    an empty field."""
+def write_csv(path: str | Path, header: Sequence | None, columns: Sequence[Sequence]) -> None:
+    """``header``, unless it is None, and then the rows of ``columns``, in
+    the bytes ``csv.writer`` writes of them: a float field as its repr,
+    None as an empty field, anything else as its str, a field quoted only
+    where it holds a comma, a quote, CR or LF, and a row whose only field is
+    empty as ``""``; CRLF line ends. A numpy column is read through
+    ``tolist``, so its fields are Python numbers."""
+    fields = [_fields(c) for c in columns]
+    if len({len(f) for f in fields}) > 1:
+        raise ValueError(f"columns of unequal lengths {[len(f) for f in fields]}")
+    if len(fields) == 1:  # csv.writer quotes a row's only field when it is empty
+        fields = [['""' if f == "" else f for f in fields[0]]]
+    lines = []
+    if header is not None:
+        names = _fields(header)
+        lines.append('""' if names == [""] else ",".join(names))
+    lines.extend(map(",".join, zip(*fields)))
     with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        if header is not None:
-            writer.writerow(header)
-        writer.writerows(rows)
+        f.write("\r\n".join(lines) + "\r\n" if lines else "")
+
+
+_NUMBERS = {int, float}
+_SPECIAL = (",", '"', "\r", "\n")
+
+
+def _fields(column: Sequence) -> list[str]:
+    """One column's fields as ``csv.writer`` writes them."""
+    kinds = None
+    if isinstance(column, np.ndarray):  # its dtype says what tolist gives
+        kind = column.dtype.kind
+        kinds = {str} if kind == "U" else _NUMBERS if kind in "biuf" else None
+        column = column.tolist()
+    if kinds is None:
+        kinds = set(map(type, column))
+    if kinds <= _NUMBERS:  # an int's repr is its str
+        return list(map(repr, column))
+    if kinds <= _NUMBERS | {type(None)}:
+        return ["" if v is None else repr(v) for v in column]
+    if kinds == {str}:
+        fields = column if isinstance(column, list) else list(column)
+    else:
+        fields = [
+            v if type(v) is str else "" if v is None else repr(v) if isinstance(v, float) else str(v)
+            for v in column
+        ]
+    text = "".join(fields)
+    if any(c in text for c in _SPECIAL):
+        fields = ['"' + f.replace('"', '""') + '"' if any(c in f for c in _SPECIAL) else f for f in fields]
+    return fields

@@ -166,6 +166,11 @@ def _validate_bounds(bounds: Bounds, error: type[Exception] = ConfigError) -> No
         raise error(f"degenerate bounds {bounds}: need min_lat < max_lat and min_lon < max_lon")
 
 
+# the largest grid: 10**7 travel times, 80 MB of float64 (3162 cells, such
+# as a 56 x 56 grid)
+MAX_TRAVEL_TIMES = 10**7
+
+
 def build_grid(
     bounds: Bounds,
     n_rows: int,
@@ -177,6 +182,11 @@ def build_grid(
     """Partition ``bounds`` into n_rows x n_cols cells and fill travel times."""
     if n_rows < 1 or n_cols < 1:
         raise ConfigError(f"grid must have at least one row and column, got {n_rows}x{n_cols}")
+    if (n_rows * n_cols) ** 2 > MAX_TRAVEL_TIMES:
+        raise ConfigError(
+            f"n_rows={n_rows} x n_cols={n_cols} is {n_rows * n_cols} cells, whose "
+            f"{(n_rows * n_cols) ** 2} travel times are more than the limit of {MAX_TRAVEL_TIMES}"
+        )
     _validate_bounds(bounds)
     min_lat, max_lat, min_lon, max_lon = bounds
     h = (max_lat - min_lat) / n_rows
@@ -283,7 +293,7 @@ def load_travel_matrix(path: str | Path) -> np.ndarray:
 
 
 def save_travel_matrix(matrix: np.ndarray, path: str | Path) -> None:
-    write_csv(path, None, ([repr(float(v)) for v in row] for row in np.asarray(matrix)))
+    write_csv(path, None, np.asarray(matrix, dtype=np.float64).T)
 
 
 def save_grid(grid: Grid, json_path: str | Path) -> None:

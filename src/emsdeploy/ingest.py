@@ -26,7 +26,7 @@ from zoneinfo import ZoneInfo
 
 import numpy as np
 
-from .errors import ConfigError, DataError, open_input
+from .errors import ConfigError, DataError, open_input, write_csv
 from .geogrid import Grid, assign_cells
 from .rng import substream
 
@@ -572,12 +572,10 @@ def select_periods(matrix: DemandMatrix, mask: np.ndarray) -> DemandMatrix:
 
 
 def save_demand_matrix(matrix: DemandMatrix, path: str | Path) -> None:
-    """CSV export: one row per period, first column the ISO period start.
-
-    The bytes ``csv.writer`` writes of each start's ``isoformat`` and its
-    counts, CRLF-terminated: no field holds a comma, a quote or a line
-    break. Each count is looked up in one table of digit strings: every
-    count up to the largest, or the distinct counts when that is shorter.
+    """CSV export through ``write_csv``: one row per period, first column
+    the ISO period start, then the period's count in each region. Each
+    count is looked up in one table of digit strings: every count up to the
+    largest, or the distinct counts when that is shorter.
     """
     counts = matrix.counts
     top = int(counts.max()) if counts.size else 0
@@ -586,11 +584,8 @@ def save_demand_matrix(matrix: DemandMatrix, path: str | Path) -> None:
     else:
         table, index = np.unique(counts, return_inverse=True)
     digits = np.array(list(map(str, table.tolist())), dtype=str)[index.reshape(counts.shape)]
-    stamps = _iso_text(matrix.start_wall_us, *_iso_suffixes(matrix.start_offset_us)).tolist()
-    with open(path, "w", newline="") as f:
-        f.write(",".join(["period_start"] + [f"region_{j}" for j in range(matrix.n_regions)]) + "\r\n")
-        if stamps:
-            f.write("\r\n".join(map(",".join, zip(stamps, *digits.T.tolist()))) + "\r\n")
+    stamps = _iso_text(matrix.start_wall_us, *_iso_suffixes(matrix.start_offset_us))
+    write_csv(path, ["period_start"] + [f"region_{j}" for j in range(matrix.n_regions)], [stamps, *digits.T])
 
 
 def load_demand_matrix(path: str | Path) -> DemandMatrix:
@@ -675,8 +670,12 @@ def split_train_test(
         if k < 2 or not (0 <= fold_index < k):
             raise ConfigError(f"need k >= 2 and 0 <= fold_index < k, got k={k}, fold_index={fold_index}")
         perm = substream(seed, "folds").permutation(n)
+        # the test fold is np.array_split(perm, k)[fold_index], found without
+        # building the k folds: the first n % k folds hold one call more
+        size, extra = divmod(n, k)
+        start = fold_index * size + min(fold_index, extra)
         in_test = np.zeros(n, dtype=bool)
-        in_test[np.array_split(perm, k)[fold_index]] = True
+        in_test[perm[start:start + size + (fold_index < extra)]] = True
         return calls[~in_test], calls[in_test]
     raise ConfigError(f"unknown split mode: {mode!r}")
 

@@ -8,24 +8,24 @@ walks the time-sorted calls in one loop. A unit is free for a call iff it
 frees strictly before the call arrives (a call wins a timestamp tie), so
 while no call waits a call takes the closest free unit and no heap is
 touched. When no unit is free a queue episode starts: the units' keys go
-into one heap, each unit that frees before the next call serves the head
-of the FIFO queue from where it freed, tied units in the order their
-events were scheduled, and the heap is dropped when the queue empties. So
-the run is fully determined by (inputs, seed). Dispatch has zero setup
-delay, and a freed ambulance heads home but may be re-dispatched (from its
-home cell, the destination) while returning. The run writes per call only
-its unit and leg, and, when it waited, its dispatch time and dispatching
-call; a queue episode keys each unit by its last call's times, recomputed
-from those columns. The mean response is one numpy mean over the columns,
-and each call's row, its chain of times and the event log are rebuilt from
-them only when read.
+into one heap, and as calls wait in arrival order, the episode walks them
+by index. Each unit the heap pops serves the next call from where it
+freed, tied units in the order their events were scheduled, and the heap
+is dropped once the next call arrives after a dispatch, when no call
+waits. So the run is fully determined by (inputs, seed). Dispatch has zero
+setup delay, and a freed ambulance heads home but may be re-dispatched
+(from its home cell, the destination) while returning. The run writes per
+call only its unit and leg, and, when it waited, its dispatch time and
+dispatching call; a queue episode keys each unit by its last call's times,
+recomputed from those columns. The mean response is one numpy mean over
+the columns, and each call's row, its chain of times and the event log are
+rebuilt from them only when read.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -311,57 +311,45 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
     # order, so the last call is the dispatch count.
     free = [-math.inf] * len(home)
     last = [-1] * len(home)
-    waiting: deque[int] = deque()  # FIFO queue of call ids
-    heap: list[tuple] | None = None  # the units' keys, only while calls wait
-
-    def serve(until: float | None) -> list[tuple] | None:
-        """Each unit that frees before ``until`` (any unit, for None) serves
-        the head of the queue from where it freed (its call's free cell);
-        the heap, or None once the queue is empty."""
-        while until is None or heap[0][0] < until:
-            now, _, _, by, a = heap[0]
-            call = waiting.popleft()
-            cell = call_cell[call]
-            leg = legs[call] = travel[free_cell[call_cell[by]]][cell]
-            unit[call] = a
-            disp_t[call] = now
-            by_call[call] = by
-            t_scene = now + leg
-            t_dep = t_scene + service_s[call]
-            t_free = free[a] = t_dep + to_free[cell]
-            last[a] = call
-            if not waiting:
-                return None
-            heapq.heapreplace(heap, (t_free, t_dep, t_scene, call, a))
-        return heap
-
-    for call, now in enumerate(call_t):
-        if heap is not None:
-            heap = serve(now)
-            if heap is not None:
-                waiting.append(call)
-                continue
+    arrivals = enumerate(call_t)
+    for call, now in arrivals:
         cell = call_cell[call]
         for a in unit_order[cell]:
             if free[a] < now:
                 break
-        else:  # no unit is free: a queue episode starts, keyed by each unit's last call
+        else:
+            # No unit is free: a queue episode starts, keyed by each unit's
+            # last call. The waiting calls are this one and the ones after
+            # it, so each unit that frees serves the next call, from where
+            # it freed (its call's free cell), until the next call arrives
+            # after the dispatch and finds the queue empty.
             heap = []
             for a, c in enumerate(last):
                 t_scene = disp_t[c] + legs[c]
                 heap.append((free[a], t_scene + service_s[c], t_scene, c, a))
             heapq.heapify(heap)
-            waiting.append(call)
+            while True:
+                now, _, _, by, a = heap[0]
+                cell = call_cell[call]
+                leg = legs[call] = travel[free_cell[call_cell[by]]][cell]
+                unit[call] = a
+                disp_t[call] = now
+                by_call[call] = by
+                t_scene = now + leg
+                t_dep = t_scene + service_s[call]
+                t_free = free[a] = t_dep + to_free[cell]
+                last[a] = call
+                if call + 1 == n_calls or call_t[call + 1] > now:
+                    break
+                heapq.heapreplace(heap, (t_free, t_dep, t_scene, call, a))
+                call, _ = next(arrivals)
             continue
-        # the unit leaves its home station at once; this is serve's dispatch
-        # written out for a wait of 0.0, since a call per dispatch would cost
-        # about a tenth of a run
+        # the unit leaves its home station at once; this is the episode's
+        # dispatch written out for a wait of 0.0
         leg = legs[call] = travel[home[a]][cell]
         unit[call] = a
         free[a] = now + leg + service_s[call] + to_free[cell]
         last[a] = call
-    if heap is not None:
-        serve(None)
 
     # a call that did not wait responds in 0.0 + leg, as its row says
     with np.errstate(over="ignore"):
@@ -387,6 +375,11 @@ class BatchSummary:
         return f"{self.overall_mean_s / 60.0:.3f} +/- {self.overall_std_s / 60.0:.3f}"
 
 
+# the most calls resampled batches may hold together: each is a copy of its
+# calls' table rows, about 1 GB at this limit
+MAX_RESAMPLED_CALLS = 10**7
+
+
 def _batch_slices(
     calls: CallTable, n_calls: int, n_batches: int, seed: int, sample_with_replacement: bool
 ) -> list[CallTable]:
@@ -396,6 +389,11 @@ def _batch_slices(
     if sample_with_replacement:
         if len(calls) == 0:
             raise DataError("cannot sample batches from an empty call list")
+        if n_calls * n_batches > MAX_RESAMPLED_CALLS:
+            raise ConfigError(
+                f"n_calls={n_calls} calls in each of n_batches={n_batches} resampled batches are "
+                f"{n_calls * n_batches} calls, more than the limit of {MAX_RESAMPLED_CALLS}"
+            )
 
         times = calls.utc_s
         out = []
@@ -509,7 +507,10 @@ def compare_policies(
     )
 
 
-def save_event_log(events: Sequence[Event], path: str | Path) -> None:
-    write_csv(path, ["time_s", "kind", "call_id", "ambulance_id", "cell"], (
-        [repr(float(e.time_s)), e.kind, e.call_id, e.ambulance_id, e.cell] for e in events
-    ))
+def save_event_log(events: Sequence[tuple], path: str | Path) -> None:
+    """``events``, a run's event tuples as ``SimOutcome.events`` gives them,
+    as CSV, one row per event: the tuples' columns, each time written as a
+    float, with no ``Event`` built."""
+    header = ["time_s", "kind", "call_id", "ambulance_id", "cell"]
+    columns = list(zip(*events)) or [()] * len(header)
+    write_csv(path, header, [np.array(columns[0], dtype=np.float64), *columns[1:]])

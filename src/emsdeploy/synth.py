@@ -189,10 +189,12 @@ def synth_tracts(grid: Grid, seed: int = 0, tracts_per_side: int = 3) -> tuple[d
 def write_svi_csv(svi_table: dict[str, dict[str, float]], path: str | Path) -> None:
     from .analysis import SVI_COLUMNS
 
-    write_csv(path, ["tract_id", *SVI_COLUMNS], (
-        [tract] + [repr(svi_table[tract][c]) for c in SVI_COLUMNS] for tract in sorted(svi_table)
-    ))
+    tracts = sorted(svi_table)
+    write_csv(path, ["tract_id", *SVI_COLUMNS], [
+        tracts, *([svi_table[tract][c] for tract in tracts] for c in SVI_COLUMNS)
+    ])
 
 
 def write_tract_map_csv(tract_map: dict[int, str], path: str | Path) -> None:
-    write_csv(path, ["cell_index", "tract_id"], ([cell, tract_map[cell]] for cell in sorted(tract_map)))
+    cells = sorted(tract_map)
+    write_csv(path, ["cell_index", "tract_id"], [cells, [tract_map[cell] for cell in cells]])

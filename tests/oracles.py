@@ -8,11 +8,11 @@ dispatch simulation that keeps every call in one event heap, one-point
 grid snapping, quantile trimming of a list of pairs and a calibration fit
 on pairs built record by record, the stationing branch and bound bounding
 each child with its own ``bound`` call, a call-log parser built on
-``csv.DictReader``, a call-log writer built on ``csv.writer``, the bridge
-that codes hand-built records as a ``CallTable`` one record at a time, a
-LASSO by coordinate descent on the full residual vector with the objective
-it minimizes, and a tract dataset whose best model is known. Keep these
-slow and obvious.
+``csv.DictReader``, a call-log writer and a table writer built on
+``csv.writer``, the bridge that codes hand-built records as a
+``CallTable`` one record at a time, a LASSO by coordinate descent on the
+full residual vector with the objective it minimizes, and a tract dataset
+whose best model is known. Keep these slow and obvious.
 """
 
 from __future__ import annotations
@@ -507,6 +507,15 @@ def reference_serialize_calls(records, path) -> None:
              *[None if v is None else float(v) for v in r[3:]])
             for r in records
         )
+
+
+def reference_write_csv(path, header, rows) -> None:
+    """``csv.writer``'s text of ``header``, unless it is None, and ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        if header is not None:
+            writer.writerow(header)
+        writer.writerows(rows)
 
 
 _US = timedelta(microseconds=1)

@@ -734,6 +734,28 @@ def test_a_size_over_its_limit_is_exit_2_naming_the_field(city, fitted_run, tmp_
     assert f"config error: {named} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("before, sub, flags, named", [
+    ((), "grid", ("--n_rows", "528"), "n_rows=528"),  # 3168 cells, 1.004e7 travel times: just over the limit
+    ((), "preprocess", ("--split_mode", "kfold", "--split_k", "1000000000000"), "split_k=1000000000000"),
+    ((), "alpha-cv", ("--cv_folds", "1000000000000"), "cv_folds=1000000000000"),
+    (("optimize",), "simulate", ("--n_calls", "1000000000000", "--sample_with_replacement", "true"),
+     "n_calls=1000000000000"),
+    ((), "fleet-sweep", ("--n_calls", "1000000000000", "--sample_with_replacement", "true"),
+     "n_calls=1000000000000"),
+])
+def test_a_count_over_its_limit_is_exit_2_before_it_allocates(city, fitted_run, tmp_path, capsys, before, sub,
+                                                              flags, named):
+    # a grid's travel times, more folds than calls, and resampled batches are
+    # refused before anything that grows with them is built
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    for stage in before:
+        assert run(city, stage, out) == 0
+    capsys.readouterr()
+    assert run(city, sub, out, flags) == 2
+    assert f"config error: {named} " in capsys.readouterr().err
+
+
 def test_a_node_cap_keeps_the_fleet(city, fitted_run, tmp_path):
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)

@@ -34,6 +34,7 @@ from emsdeploy.ingest import (
     split_train_test,
     trim_quantiles,
 )
+from emsdeploy.rng import substream
 from oracles import (
     reference_parse_calls,
     reference_serialize_calls,
@@ -634,6 +635,18 @@ def test_split_kfold_deterministic():
     a = split_train_test(table(calls), mode="kfold", k=3, fold_index=1, seed=42)
     b = split_train_test(table(calls), mode="kfold", k=3, fold_index=1, seed=42)
     assert [list(side) for side in a] == [list(side) for side in b]
+
+
+def test_split_kfold_test_fold_is_array_splits():
+    calls = table([rec(datetime(2024, 1, 1, 8, i, tzinfo=UTC)) for i in range(7)])
+    perm = substream(5, "folds").permutation(7)
+    for k in (2, 3, 7, 9):
+        for fold in range(k):
+            _, test = split_train_test(calls, mode="kfold", k=k, fold_index=fold, seed=5)
+            assert list(test) == [calls[i] for i in sorted(np.array_split(perm, k)[fold])]
+    # a fold count far above the calls builds no folds: its last fold is empty
+    train, test = split_train_test(calls, mode="kfold", k=10**12, fold_index=10**12 - 1, seed=5)
+    assert (len(train), len(test)) == (7, 0)
 
 
 def test_split_too_few_calls():

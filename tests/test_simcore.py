@@ -334,7 +334,7 @@ def test_event_log_export(tmp_path):
     g = line_grid(stations=(0,))
     out = simulate([1], table(g, [(0.0, 1)]), g, SimParams(), seed=1)
     path = tmp_path / "events.csv"
-    save_event_log(out.event_log, path)
+    save_event_log(out.events, path)
     lines = path.read_text().strip().split("\n")
     assert lines[0] == "time_s,kind,call_id,ambulance_id,cell"
     assert len(lines) == len(out.event_log) + 1
@@ -354,7 +354,7 @@ def test_golden_event_log_and_outcomes(tmp_path):
     out = simulate([1, 1], table(g, calls), g, params, seed=2024)
     assert sum(c.dispatch_wait_s > 0 for c in out.calls) == 30
     path = tmp_path / "events.csv"
-    save_event_log(out.event_log, path)
+    save_event_log(out.events, path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "1482bbc52d6be87beb49c2d9e32b6194c7498af8209eaa4995d6e5ff553dee83"
     )
