@@ -2,21 +2,24 @@
 verify, alpha-cv, fleet-sweep, analyze, plotdata.
 
 Every subcommand reads a flat JSON config (any field overridable with
-``--key value``), writes its outputs plus a resolved-config copy under
-``--out``, and finishes with a manifest listing file hashes. Reruns with
-the same resolved config are byte-identical. Exit codes: 0 ok, 2 config
-error, 3 data error, 4 solver failure.
+``--key value``), writes its outputs under ``--out`` and replaces their
+entries in the directory's ``manifest.json``: each file's SHA-256, and for
+each run-directory file a later stage loads, the config fields its bytes
+depend on and their values (``_depends``). Reruns with the same config are
+byte-identical. Exit codes: 0 ok, 2 config error, 3 data error, 4 solver
+failure.
 
-Only preprocess reads ``calls_csv``: it parses the log once and saves the
-parse as ``calls_table.bin``, which every later stage loads (``_load_calls``).
-No stage writes a call log: ``_read_split`` derives the peak-hour
-train/test split again wherever a stage needs it. A stage that loads the
-calls exits 2 naming a field of the config that differs from the one
-preprocess recorded in its summary: any split field where the stage splits
-the calls as preprocess did, and a zone or peak-window field in alpha-cv,
-which makes its own folds, and analyze, which does not split. The stages
-work on the ``ingest.CallTable`` of the parse, column by column, and hand
-the simulator that table as it is; no stage builds a record per call.
+Each run-directory file has one loader, which checks the file's record
+against the config before it loads the file (``_require``): a field that
+differs is a config error naming both values and the stage to rerun, and a
+missing record a data error. A field no loaded file depends on is not
+checked. Only preprocess reads ``calls_csv``: it parses the log once and
+saves the parse as ``calls_table.bin``, which every later stage loads
+(``_load_calls``). No stage writes a call log: ``_read_split`` derives the
+peak-hour train/test split again wherever a stage needs it, under
+preprocess's record of the split. The stages work on the
+``ingest.CallTable`` of the parse, column by column, and hand the
+simulator that table as it is; no stage builds a record per call.
 """
 
 from __future__ import annotations
@@ -176,9 +179,6 @@ class RunConfig:
     def peak_window(self) -> tuple[time, time]:
         return self._parse_time(self.peak_start), self._parse_time(self.peak_end)
 
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
 
@@ -292,24 +292,16 @@ def _peak(cfg: RunConfig, calls):
     return ingest.filter_peak(calls, start, end, cfg.peak_weekdays)
 
 
-def _window_fields(cfg: RunConfig) -> dict:
-    """The config fields the calls' zone, the peak filter and the rate periods read, and only those."""
-    # the window as the filter and the rate periods read it: 8:00 is 08:00, and the weekdays are a set
-    start, end = cfg.peak_window()
-    return {"timezone": cfg.timezone, "peak_filter": cfg.peak_filter, "peak_start": f"{start:%H:%M}",
-            "peak_end": f"{end:%H:%M}", "peak_weekdays": sorted(set(cfg.peak_weekdays))}
-
-
-def _split_fields(cfg: RunConfig) -> dict:
-    """The config fields the train/test split of the calls and the rate periods read, and only those."""
-    names = ["train_fraction"] if cfg.split_mode == "chronological" else ["split_k", "split_fold", "seed"]
-    return _window_fields(cfg) | {name: getattr(cfg, name) for name in ["split_mode", *names]}
-
-
 def _split(cfg: RunConfig, calls: ingest.CallTable) -> tuple[ingest.CallTable, ingest.CallTable]:
     """The train and test calls of a parse: its peak calls, split as the config says."""
     calls = _peak(cfg, calls)
     if cfg.split_mode == "kfold":
+        # checked here, not in validate: a chronological split ignores both fields
+        if cfg.split_k < 2:
+            raise ConfigError(f"split_k={cfg.split_k} folds: a kfold split needs at least 2")
+        if not 0 <= cfg.split_fold < cfg.split_k:
+            raise ConfigError(f"split_fold={cfg.split_fold} is no fold of split_k={cfg.split_k} folds, "
+                              f"which are 0..{cfg.split_k - 1}")
         _check_folds("split_k", cfg.split_k, calls)
     return ingest.split_train_test(
         calls, cfg.train_fraction, cfg.split_mode, cfg.split_k, cfg.split_fold, cfg.seed
@@ -330,70 +322,127 @@ def _demand_for_rates(cfg: RunConfig, calls, grid) -> ingest.DemandMatrix:
 
 
 # ---------------------------------------------------------------------------
-# run-directory files: one loader each, which names the stage that writes it
+# run-directory files: what each depends on, and one loader each, which
+# checks that record against the config and names the stage that writes it
 
 
-def _require(path: Path, produced_by: str) -> Path:
+def _depends(cfg: RunConfig) -> dict[str, tuple[str, dict]]:
+    """Each run-directory file a later stage loads, with the stage that
+    writes it and the config fields its bytes depend on under ``cfg``,
+    directly and through the files it is built from, valued as the stages
+    read them. ``split`` is preprocess's train/test split, which the stages
+    derive again from ``calls_table.bin``; the table is recorded with the
+    zone the calls were parsed in and the peak window they are taken in."""
+    start, end = cfg.peak_window()
+    # 8:00 is 08:00, and the weekdays are a set
+    value = {**vars(cfg), "peak_start": f"{start:%H:%M}", "peak_end": f"{end:%H:%M}",
+             "peak_weekdays": sorted(set(cfg.peak_weekdays))}
+    # a field the config ignores is left out: speed_kmh beside a travel matrix, the
+    # fields of the split mode not taken, and what an identity model is not fitted on.
+    # Each list names first the field that decides what else it holds
+    grid = ["travel_matrix_csv", "n_rows", "n_cols", "min_lat", "max_lat", "min_lon", "max_lon",
+            "station_cells", "hospital_cells", *([] if cfg.travel_matrix_csv else ["speed_kmh"])]
+    window = ["timezone", "peak_filter", "peak_start", "peak_end", "peak_weekdays"]
+    split = [*window, "split_mode",
+             *(["train_fraction"] if cfg.split_mode == "chronological" else ["split_k", "split_fold", "seed"])]
+    matrix = [*grid, *split, "period_length_s", "snap_cells"]
+    uncertainty = [*matrix, "coverage_threshold_s", "alpha"]
+    calibration = ["calibration_kind",
+                   *([] if cfg.calibration_kind == "identity" else [*grid, *split, "snap_cells", "trim_p"])]
+    placement = ["coverage_threshold_s", "n_ambulances", "max_nodes"]
+    table = {
+        "grid.json": ("grid", grid),
+        "calls_table.bin": ("preprocess", window),
+        "split": ("preprocess", split),
+        "demand_matrix.csv": ("preprocess", matrix),
+        "uncertainty.json": ("fit", uncertainty),
+        "calibration.json": ("fit", calibration),
+        "deployment_stochastic.json": ("optimize", [*matrix, *placement, "m_scenarios", "seed"]),
+        "deployment_robust.json": ("optimize", [*uncertainty, *placement]),
+        "verification.json": ("verify", [*grid, *split, *calibration, "snap_cells", "verify_batch_size",
+                                         "verify_n_batches"]),
+    }
+    return {key: (stage, {name: value[name] for name in names}) for key, (stage, names) in table.items()}
+
+
+def _read_manifest(out: Path) -> dict:
+    """``out``'s manifest: under ``files`` the SHA-256 of each file a stage
+    wrote, and under ``config`` the record of each ``_depends`` file, or
+    both empty where no stage has finished yet."""
+    path = out / "manifest.json"
     if not path.exists():
-        raise DataError(f"missing {path.name}; run `emsdeploy {produced_by}` first")
-    return path
+        return {"files": {}, "config": {}}
+
+    def manifest(doc: dict) -> dict:
+        if not (isinstance(doc["files"], dict) and isinstance(doc["config"], dict)
+                and all(isinstance(record, dict) for record in doc["config"].values())):
+            raise TypeError("files, config and each record must be objects")
+        return doc
+
+    return read_json(path, "manifest", manifest)
 
 
-def _load_grid(out: Path) -> geogrid.Grid:
-    return geogrid.load_grid(_require(out / "grid.json", "grid"))
-
-
-def _load_split_fields(out: Path) -> dict:
-    """The split fields preprocess recorded in its summary."""
-
-    def split(doc: dict) -> dict:
-        if not isinstance(doc["split"], dict):
-            raise TypeError("split is not an object")
-        return doc["split"]
-
-    return read_json(_require(out / "preprocess_summary.json", "preprocess"), "preprocess summary", split)
-
-
-def _load_calls(out: Path, fields: dict) -> ingest.CallTable:
-    """The calls preprocess saved, for a stage that reads them as ``fields``
-    (``_window_fields`` or ``_split_fields`` of its config) says. A field
-    that differs from the one preprocess recorded is a config error."""
-    recorded = _load_split_fields(out)
-    for name, value in fields.items():
+def _check(cfg: RunConfig, out: Path, key: str) -> None:
+    """Refuse a config that differs from the record of ``key`` on a field
+    it depends on: a config error naming the stage to rerun. A missing
+    record is a data error."""
+    stage, record = _depends(cfg)[key]
+    recorded = _read_manifest(out)["config"].get(key)
+    if recorded is None:
+        raise DataError(f"no record of {key} in {out / 'manifest.json'}; rerun `emsdeploy {stage}`")
+    for name, value in record.items():
         if recorded.get(name) != value:
-            raise ConfigError(f"{name} is {value!r}, but preprocess split the calls with {recorded.get(name)!r}; "
-                              "rerun `emsdeploy preprocess` with this config")
-    return ingest.load_call_table(_require(out / "calls_table.bin", "preprocess"))
+            raise ConfigError(f"{name} is {value!r}, but the {key} record holds {recorded.get(name)!r}; "
+                              f"rerun `emsdeploy {stage}` with this config")
+
+
+def _require(cfg: RunConfig, out: Path, name: str) -> Path:
+    """``out``'s file ``name``, once its record agrees with ``cfg``."""
+    if not (out / name).exists():
+        raise DataError(f"missing {name}; run `emsdeploy {_depends(cfg)[name][0]}` first")
+    _check(cfg, out, name)
+    return out / name
+
+
+def _load_grid(cfg: RunConfig, out: Path) -> geogrid.Grid:
+    return geogrid.load_grid(_require(cfg, out, "grid.json"))
+
+
+def _load_calls(cfg: RunConfig, out: Path) -> ingest.CallTable:
+    """The calls preprocess saved."""
+    return ingest.load_call_table(_require(cfg, out, "calls_table.bin"))
 
 
 def _read_split(cfg: RunConfig, out: Path):
     """The (train, test) split preprocess built ``out``'s demand matrix from,
     derived again from the calls it saved."""
-    return _split(cfg, _load_calls(out, _split_fields(cfg)))
+    calls = _load_calls(cfg, out)
+    _check(cfg, out, "split")
+    return _split(cfg, calls)
 
 
-def _load_matrix(out: Path) -> ingest.DemandMatrix:
-    return ingest.load_demand_matrix(_require(out / "demand_matrix.csv", "preprocess"))
+def _load_matrix(cfg: RunConfig, out: Path) -> ingest.DemandMatrix:
+    return ingest.load_demand_matrix(_require(cfg, out, "demand_matrix.csv"))
 
 
-def _load_model(out: Path) -> calibrate.CalibrationModel:
-    return calibrate.load_model(_require(out / "calibration.json", "fit"))
+def _load_model(cfg: RunConfig, out: Path) -> calibrate.CalibrationModel:
+    return calibrate.load_model(_require(cfg, out, "calibration.json"))
 
 
 def _load_uset(cfg: RunConfig, out: Path, grid: geogrid.Grid) -> demand.UncertaintySet:
-    return demand.load_uncertainty_set(_require(out / "uncertainty.json", "fit"), *_regions(cfg, grid))
+    return demand.load_uncertainty_set(_require(cfg, out, "uncertainty.json"), *_regions(cfg, grid))
 
 
 def _load_stationings(cfg: RunConfig, out: Path) -> list[tuple[str, np.ndarray]]:
     """The stochastic and robust stationings, each placing at most n_ambulances."""
     return [
-        (label, read_json(_require(out / f"deployment_{label}.json", "optimize"), "stationing",
+        (label, read_json(_require(cfg, out, f"deployment_{label}.json"), "stationing",
                           lambda doc: Deployment(doc["x"], cfg.n_ambulances).x))
         for label in ("stochastic", "robust")
     ]
 
 
-def _load_verification(out: Path) -> list[float]:
+def _load_verification(cfg: RunConfig, out: Path) -> list[float]:
     """The batch mean errors of verify's report."""
 
     def batch_errors(doc: dict) -> list[float]:
@@ -402,7 +451,7 @@ def _load_verification(out: Path) -> list[float]:
             raise TypeError("batch_errors_s is not a list of numbers")
         return errors
 
-    return read_json(_require(out / "verification.json", "verify"), "verification report", batch_errors)
+    return read_json(_require(cfg, out, "verification.json"), "verification report", batch_errors)
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +464,7 @@ def cmd_grid(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(out)
+    grid = _load_grid(cfg, out)
     if not cfg.calls_csv:
         raise ConfigError("calls_csv is required for preprocess")
     calls, report = ingest.parse_calls(cfg.calls_csv, cfg.timezone)
@@ -434,15 +483,14 @@ def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
         "n_test": len(test),
         "n_demand_periods": matrix.n_periods,
         "n_dropped_out_of_grid": matrix.n_dropped,
-        "split": _split_fields(cfg),
     }
     write_json(out / "preprocess_summary.json", summary)
     return {name: out / name for name in ("calls_table.bin", "demand_matrix.csv", "preprocess_summary.json")}
 
 
 def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(out)
-    matrix = _load_matrix(out)
+    grid = _load_grid(cfg, out)
+    matrix = _load_matrix(cfg, out)
     adjacency, ball = _regions(cfg, grid)
     rates = demand.fit_rates(matrix, adjacency, ball)
     uset = demand.build_uncertainty_set(rates, cfg.alpha, adjacency, ball)
@@ -466,15 +514,15 @@ def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_optimize(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(out)
-    matrix = _load_matrix(out)
+    grid = _load_grid(cfg, out)
+    matrix = _load_matrix(cfg, out)
     edges = _edges(cfg, grid)
     uset = _load_uset(cfg, out, grid)
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
     sol = stochastic.solve_stochastic(scenarios, cfg.n_ambulances, edges, _search(cfg))
     write_json(out / "deployment_stochastic.json", sol.to_dict())
     rob = robust.solve_robust_ccg(uset, cfg.n_ambulances, edges, search_config=_search(cfg))
-    write_json(out / "deployment_robust.json", rob.to_dict(cfg.alpha))
+    write_json(out / "deployment_robust.json", rob.to_dict(uset.alpha))
     history = rob.state.history
     write_csv(out / "ccg_history.csv", ["iteration", "lower_bound", "upper_bound"], [
         range(1, len(history) + 1), [lb for lb, _, _ in history], [ub for _, ub, _ in history]
@@ -483,9 +531,9 @@ def cmd_optimize(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(out)
-    model = _load_model(out)
+    grid = _load_grid(cfg, out)
     _, test_calls = _read_split(cfg, out)
+    model = _load_model(cfg, out)
     policies = _load_stationings(cfg, out)
     comparison = simcore.compare_policies(
         policies, test_calls, grid, _sim_params(cfg, model),
@@ -499,9 +547,9 @@ def cmd_simulate(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_verify(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(out)
-    model = _load_model(out)
+    grid = _load_grid(cfg, out)
     _, test_calls = _read_split(cfg, out)
+    model = _load_model(cfg, out)
     report = calibrate.verify(
         test_calls, grid, model, cfg.verify_batch_size, cfg.verify_n_batches, cfg.snap_cells
     )
@@ -510,8 +558,8 @@ def cmd_verify(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(out)
-    peak_calls = _peak(cfg, _load_calls(out, _window_fields(cfg)))
+    grid = _load_grid(cfg, out)
+    peak_calls = _peak(cfg, _load_calls(cfg, out))
     _check_folds("cv_folds", cfg.cv_folds, peak_calls)
     edges = _edges(cfg, grid)
     adjacency, ball = _regions(cfg, grid)
@@ -575,10 +623,10 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(out)
-    matrix = _load_matrix(out)
-    model = _load_model(out)
+    grid = _load_grid(cfg, out)
+    matrix = _load_matrix(cfg, out)
     _, test_calls = _read_split(cfg, out)
+    model = _load_model(cfg, out)
     edges = _edges(cfg, grid)
     uset = _load_uset(cfg, out, grid)
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
@@ -608,10 +656,10 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_analyze(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(out)
+    grid = _load_grid(cfg, out)
     if not cfg.svi_csv or not cfg.tract_map_csv:
         raise ConfigError("analyze requires svi_csv and tract_map_csv")
-    calls = _load_calls(out, _window_fields(cfg))
+    calls = _load_calls(cfg, out)
     svi = analysis.load_svi_table(cfg.svi_csv)
     tract_map = analysis.load_tract_map(cfg.tract_map_csv)
     dataset = analysis.assemble_tracts(_peak(cfg, calls), grid, tract_map, svi, cfg.snap_cells)
@@ -632,8 +680,9 @@ def cmd_analyze(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 
 def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
-    grid = _load_grid(out)
-    calls = _load_calls(out, _split_fields(cfg))
+    grid = _load_grid(cfg, out)
+    calls = _load_calls(cfg, out)
+    _check(cfg, out, "split")
 
     weekday, clock_us = ingest.weekday_and_clock_us(calls.wall_us)
     counts = np.bincount(weekday * 24 + clock_us // 3_600_000_000, minlength=7 * 24).reshape(7, 24)
@@ -648,7 +697,7 @@ def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
         cell_counts,
     ])
 
-    model = _load_model(out)
+    model = _load_model(cfg, out)
     test_calls = _split(cfg, calls)[1]
     _, grid_s, reported_s = ingest.calibration_pairs(test_calls, grid, cfg.snap_cells)
     adjusted_s = calibrate.apply_many(model, grid_s)
@@ -656,7 +705,7 @@ def cmd_plotdata(cfg: RunConfig, out: Path) -> dict[str, Path]:
         grid_s, reported_s, adjusted_s
     ])
 
-    batch_errors = _load_verification(out)
+    batch_errors = _load_verification(cfg, out)
     write_csv(out / "plot_verification_points.csv", ["batch", "mean_error_s"], [
         range(1, len(batch_errors) + 1), batch_errors
     ])
@@ -736,15 +785,13 @@ def main(argv: list[str] | None = None) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {out}: {exc.strerror or exc}")
+        manifest = _read_manifest(out)
         files = COMMANDS[args.subcommand](cfg, out)
-        config_path = out / "config_resolved.json"
-        write_json(config_path, cfg.to_dict())
-        files["config_resolved.json"] = config_path
-        manifest = {
-            "subcommand": args.subcommand,
-            "config": cfg.to_dict(),
-            "files": {name: _sha256(path) for name, path in sorted(files.items())},
-        }
+        # the stage's own entries replace those of an earlier run: the manifest records the directory
+        manifest["files"].update((name, _sha256(path)) for name, path in files.items())
+        manifest["config"].update(
+            (key, record) for key, (stage, record) in _depends(cfg).items() if stage == args.subcommand
+        )
         write_json(out / "manifest.json", manifest)
         print(f"emsdeploy {args.subcommand}: wrote {len(files)} files to {out}")
         return 0

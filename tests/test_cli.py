@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -6,11 +7,14 @@ import os
 import shutil
 import subprocess
 import sys
+from contextlib import redirect_stderr
 from datetime import datetime, time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import emsdeploy
 from emsdeploy import geogrid, ingest, simcore
@@ -76,9 +80,21 @@ def test_full_pipeline(city, tmp_path):
         "plot_temporal_heatmap.csv", "plot_spatial_heatmap.csv",
         "plot_regression_scatter.csv", "plot_verification_points.csv",
         "plot_stationing_stochastic.csv", "plot_stationing_robust.csv",
-        "manifest.json", "config_resolved.json",
+        "manifest.json",
     ):
         assert (out / name).exists(), name
+    assert not (out / "config_resolved.json").exists()
+    # the manifest holds the SHA-256 of every file the stages wrote, and a record of each file a stage loads
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir() if p.name != "manifest.json"
+    }
+    assert set(manifest["config"]) == {
+        "grid.json", "calls_table.bin", "split", "demand_matrix.csv", "uncertainty.json", "calibration.json",
+        "deployment_stochastic.json", "deployment_robust.json", "verification.json",
+    }
+    assert manifest["config"]["deployment_robust.json"]["alpha"] == city["raw"]["alpha"]
+    assert "calls_csv" not in manifest["config"]["calls_table.bin"]
 
     stoch = json.loads((out / "deployment_stochastic.json").read_text())
     assert sum(stoch["x"]) <= 4
@@ -238,54 +254,55 @@ def test_an_off_grid_test_call_the_batches_can_draw_is_exit_3(city, fitted_run, 
         assert ("outside bounds" in capsys.readouterr().err) == (code == 3)
 
 
-def _drop_split(path: Path) -> None:
-    summary = json.loads(path.read_text())
-    del summary["split"]
-    path.write_text(json.dumps(summary))
+def _drop_split_record(path: Path) -> None:
+    manifest = json.loads(path.read_text())
+    del manifest["config"]["split"]
+    path.write_text(json.dumps(manifest))
 
 
 CHRONOLOGICAL, KFOLD, UNFILTERED = ("--split_mode", "chronological"), ("--split_mode", "kfold"), ("--peak_filter", "false")
 
 
 @pytest.mark.parametrize("mode, extra, code, named, sub", [
-    (CHRONOLOGICAL, ("--train_fraction", "0.7"), 2, "train_fraction is 0.7, but preprocess split the calls with 0.8",
+    (CHRONOLOGICAL, ("--train_fraction", "0.7"), 2, "train_fraction is 0.7, but the split record holds 0.8",
      "verify"),
     (CHRONOLOGICAL, ("--seed", "8"), 0, None, "verify"),
-    (KFOLD, ("--seed", "8"), 2, "seed is 8, but preprocess split the calls with 11", "verify"),
-    (CHRONOLOGICAL, _drop_split, 3, "preprocess_summary.json", "verify"),
-    (CHRONOLOGICAL, Path.unlink, 3, "missing preprocess_summary.json; run `emsdeploy preprocess` first", "verify"),
+    (KFOLD, ("--seed", "8"), 2, "seed is 8, but the split record holds 11", "verify"),
+    (CHRONOLOGICAL, _drop_split_record, 3, "no record of split in", "verify"),
+    (CHRONOLOGICAL, Path.unlink, 3, "no record of grid.json in", "verify"),
     (CHRONOLOGICAL, ("--peak_start", "8:00"), 0, None, "verify"),
     (CHRONOLOGICAL, ("--peak_weekdays", "[4, 3, 2, 1, 0]"), 0, None, "verify"),
-    (CHRONOLOGICAL, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'",
+    (CHRONOLOGICAL, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but the calls_table.bin record holds '08:00'",
      "verify"),
-    (UNFILTERED, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'",
+    (UNFILTERED, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but the calls_table.bin record holds '08:00'",
      "verify"),
-    (CHRONOLOGICAL, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but preprocess split the calls with '08:00'",
+    (CHRONOLOGICAL, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but the calls_table.bin record holds '08:00'",
      "alpha-cv"),
-    (UNFILTERED, ("--peak_filter", "true"), 2, "peak_filter is True, but preprocess split the calls with False",
+    (UNFILTERED, ("--peak_filter", "true"), 2, "peak_filter is True, but the calls_table.bin record holds False",
      "alpha-cv"),
     (CHRONOLOGICAL, ("--train_fraction", "0.7"), 0, None, "alpha-cv"),
     (CHRONOLOGICAL, ("--timezone", "America/Chicago"), 2,
-     "timezone is 'America/Chicago', but preprocess split the calls with 'UTC'", "analyze"),
-    (CHRONOLOGICAL, ("--peak_end", "12:00"), 2, "peak_end is '12:00', but preprocess split the calls with '20:00'",
+     "timezone is 'America/Chicago', but the calls_table.bin record holds 'UTC'", "analyze"),
+    (CHRONOLOGICAL, ("--peak_end", "12:00"), 2, "peak_end is '12:00', but the calls_table.bin record holds '20:00'",
      "analyze"),
     (KFOLD, ("--split_mode", "chronological"), 0, None, "analyze"),
-], ids=["train-fraction", "seed-chronological", "seed-kfold", "summary-without-split", "no-summary",
+], ids=["train-fraction", "seed-chronological", "seed-kfold", "manifest-without-split", "no-manifest",
         "peak-start-unpadded", "peak-weekdays-reordered", "peak-start", "peak-start-unfiltered",
         "alpha-cv-peak-start", "alpha-cv-peak-filter", "alpha-cv-train-fraction", "analyze-timezone",
         "analyze-peak-end", "analyze-split-mode"])
 def test_a_stage_splits_the_calls_as_preprocess_did(city, fitted_run, tmp_path, capsys, mode, extra, code, named, sub):
     # a stage derives the split again from the calls preprocess saved, so its config
-    # must agree with preprocess's on every field the split reads, compared as the
-    # split reads them (the window's times, its weekdays as a set); the seed is one
-    # only under kfold, and the window is one with no peak filter too, as the rates
-    # are fitted on its periods. alpha-cv, which makes its own folds, and analyze,
-    # which does not split, must agree on the calls' zone and the peak window only
+    # must agree with preprocess's record of the split on every field the split reads,
+    # compared as the split reads them (the window's times, its weekdays as a set); the
+    # seed is one only under kfold, and the window is one with no peak filter too, as
+    # the rates are fitted on its periods. alpha-cv, which makes its own folds, and
+    # analyze, which does not split, must agree with the record of the saved calls:
+    # their zone and the peak window only
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)
     assert run(city, "preprocess", out, mode) == 0
     if callable(extra):
-        extra(out / "preprocess_summary.json")
+        extra(out / "manifest.json")
         extra = ()
     capsys.readouterr()
     assert run(city, sub, out, (*mode, *extra)) == code
@@ -294,6 +311,87 @@ def test_a_stage_splits_the_calls_as_preprocess_did(city, fitted_run, tmp_path, 
         assert f"config error: {named}; rerun `emsdeploy preprocess` with this config" in err
     elif code == 3:
         assert named in err
+
+
+@pytest.mark.parametrize("before, sub, flags, named, stage", [
+    ((), "verify", ("--n_rows", "8", "--station_cells", "[1, 2]", "--speed_kmh", "30"),
+     "n_rows is 8, but the grid.json record holds 6", "grid"),
+    ((), "optimize", ("--alpha", "0.1"), "alpha is 0.1, but the uncertainty.json record holds 0.05", "fit"),
+    ((), "fit", ("--period_length_s", "1800"),
+     "period_length_s is 1800.0, but the demand_matrix.csv record holds 3600.0", "preprocess"),
+    (("optimize",), "simulate", ("--n_ambulances", "3"),
+     "n_ambulances is 3, but the deployment_stochastic.json record holds 4", "optimize"),
+], ids=["verify-on-another-grid", "optimize-at-another-alpha", "fit-on-another-period", "simulate-another-fleet"])
+def test_a_file_built_under_another_config_is_exit_2_naming_the_stage_to_rerun(city, fitted_run, tmp_path, capsys,
+                                                                             before, sub, flags, named, stage):
+    # each stage checks the record of every file it loads: the grid verify would snap
+    # to, the uncertainty set optimize certifies, the periods fit takes rates per, and
+    # the fleet the stationings were optimized for. The refused stage writes nothing
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    for stage_before in before:
+        assert run(city, stage_before, out) == 0
+    manifest = (out / "manifest.json").read_bytes()
+    files = sorted(p.name for p in out.iterdir())
+    capsys.readouterr()
+    assert run(city, sub, out, flags) == 2
+    assert f"config error: {named}; rerun `emsdeploy {stage}` with this config" in capsys.readouterr().err
+    assert (out / "manifest.json").read_bytes() == manifest
+    assert sorted(p.name for p in out.iterdir()) == files
+
+
+def test_a_field_no_loaded_file_depends_on_is_not_checked(city, verified_run, tmp_path):
+    # verify loads no file built with alpha: another alpha writes the same report
+    out = tmp_path / "run"
+    shutil.copytree(verified_run, out)
+    report = (out / "verification.json").read_bytes()
+    assert run(city, "verify", out, ("--alpha", "0.1")) == 0
+    assert (out / "verification.json").read_bytes() == report
+
+
+# the manifest records each stage loads from a fitted directory; the city's fit is loglog, so fit loads the split
+LOADS = {
+    "preprocess": ("grid.json",),
+    "fit": ("grid.json", "demand_matrix.csv", "calls_table.bin", "split"),
+    "optimize": ("grid.json", "demand_matrix.csv", "uncertainty.json"),
+    "verify": ("grid.json", "calls_table.bin", "split", "calibration.json"),
+}
+# the city's value of each field, or another, as a flag gives it
+VALUES = {
+    "n_rows": [6, 7], "station_cells": [[7, 10, 25, 28], [7, 10, 25]], "speed_kmh": [60.0, 30.0],
+    "peak_start": ["08:00", "8:00", "09:00"], "peak_weekdays": [[4, 3, 2, 1, 0], [0, 1, 2, 3]],
+    "train_fraction": [0.8, 0.7], "seed": [11, 8], "period_length_s": [3600.0, 1800.0],
+    "snap_cells": [1.0, 2.0], "coverage_threshold_s": [600.0, 900.0], "alpha": [0.05, 0.1],
+    "calibration_kind": ["loglog", "linear"], "trim_p": [0.01, 0.05], "m_scenarios": [20, 10],
+    "n_ambulances": [4, 3], "verify_batch_size": [20, 10], "lognormal_mu": [3.65, 3.0],
+}
+
+
+def _as_read(name: str, value):
+    """A field's value as the stages read it: 8:00 is 08:00, and the weekdays are a set."""
+    if name == "peak_start":
+        return time.fromisoformat(value.zfill(5)).strftime("%H:%M")
+    return sorted(set(value)) if name == "peak_weekdays" else value
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(sub=st.sampled_from(sorted(LOADS)),
+       name_value=st.sampled_from([(name, value) for name, values in VALUES.items() for value in values]))
+def test_a_stage_exits_2_iff_a_file_it_loads_was_built_with_another_value(city, fitted_run, tmp_path_factory, sub,
+                                                                          name_value):
+    name, value = name_value
+    out = tmp_path_factory.mktemp("case") / "run"
+    shutil.copytree(fitted_run, out)
+    records = json.loads((out / "manifest.json").read_text())["config"]
+    differs = [key for key in LOADS[sub] if name in records[key] and records[key][name] != _as_read(name, value)]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = run(city, sub, out, (f"--{name}", json.dumps(value) if isinstance(value, list) else str(value)))
+    if differs:
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith(f"config error: {name} is ")
+    else:
+        assert code == 0, err.getvalue()
 
 
 def test_no_rule_builds_a_record_per_call(city, tmp_path, monkeypatch):
@@ -481,6 +579,16 @@ def fitted_run(city, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def verified_run(city, fitted_run, tmp_path_factory):
+    """``fitted_run`` through optimize and verify too."""
+    out = tmp_path_factory.mktemp("verified") / "run"
+    shutil.copytree(fitted_run, out)
+    for sub in ("optimize", "verify"):
+        assert run(city, sub, out) == 0
+    return out
+
+
 def _drop_global_cap(doc):
     del doc["global_cap"]
 
@@ -588,8 +696,8 @@ def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, s
     ("grid.json", lambda doc: {**doc, "bounds": [1, 2]}, "verify"),
     ("verification.json", "{not json", "plotdata"),
     ("verification.json", "{}", "plotdata"),
-    ("preprocess_summary.json", "{not json", "verify"),
-    ("preprocess_summary.json", '{"split": [1]}', "verify"),
+    ("manifest.json", "{not json", "verify"),
+    ("manifest.json", '{"config": {"split": [1]}, "files": {}}', "verify"),
     ("calls_table.bin", None, "verify"),
     ("calls_table.bin", b"", "verify"),
     ("calls_table.bin", slice(40), "verify"),
@@ -597,12 +705,11 @@ def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, s
     ("calls_table.bin", "datetime,latitude,longitude\n", "verify"),
 ], ids=["calibration-invalid-json", "calibration-empty", "calibration-unknown-kind", "deployment-empty", "grid-empty", "grid-list", "grid-not-utf8",
         "grid-travel-missing", "grid-two-bounds", "verification-invalid-json", "verification-empty",
-        "preprocess-summary-invalid-json", "preprocess-summary-split-list", "calls-table-missing", "calls-table-empty",
+        "manifest-invalid-json", "manifest-split-list", "calls-table-missing", "calls-table-empty",
         "calls-table-truncated-header", "calls-table-truncated-data", "calls-table-not-numpy"])
-def test_malformed_run_directory_file_is_exit_3(city, fitted_run, tmp_path, capsys, name, text, sub):
+def test_malformed_run_directory_file_is_exit_3(city, verified_run, tmp_path, capsys, name, text, sub):
     out = tmp_path / "run"
-    shutil.copytree(fitted_run, out)
-    (out / "deployment_stochastic.json").write_text('{"x": [1, 1, 1, 1]}')
+    shutil.copytree(verified_run, out)
     if text is None:
         (out / name).unlink()
     elif isinstance(text, slice):  # a cut of the file's bytes
@@ -691,21 +798,24 @@ def test_missing_upstream_names_prior_subcommand(city, tmp_path, capsys):
     assert "emsdeploy" in err and ("preprocess" in err or "fit" in err or "optimize" in err)
 
 
-def test_deployment_over_fleet_bound_is_exit_3(city, tmp_path, capsys):
+def test_deployment_over_fleet_bound_is_exit_3(city, fitted_run, tmp_path, capsys):
+    # a deployment edited by hand to place one unit more than the fleet it was optimized for
     out = tmp_path / "fleet"
-    for sub in ("grid", "preprocess", "fit", "optimize"):
-        assert run(city, sub, out) == 0
-    placed = max(
-        sum(json.loads((out / name).read_text())["x"])
-        for name in ("deployment_stochastic.json", "deployment_robust.json")
-    )
-    assert placed >= 1
+    shutil.copytree(fitted_run, out)
+    assert run(city, "optimize", out) == 0
+    path = out / "deployment_robust.json"
+    optimized = path.read_text()
+    doc = json.loads(optimized)
+    assert sum(doc["x"]) == city["raw"]["n_ambulances"]
+    doc["x"][0] += 1
+    path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run(city, "simulate", out, ("--n_ambulances", str(placed - 1))) == 3
+    assert run(city, "simulate", out) == 3
     err = capsys.readouterr().err
-    assert "fleet bound" in err and "deployment_" in err
+    assert "fleet bound" in err and "deployment_robust.json" in err
     assert not (out / "sim_comparison.json").exists()
-    assert run(city, "simulate", out, ("--n_ambulances", str(placed))) == 0
+    path.write_text(optimized)
+    assert run(city, "simulate", out) == 0
 
 
 @pytest.mark.parametrize("mu", ["1000", "700"])
@@ -756,6 +866,18 @@ def test_a_count_over_its_limit_is_exit_2_before_it_allocates(city, fitted_run, 
     assert f"config error: {named} " in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (("--split_k", "1"), "split_k=1"), (("--split_fold", "7"), "split_fold=7"), (("--split_fold", "-1"), "split_fold=-1"),
+], ids=["split-k-1", "split-fold-past-k", "split-fold-negative"])
+def test_a_kfold_split_outside_its_folds_is_exit_2_naming_the_field(city, fitted_run, tmp_path, capsys, flags, named):
+    # the config's validate cannot refuse them, as a chronological split ignores both
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    capsys.readouterr()
+    assert run(city, "preprocess", out, ("--split_mode", "kfold", *flags)) == 2
+    assert f"config error: {named} " in capsys.readouterr().err
+
+
 def test_a_node_cap_keeps_the_fleet(city, fitted_run, tmp_path):
     out = tmp_path / "run"
     shutil.copytree(fitted_run, out)
@@ -765,11 +887,12 @@ def test_a_node_cap_keeps_the_fleet(city, fitted_run, tmp_path):
     assert run(city, "fleet-sweep", out, ("--max_nodes", "2")) == 0
 
 
-def test_seed_flag_overrides_config(city, tmp_path):
-    out = tmp_path / "s"
-    assert run(city, "grid", out, ("--seed", "99")) == 0
-    resolved = json.loads((out / "config_resolved.json").read_text())
-    assert resolved["seed"] == 99
+def test_seed_flag_overrides_config(city, tmp_path, monkeypatch):
+    seeds = []
+    cmd_grid = COMMANDS["grid"]
+    monkeypatch.setitem(COMMANDS, "grid", lambda cfg, out: seeds.append(cfg.seed) or cmd_grid(cfg, out))
+    assert run(city, "grid", tmp_path / "s", ("--seed", "99")) == 0
+    assert seeds == [99]
 
 
 def test_solver_failure_is_exit_4(tmp_path):
