@@ -78,9 +78,6 @@ class RunConfig:
     period_length_s: float = 3600.0
     snap_cells: float = 1.0
     train_fraction: float = 0.8
-    split_mode: str = "chronological"  # chronological | kfold
-    split_k: int = 5
-    split_fold: int = 0
     # optimization
     n_ambulances: int = 6
     m_scenarios: int = 100
@@ -127,9 +124,8 @@ class RunConfig:
             raise ConfigError(f"snap_cells must be nonnegative, got {self.snap_cells!r}")
         if not (self.min_lat < self.max_lat and self.min_lon < self.max_lon):
             raise ConfigError("grid bounds are degenerate")
-        for name, choices in (("calibration_kind", calibrate.KINDS), ("split_mode", ("chronological", "kfold"))):
-            if getattr(self, name) not in choices:
-                raise ConfigError(f"unknown {name} {getattr(self, name)!r}")
+        if self.calibration_kind not in calibrate.KINDS:
+            raise ConfigError(f"unknown calibration_kind {self.calibration_kind!r}")
         for name in ("alpha", "train_fraction"):
             if not 0 < getattr(self, name) < 1:
                 raise ConfigError(f"{name} must lie in (0, 1)")
@@ -215,7 +211,8 @@ def _coerce(name: str, value, current):
             if not isinstance(value, kinds) or (isinstance(value, bool) and default_type is not bool):
                 raise ConfigError(f"{name} must be {what}, got {value!r}")
             break
-    return value
+    # a JSON integer in a float field is read as the float it names, as on the command line
+    return float(value) if isinstance(current, float) else value
 
 
 def load_config(path: str | None, overrides: dict[str, object]) -> RunConfig:
@@ -241,7 +238,7 @@ def load_config(path: str | None, overrides: dict[str, object]) -> RunConfig:
             raise ConfigError(f"unknown config field: {key}")
         try:
             setattr(cfg, key, _coerce(key, value, getattr(cfg, key)))
-        except (ValueError, json.JSONDecodeError) as exc:
+        except (ValueError, OverflowError, json.JSONDecodeError) as exc:
             raise ConfigError(f"bad value for {key}: {value!r} ({exc})")
     cfg.validate()
     return cfg
@@ -293,25 +290,9 @@ def _peak(cfg: RunConfig, calls):
 
 
 def _split(cfg: RunConfig, calls: ingest.CallTable) -> tuple[ingest.CallTable, ingest.CallTable]:
-    """The train and test calls of a parse: its peak calls, split as the config says."""
-    calls = _peak(cfg, calls)
-    if cfg.split_mode == "kfold":
-        # checked here, not in validate: a chronological split ignores both fields
-        if cfg.split_k < 2:
-            raise ConfigError(f"split_k={cfg.split_k} folds: a kfold split needs at least 2")
-        if not 0 <= cfg.split_fold < cfg.split_k:
-            raise ConfigError(f"split_fold={cfg.split_fold} is no fold of split_k={cfg.split_k} folds, "
-                              f"which are 0..{cfg.split_k - 1}")
-        _check_folds("split_k", cfg.split_k, calls)
-    return ingest.split_train_test(
-        calls, cfg.train_fraction, cfg.split_mode, cfg.split_k, cfg.split_fold, cfg.seed
-    )
-
-
-def _check_folds(name: str, k: int, calls: ingest.CallTable) -> None:
-    """Refuse more folds than calls, before the folds are drawn: some would be empty."""
-    if k > len(calls):
-        raise ConfigError(f"{name}={k} folds of {len(calls)} calls: a fold would be empty")
+    """The train and test calls of a parse: its peak calls, the earliest
+    ``train_fraction`` of them the train calls."""
+    return ingest.split_train_test(_peak(cfg, calls), cfg.train_fraction)
 
 
 def _demand_for_rates(cfg: RunConfig, calls, grid) -> ingest.DemandMatrix:
@@ -337,14 +318,13 @@ def _depends(cfg: RunConfig) -> dict[str, tuple[str, dict]]:
     # 8:00 is 08:00, and the weekdays are a set
     value = {**vars(cfg), "peak_start": f"{start:%H:%M}", "peak_end": f"{end:%H:%M}",
              "peak_weekdays": sorted(set(cfg.peak_weekdays))}
-    # a field the config ignores is left out: speed_kmh beside a travel matrix, the
-    # fields of the split mode not taken, and what an identity model is not fitted on.
-    # Each list names first the field that decides what else it holds
+    # a field the config ignores is left out: speed_kmh beside a travel matrix, and
+    # what an identity model is not fitted on. Each list names first the field that
+    # decides what else it holds
     grid = ["travel_matrix_csv", "n_rows", "n_cols", "min_lat", "max_lat", "min_lon", "max_lon",
             "station_cells", "hospital_cells", *([] if cfg.travel_matrix_csv else ["speed_kmh"])]
     window = ["timezone", "peak_filter", "peak_start", "peak_end", "peak_weekdays"]
-    split = [*window, "split_mode",
-             *(["train_fraction"] if cfg.split_mode == "chronological" else ["split_k", "split_fold", "seed"])]
+    split = [*window, "train_fraction"]
     matrix = [*grid, *split, "period_length_s", "snap_cells"]
     uncertainty = [*matrix, "coverage_threshold_s", "alpha"]
     calibration = ["calibration_kind",
@@ -560,7 +540,9 @@ def cmd_verify(cfg: RunConfig, out: Path) -> dict[str, Path]:
 def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(cfg, out)
     peak_calls = _peak(cfg, _load_calls(cfg, out))
-    _check_folds("cv_folds", cfg.cv_folds, peak_calls)
+    # refused before the folds are drawn: some would be empty
+    if cfg.cv_folds > len(peak_calls):
+        raise ConfigError(f"cv_folds={cfg.cv_folds} folds of {len(peak_calls)} calls: a fold would be empty")
     edges = _edges(cfg, grid)
     adjacency, ball = _regions(cfg, grid)
     table: list[list[float | None]] = []
@@ -631,27 +613,22 @@ def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
     uset = _load_uset(cfg, out, grid)
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
     search = _search(cfg)
-    params = _sim_params(cfg, model)
-    mrt_by_x: dict[bytes, float] = {}  # every stationing runs on the same batches
-
-    def mrt_min(x: np.ndarray) -> float:
-        key = x.tobytes()
-        if key not in mrt_by_x:
-            _, summary = simcore.run_batches(
-                x, test_calls, grid, params,
-                cfg.n_calls, cfg.n_batches, cfg.seed, cfg.sample_with_replacement,
-            )
-            mrt_by_x[key] = summary.overall_mean_s / 60.0
-        return mrt_by_x[key]
-
     fleet = list(range(cfg.n_min, cfg.n_max + 1))
-    sto_mrt, rob_mrt = [], []
-    for n in fleet:
-        sol = stochastic.solve_stochastic(scenarios, n, edges, search)
-        rob = robust.solve_robust_ccg(uset, n, edges, search_config=search)
-        sto_mrt.append(f"{mrt_min(sol.x_star.x):.4f}")
-        rob_mrt.append(f"{mrt_min(rob.x_star.x):.4f}")
-    write_csv(out / "fleet_sweep.csv", ["n", "stochastic_mrt_min", "robust_mrt_min"], [fleet, sto_mrt, rob_mrt])
+    stationings = [  # per n, the stochastic and the robust x
+        (stochastic.solve_stochastic(scenarios, n, edges, search).x_star.x,
+         robust.solve_robust_ccg(uset, n, edges, search_config=search).x_star.x)
+        for n in fleet
+    ]
+    # each distinct stationing runs once, in first-seen order, all on the same batches
+    distinct = {str(x.tolist()): x for pair in stationings for x in pair}
+    comparison = simcore.compare_policies(
+        list(distinct.items()), test_calls, grid, _sim_params(cfg, model),
+        cfg.n_calls, cfg.n_batches, cfg.seed, cfg.sample_with_replacement,
+    )
+    mrt_s = dict(zip(distinct, comparison.overall_mean_s))
+    write_csv(out / "fleet_sweep.csv", ["n", "stochastic_mrt_min", "robust_mrt_min"], [
+        fleet, *([f"{mrt_s[str(x.tolist())] / 60.0:.4f}" for x in column] for column in zip(*stationings))
+    ])
     return {"fleet_sweep.csv": out / "fleet_sweep.csv"}
 
 
@@ -744,6 +721,23 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
+def _forget_rewritten(cfg: RunConfig, out: Path, manifest: dict, stage: str) -> None:
+    """After ``stage`` failed, drop from ``out``'s manifest the entry and the
+    record of each file the stage writes whose bytes no longer match its
+    entry: the stage rewrote it under ``cfg`` before it failed, so no later
+    stage may load it as built under the recorded config. Only the stage's
+    own files are checked, so a file another stage wrote keeps its record,
+    edited or not, and a stage that wrote nothing leaves the manifest as it was."""
+    rewritten = [name for name, (writer, _) in _depends(cfg).items()
+                 if writer == stage and name in manifest["files"]
+                 and (not (out / name).is_file() or _sha256(out / name) != manifest["files"][name])]
+    if rewritten:
+        for name in rewritten:
+            del manifest["files"][name]
+            manifest["config"].pop(name, None)
+        write_json(out / "manifest.json", manifest)
+
+
 def _parse_overrides(extra: list[str]) -> dict[str, object]:
     overrides: dict[str, object] = {}
     i = 0
@@ -786,7 +780,11 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {out}: {exc.strerror or exc}")
         manifest = _read_manifest(out)
-        files = COMMANDS[args.subcommand](cfg, out)
+        try:
+            files = COMMANDS[args.subcommand](cfg, out)
+        except EmsDeployError:
+            _forget_rewritten(cfg, out, manifest, args.subcommand)
+            raise
         # the stage's own entries replace those of an earlier run: the manifest records the directory
         manifest["files"].update((name, _sha256(path)) for name, path in files.items())
         manifest["config"].update(

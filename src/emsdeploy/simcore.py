@@ -362,19 +362,6 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
     )
 
 
-@dataclass
-class BatchSummary:
-    """Multiple Replication Procedure statistics over fixed-size batches."""
-
-    batch_means_s: list[float]
-    overall_mean_s: float
-    overall_std_s: float
-    single_batch: bool
-
-    def formatted_minutes(self) -> str:
-        return f"{self.overall_mean_s / 60.0:.3f} +/- {self.overall_std_s / 60.0:.3f}"
-
-
 # the most calls resampled batches may hold together: each is a copy of its
 # calls' table rows, about 1 GB at this limit
 MAX_RESAMPLED_CALLS = 10**7
@@ -383,7 +370,7 @@ MAX_RESAMPLED_CALLS = 10**7
 def _batch_slices(
     calls: CallTable, n_calls: int, n_batches: int, seed: int, sample_with_replacement: bool
 ) -> list[CallTable]:
-    """The batches ``run_batches`` simulates, each a table of ``calls``."""
+    """The batches ``compare_policies`` simulates, each a table of ``calls``."""
     if n_calls < 1 or n_batches < 1:
         raise ConfigError("n_calls and n_batches must both be at least 1")
     if sample_with_replacement:
@@ -412,50 +399,16 @@ def _batch_slices(
     return [calls[i * n_calls : (i + 1) * n_calls] for i in range(n_batches)]
 
 
-def run_batches(
-    x,
-    calls: CallTable,
-    grid: Grid,
-    params: SimParams | None = None,
-    n_calls: int = 1000,
-    n_batches: int = 12,
-    seed: int = 0,
-    sample_with_replacement: bool = False,
-) -> tuple[list[SimOutcome], BatchSummary]:
-    """Simulate contiguous chronological batches and summarize mean response.
-
-    Each batch runs on an independent RNG substream derived from the root
-    seed, so batches are reproducible individually and in any order. A
-    resampled batch can draw any call, so then the whole table is snapped
-    once too, and an off-grid call is refused wherever it is.
-    """
-    batches = _batch_slices(check_table(calls), n_calls, n_batches, seed, sample_with_replacement)
-    if sample_with_replacement:
-        assign_cells_or_raise(grid, calls.lat, calls.lon, (params or SimParams()).snap_cells)
-    outcomes = [
-        simulate(x, batch, grid, params, seed=derive_seed(seed, "batch", i))
-        for i, batch in enumerate(batches)
-    ]
-    means = [o.mean_response_s for o in outcomes]
-    with np.errstate(over="ignore"):
-        overall = float(np.mean(means))
-        std = float(np.std(means, ddof=1)) if n_batches > 1 else 0.0
-    _check_finite("batch mean response time", overall, params)
-    _check_finite("batch standard deviation", std, params)
-    return outcomes, BatchSummary(
-        batch_means_s=means,
-        overall_mean_s=overall,
-        overall_std_s=std,
-        single_batch=(n_batches == 1),
-    )
-
-
 @dataclass
 class PolicyComparison:
+    """Per policy: its batch means, their mean and standard deviation (0.0
+    for one batch), and its first batch's run, kept for event-log export."""
+
     labels: list[str]
     batch_means_s: np.ndarray  # batches x policies
-    summaries: list[BatchSummary]
-    first_batch: list[SimOutcome]  # per policy, kept for event-log export
+    overall_mean_s: list[float]
+    overall_std_s: list[float]
+    first_batch: list[SimOutcome]
 
     def to_dict(self) -> dict:
         rows = []
@@ -467,7 +420,8 @@ class PolicyComparison:
         return {
             "batches": rows,
             "overall": {
-                label: s.formatted_minutes() for label, s in zip(self.labels, self.summaries)
+                label: f"{mean / 60.0:.3f} +/- {std / 60.0:.3f}"
+                for label, mean, std in zip(self.labels, self.overall_mean_s, self.overall_std_s)
             },
         }
 
@@ -482,27 +436,42 @@ def compare_policies(
     seed: int = 0,
     sample_with_replacement: bool = False,
 ) -> PolicyComparison:
-    """Batch statistics for several stationings on identical call slices.
+    """Batch statistics for several stationings on identical call batches.
 
-    All policies see the same batches and the same service-time draws
-    (common random numbers), so differences reflect the stationing alone.
+    The batches are contiguous chronological slices of ``calls``, or, with
+    ``sample_with_replacement``, seeded draws from the whole table, which
+    is then snapped once too, so an off-grid call is refused wherever it
+    is. Batch ``b`` runs on its own substream of the root seed, so batches
+    are reproducible individually and in any order, and every policy sees
+    the same batches and service-time draws (common random numbers):
+    differences reflect the stationing alone. The policies run one after
+    another, each on batches 0..n-1.
     """
     if not policies:
         raise ConfigError("need at least one policy to compare")
-    labels = [label for label, _ in policies]
-    summaries = []
-    first_batch = []
+    batches = _batch_slices(check_table(calls), n_calls, n_batches, seed, sample_with_replacement)
+    if sample_with_replacement:
+        assign_cells_or_raise(grid, calls.lat, calls.lon, (params or SimParams()).snap_cells)
+    means: list[list[float]] = []
+    overall, std, first_batch = [], [], []
     for _, x in policies:
-        outcomes, summary = run_batches(
-            x, calls, grid, params, n_calls, n_batches, seed, sample_with_replacement
-        )
-        summaries.append(summary)
-        first_batch.append(outcomes[0])
-        del outcomes  # free the other batches before the next policy runs
+        column = []
+        for b, batch in enumerate(batches):
+            outcome = simulate(x, batch, grid, params, seed=derive_seed(seed, "batch", b))
+            column.append(outcome.mean_response_s)
+            if b == 0:
+                first_batch.append(outcome)
+        with np.errstate(over="ignore"):
+            overall.append(float(np.mean(column)))
+            std.append(float(np.std(column, ddof=1)) if n_batches > 1 else 0.0)
+        _check_finite("batch mean response time", overall[-1], params)
+        _check_finite("batch standard deviation", std[-1], params)
+        means.append(column)
     return PolicyComparison(
-        labels=labels,
-        batch_means_s=np.array([s.batch_means_s for s in summaries], dtype=np.float64).T,
-        summaries=summaries,
+        labels=[label for label, _ in policies],
+        batch_means_s=np.array(means, dtype=np.float64).T,
+        overall_mean_s=overall,
+        overall_std_s=std,
         first_batch=first_batch,
     )
 

@@ -301,10 +301,10 @@ def test_criterion_8_end_to_end_synthetic_dominance():
         mrts = []
         for n in range(4, 9):
             s = stochastic.solve_stochastic(scen, n, edges)
-            _, summary = simcore.run_batches(
-                s.x_star.x, calls, grid, params, n_calls=1000, n_batches=12, seed=2024
+            comparison = simcore.compare_policies(
+                [("n", s.x_star.x)], calls, grid, params, n_calls=1000, n_batches=12, seed=2024
             )
-            mrts.append(summary.overall_mean_s)
+            mrts.append(comparison.overall_mean_s[0])
         inversions = sum(1 for a, b in zip(mrts, mrts[1:]) if b > a)
         assert inversions <= 1, f"fleet-sweep MRT inverted {inversions} times: {mrts}"
 

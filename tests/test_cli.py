@@ -260,42 +260,40 @@ def _drop_split_record(path: Path) -> None:
     path.write_text(json.dumps(manifest))
 
 
-CHRONOLOGICAL, KFOLD, UNFILTERED = ("--split_mode", "chronological"), ("--split_mode", "kfold"), ("--peak_filter", "false")
+FILTERED, UNFILTERED = (), ("--peak_filter", "false")
 
 
 @pytest.mark.parametrize("mode, extra, code, named, sub", [
-    (CHRONOLOGICAL, ("--train_fraction", "0.7"), 2, "train_fraction is 0.7, but the split record holds 0.8",
+    (FILTERED, ("--train_fraction", "0.7"), 2, "train_fraction is 0.7, but the split record holds 0.8",
      "verify"),
-    (CHRONOLOGICAL, ("--seed", "8"), 0, None, "verify"),
-    (KFOLD, ("--seed", "8"), 2, "seed is 8, but the split record holds 11", "verify"),
-    (CHRONOLOGICAL, _drop_split_record, 3, "no record of split in", "verify"),
-    (CHRONOLOGICAL, Path.unlink, 3, "no record of grid.json in", "verify"),
-    (CHRONOLOGICAL, ("--peak_start", "8:00"), 0, None, "verify"),
-    (CHRONOLOGICAL, ("--peak_weekdays", "[4, 3, 2, 1, 0]"), 0, None, "verify"),
-    (CHRONOLOGICAL, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but the calls_table.bin record holds '08:00'",
+    (FILTERED, ("--seed", "8"), 0, None, "verify"),
+    (FILTERED, _drop_split_record, 3, "no record of split in", "verify"),
+    (FILTERED, Path.unlink, 3, "no record of grid.json in", "verify"),
+    (FILTERED, ("--peak_start", "8:00"), 0, None, "verify"),
+    (FILTERED, ("--peak_weekdays", "[4, 3, 2, 1, 0]"), 0, None, "verify"),
+    (FILTERED, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but the calls_table.bin record holds '08:00'",
      "verify"),
     (UNFILTERED, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but the calls_table.bin record holds '08:00'",
      "verify"),
-    (CHRONOLOGICAL, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but the calls_table.bin record holds '08:00'",
+    (FILTERED, ("--peak_start", "09:00"), 2, "peak_start is '09:00', but the calls_table.bin record holds '08:00'",
      "alpha-cv"),
     (UNFILTERED, ("--peak_filter", "true"), 2, "peak_filter is True, but the calls_table.bin record holds False",
      "alpha-cv"),
-    (CHRONOLOGICAL, ("--train_fraction", "0.7"), 0, None, "alpha-cv"),
-    (CHRONOLOGICAL, ("--timezone", "America/Chicago"), 2,
+    (FILTERED, ("--train_fraction", "0.7"), 0, None, "alpha-cv"),
+    (FILTERED, ("--timezone", "America/Chicago"), 2,
      "timezone is 'America/Chicago', but the calls_table.bin record holds 'UTC'", "analyze"),
-    (CHRONOLOGICAL, ("--peak_end", "12:00"), 2, "peak_end is '12:00', but the calls_table.bin record holds '20:00'",
+    (FILTERED, ("--peak_end", "12:00"), 2, "peak_end is '12:00', but the calls_table.bin record holds '20:00'",
      "analyze"),
-    (KFOLD, ("--split_mode", "chronological"), 0, None, "analyze"),
-], ids=["train-fraction", "seed-chronological", "seed-kfold", "manifest-without-split", "no-manifest",
+], ids=["train-fraction", "seed-chronological", "manifest-without-split", "no-manifest",
         "peak-start-unpadded", "peak-weekdays-reordered", "peak-start", "peak-start-unfiltered",
         "alpha-cv-peak-start", "alpha-cv-peak-filter", "alpha-cv-train-fraction", "analyze-timezone",
-        "analyze-peak-end", "analyze-split-mode"])
+        "analyze-peak-end"])
 def test_a_stage_splits_the_calls_as_preprocess_did(city, fitted_run, tmp_path, capsys, mode, extra, code, named, sub):
     # a stage derives the split again from the calls preprocess saved, so its config
     # must agree with preprocess's record of the split on every field the split reads,
     # compared as the split reads them (the window's times, its weekdays as a set); the
-    # seed is one only under kfold, and the window is one with no peak filter too, as
-    # the rates are fitted on its periods. alpha-cv, which makes its own folds, and
+    # chronological split reads no seed, and reads the window with no peak filter too,
+    # as the rates are fitted on its periods. alpha-cv, which makes its own folds, and
     # analyze, which does not split, must agree with the record of the saved calls:
     # their zone and the peak window only
     out = tmp_path / "run"
@@ -508,6 +506,7 @@ def test_config_value_of_the_wrong_json_type_is_exit_2(city, tmp_path, sub, name
     ("lognormal_sigma", 0), ("period_length_s", 0), ("snap_cells", -5), ("snap_cells", math.nan),
     ("max_nodes", 0), ("n_calls", 0), ("n_batches", 0), ("verify_batch_size", 0), ("verify_n_batches", 0),
     ("cv_folds", 0), ("cv_folds", -2), ("cv_folds", 1), ("analysis_folds", 1), ("analysis_folds", 0),
+    pytest.param("speed_kmh", 10**400, id="speed_kmh-integer-past-the-float-range"),
 ])
 def test_non_finite_or_out_of_range_config_number_is_exit_2(city, tmp_path, name, value):
     # refused while the config loads, not turned into NaN outputs or a data error in a later stage
@@ -516,11 +515,53 @@ def test_non_finite_or_out_of_range_config_number_is_exit_2(city, tmp_path, name
     assert main(["grid", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
 
 
-def test_config_values_keep_their_json_type():
-    # an int is a number: kept as given, so the resolved config reads as written
+def test_config_values_take_the_types_of_their_fields():
+    # an int is a number: in a float field it is read as that float, as a flag's 60 is
     cfg = load_config(None, {"alpha": 0.05, "speed_kmh": 60, "n_rows": 7, "peak_filter": False, "svi_csv": None})
-    assert (cfg.alpha, cfg.speed_kmh, cfg.n_rows, cfg.peak_filter, cfg.svi_csv) == (0.05, 60, 7, False, None)
-    assert isinstance(cfg.speed_kmh, int)
+    assert (cfg.alpha, cfg.speed_kmh, cfg.n_rows, cfg.peak_filter, cfg.svi_csv) == (0.05, 60.0, 7, False, None)
+    assert isinstance(cfg.speed_kmh, float) and isinstance(cfg.n_rows, int)
+
+
+def test_a_float_field_spelled_as_an_integer_writes_one_manifest(tmp_path):
+    # {"speed_kmh": 60}, {"speed_kmh": 60.0} and --speed_kmh 60 are one config, so
+    # they write one grid and one manifest, its record holding 60.0
+    manifests = []
+    for spelling, flags in ((60, ()), (60.0, ()), (None, ("--speed_kmh", "60"))):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({} if spelling is None else {"speed_kmh": spelling}))
+        out = tmp_path / f"run{len(manifests)}"
+        assert main(["grid", "--config", str(config), "--out", str(out), *flags]) == 0
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1] == manifests[2]
+    assert json.loads(manifests[0])["config"]["grid.json"]["speed_kmh"] == 60.0
+    assert b'"speed_kmh": 60.0' in manifests[0]
+
+
+def test_fleet_sweep_scores_a_stationing_as_simulate_does(city, fitted_run, tmp_path, monkeypatch):
+    # at n = n_ambulances the sweep re-solves optimize's stationings, and its
+    # one batch runner gives each the overall mean simulate gives it, to the bit
+    out = tmp_path / "run"
+    shutil.copytree(fitted_run, out)
+    assert run(city, "optimize", out) == 0
+    overall = []  # per compare_policies call, each stationing's overall mean
+    inner = simcore.compare_policies
+
+    def recorded(policies, *args, **kwargs):
+        comparison = inner(policies, *args, **kwargs)
+        overall.append({str(np.asarray(x).tolist()): m for (_, x), m in zip(policies, comparison.overall_mean_s)})
+        return comparison
+
+    monkeypatch.setattr(simcore, "compare_policies", recorded)
+    assert run(city, "simulate", out) == 0
+    assert run(city, "fleet-sweep", out) == 0
+    simulated, swept = overall
+    n = city["raw"]["n_ambulances"]
+    with open(out / "fleet_sweep.csv", newline="") as f:
+        (row,) = [row for row in csv.DictReader(f) if int(row["n"]) == n]
+    for label in ("stochastic", "robust"):
+        x = str(json.loads((out / f"deployment_{label}.json").read_text())["x"])
+        assert swept[x] == simulated[x]
+        assert row[f"{label}_mrt_min"] == f"{simulated[x] / 60.0:.4f}"
 
 
 @pytest.mark.parametrize("window", [
@@ -846,7 +887,6 @@ def test_a_size_over_its_limit_is_exit_2_naming_the_field(city, fitted_run, tmp_
 
 @pytest.mark.parametrize("before, sub, flags, named", [
     ((), "grid", ("--n_rows", "528"), "n_rows=528"),  # 3168 cells, 1.004e7 travel times: just over the limit
-    ((), "preprocess", ("--split_mode", "kfold", "--split_k", "1000000000000"), "split_k=1000000000000"),
     ((), "alpha-cv", ("--cv_folds", "1000000000000"), "cv_folds=1000000000000"),
     (("optimize",), "simulate", ("--n_calls", "1000000000000", "--sample_with_replacement", "true"),
      "n_calls=1000000000000"),
@@ -863,18 +903,6 @@ def test_a_count_over_its_limit_is_exit_2_before_it_allocates(city, fitted_run, 
         assert run(city, stage, out) == 0
     capsys.readouterr()
     assert run(city, sub, out, flags) == 2
-    assert f"config error: {named} " in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("flags, named", [
-    (("--split_k", "1"), "split_k=1"), (("--split_fold", "7"), "split_fold=7"), (("--split_fold", "-1"), "split_fold=-1"),
-], ids=["split-k-1", "split-fold-past-k", "split-fold-negative"])
-def test_a_kfold_split_outside_its_folds_is_exit_2_naming_the_field(city, fitted_run, tmp_path, capsys, flags, named):
-    # the config's validate cannot refuse them, as a chronological split ignores both
-    out = tmp_path / "run"
-    shutil.copytree(fitted_run, out)
-    capsys.readouterr()
-    assert run(city, "preprocess", out, ("--split_mode", "kfold", *flags)) == 2
     assert f"config error: {named} " in capsys.readouterr().err
 
 
@@ -912,11 +940,39 @@ def test_solver_failure_is_exit_4(tmp_path):
     assert main(["fit", "--config", str(cfg), "--out", str(out)]) == 4
 
 
+def test_a_failed_stage_leaves_no_record_of_a_file_it_rewrote(tmp_path, capsys):
+    # on the log of test_solver_failure_is_exit_4, an identity fit succeeds; a loglog
+    # fit at another alpha rewrites uncertainty.json, then fails on the calibration.
+    # The file is no longer the one the manifest records, so optimize at the old
+    # alpha refuses it rather than labelling its worst case with the old alpha
+    header = "datetime,latitude,longitude,travel_time_s,amb_latitude,amb_longitude\n"
+    rows = [
+        f"2024-01-0{1 + i // 4}T{9 + i % 4}:00:00,30.125,-97.875,{100 + i},30.325,-97.625\n"
+        for i in range(16)
+    ]
+    calls_csv = tmp_path / "calls.csv"
+    calls_csv.write_text(header + "".join(rows))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"calls_csv": str(calls_csv), "trim_p": 0.0}))
+    out = tmp_path / "out"
+    for sub, flags, code in (("grid", (), 0), ("preprocess", (), 0), ("fit", ("--calibration_kind", "identity"), 0),
+                             ("fit", ("--alpha", "0.05"), 4)):
+        assert main([sub, "--config", str(cfg), "--out", str(out), *flags]) == code, sub
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert "uncertainty.json" not in manifest["files"] and "uncertainty.json" not in manifest["config"]
+    assert manifest["config"]["calibration.json"] == {"calibration_kind": "identity"}
+    capsys.readouterr()
+    assert main(["optimize", "--config", str(cfg), "--out", str(out), "--calibration_kind", "identity"]) == 3
+    err = capsys.readouterr().err
+    assert "no record of uncertainty.json in" in err and "rerun `emsdeploy fit`" in err
+    assert not (out / "deployment_robust.json").exists()
+
+
 def test_load_config_defaults_and_validation():
     cfg = load_config(None, {})
     assert isinstance(cfg, RunConfig)
     with pytest.raises(ConfigError):
-        load_config(None, {"split_mode": "teleport"})
+        load_config(None, {"calibration_kind": "teleport"})
     with pytest.raises(ConfigError):
         load_config(None, {"n_rows": "0"})
     cfg2 = load_config(None, {"station_cells": "[1, 2]", "peak_filter": "false"})
@@ -926,7 +982,7 @@ def test_load_config_defaults_and_validation():
 
 @pytest.mark.parametrize("name, value", [
     ("travel_provider", "synthetic"), ("rate_periods", "peak"), ("sweep_robust", True),
-    ("shortfall_threshold_s", 600.0),
+    ("shortfall_threshold_s", 600.0), ("split_mode", "kfold"), ("split_k", 5), ("split_fold", 0),
 ])
 def test_removed_config_field_is_exit_2(tmp_path, capsys, name, value):
     config = tmp_path / "config.json"

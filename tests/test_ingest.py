@@ -70,9 +70,10 @@ RULES_ON_CALLS = {
     "calibrate.verify": lambda calls, grid, path: calibrate.verify(calls, grid, calibrate.identity_model(), 1, 1),
     "analysis.assemble_tracts": lambda calls, grid, path: analysis.assemble_tracts(calls, grid, {0: "T0"}, {}),
     "simcore.simulate": lambda calls, grid, path: simcore.simulate([1], calls, grid),
-    "simcore.run_batches": lambda calls, grid, path: simcore.run_batches([1], calls, grid, n_calls=1, n_batches=2),
     "simcore.compare_policies": lambda calls, grid, path: simcore.compare_policies(
         [("a", [1])], calls, grid, n_calls=1, n_batches=2),
+    "resampled batches": lambda calls, grid, path: simcore.compare_policies(
+        [("a", [1])], calls, grid, n_calls=1, n_batches=2, sample_with_replacement=True),
 }
 
 

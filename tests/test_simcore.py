@@ -15,7 +15,7 @@ from emsdeploy.calibrate import CalibrationModel
 from emsdeploy.errors import ConfigError, DataError
 from emsdeploy.geogrid import MatrixProvider, SyntheticSpeedProvider, assign_cell, build_grid
 from emsdeploy.ingest import CallTable
-from emsdeploy.rng import substream
+from emsdeploy.rng import derive_seed, substream
 from emsdeploy.simcore import (
     AMBULANCE_AVAILABLE,
     CALL_ARRIVE_HOSPITAL,
@@ -23,11 +23,10 @@ from emsdeploy.simcore import (
     CALL_DEPART_SCENE,
     CALL_ENROUTE,
     NEW_CALL,
-    BatchSummary,
+    PolicyComparison,
     SimParams,
     compare_policies,
     draw_service_times,
-    run_batches,
     save_event_log,
     simulate,
 )
@@ -48,6 +47,22 @@ def table(grid, pairs):
 def line_grid(stations=(0,), hospitals=()):
     return build_grid(BOUNDS, 1, 2, SyntheticSpeedProvider(40.0),
                       station_cells=list(stations), hospital_cells=list(hospitals))
+
+
+def record_runs(monkeypatch) -> list[tuple]:
+    """Wrap ``simcore.simulate``, which ``compare_policies`` looks up in its
+    module: the list it returns gets each run's (stationing, calls, seed,
+    outcome), in the order of the runs."""
+    runs = []
+    inner = simcore.simulate
+
+    def recorded(x, calls, grid, params=None, seed=0):
+        outcome = inner(x, calls, grid, params, seed=seed)
+        runs.append((np.asarray(x).tolist(), calls, seed, outcome))
+        return outcome
+
+    monkeypatch.setattr(simcore, "simulate", recorded)
+    return runs
 
 
 def test_zero_travel_response():
@@ -233,48 +248,69 @@ def test_draw_service_time_degenerate_sigma():
         assert v == pytest.approx(math.exp(2.0) * 60.0, rel=1e-9)
 
 
-def test_run_batches_single_batch():
+def test_compare_policies_single_batch():
     g = line_grid(stations=(0,))
     calls = [(float(i) * 100.0, i % 2) for i in range(10)]
-    outcomes, summary = run_batches([1], table(g, calls), g, SimParams(), n_calls=10, n_batches=1, seed=1)
-    assert len(outcomes) == 1
-    assert summary.single_batch
-    assert summary.overall_std_s == 0.0
-    assert summary.overall_mean_s == outcomes[0].mean_response_s
+    comparison = compare_policies([("a", [1])], table(g, calls), g, SimParams(), n_calls=10, n_batches=1, seed=1)
+    assert comparison.batch_means_s.shape == (1, 1)
+    assert comparison.overall_std_s == [0.0]
+    assert comparison.overall_mean_s == [comparison.first_batch[0].mean_response_s]
 
 
-def test_run_batches_requires_enough_calls():
+def test_compare_policies_requires_enough_calls():
     g = line_grid(stations=(0,))
     calls = table(g, [(float(i), 0) for i in range(5)])
     with pytest.raises(DataError):
-        run_batches([1], calls, g, SimParams(), n_calls=4, n_batches=2, seed=1)
+        compare_policies([("a", [1])], calls, g, SimParams(), n_calls=4, n_batches=2, seed=1)
     # the resampling flag lifts the requirement
-    _, summary = run_batches([1], calls, g, SimParams(), n_calls=4, n_batches=2,
-                             seed=1, sample_with_replacement=True)
-    assert len(summary.batch_means_s) == 2
+    comparison = compare_policies([("a", [1])], calls, g, SimParams(), n_calls=4, n_batches=2,
+                                  seed=1, sample_with_replacement=True)
+    assert comparison.batch_means_s.shape == (2, 1)
 
 
-def test_run_batches_summary_matches_recomputation():
+def test_compare_policies_overall_matches_recomputation(monkeypatch):
     g = line_grid(stations=(0,), hospitals=(1,))
     calls = [(float(i) * 200.0, i % 2) for i in range(48)]
-    outcomes, summary = run_batches([2], table(g, calls), g, SimParams(), n_calls=4, n_batches=12, seed=5)
-    means = [o.mean_response_s for o in outcomes]
-    assert summary.batch_means_s == means
-    assert summary.overall_mean_s == pytest.approx(float(np.mean(means)))
-    assert summary.overall_std_s == pytest.approx(float(np.std(means, ddof=1)))
+    runs = record_runs(monkeypatch)
+    comparison = compare_policies([("a", [2])], table(g, calls), g, SimParams(), n_calls=4, n_batches=12, seed=5)
+    means = [outcome.mean_response_s for *_, outcome in runs]
+    assert comparison.batch_means_s[:, 0].tolist() == means
+    assert comparison.overall_mean_s[0] == pytest.approx(float(np.mean(means)))
+    assert comparison.overall_std_s[0] == pytest.approx(float(np.std(means, ddof=1)))
 
 
 def test_batch_determinism_and_independence():
     g = line_grid(stations=(0,))
     calls = table(g, [(float(i) * 150.0, i % 2) for i in range(40)])
-    _, s1 = run_batches([1], calls, g, SimParams(), n_calls=10, n_batches=4, seed=7)
-    _, s2 = run_batches([1], calls, g, SimParams(), n_calls=10, n_batches=4, seed=7)
-    assert s1.batch_means_s == s2.batch_means_s
+    c1 = compare_policies([("a", [1])], calls, g, SimParams(), n_calls=10, n_batches=4, seed=7)
+    c2 = compare_policies([("a", [1])], calls, g, SimParams(), n_calls=10, n_batches=4, seed=7)
+    assert c1.batch_means_s.tolist() == c2.batch_means_s.tolist()
 
 
 def test_formatted_minutes():
-    s = BatchSummary([360.0, 384.0], 372.6, 2.22, False)
-    assert s.formatted_minutes() == "6.210 +/- 0.037"
+    comparison = PolicyComparison(["a"], np.array([[360.0], [384.0]]), [372.6], [2.22], [])
+    assert comparison.to_dict()["overall"] == {"a": "6.210 +/- 0.037"}
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_compare_policies_runs_policy_by_policy_on_common_batches(monkeypatch, resample):
+    # run p * n_batches + b is policy p on batch b, and every policy's batch b is
+    # the same calls on the same seed: the order a wrapper of simcore.simulate reads
+    g = build_grid(BOUNDS, 2, 2, SyntheticSpeedProvider(40.0), station_cells=[0, 3])
+    calls = table(g, [(float(i) * 90.0, i % 4) for i in range(80)])
+    policies = [("a", [1, 0]), ("b", [1, 1]), ("c", [0, 2])]
+    runs = record_runs(monkeypatch)
+    comparison = compare_policies(policies, calls, g, SimParams(), n_calls=20, n_batches=4, seed=11,
+                                  sample_with_replacement=resample)
+    assert [x for x, *_ in runs] == [x for _, x in policies for _ in range(4)]
+    for i, (_, batch, seed, outcome) in enumerate(runs):
+        p, b = divmod(i, 4)
+        assert seed == derive_seed(11, "batch", b)
+        first = runs[b][1]
+        for column in ("utc_us", "lat", "lon"):
+            assert np.array_equal(getattr(batch, column), getattr(first, column))
+        assert outcome.mean_response_s == comparison.batch_means_s[b, p]
+    assert all(outcome is runs[4 * p][3] for p, outcome in enumerate(comparison.first_batch))
 
 
 def test_compare_policies_identical_policy_identical_columns():
@@ -314,10 +350,10 @@ def test_rows_chains_and_events_are_built_only_when_read(monkeypatch):
 
     monkeypatch.setattr(simcore.SimOutcome, "_tuples", refuse)
     # what the batch statistics, the policy comparison and alpha-cv read
-    _, summary = run_batches([1], calls, g, SimParams(), n_calls=20, n_batches=2, seed=3)
+    single = compare_policies([("a", np.array([1]))], calls, g, SimParams(), n_calls=20, n_batches=2, seed=3)
     comparison = compare_policies([("a", np.array([1])), ("b", np.array([2]))], calls, g, SimParams(),
                                   n_calls=20, n_batches=2, seed=3)
-    assert comparison.summaries[0].batch_means_s == summary.batch_means_s
+    assert comparison.batch_means_s[:, 0].tolist() == single.batch_means_s[:, 0].tolist()
     assert simulate([1], calls, g, SimParams(), seed=3).mean_response_s == out.mean_response_s
     assert simulate([1], calls, g, SimParams(), seed=3).n_calls == 40
     with pytest.raises(AssertionError, match="rows were built"):
@@ -557,17 +593,19 @@ def test_resampled_batches_of_records_equal_those_of_their_pairs():
     g, records, pairs = synth_city()
     x = [1] * len(g.station_cells)
     kwargs = dict(n_calls=150, n_batches=3, seed=4, sample_with_replacement=True)
-    _, from_pairs = run_batches(x, table(g, pairs), g, SimParams(), **kwargs)
-    _, from_records = run_batches(x, records, g, SimParams(), **kwargs)
-    assert from_records.batch_means_s == from_pairs.batch_means_s
+    from_pairs = compare_policies([("x", x)], table(g, pairs), g, SimParams(), **kwargs)
+    from_records = compare_policies([("x", x)], records, g, SimParams(), **kwargs)
+    assert from_records.batch_means_s.tolist() == from_pairs.batch_means_s.tolist()
 
 
-def test_resampled_batch_keeps_tied_calls_in_the_order_drawn():
+def test_resampled_batch_keeps_tied_calls_in_the_order_drawn(monkeypatch):
     g = build_grid(BOUNDS, 2, 2, SyntheticSpeedProvider(40.0), station_cells=[0, 3])
     calls = [(0.0, 1), (0.0, 2), (60.0, 3), (60.0, 0), (60.0, 1)]
-    outcomes, _ = run_batches([2, 2], table(g, calls), g, SimParams(), n_calls=12, n_batches=3, seed=8,
-                              sample_with_replacement=True)
-    for i, outcome in enumerate(outcomes):
+    runs = record_runs(monkeypatch)
+    compare_policies([("x", [2, 2])], table(g, calls), g, SimParams(), n_calls=12, n_batches=3, seed=8,
+                     sample_with_replacement=True)
+    assert len(runs) == 3
+    for i, (*_, outcome) in enumerate(runs):
         drawn = substream(8, "batchsample", i).integers(0, len(calls), size=12)
         assert [row[1:3] for row in outcome.call_rows] == sorted((calls[k] for k in drawn), key=lambda c: c[0])
 
@@ -585,6 +623,5 @@ def test_a_mix_of_records_and_pairs_is_refused(records_first):
             simulate(x, calls, g, SimParams())
         for resample in (False, True):
             with pytest.raises(DataError, match="must be a CallTable"):
-                run_batches(x, calls, g, SimParams(), n_calls=4, n_batches=2, sample_with_replacement=resample)
-        with pytest.raises(DataError, match="must be a CallTable"):
-            compare_policies([("a", x)], calls, g, SimParams(), n_calls=4, n_batches=2)
+                compare_policies([("a", x)], calls, g, SimParams(), n_calls=4, n_batches=2,
+                                 sample_with_replacement=resample)
