@@ -17,9 +17,12 @@ checked. Only preprocess reads ``calls_csv``: it parses the log once and
 saves the parse as ``calls_table.bin``, which every later stage loads
 (``_load_calls``). No stage writes a call log: ``_read_split`` derives the
 peak-hour train/test split again wherever a stage needs it, under
-preprocess's record of the split. The stages work on the
-``ingest.CallTable`` of the parse, column by column, and hand the
-simulator that table as it is; no stage builds a record per call.
+preprocess's record of the split. No stage reads ``demand_matrix.csv``,
+preprocess's report of the matrix: fit, optimize and fleet-sweep check its
+record and build the matrix again from the split's train calls
+(``_load_matrix``). The stages work on the ``ingest.CallTable`` of the
+parse, column by column, and hand the simulator that table as it is; no
+stage builds a record per call.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from zoneinfo import ZoneInfo, ZoneInfoNotFoundError
 import numpy as np
 
 from . import analysis, calibrate, demand, geogrid, ingest, robust, simcore, stochastic
-from .dispatchflow import Deployment, EdgeSet, edges_from_coverage
+from .dispatchflow import Deployment, EdgeSet, ScenarioEvaluator, edges_from_coverage
 from .errors import ConfigError, DataError, EmsDeployError, SolverError, read_json, write_csv, write_json
 from .rng import derive_seed
 
@@ -313,7 +316,9 @@ def _depends(cfg: RunConfig) -> dict[str, tuple[str, dict]]:
     directly and through the files it is built from, valued as the stages
     read them. ``split`` is preprocess's train/test split, which the stages
     derive again from ``calls_table.bin``; the table is recorded with the
-    zone the calls were parsed in and the peak window they are taken in."""
+    zone the calls were parsed in and the peak window they are taken in.
+    ``demand_matrix.csv`` is checked but not read: the stages build the
+    matrix again from the split."""
     start, end = cfg.peak_window()
     # 8:00 is 08:00, and the weekdays are a set
     value = {**vars(cfg), "peak_start": f"{start:%H:%M}", "peak_end": f"{end:%H:%M}",
@@ -401,8 +406,15 @@ def _read_split(cfg: RunConfig, out: Path):
     return _split(cfg, calls)
 
 
-def _load_matrix(cfg: RunConfig, out: Path) -> ingest.DemandMatrix:
-    return ingest.load_demand_matrix(_require(cfg, out, "demand_matrix.csv"))
+def _load_matrix(cfg: RunConfig, out: Path,
+                 grid: geogrid.Grid) -> tuple[ingest.DemandMatrix, ingest.CallTable, ingest.CallTable]:
+    """The demand matrix preprocess wrote to ``out``, with the (train, test)
+    split it was built from. Its record is checked, but the file is not
+    read: the matrix depends only on the train calls, so it is built again
+    from them by the code preprocess ran."""
+    _require(cfg, out, "demand_matrix.csv")
+    train, test = _read_split(cfg, out)
+    return _demand_for_rates(cfg, train, grid), train, test
 
 
 def _load_model(cfg: RunConfig, out: Path) -> calibrate.CalibrationModel:
@@ -470,7 +482,7 @@ def cmd_preprocess(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(cfg, out)
-    matrix = _load_matrix(cfg, out)
+    matrix, train, _ = _load_matrix(cfg, out, grid)
     adjacency, ball = _regions(cfg, grid)
     rates = demand.fit_rates(matrix, adjacency, ball)
     uset = demand.build_uncertainty_set(rates, cfg.alpha, adjacency, ball)
@@ -484,7 +496,6 @@ def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
     if cfg.calibration_kind == "identity":
         model = calibrate.identity_model()
     else:
-        train, _ = _read_split(cfg, out)
         usable, grid_s, reported_s = ingest.calibration_pairs(train, grid, cfg.snap_cells)
         fit = calibrate.fit_loglog if cfg.calibration_kind == "loglog" else calibrate.fit_linear
         model = fit(grid_s, reported_s, cfg.trim_p)
@@ -495,7 +506,7 @@ def cmd_fit(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_optimize(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(cfg, out)
-    matrix = _load_matrix(cfg, out)
+    matrix, _, _ = _load_matrix(cfg, out, grid)
     edges = _edges(cfg, grid)
     uset = _load_uset(cfg, out, grid)
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
@@ -606,18 +617,19 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
 
 def cmd_fleet_sweep(cfg: RunConfig, out: Path) -> dict[str, Path]:
     grid = _load_grid(cfg, out)
-    matrix = _load_matrix(cfg, out)
-    _, test_calls = _read_split(cfg, out)
+    matrix, _, test_calls = _load_matrix(cfg, out, grid)
     model = _load_model(cfg, out)
     edges = _edges(cfg, grid)
     uset = _load_uset(cfg, out, grid)
     scenarios = stochastic.sample_scenarios(matrix, cfg.m_scenarios, cfg.seed)
     search = _search(cfg)
     fleet = list(range(cfg.n_min, cfg.n_max + 1))
+    # neither evaluator depends on n, so one of each serves the whole sweep: the
+    # cut table's refinements stay valid bounds, and an exact search returns the
+    # lexicographically smallest optimum however tight its bounds
+    evaluators = (ScenarioEvaluator(edges, scenarios.demands), robust.CutTable(uset, edges))
     stationings = [  # per n, the stochastic and the robust x
-        (stochastic.solve_stochastic(scenarios, n, edges, search).x_star.x,
-         robust.solve_robust_ccg(uset, n, edges, search_config=search).x_star.x)
-        for n in fleet
+        tuple(stochastic.minimize_deployment(ev, n, search).x for ev in evaluators) for n in fleet
     ]
     # each distinct stationing runs once, in first-seen order, all on the same batches
     distinct = {str(x.tolist()): x for pair in stationings for x in pair}

@@ -591,7 +591,9 @@ def save_demand_matrix(matrix: DemandMatrix, path: str | Path) -> None:
 def load_demand_matrix(path: str | Path) -> DemandMatrix:
     """Read ``save_demand_matrix``'s CSV. Raises DataError with the line
     number for a row whose width differs from the header's, a period start
-    that is not an ISO timestamp, or a count that is not an integer.
+    that is not an ISO timestamp, or a count that is not an integer. The
+    pipeline's stages do not call it: they build the matrix again from the
+    calls. It reads the file back for users and for perfbench's output check.
 
     One pass over the text checks each row's width and start, and codes the
     start's wall time and UTC offset as it reads it; ``np.loadtxt``

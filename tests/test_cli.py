@@ -10,6 +10,7 @@ import sys
 from contextlib import redirect_stderr
 from datetime import datetime, time
 from pathlib import Path
+from zoneinfo import ZoneInfo
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import emsdeploy
-from emsdeploy import geogrid, ingest, simcore
+from emsdeploy import demand, geogrid, ingest, simcore, stochastic
 from emsdeploy.cli import COMMANDS, RunConfig, load_config, main
 from emsdeploy.errors import ConfigError
 from emsdeploy.ingest import CallRecord, CallTable, serialize_calls
@@ -347,11 +348,12 @@ def test_a_field_no_loaded_file_depends_on_is_not_checked(city, verified_run, tm
     assert (out / "verification.json").read_bytes() == report
 
 
-# the manifest records each stage loads from a fitted directory; the city's fit is loglog, so fit loads the split
+# the manifest records each stage loads from a fitted directory; fit and optimize build
+# the demand matrix from the split, so they load it whatever the calibration kind
 LOADS = {
     "preprocess": ("grid.json",),
     "fit": ("grid.json", "demand_matrix.csv", "calls_table.bin", "split"),
-    "optimize": ("grid.json", "demand_matrix.csv", "uncertainty.json"),
+    "optimize": ("grid.json", "demand_matrix.csv", "calls_table.bin", "split", "uncertainty.json"),
     "verify": ("grid.json", "calls_table.bin", "split", "calibration.json"),
 }
 # the city's value of each field, or another, as a flag gives it
@@ -710,19 +712,30 @@ def _not_utf8(path: Path) -> None:
     path.write_bytes(b"\xff\xfe0,1\n")  # a UTF-16 byte-order mark: \xff never starts a UTF-8 character
 
 
-@pytest.mark.parametrize("spoil, named", [
-    (_spoil_line(3, lambda row: row[:-1]), "line 3:"),
-    (_spoil_line(2, lambda row: row[:1] + ["1.5"] + row[2:]), "line 2:"),
-    (_not_utf8, "is not UTF-8 text"),
+@pytest.mark.parametrize("spoil", [
+    _spoil_line(3, lambda row: row[:-1]),
+    _spoil_line(2, lambda row: row[:1] + ["1.5"] + row[2:]),
+    _not_utf8,
 ], ids=["row-width", "non-integer-count", "not-utf8"])
-def test_malformed_demand_matrix_is_exit_3(city, fitted_run, tmp_path, capsys, spoil, named):
-    out = tmp_path / "run"
-    shutil.copytree(fitted_run, out)
+def test_no_stage_reads_the_demand_matrix_file(city, tmp_path, monkeypatch, spoil):
+    # preprocess writes demand_matrix.csv as its report; the stages that need the
+    # matrix build it again from the split, so a spoiled file changes no output
+    def no_read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(ingest, "load_demand_matrix", no_read)
+    intact = tmp_path / "intact"
+    for sub in COMMANDS:
+        assert run(city, sub, intact) == 0, f"{sub} failed"
+    out = tmp_path / "spoiled"
+    shutil.copytree(intact, out)
     spoil(out / "demand_matrix.csv")
-    capsys.readouterr()
-    assert run(city, "fit", out) == 3
-    err = capsys.readouterr().err
-    assert "demand_matrix.csv" in err and named in err
+    for sub in ("fit", "optimize", "fleet-sweep"):
+        assert run(city, sub, out) == 0, f"{sub} failed"
+    assert sorted(p.name for p in out.iterdir()) == sorted(p.name for p in intact.iterdir())
+    for p in intact.iterdir():
+        if p.name != "demand_matrix.csv":
+            assert (out / p.name).read_bytes() == p.read_bytes(), p.name
 
 
 @pytest.mark.parametrize("name, text, sub", [
@@ -1015,3 +1028,40 @@ def test_rates_are_fitted_on_peak_window_periods(city, tmp_path, peak_filter):
         starts = [datetime.fromisoformat(row[0]) for row in list(csv.reader(f))[1:]]
     assert starts
     assert all(s.weekday() < 5 and 8 <= s.hour < 20 for s in starts)
+
+
+@pytest.mark.parametrize("flags", [(), ("--timezone", "America/Chicago", "--period_length_s", "1800")],
+                         ids=["utc", "chicago-across-dst"])
+def test_the_stages_build_the_demand_matrix_preprocess_wrote(city, tmp_path, monkeypatch, flags):
+    # fit, optimize and fleet-sweep build the matrix again from the split: the one
+    # preprocess wrote, to its period starts and their UTC offsets
+    if flags:
+        # a log over the start of US DST, 2024-03-10 in Chicago, its stamps in local
+        # time without their offsets, so the parse reads them in the config's zone
+        cfg = SynthConfig(start=datetime(2024, 3, 6, 8, tzinfo=ZoneInfo("America/Chicago")))
+        log = tmp_path / "calls.csv"
+        serialize_calls(synth_calls(synth_grid(cfg), 300, seed=7, cfg=cfg), log)
+        header, *rows = log.read_text().splitlines(keepends=True)
+        log.write_text(header + "".join(row[:row.index(",") - 6] + row[row.index(","):] for row in rows), newline="")
+        flags = (*flags, "--calls_csv", str(log))
+    seen = []
+
+    def recording(fn):
+        def record(matrix, *args):
+            seen.append(matrix)
+            return fn(matrix, *args)
+        return record
+
+    monkeypatch.setattr(demand, "fit_rates", recording(demand.fit_rates))
+    monkeypatch.setattr(stochastic, "sample_scenarios", recording(stochastic.sample_scenarios))
+    out = tmp_path / "run"
+    for sub in ("grid", "preprocess", "fit", "optimize", "fleet-sweep"):
+        assert run(city, sub, out, flags) == 0, f"{sub} failed"
+    saved = ingest.load_demand_matrix(out / "demand_matrix.csv")
+    if flags:
+        assert set(saved.start_offset_us.tolist()) == {-6 * 3600 * 10**6, -5 * 3600 * 10**6}
+    assert len(seen) == 3
+    for matrix in seen:
+        assert np.array_equal(matrix.counts, saved.counts)
+        assert matrix.start_wall_us.tolist() == saved.start_wall_us.tolist()
+        assert matrix.start_offset_us.tolist() == saved.start_offset_us.tolist()

@@ -12,7 +12,7 @@ from emsdeploy.robust import (
     solve_robust_ccg,
     worst_case_demand,
 )
-from emsdeploy.stochastic import ScenarioSet, SearchConfig, solve_stochastic
+from emsdeploy.stochastic import ScenarioSet, SearchConfig, minimize_deployment, solve_stochastic
 from oracles import (
     box_members,
     brute_min_shortfall_many,
@@ -428,6 +428,22 @@ def test_worst_case_on_a_shared_table_matches_a_fresh_one(uset, data):
         assert value == int(brute_min_shortfall_many(x, members, pairs).max())
     # a set searched exactly keeps its value: it is never searched again
     assert len(counted.searched) == len(set(counted.searched))
+
+
+@settings(max_examples=150, deadline=None)
+@given(binding_sets(), st.data())
+def test_a_shared_table_gives_each_fleet_bound_the_x_of_a_fresh_solve(uset, data):
+    # one table serves a whole fleet sweep: each search refines it for the next,
+    # and the next still returns the lexicographically smallest optimum
+    edges, _ = draw_edges(data, uset.n_regions, max_stations=4)
+    fleet = range(5)
+    fresh = {n: solve_robust_ccg(uset, n, edges).x_star.x.tolist() for n in fleet}
+    for order in (fleet, data.draw(st.permutations(fleet))):
+        shared = CutTable(uset, edges)
+        for n in order:
+            result = minimize_deployment(shared, n)
+            assert result.flag.kind == "exact"
+            assert result.x.tolist() == fresh[n]
 
 
 @settings(max_examples=150, deadline=None)
