@@ -556,6 +556,8 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
         raise ConfigError(f"cv_folds={cfg.cv_folds} folds of {len(peak_calls)} calls: a fold would be empty")
     edges = _edges(cfg, grid)
     adjacency, ball = _regions(cfg, grid)
+    params = _sim_params(cfg, None)
+    travel = simcore.prepare_travel(grid, params.calibration)
     table: list[list[float | None]] = []
     saturated: dict[float, bool] = {a: False for a in cfg.alphas}
     errors: list[str] = []
@@ -565,6 +567,8 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
         )
         matrix = _demand_for_rates(cfg, train, grid)
         rates = demand.fit_rates(matrix, adjacency, ball)
+        seed = derive_seed(cfg.seed, "alphacv", fold)
+        batch = None  # the fold's test calls, snapped and drawn on its first run
         mrt_by_x: dict[bytes, float] = {}  # alphas that pick the same stationing share its run
         row: list[float | None] = []
         for alpha in cfg.alphas:
@@ -587,9 +591,10 @@ def cmd_alpha_cv(cfg: RunConfig, out: Path) -> dict[str, Path]:
                 continue
             key = x.tobytes()
             if key not in mrt_by_x:
-                outcome = simcore.simulate(
-                    x, test, grid, _sim_params(cfg, None), seed=derive_seed(cfg.seed, "alphacv", fold)
-                )
+                if batch is None:
+                    batch = simcore.prepare_batch(test, grid, params, seed)
+                prepared = simcore.Prepared(travel, batch, simcore.prepare_stationing(x, grid, travel))
+                outcome = simcore.simulate(x, test, grid, params, seed=seed, prepared=prepared)
                 mrt_by_x[key] = outcome.mean_response_s / 60.0
             row.append(mrt_by_x[key])
         table.append(row)

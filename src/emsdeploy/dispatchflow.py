@@ -95,6 +95,19 @@ def edges_from_coverage(coverage: np.ndarray) -> EdgeSet:
     return EdgeSet(pairs, cov.shape[0], cov.shape[1])
 
 
+def stationing_vector(x) -> np.ndarray:
+    """``x``, a list or 1-d array of integers, as an int64 vector. An entry
+    that is not an integer (a float, a string or a bool) or does not fit in
+    int64 is refused with a DataError, not truncated, parsed or overflowed."""
+    entries = x.tolist() if isinstance(x, np.ndarray) else x
+    if not isinstance(entries, (list, tuple)):
+        raise DataError(f"a stationing must be a list of integers, got {type(x).__name__}")
+    for v in entries:
+        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or not -(2**63) <= v < 2**63:
+            raise DataError(f"a stationing entry must be an integer of int64 range, got {v!r}")
+    return np.array(entries, dtype=np.int64)
+
+
 @dataclass
 class Deployment:
     """Integer stationing vector with its fleet bound."""
@@ -103,7 +116,7 @@ class Deployment:
     n: int
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.int64)
+        self.x = stationing_vector(self.x)
         if np.any(self.x < 0):
             raise DataError("stationing must be nonnegative")
         if int(self.x.sum()) > self.n:

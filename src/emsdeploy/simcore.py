@@ -20,6 +20,15 @@ dispatching call; a queue episode keys each unit by its last call's times,
 recomputed from those columns. The mean response is one numpy mean over
 the columns, and each call's row, its chain of times and the event log are
 rebuilt from them only when read.
+
+A run's set-up is three pieces, each built at the level its inputs change
+(a ``Prepared``): the grid's travel (``prepare_travel``), per grid and
+calibration model; a batch (``prepare_batch``), its times, snapped cells and
+on-scene draws, per calls and seed; and a stationing
+(``prepare_stationing``), its homes and each cell's unit order, per x and
+travel. ``compare_policies`` builds each once and shares it among the runs
+that read it, so under common random numbers no run snaps, draws or
+calibrates what another already did.
 """
 
 from __future__ import annotations
@@ -28,11 +37,12 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .calibrate import CalibrationModel, apply_many
+from .dispatchflow import stationing_vector
 from .errors import ConfigError, DataError, write_csv
 from .geogrid import Grid, assign_cells_or_raise
 from .ingest import CallTable, check_table
@@ -239,35 +249,59 @@ def _check_finite(what: str, value: float, params: SimParams | None) -> None:
         )
 
 
-def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, seed: int = 0) -> SimOutcome:
-    """Run one dispatch simulation of ``calls`` under stationing ``x``.
+class Travel(NamedTuple):
+    """The grid's travel as a run reads it, built once per grid and
+    calibration model by ``prepare_travel``.
 
-    ``calls`` is a CallTable sorted by time; its calls are snapped to the
-    grid together, in one bulk snap per run. Travel times are grid times
-    passed through the calibration model when one is configured.
-    Ambulances are numbered by station, and the closest free one goes,
-    ties to the lower number.
-    """
-    params = params or SimParams()
-    x = np.asarray(x, dtype=np.int64)
-    if len(x) != len(grid.station_cells):
-        raise DataError(f"stationing has {len(x)} entries, grid has {len(grid.station_cells)} stations")
-    if np.any(x < 0):
-        raise DataError("stationing must be nonnegative")
-    if x.sum() < 1:
-        raise DataError("need at least one stationed ambulance")
-    times = check_table(calls).utc_s
-    call_cell = assign_cells_or_raise(grid, calls.lat, calls.lon, params.snap_cells).tolist()
-    if np.any(times[1:] < times[:-1]):
-        raise DataError("calls must be sorted by time")
-    call_t = times.tolist()
-    n_calls = len(call_t)
+    A unit frees where its call's last leg ends: the nearest hospital by raw
+    grid time (ties to the lower cell index), or the scene itself, a leg of
+    0.0 s that is never calibrated, when the grid has none. A leg starts at
+    a station (a free unit is at home) or at a free cell, so only those
+    rows of the travel matrix are built: ``rows`` holds them calibrated, in
+    ascending order of their start cells, ``row_of`` maps a start cell to
+    its row, and ``from_cell[a][b]`` is the calibrated seconds from start
+    cell ``a`` to cell ``b`` (None for a cell no leg starts from). Per cell,
+    ``free_cell`` is where a unit serving it frees and ``to_free`` the
+    calibrated leg there."""
 
-    # A unit frees where its call's last leg ends: the nearest hospital by raw
-    # grid time (ties to the lower cell index), or the scene itself, a leg of
-    # 0.0 s that is never calibrated, when the grid has none. A leg starts at
-    # a station (a free unit is at home) or at a free cell, so only those rows
-    # of travel[a][b], calibrated seconds from cell a to cell b, are built.
+    rows: np.ndarray
+    row_of: dict[int, int]
+    from_cell: list[list[float] | None]
+    free_cell: list[int]
+    to_free: list[float]
+
+
+class Batch(NamedTuple):
+    """A batch of calls as a run reads it, built once per (calls, seed) by
+    ``prepare_batch``: per call, its instant in seconds, its grid cell and
+    its on-scene time from the seed's service stream, as numpy columns."""
+
+    utc_s: np.ndarray
+    cells: np.ndarray
+    service_s: np.ndarray
+
+
+class Stationing(NamedTuple):
+    """A stationing as a run reads it, built once per (x, travel) by
+    ``prepare_stationing``: per ambulance its home station cell, and per
+    cell the ambulances in order of travel from their homes."""
+
+    home: list[int]
+    unit_order: list[list[int]]
+
+
+class Prepared(NamedTuple):
+    """The three pieces of a run's set-up, each built at the level its
+    inputs change: the grid's travel, the batch and the stationing."""
+
+    travel: Travel
+    batch: Batch
+    stationing: Stationing
+
+
+def prepare_travel(grid: Grid, calibration: CalibrationModel | None) -> Travel:
+    """The travel every run on ``grid`` under ``calibration`` reads: each
+    distinct grid time of its rows and legs calibrated once."""
     stations = grid.station_cells
     hospitals = sorted(set(grid.hospital_cells))
     if hospitals:
@@ -278,23 +312,90 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
     free_cell = nearest.tolist()
     starts = sorted(set(stations) | set(free_cell))
     rows = grid.travel_time_s[starts]
-    model = params.calibration
-    if model is not None:
-        grid_s = apply_many(model, np.concatenate([rows.ravel(), legs]))
+    if calibration is not None:
+        grid_s = apply_many(calibration, np.concatenate([rows.ravel(), legs]))
         rows, legs = grid_s[:rows.size].reshape(rows.shape), grid_s[rows.size:]
-    travel: list[list[float] | None] = [None] * grid.n_cells
+    from_cell: list[list[float] | None] = [None] * grid.n_cells
     for a, row in zip(starts, rows.tolist()):
-        travel[a] = row
+        from_cell[a] = row
     to_free = legs.tolist() if hospitals else [0.0] * grid.n_cells
-    # A free ambulance is always at its home station, so the closest free
-    # unit is the first free one in order of (travel from its station to
-    # the call's cell, id): ambulances are numbered by station, so that is
-    # the order of (travel, station index, id). One stable sort per cell.
-    row_of = {a: k for k, a in enumerate(starts)}
-    home = [s for s, n in zip(stations, x.tolist()) for _ in range(n)]  # per ambulance
-    unit_order = np.argsort(rows[[row_of[s] for s in home]], axis=0, kind="stable").T.tolist()
+    return Travel(rows, {a: k for k, a in enumerate(starts)}, from_cell, free_cell, to_free)
 
-    service_s = draw_service_times(params, substream(seed, "service"), n_calls)
+
+def prepare_batch(
+    calls: CallTable, grid: Grid, params: SimParams, seed: int, cells: np.ndarray | None = None
+) -> Batch:
+    """The batch every stationing's run on ``calls`` with ``seed`` reads.
+
+    ``calls`` is a CallTable sorted by time. Its calls are snapped to the
+    grid in one bulk snap, unless ``cells``, their cells from a snap
+    already made, is given; their on-scene times are drawn from the seed's
+    service stream, one per call in call order.
+    """
+    utc_s = check_table(calls).utc_s
+    if cells is None:
+        cells = assign_cells_or_raise(grid, calls.lat, calls.lon, params.snap_cells)
+    if np.any(utc_s[1:] < utc_s[:-1]):
+        raise DataError("calls must be sorted by time")
+    service_s = draw_service_times(params, substream(seed, "service"), len(utc_s))
+    return Batch(utc_s, cells, np.array(service_s, dtype=np.float64))
+
+
+def _stationing(x, grid: Grid) -> np.ndarray:
+    """``x`` as an int64 vector, refused unless it places at least one
+    ambulance, each at one of ``grid``'s stations."""
+    x = stationing_vector(x)
+    if len(x) != len(grid.station_cells):
+        raise DataError(f"stationing has {len(x)} entries, grid has {len(grid.station_cells)} stations")
+    if np.any(x < 0):
+        raise DataError("stationing must be nonnegative")
+    if x.sum() < 1:
+        raise DataError("need at least one stationed ambulance")
+    return x
+
+
+def prepare_stationing(x, grid: Grid, travel: Travel) -> Stationing:
+    """The stationing every run of ``x`` over ``travel`` reads.
+
+    A free ambulance is always at its home station, so the closest free
+    unit is the first free one in order of (travel from its station to the
+    call's cell, id): ambulances are numbered by station, so that is the
+    order of (travel, station index, id). One stable sort per cell.
+    """
+    home = [s for s, n in zip(grid.station_cells, _stationing(x, grid).tolist()) for _ in range(n)]
+    rows = travel.rows[[travel.row_of[s] for s in home]]
+    return Stationing(home, np.argsort(rows, axis=0, kind="stable").T.tolist())
+
+
+def simulate(
+    x, calls: CallTable, grid: Grid, params: SimParams | None = None, seed: int = 0,
+    *, prepared: Prepared | None = None,
+) -> SimOutcome:
+    """Run one dispatch simulation of ``calls`` under stationing ``x``.
+
+    ``calls`` is a CallTable sorted by time; its on-scene times come from
+    ``seed``'s service stream. Travel times are grid times passed through
+    the calibration model when one is configured. Ambulances are numbered
+    by station, and the closest free one goes, ties to the lower number.
+
+    ``prepared`` is the set-up of this very run, its pieces built by
+    ``prepare_travel``, ``prepare_batch`` and ``prepare_stationing`` from
+    the same arguments, so that runs sharing a piece build it once; with
+    none, the run builds all three itself, snapping its calls in one bulk
+    snap. Either way the run is the same, bit for bit.
+    """
+    params = params or SimParams()
+    if prepared is None:
+        x = _stationing(x, grid)
+        batch = prepare_batch(calls, grid, params, seed)
+        travel = prepare_travel(grid, params.calibration)
+        prepared = Prepared(travel, batch, prepare_stationing(x, grid, travel))
+    travel, batch, (home, unit_order) = prepared
+    from_cell, free_cell, to_free = travel.from_cell, travel.free_cell, travel.to_free
+    call_t = batch.utc_s.tolist()
+    call_cell = batch.cells.tolist()
+    service_s = batch.service_s.tolist()
+    n_calls = len(call_t)
 
     # Per call, the unit and leg of its dispatch; the dispatch time and the
     # dispatching call change from the arrival and -1 only if it waits.
@@ -331,7 +432,7 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
             while True:
                 now, _, _, by, a = heap[0]
                 cell = call_cell[call]
-                leg = legs[call] = travel[free_cell[call_cell[by]]][cell]
+                leg = legs[call] = from_cell[free_cell[call_cell[by]]][cell]
                 unit[call] = a
                 disp_t[call] = now
                 by_call[call] = by
@@ -346,31 +447,31 @@ def simulate(x, calls: CallTable, grid: Grid, params: SimParams | None = None, s
             continue
         # the unit leaves its home station at once; this is the episode's
         # dispatch written out for a wait of 0.0
-        leg = legs[call] = travel[home[a]][cell]
+        leg = legs[call] = from_cell[home[a]][cell]
         unit[call] = a
         free[a] = now + leg + service_s[call] + to_free[cell]
         last[a] = call
 
     # a call that did not wait responds in 0.0 + leg, as its row says
     with np.errstate(over="ignore"):
-        mean_response = float(np.mean((np.array(disp_t) - times) + np.array(legs))) if n_calls else 0.0
+        mean_response = float(np.mean((np.array(disp_t) - batch.utc_s) + np.array(legs))) if n_calls else 0.0
     _check_finite("mean response time", mean_response, params)
     return SimOutcome(
         mean_response_s=mean_response,
-        hospital_leg_skipped=not hospitals,
+        hospital_leg_skipped=not grid.hospital_cells,
         _run=_Run(call_t, call_cell, service_s, unit, legs, disp_t, by_call, home, free_cell, to_free),
     )
 
 
 # the most calls resampled batches may hold together: each is a copy of its
-# calls' table rows, about 1 GB at this limit
+# calls' table rows, with its prepared columns about 1.1 GB at this limit
 MAX_RESAMPLED_CALLS = 10**7
 
 
-def _batch_slices(
+def _batch_picks(
     calls: CallTable, n_calls: int, n_batches: int, seed: int, sample_with_replacement: bool
-) -> list[CallTable]:
-    """The batches ``compare_policies`` simulates, each a table of ``calls``."""
+) -> list[slice | np.ndarray]:
+    """The rows of ``calls`` each batch ``compare_policies`` simulates."""
     if n_calls < 1 or n_batches < 1:
         raise ConfigError("n_calls and n_batches must both be at least 1")
     if sample_with_replacement:
@@ -388,15 +489,14 @@ def _batch_slices(
             rng = substream(seed, "batchsample", i)
             idx = rng.integers(0, len(calls), size=n_calls)
             # a stable sort by time keeps tied calls in the order drawn
-            drawn = idx[np.argsort(times[idx], kind="stable")]
-            out.append(calls[drawn])
+            out.append(idx[np.argsort(times[idx], kind="stable")])
         return out
     if n_calls * n_batches > len(calls):
         raise DataError(
             f"need {n_calls * n_batches} calls for {n_batches} batches of {n_calls}, "
             f"have {len(calls)}; set sample_with_replacement to resample"
         )
-    return [calls[i * n_calls : (i + 1) * n_calls] for i in range(n_batches)]
+    return [slice(i * n_calls, (i + 1) * n_calls) for i in range(n_batches)]
 
 
 @dataclass
@@ -445,19 +545,34 @@ def compare_policies(
     are reproducible individually and in any order, and every policy sees
     the same batches and service-time draws (common random numbers):
     differences reflect the stationing alone. The policies run one after
-    another, each on batches 0..n-1.
+    another, each on batches 0..n-1 through the module's ``simulate``.
+
+    The grid's travel is built once, before the first run; each stationing
+    once, before its first run; and each batch once, on its first run, the
+    first policy's, a resampled batch taking its cells from the whole
+    table's snap.
     """
     if not policies:
         raise ConfigError("need at least one policy to compare")
-    batches = _batch_slices(check_table(calls), n_calls, n_batches, seed, sample_with_replacement)
-    if sample_with_replacement:
-        assign_cells_or_raise(grid, calls.lat, calls.lon, (params or SimParams()).snap_cells)
+    params = params or SimParams()
+    picks = _batch_picks(check_table(calls), n_calls, n_batches, seed, sample_with_replacement)
+    batches = [calls[pick] for pick in picks]
+    # a resampled batch takes its cells from one snap of the whole table
+    cells = assign_cells_or_raise(grid, calls.lat, calls.lon, params.snap_cells) if sample_with_replacement else None
+    travel = prepare_travel(grid, params.calibration)
+    ready: list[Batch] = []  # batch b is prepared on its first run, the first policy's
     means: list[list[float]] = []
     overall, std, first_batch = [], [], []
     for _, x in policies:
+        stationing = prepare_stationing(x, grid, travel)
         column = []
         for b, batch in enumerate(batches):
-            outcome = simulate(x, batch, grid, params, seed=derive_seed(seed, "batch", b))
+            batch_seed = derive_seed(seed, "batch", b)
+            if b == len(ready):
+                ready.append(prepare_batch(batch, grid, params, batch_seed,
+                                           None if cells is None else cells[picks[b]]))
+            outcome = simulate(x, batch, grid, params, seed=batch_seed,
+                               prepared=Prepared(travel, ready[b], stationing))
             column.append(outcome.mean_response_s)
             if b == 0:
                 first_batch.append(outcome)

@@ -216,9 +216,11 @@ def test_alpha_cv_simulates_and_snaps_each_fold_once(city, tmp_path, monkeypatch
     # some alphas pick the same stationing in a fold, and that stationing runs once
     assert 0 < len(runs) < filled
     assert len({(seed, x) for seed, x, _ in runs}) == len(runs)
-    # each run snaps its own calls in one bulk snap, and no call is snapped alone
-    assert sum(snapped) == sum(n for _, _, n in runs)
-    assert snapped == [n for _, _, n in runs]
+    # each fold snaps its test calls in one bulk snap, which all its stationings'
+    # runs share, and no call is snapped alone
+    fold_calls = {seed: n for seed, _, n in runs}  # in fold order
+    assert len(fold_calls) == city["raw"]["cv_folds"]
+    assert snapped == list(fold_calls.values())
 
 
 def _city_split(city) -> tuple[CallTable, CallTable]:
@@ -870,6 +872,23 @@ def test_deployment_over_fleet_bound_is_exit_3(city, fitted_run, tmp_path, capsy
     assert not (out / "sim_comparison.json").exists()
     path.write_text(optimized)
     assert run(city, "simulate", out) == 0
+
+
+@pytest.mark.parametrize("x", [[1.9, 0.9, 0.9, 0.9], ["1", "1", "1", "1"], [True, 1, 1, 1], [1e30, 0, 0, 0]])
+def test_a_stationing_entry_that_is_not_an_integer_is_exit_3(city, verified_run, tmp_path, capsys, x):
+    # a float, a string or a bool in a hand-edited deployment was truncated,
+    # parsed or read as 1 and simulated, and 1e30 overflowed in a traceback
+    out = tmp_path / "run"
+    shutil.copytree(verified_run, out)
+    path = out / "deployment_stochastic.json"
+    doc = json.loads(path.read_text())
+    doc["x"] = x
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(city, "simulate", out) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "deployment_stochastic.json" in err and "integer" in err
+    assert not (out / "sim_comparison.json").exists()
 
 
 @pytest.mark.parametrize("mu", ["1000", "700"])

@@ -27,6 +27,22 @@ def test_deployment_fleet_bound():
         Deployment(np.array([-1, 0]), 3)
 
 
+@pytest.mark.parametrize("x", [
+    [2.9, 1.9, 2.9, 1.9], ["2", "1", "2", "1"], [True, 1, 2, 1], [1e30, 0, 0, 0], [10**30, 0, 0, 0],
+    np.array([2.0, 1.0, 2.0, 1.0]), 6, [[2, 1], [2, 1]],
+])
+def test_deployment_refuses_entries_that_are_not_integers(x):
+    # none is truncated, parsed, read as 1 or overflowed
+    with pytest.raises(DataError, match="integer"):
+        Deployment(x, 6)
+
+
+def test_deployment_takes_integers_of_any_integer_type():
+    for x in ([2, 1, 2, 1], (2, 1, 2, 1), np.array([2, 1, 2, 1], dtype=np.int32), [np.int64(2), 1, 2, 1]):
+        assert Deployment(x, 6).x.tolist() == [2, 1, 2, 1]
+        assert Deployment(x, 6).x.dtype == np.int64
+
+
 def test_incidence_empty_and_single():
     b_i, b_j = EdgeSet([], 2, 2).incidence()
     assert b_i.shape == (2, 0) and b_j.shape == (2, 0)

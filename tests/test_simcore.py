@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from oracles import reference_simulate, table_from_records
 
-from emsdeploy import calibrate, simcore
+from emsdeploy import calibrate, geogrid, simcore
 from emsdeploy.calibrate import CalibrationModel
 from emsdeploy.errors import ConfigError, DataError
 from emsdeploy.geogrid import MatrixProvider, SyntheticSpeedProvider, assign_cell, build_grid
@@ -51,13 +51,13 @@ def line_grid(stations=(0,), hospitals=()):
 
 def record_runs(monkeypatch) -> list[tuple]:
     """Wrap ``simcore.simulate``, which ``compare_policies`` looks up in its
-    module: the list it returns gets each run's (stationing, calls, seed,
-    outcome), in the order of the runs."""
+    module, forwarding every keyword: the list it returns gets each run's
+    (stationing, calls, seed, outcome), in the order of the runs."""
     runs = []
     inner = simcore.simulate
 
-    def recorded(x, calls, grid, params=None, seed=0):
-        outcome = inner(x, calls, grid, params, seed=seed)
+    def recorded(x, calls, grid, params=None, seed=0, **kwargs):
+        outcome = inner(x, calls, grid, params, seed=seed, **kwargs)
         runs.append((np.asarray(x).tolist(), calls, seed, outcome))
         return outcome
 
@@ -568,6 +568,107 @@ def test_simulate_matches_reference_across_queue_episodes(city):
     events, outcomes = reference_simulate(x, calls, g, params, seed)
     assert out.events == events
     assert out.call_rows == outcomes
+
+
+@st.composite
+def batched_cities(draw):
+    """A city of at most 3x3 cells, with or without hospitals, a few
+    stationings, some of them repeated, and calls for a few batches."""
+    n_rows, n_cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = n_rows * n_cols
+    minutes = draw(st.lists(st.integers(0, 4), min_size=n * n, max_size=n * n))
+    travel = np.array(minutes, dtype=np.float64).reshape(n, n) * 60.0
+    np.fill_diagonal(travel, 0.0)
+    cell = st.integers(0, n - 1)
+    stations = draw(st.lists(cell, min_size=1, max_size=4))
+    hospitals = draw(st.lists(cell, min_size=1, max_size=2) | st.just([]))
+    g = build_grid(BOUNDS, n_rows, n_cols, MatrixProvider(travel),
+                   station_cells=stations, hospital_cells=hospitals)
+    stationing = st.lists(st.integers(0, 3), min_size=len(stations), max_size=len(stations)).filter(
+        lambda v: sum(v) >= 1)
+    xs = draw(st.lists(stationing, min_size=1, max_size=3))
+    xs += draw(st.lists(st.sampled_from(xs), max_size=2))
+    n_calls, n_batches = draw(st.integers(1, 8)), draw(st.integers(1, 3))
+    gaps = draw(st.lists(st.sampled_from([0, 0, 1, 5, 20]), min_size=n_calls * n_batches,
+                         max_size=n_calls * n_batches + 4))
+    calls = [(60.0 * t, draw(cell)) for t in np.cumsum(gaps).tolist()]
+    return xs, calls, g, n_calls, n_batches, draw(st.integers(0, 2**31))
+
+
+@pytest.mark.parametrize("resample", [False, True])
+@pytest.mark.parametrize("model", CALIBRATIONS)
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(city=batched_cities())
+def test_prepared_runs_equal_one_shot_runs(model, resample, city):
+    # compare_policies shares each piece of the set-up among its runs; every
+    # batch mean and first-batch event log is that of a run that builds its
+    # own, and of the reference simulation
+    xs, pairs, g, n_calls, n_batches, seed = city
+    params = SimParams(calibration=model)
+    calls = table(g, pairs)
+    comparison = compare_policies([(str(p), x) for p, x in enumerate(xs)], calls, g, params,
+                                  n_calls, n_batches, seed, resample)
+    for b in range(n_batches):
+        if resample:
+            drawn = substream(seed, "batchsample", b).integers(0, len(pairs), size=n_calls)
+            rows = drawn[np.argsort(calls.utc_s[drawn], kind="stable")]
+        else:
+            rows = np.arange(b * n_calls, (b + 1) * n_calls)
+        batch_seed = derive_seed(seed, "batch", b)
+        for p, x in enumerate(xs):
+            alone = simulate(x, calls[rows], g, params, seed=batch_seed)
+            events, outcomes = reference_simulate(x, [pairs[k] for k in rows], g, params, batch_seed)
+            assert comparison.batch_means_s[b, p] == alone.mean_response_s
+            assert alone.mean_response_s == float(np.mean([o[6] for o in outcomes]))
+            if b == 0:
+                assert comparison.first_batch[p].events == alone.events == events
+
+
+@pytest.mark.parametrize("resample", [False, True])
+def test_compare_policies_prepares_each_piece_once(monkeypatch, resample):
+    # P policies on B batches: B service draws, each distinct grid time
+    # calibrated once, one bulk snap per batch (one of the whole table when
+    # resampled), and still P x B runs, policy by policy
+    g, pairs, params = golden_city()
+    calls = table(g, pairs)
+    policies = [("a", [1, 1]), ("b", [2, 0]), ("a again", [1, 1])]
+    n_calls, n_batches = 20, 4
+    draws, applied, snapped = [], [], []
+    inner_draw, inner_apply, inner_assign = simcore.draw_service_times, calibrate.apply, geogrid.assign_cells
+
+    def counting_draw(params, rng, n):
+        draws.append(n)
+        return inner_draw(params, rng, n)
+
+    def counting_apply(model, grid_s):
+        applied.append(grid_s)
+        return inner_apply(model, grid_s)
+
+    def counting_assign(grid, lats, lons, *args, **kwargs):
+        snapped.append(len(lats))
+        return inner_assign(grid, lats, lons, *args, **kwargs)
+
+    monkeypatch.setattr(simcore, "draw_service_times", counting_draw)
+    monkeypatch.setattr(calibrate, "apply", counting_apply)
+    monkeypatch.setattr(geogrid, "assign_cells", counting_assign)
+    runs = record_runs(monkeypatch)
+    compare_policies(policies, calls, g, params, n_calls, n_batches, seed=6, sample_with_replacement=resample)
+    assert draws == [n_calls] * n_batches
+    assert 0 < len(applied) == len(set(applied))
+    assert set(applied) <= set(g.travel_time_s.ravel().tolist())
+    assert snapped == ([len(calls)] if resample else [n_calls] * n_batches)
+    assert [x for x, *_ in runs] == [x for _, x in policies for _ in range(n_batches)]
+    assert [seed for _, _, seed, _ in runs] == [derive_seed(6, "batch", b) for b in range(n_batches)] * 3
+
+
+@pytest.mark.parametrize("x", [[2.9, 1.9], ["2", "1"], [True, 1], [1e30, 0], [10**30, 0], np.array([1.0, 1.0])])
+def test_a_stationing_entry_that_is_not_an_integer_is_refused(x):
+    g = build_grid(BOUNDS, 2, 2, SyntheticSpeedProvider(40.0), station_cells=[0, 3])
+    calls = table(g, [(0.0, 1), (60.0, 2)])
+    with pytest.raises(DataError, match="integer"):
+        simulate(x, calls, g, SimParams(), seed=1)
+    with pytest.raises(DataError, match="integer"):
+        compare_policies([("a", [1, 1]), ("b", x)], calls, g, SimParams(), n_calls=2, n_batches=1)
 
 
 def synth_city(n_calls=400):
