@@ -13,6 +13,8 @@ and writes the file in one piece.
 
 from __future__ import annotations
 
+import codecs
+import io
 import json
 from contextlib import contextmanager
 from pathlib import Path
@@ -48,16 +50,20 @@ class SetTooLargeError(EmsDeployError):
 @contextmanager
 def open_input(path: str | Path, what: str, newline: str | None = "") -> Iterator[TextIO]:
     """``path``, an input file, open as UTF-8 text with ``newline``: ``""``,
-    csv's rule, unless told otherwise. A file that cannot be opened, or whose
-    bytes are not UTF-8, is a DataError naming it as ``what``."""
+    csv's rule, unless told otherwise. A byte-order mark that starts the
+    file, which spreadsheets write in "CSV UTF-8", is skipped. A file that
+    cannot be opened, or whose bytes are not UTF-8, is a DataError naming
+    it as ``what``."""
     try:
-        f = open(path, newline=newline, encoding="utf-8")
+        raw = open(path, "rb")
     except FileNotFoundError:
         raise DataError(f"{what} not found: {path}") from None
     except OSError as exc:
         raise DataError(f"cannot read {what} {path}: {exc.strerror or exc}") from None
-    with f:
+    with io.TextIOWrapper(raw, encoding="utf-8", newline=newline) as f:
         try:
+            if raw.peek(3).startswith(codecs.BOM_UTF8):
+                raw.read(3)  # before the wrapper has read anything
             yield f
         except UnicodeDecodeError as exc:
             raise DataError(f"{what} {path} is not UTF-8 text: {exc.reason}") from None

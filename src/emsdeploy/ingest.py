@@ -19,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
 from itertools import chain, compress, islice, repeat
-from operator import add, attrgetter, floordiv, is_not, sub
+from operator import add, attrgetter, floordiv, is_not, itemgetter, sub
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Sequence
 from zoneinfo import ZoneInfo
@@ -63,8 +63,9 @@ class ParseReport:
 
 def parse_calls(path: str | Path, timezone: str = "UTC") -> tuple[CallTable, ParseReport]:
     """Parse a call-log CSV into a CallTable in order of instant (a stable
-    sort of the UTC us). The log is read as UTF-8: a file that is missing, or
-    not UTF-8, is a DataError naming it.
+    sort of the UTC us). The log is read as UTF-8, past a byte-order mark
+    that starts it: a file that is missing, or not UTF-8, is a DataError
+    naming it.
 
     The header names its columns from ``COLUMNS``. Naive timestamps are
     interpreted in the zone ``timezone`` names (earlier offset on DST
@@ -77,16 +78,22 @@ def parse_calls(path: str | Path, timezone: str = "UTC") -> tuple[CallTable, Par
     or a non-number); a row takes the first reason in that order, and the
     reasons come in the order first seen.
 
-    The lines are read ``_CHUNK_ROWS`` at a time (``_line_chunks``). A chunk
-    with no quote is split at its commas, in one split of the whole chunk
-    when every line is a full row; from the first chunk with a quote on, the
-    rows are ``csv.reader``'s, and a field ``csv`` refuses is a DataError
-    naming the line. Each chunk goes straight into columns: one
-    ``datetime.fromisoformat`` and one ``float`` map per column, and a
-    validity mask per check. Two stamps compare by instant,
-    also in ``timezone``, where ``datetime`` compares wall times: a
-    naive stamp in a DST gap (read at its earlier offset) sorts after a
-    later wall time that is the earlier instant.
+    The lines are read ``_CHUNK_ROWS`` at a time (``_line_chunks``). From
+    the first chunk with a quote on, the rows are ``csv.reader``'s, and a
+    field ``csv`` refuses is a DataError naming the line. Before that, a
+    chunk whose every line is a full row, the stamp first, has its stamps
+    cut off with one ``str.partition`` a line and its numbers read by
+    numpy's C reader, which converts a field as ``float`` does
+    (``_plain_numbers``); unless a number field is blank, bar a column
+    blank in every row, or one numpy may read otherwise than ``float``.
+    Those chunks and every other one with no quote go to the text reader
+    (``_text_numbers``): split at their commas, in one split of the whole
+    chunk when every line is a full row, and one ``float`` map per column.
+    Either way each chunk goes straight into columns: one
+    ``datetime.fromisoformat`` map, and a validity mask per check. Two
+    stamps compare by instant, also in ``timezone``, where ``datetime``
+    compares wall times: a naive stamp in a DST gap (read at its earlier
+    offset) sorts after a later wall time that is the earlier instant.
     """
     zone = ZoneInfo(timezone)
     report = ParseReport()
@@ -103,8 +110,13 @@ def parse_calls(path: str | Path, timezone: str = "UTC") -> tuple[CallTable, Par
         position = {name: i for i, name in enumerate(header)}  # the last of a repeated name
         picks = [position.get(name) for name in COLUMNS]  # None for a column the header lacks
         for lines, rows in pieces:
-            if lines is not None and set(map(str.count, lines, repeat(","))) == {width - 1}:
-                # every line is a full row: one split of the chunk, and column k is every width-th field
+            starts = None if lines is None else _field_starts(lines, width)
+            if starts is not None:
+                # every line is a full row: numpy reads the numbers if it can, else one split of the chunk
+                read = _plain_numbers(lines, picks, starts) if picks[0] == 0 else None
+                if read is not None:
+                    chunks.append(_parse_chunk(*read, zone, report))
+                    continue
                 flat = ",".join(lines).split(",")
                 columns = {k: flat[k::width] for k in set(picks) - {None}}
             else:
@@ -116,7 +128,8 @@ def parse_calls(path: str | Path, timezone: str = "UTC") -> tuple[CallTable, Par
                     if not rows:
                         continue
                 columns = list(zip(*rows))
-            chunks.append(_parse_chunk([None if k is None else columns[k] for k in picks], zone, report))
+            raw_ts, *numbers = (None if k is None else columns[k] for k in picks)
+            chunks.append(_parse_chunk(raw_ts, *_text_numbers(numbers), zone, report))
     wall_us, code, utc_us, values = (np.concatenate(c, axis=-1) for c in zip(*chunks))
     report.n_parsed = len(utc_us)
     report.n_dropped = report.n_rows - report.n_parsed
@@ -165,22 +178,17 @@ def _split_line(line: str) -> list[str]:
     return line.split(",") if line else []
 
 
-def _parse_chunk(fields: list, zone: ZoneInfo, report: ParseReport) -> tuple[np.ndarray, ...]:
+def _parse_chunk(raw_ts: Sequence[str], values: np.ndarray, present: np.ndarray, zone: ZoneInfo,
+                 report: ParseReport) -> tuple[np.ndarray, ...]:
     """One chunk's kept rows as table columns (wall us, zone code, UTC us
-    and the eight floats), from its nine fields: each a sequence of texts
-    (blank past the end of a short row), or None for a column the header
-    lacks.
+    and the eight floats), from its stamp texts and what a reader made of
+    its numbers (``_text_numbers`` or ``_plain_numbers``): the eight floats
+    as rows, NaN for a blank field or one that is not a number, and which
+    of the six optional fields are not blank.
     Counts the rows, and each dropped row's first reason, in ``report``."""
-    raw_ts, *numbers = fields
     n = len(raw_ts)
     report.n_rows += n
     stamps = _iso_stamps_of(raw_ts)
-    values = np.full((8, n), math.nan)
-    values[0], values[1] = _floats(numbers[0]), _floats(numbers[1])
-    present = np.zeros((6, n), dtype=bool)
-    for j, texts in enumerate(numbers[2:]):
-        if texts is not None:
-            values[j + 2], present[j] = _optional_floats(texts)
     optional = values[2:]
     with np.errstate(invalid="ignore"):  # a NaN, which a field that is not a number reads as, fails
         fits = np.where(_DURATIONS[:, None], (0.0 <= optional) & (optional < math.inf), np.isfinite(optional))
@@ -199,6 +207,78 @@ def _parse_chunk(fields: list, zone: ZoneInfo, report: ParseReport) -> tuple[np.
         stamps = list(compress(stamps, keep))
     wall_us, code, utc_us = _stamp_columns(stamps, zone)
     return wall_us, code, utc_us, values[:, keep]
+
+
+def _text_numbers(numbers: list) -> tuple[np.ndarray, np.ndarray]:
+    """The eight floats of a chunk as rows, and which of its six optional
+    fields are not blank, from its eight number fields: each a sequence of
+    texts (blank past the end of a short row), or None for a column the
+    header lacks. ``float`` reads each text (``_floats``,
+    ``_optional_floats``)."""
+    n = len(numbers[0])
+    values = np.full((8, n), math.nan)
+    values[0], values[1] = _floats(numbers[0]), _floats(numbers[1])
+    present = np.zeros((6, n), dtype=bool)
+    for j, texts in enumerate(numbers[2:]):
+        if texts is not None:
+            values[j + 2], present[j] = _optional_floats(texts)
+    return values, present
+
+
+def _field_starts(lines: list[str], width: int) -> np.ndarray | None:
+    """The first UTF-8 byte of each field of plain lines, as an array of a
+    row per line, when every line is a full row (``width`` fields); else
+    None. A blank field's first byte is the comma or line end after it."""
+    text = np.frombuffer(("\n" + "\n".join(lines) + "\n").encode(), dtype=np.uint8)
+    # the line end before the first line, then where each field ends: a comma or a line end
+    ends = np.flatnonzero((text == 44) | (text == 10))
+    if len(ends) != len(lines) * width + 1 or not (text[ends[width::width]] == 10).all():
+        return None
+    return text[ends[:-1] + 1].reshape(len(lines), width)
+
+
+# characters numpy's float reader strips as whitespace, where ``float`` refuses them
+_NOT_FLOAT_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _plain_numbers(lines: list[str], picks: list, starts: np.ndarray
+                   ) -> tuple[list[str], np.ndarray, np.ndarray] | None:
+    """The stamp texts of full rows whose first field is the stamp, and
+    ``_text_numbers`` of their number fields, read by numpy's C reader
+    (``np.loadtxt``); or None where it could read them otherwise than
+    ``float``, so the chunk goes to ``_text_numbers``. ``starts`` is
+    ``_field_starts``.
+
+    numpy converts a field with the conversion ``float`` uses, so a field
+    both read is the same float. A column blank in every row reads as one
+    the header lacks. Before numpy reads, the first bytes give None for any
+    other blank number field, or one that starts with whitespace (which may
+    be all it holds) or with a non-ASCII character (numpy refuses all but
+    whitespace), so a log with such fields does not pay for a read numpy
+    gives up; so does a character numpy strips and ``float`` refuses. A
+    field numpy still refuses, such as ``1_000``, which ``float`` reads,
+    gives None too."""
+    absent = ((starts == 44) | (starts == 10)).all(axis=0)
+    read = [(j, k) for j, k in enumerate(picks[1:]) if k is not None and not absent[k]]
+    first = starts[:, [k for _, k in read]]  # blank, whitespace and control bytes are at most 32
+    if ((first <= 32) | (first == 44) | (first >= 128)).any():
+        return None
+    if any(map("".join(lines).__contains__, _NOT_FLOAT_SPACE)):
+        return None
+    parts = list(map(str.partition, lines, repeat(",")))
+    n = len(lines)
+    values = np.full((8, n), math.nan)
+    if read:
+        try:
+            values[[j for j, _ in read]] = np.loadtxt(
+                list(map(itemgetter(2), parts)), dtype=np.float64, delimiter=",", comments=None,
+                usecols=[k - 1 for _, k in read], ndmin=2,
+            ).T
+        except ValueError:
+            return None
+    present = np.zeros((6, n), dtype=bool)
+    present[[j - 2 for j, _ in read if j >= 2]] = True
+    return list(map(itemgetter(0), parts)), values, present
 
 
 def _iso_stamps_of(texts: Sequence[str]) -> list[datetime | None]:
@@ -252,10 +332,15 @@ def _stamp_columns(stamps: list[datetime], zone: ZoneInfo) -> tuple[np.ndarray, 
     """Wall us, zone code and UTC us of parsed stamps: a naive stamp is in
     ``zone`` (the earlier offset in a DST gap or fold), an aware one in its
     fixed offset."""
-    wall_us = _wall_us(stamps)
-    tzs = list(map(attrgetter("tzinfo"), stamps))
-    codes = {tz: _SCHEMA_ZONE if tz is None else tz.utcoffset(None) // _MICROSECOND for tz in set(tzs)}
-    code = np.fromiter(map(codes.__getitem__, tzs), dtype=np.int64, count=len(stamps))
+    tzs = set(map(attrgetter("tzinfo"), stamps))
+    codes = {tz: _SCHEMA_ZONE if tz is None else tz.utcoffset(None) // _MICROSECOND for tz in tzs}
+    if len(tzs) == 1:  # one zone: one epoch, and one code for every stamp
+        (tz,) = tzs
+        wall_us = _us_since(stamps, repeat(datetime(1970, 1, 1, tzinfo=tz)))
+        code = np.full(len(stamps), codes[tz], dtype=np.int64)
+    else:
+        wall_us = _wall_us(stamps)
+        code = np.fromiter(map(codes.__getitem__, map(attrgetter("tzinfo"), stamps)), dtype=np.int64, count=len(stamps))
     naive = code == _SCHEMA_ZONE
     utc_us = wall_us - np.where(naive, 0, code)
     if naive.any():
@@ -349,8 +434,12 @@ def _wall_us(stamps: Sequence[datetime]) -> np.ndarray:
     """Each stamp's wall-clock time, in us since 1970-01-01 in its own zone."""
     epochs = {z: datetime(1970, 1, 1, tzinfo=z) for z in set(map(attrgetter("tzinfo"), stamps))}
     # a stamp minus an epoch in the same zone is wall-clock time, whatever the zone's offsets
-    since = map(sub, stamps, map(epochs.__getitem__, map(attrgetter("tzinfo"), stamps)))
-    return np.fromiter(map(floordiv, since, repeat(_MICROSECOND)), dtype=np.int64, count=len(stamps))
+    return _us_since(stamps, map(epochs.__getitem__, map(attrgetter("tzinfo"), stamps)))
+
+
+def _us_since(stamps: Sequence[datetime], epochs: Iterable[datetime]) -> np.ndarray:
+    """The us from each epoch to its stamp."""
+    return np.fromiter(map(floordiv, map(sub, stamps, epochs), repeat(_MICROSECOND)), dtype=np.int64, count=len(stamps))
 
 
 def weekday_and_clock_us(wall_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -519,10 +608,15 @@ def build_demand_matrix(
     preceding the first call; each period's start is that instant, to the
     microsecond, in the first call's zone, so a start after a DST change
     carries the new offset. Calls farther than snap_cells cell-widths
-    outside the grid are dropped and counted in n_dropped.
+    outside the grid are dropped and counted in n_dropped. A period length
+    that is not a finite number of microseconds is a ConfigError, and a
+    period start that ``datetime`` cannot hold (past year 9999, or before
+    year 1) a DataError naming it.
     """
     if period_length_s <= 0:
         raise ConfigError(f"period_length_s must be positive, got {period_length_s}")
+    if not math.isfinite(period_length_s * 1e6):
+        raise ConfigError(f"period_length_s={period_length_s} is not a finite number of microseconds")
     if not len(check_table(calls)):
         return DemandMatrix(np.zeros((0, grid.n_cells), dtype=np.int64), [], [])
     first = calls[:1]._stamps()[0]
@@ -547,13 +641,40 @@ def build_demand_matrix(
     # the calls are binned by absolute time, so the starts step in absolute time too
     steps_us = np.rint(np.arange(n_periods) * (period_length_s * 1e6)).astype(np.int64)
     start_us = (anchor - _UTC_EPOCH) // _MICROSECOND + steps_us
-    zone = anchor.tzinfo
-    if isinstance(zone, ZoneInfo):  # each start's offset is the zone's at that instant
-        instants = map(add, repeat(_UTC_EPOCH), start_us.astype("m8[us]").tolist())
-        wall_us = _wall_us(list(map(datetime.astimezone, instants, repeat(zone))))
-    else:
-        wall_us = start_us + zone.utcoffset(None) // _MICROSECOND
+    try:
+        wall_us = _start_wall_us(start_us, anchor.tzinfo)
+    except OverflowError:
+        k = next(k for k in range(n_periods) if not _holds(start_us[k:k + 1], anchor.tzinfo))
+        raise DataError(
+            f"period start {k}, {steps_us[k] / 1e6} s after the first call's midnight {anchor.isoformat()}, "
+            f"lies outside the years 1 to 9999 a datetime holds"
+        ) from None
     return DemandMatrix(counts, wall_us, wall_us - start_us, int(len(calls) - inside.sum()))
+
+
+_MIN_WALL_US, _MAX_WALL_US = ((t - datetime(1970, 1, 1)) // _MICROSECOND for t in (datetime.min, datetime.max))
+
+
+def _start_wall_us(start_us: np.ndarray, zone) -> np.ndarray:
+    """The wall us of period starts, given in UTC us, in ``zone``: at the
+    zone's offset at each instant for a ZoneInfo, else at its fixed offset.
+    An OverflowError where ``datetime`` cannot hold a start."""
+    if isinstance(zone, ZoneInfo):
+        instants = map(add, repeat(_UTC_EPOCH), start_us.astype("m8[us]").tolist())
+        return _wall_us(list(map(datetime.astimezone, instants, repeat(zone))))
+    wall_us = start_us + zone.utcoffset(None) // _MICROSECOND
+    if wall_us.min() < _MIN_WALL_US or wall_us.max() > _MAX_WALL_US:
+        raise OverflowError("date value out of range")
+    return wall_us
+
+
+def _holds(start_us: np.ndarray, zone) -> bool:
+    """Whether ``datetime`` holds each of the period starts."""
+    try:
+        _start_wall_us(start_us, zone)
+    except OverflowError:
+        return False
+    return True
 
 
 def peak_period_mask(

@@ -1,3 +1,4 @@
+import codecs
 import csv
 import hashlib
 import io
@@ -953,6 +954,52 @@ def test_seed_flag_overrides_config(city, tmp_path, monkeypatch):
     monkeypatch.setitem(COMMANDS, "grid", lambda cfg, out: seeds.append(cfg.seed) or cmd_grid(cfg, out))
     assert run(city, "grid", tmp_path / "s", ("--seed", "99")) == 0
     assert seeds == [99]
+
+
+def _grid_and_preprocess(tmp_path, text: bytes, **config) -> int:
+    """grid and then preprocess on a call log of ``text``; preprocess's exit code."""
+    calls_csv = tmp_path / "calls.csv"
+    calls_csv.write_bytes(text)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**config, "calls_csv": str(calls_csv)}))
+    out = tmp_path / "out"
+    assert main(["grid", "--config", str(cfg), "--out", str(out)]) == 0
+    return main(["preprocess", "--config", str(cfg), "--out", str(out)])
+
+
+def test_a_period_start_past_year_9999_is_exit_3_naming_it(tmp_path, capsys):
+    # the 18:00 start in Chicago is 10000-01-01T00:00Z, which no datetime holds
+    rows = "".join(f"9999-12-31T{t},30.2,-97.7\n" for t in ("21:00:00", "22:30:00", "23:30:00"))
+    code = _grid_and_preprocess(tmp_path, ("datetime,latitude,longitude\n" + rows).encode(),
+                                timezone="America/Chicago", peak_filter=False)
+    assert code == 3
+    assert ("data error: period start 18, 64800.0 s after the first call's midnight 9999-12-31T00:00:00-06:00, "
+            "lies outside the years 1 to 9999 a datetime holds") in capsys.readouterr().err
+
+
+def test_a_period_length_past_the_float_microseconds_is_exit_2(tmp_path, capsys):
+    # 1e308 s is a finite float, but not in microseconds
+    rows = "".join(f"2024-01-01T0{h}:00:00,30.2,-97.7\n" for h in (1, 2, 3))
+    code = _grid_and_preprocess(tmp_path, ("datetime,latitude,longitude\n" + rows).encode(),
+                                period_length_s=1e308, peak_filter=False)
+    assert code == 2
+    assert "config error: period_length_s=1e+308 is not a finite number of microseconds" in capsys.readouterr().err
+
+
+def test_a_byte_order_mark_before_the_header_keeps_the_parse(city, tmp_path):
+    # spreadsheets save "CSV UTF-8" with a byte-order mark: the log parses to
+    # the same call table with and without one, plain and with every field quoted
+    text = Path(city["raw"]["calls_csv"]).read_bytes()
+    quoted = io.StringIO(newline="")
+    csv.writer(quoted, quoting=csv.QUOTE_ALL).writerows(csv.reader(io.StringIO(text.decode(), newline="")))
+    tables = []
+    for log in (text, quoted.getvalue().encode()):
+        for bom in (b"", codecs.BOM_UTF8):
+            case = tmp_path / f"case{len(tables)}"
+            case.mkdir()
+            assert _grid_and_preprocess(case, bom + log, **city["raw"]) == 0
+            tables.append((case / "out" / "calls_table.bin").read_bytes())
+    assert len(set(tables)) == 1
 
 
 def test_solver_failure_is_exit_4(tmp_path):

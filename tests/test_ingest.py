@@ -35,6 +35,7 @@ from emsdeploy.ingest import (
     trim_quantiles,
 )
 from emsdeploy.rng import substream
+from emsdeploy.synth import SynthConfig, synth_calls, synth_grid
 from oracles import (
     reference_parse_calls,
     reference_serialize_calls,
@@ -171,7 +172,12 @@ TIMESTAMPS = [
     "2024-03-10T02:30:00", "2024-03-10T03:10:00", "2024-11-03T01:30:00", "2024-01-01T09:00:00+00:00",
     " 2024-01-01T09:00:00-05:00 ", "2024-01-01 09:00", "not-a-time", "", "2024-13-01T00:00:00",
 ]
-NUMBERS = ["30.1", " -97.6 ", "0", "-0.0", "1e3", "12.5", "-5", "", "  ", "nan", "inf", "-inf", "abc", "1_000"]
+# with the strings where numpy's float reader and ``float`` part ways: ``float``
+# alone reads underscores and non-ASCII digits, and numpy alone strips \x1c-\x1f
+NUMBERS = [
+    "30.1", " -97.6 ", "0", "-0.0", "1e3", "12.5", "-5", "", "  ", "nan", "inf", "-inf", "abc", "1_000",
+    "\u0661\u0662", "\uff11", "1e400", "+inf", "-nan", "30.116776580386862", "\x1c1",
+]
 
 
 @st.composite
@@ -383,6 +389,72 @@ def test_quoting_every_field_keeps_the_parse(case, chunk_rows):
             assert str(err.value) == str(exc).replace("calls.csv", "quoted.csv")
             return
         _same_parse(parse_calls(quoted, tz), want)
+
+
+@st.composite
+def plain_logs(draw, max_rows=30):
+    """A call log in ``serialize_calls``'s shape: the ``COLUMNS`` header, the
+    stamp first, CRLF line ends, float reprs and a last column blank in every
+    row; now and then one field is dirty or blank."""
+    stamps = st.sampled_from(["2024-03-10T02:30:00", "2024-01-01T09:00:00.250000+00:00", "2024-07-04T17:45:00-05:00"])
+    degrees = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+    seconds = st.floats(min_value=0.0, allow_infinity=False).map(repr)
+    dirty = st.one_of(st.sampled_from(NUMBERS), st.sampled_from(TIMESTAMPS))
+    lines = [",".join(HEADER_NAMES)]
+    for _ in range(draw(st.integers(0, max_rows))):
+        # COLUMNS but the last, to_hospital_s, which stays blank
+        row = [draw(s) for s in (stamps, degrees, degrees, seconds, seconds, degrees, degrees, seconds)]
+        if draw(st.integers(0, 9)) == 0:
+            row[draw(st.integers(0, len(row) - 1))] = draw(dirty)
+        lines.append(",".join(row + [""]))
+    return "\r\n".join(lines) + "\r\n", draw(st.sampled_from(["UTC", "America/Chicago"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(plain_logs(), st.integers(1, 5))
+def test_numpy_and_text_readers_are_the_reference_parse(case, chunk_rows):
+    # clean chunks go to numpy's reader, a chunk with a dirty or blank field to
+    # the text reader; both parse as the reference does, reasons in the order seen
+    text, tz = case
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_CHUNK_ROWS", chunk_rows)
+        path = Path(tmp) / "calls.csv"
+        path.write_bytes(text.encode())
+        _same_parse(parse_calls(path, tz), reference_parse_calls(path, tz))
+
+
+def test_a_plain_log_is_read_by_numpy(tmp_path, monkeypatch):
+    # serialize_calls's log of synthetic calls has no field numpy's reader
+    # refuses, so no chunk reaches float: with the text reader's float helpers
+    # made to fail, the log still parses to the calls written
+    calls = synth_calls(synth_grid(SynthConfig()), 3000, seed=3)
+    path = tmp_path / "calls.csv"
+    serialize_calls(calls, path)
+
+    def refused(*args):
+        raise AssertionError("a chunk of a plain log went to the text reader")
+
+    monkeypatch.setattr(ingest, "_floats", refused)
+    monkeypatch.setattr(ingest, "_optional_floats", refused)
+    parsed, report = parse_calls(path)
+    assert (report.n_rows, report.n_dropped) == (3000, 0)
+    for name in CallTable.__slots__[:4]:
+        np.testing.assert_array_equal(getattr(parsed, name), getattr(calls, name))
+
+
+@pytest.mark.parametrize("field", ["", "  ", "\t", " 12.5", "\u0661\u0662", "\u3000"])
+def test_a_field_numpy_may_refuse_goes_to_the_text_reader_unread(tmp_path, monkeypatch, field):
+    # a blank number field, or one that starts with whitespace or a non-ASCII
+    # character, is seen in the first bytes: numpy never starts a read it gives up
+    path = tmp_path / "calls.csv"
+    rows = f"{STAMP},30.1,-97.6,{field}\n{STAMP},30.2,-97.6,5\n"
+    path.write_bytes(("datetime,latitude,longitude,on_scene_s\n" + rows).encode())
+
+    def refused(*args, **kwargs):
+        raise AssertionError("numpy was given a chunk with a field it may refuse")
+
+    monkeypatch.setattr(np, "loadtxt", refused)
+    _same_parse(parse_calls(path), reference_parse_calls(path))
 
 
 def test_parse_orders_by_instant_across_the_spring_gap(tmp_path):
